@@ -52,7 +52,7 @@ func main() {
 	outputFile := flag.String("outputFile", "", "write the converged values here ('-' = stdout)")
 	graphPath := flag.String("graphPath", "", "load the initial graph from an edge-tuple file instead of generating it")
 	streamPath := flag.String("streamPath", "", "load the update stream from a stream file instead of sampling it")
-	walOn := flag.Bool("wal", false, "write-ahead log every batch and snapshot periodically (selective algorithms, single node); with an existing -waldir, recover from it first")
+	walOn := flag.Bool("wal", false, "write-ahead log every batch and snapshot periodically (single node); with an existing -waldir, recover from it first")
 	walDir := flag.String("waldir", "", "directory for WAL segments and snapshots (required with -wal)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: interval | always | off")
 	snapEvery := flag.Int("snapshot-every", 16, "batches between snapshot checkpoints in -wal mode")
@@ -184,9 +184,13 @@ func main() {
 		run     func(graph.Batch) (engine.BatchStats, error)
 		cluster *dist.Cluster
 		crt     *clusterRuntime
-		durable *wal.DurableSelective
+		durable *wal.Durable
 		dim     = 1
 	)
+	dc := wal.DurableConfig{
+		Wal:           wal.Options{Dir: *walDir, Policy: fsyncPolicy, Metrics: reg},
+		SnapshotEvery: *snapEvery,
+	}
 	src := graph.VertexID(*source)
 	switch *algoName {
 	case "BFS", "SSSP", "SSWP", "CC":
@@ -223,38 +227,7 @@ func main() {
 			cluster = dist.NewClusterWithFaults(g, a, *nodes, *flowCap, fcfg)
 			values = cluster.Values
 		case *walOn:
-			if err := os.MkdirAll(*walDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
-				os.Exit(1)
-			}
-			dc := wal.DurableConfig{
-				Wal:           wal.Options{Dir: *walDir, Policy: fsyncPolicy, Metrics: reg},
-				SnapshotEvery: *snapEvery,
-			}
-			if wal.HasSnapshot(*walDir) {
-				// An existing log wins over the generated initial graph: the
-				// stream continues from the recovered state.
-				var rs wal.RecoveryStats
-				var err error
-				durable, rs, err = wal.RecoverSelective(a, eCfg, dc)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "graphfly: recovery from %s failed: %v\n", *walDir, err)
-					os.Exit(1)
-				}
-				fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v\n",
-					*walDir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration)
-			} else {
-				var err error
-				durable, err = wal.NewDurableSelective(g, a, eCfg, dc)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			values = durable.Eng.Values
-			run = func(b graph.Batch) (engine.BatchStats, error) {
-				return durable.ProcessBatch(ctx, b)
-			}
+			durable = openDurable(g, wal.SelectiveFamily(a), eCfg, dc)
 		default:
 			eng := engine.NewSelective(g, a, eCfg)
 			values = eng.Values
@@ -285,17 +258,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "graphfly: -nodes and -cluster support the selective algorithms only (%s is accumulative)\n", *algoName)
 			os.Exit(2)
 		}
-		if *walOn {
-			fmt.Fprintf(os.Stderr, "graphfly: -wal supports the selective algorithms only (%s is accumulative)\n", *algoName)
-			os.Exit(2)
-		}
 		g := graph.FromEdges(w.NumV, w.Initial)
-		eng := engine.NewAccumulative(g, a, eCfg)
-		values = eng.Values
-		run = eng.ProcessBatchE
+		if *walOn {
+			durable = openDurable(g, wal.AccumulativeFamily(a), eCfg, dc)
+		} else {
+			eng := engine.NewAccumulative(g, a, eCfg)
+			values = eng.Values
+			run = eng.ProcessBatchE
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "graphfly: unknown algorithm %q\n", *algoName)
 		os.Exit(2)
+	}
+
+	if durable != nil {
+		values = durable.Eng.Values
+		run = func(b graph.Batch) (engine.BatchStats, error) { return durable.ProcessBatch(ctx, b) }
 	}
 
 	fmt.Printf("graphfly %s on %s: %d vertices, %d initial edges, %d batches\n",
@@ -396,6 +374,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// openDurable opens the durable engine of -waldir. An existing snapshot
+// wins over the generated initial graph g: the stream continues from the
+// recovered state; otherwise a fresh engine over g is made durable.
+func openDurable(g *graph.Streaming, fam wal.Family, eCfg engine.Config, dc wal.DurableConfig) *wal.Durable {
+	dir := dc.Wal.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
+		os.Exit(1)
+	}
+	if !wal.HasSnapshot(dir) {
+		d, err := wal.NewDurable(g, fam, eCfg, dc)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
+			os.Exit(1)
+		}
+		return d
+	}
+	d, rs, err := wal.Recover(fam, eCfg, dc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "graphfly: recovery from %s failed: %v\n", dir, err)
+		os.Exit(1)
+	}
+	fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v\n",
+		dir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration)
+	return d
 }
 
 // digest prints a short summary of the converged values.

@@ -182,52 +182,34 @@ func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges
 		DedupWindow:   dedupWindow,
 	}
 
-	freshGraph := func(symmetric bool) *graph.Streaming {
+	fam, symmetric := wal.LocalFamily(lalg), true
+	if selOK {
+		fam, symmetric = wal.SelectiveFamily(alg), alg.Symmetric()
+	}
+	var durable *wal.Durable
+	if wal.HasSnapshot(walDir) {
+		var rs wal.RecoveryStats
+		var err error
+		if durable, rs, err = wal.Recover(fam, eCfg, dc); err != nil {
+			fatalf("recovery from %s failed: %v", walDir, err)
+		}
+		fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v\n",
+			walDir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration)
+	} else {
 		w := buildWorkload(dataset, nEdges, 0, deletions, seed)
 		initial := w.Initial
 		if symmetric {
 			initial = mirroredInitial(initial)
 		}
-		return graph.FromEdges(w.NumV, initial)
-	}
-	reportRecovery := func(rs wal.RecoveryStats) {
-		fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v\n",
-			walDir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration)
-	}
-
-	var backend serve.Backend
-	switch {
-	case selOK && wal.HasSnapshot(walDir):
-		durable, rs, err := wal.RecoverSelective(alg, eCfg, dc)
-		if err != nil {
-			fatalf("recovery from %s failed: %v", walDir, err)
-		}
-		reportRecovery(rs)
-		backend = serve.SelectiveBackend{D: durable, Alg: alg}
-	case selOK:
-		durable, err := wal.NewDurableSelective(freshGraph(alg.Symmetric()), alg, eCfg, dc)
-		if err != nil {
+		var err error
+		if durable, err = wal.NewDurable(graph.FromEdges(w.NumV, initial), fam, eCfg, dc); err != nil {
 			fatalf("%v", err)
 		}
-		backend = serve.SelectiveBackend{D: durable, Alg: alg}
-	case wal.HasSnapshot(walDir):
-		durable, rs, err := wal.RecoverLocal(lalg, eCfg, dc)
-		if err != nil {
-			fatalf("recovery from %s failed: %v", walDir, err)
-		}
-		reportRecovery(rs)
-		backend = serve.LocalBackend{D: durable, Alg: lalg}
-	default:
-		durable, err := wal.NewDurableLocal(freshGraph(true), lalg, eCfg, dc)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		backend = serve.LocalBackend{D: durable, Alg: lalg}
 	}
 
 	srv, err := serve.New(serve.Config{
 		Addr:        addr,
-		Backend:     backend,
+		Durable:     durable,
 		MaxSessions: maxSessions,
 		MaxPending:  maxPending,
 		Metrics:     reg,
@@ -236,7 +218,7 @@ func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges
 		fatalf("%v", err)
 	}
 	fmt.Printf("graphflyd listening on %s (%s on %s, %d vertices, seq %d, fsync=%s)\n",
-		srv.Addr(), algoName, dataset, srv.Snapshot().NumVertices(), backend.Seq(), policy)
+		srv.Addr(), algoName, dataset, srv.Snapshot().NumVertices(), durable.Seq(), policy)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -247,7 +229,7 @@ func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges
 	if err := srv.Shutdown(sctx); err != nil {
 		fatalf("shutdown: %v", err)
 	}
-	fmt.Printf("graphflyd drained: durable through seq %d\n", backend.Seq())
+	fmt.Printf("graphflyd drained: durable through seq %d\n", durable.Seq())
 	if showMetrics {
 		fmt.Print(reg.Snapshot().String())
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algo"
-	"repro/internal/cachesim"
-	"repro/internal/etree"
 	"repro/internal/graph"
 )
 
@@ -52,36 +50,11 @@ func NewAccumulativeFromState(g *graph.Streaming, alg algo.Accumulative, cfg Con
 		return nil, fmt.Errorf("engine: state vectors %d/%d/%d values, want %d",
 			len(st.State), len(st.Agg), len(st.LastUnit), want)
 	}
-	e := &Accumulative{
-		G:     g,
-		Alg:   alg,
-		cfg:   cfg,
-		dim:   alg.Dim(),
-		probe: cfg.probe(),
-	}
-	_, e.profiled = e.probe.(*cachesim.Sim)
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	}
-	e.outW = make([]float64, n)
-	for v := 0; v < n; v++ {
-		for _, h := range g.Out(graph.VertexID(v)) {
-			e.outW[v] += h.W
-		}
-	}
-	e.dirty = newFlags(n)
-	e.needPush = newFlags(n)
-	dir := etree.Forward
-	if cfg.BackwardFlows {
-		dir = etree.Backward
-	}
-	e.forest = etree.NewForest(g, dir)
-	e.repartition()
+	e := newAccumulative(g, alg, cfg)
 	for v := 0; v < n; v++ {
 		e.state.SetVec(uint32(v), st.State[v*e.dim:(v+1)*e.dim])
 		e.agg.SetVec(uint32(v), st.Agg[v*e.dim:(v+1)*e.dim])
 		e.lastUnit.SetVec(uint32(v), st.LastUnit[v*e.dim:(v+1)*e.dim])
 	}
-	e.seeds = make([][]uint32, e.part.NumFlows())
 	return e, nil
 }

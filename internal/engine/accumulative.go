@@ -3,13 +3,9 @@ package engine
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/algo"
 	"repro/internal/cachesim"
-	"repro/internal/dense"
 	"repro/internal/dflow"
 	"repro/internal/etree"
 	"repro/internal/graph"
@@ -31,9 +27,8 @@ import (
 // Flows come from the structural D-trees of the forward triangle with
 // hyper vertices (§IV), maintained incrementally as the graph mutates.
 type Accumulative struct {
-	G   *graph.Streaming
+	driver
 	Alg algo.Accumulative
-	cfg Config
 
 	dim      int
 	state    *layout.Store
@@ -44,142 +39,69 @@ type Accumulative struct {
 	dirty    *flags // state must be recomputed from agg
 	needPush *flags // contribution broadcast is stale
 
-	forest *etree.Forest
-	part   *dflow.Partition
-	fg     *dflow.FlowGraph
-
-	probe    cachesim.Probe
-	profiled bool
-	outIdx   *layout.EdgeIndex
-
-	batches int
-
-	unitsMu sync.Mutex
-	units   []*unit
-	unitOf  []int32
+	forest  *etree.Forest
 	inboxes []inbox[[]uint32]
-	seeds   [][]uint32 // per-flow seed vertices for the current batch
-	pl      scheduler
-
-	impacted *dense.FlowSet // per-batch impacted flows, reused across batches
-	symm     Symmetrizer    // retained symmetrize scratch
-
-	// rs is the hub-replication plan (nil unless Config.HubReplication):
-	// delta pushes into a hub accumulate in per-worker partial-sum slabs
-	// drained by replica units into a combine unit, which applies the
-	// residual to the hub's aggregate exactly once per quiescence wave.
-	// See replicate.go.
-	rs      *replicaSet
-	specBuf []dflow.CombineSpec
-
-	pushes      atomic.Int64
-	crossMsgs   atomic.Int64
-	replicaMsgs atomic.Int64
-	combines    atomic.Int64
-
-	canceled bool // a batch was aborted mid-flight; state is inconsistent
-
-	trace   *WorkTrace
-	traceMu sync.Mutex
 }
 
 // NewAccumulative builds the engine over g and converges the initial graph.
 func NewAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Accumulative {
-	e := &Accumulative{
-		G:     g,
-		Alg:   alg,
-		cfg:   cfg,
-		dim:   alg.Dim(),
-		probe: cfg.probe(),
+	e := newAccumulative(g, alg, cfg)
+	// Initial convergence through the engine itself: state = base,
+	// aggregates and broadcasts zero, every vertex must push.
+	buf := make([]float64, e.dim)
+	e.resetSeeds(e.part.NumFlows())
+	for v := 0; v < g.NumVertices(); v++ {
+		e.Alg.Base(graph.VertexID(v), buf)
+		e.state.SetVec(uint32(v), buf)
+		e.needPush.set(uint32(v))
+		e.seedVertex(uint32(v))
 	}
-	_, e.profiled = e.probe.(*cachesim.Sim)
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	} else if cfg.HubThreshold > 0 {
-		g.SetHubThresholds(cfg.HubThreshold, 0)
-	}
+	e.converge(context.Background(), nil, new(BatchStats))
+	return e
+}
+
+// newAccumulative builds the engine with all-zero state over g's structural
+// D-trees; the caller installs the state.
+func newAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Accumulative {
 	n := g.NumVertices()
-	e.outW = make([]float64, n)
+	e := &Accumulative{
+		Alg:      alg,
+		dim:      alg.Dim(),
+		outW:     make([]float64, n),
+		dirty:    newFlags(n),
+		needPush: newFlags(n),
+	}
+	e.init(g, cfg, e, alg.Symmetric())
 	for v := 0; v < n; v++ {
 		for _, h := range g.Out(graph.VertexID(v)) {
 			e.outW[v] += h.W
 		}
 	}
-	e.dirty = newFlags(n)
-	e.needPush = newFlags(n)
-	dir := etree.Forward
-	if cfg.BackwardFlows {
-		dir = etree.Backward
-	}
-	e.forest = etree.NewForest(g, dir)
+	e.forest = etree.NewForest(g, cfg.flowDirection())
 	e.repartition()
-	e.rs = newReplicaSetFor(cfg, g, e.part.NumFlows(), e.dim)
-
-	// Initial convergence through the engine itself: state = base,
-	// aggregates and broadcasts zero, every vertex must push.
-	buf := make([]float64, e.dim)
-	for v := 0; v < n; v++ {
-		e.Alg.Base(graph.VertexID(v), buf)
-		e.state.SetVec(uint32(v), buf)
-		e.needPush.set(uint32(v))
-	}
-	impacted := e.impactedScratch(e.part.NumFlows())
-	e.seeds = make([][]uint32, e.part.NumFlows())
-	for v := 0; v < n; v++ {
-		f := e.part.Flow(graph.VertexID(v))
-		e.seeds[f] = append(e.seeds[f], uint32(v))
-		impacted.Add(f)
-	}
-	e.converge(context.Background(), impacted.Members())
+	e.replicate(e.dim)
 	return e
 }
 
-// impactedScratch hands out the per-batch impacted-flow set (see
-// scratchFlowSet for the -denseoff semantics).
-func (e *Accumulative) impactedScratch(nf int) *dense.FlowSet {
-	e.impacted = scratchFlowSet(e.impacted, nf, e.cfg.DenseOff)
-	return e.impacted
+// maintain keeps the out-weights and the structural D-trees current
+// (Fig 15b measures this span).
+func (e *Accumulative) maintain(applied graph.Batch) bool {
+	for _, u := range applied {
+		if u.Del {
+			e.outW[u.Src] = max(e.outW[u.Src]-u.W, 0)
+		} else {
+			e.outW[u.Src] += u.W
+		}
+	}
+	return maintainForest(e.forest, e.G, applied)
 }
 
-func (e *Accumulative) repartition() {
-	e.part = dflow.NewPartition(e.forest, e.cfg.FlowCap)
-	if e.fg == nil || e.cfg.DenseOff {
-		e.fg = dflow.NewFlowGraph(e.G, e.part)
-	} else {
-		e.fg.Rebuild(e.G, e.part)
-	}
-	mk := func() *layout.Store {
-		if e.cfg.ScatteredStorage {
-			return layout.NewScatteredStore(e.G.NumVertices(), e.dim)
-		}
-		return layout.NewFlowStore(e.part, e.dim)
-	}
-	migrate := func(old *layout.Store) *layout.Store {
-		s := mk()
-		if old != nil {
-			buf := make([]float64, e.dim)
-			for v := 0; v < e.G.NumVertices(); v++ {
-				old.GetVec(uint32(v), buf)
-				s.SetVec(uint32(v), buf)
-			}
-		}
-		return s
-	}
-	e.state = migrate(e.state)
-	e.agg = migrate(e.agg)
-	e.lastUnit = migrate(e.lastUnit)
-	e.refreshEdgeIndex()
-}
-
-func (e *Accumulative) refreshEdgeIndex() {
-	if !e.profiled {
-		return
-	}
-	prev := e.outIdx
-	if e.cfg.DenseOff {
-		prev = nil
-	}
-	e.outIdx = layout.NewEdgeIndexInto(prev, e.G, e.part, !e.cfg.ScatteredStorage)
+func (e *Accumulative) rebuild() *dflow.Partition {
+	part := dflow.NewPartition(e.forest, e.cfg.FlowCap)
+	e.state = e.migrateStore(part, e.dim, e.state)
+	e.agg = e.migrateStore(part, e.dim, e.agg)
+	e.lastUnit = e.migrateStore(part, e.dim, e.lastUnit)
+	return part
 }
 
 // State copies v's state vector into a fresh slice.
@@ -198,137 +120,15 @@ func (e *Accumulative) Values() []float64 {
 	return out
 }
 
-// Partition exposes the current dependency-flow partition.
-func (e *Accumulative) Partition() *dflow.Partition { return e.part }
-
 // Forest exposes the structural D-tree forest.
 func (e *Accumulative) Forest() *etree.Forest { return e.forest }
 
-// ProcessBatch applies one batch and incrementally reconverges. It panics
-// on a malformed batch; ProcessBatchE is the error-returning form.
-func (e *Accumulative) ProcessBatch(batch graph.Batch) BatchStats {
-	st, err := e.ProcessBatchE(batch)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// ProcessBatchE is ProcessBatch with graceful degradation: the batch is
-// validated up front and a malformed update stream returns a
-// *graph.BatchError without mutating any engine state, so a caller fed by
-// an untrusted source can drop the bad batch and keep going.
-func (e *Accumulative) ProcessBatchE(batch graph.Batch) (BatchStats, error) {
-	return e.ProcessBatchCtx(context.Background(), batch)
-}
-
-// ProcessBatchCtx is ProcessBatchE with cancellation, mirroring
-// (*Selective).ProcessBatchCtx: cancellation drains the scheduler after its
-// in-flight units, the call returns ctx's error, and the engine is left
-// mid-refinement — later calls fail with ErrCanceled until it is rebuilt.
-func (e *Accumulative) ProcessBatchCtx(ctx context.Context, batch graph.Batch) (BatchStats, error) {
-	if e.canceled {
-		return BatchStats{}, ErrCanceled
-	}
-	if err := ctx.Err(); err != nil {
-		return BatchStats{}, err
-	}
-	if err := e.G.CheckBatch(batch); err != nil {
-		return BatchStats{}, err
-	}
-	st := e.processBatch(ctx, batch)
-	if err := ctx.Err(); err != nil {
-		e.canceled = true
-		return st, err
-	}
-	return st, nil
-}
-
-func (e *Accumulative) processBatch(ctx context.Context, batch graph.Batch) BatchStats {
-	var st BatchStats
-	t0 := time.Now()
-	e.probe.BeginBatch()
-	if e.Alg.Symmetric() {
-		if e.cfg.DenseOff {
-			batch = Symmetrize(batch)
-		} else {
-			batch = e.symm.Symmetrize(batch)
-		}
-	}
-	if e.cfg.TraceWork {
-		e.trace = newWorkTrace()
-		st.Trace = e.trace
-	} else {
-		e.trace = nil
-	}
-
-	tApply := time.Now()
-	applied := e.G.ApplyBatchParallel(batch, e.cfg.workers())
-	st.Applied = len(applied)
-	st.ApplyTime = time.Since(tApply)
-
-	// D-tree and index maintenance (Fig 15b measures this span):
-	// incremental O(1)-amortized per update, with a lazy rebuild when
-	// enough deletions have accumulated (hyper-vertex separation, §IV-C).
-	tMaint := time.Now()
-	e.batches++
-	for _, u := range applied {
-		if u.Del {
-			e.forest.DeleteEdge(e.G, u.Src, u.Dst)
-		} else {
-			e.forest.AddEdge(u.Src, u.Dst)
-		}
-	}
-	st.DtreeTime = time.Since(tMaint)
-	rebuilt := e.forest.RebuildIfDirty(e.G, 0.2)
-	if rebuilt || e.batches%e.cfg.repartitionEvery() == 0 {
-		e.repartition()
-	} else {
-		for _, u := range applied {
-			if u.Del {
-				e.fg.DeleteEdge(u.Src, u.Dst)
-			} else {
-				e.fg.AddEdge(u.Src, u.Dst)
-			}
-		}
-		e.refreshEdgeIndex()
-	}
-	for _, u := range applied {
-		if u.Del {
-			e.outW[u.Src] -= u.W
-			if e.outW[u.Src] < 0 {
-				e.outW[u.Src] = 0
-			}
-		} else {
-			e.outW[u.Src] += u.W
-		}
-	}
-	st.MaintainTime = time.Since(tMaint)
-
-	// Refinement: adjust the aggregates of changed edges with the current
-	// broadcasts so the invariant holds on the new topology (the paper's
-	// refine phase; GraphFly needs no barrier after it because each flow's
-	// recomputation starts from a consistent aggregate).
-	tTrim := time.Now()
+// trim is the refinement: adjust the aggregates of changed edges with the
+// current broadcasts so the invariant holds on the new topology (the
+// paper's refine phase; GraphFly needs no barrier after it because each
+// flow's recomputation starts from a consistent aggregate).
+func (e *Accumulative) trim(applied graph.Batch) (roots, trimmed int) {
 	e.probe.SetPhase(cachesim.PhaseRefine)
-	nf := e.part.NumFlows()
-	if e.rs != nil {
-		e.rs.update(e.G, applied, nf)
-		st.ReplicatedHubs = len(e.rs.hubs)
-	}
-	if cap(e.seeds) < nf {
-		e.seeds = make([][]uint32, nf)
-	}
-	e.seeds = e.seeds[:nf]
-	for i := range e.seeds {
-		e.seeds[i] = e.seeds[i][:0]
-	}
-	impacted := e.impactedScratch(nf)
-	seed := func(v uint32) {
-		f := e.part.Flow(v)
-		e.seeds[f] = append(e.seeds[f], v)
-		impacted.Add(f)
-	}
 	unit := make([]float64, e.dim)
 	for _, u := range applied {
 		e.lastUnit.GetVec(uint32(u.Src), unit)
@@ -346,149 +146,23 @@ func (e *Accumulative) processBatch(ctx context.Context, batch graph.Batch) Batc
 			}
 		}
 		if !e.dirty.swapSet(uint32(u.Dst)) {
-			seed(uint32(u.Dst))
+			e.seedVertex(uint32(u.Dst))
 		}
 		// The source's out-weight changed: its broadcast is stale.
 		if !e.needPush.swapSet(uint32(u.Src)) {
-			seed(uint32(u.Src))
+			e.seedVertex(uint32(u.Src))
 		}
-		st.Trimmed++
 	}
-	st.TrimTime = time.Since(tTrim)
-
-	tComp := time.Now()
-	st.Impacted = impacted.Len()
-	units, levels := e.converge(ctx, impacted.Members())
-	st.Units = units
-	st.Levels = levels
-	st.ComputeTime = time.Since(tComp)
-	st.Relaxations = e.pushes.Load()
-	st.CrossMsgs = e.crossMsgs.Load()
-	st.ReplicaMsgs = e.replicaMsgs.Load()
-	st.Combines = e.combines.Load()
-	ss := e.pl.stats()
-	st.Dispatches = ss.Dispatches
-	st.Steals = ss.Steals
-	st.SchedParks = ss.Parks
-	st.Total = time.Since(t0)
-	e.cfg.observe(&st)
-	return st
+	return 0, len(applied)
 }
 
-// converge schedules the impacted flows and runs delta-push to quiescence
-// (or until ctx cancels). It returns the number of scheduled units and
-// levels.
-func (e *Accumulative) converge(ctx context.Context, impacted []int32) (int, int) {
-	var groups []dflow.Group
-	if e.cfg.NoSCCMerge {
-		for _, f := range impacted {
-			groups = append(groups, dflow.Group{Flows: []int32{f}})
-		}
-	} else if e.rs != nil {
-		e.specBuf = e.rs.combineSpecs(e.part.Flow, e.specBuf)
-		groups = dflow.ScheduleWithCombines(e.fg, impacted, e.specBuf)
-	} else {
-		groups = dflow.Schedule(e.fg, impacted)
-	}
-	maxLevel := 0
-	for _, g := range groups {
-		if g.Level > maxLevel {
-			maxLevel = g.Level
-		}
-	}
-	nf := e.part.NumFlows()
-	// Virtual replica/combine flows get unit and inbox slots past the real
-	// flow ids.
-	nfAll := nf
-	if e.rs != nil {
-		nfAll = e.rs.numFlows()
-	}
-	e.units = e.units[:0]
-	if cap(e.unitOf) < nfAll {
-		e.unitOf = make([]int32, nfAll)
-	}
-	e.unitOf = e.unitOf[:nfAll]
-	for i := range e.unitOf {
-		e.unitOf[i] = -1
-	}
-	// One unit per flow, carrying its group's schedule level: the SCC
-	// condensation decides *order* (space-time co-scheduling) while flows
-	// keep executing concurrently — merging a cyclic group into a single
-	// serial unit would forfeit the vertex-level parallelism §VI calls for,
-	// and the delta-push protocol is correct under any interleaving.
-	for _, grp := range groups {
-		for _, f := range grp.Flows {
-			u := &unit{id: int32(len(e.units)), flows: []int32{f}, level: grp.Level}
-			if e.rs != nil {
-				u.pin = e.rs.pinFor(f, e.cfg.workers())
-			}
-			e.units = append(e.units, u)
-			e.unitOf[f] = u.id
-		}
-	}
-	if cap(e.inboxes) < nfAll {
-		e.inboxes = make([]inbox[[]uint32], nfAll)
-	}
-	e.inboxes = e.inboxes[:nfAll]
-	for i := range e.inboxes {
-		e.inboxes[i].reset()
-	}
-	e.pl = e.cfg.newScheduler()
-	e.pushes.Store(0)
-	e.crossMsgs.Store(0)
-	e.replicaMsgs.Store(0)
-	e.combines.Store(0)
+func (e *Accumulative) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-	e.unitsMu.Lock()
-	for _, u := range e.units {
-		// Virtual replica/combine units are reactive: they run only when
-		// notified, so hubs with no traffic this batch cost no dispatches.
-		if e.rs != nil && int(u.flows[0]) >= e.rs.nf {
-			continue
-		}
-		e.pl.activate(u)
-	}
-	e.unitsMu.Unlock()
-
-	// Config.TwoPhase has no extra effect here: aggregate refinement
-	// already completes under the manager before recomputation starts, so
-	// the faithful barrier-per-superstep baseline is internal/graphbolt.
-	workerPool := make([]*accWorker, e.cfg.workers())
-	var batchBufs = make([][][]uint32, e.cfg.workers())
-	stopWatch := watchCancel(ctx, e.pl)
-	e.pl.run(e.cfg.workers(), func(w int, u *unit) {
-		if workerPool[w] == nil {
-			workerPool[w] = e.newWorker()
-			workerPool[w].id = w
-		}
-		batchBufs[w] = workerPool[w].processUnit(u, batchBufs[w])
-	})
-	stopWatch()
-	return len(groups), maxLevel + 1
-}
-
-func (e *Accumulative) activateFlow(f int32, level int) {
-	var u *unit
-	if ui := atomic.LoadInt32(&e.unitOf[f]); ui != -1 {
-		e.unitsMu.Lock()
-		u = e.units[ui]
-		e.unitsMu.Unlock()
-	} else {
-		e.unitsMu.Lock()
-		if ui := e.unitOf[f]; ui != -1 {
-			u = e.units[ui]
-		} else {
-			u = &unit{id: int32(len(e.units)), flows: []int32{f}, level: level}
-			if e.rs != nil {
-				u.pin = e.rs.pinFor(f, e.cfg.workers())
-			}
-			e.units = append(e.units, u)
-			atomic.StoreInt32(&e.unitOf[f], u.id)
-		}
-		e.unitsMu.Unlock()
-	}
-	e.pl.activate(u)
-}
+// seed is empty: the seed vertices ride in the per-flow seed lists, and
+// Config.TwoPhase has no extra effect here — aggregate refinement already
+// completes under the manager before recomputation starts, so the faithful
+// barrier-per-superstep baseline is internal/graphbolt.
+func (e *Accumulative) seed(graph.Batch, int) {}
 
 type accWorker struct {
 	e       *Accumulative
@@ -496,7 +170,7 @@ type accWorker struct {
 	wl      []uint32
 	next    []uint32
 	pushers []uint32
-	buf     []uint32
+	batches [][]uint32 // inbox drain buffer
 	base    []float64
 	newSt   []float64
 	oldSt   []float64
@@ -504,19 +178,16 @@ type accWorker struct {
 	oldU    []float64
 	aggBuf  []float64
 
-	// pending batches outgoing cross-flow notifications per target flow;
-	// flushed once per drain iteration so one inbox lock and one pool
-	// activation cover many vertices instead of paying both per edge.
-	pending map[int32][]uint32
-	level   int
+	pending outbox
 	// id is the worker's index in the pool, used to pick which replica
 	// slab this worker's hub-bound deltas accumulate into.
 	id int
 }
 
-func (e *Accumulative) newWorker() *accWorker {
+func (e *Accumulative) newWorker(w int) unitWorker {
 	return &accWorker{
 		e:       e,
+		id:      w,
 		probe:   e.probe.Fork(),
 		base:    make([]float64, e.dim),
 		newSt:   make([]float64, e.dim),
@@ -524,20 +195,7 @@ func (e *Accumulative) newWorker() *accWorker {
 		newU:    make([]float64, e.dim),
 		oldU:    make([]float64, e.dim),
 		aggBuf:  make([]float64, e.dim),
-		pending: make(map[int32][]uint32),
-	}
-}
-
-// flush delivers the batched cross-flow notifications.
-func (aw *accWorker) flush() {
-	e := aw.e
-	for tf, vs := range aw.pending {
-		if len(vs) == 0 {
-			continue
-		}
-		e.inboxes[tf].put(vs)
-		delete(aw.pending, tf) // hand ownership of the slice to the inbox
-		e.activateFlow(tf, aw.level+1)
+		pending: make(outbox),
 	}
 }
 
@@ -548,18 +206,15 @@ func (aw *accWorker) flush() {
 // approximately global round order while keeping all processing flow-local.
 const roundsPerActivation = 2
 
-func (aw *accWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
+func (aw *accWorker) processUnit(u *unit) {
 	e := aw.e
 	if e.rs != nil {
 		if k, rep, combine, ok := e.rs.virtual(u.flows[0]); ok {
-			return aw.processVirtual(u, k, rep, combine, batches)
+			aw.processVirtual(u, k, rep, combine)
+			return
 		}
 	}
 	aw.probe.SetPhase(cachesim.PhaseRecompute)
-	aw.level = u.level
-	inUnit := func(f int32) bool {
-		return atomic.LoadInt32(&e.unitOf[f]) == u.id
-	}
 	// Worklist carried over from a previous activation, then the seed
 	// vertices queued by the manager for this batch.
 	aw.wl = append(aw.wl, u.carry...)
@@ -573,8 +228,8 @@ func (aw *accWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 	for {
 		progressed := false
 		for _, f := range u.flows {
-			batches = e.inboxes[f].drain(batches)
-			for _, bt := range batches {
+			aw.batches = e.inboxes[f].drain(aw.batches)
+			for _, bt := range aw.batches {
 				if len(bt) > 0 {
 					progressed = true
 					aw.wl = append(aw.wl, bt...)
@@ -594,9 +249,9 @@ func (aw *accWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 				// pool a re-activation, and let sibling flows catch up.
 				u.carry = append(u.carry[:0], aw.wl...)
 				aw.wl = aw.wl[:0]
-				aw.flush()
+				aw.pending.flush(&e.driver, e.inboxes, u.level+1)
 				e.pl.activate(u)
-				return batches
+				return
 			}
 			rounds++
 			round := aw.wl
@@ -608,15 +263,15 @@ func (aw *accWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 				}
 			}
 			for _, v := range aw.pushers {
-				aw.pushVertex(v, u, inUnit)
+				aw.pushVertex(v, u)
 			}
 			aw.next = round[:0]
 		}
 		// Deliver batched cross-flow notifications before (possibly) going
 		// idle, so the pool's quiescence detection stays sound.
-		aw.flush()
+		aw.pending.flush(&e.driver, e.inboxes, u.level+1)
 		if !progressed {
-			return batches
+			return
 		}
 	}
 }
@@ -665,7 +320,7 @@ func (aw *accWorker) recomputeVertex(v uint32) bool {
 
 // pushVertex broadcasts v's contribution delta over its out-edges (second
 // sub-phase of a round).
-func (aw *accWorker) pushVertex(v uint32, u *unit, inUnit func(int32) bool) {
+func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e := aw.e
 	if e.profiled {
 		aw.probe.Access(e.state.Addr(v), false, cachesim.ClassVertex)
@@ -686,11 +341,9 @@ func (aw *accWorker) pushVertex(v uint32, u *unit, inUnit func(int32) bool) {
 	}
 	e.lastUnit.SetVec(v, aw.newU)
 	out := e.G.Out(graph.VertexID(v))
-	e.pushes.Add(int64(len(out)))
+	e.relaxations.Add(int64(len(out)))
 	if e.trace != nil {
-		e.traceMu.Lock()
-		e.trace.FlowWork[e.part.Flow(v)] += int64(len(out))
-		e.traceMu.Unlock()
+		e.traceWork(e.part.Flow(v), int64(len(out)))
 	}
 	for i, h := range out {
 		if e.profiled {
@@ -705,7 +358,7 @@ func (aw *accWorker) pushVertex(v uint32, u *unit, inUnit func(int32) bool) {
 			// later. Intra-unit pushes keep the direct path — they coalesce
 			// in this unit's next round anyway, and detouring them through
 			// the pipeline would fragment the hub's delta batching.
-			if k := e.rs.slotOf(w); k >= 0 && !inUnit(e.part.Flow(h.To)) {
+			if k := e.rs.slotOf(w); k >= 0 && !e.inUnit(e.part.Flow(h.To), u) {
 				aw.pushReplica(int(k), w, h.W)
 				continue
 			}
@@ -720,15 +373,13 @@ func (aw *accWorker) pushVertex(v uint32, u *unit, inUnit func(int32) bool) {
 			continue // already queued somewhere
 		}
 		tf := e.part.Flow(h.To)
-		if inUnit(tf) {
+		if e.inUnit(tf, u) {
 			aw.wl = append(aw.wl, w)
 		} else {
 			aw.pending[tf] = append(aw.pending[tf], w)
 			e.crossMsgs.Add(1)
 			if e.trace != nil {
-				e.traceMu.Lock()
-				e.trace.FlowMsgs[[2]int32{e.part.Flow(v), tf}]++
-				e.traceMu.Unlock()
+				e.traceMsg(e.part.Flow(v), tf)
 			}
 		}
 	}
@@ -765,22 +416,20 @@ func (aw *accWorker) pushReplica(k int, w uint32, edgeW float64) {
 // slabs — so each activation is one drain pass: clear the dirty mark,
 // swap the slots, forward. Late arrivals re-activate through the unit
 // state machine.
-func (aw *accWorker) processVirtual(u *unit, k, rep int, combine bool, batches [][]uint32) [][]uint32 {
+func (aw *accWorker) processVirtual(u *unit, k, rep int, combine bool) {
 	e := aw.e
 	rs := e.rs
 	if !combine {
-		batches = e.inboxes[rs.replicaFlow(k, rep)].drain(batches)
-		if rs.drainReplicaInto(k, rep) {
-			if !rs.combineDirtySwapSet(k) {
-				cf := rs.combineFlow(k)
-				e.inboxes[cf].put(nil)
-				e.activateFlow(cf, u.level+1)
-			}
+		aw.batches = e.inboxes[rs.replicaFlow(k, rep)].drain(aw.batches)
+		if rs.drainReplicaInto(k, rep) && !rs.combineDirtySwapSet(k) {
+			cf := rs.combineFlow(k)
+			e.inboxes[cf].put(nil)
+			e.activateFlow(cf, u.level+1)
 		}
-		return batches
+		return
 	}
 	h := rs.hubs[k]
-	batches = e.inboxes[rs.combineFlow(k)].drain(batches)
+	aw.batches = e.inboxes[rs.combineFlow(k)].drain(aw.batches)
 	if rs.drainCombine(k, func(d int, x float64) { e.agg.AddAt(h, d, x) }) {
 		e.combines.Add(1)
 		if !e.dirty.swapSet(h) {
@@ -789,5 +438,4 @@ func (aw *accWorker) processVirtual(u *unit, k, rep int, combine bool, batches [
 			e.activateFlow(tf, u.level+1)
 		}
 	}
-	return batches
 }

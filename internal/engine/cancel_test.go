@@ -63,31 +63,6 @@ func TestProcessBatchCtxCancel(t *testing.T) {
 	}
 }
 
-// TestProcessBatchCtxPreCanceled: an already-dead context touches nothing —
-// the engine stays consistent and keeps processing afterwards.
-func TestProcessBatchCtxPreCanceled(t *testing.T) {
-	w := randomWorkload(78)
-	g := graph.FromEdges(w.NumV, w.Initial)
-	e := NewSelective(g, algo.SSSP{Src: 0}, Config{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.ProcessBatchCtx(ctx, w.Batches[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if _, err := e.ProcessBatchE(w.Batches[0]); err != nil {
-		t.Fatalf("engine must stay usable after a pre-canceled call: %v", err)
-	}
-
-	ga := graph.FromEdges(w.NumV, w.Initial)
-	ea := NewAccumulative(ga, algo.NewPageRank(w.NumV), Config{Workers: 2})
-	if _, err := ea.ProcessBatchCtx(ctx, w.Batches[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("accumulative: want context.Canceled, got %v", err)
-	}
-	if _, err := ea.ProcessBatchE(w.Batches[0]); err != nil {
-		t.Fatalf("accumulative must stay usable after a pre-canceled call: %v", err)
-	}
-}
-
 // TestSchedulerInterruptUnblocksRun drives both schedulers with units that
 // perpetually re-activate each other — a livelock that, without interrupt,
 // never quiesces — and requires interrupt to drain run() promptly.

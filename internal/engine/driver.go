@@ -1,0 +1,511 @@
+package engine
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/cachesim"
+	"repro/internal/dense"
+	"repro/internal/dflow"
+	"repro/internal/etree"
+	"repro/internal/graph"
+	"repro/internal/layout"
+)
+
+// kernel is what an engine family plugs into the batch driver: its D-tree
+// upkeep, its value stores, how a step's updates invalidate state, and the
+// per-unit convergence body. The driver calls it per batch step and per
+// scheduling unit only; per-vertex and per-edge work stays inside the
+// kernels on concrete types (DESIGN.md §4.15).
+type kernel interface {
+	// maintain folds one step's applied updates into the kernel's D-trees
+	// and reports whether they were rebuilt wholesale, in which case the
+	// flows must be re-derived from them.
+	maintain(applied graph.Batch) (rebuilt bool)
+	// rebuild derives a fresh partition from the D-trees and migrates the
+	// kernel's value stores into its layout (driver.migrateStore).
+	rebuild() *dflow.Partition
+	// trim marks what the applied updates invalidate: every vertex that
+	// must be re-derived is handed to driver.seedVertex, which also marks
+	// its flow impacted. It reports the deletions that killed a key edge
+	// and the vertices invalidated (BatchStats.TrimRoots / Trimmed).
+	trim(applied graph.Batch) (roots, trimmed int)
+	// resetInboxes sizes and clears the kernel's n per-flow mailboxes.
+	resetInboxes(n int)
+	// seed posts a step's initial messages once units and inboxes exist;
+	// flows outside the schedule join it at maxLevel+1 (activateFlow).
+	seed(applied graph.Batch, maxLevel int)
+	// newWorker builds the private state of scheduler worker w.
+	newWorker(w int) unitWorker
+}
+
+// unitWorker is one scheduler worker's kernel state; processUnit runs a
+// scheduling unit to local quiescence.
+type unitWorker interface {
+	processUnit(u *unit)
+}
+
+// driver is processEdgeStream of Fig 10, once: validate, apply, maintain
+// the D-trees and the flow graph, identify the impacted flows, build the
+// space-time schedule, and run the units to quiescence — with cancellation,
+// hub-replication bookkeeping and phase stamping. The three engines embed
+// it and supply the kernel.
+type driver struct {
+	// G is the streaming graph the engine mutates batch by batch.
+	G   *graph.Streaming
+	cfg Config
+	k   kernel
+	// plan, when non-nil, splits a batch into steps that are applied and
+	// converged one after another (Local); nil means the batch is one step.
+	plan      func(graph.Batch) []graph.Batch
+	symmetric bool
+
+	part *dflow.Partition
+	fg   *dflow.FlowGraph
+
+	probe    cachesim.Probe
+	profiled bool
+	inEdges  bool // the kernel pulls over in-edges: model their addresses too
+	outIdx   *layout.EdgeIndex
+	inIdx    *layout.EdgeIndex
+
+	batches  int
+	canceled bool // a batch was aborted mid-flight; state is inconsistent
+
+	// Per-step execution state.
+	unitsMu  sync.Mutex
+	units    []*unit
+	unitOf   []int32        // flow -> unit index (atomic access)
+	seeds    [][]uint32     // per-flow vertices the step invalidated
+	impacted *dense.FlowSet // epoch-stamped impacted-flow scratch
+	symm     Symmetrizer
+	pl       scheduler
+
+	// rs is the hub-replication plan (nil unless Config.HubReplication and
+	// the kernel called replicate): hub-bound cross-flow traffic scatters
+	// over virtual replica units merged by a combine unit. See replicate.go.
+	rs      *replicaSet
+	specBuf []dflow.CombineSpec
+
+	relaxations atomic.Int64 // edge relaxations / delta pushes / recomputes
+	pulls       atomic.Int64
+	crossMsgs   atomic.Int64
+	replicaMsgs atomic.Int64
+	combines    atomic.Int64
+
+	trace   *WorkTrace
+	traceMu sync.Mutex
+}
+
+// init binds the driver to its graph, configuration and kernel. The kernel
+// then builds its D-trees, calls repartition, and installs its values.
+func (d *driver) init(g *graph.Streaming, cfg Config, k kernel, symmetric bool) {
+	d.G, d.cfg, d.k, d.symmetric = g, cfg, k, symmetric
+	d.probe = cfg.probe()
+	_, d.profiled = d.probe.(*cachesim.Sim)
+	if cfg.DenseOff {
+		g.DisableHubIndex()
+	} else if cfg.HubThreshold > 0 {
+		g.SetHubThresholds(cfg.HubThreshold, 0)
+	}
+}
+
+// replicate builds the hub-replication plan when the config asks for one;
+// dim is the kernel's partial-sum dimension (0: it folds messages instead).
+// Ignored under DenseOff, where the hub signal is disabled with the index.
+func (d *driver) replicate(dim int) {
+	if d.cfg.HubReplication && !d.cfg.DenseOff {
+		d.rs = newReplicaSet(d.G, d.part.NumFlows(), d.cfg.hubReplicas(), dim)
+	}
+}
+
+// Partition exposes the current dependency-flow partition (read-only).
+func (d *driver) Partition() *dflow.Partition { return d.part }
+
+// ProcessBatch applies one batch of updates and incrementally reconverges.
+// It panics on a malformed batch; ProcessBatchE is the error-returning form.
+func (d *driver) ProcessBatch(batch graph.Batch) BatchStats {
+	st, err := d.ProcessBatchE(batch)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// ProcessBatchE is ProcessBatch with graceful degradation: the batch is
+// validated up front and a malformed update stream returns a
+// *graph.BatchError without mutating any engine state, so a caller fed by
+// an untrusted source can drop the bad batch and keep going.
+func (d *driver) ProcessBatchE(batch graph.Batch) (BatchStats, error) {
+	return d.ProcessBatchCtx(context.Background(), batch)
+}
+
+// ProcessBatchCtx is ProcessBatchE with cancellation: when ctx is canceled
+// mid-batch the scheduler drains out after its in-flight units and the call
+// returns ctx's error. A canceled batch leaves the engine mid-refinement —
+// inconsistent by design — so every later call fails with ErrCanceled;
+// recover by rebuilding the engine (wal.Recover replays a durable log).
+func (d *driver) ProcessBatchCtx(ctx context.Context, batch graph.Batch) (BatchStats, error) {
+	if d.canceled {
+		return BatchStats{}, ErrCanceled
+	}
+	if err := ctx.Err(); err != nil {
+		return BatchStats{}, err
+	}
+	if err := d.G.CheckBatch(batch); err != nil {
+		return BatchStats{}, err
+	}
+	st := d.processBatch(ctx, batch)
+	if err := ctx.Err(); err != nil {
+		d.canceled = true
+		return st, err
+	}
+	return st, nil
+}
+
+func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats {
+	var st BatchStats
+	t0 := time.Now()
+	d.probe.BeginBatch()
+	if d.symmetric {
+		if d.cfg.DenseOff {
+			batch = Symmetrize(batch)
+		} else {
+			batch = d.symm.Symmetrize(batch)
+		}
+	}
+	d.trace = nil
+	if d.cfg.TraceWork {
+		d.trace = newWorkTrace()
+		st.Trace = d.trace
+	}
+	d.batches++
+	for _, c := range []*atomic.Int64{&d.relaxations, &d.pulls, &d.crossMsgs, &d.replicaMsgs, &d.combines} {
+		c.Store(0)
+	}
+
+	// The flows are re-derived from the D-trees once every RepartitionEvery
+	// batches. A single-step batch takes the rebuild in place of its
+	// incremental flow-graph upkeep; a planned batch takes it after its
+	// last step, so no step pays a rebuild between two convergences.
+	due := d.batches%d.cfg.repartitionEvery() == 0
+	if d.plan == nil {
+		d.step(ctx, batch, due, &st)
+	} else {
+		for _, s := range d.plan(batch) {
+			if ctx.Err() != nil {
+				break
+			}
+			d.step(ctx, s, false, &st)
+		}
+		if due {
+			t := time.Now()
+			d.repartition()
+			st.MaintainTime += time.Since(t)
+		}
+	}
+
+	st.Relaxations = d.relaxations.Load()
+	st.Pulls = d.pulls.Load()
+	st.CrossMsgs = d.crossMsgs.Load()
+	st.ReplicaMsgs = d.replicaMsgs.Load()
+	st.Combines = d.combines.Load()
+	st.Total = time.Since(t0)
+	d.cfg.observe(&st)
+	return st
+}
+
+// step applies one step's updates and reconverges, adding its work and
+// phase durations to st.
+func (d *driver) step(ctx context.Context, batch graph.Batch, repartition bool, st *BatchStats) {
+	// (1) Graph update (Workers, in parallel) ...
+	t := time.Now()
+	applied := d.G.ApplyBatchParallel(batch, d.cfg.workers())
+	st.Applied += len(applied)
+	st.ApplyTime += time.Since(t)
+	if len(applied) == 0 && d.plan != nil {
+		return // a planned step that changed nothing
+	}
+
+	// (2) ... then the Manager maintains the dependency indexes: the
+	// kernel's D-trees, and the flow graph incrementally unless the flows
+	// are re-derived wholesale.
+	t = time.Now()
+	rebuilt := d.k.maintain(applied)
+	st.DtreeTime += time.Since(t)
+	if rebuilt || repartition {
+		d.repartition()
+	} else {
+		for _, u := range applied {
+			if u.Del {
+				d.fg.DeleteEdge(u.Src, u.Dst)
+			} else {
+				d.fg.AddEdge(u.Src, u.Dst)
+			}
+		}
+		d.refreshEdgeIndex()
+	}
+	st.MaintainTime += time.Since(t)
+
+	// (3) Identify what the updates invalidate, at D-tree cost.
+	t = time.Now()
+	nf := d.part.NumFlows()
+	if d.rs != nil {
+		d.rs.update(d.G, applied, nf)
+		st.ReplicatedHubs = len(d.rs.hubs)
+	}
+	d.resetSeeds(nf)
+	roots, trimmed := d.k.trim(applied)
+	st.TrimRoots += roots
+	st.Trimmed += trimmed
+	st.TrimTime += time.Since(t)
+
+	d.converge(ctx, applied, st)
+}
+
+// repartition re-derives the flows from the kernel's D-trees, then the flow
+// graph and (when profiling) the edge address model over them.
+func (d *driver) repartition() {
+	d.part = d.k.rebuild()
+	if d.fg == nil || d.cfg.DenseOff {
+		d.fg = dflow.NewFlowGraph(d.G, d.part)
+	} else {
+		d.fg.Rebuild(d.G, d.part)
+	}
+	d.refreshEdgeIndex()
+}
+
+func (d *driver) refreshEdgeIndex() {
+	if !d.profiled {
+		return
+	}
+	blocked := !d.cfg.ScatteredStorage
+	prevOut, prevIn := d.outIdx, d.inIdx
+	if d.cfg.DenseOff {
+		prevOut, prevIn = nil, nil
+	}
+	d.outIdx = layout.NewEdgeIndexInto(prevOut, d.G, d.part, blocked)
+	if d.inEdges {
+		d.inIdx = layout.NewInEdgeIndexInto(prevIn, d.G, d.part, blocked)
+	}
+}
+
+// migrateStore returns a store of dim-vectors laid out for part (or
+// scattered, under the ablation) holding old's contents, if any.
+func (d *driver) migrateStore(part *dflow.Partition, dim int, old *layout.Store) *layout.Store {
+	n := d.G.NumVertices()
+	var s *layout.Store
+	if d.cfg.ScatteredStorage {
+		s = layout.NewScatteredStore(n, dim)
+	} else {
+		s = layout.NewFlowStore(part, dim)
+	}
+	if old != nil {
+		buf := make([]float64, dim)
+		for v := 0; v < n; v++ {
+			s.SetVec(uint32(v), old.GetVec(uint32(v), buf))
+		}
+	}
+	return s
+}
+
+// resetSeeds clears the per-flow seed lists and the impacted-flow set for a
+// partition of nf flows. The steady path reuses the set; under the
+// -denseoff ablation it is allocated afresh, restoring the per-batch churn.
+func (d *driver) resetSeeds(nf int) {
+	if cap(d.seeds) < nf {
+		d.seeds = make([][]uint32, nf)
+	}
+	d.seeds = d.seeds[:nf]
+	for i := range d.seeds {
+		d.seeds[i] = d.seeds[i][:0]
+	}
+	if d.cfg.DenseOff || d.impacted == nil {
+		d.impacted = dense.NewSet[int32](nf)
+	} else {
+		d.impacted.Reset(nf)
+	}
+}
+
+// seedVertex queues v for its flow's unit and marks the flow impacted.
+func (d *driver) seedVertex(v uint32) {
+	f := d.part.Flow(v)
+	d.seeds[f] = append(d.seeds[f], v)
+	d.impacted.Add(f)
+}
+
+// converge builds the space-time schedule over the impacted flows (cyclic
+// groups merged, combine steps banded above their replicas) and runs the
+// units to quiescence, or until ctx cancels.
+func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchStats) {
+	t := time.Now()
+	flows := d.impacted.Members()
+	var groups []dflow.Group
+	switch {
+	case d.cfg.NoSCCMerge:
+		for _, f := range flows {
+			groups = append(groups, dflow.Group{Flows: []int32{f}})
+		}
+	case d.rs != nil:
+		d.specBuf = d.rs.combineSpecs(d.part.Flow, d.specBuf)
+		groups = dflow.ScheduleWithCombines(d.fg, flows, d.specBuf)
+	default:
+		groups = dflow.Schedule(d.fg, flows)
+	}
+	maxLevel := 0
+	for _, g := range groups {
+		if g.Level > maxLevel {
+			maxLevel = g.Level
+		}
+	}
+	st.Impacted += len(flows)
+	st.Units += len(groups)
+	if maxLevel+1 > st.Levels {
+		st.Levels = maxLevel + 1
+	}
+
+	// Virtual replica/combine flows get unit and inbox slots past the real
+	// flow ids.
+	n := d.part.NumFlows()
+	if d.rs != nil {
+		n = d.rs.numFlows()
+	}
+	d.units = d.units[:0]
+	if cap(d.unitOf) < n {
+		d.unitOf = make([]int32, n)
+	}
+	d.unitOf = d.unitOf[:n]
+	for i := range d.unitOf {
+		d.unitOf[i] = -1
+	}
+	// One unit per flow with its group's schedule level: the SCC
+	// condensation provides the space-time *order*; flows still execute
+	// concurrently (every kernel's protocol is interleaving-safe), which
+	// preserves the vertex-level parallelism §VI calls for inside large
+	// dependency groups.
+	for _, grp := range groups {
+		for _, f := range grp.Flows {
+			d.unitOf[f] = d.addUnit(f, grp.Level).id
+		}
+	}
+	d.k.resetInboxes(n)
+	d.pl = d.cfg.newScheduler()
+	st.ScheduleTime += time.Since(t)
+
+	t = time.Now()
+	d.k.seed(applied, maxLevel)
+	for _, u := range d.units {
+		// Virtual replica/combine units are reactive: they run only when a
+		// hub-bound message lands, so the common no-traffic batch pays no
+		// dispatches for them.
+		if !d.virtual(u) {
+			d.pl.activate(u)
+		}
+	}
+	nw := d.cfg.workers()
+	workers := make([]unitWorker, nw)
+	stopWatch := watchCancel(ctx, d.pl)
+	d.pl.run(nw, func(w int, u *unit) {
+		if workers[w] == nil {
+			workers[w] = d.k.newWorker(w)
+		}
+		workers[w].processUnit(u)
+	})
+	stopWatch()
+	ss := d.pl.stats()
+	st.Dispatches += ss.Dispatches
+	st.Steals += ss.Steals
+	st.SchedParks += ss.Parks
+	st.ComputeTime += time.Since(t)
+}
+
+// addUnit appends a singleton unit for flow f. Callers publish its id in
+// unitOf (activateFlow does so under unitsMu).
+func (d *driver) addUnit(f int32, level int) *unit {
+	u := &unit{id: int32(len(d.units)), flows: []int32{f}, level: level}
+	if d.rs != nil {
+		u.pin = d.rs.pinFor(f, d.cfg.workers())
+	}
+	d.units = append(d.units, u)
+	return u
+}
+
+// activateFlow ensures flow f has a unit and activates it, lazily creating
+// singleton units for flows outside the schedule. Safe from any worker.
+func (d *driver) activateFlow(f int32, level int) {
+	d.unitsMu.Lock()
+	ui := d.unitOf[f]
+	if ui == -1 {
+		ui = d.addUnit(f, level).id
+		atomic.StoreInt32(&d.unitOf[f], ui)
+	}
+	u := d.units[ui]
+	d.unitsMu.Unlock()
+	d.pl.activate(u)
+}
+
+// virtual reports whether u is a hub-replication replica or combine unit:
+// their flow ids lie past the real flows.
+func (d *driver) virtual(u *unit) bool { return int(u.flows[0]) >= d.part.NumFlows() }
+
+// inUnit reports whether flow f currently belongs to unit u — the
+// pull-inside/push-outside test of §V-A.
+func (d *driver) inUnit(f int32, u *unit) bool {
+	return atomic.LoadInt32(&d.unitOf[f]) == u.id
+}
+
+func (d *driver) traceWork(f int32, n int64) {
+	d.traceMu.Lock()
+	d.trace.FlowWork[f] += n
+	d.traceMu.Unlock()
+}
+
+func (d *driver) traceMsg(from, to int32) {
+	d.traceMu.Lock()
+	d.trace.FlowMsgs[[2]int32{from, to}]++
+	d.traceMu.Unlock()
+}
+
+// maintainForest folds applied into a structural D-tree forest:
+// incremental O(1)-amortized per update, with a lazy rebuild — reported to
+// the caller — when enough deletions have accumulated (hyper-vertex
+// separation, §IV-C).
+func maintainForest(f *etree.Forest, g *graph.Streaming, applied graph.Batch) (rebuilt bool) {
+	for _, u := range applied {
+		if u.Del {
+			f.DeleteEdge(g, u.Src, u.Dst)
+		} else {
+			f.AddEdge(u.Src, u.Dst)
+		}
+	}
+	return f.RebuildIfDirty(g, 0.2)
+}
+
+// resizeInboxes returns n cleared mailboxes, reusing in's capacity.
+func resizeInboxes[T any](in []inbox[T], n int) []inbox[T] {
+	if cap(in) < n {
+		in = make([]inbox[T], n)
+	}
+	in = in[:n]
+	for i := range in {
+		in[i].reset()
+	}
+	return in
+}
+
+// outbox batches one worker's cross-flow vertex notifications per target
+// flow; flushed once per drain iteration so one inbox lock and one
+// scheduler activation cover many vertices instead of paying both per edge.
+type outbox map[int32][]uint32
+
+// flush delivers the batched notifications, activating each receiving flow
+// at level.
+func (o outbox) flush(d *driver, inboxes []inbox[[]uint32], level int) {
+	for tf, vs := range o {
+		inboxes[tf].put(vs)
+		delete(o, tf) // hand ownership of the slice to the inbox
+		d.activateFlow(tf, level)
+	}
+}

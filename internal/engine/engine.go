@@ -7,9 +7,11 @@
 // recomputation and exchange cross-flow influence through messages — no
 // global barrier between the two phases.
 //
-// Two engines share the runtime: Selective (SSSP/SSWP/BFS/CC, key-edge
-// D-trees, trimming) and Accumulative (PageRank/LP, structural D-trees,
-// delta-push aggregation).
+// One batch driver (driver.go) owns that loop; three engine families plug
+// their kernels into it: Selective (SSSP/SSWP/BFS/CC, key-edge D-trees,
+// trimming), Accumulative (PageRank/LP, structural D-trees, delta-push
+// aggregation) and Local (triangle counting/k-core, structural D-trees,
+// seeded recomputation).
 package engine
 
 import (
@@ -18,7 +20,7 @@ import (
 	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/dense"
+	"repro/internal/etree"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
@@ -109,6 +111,13 @@ func (c Config) repartitionEvery() int {
 		return 8
 	}
 	return c.RepartitionEvery
+}
+
+func (c Config) flowDirection() etree.Direction {
+	if c.BackwardFlows {
+		return etree.Backward
+	}
+	return etree.Forward
 }
 
 func (c Config) hubReplicas() int {
@@ -236,16 +245,4 @@ func (s *Symmetrizer) Symmetrize(b graph.Batch) graph.Batch {
 		)
 	}
 	return s.out
-}
-
-// scratchFlowSet returns a cleared impacted-flow set sized for nf flows.
-// The steady path reuses prev (allocated on first use); under the -denseoff
-// ablation it always allocates afresh, restoring the pre-optimization
-// per-batch churn this PR removed.
-func scratchFlowSet(prev *dense.FlowSet, nf int, denseOff bool) *dense.FlowSet {
-	if denseOff || prev == nil {
-		return dense.NewSet[int32](nf)
-	}
-	prev.Reset(nf)
-	return prev
 }

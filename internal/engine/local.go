@@ -1,14 +1,9 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/algo"
-	"repro/internal/dense"
 	"repro/internal/dflow"
 	"repro/internal/etree"
 	"repro/internal/graph"
@@ -34,35 +29,16 @@ import (
 // changes mid-recompute is re-queued, which with a unique seeded fixpoint
 // makes the result independent of worker count and scheduler.
 type Local struct {
-	G   *graph.Streaming
+	driver
 	Alg algo.Local
-	cfg Config
 
 	vals   *layout.Store
 	queued *flags // vertex sits on some worklist / inbox
 	notify bool   // Alg.UsesNeighborVals()
 
-	forest *etree.Forest
-	part   *dflow.Partition
-	fg     *dflow.FlowGraph
-
-	batches int
-
-	unitsMu sync.Mutex
-	units   []*unit
-	unitOf  []int32
+	forest  *etree.Forest
 	inboxes []inbox[[]uint32]
-	seeds   [][]uint32
-	pl      scheduler
-
-	impacted *dense.FlowSet
-	symm     Symmetrizer
-	valOf    func(graph.VertexID) float64
-
-	recomputes atomic.Int64
-	crossMsgs  atomic.Int64
-
-	canceled bool
+	valOf   func(graph.VertexID) float64
 }
 
 // NewLocal builds the engine over g (already symmetric for symmetric
@@ -83,21 +59,14 @@ func NewLocalFromState(g *graph.Streaming, alg algo.Local, cfg Config, vals []fl
 
 func newLocal(g *graph.Streaming, alg algo.Local, cfg Config, vals []float64) *Local {
 	e := &Local{
-		G:      g,
 		Alg:    alg,
-		cfg:    cfg,
 		notify: alg.UsesNeighborVals(),
+		queued: newFlags(g.NumVertices()),
 	}
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	}
-	n := g.NumVertices()
-	e.queued = newFlags(n)
-	dir := etree.Forward
-	if cfg.BackwardFlows {
-		dir = etree.Backward
-	}
-	e.forest = etree.NewForest(g, dir)
+	cfg.Probe = nil // the local kernels make no instrumented accesses
+	e.init(g, cfg, e, alg.Symmetric())
+	e.plan = alg.Plan
+	e.forest = etree.NewForest(g, cfg.flowDirection())
 	e.repartition()
 	for v, x := range vals {
 		e.vals.Set(uint32(v), x)
@@ -106,25 +75,14 @@ func newLocal(g *graph.Streaming, alg algo.Local, cfg Config, vals []float64) *L
 	return e
 }
 
-func (e *Local) repartition() {
-	e.part = dflow.NewPartition(e.forest, e.cfg.FlowCap)
-	if e.fg == nil || e.cfg.DenseOff {
-		e.fg = dflow.NewFlowGraph(e.G, e.part)
-	} else {
-		e.fg.Rebuild(e.G, e.part)
-	}
-	var store *layout.Store
-	if e.cfg.ScatteredStorage {
-		store = layout.NewScatteredStore(e.G.NumVertices(), 1)
-	} else {
-		store = layout.NewFlowStore(e.part, 1)
-	}
-	if e.vals != nil {
-		for v := 0; v < e.G.NumVertices(); v++ {
-			store.Set(uint32(v), e.vals.Get(uint32(v)))
-		}
-	}
-	e.vals = store
+func (e *Local) maintain(applied graph.Batch) bool {
+	return maintainForest(e.forest, e.G, applied)
+}
+
+func (e *Local) rebuild() *dflow.Partition {
+	part := dflow.NewPartition(e.forest, e.cfg.FlowCap)
+	e.vals = e.migrateStore(part, 1, e.vals)
+	return part
 }
 
 // Value returns v's current converged value.
@@ -156,262 +114,39 @@ func (e *Local) StateSnapshot(seq uint64) *StateSnapshot {
 	return &StateSnapshot{Seq: seq, Vals: vals, Parent: parent}
 }
 
-// Partition exposes the current dependency-flow partition.
-func (e *Local) Partition() *dflow.Partition { return e.part }
-
-// ProcessBatch applies one batch and incrementally reconverges. It panics
-// on a malformed batch; ProcessBatchE is the error-returning form.
-func (e *Local) ProcessBatch(batch graph.Batch) BatchStats {
-	st, err := e.ProcessBatchE(batch)
-	if err != nil {
-		panic(err)
+// trim is seeding (the trim-equivalent phase for local algorithms): the
+// algorithm decides which values this step invalidates.
+func (e *Local) trim(applied graph.Batch) (roots, seeded int) {
+	emit := func(v graph.VertexID) {
+		if e.queued.swapSet(v) {
+			return // already seeded this step
+		}
+		e.seedVertex(v)
+		seeded++
 	}
-	return st
+	e.Alg.Seed(e.G, applied, e.valOf,
+		func(v graph.VertexID, x float64) { e.vals.Set(v, x) }, emit)
+	return 0, seeded
 }
 
-// ProcessBatchE is ProcessBatch with graceful degradation: a malformed
-// batch is rejected before any state mutates.
-func (e *Local) ProcessBatchE(batch graph.Batch) (BatchStats, error) {
-	return e.ProcessBatchCtx(context.Background(), batch)
-}
+func (e *Local) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-// ProcessBatchCtx is ProcessBatchE with cancellation, mirroring the other
-// engines: a canceled batch leaves the engine mid-step, so every later call
-// fails with ErrCanceled until it is rebuilt (wal recovery replays the log).
-func (e *Local) ProcessBatchCtx(ctx context.Context, batch graph.Batch) (BatchStats, error) {
-	if e.canceled {
-		return BatchStats{}, ErrCanceled
-	}
-	if err := ctx.Err(); err != nil {
-		return BatchStats{}, err
-	}
-	if err := e.G.CheckBatch(batch); err != nil {
-		return BatchStats{}, err
-	}
-	st := e.processBatch(ctx, batch)
-	if err := ctx.Err(); err != nil {
-		e.canceled = true
-		return st, err
-	}
-	return st, nil
-}
+// seed is empty: the seeded vertices ride in the per-flow seed lists.
+func (e *Local) seed(graph.Batch, int) {}
 
-func (e *Local) processBatch(ctx context.Context, batch graph.Batch) BatchStats {
-	var st BatchStats
-	t0 := time.Now()
-	if e.Alg.Symmetric() {
-		if e.cfg.DenseOff {
-			batch = Symmetrize(batch)
-		} else {
-			batch = e.symm.Symmetrize(batch)
-		}
-	}
-	e.batches++
-	e.recomputes.Store(0)
-	e.crossMsgs.Store(0)
-
-	for _, step := range e.Alg.Plan(batch) {
-		if ctx.Err() != nil {
-			break
-		}
-		tApply := time.Now()
-		applied := e.G.ApplyBatchParallel(step, e.cfg.workers())
-		st.Applied += len(applied)
-		st.ApplyTime += time.Since(tApply)
-		if len(applied) == 0 {
-			continue
-		}
-
-		tMaint := time.Now()
-		for _, u := range applied {
-			if u.Del {
-				e.forest.DeleteEdge(e.G, u.Src, u.Dst)
-			} else {
-				e.forest.AddEdge(u.Src, u.Dst)
-			}
-		}
-		st.DtreeTime += time.Since(tMaint)
-		if e.forest.RebuildIfDirty(e.G, 0.2) {
-			e.repartition()
-		} else {
-			for _, u := range applied {
-				if u.Del {
-					e.fg.DeleteEdge(u.Src, u.Dst)
-				} else {
-					e.fg.AddEdge(u.Src, u.Dst)
-				}
-			}
-		}
-		st.MaintainTime += time.Since(tMaint)
-
-		// Seeding (the trim-equivalent phase for local algorithms): the
-		// algorithm decides which values this step invalidates.
-		tTrim := time.Now()
-		nf := e.part.NumFlows()
-		if cap(e.seeds) < nf {
-			e.seeds = make([][]uint32, nf)
-		}
-		e.seeds = e.seeds[:nf]
-		for i := range e.seeds {
-			e.seeds[i] = e.seeds[i][:0]
-		}
-		impacted := e.impactedScratch(nf)
-		emit := func(v graph.VertexID) {
-			if e.queued.swapSet(v) {
-				return // already seeded this step
-			}
-			f := e.part.Flow(v)
-			e.seeds[f] = append(e.seeds[f], v)
-			impacted.Add(f)
-			st.Trimmed++
-		}
-		e.Alg.Seed(e.G, applied, e.valOf,
-			func(v graph.VertexID, x float64) { e.vals.Set(v, x) }, emit)
-		st.TrimTime += time.Since(tTrim)
-
-		tComp := time.Now()
-		st.Impacted += impacted.Len()
-		units, levels := e.converge(ctx, impacted.Members())
-		st.Units += units
-		if levels > st.Levels {
-			st.Levels = levels
-		}
-		st.ComputeTime += time.Since(tComp)
-	}
-
-	if e.batches%e.cfg.repartitionEvery() == 0 {
-		e.repartition()
-	}
-	st.Relaxations = e.recomputes.Load()
-	st.CrossMsgs = e.crossMsgs.Load()
-	if e.pl != nil {
-		ss := e.pl.stats()
-		st.Dispatches = ss.Dispatches
-		st.Steals = ss.Steals
-		st.SchedParks = ss.Parks
-	}
-	st.Total = time.Since(t0)
-	e.cfg.observe(&st)
-	return st
-}
-
-// impactedScratch hands out the per-step impacted-flow set (see
-// scratchFlowSet for the -denseoff semantics).
-func (e *Local) impactedScratch(nf int) *dense.FlowSet {
-	e.impacted = scratchFlowSet(e.impacted, nf, e.cfg.DenseOff)
-	return e.impacted
-}
-
-// converge schedules the impacted flows and recomputes to quiescence (or
-// until ctx cancels), returning scheduled units and levels.
-func (e *Local) converge(ctx context.Context, impacted []int32) (int, int) {
-	if len(impacted) == 0 {
-		return 0, 0
-	}
-	var groups []dflow.Group
-	if e.cfg.NoSCCMerge {
-		for _, f := range impacted {
-			groups = append(groups, dflow.Group{Flows: []int32{f}})
-		}
-	} else {
-		groups = dflow.Schedule(e.fg, impacted)
-	}
-	maxLevel := 0
-	for _, g := range groups {
-		if g.Level > maxLevel {
-			maxLevel = g.Level
-		}
-	}
-	nf := e.part.NumFlows()
-	e.units = e.units[:0]
-	if cap(e.unitOf) < nf {
-		e.unitOf = make([]int32, nf)
-	}
-	e.unitOf = e.unitOf[:nf]
-	for i := range e.unitOf {
-		e.unitOf[i] = -1
-	}
-	for _, grp := range groups {
-		for _, f := range grp.Flows {
-			u := &unit{id: int32(len(e.units)), flows: []int32{f}, level: grp.Level}
-			e.units = append(e.units, u)
-			e.unitOf[f] = u.id
-		}
-	}
-	if cap(e.inboxes) < nf {
-		e.inboxes = make([]inbox[[]uint32], nf)
-	}
-	e.inboxes = e.inboxes[:nf]
-	for i := range e.inboxes {
-		e.inboxes[i].reset()
-	}
-	e.pl = e.cfg.newScheduler()
-
-	e.unitsMu.Lock()
-	for _, u := range e.units {
-		e.pl.activate(u)
-	}
-	e.unitsMu.Unlock()
-
-	workerPool := make([]*localWorker, e.cfg.workers())
-	batchBufs := make([][][]uint32, e.cfg.workers())
-	stopWatch := watchCancel(ctx, e.pl)
-	e.pl.run(e.cfg.workers(), func(w int, u *unit) {
-		if workerPool[w] == nil {
-			workerPool[w] = &localWorker{e: e, pending: make(map[int32][]uint32)}
-		}
-		batchBufs[w] = workerPool[w].processUnit(u, batchBufs[w])
-	})
-	stopWatch()
-	return len(groups), maxLevel + 1
-}
-
-func (e *Local) activateFlow(f int32, level int) {
-	var u *unit
-	if ui := atomic.LoadInt32(&e.unitOf[f]); ui != -1 {
-		e.unitsMu.Lock()
-		u = e.units[ui]
-		e.unitsMu.Unlock()
-	} else {
-		e.unitsMu.Lock()
-		if ui := e.unitOf[f]; ui != -1 {
-			u = e.units[ui]
-		} else {
-			u = &unit{id: int32(len(e.units)), flows: []int32{f}, level: level}
-			e.units = append(e.units, u)
-			atomic.StoreInt32(&e.unitOf[f], u.id)
-		}
-		e.unitsMu.Unlock()
-	}
-	e.pl.activate(u)
+func (e *Local) newWorker(int) unitWorker {
+	return &localWorker{e: e, pending: make(outbox)}
 }
 
 type localWorker struct {
 	e       *Local
 	wl      []uint32
-	pending map[int32][]uint32
-	level   int
+	batches [][]uint32 // inbox drain buffer
+	pending outbox
 }
 
-// flush delivers the batched cross-flow notifications.
-func (lw *localWorker) flush() {
+func (lw *localWorker) processUnit(u *unit) {
 	e := lw.e
-	for tf, vs := range lw.pending {
-		if len(vs) == 0 {
-			continue
-		}
-		e.inboxes[tf].put(vs)
-		delete(lw.pending, tf) // hand ownership of the slice to the inbox
-		e.activateFlow(tf, lw.level+1)
-	}
-}
-
-func (lw *localWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
-	e := lw.e
-	lw.level = u.level
-	inUnit := func(f int32) bool {
-		return atomic.LoadInt32(&e.unitOf[f]) == u.id
-	}
 	for _, f := range u.flows {
 		if len(e.seeds[f]) > 0 {
 			lw.wl = append(lw.wl, e.seeds[f]...)
@@ -421,8 +156,8 @@ func (lw *localWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 	for {
 		progressed := false
 		for _, f := range u.flows {
-			batches = e.inboxes[f].drain(batches)
-			for _, bt := range batches {
+			lw.batches = e.inboxes[f].drain(lw.batches)
+			for _, bt := range lw.batches {
 				if len(bt) > 0 {
 					progressed = true
 					lw.wl = append(lw.wl, bt...)
@@ -431,14 +166,14 @@ func (lw *localWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 		}
 		for head := 0; head < len(lw.wl); head++ {
 			progressed = true
-			lw.recompute(lw.wl[head], inUnit)
+			lw.recompute(lw.wl[head], u)
 		}
 		lw.wl = lw.wl[:0]
 		// Deliver batched cross-flow notifications before (possibly) going
 		// idle, so the scheduler's quiescence detection stays sound.
-		lw.flush()
+		lw.pending.flush(&e.driver, e.inboxes, u.level+1)
 		if !progressed {
-			return batches
+			return
 		}
 	}
 }
@@ -446,12 +181,12 @@ func (lw *localWorker) processUnit(u *unit, batches [][]uint32) [][]uint32 {
 // recompute re-derives one vertex and, on change, re-queues its neighbors
 // when the algorithm reads neighbor values. Clearing the queued bit before
 // reading guarantees a concurrent neighbor change re-queues v.
-func (lw *localWorker) recompute(v uint32, inUnit func(int32) bool) {
+func (lw *localWorker) recompute(v uint32, u *unit) {
 	e := lw.e
 	e.queued.clear(v)
 	old := e.vals.Get(v)
 	nv := e.Alg.Recompute(e.G, v, old, e.valOf)
-	e.recomputes.Add(1)
+	e.relaxations.Add(1)
 	if nv == old {
 		return
 	}
@@ -465,7 +200,7 @@ func (lw *localWorker) recompute(v uint32, inUnit func(int32) bool) {
 			continue
 		}
 		tf := e.part.Flow(w)
-		if inUnit(tf) {
+		if e.inUnit(tf, u) {
 			lw.wl = append(lw.wl, w)
 		} else {
 			lw.pending[tf] = append(lw.pending[tf], w)

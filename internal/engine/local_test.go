@@ -60,7 +60,7 @@ func TestLocalAblations(t *testing.T) {
 }
 
 // Restarting from SnapshotState mid-stream must continue bit-exactly — the
-// contract wal.DurableLocal recovery depends on.
+// contract wal.LocalFamily recovery depends on.
 func TestLocalFromStateResumes(t *testing.T) {
 	w := smallWorkload(29, 6)
 	var both []graph.Edge

@@ -287,13 +287,3 @@ func (rs *replicaSet) pullHub(k int, apply func(d int, x float64)) bool {
 	}
 	return rs.drainCombine(k, apply)
 }
-
-// newReplicaSetFor builds the engine-side plan when the config asks for
-// replication; nil otherwise (including under DenseOff, where the hub
-// signal is disabled along with the index).
-func newReplicaSetFor(cfg Config, g *graph.Streaming, nf, dim int) *replicaSet {
-	if !cfg.HubReplication || cfg.DenseOff {
-		return nil
-	}
-	return newReplicaSet(g, nf, cfg.hubReplicas(), dim)
-}

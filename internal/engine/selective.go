@@ -1,15 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/algo"
 	"repro/internal/cachesim"
-	"repro/internal/dense"
 	"repro/internal/dflow"
 	"repro/internal/etree"
 	"repro/internal/graph"
@@ -28,52 +23,15 @@ import (
 // relaxation converges to the exact fixpoint — the same values a
 // from-scratch computation yields.
 type Selective struct {
-	G   *graph.Streaming
+	driver
 	Alg algo.Selective
-	cfg Config
 
 	vals    *layout.Store
 	parent  []int32
 	trimmed *flags
 	kf      *etree.KeyForest
 
-	part *dflow.Partition
-	fg   *dflow.FlowGraph
-
-	probe    cachesim.Probe
-	profiled bool
-	outIdx   *layout.EdgeIndex
-	inIdx    *layout.EdgeIndex
-
-	batches int
-
-	// Per-batch execution state.
-	unitsMu  sync.Mutex
-	units    []*unit
-	unitOf   []int32 // flow -> unit index (atomic access)
-	inboxes  []inbox[selMsg]
-	trimList [][]uint32     // per-flow trim lists (real flows only)
-	impacted *dense.FlowSet // epoch-stamped impacted-flow scratch
-	symm     Symmetrizer
-	pl       scheduler
-
-	// rs is the hub-replication plan (nil unless Config.HubReplication):
-	// cross-flow messages bound for a hub scatter over per-worker replica
-	// units whose folded candidates a diffused-combine unit merges back
-	// into the hub's home flow. See replicate.go.
-	rs      *replicaSet
-	specBuf []dflow.CombineSpec
-
-	relaxations atomic.Int64
-	pulls       atomic.Int64
-	crossMsgs   atomic.Int64
-	replicaMsgs atomic.Int64
-	combines    atomic.Int64
-
-	canceled bool // a batch was aborted mid-flight; state is inconsistent
-
-	trace   *WorkTrace
-	traceMu sync.Mutex
+	inboxes []inbox[selMsg]
 }
 
 type selMsg struct {
@@ -88,29 +46,8 @@ type selMsg struct {
 // edges, exactly as the paper's workflow does ("Initially, we generate the
 // D-trees of a graph offline", §VI).
 func NewSelective(g *graph.Streaming, alg algo.Selective, cfg Config) *Selective {
-	e := &Selective{
-		G:     g,
-		Alg:   alg,
-		cfg:   cfg,
-		probe: cfg.probe(),
-		kf:    etree.NewKeyForest(g.NumVertices()),
-	}
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	} else if cfg.HubThreshold > 0 {
-		g.SetHubThresholds(cfg.HubThreshold, 0)
-	}
-	_, e.profiled = e.probe.(*cachesim.Sim)
-
 	vals, parent := algo.SolveSelective(g, alg)
-	e.parent = parent
-	e.trimmed = newFlags(g.NumVertices())
-	e.repartition()
-	for v, x := range vals {
-		e.vals.Set(uint32(v), x)
-	}
-	e.rs = newReplicaSetFor(cfg, g, e.part.NumFlows(), 0)
-	return e
+	return newSelective(g, alg, cfg, vals, parent)
 }
 
 // NewSelectiveFromState rebuilds an engine from a snapshot (vals, parent)
@@ -123,27 +60,24 @@ func NewSelectiveFromState(g *graph.Streaming, alg algo.Selective, cfg Config, v
 	if len(vals) != n || len(parent) != n {
 		return nil, fmt.Errorf("engine: state for %d/%d vertices, graph has %d", len(vals), len(parent), n)
 	}
+	return newSelective(g, alg, cfg, vals, append([]int32(nil), parent...)), nil
+}
+
+func newSelective(g *graph.Streaming, alg algo.Selective, cfg Config, vals []float64, parent []int32) *Selective {
 	e := &Selective{
-		G:     g,
-		Alg:   alg,
-		cfg:   cfg,
-		probe: cfg.probe(),
-		kf:    etree.NewKeyForest(n),
+		Alg:     alg,
+		parent:  parent,
+		trimmed: newFlags(g.NumVertices()),
+		kf:      etree.NewKeyForest(g.NumVertices()),
 	}
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	} else if cfg.HubThreshold > 0 {
-		g.SetHubThresholds(cfg.HubThreshold, 0)
-	}
-	_, e.profiled = e.probe.(*cachesim.Sim)
-	e.parent = append([]int32(nil), parent...)
-	e.trimmed = newFlags(n)
+	e.init(g, cfg, e, alg.Symmetric())
+	e.inEdges = true
 	e.repartition()
 	for v, x := range vals {
 		e.vals.Set(uint32(v), x)
 	}
-	e.rs = newReplicaSetFor(cfg, g, e.part.NumFlows(), 0)
-	return e, nil
+	e.replicate(0)
+	return e
 }
 
 // SnapshotState copies the converged per-vertex values and key-edge parents
@@ -151,44 +85,6 @@ func NewSelectiveFromState(g *graph.Streaming, alg algo.Selective, cfg Config, v
 // it only between batches (the engine is not processing).
 func (e *Selective) SnapshotState() (vals []float64, parent []int32) {
 	return e.Values(), append([]int32(nil), e.parent...)
-}
-
-// repartition rebuilds flows from the current key-edge forest, the flow
-// graph, the flow-blocked value store, and (when profiling) the edge
-// address model. Values migrate into the new store.
-func (e *Selective) repartition() {
-	e.part = dflow.NewPartitionFromParents(e.parent, e.cfg.FlowCap)
-	if e.fg == nil || e.cfg.DenseOff {
-		e.fg = dflow.NewFlowGraph(e.G, e.part)
-	} else {
-		e.fg.Rebuild(e.G, e.part)
-	}
-	var store *layout.Store
-	if e.cfg.ScatteredStorage {
-		store = layout.NewScatteredStore(e.G.NumVertices(), 1)
-	} else {
-		store = layout.NewFlowStore(e.part, 1)
-	}
-	if e.vals != nil {
-		for v := 0; v < e.G.NumVertices(); v++ {
-			store.Set(uint32(v), e.vals.Get(uint32(v)))
-		}
-	}
-	e.vals = store
-	e.refreshEdgeIndex()
-}
-
-func (e *Selective) refreshEdgeIndex() {
-	if !e.profiled {
-		return
-	}
-	blocked := !e.cfg.ScatteredStorage
-	prevOut, prevIn := e.outIdx, e.inIdx
-	if e.cfg.DenseOff {
-		prevOut, prevIn = nil, nil
-	}
-	e.outIdx = layout.NewEdgeIndexInto(prevOut, e.G, e.part, blocked)
-	e.inIdx = layout.NewInEdgeIndexInto(prevIn, e.G, e.part, blocked)
 }
 
 // Value returns v's current converged value.
@@ -206,114 +102,25 @@ func (e *Selective) Values() []float64 {
 // Parent returns v's key-edge source (-1 if none).
 func (e *Selective) Parent(v graph.VertexID) int32 { return e.parent[v] }
 
-// Partition exposes the current dependency-flow partition (read-only).
-func (e *Selective) Partition() *dflow.Partition { return e.part }
-
-// ProcessBatch applies one batch of updates and incrementally reconverges.
-// It implements processEdgeStream of Fig 10. It panics on a malformed batch;
-// ProcessBatchE is the error-returning form.
-func (e *Selective) ProcessBatch(batch graph.Batch) BatchStats {
-	st, err := e.ProcessBatchE(batch)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// ProcessBatchE is ProcessBatch with graceful degradation: the batch is
-// validated up front and a malformed update stream returns a
-// *graph.BatchError without mutating any engine state, so a caller fed by
-// an untrusted source can drop the bad batch and keep going.
-func (e *Selective) ProcessBatchE(batch graph.Batch) (BatchStats, error) {
-	return e.ProcessBatchCtx(context.Background(), batch)
-}
-
-// ProcessBatchCtx is ProcessBatchE with cancellation: when ctx is canceled
-// mid-batch the schedulers drain out after their in-flight units and the
-// call returns ctx's error. A canceled batch leaves the engine mid-refinement
-// — inconsistent by design — so every later call fails with ErrCanceled;
-// recover by rebuilding the engine (wal.Recover replays a durable log).
-func (e *Selective) ProcessBatchCtx(ctx context.Context, batch graph.Batch) (BatchStats, error) {
-	if e.canceled {
-		return BatchStats{}, ErrCanceled
-	}
-	if err := ctx.Err(); err != nil {
-		return BatchStats{}, err
-	}
-	if err := e.G.CheckBatch(batch); err != nil {
-		return BatchStats{}, err
-	}
-	st := e.processBatch(ctx, batch)
-	if err := ctx.Err(); err != nil {
-		e.canceled = true
-		return st, err
-	}
-	return st, nil
-}
-
-func (e *Selective) processBatch(ctx context.Context, batch graph.Batch) BatchStats {
-	var st BatchStats
-	t0 := time.Now()
-	e.probe.BeginBatch()
-	if e.Alg.Symmetric() {
-		if e.cfg.DenseOff {
-			batch = Symmetrize(batch)
-		} else {
-			batch = e.symm.Symmetrize(batch)
-		}
-	}
-	if e.cfg.TraceWork {
-		e.trace = newWorkTrace()
-		st.Trace = e.trace
-	} else {
-		e.trace = nil
-	}
-
-	// (1) Graph update (Workers, in parallel) ...
-	tApply := time.Now()
-	applied := e.G.ApplyBatchParallel(batch, e.cfg.workers())
-	st.Applied = len(applied)
-	st.ApplyTime = time.Since(tApply)
-
-	// (2) ... then the Manager maintains the dependency indexes: flow graph
-	// incrementally, key-edge D-tree by bulk-loading the key edges recorded
-	// during the previous batch (§IV-B).
-	tMaint := time.Now()
-	e.batches++
-	if e.batches%e.cfg.repartitionEvery() == 0 {
-		e.repartition()
-	} else {
-		for _, u := range applied {
-			if u.Del {
-				e.fg.DeleteEdge(u.Src, u.Dst)
-			} else {
-				e.fg.AddEdge(u.Src, u.Dst)
-			}
-		}
-		e.refreshEdgeIndex()
-	}
-	tKf := time.Now()
+// maintain bulk-loads the key edges recorded during the previous batch into
+// the key-edge D-tree (§IV-B). The forest follows the values, so it never
+// forces the flows to be re-derived.
+func (e *Selective) maintain(graph.Batch) bool {
 	e.kf.BulkLoad(e.parent)
-	st.DtreeTime = time.Since(tKf)
-	st.MaintainTime = time.Since(tMaint)
+	return false
+}
 
-	// (3) Trim identification at tree-node cost (no graph-edge traversal).
-	tTrim := time.Now()
-	nf := e.part.NumFlows()
-	if e.rs != nil {
-		e.rs.update(e.G, applied, nf)
-		st.ReplicatedHubs = len(e.rs.hubs)
-		e.replicaMsgs.Store(0)
-		e.combines.Store(0)
-	}
-	if cap(e.trimList) < nf {
-		e.trimList = make([][]uint32, nf)
-	}
-	e.trimList = e.trimList[:nf]
-	for i := range e.trimList {
-		e.trimList[i] = e.trimList[i][:0]
-	}
-	impacted := e.impactedScratch(nf)
+// rebuild derives the flows from the current key-edge parents and migrates
+// the values into the flow-blocked store.
+func (e *Selective) rebuild() *dflow.Partition {
+	part := dflow.NewPartitionFromParents(e.parent, e.cfg.FlowCap)
+	e.vals = e.migrateStore(part, 1, e.vals)
+	return part
+}
+
+// trim identifies the trim set at tree-node cost (no graph-edge traversal):
+// a deletion that killed a key edge invalidates the subtree hanging off it.
+func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 	for _, u := range applied {
 		if !u.Del || e.parent[u.Dst] != int32(u.Src) {
 			continue
@@ -321,85 +128,28 @@ func (e *Selective) processBatch(ctx context.Context, batch graph.Batch) BatchSt
 		if e.cfg.FaultSkipTrim {
 			continue // injected bug for oracle mutation tests
 		}
-		st.TrimRoots++
+		roots++
 		e.kf.Subtree(uint32(u.Dst), func(x uint32) bool {
 			if e.trimmed.swapSet(x) {
 				return false // already trimmed by a nested root
 			}
 			e.parent[x] = -1
-			f := e.part.Flow(x)
-			e.trimList[f] = append(e.trimList[f], x)
-			impacted.Add(f)
-			st.Trimmed++
+			e.seedVertex(x)
+			trimmed++
 			return true
 		})
 	}
-	st.TrimTime = time.Since(tTrim)
+	return roots, trimmed
+}
 
-	// (4) Space-time schedule over the refining flows (cycles merged).
-	tSched := time.Now()
-	var groups []dflow.Group
-	if e.cfg.NoSCCMerge {
-		for _, f := range impacted.Members() {
-			groups = append(groups, dflow.Group{Flows: []int32{f}})
-		}
-	} else if e.rs != nil {
-		e.specBuf = e.rs.combineSpecs(e.part.Flow, e.specBuf)
-		groups = dflow.ScheduleWithCombines(e.fg, impacted.Members(), e.specBuf)
-	} else {
-		groups = dflow.Schedule(e.fg, impacted.Members())
-	}
-	maxLevel := 0
-	for _, g := range groups {
-		if g.Level > maxLevel {
-			maxLevel = g.Level
-		}
-	}
-	st.Units = len(groups)
-	st.Levels = maxLevel + 1
-	st.Impacted = impacted.Len()
+func (e *Selective) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-	// Virtual replica/combine flows get unit and inbox slots past the real
-	// flow ids.
-	nfAll := nf
-	if e.rs != nil {
-		nfAll = e.rs.numFlows()
-	}
-	e.units = e.units[:0]
-	if cap(e.unitOf) < nfAll {
-		e.unitOf = make([]int32, nfAll)
-	}
-	e.unitOf = e.unitOf[:nfAll]
-	for i := range e.unitOf {
-		e.unitOf[i] = -1
-	}
-	// One unit per flow with its group's schedule level: the SCC
-	// condensation provides the space-time *order*; flows still execute
-	// concurrently (the trimmed-bit protocol is interleaving-safe), which
-	// preserves the vertex-level parallelism §VI calls for inside large
-	// dependency groups.
-	for _, grp := range groups {
-		for _, f := range grp.Flows {
-			u := &unit{id: int32(len(e.units)), flows: []int32{f}, level: grp.Level}
-			if e.rs != nil {
-				u.pin = e.rs.pinFor(f, e.cfg.workers())
-			}
-			e.units = append(e.units, u)
-			e.unitOf[f] = u.id
-		}
-	}
-	if cap(e.inboxes) < nfAll {
-		e.inboxes = make([]inbox[selMsg], nfAll)
-	}
-	e.inboxes = e.inboxes[:nfAll]
-	for i := range e.inboxes {
-		e.inboxes[i].reset()
-	}
-	e.pl = e.cfg.newScheduler()
-	st.ScheduleTime = time.Since(tSched)
-
-	// (5) Seed addition relaxations as messages (no refinement needed:
-	// additions can only improve monotonic values).
+// seed posts addition relaxations as messages (no refinement needed:
+// additions can only improve monotonic values). Under the TwoPhase ablation
+// it then refines every impacted flow behind a global barrier, so the units
+// only recompute — the KickStarter/GraphBolt shape on GraphFly's data
+// structures.
+func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 	for _, u := range applied {
 		if u.Del {
 			continue
@@ -409,131 +159,47 @@ func (e *Selective) processBatch(ctx context.Context, batch graph.Batch) BatchSt
 		}
 		cand := e.Alg.Propagate(e.vals.Get(uint32(u.Src)), u.W)
 		if e.trimmed.get(uint32(u.Dst)) || e.Alg.Better(cand, e.vals.Get(uint32(u.Dst))) {
-			m := selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}
-			if e.rs != nil {
-				if k := e.rs.slotOf(uint32(u.Dst)); k >= 0 {
-					rf := e.rs.replicaFlow(int(k), e.rs.routeOf(uint32(u.Src)))
-					e.inboxes[rf].put(m)
-					e.replicaMsgs.Add(1)
-					e.activateFlow(rf, maxLevel+1)
-					continue
-				}
-			}
-			f := e.part.Flow(u.Dst)
-			e.inboxes[f].put(m)
-			e.activateFlow(f, maxLevel+1)
+			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1)
 		}
 	}
-
-	// (6) Execute.
-	tComp := time.Now()
-	e.relaxations.Store(0)
-	e.pulls.Store(0)
-	e.crossMsgs.Store(0)
-	stopWatch := watchCancel(ctx, e.pl)
-	if e.cfg.TwoPhase {
-		e.runTwoPhase()
-	} else {
-		e.runAsync()
+	if !e.cfg.TwoPhase {
+		return
 	}
-	stopWatch()
-	st.ComputeTime = time.Since(tComp)
-	st.Relaxations = e.relaxations.Load()
-	st.Pulls = e.pulls.Load()
-	st.CrossMsgs = e.crossMsgs.Load()
-	st.ReplicaMsgs = e.replicaMsgs.Load()
-	st.Combines = e.combines.Load()
-	ss := e.pl.stats()
-	st.Dispatches = ss.Dispatches
-	st.Steals = ss.Steals
-	st.SchedParks = ss.Parks
-	st.Total = time.Since(t0)
-	e.cfg.observe(&st)
-	return st
-}
-
-// impactedScratch hands out the per-batch impacted-flow set (see
-// scratchFlowSet for the -denseoff semantics).
-func (e *Selective) impactedScratch(nf int) *dense.FlowSet {
-	e.impacted = scratchFlowSet(e.impacted, nf, e.cfg.DenseOff)
-	return e.impacted
-}
-
-// activateFlow ensures flow f has a unit and activates it, lazily creating
-// singleton units for flows outside the schedule.
-func (e *Selective) activateFlow(f int32, level int) {
-	var u *unit
-	if ui := atomic.LoadInt32(&e.unitOf[f]); ui != -1 {
-		e.unitsMu.Lock()
-		u = e.units[ui]
-		e.unitsMu.Unlock()
-	} else {
-		e.unitsMu.Lock()
-		if ui := e.unitOf[f]; ui != -1 { // re-check under the lock
-			u = e.units[ui]
-		} else {
-			u = &unit{id: int32(len(e.units)), flows: []int32{f}, level: level}
-			if e.rs != nil {
-				u.pin = e.rs.pinFor(f, e.cfg.workers())
-			}
-			e.units = append(e.units, u)
-			atomic.StoreInt32(&e.unitOf[f], u.id)
-		}
-		e.unitsMu.Unlock()
-	}
-	e.pl.activate(u)
-}
-
-// runAsync is GraphFly's normal mode: each unit fuses refine+recompute and
-// units at the same level run concurrently, no global phase barrier.
-func (e *Selective) runAsync() {
-	e.unitsMu.Lock()
-	for _, u := range e.units {
-		// Virtual replica/combine units are reactive: they run only when a
-		// hub-bound message lands, so the common no-traffic batch pays no
-		// dispatches for them.
-		if e.rs != nil && int(u.flows[0]) >= e.rs.nf {
-			continue
-		}
-		e.pl.activate(u)
-	}
-	e.unitsMu.Unlock()
-	e.pl.run(e.cfg.workers(), func(w int, u *unit) {
-		sw := e.newWorker()
-		sw.processUnit(u, true, true)
-	})
-}
-
-// runTwoPhase is the execution-model ablation: refine every impacted flow,
-// hit a global barrier, then recompute — the KickStarter/GraphBolt shape on
-// GraphFly's data structures.
-func (e *Selective) runTwoPhase() {
-	e.unitsMu.Lock()
-	units := append([]*unit(nil), e.units...)
-	e.unitsMu.Unlock()
+	units := e.units
 	graph.ParallelFor(len(units), e.cfg.workers(), func(lo, hi int) {
-		sw := e.newWorker()
-		for i := lo; i < hi; i++ {
-			sw.processUnit(units[i], true, false)
-			// Hand the reset vertices to phase 2 as forced seeds.
+		sw := e.newSelWorker()
+		for _, u := range units[lo:hi] {
+			if e.virtual(u) {
+				continue // replica/combine unit: nothing to refine
+			}
+			sw.refine(u)
+			// Hand the reset vertices to the recompute phase as forced seeds.
 			for _, v := range sw.wl {
-				f := e.part.Flow(v)
-				e.inboxes[f].put(selMsg{v: v, val: e.vals.Get(v), parent: e.parent[v], force: true})
+				e.inboxes[e.part.Flow(v)].put(selMsg{v: v, val: e.vals.Get(v), parent: e.parent[v], force: true})
 			}
 			sw.wl = sw.wl[:0]
 		}
 	})
-	// Global barrier, then recompute to quiescence.
-	e.unitsMu.Lock()
-	units = append(units[:0], e.units...)
-	e.unitsMu.Unlock()
-	for _, u := range units {
-		e.pl.activate(u)
+}
+
+// send delivers a cross-flow candidate for m.v and activates the receiving
+// unit at level. Hub-bound candidates scatter onto a replica chosen by the
+// sender instead of the home flow, so the fan-in folds across workers; it
+// reports the receiving flow, or -1 for a replica.
+func (e *Selective) send(m selMsg, level int) int32 {
+	tf := e.part.Flow(m.v)
+	if e.rs != nil {
+		if k := e.rs.slotOf(m.v); k >= 0 {
+			tf = e.rs.replicaFlow(int(k), e.rs.routeOf(uint32(m.parent)))
+			e.replicaMsgs.Add(1)
+			e.inboxes[tf].put(m)
+			e.activateFlow(tf, level)
+			return -1
+		}
 	}
-	e.pl.run(e.cfg.workers(), func(w int, u *unit) {
-		sw := e.newWorker()
-		sw.processUnit(u, false, true)
-	})
+	e.inboxes[tf].put(m)
+	e.activateFlow(tf, level)
+	return tf
 }
 
 // selWorker is per-goroutine state: a forked probe and a local worklist.
@@ -544,9 +210,11 @@ type selWorker struct {
 	buf   []selMsg
 }
 
-func (e *Selective) newWorker() *selWorker {
+func (e *Selective) newSelWorker() *selWorker {
 	return &selWorker{e: e, probe: e.probe.Fork()}
 }
+
+func (e *Selective) newWorker(int) unitWorker { return e.newSelWorker() }
 
 func (sw *selWorker) readVal(v uint32) float64 {
 	if sw.e.profiled {
@@ -562,11 +230,12 @@ func (sw *selWorker) writeVal(v uint32, x float64) {
 	sw.e.vals.Set(v, x)
 }
 
-// processUnit runs one scheduling unit: optionally refine its trimmed
-// vertices (pull style, within the flow), then recompute to local
-// quiescence, draining inbox messages and pushing cross-flow candidates
-// (push style between flows — §V-A's pull-inside/push-outside rule).
-func (sw *selWorker) processUnit(u *unit, refine, recompute bool) {
+// processUnit runs one scheduling unit: refine its trimmed vertices (pull
+// style, within the flow) unless the TwoPhase barrier already did, then
+// recompute to local quiescence, draining inbox messages and pushing
+// cross-flow candidates (push style between flows — §V-A's
+// pull-inside/push-outside rule).
+func (sw *selWorker) processUnit(u *unit) {
 	e := sw.e
 	if e.rs != nil {
 		if k, rep, combine, ok := e.rs.virtual(u.flows[0]); ok {
@@ -574,23 +243,8 @@ func (sw *selWorker) processUnit(u *unit, refine, recompute bool) {
 			return
 		}
 	}
-	inUnit := func(f int32) bool {
-		return atomic.LoadInt32(&e.unitOf[f]) == u.id
-	}
-
-	if refine {
-		sw.probe.SetPhase(cachesim.PhaseRefine)
-		for _, f := range u.flows {
-			for _, v := range e.trimList[f] {
-				if !e.trimmed.get(v) {
-					continue // reset on a previous activation
-				}
-				sw.refineVertex(v)
-			}
-		}
-	}
-	if !recompute {
-		return
+	if !e.cfg.TwoPhase {
+		sw.refine(u)
 	}
 	sw.probe.SetPhase(cachesim.PhaseRecompute)
 	for {
@@ -606,11 +260,26 @@ func (sw *selWorker) processUnit(u *unit, refine, recompute bool) {
 		// vertex far fewer times than depth-first on weighted graphs.
 		for head := 0; head < len(sw.wl); head++ {
 			progressed = true
-			sw.relax(sw.wl[head], u, inUnit)
+			sw.relax(sw.wl[head], u)
 		}
 		sw.wl = sw.wl[:0]
 		if !progressed {
 			return
+		}
+	}
+}
+
+// refine resets the unit's still-trimmed vertices, queueing them on the
+// worklist.
+func (sw *selWorker) refine(u *unit) {
+	e := sw.e
+	sw.probe.SetPhase(cachesim.PhaseRefine)
+	for _, f := range u.flows {
+		for _, v := range e.seeds[f] {
+			if !e.trimmed.get(v) {
+				continue // reset on a previous activation
+			}
+			sw.refineVertex(v)
 		}
 	}
 }
@@ -642,7 +311,7 @@ func (sw *selWorker) refineVertex(v uint32) {
 	e.trimmed.clear(v)
 	sw.wl = append(sw.wl, v)
 	if e.trace != nil {
-		sw.addTraceWork(e.part.Flow(v), int64(len(in)))
+		e.traceWork(e.part.Flow(v), int64(len(in)))
 	}
 }
 
@@ -665,13 +334,13 @@ func (sw *selWorker) apply(m selMsg) {
 }
 
 // relax pushes v's value over its out-edges: computeEdge of Fig 10.
-func (sw *selWorker) relax(v uint32, u *unit, inUnit func(int32) bool) {
+func (sw *selWorker) relax(v uint32, u *unit) {
 	e := sw.e
 	uVal := sw.readVal(v)
 	out := e.G.Out(graph.VertexID(v))
 	e.relaxations.Add(int64(len(out)))
 	if e.trace != nil {
-		sw.addTraceWork(e.part.Flow(v), int64(len(out)))
+		e.traceWork(e.part.Flow(v), int64(len(out)))
 	}
 	for i, h := range out {
 		if e.profiled {
@@ -679,8 +348,7 @@ func (sw *selWorker) relax(v uint32, u *unit, inUnit func(int32) bool) {
 		}
 		w := uint32(h.To)
 		cand := e.Alg.Propagate(uVal, h.W)
-		tf := e.part.Flow(h.To)
-		if inUnit(tf) {
+		if e.inUnit(e.part.Flow(h.To), u) {
 			if e.trimmed.get(w) {
 				sw.refineVertex(w)
 			}
@@ -693,25 +361,11 @@ func (sw *selWorker) relax(v uint32, u *unit, inUnit func(int32) bool) {
 		}
 		// Cross-flow: send only when it could matter.
 		if e.trimmed.get(w) || e.Alg.Better(cand, sw.readVal(w)) {
-			m := selMsg{v: w, val: cand, parent: int32(v)}
-			if e.rs != nil {
-				// Hub-bound: scatter onto a replica instead of the home
-				// flow, so the fan-in folds across workers.
-				if k := e.rs.slotOf(w); k >= 0 {
-					rf := e.rs.replicaFlow(int(k), e.rs.routeOf(v))
-					e.inboxes[rf].put(m)
-					e.crossMsgs.Add(1)
-					e.replicaMsgs.Add(1)
-					e.activateFlow(rf, u.level+1)
-					continue
-				}
-			}
-			e.inboxes[tf].put(m)
 			e.crossMsgs.Add(1)
-			if e.trace != nil {
-				sw.addTraceMsg(e.part.Flow(v), tf)
+			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1)
+			if tf >= 0 && e.trace != nil {
+				e.traceMsg(e.part.Flow(v), tf)
 			}
-			e.activateFlow(tf, u.level+1)
 		}
 	}
 }
@@ -728,23 +382,11 @@ func (sw *selWorker) relax(v uint32, u *unit, inUnit func(int32) bool) {
 func (sw *selWorker) processVirtual(u *unit, k, rep int, combine bool) {
 	e := sw.e
 	rs := e.rs
+	from := rs.combineFlow(k)
 	if !combine {
-		sw.buf = e.inboxes[rs.replicaFlow(k, rep)].drain(sw.buf)
-		if len(sw.buf) == 0 {
-			return
-		}
-		best := sw.buf[0]
-		for _, m := range sw.buf[1:] {
-			if e.Alg.Better(m.val, best.val) {
-				best = m
-			}
-		}
-		cf := rs.combineFlow(k)
-		e.inboxes[cf].put(best)
-		e.activateFlow(cf, u.level+1)
-		return
+		from = rs.replicaFlow(k, rep)
 	}
-	sw.buf = e.inboxes[rs.combineFlow(k)].drain(sw.buf)
+	sw.buf = e.inboxes[from].drain(sw.buf)
 	if len(sw.buf) == 0 {
 		return
 	}
@@ -754,23 +396,15 @@ func (sw *selWorker) processVirtual(u *unit, k, rep int, combine bool) {
 			best = m
 		}
 	}
-	e.combines.Add(1)
-	h := rs.hubs[k]
-	if e.trimmed.get(h) || e.Alg.Better(best.val, e.vals.Get(h)) {
-		tf := e.part.Flow(h)
-		e.inboxes[tf].put(best)
-		e.activateFlow(tf, u.level+1)
+	to := rs.combineFlow(k)
+	if combine {
+		e.combines.Add(1)
+		h := rs.hubs[k]
+		if !e.trimmed.get(h) && !e.Alg.Better(best.val, e.vals.Get(h)) {
+			return
+		}
+		to = e.part.Flow(h)
 	}
-}
-
-func (sw *selWorker) addTraceWork(f int32, n int64) {
-	sw.e.traceMu.Lock()
-	sw.e.trace.FlowWork[f] += n
-	sw.e.traceMu.Unlock()
-}
-
-func (sw *selWorker) addTraceMsg(from, to int32) {
-	sw.e.traceMu.Lock()
-	sw.e.trace.FlowMsgs[[2]int32{from, to}]++
-	sw.e.traceMu.Unlock()
+	e.inboxes[to].put(best)
+	e.activateFlow(to, u.level+1)
 }

@@ -1,103 +1,42 @@
 package serve
 
 import (
-	"context"
+	"fmt"
 
-	"repro/internal/algo"
 	"repro/internal/engine"
-	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
-// Backend is the durable engine a Server fronts. The serving loop is
-// engine-agnostic: it admits batches, appends them through the backend's
+// backend is the durable engine a Server fronts. The serving loop is
+// engine-agnostic: it admits batches, appends them through the Durable's
 // group-commit layer, applies them in logged order, and publishes an
-// immutable StateSnapshot per batch boundary. Everything engine-specific —
-// which algorithm runs, how batches are validated, what a snapshot holds —
-// lives behind this interface, so the same server code serves selective
-// (SSSP/BFS/...) and local (triangle counting, k-core) workloads.
-//
-// The wal durable wrappers implement the durability half (Group,
-// ApplyLogged, Seq, Dirty, Snapshot, Close) through their shared core; the
-// adapters below add the per-engine read surface.
-type Backend interface {
-	// AlgName identifies the algorithm in the session welcome banner.
-	AlgName() string
-	// Better orders top-k replies (true when a beats b).
-	Better(a, b float64) bool
-	// CheckBatch validates a decoded batch before it can reach the WAL.
-	CheckBatch(b graph.Batch) error
-	// StateSnapshot captures the engine state as an immutable snapshot
-	// stamped with seq. Must only be called at a batch boundary (the
-	// single applier guarantees this).
-	StateSnapshot(seq uint64) *engine.StateSnapshot
-
-	// The durability seams, provided by the wal durable core.
-	Group(onAppend func(seq uint64, b graph.Batch), groupSize *metrics.Histogram) *wal.GroupCommit
-	ApplyLogged(ctx context.Context, seq uint64, b graph.Batch) (engine.BatchStats, error)
-	Seq() uint64
-	Dirty() bool
-	Snapshot() error
-	Close() error
-	// ReopenLog is the degraded-mode exit: snapshot the applied state and
-	// swap in a fresh log generation after a disk-fault poisoning. The
-	// server's prober retries it until appends succeed again.
-	ReopenLog() error
-	// Abandon releases resources without any final snapshot or fsync — the
-	// in-process stand-in for kill -9 that chaos tests use.
-	Abandon()
+// immutable StateSnapshot per batch boundary. The durability seams (Group,
+// ApplyLogged, Seq, Dirty, Snapshot, Close, ReopenLog, Abandon) and
+// CheckBatch are the embedded Durable's own methods; the backend adds the
+// read surface of the engine inside it, so the same server code serves
+// selective (SSSP/BFS/...) and local (triangle counting, k-core) workloads.
+type backend struct {
+	*wal.Durable
+	// alg names the algorithm in the session welcome banner; its Better
+	// orders top-k replies.
+	alg interface {
+		Name() string
+		Better(a, b float64) bool
+	}
+	// snapshot captures the engine state under seq. Called only at a batch
+	// boundary (the single applier guarantees this).
+	snapshot func(seq uint64) *engine.StateSnapshot
 }
 
-// SelectiveBackend serves a durable selective engine (the original
-// graphflyd configuration): per-vertex values plus key-edge parents.
-type SelectiveBackend struct {
-	D   *wal.DurableSelective
-	Alg algo.Selective
+// newBackend adapts any durable engine that can publish a StateSnapshot.
+// The selective engines publish values plus key-edge parents; the local
+// engines values only, so their Get replies carry parent -1.
+func newBackend(d *wal.Durable) (*backend, error) {
+	switch e := d.Eng.(type) {
+	case *engine.Selective:
+		return &backend{Durable: d, alg: e.Alg, snapshot: e.StateSnapshot}, nil
+	case *engine.Local:
+		return &backend{Durable: d, alg: e.Alg, snapshot: e.StateSnapshot}, nil
+	}
+	return nil, fmt.Errorf("serve: %T publishes no state snapshots", d.Eng)
 }
-
-func (b SelectiveBackend) AlgName() string                 { return b.Alg.Name() }
-func (b SelectiveBackend) Better(x, y float64) bool        { return b.Alg.Better(x, y) }
-func (b SelectiveBackend) CheckBatch(bt graph.Batch) error { return b.D.Eng.G.CheckBatch(bt) }
-func (b SelectiveBackend) StateSnapshot(seq uint64) *engine.StateSnapshot {
-	return b.D.Eng.StateSnapshot(seq)
-}
-func (b SelectiveBackend) Group(onAppend func(uint64, graph.Batch), gs *metrics.Histogram) *wal.GroupCommit {
-	return b.D.Group(onAppend, gs)
-}
-func (b SelectiveBackend) ApplyLogged(ctx context.Context, seq uint64, bt graph.Batch) (engine.BatchStats, error) {
-	return b.D.ApplyLogged(ctx, seq, bt)
-}
-func (b SelectiveBackend) Seq() uint64      { return b.D.Seq() }
-func (b SelectiveBackend) Dirty() bool      { return b.D.Dirty() }
-func (b SelectiveBackend) Snapshot() error  { return b.D.Snapshot() }
-func (b SelectiveBackend) Close() error     { return b.D.Close() }
-func (b SelectiveBackend) ReopenLog() error { return b.D.ReopenLog() }
-func (b SelectiveBackend) Abandon()         { b.D.Abandon() }
-
-// LocalBackend serves a durable local engine (triangle counting, k-core):
-// per-vertex values only — snapshot parents are absent, so Get replies
-// carry parent -1.
-type LocalBackend struct {
-	D   *wal.DurableLocal
-	Alg algo.Local
-}
-
-func (b LocalBackend) AlgName() string                 { return b.Alg.Name() }
-func (b LocalBackend) Better(x, y float64) bool        { return b.Alg.Better(x, y) }
-func (b LocalBackend) CheckBatch(bt graph.Batch) error { return b.D.Eng.G.CheckBatch(bt) }
-func (b LocalBackend) StateSnapshot(seq uint64) *engine.StateSnapshot {
-	return b.D.Eng.StateSnapshot(seq)
-}
-func (b LocalBackend) Group(onAppend func(uint64, graph.Batch), gs *metrics.Histogram) *wal.GroupCommit {
-	return b.D.Group(onAppend, gs)
-}
-func (b LocalBackend) ApplyLogged(ctx context.Context, seq uint64, bt graph.Batch) (engine.BatchStats, error) {
-	return b.D.ApplyLogged(ctx, seq, bt)
-}
-func (b LocalBackend) Seq() uint64      { return b.D.Seq() }
-func (b LocalBackend) Dirty() bool      { return b.D.Dirty() }
-func (b LocalBackend) Snapshot() error  { return b.D.Snapshot() }
-func (b LocalBackend) Close() error     { return b.D.Close() }
-func (b LocalBackend) ReopenLog() error { return b.D.ReopenLog() }
-func (b LocalBackend) Abandon()         { b.D.Abandon() }

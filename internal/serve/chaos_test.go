@@ -46,7 +46,7 @@ type chaosStack struct {
 	inj  *wal.DiskFaultInjector
 	sc   chaosScenario
 
-	d      *wal.DurableSelective
+	d      *wal.Durable
 	srv    *Server
 	addr   string // the server's fixed address across kill/restart cycles
 	proxy  *netfault.Proxy
@@ -360,6 +360,9 @@ func TestServeDegradedModeENOSPC(t *testing.T) {
 	if seq, err := ing.IngestRetry(w.Batches[0]); err != nil || seq != 1 {
 		t.Fatalf("healthy ingest = %d, %v", seq, err)
 	}
+	// The ack only promises the log; the degraded read below wants batch 1
+	// published.
+	awaitApplied(t, rd, 1)
 
 	// Arm the fault: the raw Ingest path must surface the typed refusal.
 	inj.Set(syscall.ENOSPC, 0, 1)

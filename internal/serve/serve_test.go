@@ -58,7 +58,7 @@ func testStream(seed uint64, sessions, perSession, batchSize int) (numV int, ini
 	return cfg.NumV, initial, perSess
 }
 
-func newTestServer(t *testing.T, cfg Config, alg algo.Selective, numV int, initial []graph.Edge, reg *metrics.Registry) (*Server, *wal.DurableSelective, wal.DurableConfig) {
+func newTestServer(t *testing.T, cfg Config, alg algo.Selective, numV int, initial []graph.Edge, reg *metrics.Registry) (*Server, *wal.Durable, wal.DurableConfig) {
 	t.Helper()
 	dc := wal.DurableConfig{Wal: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncAlways, Metrics: reg}}
 	d, err := wal.NewDurableSelective(graph.FromEdges(numV, initial), alg, engine.Config{Workers: 2}, dc)
@@ -276,15 +276,15 @@ func mirrorEdges(initial []graph.Edge) []graph.Edge {
 	return both
 }
 
-func newLocalTestServer(t *testing.T, cfg Config, alg algo.Local, numV int, initial []graph.Edge) (*Server, *wal.DurableLocal, wal.DurableConfig) {
+func newLocalTestServer(t *testing.T, cfg Config, alg algo.Local, numV int, initial []graph.Edge) (*Server, *wal.Durable, wal.DurableConfig) {
 	t.Helper()
 	dc := wal.DurableConfig{Wal: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncAlways}, SnapshotEvery: 4}
-	d, err := wal.NewDurableLocal(graph.FromEdges(numV, mirrorEdges(initial)), alg, engine.Config{Workers: 2}, dc)
+	d, err := wal.NewDurable(graph.FromEdges(numV, mirrorEdges(initial)), wal.LocalFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Backend = LocalBackend{D: d, Alg: alg}
+	cfg.Durable = d
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestServeLocalTriangleTopK(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	rec, rs, err := wal.RecoverLocal(alg, engine.Config{Workers: 2}, dc)
+	rec, rs, err := wal.Recover(wal.LocalFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatalf("recovery after drain: %v", err)
 	}

@@ -20,15 +20,13 @@ import (
 type Config struct {
 	// Addr is the listen address (e.g. "127.0.0.1:0").
 	Addr string
-	// Backend is the durable engine the server owns. The server puts its
-	// log in serving (group-commit) mode and closes it on Shutdown. When
-	// nil, Durable+Alg below are wrapped in a SelectiveBackend.
-	Backend Backend
-	// Durable is the selective engine + WAL (legacy configuration; ignored
-	// when Backend is set).
-	Durable *wal.DurableSelective
-	// Alg is the selective algorithm Durable runs; its Better orders top-k
-	// replies (legacy configuration; ignored when Backend is set).
+	// Durable is the durable engine the server owns, of any family that
+	// publishes a StateSnapshot (selective or local). The server puts its
+	// log in serving (group-commit) mode and closes it on Shutdown.
+	Durable *wal.Durable
+	// Alg is ignored: the Durable's engine already names its algorithm.
+	//
+	// Deprecated: kept so existing callers compile.
 	Alg algo.Selective
 	// MaxSessions caps concurrent sessions, all roles (default 64).
 	MaxSessions int
@@ -94,7 +92,7 @@ type logged struct {
 // so the state any snapshot exposes is the state recovery would rebuild.
 type Server struct {
 	cfg Config
-	b   Backend
+	b   *backend
 	gc  *wal.GroupCommit
 	ln  net.Listener
 
@@ -133,12 +131,12 @@ type Server struct {
 // New starts a server listening on cfg.Addr. The durable engine's log moves
 // into serving mode; use Shutdown for a clean stop.
 func New(cfg Config) (*Server, error) {
-	backend := cfg.Backend
-	if backend == nil {
-		if cfg.Durable == nil {
-			return nil, errors.New("serve: Config.Backend (or Config.Durable) is required")
-		}
-		backend = SelectiveBackend{D: cfg.Durable, Alg: cfg.Alg}
+	if cfg.Durable == nil {
+		return nil, errors.New("serve: Config.Durable is required")
+	}
+	backend, err := newBackend(cfg.Durable)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -161,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Readers have a consistent answer from the first connection on, even
 	// before any batch arrives.
-	s.snap.Store(s.b.StateSnapshot(s.b.Seq()))
+	s.snap.Store(s.b.snapshot(s.b.Seq()))
 	s.gc = s.b.Group(func(seq uint64, b graph.Batch) {
 		// Runs under the append mutex: enqueue in logged order. Never
 		// blocks — admission tokens bound entries to cap(applyQ).
@@ -217,7 +215,7 @@ func (s *Server) applier() {
 				s.mu.Unlock()
 			} else {
 				prev := s.snap.Load()
-				next := s.b.StateSnapshot(lg.seq)
+				next := s.b.snapshot(lg.seq)
 				s.snap.Store(next)
 				if s.mReadLag != nil {
 					s.mReadLag.Observe(time.Since(lg.at).Nanoseconds())
@@ -307,7 +305,7 @@ func (s *Server) enterDegraded(err error) {
 	}
 }
 
-// prober retries Backend.ReopenLog with capped exponential backoff until the
+// prober retries Durable.ReopenLog with capped exponential backoff until the
 // log accepts appends again (degraded mode ends) or the server stops.
 // ReopenLog itself refuses to run until the applier has drained everything
 // the dead log generation acknowledged, so recovery never loses a logged

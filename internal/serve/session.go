@@ -129,7 +129,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	c.write(skWelcome, encodeWelcome(welcome{
-		AlgName: s.b.AlgName(),
+		AlgName: s.b.alg.Name(),
 		NumV:    uint32(s.snap.Load().NumVertices()),
 		Seq:     s.snap.Load().Seq,
 	}))
@@ -251,7 +251,7 @@ func (c *session) handleTopK(payload []byte) {
 		return
 	}
 	snap := c.srv.snap.Load()
-	c.write(skTopKReply, encodeVVList(vvList{Seq: snap.Seq, Recs: snap.TopK(k, c.srv.b.Better)}))
+	c.write(skTopKReply, encodeVVList(vvList{Seq: snap.Seq, Recs: snap.TopK(k, c.srv.b.alg.Better)}))
 }
 
 func (c *session) handleStat() {

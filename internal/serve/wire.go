@@ -2,9 +2,9 @@
 // (DESIGN.md §4.11): many ingest sessions append through the WAL
 // group-commit layer, a single applier advances the engine in logged
 // order, and readers answer from immutable batch-boundary snapshots. The
-// Backend interface makes the loop engine-agnostic — selective
-// (SSSP/BFS/SSWP/CC) and local (triangle counting, k-core) engines serve
-// through the same code path.
+// loop is engine-agnostic (backend.go) — selective (SSSP/BFS/SSWP/CC) and
+// local (triangle counting, k-core) engines serve through the same code
+// path.
 package serve
 
 import (

@@ -14,7 +14,7 @@ import (
 	"repro/internal/rng"
 )
 
-// The DurableAccumulative / DurableLocal crash sweeps mirror crash_test.go:
+// The accumulative / local family crash sweeps mirror crash_test.go:
 // every injection site the workload reaches × fsync policies × clean/torn
 // death, plus corruption of the residual snapshots behind finished runs.
 // Replay accounting is validated by the consistency oracle's exactly-once
@@ -24,7 +24,7 @@ import (
 
 func runUntilCrashAcc(t *testing.T, w gen.Workload, alg algo.Accumulative, dc DurableConfig) (acked int, crashed bool) {
 	t.Helper()
-	d, err := NewDurableAccumulative(graph.FromEdges(w.NumV, w.Initial), alg, engine.Config{Workers: 2}, dc)
+	d, err := NewDurable(graph.FromEdges(w.NumV, w.Initial), AccumulativeFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		if _, ok := err.(*crashError); ok {
 			return 0, true
@@ -57,7 +57,7 @@ func accOracleVals(t *testing.T, w gen.Workload, alg algo.Accumulative, n int) [
 func verifyAccRecovery(t *testing.T, w gen.Workload, alg algo.Accumulative, dc DurableConfig, minSeq int, label string) {
 	t.Helper()
 	dc.Wal.hook = nil
-	d, rs, err := RecoverAccumulative(alg, engine.Config{Workers: 2}, dc)
+	d, rs, err := Recover(AccumulativeFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
@@ -164,7 +164,7 @@ func TestDurableAccumulativeRoundTrip(t *testing.T) {
 	alg := algo.NewPageRank(w.NumV)
 	dir := t.TempDir()
 	dc := DurableConfig{Wal: Options{Dir: dir, SegmentBytes: 1 << 12, Policy: FsyncOff}, SnapshotEvery: 2}
-	d, err := NewDurableAccumulative(graph.FromEdges(w.NumV, w.Initial), alg, engine.Config{Workers: 2}, dc)
+	d, err := NewDurable(graph.FromEdges(w.NumV, w.Initial), AccumulativeFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDurableAccumulativeRoundTrip(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, rs, err := RecoverAccumulative(alg, engine.Config{Workers: 2}, dc)
+	r, rs, err := Recover(AccumulativeFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDurableAccumulativeRoundTrip(t *testing.T) {
 	}
 }
 
-// --- DurableLocal: crash sweep over the non-monotonic workloads ---
+// --- LocalFamily: crash sweep over the non-monotonic workloads ---
 
 func localWorkloadMirrored(seed uint64) gen.Workload {
 	w := testWorkload(seed, 96, 8, 50)
@@ -219,7 +219,7 @@ func localOracleVals(t *testing.T, w gen.Workload, alg algo.Local, n int) []floa
 
 func runUntilCrashLocal(t *testing.T, w gen.Workload, alg algo.Local, dc DurableConfig) (acked int, crashed bool) {
 	t.Helper()
-	d, err := NewDurableLocal(graph.FromEdges(w.NumV, w.Initial), alg, engine.Config{Workers: 2}, dc)
+	d, err := NewDurable(graph.FromEdges(w.NumV, w.Initial), LocalFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		if _, ok := err.(*crashError); ok {
 			return 0, true
@@ -243,7 +243,7 @@ func runUntilCrashLocal(t *testing.T, w gen.Workload, alg algo.Local, dc Durable
 func verifyLocalRecovery(t *testing.T, w gen.Workload, alg algo.Local, dc DurableConfig, minSeq int, label string) {
 	t.Helper()
 	dc.Wal.hook = nil
-	d, rs, err := RecoverLocal(alg, engine.Config{Workers: 2}, dc)
+	d, rs, err := Recover(LocalFamily(alg), engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}

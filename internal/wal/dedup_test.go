@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/engine"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 )
@@ -159,7 +160,7 @@ func TestSnapshotCarriesDedupTable(t *testing.T) {
 	dd := NewDedupTable(4)
 	dd.Record("c", 1, 3)
 	dd.Record("c", 2, 9) // beyond the snapshot seq: filtered
-	if err := writeSnapshotWith(opts, 5, g, vals, parent, dd); err != nil {
+	if err := writeSnapshot(opts, 5, g, KindSnapState, EncodeState(nil, vals, parent), dd); err != nil {
 		t.Fatal(err)
 	}
 	sd, err := ReadSnapshot(filepath.Join(dir, SnapName(5)))
@@ -188,10 +189,10 @@ func TestSnapshotCarriesDedupTable(t *testing.T) {
 	}
 }
 
-// servingHarness is the minimal serving-mode rig: a durable selective
-// engine, its group commit, and a single applier goroutine.
+// servingHarness is the minimal serving-mode rig: a durable engine, its
+// group commit, and a single applier goroutine.
 type servingHarness struct {
-	d      *DurableSelective
+	d      *Durable
 	gc     *GroupCommit
 	applyQ chan struct {
 		seq uint64
@@ -200,9 +201,9 @@ type servingHarness struct {
 	done chan error
 }
 
-func newServingHarness(t *testing.T, w wload, dc DurableConfig) *servingHarness {
+func newServingHarness(t *testing.T, w wload, fam Family, dc DurableConfig) *servingHarness {
 	t.Helper()
-	d, err := NewDurableSelective(graph.FromEdges(w.nv, w.initial), algo.SSSP{Src: 0}, engine.Config{Workers: 2}, dc)
+	d, err := NewDurable(graph.FromEdges(w.nv, w.initial), fam, engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +245,24 @@ func (h *servingHarness) drain(t *testing.T) {
 	}
 }
 
+// TestTaggedAppendRecoveryKeepsExactlyOnce runs over a selective and an
+// accumulative family: the dedup window is the wrapper's, so every family
+// must persist and restore it.
 func TestTaggedAppendRecoveryKeepsExactlyOnce(t *testing.T) {
 	w := testWorkload(23, 64, 8, 12)
+	for name, fam := range map[string]Family{
+		"selective":    SelectiveFamily(algo.SSSP{Src: 0}),
+		"accumulative": AccumulativeFamily(algo.NewPageRank(w.NumV)),
+	} {
+		t.Run(name, func(t *testing.T) { taggedAppendRecovery(t, w, fam) })
+	}
+}
+
+func taggedAppendRecovery(t *testing.T, w gen.Workload, fam Family) {
 	dir := t.TempDir()
 	dc := DurableConfig{DedupWindow: 4, SnapshotEvery: 3,
 		Wal: Options{Dir: dir, Policy: FsyncAlways}}
-	h := newServingHarness(t, wload{w.NumV, w.Initial}, dc)
+	h := newServingHarness(t, wload{w.NumV, w.Initial}, fam, dc)
 
 	// Two clients interleave; client A resends cseq 2 mid-stream.
 	seqs := map[string][]uint64{}
@@ -283,7 +296,7 @@ func TestTaggedAppendRecoveryKeepsExactlyOnce(t *testing.T) {
 
 	// Recovery (snapshot at seq 3 + tagged tail) must rebuild the window:
 	// resends of pre-crash batches are still duplicates, new seqs are not.
-	d2, rs, err := RecoverSelective(algo.SSSP{Src: 0}, engine.Config{Workers: 2}, dc)
+	d2, rs, err := Recover(fam, engine.Config{Workers: 2}, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +324,7 @@ func TestReopenLogRecoversFromDiskFault(t *testing.T) {
 	inj := NewDiskFaultInjector(syscall.ENOSPC, 0, 0) // count 0: built disarmed
 	dc := DurableConfig{DedupWindow: 4,
 		Wal: Options{Dir: t.TempDir(), Policy: FsyncAlways, DiskFaults: inj}}
-	h := newServingHarness(t, wload{w.NumV, w.Initial}, dc)
+	h := newServingHarness(t, wload{w.NumV, w.Initial}, SelectiveFamily(algo.SSSP{Src: 0}), dc)
 
 	for i := 0; i < 3; i++ {
 		if _, _, err := h.gc.AppendTagged("C", uint64(i+1), w.Batches[i]); err != nil {

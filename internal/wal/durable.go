@@ -52,12 +52,89 @@ type DurableConfig struct {
 	DedupWindow int
 }
 
-// durableCore is the engine-agnostic half of a durable wrapper: the
-// log-before-apply protocol, the dirty bracket, group-commit serving mode,
-// snapshot cadence, retention, and log truncation. The engine-specific half
-// plugs in through the three closures.
-type durableCore struct {
+// Engine is what a Durable needs of the engine it wraps; all three engine
+// families provide it through the shared batch driver.
+type Engine interface {
+	ProcessBatchCtx(context.Context, graph.Batch) (engine.BatchStats, error)
+	Values() []float64
+}
+
+// Family describes one engine family to the durable wrapper: how to build
+// an engine over a fresh graph, how to restore one from a decoded snapshot,
+// and how to encode its state frame. Everything else — log-before-apply,
+// the dirty bracket, serving mode, snapshot cadence, retention, truncation,
+// the dedup window, recovery — is the one Durable.
+type Family struct {
+	build   func(g *graph.Streaming, cfg engine.Config) Engine
+	restore func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error)
+	// state encodes e's state at a batch boundary as one snapshot frame.
+	state func(e Engine, numV int) (kind byte, payload []byte)
+}
+
+// SelectiveFamily makes SSSP/SSWP/BFS/CC durable: snapshots carry the
+// values and key-edge parents, restored as refinement floors without a
+// from-scratch solve.
+func SelectiveFamily(alg algo.Selective) Family {
+	return Family{
+		build: func(g *graph.Streaming, cfg engine.Config) Engine { return engine.NewSelective(g, alg, cfg) },
+		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
+			return engine.NewSelectiveFromState(g, alg, cfg, sd.Vals, sd.Parent)
+		},
+		state: func(e Engine, _ int) (byte, []byte) {
+			vals, parent := e.(*engine.Selective).SnapshotState()
+			return KindSnapState, EncodeState(nil, vals, parent)
+		},
+	}
+}
+
+// AccumulativeFamily makes PageRank/LP durable: snapshots carry the
+// residual state (rank vector + aggregate + last-broadcast residuals)
+// captured at a converged batch boundary, so recovery resumes delta-push
+// incrementally — no from-scratch converge.
+func AccumulativeFamily(alg algo.Accumulative) Family {
+	return Family{
+		build: func(g *graph.Streaming, cfg engine.Config) Engine { return engine.NewAccumulative(g, alg, cfg) },
+		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
+			if sd.Acc == nil {
+				return nil, fmt.Errorf("wal: snapshot %d holds no accumulative state", sd.Seq)
+			}
+			return engine.NewAccumulativeFromState(g, alg, cfg, sd.Acc)
+		},
+		state: func(e Engine, numV int) (byte, []byte) {
+			return KindSnapAccState, EncodeAccState(nil, numV, e.(*engine.Accumulative).SnapshotState())
+		},
+	}
+}
+
+// LocalFamily makes triangle counting / k-core durable. Local algorithms
+// have values but no key-edge parents, so snapshots reuse the selective
+// state frame with an empty parent column (the codec's np=0 case) and
+// recovery installs values only; the unique seeded fixpoints make the
+// recovered state bit-exact with an uninterrupted run.
+func LocalFamily(alg algo.Local) Family {
+	return Family{
+		build: func(g *graph.Streaming, cfg engine.Config) Engine { return engine.NewLocal(g, alg, cfg) },
+		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
+			return engine.NewLocalFromState(g, alg, cfg, sd.Vals)
+		},
+		state: func(e Engine, _ int) (byte, []byte) {
+			return KindSnapState, EncodeState(nil, e.(*engine.Local).SnapshotState(), nil)
+		},
+	}
+}
+
+// Durable wraps an engine with write-ahead durability: each batch is logged
+// (and synced per policy) before the engine applies it, and periodic
+// snapshots bound replay length and log size. After a crash, Recover
+// restores the newest intact snapshot and replays the log tail to the exact
+// pre-crash acknowledged state.
+type Durable struct {
+	// Eng is the wrapped engine. Read it (Values) only between batches.
+	Eng Engine
+
 	mu        sync.Mutex // serializes batch apply, snapshot, and seq/dirty
+	g         *graph.Streaming
+	fam       Family
 	log       *Log
 	cfg       DurableConfig
 	seq       uint64 // sequence of the last acknowledged batch
@@ -65,10 +142,17 @@ type durableCore struct {
 	dirty     bool         // a batch is mid-apply (or died mid-apply)
 	gc        *GroupCommit // non-nil once Group() put the log in serving mode
 	dedup     *DedupTable  // non-nil when cfg.DedupWindow > 0
+}
 
-	checkBatch func(graph.Batch) error
-	applyBatch func(context.Context, graph.Batch) (engine.BatchStats, error)
-	writeSnap  func(seq uint64) error // persist the engine state at seq
+// CheckBatch validates a batch against the engine's graph without touching
+// either — what a front-end runs before a batch may reach the log.
+func (d *Durable) CheckBatch(b graph.Batch) error { return d.g.CheckBatch(b) }
+
+// writeSnap persists the engine state at seq, with the dedup window when
+// one is configured.
+func (d *Durable) writeSnap(seq uint64) error {
+	kind, state := d.fam.state(d.Eng, d.g.NumVertices())
+	return writeSnapshot(d.cfg.Wal, seq, d.g, kind, state, d.dedup)
 }
 
 // ProcessBatch validates, logs, syncs (per policy), and only then applies
@@ -76,13 +160,13 @@ type durableCore struct {
 // the fsync policy promises; a non-nil return means it was NOT acknowledged
 // (a malformed batch mutated nothing; any other error leaves the wrapper
 // unusable — recover from the directory).
-func (d *durableCore) ProcessBatch(ctx context.Context, batch graph.Batch) (engine.BatchStats, error) {
+func (d *Durable) ProcessBatch(ctx context.Context, batch graph.Batch) (engine.BatchStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.gc != nil {
 		return engine.BatchStats{}, fmt.Errorf("wal: log is in serving mode; append through the group and apply with ApplyLogged")
 	}
-	if err := d.checkBatch(batch); err != nil {
+	if err := d.g.CheckBatch(batch); err != nil {
 		return engine.BatchStats{}, err // reject before logging garbage
 	}
 	seq := d.seq + 1
@@ -96,9 +180,9 @@ func (d *durableCore) ProcessBatch(ctx context.Context, batch graph.Batch) (engi
 // advances the acknowledged sequence and the snapshot cadence. The dirty
 // flag brackets the apply: if the engine is canceled or fails mid-batch the
 // flag stays set and Snapshot refuses to persist the half-applied state.
-func (d *durableCore) applyLocked(ctx context.Context, seq uint64, batch graph.Batch) (engine.BatchStats, error) {
+func (d *Durable) applyLocked(ctx context.Context, seq uint64, batch graph.Batch) (engine.BatchStats, error) {
 	d.dirty = true
-	st, err := d.applyBatch(ctx, batch)
+	st, err := d.Eng.ProcessBatchCtx(ctx, batch)
 	if err != nil {
 		return st, err
 	}
@@ -118,7 +202,7 @@ func (d *durableCore) applyLocked(ctx context.Context, seq uint64, batch graph.B
 // single applier feeds the engine in logged order). seq must be exactly
 // Seq()+1 — the logged order is the only apply order recovery can
 // reproduce.
-func (d *durableCore) ApplyLogged(ctx context.Context, seq uint64, batch graph.Batch) (engine.BatchStats, error) {
+func (d *Durable) ApplyLogged(ctx context.Context, seq uint64, batch graph.Batch) (engine.BatchStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if seq != d.seq+1 {
@@ -131,7 +215,7 @@ func (d *durableCore) ApplyLogged(ctx context.Context, seq uint64, batch graph.B
 // returned GroupCommit (sharing fsyncs under FsyncAlways), onAppend observes
 // every append in logged order, and ProcessBatch is disabled in favor of
 // ApplyLogged. groupSize, when non-nil, records appends-per-fsync.
-func (d *durableCore) Group(onAppend func(seq uint64, b graph.Batch), groupSize *metrics.Histogram) *GroupCommit {
+func (d *Durable) Group(onAppend func(seq uint64, b graph.Batch), groupSize *metrics.Histogram) *GroupCommit {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.gc == nil {
@@ -141,33 +225,33 @@ func (d *durableCore) Group(onAppend func(seq uint64, b graph.Batch), groupSize 
 }
 
 // Dedup exposes the dedup table (nil when DedupWindow is 0).
-func (d *durableCore) Dedup() *DedupTable { return d.dedup }
+func (d *Durable) Dedup() *DedupTable { return d.dedup }
 
 // Dirty reports whether the engine died mid-batch (canceled apply), in
 // which case the in-memory state is between batch boundaries and must not
 // be snapshotted; recovery from the directory is the only safe exit.
-func (d *durableCore) Dirty() bool {
+func (d *Durable) Dirty() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dirty
 }
 
 // Seq returns the sequence of the last acknowledged (applied) batch.
-func (d *durableCore) Seq() uint64 {
+func (d *Durable) Seq() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.seq
 }
 
 // Log exposes the underlying log (read-only use).
-func (d *durableCore) Log() *Log { return d.log }
+func (d *Durable) Log() *Log { return d.log }
 
 // Snapshot checkpoints the current state at the current sequence, applies
 // retention (keep snapRetain newest), and truncates the log through the
 // older retained snapshot. It refuses (ErrEngineDirty) when the last batch
 // died mid-apply — persisting that state would fabricate a corrupt-but-
 // CRC-valid recovery base.
-func (d *durableCore) Snapshot() error {
+func (d *Durable) Snapshot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.snapshotLocked()
@@ -176,14 +260,14 @@ func (d *durableCore) Snapshot() error {
 // withLog runs f on the log, under the group's append mutex when the log is
 // in serving mode so snapshot-driven syncs and truncations never interleave
 // with a concurrent append's write or rotation.
-func (d *durableCore) withLog(f func(l *Log) error) error {
+func (d *Durable) withLog(f func(l *Log) error) error {
 	if d.gc != nil {
 		return d.gc.withLog(f)
 	}
 	return f(d.log)
 }
 
-func (d *durableCore) snapshotLocked() error {
+func (d *Durable) snapshotLocked() error {
 	if d.dirty {
 		return ErrEngineDirty
 	}
@@ -229,7 +313,7 @@ func (d *durableCore) snapshotLocked() error {
 // exit therefore snapshots the applied state (snapshot writes bypass the
 // append-path fault window), restarts the chain there with a fresh log over
 // the repaired directory, and clears the group's sticky sync error.
-func (d *durableCore) ReopenLog() error {
+func (d *Durable) ReopenLog() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.dirty {
@@ -282,7 +366,7 @@ func (d *durableCore) ReopenLog() error {
 // Close syncs (per policy) and closes the log. The engine stays usable but
 // further batches are no longer durable. In serving mode the caller must
 // have stopped every appender first.
-func (d *durableCore) Close() error {
+func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.withLog((*Log).Close)
@@ -290,47 +374,11 @@ func (d *durableCore) Close() error {
 
 // Abandon drops the log handle without any cleanup — the crash fuzzers' and
 // chaos harnesses' process-death stand-in.
-func (d *durableCore) Abandon() { d.log.abandon() }
-
-// openFreshLog opens dc's directory for a brand-new durable engine,
-// refusing directories that already hold recovery artifacts.
-func openFreshLog(dc DurableConfig, recoverWith string) (*Log, error) {
-	if HasSnapshot(dc.Wal.Dir) {
-		return nil, fmt.Errorf("wal: %s already holds a snapshot; use %s", dc.Wal.Dir, recoverWith)
-	}
-	log, err := Open(dc.Wal)
-	if err != nil {
-		return nil, err
-	}
-	if log.LastSeq() != 0 {
-		log.Close()
-		return nil, fmt.Errorf("wal: %s holds a log but no snapshot; cannot establish a recovery base", dc.Wal.Dir)
-	}
-	return log, nil
-}
-
-// DurableSelective wraps a Selective engine with write-ahead durability:
-// each batch is logged (and synced per policy) before the engine applies
-// it, and periodic snapshots bound replay length and log size. After a
-// crash, RecoverSelective restores the newest intact snapshot and replays
-// the log tail to the exact pre-crash acknowledged state.
-type DurableSelective struct {
-	Eng *engine.Selective
-	durableCore
-}
-
-func (d *DurableSelective) wire() {
-	d.checkBatch = d.Eng.G.CheckBatch
-	d.applyBatch = d.Eng.ProcessBatchCtx
-	d.writeSnap = func(seq uint64) error {
-		vals, parent := d.Eng.SnapshotState()
-		return writeSnapshotWith(d.cfg.Wal, seq, d.Eng.G, vals, parent, d.dedup)
-	}
-}
+func (d *Durable) Abandon() { d.log.abandon() }
 
 // initDedup builds the dedup table for a fresh or recovered wrapper: the
 // snapshot's persisted window when one survived (recovery), else empty.
-func (d *durableCore) initDedup(fromSnap *DedupTable) {
+func (d *Durable) initDedup(fromSnap *DedupTable) {
 	if d.cfg.DedupWindow <= 0 {
 		return
 	}
@@ -342,18 +390,23 @@ func (d *durableCore) initDedup(fromSnap *DedupTable) {
 	d.dedup = NewDedupTable(d.cfg.DedupWindow)
 }
 
-// NewDurableSelective builds a fresh engine over g (running the static
-// solve) and makes it durable: the directory must not already hold a
-// snapshot or log — recover those with RecoverSelective instead.
-func NewDurableSelective(g *graph.Streaming, alg algo.Selective, ecfg engine.Config, dc DurableConfig) (*DurableSelective, error) {
-	log, err := openFreshLog(dc, "RecoverSelective")
+// NewDurable builds a fresh engine of the given family over g (running its
+// initial solve) and makes it durable. The directory must not already hold
+// a snapshot or log — recover those with Recover instead.
+func NewDurable(g *graph.Streaming, fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, error) {
+	if HasSnapshot(dc.Wal.Dir) {
+		return nil, fmt.Errorf("wal: %s already holds a snapshot; use Recover", dc.Wal.Dir)
+	}
+	log, err := Open(dc.Wal)
 	if err != nil {
 		return nil, err
 	}
-	d := &DurableSelective{Eng: engine.NewSelective(g, alg, ecfg)}
-	d.log, d.cfg = log, dc
+	if log.LastSeq() != 0 {
+		log.Close()
+		return nil, fmt.Errorf("wal: %s holds a log but no snapshot; cannot establish a recovery base", dc.Wal.Dir)
+	}
+	d := &Durable{Eng: fam.build(g, ecfg), g: g, fam: fam, log: log, cfg: dc}
 	d.initDedup(nil)
-	d.wire()
 	// The creation-time snapshot (seq 0) makes the initial graph and solve
 	// durable, so recovery never depends on regenerating the input.
 	if err := d.Snapshot(); err != nil {
@@ -361,6 +414,11 @@ func NewDurableSelective(g *graph.Streaming, alg algo.Selective, ecfg engine.Con
 		return nil, err
 	}
 	return d, nil
+}
+
+// NewDurableSelective is NewDurable over SelectiveFamily(alg).
+func NewDurableSelective(g *graph.Streaming, alg algo.Selective, ecfg engine.Config, dc DurableConfig) (*Durable, error) {
+	return NewDurable(g, SelectiveFamily(alg), ecfg, dc)
 }
 
 // RecoveryStats summarizes one recovery.
@@ -374,7 +432,7 @@ type RecoveryStats struct {
 // replayTail opens dc's log and replays every frame past snapSeq through
 // apply, updating rs; it then repairs a log whose surviving tail predates
 // the snapshot (an unsynced tail torn away) by restarting the sequence
-// chain at the snapshot. Shared by every recovery path.
+// chain at the snapshot.
 func replayTail(dc DurableConfig, snapSeq uint64, dedup *DedupTable, rs *RecoveryStats,
 	apply func(b graph.Batch) error) (*Log, error) {
 	log, err := Open(dc.Wal)
@@ -410,66 +468,65 @@ func replayTail(dc DurableConfig, snapSeq uint64, dedup *DedupTable, rs *Recover
 	return log, nil
 }
 
-// newestValidating walks the directory's snapshots newest-first and returns
-// the first path read accepts (the retention policy guarantees the log
-// still covers the older one when the newest is damaged).
-func newestValidating(dir string, read func(path string) error) error {
+// newestSnapshot walks the directory's snapshots newest-first and returns
+// the first that validates (the retention policy guarantees the log still
+// covers the older one when the newest is damaged).
+func newestSnapshot(dir string) (*SnapshotData, error) {
 	seqs, err := Snapshots(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(seqs) == 0 {
-		return ErrNoSnapshot
+		return nil, ErrNoSnapshot
 	}
 	var lastErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
-		if lastErr = read(filepath.Join(dir, SnapName(seqs[i]))); lastErr == nil {
-			return nil
+		sd, err := ReadSnapshot(filepath.Join(dir, SnapName(seqs[i])))
+		if err == nil {
+			return sd, nil
 		}
+		lastErr = err
 	}
-	return fmt.Errorf("wal: no snapshot validates: %w", lastErr)
+	return nil, fmt.Errorf("wal: no snapshot validates: %w", lastErr)
 }
 
-// RecoverSelective rebuilds a durable engine from dc.Wal.Dir: it restores
-// the newest snapshot that validates (falling back to older ones — the
-// retention policy guarantees the log still covers them), installs the
-// snapshot's values and parents as the engine's refinement floors without a
-// from-scratch solve, and replays the WAL tail through the engine. Each
-// surviving sequence is applied exactly once; replay stops cleanly at the
-// first torn or corrupt frame.
-func RecoverSelective(alg algo.Selective, ecfg engine.Config, dc DurableConfig) (*DurableSelective, RecoveryStats, error) {
+// Recover rebuilds a durable engine of the given family from dc.Wal.Dir: it
+// restores the newest snapshot that validates (falling back to older ones),
+// installs the snapshot's state in the engine without a from-scratch solve,
+// and replays the WAL tail through it. Each surviving sequence is applied
+// exactly once; replay stops cleanly at the first torn or corrupt frame.
+func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, RecoveryStats, error) {
 	t0 := time.Now()
 	var rs RecoveryStats
-	var sd *SnapshotData
-	if err := newestValidating(dc.Wal.Dir, func(path string) error {
-		var err error
-		sd, err = ReadSnapshot(path)
-		return err
-	}); err != nil {
+	sd, err := newestSnapshot(dc.Wal.Dir)
+	if err != nil {
 		return nil, rs, err
 	}
 	rs.SnapshotSeq = sd.Seq
 
 	g := graph.FromEdges(sd.NumV, sd.Edges)
-	eng, err := engine.NewSelectiveFromState(g, alg, ecfg, sd.Vals, sd.Parent)
+	eng, err := fam.restore(g, ecfg, sd)
 	if err != nil {
 		return nil, rs, err
 	}
-	d := &DurableSelective{Eng: eng}
-	d.cfg = dc
+	d := &Durable{Eng: eng, g: g, fam: fam, cfg: dc}
 	d.initDedup(sd.Dedup)
-	log, err := replayTail(dc, sd.Seq, d.dedup, &rs, func(b graph.Batch) error {
-		_, err := eng.ProcessBatchE(b)
+	d.log, err = replayTail(dc, sd.Seq, d.dedup, &rs, func(b graph.Batch) error {
+		_, err := eng.ProcessBatchCtx(context.Background(), b)
 		return err
 	})
 	if err != nil {
 		return nil, rs, err
 	}
+	d.seq = rs.LastSeq
 	rs.Duration = time.Since(t0)
 	if m := dc.Wal.Metrics; m != nil {
 		m.Gauge("recovery.ns").Set(float64(rs.Duration.Nanoseconds()))
 	}
-	d.log, d.seq = log, rs.LastSeq
-	d.wire()
 	return d, rs, nil
+}
+
+// RecoverSelective is Recover over SelectiveFamily(alg).
+func RecoverSelective(alg algo.Selective, ecfg engine.Config, dc DurableConfig) (*Durable, RecoveryStats, error) {
+	return Recover(SelectiveFamily(alg), ecfg, dc)
 }

@@ -21,7 +21,7 @@ import (
 // flight yields briefly before syncing, which matters on few-core hosts
 // where appenders rarely overlap an in-progress fsync on their own.
 //
-// The zero value is not usable; build one with DurableSelective.Group.
+// The zero value is not usable; build one with Durable.Group.
 type GroupCommit struct {
 	mu       sync.Mutex // serializes l.append, onAppend, rotation, truncation
 	l        *Log
@@ -222,7 +222,7 @@ func (gc *GroupCommit) Dedup() *DedupTable { return gc.dedup }
 // reopen swaps a poisoned log for a freshly Opened one over the same
 // directory — the degraded-mode recovery seam. establish runs with the new
 // log installed and the append mutex held; it must leave disk and engine
-// agreeing on the chain head (durableCore does so by snapshotting the
+// agreeing on the chain head (Durable.ReopenLog does so by snapshotting the
 // applied state and restarting the chain there). On success the sticky sync
 // error clears and the durable watermark jumps to the last assigned
 // sequence, which the establish snapshot now covers.

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -61,30 +62,40 @@ func Snapshots(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// SnapshotData is one decoded snapshot: the graph content plus the engine's
-// refinement floors (values and key-edge parents).
+// SnapshotData is one decoded snapshot: the graph content plus the engine
+// state — values and key-edge parents (a KindSnapState frame; Parent is nil
+// for the local family), or the accumulative residual state (a
+// KindSnapAccState frame). The frame kind says which; a family restoring
+// from the other's snapshot finds its own fields empty and refuses.
 type SnapshotData struct {
 	Seq    uint64
 	NumV   int
 	Edges  []graph.Edge
 	Vals   []float64
 	Parent []int32
+	Acc    *engine.AccState
 	// Dedup is the persisted exactly-once ingest window, consistent with
 	// Seq; nil for snapshots written before dedup existed or with it off.
 	Dedup *DedupTable
 }
 
-// WriteSnapshot persists a snapshot of g and the engine state at seq into
-// opts.Dir, atomically (temp file + rename) and durably (file and directory
-// synced unless the policy is FsyncOff).
+// WriteSnapshot persists a snapshot of g and the selective engine state at
+// seq into opts.Dir, atomically (temp file + rename) and durably (file and
+// directory synced unless the policy is FsyncOff), without a dedup frame.
 func WriteSnapshot(opts Options, seq uint64, g *graph.Streaming, vals []float64, parent []int32) error {
-	return writeSnapshotWith(opts, seq, g, vals, parent, nil)
+	return writeSnapshot(opts, seq, g, KindSnapState, EncodeState(nil, vals, parent), nil)
 }
 
-// writeSnapshotWith is WriteSnapshot plus the optional dedup frame: only
-// entries whose walSeq the snapshot covers are persisted, so a snapshot can
-// never assert exactly-once for a batch whose frame it might outlive.
-func writeSnapshotWith(opts Options, seq uint64, g *graph.Streaming, vals []float64, parent []int32, dedup *DedupTable) error {
+// WriteAccSnapshot is WriteSnapshot for the accumulative residual state.
+func WriteAccSnapshot(opts Options, seq uint64, g *graph.Streaming, st *engine.AccState) error {
+	return writeSnapshot(opts, seq, g, KindSnapAccState, EncodeAccState(nil, g.NumVertices(), st), nil)
+}
+
+// writeSnapshot frames one snapshot file: header, edges, the state frame of
+// the given kind, the optional dedup frame, footer. Only dedup entries whose
+// walSeq the snapshot covers are persisted, so a snapshot can never assert
+// exactly-once for a batch whose frame it might outlive.
+func writeSnapshot(opts Options, seq uint64, g *graph.Streaming, kind byte, state []byte, dedup *DedupTable) error {
 	if _, err := opts.fire("snapshot.write"); err != nil {
 		return err
 	}
@@ -94,7 +105,7 @@ func writeSnapshotWith(opts Options, seq uint64, g *graph.Streaming, vals []floa
 	putU32(hdr[8:12], uint32(g.NumVertices()))
 	buf = AppendFrame(buf, KindSnapHeader, hdr[:])
 	buf = AppendFrame(buf, KindSnapEdges, EncodeEdges(nil, g.Edges()))
-	buf = AppendFrame(buf, KindSnapState, EncodeState(nil, vals, parent))
+	buf = AppendFrame(buf, kind, state)
 	if dedup != nil {
 		buf = AppendFrame(buf, KindSnapDedup, dedup.Encode(nil, seq))
 	}
@@ -178,17 +189,25 @@ func ReadSnapshot(path string) (*SnapshotData, error) {
 	if sd.Edges, err = DecodeEdges(edgesP, sd.NumV); err != nil {
 		return nil, err
 	}
-	stateP, err := next(KindSnapState)
+	// The state frame's kind names the engine family that wrote it.
+	kind, payload, err := ReadFrame(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
-	if sd.Vals, sd.Parent, err = DecodeState(stateP, sd.NumV, sd.NumV); err != nil {
+	switch kind {
+	case KindSnapState:
+		sd.Vals, sd.Parent, err = DecodeState(payload, sd.NumV, sd.NumV)
+	case KindSnapAccState:
+		sd.Acc, err = DecodeAccState(payload, sd.NumV)
+	default:
+		err = fmt.Errorf("%w: snapshot frame kind %d, want a state frame", ErrCorrupt, kind)
+	}
+	if err != nil {
 		return nil, err
 	}
 	// The dedup frame is optional (older snapshots and dedup-off wrappers
 	// omit it); whichever of KindSnapDedup/KindSnapFooter comes next decides.
-	kind, payload, err := ReadFrame(f)
-	if err != nil {
+	if kind, payload, err = ReadFrame(f); err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
 	if kind == KindSnapDedup {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: formatting, build, vet, race-enabled tests, a seeded
-# WAL crash-recovery smoke, a durable-CLI recovery smoke, a seeded chaos
+# Repo verification: formatting, build, vet, race-enabled tests, the nested
+# benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
+# smoke, a durable-CLI recovery smoke per durable family, a seeded chaos
 # smoke run of the fault-tolerant distributed runtime, a graphflyd serving
 # smoke (concurrent ingest+query, SIGTERM, restart, dump vs single-shot
 # oracle), and a bench smoke that emits and schema-validates the
@@ -25,6 +26,12 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
+# ./... above stops at the nested module, so an engine/wal/serve API change
+# that breaks benchmark/run.sh would otherwise go unnoticed.
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh -smoke > /dev/null
+
 echo "== crash-recovery smoke (seeded WAL crash point + oracle check) =="
 go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
 
@@ -41,6 +48,12 @@ go run ./cmd/graphfly -algo SSSP -dataset LJ -nEdges 1000 -numberOfUpdateBatches
 go run ./cmd/graphfly -algo SSSP -dataset LJ -nEdges 1000 -numberOfUpdateBatches 1 \
     -wal -waldir "$waltmp" > "$waltmp/resume.out"
 grep -q '^recovered ' "$waltmp/resume.out"
+# the accumulative family goes through the same durable wrapper
+go run ./cmd/graphfly -algo PageRank -dataset LJ -nEdges 1000 -numberOfUpdateBatches 2 \
+    -wal -waldir "$waltmp/pr" -fsync interval -snapshot-every 2 > /dev/null
+go run ./cmd/graphfly -algo PageRank -dataset LJ -nEdges 1000 -numberOfUpdateBatches 1 \
+    -wal -waldir "$waltmp/pr" > "$waltmp/resume-pr.out"
+grep -q '^recovered .* replayed [0-9]* batches to seq 2 ' "$waltmp/resume-pr.out"
 rm -rf "$waltmp"
 
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
@@ -171,9 +184,10 @@ trap - EXIT
 echo "== bench smoke (machine-readable report + schema validation) =="
 benchtmp=$(mktemp -d)
 trap 'rm -rf "$benchtmp"' EXIT
-# Figure set and scale must match the committed BENCH_graphfly.json so the
-# alloc gate below compares like with like.
-go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
+# Figure set, scale and GOMAXPROCS must match the committed
+# BENCH_graphfly.json (recorded at gomaxprocs 1) so the alloc gate below
+# compares like with like: allocs/batch grows with the worker count.
+GOMAXPROCS=1 go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
     -out "$benchtmp/BENCH_graphfly.json" > "$benchtmp/bench.out"
 go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
 
