@@ -48,7 +48,6 @@ func BenchmarkAblationFlowCap(b *testing.B)  { runFigure(b, expr.AblationFlowCap
 func BenchmarkAblationSCC(b *testing.B)      { runFigure(b, expr.AblationSCC) }
 func BenchmarkAblationAsync(b *testing.B)    { runFigure(b, expr.AblationAsync) }
 func BenchmarkAblationTriangle(b *testing.B) { runFigure(b, expr.AblationTriangle) }
-func BenchmarkAblationFaults(b *testing.B)   { runFigure(b, expr.AblationFaults) }
 
 // BenchmarkBatchSSSP measures steady-state per-batch cost of the GraphFly
 // engine itself (no workload generation in the timed loop).

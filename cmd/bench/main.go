@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/metrics"
@@ -41,7 +40,6 @@ func main() {
 	denseoff := flag.Bool("denseoff", false, "memory-discipline ablation: disable the hub adjacency index and per-batch scratch reuse (Fig S2 \"before\")")
 	hubThreshold := flag.Int("hub-threshold", 0, "override the hub-index build threshold (0 = per-figure default; drop stays threshold/4)")
 	hubReplicas := flag.Int("hub-replicas", 0, "replicas per hub under replication (0 = one per worker)")
-	faults := flag.String("faults", "", "extra fault schedule for the fault-sensitivity ablation (dist.ParseFaults syntax, e.g. seed=7,drop=0.1,crash=0.01)")
 	jsonOut := flag.Bool("json", false, "write the machine-readable report next to the text output")
 	out := flag.String("out", "BENCH_graphfly.json", "report path for -json")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -79,13 +77,6 @@ func main() {
 	sc.DenseOff = *denseoff
 	sc.HubThreshold = *hubThreshold
 	sc.HubReplicas = *hubReplicas
-	if *faults != "" {
-		if _, err := dist.ParseFaults(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(2)
-		}
-		sc.Faults = *faults
-	}
 	if *jsonOut {
 		sc.Rec = metrics.NewBatchRecorder(metrics.NewRegistry())
 	}

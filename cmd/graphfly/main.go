@@ -22,7 +22,6 @@ import (
 	"syscall"
 
 	"repro/internal/algo"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/gio"
@@ -56,12 +55,10 @@ func main() {
 	walDir := flag.String("waldir", "", "directory for WAL segments and snapshots (required with -wal)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: interval | always | off")
 	snapEvery := flag.Int("snapshot-every", 16, "batches between snapshot checkpoints in -wal mode")
-	nodes := flag.Int("nodes", 0, "run the distributed cluster simulation over this many worker nodes (selective algorithms only)")
 	clusterN := flag.Int("cluster", 0, "spawn this many real graphfly-worker processes and run the batches over the socket runtime (selective algorithms only)")
 	clusterDir := flag.String("clusterDir", "", "base directory for per-worker WALs, checkpoints, and pid files (required with -cluster)")
 	workerBin := flag.String("workerBin", "", "path to the graphfly-worker binary (default: sibling of this binary, then $PATH)")
 	clusterAddr := flag.String("addr", "127.0.0.1:0", "coordinator listen address in -cluster mode")
-	faults := flag.String("faults", "", "fault injection spec for -nodes mode, e.g. seed=7,drop=0.05,crash=0.01,crashat=1:3:0 (keys: seed drop dup delay reorder maxdelay crash maxcrashes crashat detect retrans ckpt maxrounds norejoin)")
 	showMetrics := flag.Bool("metrics", false, "print engine counters and phase histograms at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
@@ -85,9 +82,6 @@ func main() {
 		case *walDir == "":
 			fmt.Fprintln(os.Stderr, "graphfly: -wal requires -waldir")
 			os.Exit(2)
-		case *nodes > 1:
-			fmt.Fprintln(os.Stderr, "graphfly: -wal is single-node only (the distributed runtime checkpoints through dist.SaveCheckpoint)")
-			os.Exit(2)
 		case *snapEvery < 1:
 			fmt.Fprintln(os.Stderr, "graphfly: -snapshot-every must be >= 1")
 			os.Exit(2)
@@ -98,8 +92,8 @@ func main() {
 		case *clusterDir == "":
 			fmt.Fprintln(os.Stderr, "graphfly: -cluster requires -clusterDir")
 			os.Exit(2)
-		case *walOn || *nodes > 1:
-			fmt.Fprintln(os.Stderr, "graphfly: -cluster is exclusive with -wal and -nodes (workers own their WALs)")
+		case *walOn:
+			fmt.Fprintln(os.Stderr, "graphfly: -cluster is exclusive with -wal (each worker process owns its own WAL and checkpoints under -clusterDir)")
 			os.Exit(2)
 		case *snapEvery < 1:
 			fmt.Fprintln(os.Stderr, "graphfly: -snapshot-every must be >= 1")
@@ -111,20 +105,6 @@ func main() {
 	// boundary and every mode flushes its durable state on the way out.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stopSignals()
-
-	var fcfg dist.FaultConfig
-	if *faults != "" {
-		var err error
-		fcfg, err = dist.ParseFaults(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
-			os.Exit(2)
-		}
-		if *nodes < 2 {
-			fmt.Fprintln(os.Stderr, "graphfly: -faults requires -nodes >= 2 (faults are injected into the distributed runtime)")
-			os.Exit(2)
-		}
-	}
 
 	var w gen.Workload
 	datasetName := *datasetCode
@@ -182,7 +162,6 @@ func main() {
 	var (
 		values  func() []float64
 		run     func(graph.Batch) (engine.BatchStats, error)
-		cluster *dist.Cluster
 		crt     *clusterRuntime
 		durable *wal.Durable
 		dim     = 1
@@ -223,9 +202,6 @@ func main() {
 				os.Exit(1)
 			}
 			values = crt.coord.Values
-		case *nodes > 1:
-			cluster = dist.NewClusterWithFaults(g, a, *nodes, *flowCap, fcfg)
-			values = cluster.Values
 		case *walOn:
 			durable = openDurable(g, wal.SelectiveFamily(a), eCfg, dc)
 		default:
@@ -254,8 +230,8 @@ func main() {
 			a = algo.NewLabelPropagation(*labels, seeds)
 			dim = *labels
 		}
-		if *nodes > 1 || *clusterN > 0 {
-			fmt.Fprintf(os.Stderr, "graphfly: -nodes and -cluster support the selective algorithms only (%s is accumulative)\n", *algoName)
+		if *clusterN > 0 {
+			fmt.Fprintf(os.Stderr, "graphfly: -cluster supports the selective algorithms only (%s is accumulative)\n", *algoName)
 			os.Exit(2)
 		}
 		g := graph.FromEdges(w.NumV, w.Initial)
@@ -278,13 +254,6 @@ func main() {
 
 	fmt.Printf("graphfly %s on %s: %d vertices, %d initial edges, %d batches\n",
 		*algoName, datasetName, w.NumV, len(w.Initial), len(w.Batches))
-	if cluster != nil {
-		fmt.Printf("distributed: %d nodes", *nodes)
-		if fcfg.Enabled() {
-			fmt.Printf(", faults %q", *faults)
-		}
-		fmt.Println()
-	}
 	if crt != nil {
 		fmt.Printf("cluster: %d worker processes via %s\n", *clusterN, crt.coord.Addr())
 	}
@@ -293,14 +262,6 @@ func main() {
 		if ctx.Err() != nil {
 			interrupted = true
 			break
-		}
-		if cluster != nil {
-			if err := cluster.ProcessBatchE(b); err != nil {
-				fmt.Fprintf(os.Stderr, "graphfly: batch %d rejected: %v\n", bi, err)
-				os.Exit(1)
-			}
-			fmt.Printf("batch %d: rounds=%d msgs=%d\n", bi, cluster.LastRounds, cluster.LastCrossMsgs)
-			continue
 		}
 		if crt != nil {
 			if err := crt.coord.ProcessBatch(ctx, b); err != nil {
@@ -356,11 +317,6 @@ func main() {
 		// Bye the workers (each writes a final checkpoint) and reap them.
 		crt.close()
 		fmt.Printf("cluster: boundary seq %d\n", crt.coord.BoundarySeq())
-	}
-	if cluster != nil && fcfg.Enabled() {
-		s := cluster.Stats
-		fmt.Printf("faults: dropped=%d duplicated=%d delayed=%d reordered=%d retransmits=%d dupsDiscarded=%d crashes=%d rejoins=%d recovered=%d replayed=%d reseeded=%d\n",
-			s.Dropped, s.Duplicated, s.Delayed, s.Reordered, s.Retransmits, s.DupsDiscarded, s.Crashes, s.Rejoins, s.RecoveredVerts, s.ReplayedMsgs, s.ReplaySeeds)
 	}
 	digest(values(), dim)
 	if *outputFile != "" {

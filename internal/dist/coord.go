@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/dflow"
+	"repro/internal/engine"
 	"repro/internal/etree"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -145,7 +146,7 @@ type Coordinator struct {
 	vals    []float64
 	parent  []int32
 	kf      *etree.KeyForest
-	trimScr []bool // per-batch trim dedup scratch (mgrTrimmed of the sim)
+	trimScr []bool // per-batch trim dedup scratch: set while a vertex is in this batch's trim set
 
 	workers map[int32]*coordWorker
 	nextID  int32
@@ -560,7 +561,7 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	}
 	c.admitParkedLocked(c.boundarySeq)
 	if c.alg.Symmetric() {
-		batch = symmetrize(batch)
+		batch = engine.Symmetrize(batch)
 	}
 	applied := c.g.ApplyBatch(batch)
 	c.curSeq = c.boundarySeq + 1
@@ -576,18 +577,20 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	// and coordinator compute identical partitions independently.
 	parentStart := append([]int32(nil), c.parent...)
 
-	// Manager trim identification (sim ProcessBatchE, verbatim semantics).
+	// Manager trim identification: deleting a key edge (the edge a vertex's
+	// value currently depends on) invalidates that vertex and everything
+	// below it in the dependence forest; a non-key deletion changes no value.
 	c.kf.BulkLoad(c.parent)
 	var trimmed []uint32
 	for _, u := range applied {
 		if !u.Del || c.parent[u.Dst] != int32(u.Src) {
 			continue
 		}
-		// Note: unlike the sim Manager, c.parent is NOT poked to -1 here —
-		// it must stay equal to parentStart for the whole batch so workers
-		// admitted at a re-run attempt receive the same parent array the
-		// survivors rolled back to (partition agreement). trimScr already
-		// dedups repeated walks, which is all the -1 bought the sim.
+		// c.parent is NOT poked to -1 for trimmed vertices — it must stay
+		// equal to parentStart for the whole batch so workers admitted at a
+		// re-run attempt receive the same parent array the survivors rolled
+		// back to (partition agreement). trimScr dedups repeated walks into
+		// a subtree an earlier deletion already trimmed.
 		c.kf.Subtree(u.Dst, func(x uint32) bool {
 			if c.trimScr[x] {
 				return false

@@ -1,8 +1,11 @@
-// Package dist implements the distributed GraphFly runtime of §VI as a
-// deterministic cost-model simulation (the documented substitution for the
-// paper's 16-node MPI cluster — DESIGN.md §2).
+// Package dist is the distributed GraphFly of §VI in two parts: the runtime
+// — a coordinator (coord.go) and worker processes (workerproc.go) exchanging
+// framed messages (wire.go) over reliable links (link.go), with per-worker
+// durability (wckpt.go) — and, in this file, a deterministic cost model that
+// prices cluster sizes the runtime is never run at (the documented
+// substitution for the paper's 16-node MPI cluster — DESIGN.md §2).
 //
-// The simulation is driven by real execution traces: the single-machine
+// The cost model is driven by real execution traces: the single-machine
 // engine records, per batch, how much work each dependency-flow performed
 // and how many messages crossed each flow pair (engine.WorkTrace). The
 // cluster model then
@@ -48,61 +51,6 @@ type CostModel struct {
 	// ManagerNs is the fixed per-batch Manager overhead (scheduling,
 	// flow-worker table lookups).
 	ManagerNs float64
-	// Faults prices an unreliable deployment. The zero value models the
-	// perfect network and changes nothing.
-	Faults FaultProfile
-}
-
-// FaultProfile prices the fault layer in the cost model: retransmissions
-// inflate communication, ack traffic adds bytes, crashes add detection
-// latency plus recovery work, and checkpoints charge steady-state overhead.
-// Every term is non-negative and non-decreasing in its rate, so the
-// simulated makespan is monotonically non-decreasing in the injected fault
-// level (asserted by tests).
-type FaultProfile struct {
-	// DropRate / DupRate inflate cross-node traffic: each message costs
-	// 1/(1-DropRate) expected transmissions plus DupRate duplicate copies.
-	DropRate float64
-	DupRate  float64
-	// DelayRate is the fraction of messages held back; each pays
-	// ExtraDelayNs of additional latency.
-	DelayRate    float64
-	ExtraDelayNs float64
-	// AckBytes is the ack payload charged per delivered cross-node message.
-	AckBytes float64
-	// Crashes is the number of worker crashes to price into the batch.
-	// Each pays DetectionNs of heartbeat-timeout latency plus recovery
-	// work: re-deriving the mean per-node compute share and replaying
-	// ReplayFraction of the cross-node communication.
-	Crashes        int
-	DetectionNs    float64
-	ReplayFraction float64
-	// CheckpointEvery amortizes CheckpointNsPerFlow × flows over the
-	// checkpoint interval (0 disables the charge).
-	CheckpointEvery     int
-	CheckpointNsPerFlow float64
-}
-
-func (p FaultProfile) enabled() bool {
-	return p.DropRate > 0 || p.DupRate > 0 || p.DelayRate > 0 || p.AckBytes > 0 ||
-		p.Crashes > 0 || p.CheckpointNsPerFlow > 0
-}
-
-// DefaultFaultProfile prices a mildly lossy datacenter network with the
-// functional cluster's recovery machinery.
-func DefaultFaultProfile(crashes int) FaultProfile {
-	return FaultProfile{
-		DropRate:            0.01,
-		DupRate:             0.005,
-		DelayRate:           0.05,
-		ExtraDelayNs:        5_000,
-		AckBytes:            8,
-		Crashes:             crashes,
-		DetectionNs:         1_000_000, // a few heartbeat intervals
-		ReplayFraction:      0.25,
-		CheckpointEvery:     4,
-		CheckpointNsPerFlow: 200,
-	}
 }
 
 // DefaultCostModel returns the paper-testbed-flavoured defaults.
@@ -243,8 +191,6 @@ type Result struct {
 	CrossMsgs    int64
 	LocalMsgs    int64
 	StolenWorkNs float64 // work moved by work stealing
-	RetransMsgs  int64   // extra transmissions charged by the fault profile
-	FaultNs      float64 // detection + recovery + checkpoint time in the makespan
 }
 
 // Simulate prices one batch trace on a cluster of the given size.
@@ -274,18 +220,6 @@ func Simulate(trace *engine.WorkTrace, pl Placement, cm CostModel, workStealing 
 		bf = 1
 	}
 	msgCost := cm.MsgLatencyNs/bf + cm.MsgBytes*cm.ByteNs
-	// Fault pricing per cross-node message: expected transmissions are
-	// 1/(1-drop) (geometric retransmission) plus dup duplicate copies, acks
-	// add bytes, and delayed messages add latency.
-	var extraFactor, perMsgExtraNs float64
-	if f := cm.Faults; f.enabled() {
-		drop := f.DropRate
-		if drop > 0.99 {
-			drop = 0.99
-		}
-		extraFactor = 1/(1-drop) - 1 + f.DupRate
-		perMsgExtraNs = f.AckBytes*cm.ByteNs + f.DelayRate*f.ExtraDelayNs
-	}
 	// Deterministic pair order: float accumulation into CommNs must not
 	// depend on map iteration order, or repeated simulations of the same
 	// trace drift by an ulp.
@@ -307,11 +241,10 @@ func Simulate(trace *engine.WorkTrace, pl Placement, cm CostModel, workStealing 
 			continue
 		}
 		res.CrossMsgs += cnt
-		cost := float64(cnt) * (msgCost*(1+extraFactor) + perMsgExtraNs)
+		cost := float64(cnt) * msgCost
 		res.CommNs[src] += cost / 2
 		res.CommNs[dst] += cost / 2
 	}
-	res.RetransMsgs = int64(float64(res.CrossMsgs) * extraFactor)
 
 	if workStealing && nodes > 1 {
 		// Even out compute: total/nodes floor, but no node can go below
@@ -336,24 +269,6 @@ func Simulate(trace *engine.WorkTrace, pl Placement, cm CostModel, workStealing 
 		}
 	}
 	res.MakespanNs += cm.ManagerNs
-	if f := cm.Faults; f.enabled() {
-		if f.Crashes > 0 {
-			var totalCompute, totalComm float64
-			for n := 0; n < nodes; n++ {
-				totalCompute += res.ComputeNs[n]
-				totalComm += res.CommNs[n]
-			}
-			// Each crash pays heartbeat-timeout latency, the re-derivation
-			// of one node's compute share, and a fraction of the batch's
-			// communication replayed from the upstream backups.
-			recoverNs := totalCompute/float64(nodes) + f.ReplayFraction*totalComm
-			res.FaultNs += float64(f.Crashes) * (f.DetectionNs + recoverNs)
-		}
-		if f.CheckpointEvery > 0 && f.CheckpointNsPerFlow > 0 {
-			res.FaultNs += f.CheckpointNsPerFlow * float64(len(trace.FlowWork)) / float64(f.CheckpointEvery)
-		}
-		res.MakespanNs += res.FaultNs
-	}
 	return res
 }
 

@@ -2,10 +2,9 @@ package dist
 
 import "errors"
 
-// ErrPeerDown is the typed degradation signal of the reliable layer, shared
-// by the simulated network (reliable.go) and the socket transport (link.go):
-// a sender that has exhausted its capped retransmission retries, or a link
-// whose heartbeats have timed out past the reconnect grace, stops
+// ErrPeerDown is the typed degradation signal of the reliable link layer
+// (link.go): a sender that has exhausted its capped retransmission retries,
+// or a link whose heartbeats have timed out past the reconnect grace, stops
 // retransmitting forever and surfaces this error instead. The caller's
 // contract is fail-stop conversion: treat the peer as crashed, reset the
 // link, and let the membership/recovery machinery reconstruct whatever the

@@ -1,11 +1,17 @@
 package dist
 
-// Reliable link over a real net.Conn — the socket twin of reliable.go. The
-// link gives the runtime the same contract the simulated layer gives the
-// cost-model cluster: per-link FIFO delivery of sequenced messages, dedup by
-// sequence number, cumulative acks, retransmission with exponential backoff,
-// and capped retries that degrade to the typed ErrPeerDown instead of
-// retransmitting forever.
+// Reliable link over a real net.Conn. The contract the runtime above relies
+// on: per-link FIFO delivery of sequenced messages, each delivered exactly
+// once (dedup by sequence number), cumulative acks, retransmission with
+// exponential backoff, and capped retries that degrade to the typed
+// ErrPeerDown instead of retransmitting forever.
+//
+// FIFO is a correctness requirement, not a convenience. A shadow record
+// overwrites the receiver's copy unconditionally, so two refreshes of one
+// vertex applied out of order leave the older value behind; and the
+// coordinator declares quiescence when each worker's processed / uploaded
+// counters equal its own forwarded / received counts, which proves nothing
+// is in flight only if no record is lost or delivered twice.
 //
 // TCP already provides ordering and retransmission *within one connection*;
 // the link exists for what TCP does not survive: the connection dying. Seq
@@ -18,8 +24,8 @@ package dist
 // new incarnation) zeroes the sequence space, and that is a membership
 // event handled above this layer.
 //
-// Down conversion mirrors the sim semantics: a pending frame retransmitted
-// MaxRetries times, or a link left without a usable conn (or without any
+// Down conversion is fail-stop: a pending frame retransmitted MaxRetries
+// times, or a link left without a usable conn (or without any
 // inbound frame) past PeerTimeout, marks the link down, fires onDown(
 // ErrPeerDown) exactly once, and refuses further sends. The membership
 // layer then treats the peer as crashed.
@@ -397,8 +403,8 @@ func (l *link) tickOnce(now time.Time) bool {
 		}
 	}
 	if conn != nil {
-		// Retransmit pass with exponential backoff; capped retries degrade
-		// to ErrPeerDown exactly like retransmitRound in the sim layer.
+		// Retransmit pass with exponential backoff; a frame that has used
+		// up its capped retries degrades the link to ErrPeerDown.
 		maxR := l.cfg.maxRetries()
 		base := l.cfg.retransBase()
 		for i := range l.pending {

@@ -6,20 +6,52 @@ package dist
 // elided (proc_test.go covers those with actual kill -9).
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netfault"
+	"repro/internal/rng"
+	"repro/internal/wal"
 )
+
+// clusterWorkload is the default stream of the socket, link-level and
+// process-level suites: 300 vertices, 30 % deletions, 150-update batches.
+func clusterWorkload(seed uint64, batches int) gen.Workload {
+	cfg := gen.TestDataset(seed)
+	cfg.NumV, cfg.NumE = 300, 2000
+	edges := gen.Generate(cfg)
+	return gen.BuildWorkload(cfg.NumV, edges, gen.StreamConfig{
+		InitialFraction: 0.5, DeleteRatio: 0.3, BatchSize: 150,
+		NumBatches: batches, Seed: seed + 1,
+	})
+}
+
+// deletionHeavyWorkload deletes four edges for every one it adds, so most
+// of every batch is key-edge trimming and re-refinement over shadows.
+func deletionHeavyWorkload(seed uint64, batches int) gen.Workload {
+	cfg := gen.TestDataset(seed)
+	cfg.NumV, cfg.NumE = 200, 1500
+	edges := gen.Generate(cfg)
+	return gen.BuildWorkload(cfg.NumV, edges, gen.StreamConfig{
+		InitialFraction: 0.7, DeleteRatio: 0.8, BatchSize: 100,
+		NumBatches: batches, Seed: seed + 1,
+	})
+}
 
 // fastCoordConfig returns timers tight enough that death detection and
 // retransmission resolve in tens of milliseconds.
@@ -167,7 +199,7 @@ func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 	}
 	rb := b
 	if h.alg.Symmetric() {
-		rb = symmetrize(b)
+		rb = engine.Symmetrize(b)
 	}
 	h.ref.ApplyBatch(rb)
 	want, _ := algo.SolveSelective(h.ref, h.alg)
@@ -176,6 +208,25 @@ func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			h.t.Fatalf("%s batch %d: vertex %d = %v, want %v", h.alg.Name(), bi, v, got[v], want[v])
 		}
+	}
+}
+
+// rejectBatch hands the coordinator a malformed batch and asserts it is
+// refused with the typed error naming update badIndex, before anything is
+// applied or sequenced.
+func (h *socketHarness) rejectBatch(bad graph.Batch, badIndex int) {
+	h.t.Helper()
+	seq, vals := h.coord.BoundarySeq(), h.coord.Values()
+	err := h.coord.ProcessBatch(context.Background(), bad)
+	var be *graph.BatchError
+	if !errors.As(err, &be) || be.Index != badIndex {
+		h.t.Fatalf("want *graph.BatchError at index %d, got %v", badIndex, err)
+	}
+	if got := h.coord.BoundarySeq(); got != seq {
+		h.t.Fatalf("rejected batch advanced the boundary seq %d -> %d", seq, got)
+	}
+	if !slices.Equal(h.coord.Values(), vals) {
+		h.t.Fatal("rejected batch changed vertex values")
 	}
 }
 
@@ -191,12 +242,27 @@ func (h *socketHarness) close() {
 }
 
 func TestSocketClusterMatchesOracle(t *testing.T) {
-	for _, n := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			w := clusterWorkload(uint64(90+n), 4)
-			h := newSocketHarness(t, algo.SSSP{Src: 0}, w, n)
+	cases := []struct {
+		name    string
+		workers int
+		w       gen.Workload
+	}{
+		{"workers=1", 1, clusterWorkload(91, 4)},
+		{"workers=2", 2, clusterWorkload(92, 4)},
+		{"workers=3", 3, clusterWorkload(93, 4)},
+		{"deletion-heavy", 3, deletionHeavyWorkload(84, 4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newSocketHarness(t, algo.SSSP{Src: 0}, tc.w, tc.workers)
 			defer h.close()
-			for bi, b := range w.Batches {
+			for bi, b := range tc.w.Batches {
+				if bi == 1 {
+					// A valid update followed by an out-of-range one: the
+					// valid prefix must not reach the graph either, or the
+					// remaining batches diverge from the oracle replica.
+					h.rejectBatch(graph.Batch{b[0], {Edge: graph.Edge{Src: 0, Dst: uint32(tc.w.NumV) + 7, W: 1}}}, 1)
+				}
 				h.runBatch(bi, b)
 			}
 		})
@@ -240,6 +306,142 @@ func TestSocketCheckpointFramesOnDisk(t *testing.T) {
 	}
 }
 
+// ckptFixture writes one real worker checkpoint and returns its bytes with
+// the seq and vertex count it holds.
+func ckptFixture(t testing.TB) (orig []byte, seq uint64, numV int) {
+	t.Helper()
+	w := clusterWorkload(909, 0)
+	g := graph.FromEdges(w.NumV, w.Initial)
+	vals, parent := algo.SolveSelective(g, algo.SSSP{Src: 0})
+	dir := t.TempDir()
+	seq = 6
+	if err := writeWorkerCkpt(dir, seq, g, vals, parent); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(filepath.Join(dir, wckptName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orig, seq, w.NumV
+}
+
+// ckptCorpus is the damage a checkpoint file can arrive with: a spread of
+// truncation points, 200 seeded single-bit flips, bytes after the footer,
+// and a header declaring one vertex more than the state frame holds.
+func ckptCorpus(t testing.TB, orig []byte, seq uint64, numV int) map[string][]byte {
+	t.Helper()
+	corpus := map[string][]byte{}
+	for cut := 0; cut < len(orig); cut += 1 + len(orig)/199 {
+		corpus[fmt.Sprintf("truncated at %d/%d", cut, len(orig))] = orig[:cut]
+	}
+	r := rng.New(4242)
+	for i := 0; i < 200; i++ {
+		mut := append([]byte(nil), orig...)
+		mut[r.Intn(len(mut))] ^= byte(1 << r.Intn(8))
+		corpus[fmt.Sprintf("bit flip %d", i)] = mut
+	}
+	corpus["trailing bytes"] = append(append([]byte(nil), orig...), 0xde, 0xad)
+
+	// Re-frame the same edges and state under a header that claims numV+1.
+	f := bytes.NewReader(orig)
+	var frames [][]byte
+	for {
+		_, payload, err := wal.ReadFrame(f)
+		if err != nil {
+			break
+		}
+		frames = append(frames, payload)
+	}
+	if len(frames) != 4 {
+		t.Fatalf("fixture has %d frames, want 4", len(frames))
+	}
+	hdr := append([]byte(nil), frames[0]...)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(numV+1))
+	var mis []byte
+	mis = wal.AppendFrame(mis, wal.KindSnapHeader, hdr)
+	mis = wal.AppendFrame(mis, wal.KindSnapEdges, frames[1])
+	mis = wal.AppendFrame(mis, wal.KindDistCheckpoint, frames[2])
+	mis = wal.AppendFrame(mis, wal.KindSnapFooter, frames[3])
+	corpus["vertex-count mismatch"] = mis
+	corpus["second footer"] = wal.AppendFrame(append([]byte(nil), orig...), wal.KindSnapFooter, frames[3])
+	return corpus
+}
+
+// TestWorkerCkptRejectsCorruption holds the checkpoint decoder a restarting
+// worker reads to the hardening bar: every damaged file is an error — never
+// a panic, never silently loaded garbage — and loadWorkerCkpt falls back to
+// the older retained checkpoint past a damaged newest one.
+func TestWorkerCkptRejectsCorruption(t *testing.T) {
+	orig, seq, numV := ckptFixture(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, wckptName(seq))
+	write := func(p string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(path, orig)
+	if ck, err := readWorkerCkpt(path); err != nil || ck.Seq != seq || ck.NumV != numV {
+		t.Fatalf("pristine checkpoint: %+v, %v", ck, err)
+	}
+	for name, mut := range ckptCorpus(t, orig, seq, numV) {
+		write(path, mut)
+		if _, err := readWorkerCkpt(path); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+	// A renamed (or cross-copied) file: intact bytes under another seq's
+	// name. Retention and log truncation key on the name, so it must not load.
+	write(path, orig)
+	renamed := filepath.Join(dir, wckptName(seq+2))
+	write(renamed, orig)
+	if _, err := readWorkerCkpt(renamed); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("checkpoint for seq %d accepted under the name of seq %d (err %v)", seq, seq+2, err)
+	}
+	// The misnamed file is the newest candidate: the loader skips it.
+	if ck, err := loadWorkerCkpt(dir); err != nil || ck == nil || ck.Seq != seq {
+		t.Fatalf("fallback past a damaged newest checkpoint: %+v, %v", ck, err)
+	}
+	// With every candidate damaged the loader reports it instead of
+	// pretending the worker is fresh.
+	write(path, append(append([]byte(nil), orig...), 0))
+	if ck, err := loadWorkerCkpt(dir); err == nil {
+		t.Fatalf("all checkpoints damaged, loader returned %+v", ck)
+	}
+}
+
+// FuzzReadWorkerCkpt: arbitrary bytes under a checkpoint's name never panic
+// the decoder, and whatever it accepts is internally consistent.
+func FuzzReadWorkerCkpt(f *testing.F) {
+	orig, seq, numV := ckptFixture(f)
+	f.Add(orig)
+	for _, mut := range ckptCorpus(f, orig, seq, numV) {
+		f.Add(mut)
+	}
+	// One file per fuzz process, overwritten per input: the target never
+	// runs in parallel with itself.
+	path := filepath.Join(f.TempDir(), wckptName(seq))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := readWorkerCkpt(path)
+		if err != nil {
+			return
+		}
+		if ck.Seq != seq || len(ck.Vals) != ck.NumV || len(ck.Parent) != ck.NumV {
+			t.Fatalf("accepted an inconsistent checkpoint: seq=%d numV=%d vals=%d parent=%d",
+				ck.Seq, ck.NumV, len(ck.Vals), len(ck.Parent))
+		}
+		for _, e := range ck.Edges {
+			if int(e.Src) >= ck.NumV || int(e.Dst) >= ck.NumV {
+				t.Fatalf("accepted edge %d->%d beyond %d vertices", e.Src, e.Dst, ck.NumV)
+			}
+		}
+	})
+}
+
 // TestSocketGracefulLeaveAndJoin: a worker leaving via SIGTERM shrinks the
 // membership without failing batches; a new worker joining grows it.
 func TestSocketGracefulLeaveAndJoin(t *testing.T) {
@@ -271,30 +473,39 @@ func TestSocketGracefulLeaveAndJoin(t *testing.T) {
 // the survivors re-run, the restarted worker recovers from its WAL and
 // rejoins, and every batch still matches the oracle bit-exactly.
 func TestSocketCrashRestartMidBatch(t *testing.T) {
-	w := clusterWorkload(107, 5)
-	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 3)
-	defer h.close()
-	h.runBatch(0, w.Batches[0])
-	h.runBatch(1, w.Batches[1])
+	// The deletion-heavy stream makes the re-run attempt restore snapshots
+	// whose trim sets are large: rolled-back invalid bits must be rebuilt
+	// from the rebroadcast trims, not left over from the dead attempt.
+	for name, w := range map[string]gen.Workload{
+		"mixed":          clusterWorkload(107, 5),
+		"deletion-heavy": deletionHeavyWorkload(90, 5),
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 3)
+			defer h.close()
+			h.runBatch(0, w.Batches[0])
+			h.runBatch(1, w.Batches[1])
 
-	victim := h.workers[1]
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		close(victim.hardStop)
-	}()
-	h.runBatch(2, w.Batches[2])
-	<-victim.done
-	victim.cancel()
+			victim := h.workers[1]
+			go func() {
+				time.Sleep(2 * time.Millisecond)
+				close(victim.hardStop)
+			}()
+			h.runBatch(2, w.Batches[2])
+			<-victim.done
+			victim.cancel()
 
-	// Restart with the same directory and id: WAL recovery + rejoin.
-	h.startWorker(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := h.coord.WaitForWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
+			// Restart with the same directory and id: WAL recovery + rejoin.
+			h.startWorker(1)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := h.coord.WaitForWorkers(ctx, 3); err != nil {
+				t.Fatal(err)
+			}
+			h.runBatch(3, w.Batches[3])
+			h.runBatch(4, w.Batches[4])
+		})
 	}
-	h.runBatch(3, w.Batches[3])
-	h.runBatch(4, w.Batches[4])
 }
 
 // TestSocketAllWorkersDie kills the whole membership mid-batch; restarted
@@ -306,7 +517,9 @@ func TestSocketAllWorkersDie(t *testing.T) {
 	h.runBatch(0, w.Batches[0])
 
 	w0, w1 := h.workers[0], h.workers[1]
+	respawned := make(chan struct{})
 	go func() {
+		defer close(respawned)
 		time.Sleep(2 * time.Millisecond)
 		close(w0.hardStop)
 		close(w1.hardStop)
@@ -317,6 +530,7 @@ func TestSocketAllWorkersDie(t *testing.T) {
 		h.startWorker(1)
 	}()
 	h.runBatch(1, w.Batches[1])
+	<-respawned // h.workers is written by the respawn; order it before close()
 	w0.cancel()
 	w1.cancel()
 	h.runBatch(2, w.Batches[2])

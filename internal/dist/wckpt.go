@@ -18,8 +18,12 @@ package dist
 // newest is torn or corrupt — the same trust model as wal.ReadSnapshot. The
 // KindDistCheckpoint frame (rather than KindSnapState) marks the file as a
 // distributed-runtime artifact and carries the boundary seq redundantly
-// inside the checksummed payload, so a renamed or cross-copied file is
-// caught even if header and footer agree with each other.
+// inside the checksummed payload, so a state frame spliced under another
+// checkpoint's header is caught even if header and footer agree with each
+// other. The file name carries the seq a fourth time, and it is the copy
+// retention and log truncation key on, so the reader also refuses a file
+// whose name disagrees with its header (a renamed or cross-copied file),
+// and anything after the footer frame.
 //
 // Retention keeps the two newest checkpoints; after a successful
 // checkpoint the batch log is truncated through the older retained seq, so
@@ -31,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -134,8 +139,13 @@ func writeWorkerCkpt(dir string, seq uint64, g *graph.Streaming, vals []float64,
 	return nil
 }
 
-// readWorkerCkpt loads and fully validates one checkpoint file.
+// readWorkerCkpt loads and fully validates one checkpoint file, named as
+// wckptName names it.
 func readWorkerCkpt(path string) (*workerCkpt, error) {
+	nameSeq, ok := wckptSeqOf(filepath.Base(path))
+	if !ok {
+		return nil, fmt.Errorf("dist: ckpt: %s is not a checkpoint file name", filepath.Base(path))
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dist: ckpt: %w", err)
@@ -159,6 +169,9 @@ func readWorkerCkpt(path string) (*workerCkpt, error) {
 		return nil, fmt.Errorf("%w: ckpt header %d bytes", wal.ErrCorrupt, len(hdr))
 	}
 	ck := &workerCkpt{Seq: binary.LittleEndian.Uint64(hdr[0:8]), NumV: int(binary.LittleEndian.Uint32(hdr[8:12]))}
+	if ck.Seq != nameSeq {
+		return nil, fmt.Errorf("%w: ckpt %s holds seq %d", wal.ErrCorrupt, filepath.Base(path), ck.Seq)
+	}
 	if ck.NumV < 0 || ck.NumV > 1<<28 {
 		return nil, fmt.Errorf("%w: ckpt declares %d vertices", wal.ErrCorrupt, ck.NumV)
 	}
@@ -186,6 +199,9 @@ func readWorkerCkpt(path string) (*workerCkpt, error) {
 	}
 	if len(footer) != 8 || binary.LittleEndian.Uint64(footer) != ck.Seq {
 		return nil, fmt.Errorf("%w: ckpt footer disagrees with header", wal.ErrCorrupt)
+	}
+	if _, _, err := wal.ReadFrame(f); err != io.EOF {
+		return nil, fmt.Errorf("%w: ckpt %s has data after the footer", wal.ErrCorrupt, filepath.Base(path))
 	}
 	return ck, nil
 }

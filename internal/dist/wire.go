@@ -198,7 +198,8 @@ func decEdges(d *wal.Dec) []graph.Edge {
 
 // dataRec is one routed protocol record: a candidate aimed at a vertex's
 // owner, or a shadow refresh the coordinator fans out to every other
-// worker. The wire twin of the simulation's clusterMsg.
+// worker. Parent is the key edge that produced Val, so the receiver can
+// report dependence for a vertex whose ownership later migrates to it.
 type dataRec struct {
 	V      uint32
 	Parent int32

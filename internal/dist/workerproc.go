@@ -1,15 +1,33 @@
 package dist
 
-// Worker process runtime: the socket twin of the sim's clusterNode, run by
-// cmd/graphfly-worker (or in-process by tests). A worker holds a full
-// replica of the graph structure and the value/parent/trimmed arrays,
-// computes its flow partition locally from the boundary parents (the
-// partition is a deterministic function of the parent array, and every
-// replica's parents agree at quiescent boundaries, so worker and
-// coordinator derive identical flow tables without shipping them — only the
-// flow -> worker assignment travels), processes its owned vertices with the
-// same fused refine/recompute the sim uses, and routes everything
-// cross-worker through the coordinator.
+// Worker process runtime, run by cmd/graphfly-worker (or in-process by
+// tests). A worker holds a full replica of the graph structure and the
+// value/parent/trimmed arrays. It is authoritative for the vertices of the
+// flows assigned to it; every other entry is a shadow, a possibly stale copy
+// refreshed only by shadow records from the owner. It computes its flow
+// partition locally from the boundary parents (the partition is a
+// deterministic function of the parent array, and every replica's parents
+// agree at quiescent boundaries, so worker and coordinator derive identical
+// flow tables without shipping them — only the flow -> worker assignment
+// travels), runs a fused refine/recompute over its owned vertices, and
+// routes everything cross-worker through the coordinator.
+//
+// Safety under staleness: for a monotonic (selective) algorithm a stale
+// shadow is an over-approximation of the owner's true value — never better
+// than it — and over-approximations are exactly what trimming already
+// produces, so a pull over shadows (refine) or a push filtered against one
+// (processVertex) can be pessimistic but never wrong. Three rules keep that
+// true. Trim invalidations arrive with the batch start, before any
+// processing, and set the invalid bit on every replica. A shadow's invalid
+// bit is cleared only by the shadow record that carries the owner's
+// post-refinement value, so refine never reads a value whose support was
+// deleted. And an owner emits a shadow record on every change of an owned
+// vertex while candidates go to the target's owner, so every improvement is
+// eventually delivered and the cluster quiesces at the same unique fixpoint
+// as the single-machine engine (the socket tests check it bit-exact).
+// Shadow records overwrite unconditionally, so they need link.go's per-link
+// FIFO, exactly-once delivery: a reordered pair of shadow records for one
+// vertex would leave the older value in place.
 //
 // Durability: every applied batch is fsynced into the worker's WAL before
 // processing, and on CkptCmd the worker writes a frame-composed checkpoint
@@ -528,14 +546,17 @@ func (w *workerRt) drainAndReport() {
 	}
 }
 
-// applyRec is the inbox half of the sim's processNode.
+// applyRec handles one inbound record: a shadow refresh, or a candidate
+// for an owned vertex.
 func (w *workerRt) applyRec(r dataRec) {
 	if int(r.V) >= len(w.vals) {
 		return
 	}
 	if r.Shadow {
 		// Shadow refresh: unconditional overwrite + revalidation, then
-		// re-relax owned out-neighbours of the refreshed vertex.
+		// re-relax owned out-neighbours of the refreshed vertex. The key
+		// edge rides along so that if ownership migrates at the next
+		// repartition, the new owner reports correct dependence information.
 		w.vals[r.V] = r.Val
 		w.parent[r.V] = r.Parent
 		w.trimmed[r.V] = false
@@ -560,7 +581,9 @@ func (w *workerRt) applyRec(r dataRec) {
 	}
 }
 
-// processVertex is the worklist half of the sim's processNode.
+// processVertex relaxes the out-edges of one changed owned vertex: owned
+// targets are updated in place; a remote target gets a candidate only when
+// the local (possibly stale) shadow says it could help.
 func (w *workerRt) processVertex(v uint32) {
 	if w.trimmed[v] {
 		w.refine(v)
@@ -583,7 +606,8 @@ func (w *workerRt) processVertex(v uint32) {
 }
 
 // refine resets an owned trimmed vertex from its local (possibly stale,
-// always safe) view — the sim's refine/refineFrom with the base floor.
+// always safe) view: the best of the algorithm's base value and a pull over
+// the untrimmed in-neighbours. It never reads the vertex's own old value.
 func (w *workerRt) refine(v uint32) {
 	best := w.alg.Base(v)
 	bestParent := int32(-1)

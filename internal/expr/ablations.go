@@ -1,10 +1,7 @@
 package expr
 
 import (
-	"math"
-
 	"repro/internal/algo"
-	"repro/internal/dist"
 	"repro/internal/engine"
 )
 
@@ -97,95 +94,7 @@ func AblationTriangle(sc Scale) Table {
 	return t
 }
 
-// AblationFaults sweeps injected fault severity on the functional
-// distributed runtime (§VI plus the fault layer): each row runs the same
-// SSSP stream through a 4-node cluster under a seeded fault schedule,
-// checks bit-exactness against the single-machine fixpoint, and prices the
-// schedule's masking overheads (retransmission, detection, recovery,
-// checkpointing) through the cost model on the engine's real work trace.
-func AblationFaults(sc Scale) Table {
-	t := Table{
-		ID:     "Ablation A5",
-		Title:  "Fault sensitivity of the distributed runtime (SSSP on TT, 4 nodes)",
-		Header: []string{"Schedule", "Rounds", "Retrans", "Crashes", "Recovered", "Exact", "Sim ms"},
-	}
-	w := workload("TT", sc, 0.3, 0xA5)
-	a := algo.SSSP{Src: 0}
-
-	// One traced single-machine run feeds the cost-model column.
-	tCfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, FlowCap: 64, TraceWork: true}
-	_, tStats := runBatches(sc, graphflySelective(w, a, tCfg), w)
-	traces := make([]*engine.WorkTrace, 0, len(tStats))
-	for _, st := range tStats {
-		traces = append(traces, st.Trace)
-	}
-	tr := dist.MergeTraces(traces)
-	cm := dist.DefaultCostModel()
-	pl := dist.Place(tr, 4, dist.LocalityLPT)
-
-	// Reference fixpoint after the full stream.
-	refG := buildGraph(w, false)
-	for _, b := range w.Batches {
-		refG.ApplyBatch(b)
-	}
-	refVals, _ := algo.SolveSelective(refG, a)
-
-	cases := []struct {
-		name string
-		fc   dist.FaultConfig
-	}{
-		{"fault-free", dist.FaultConfig{}},
-		{"drop 5%", dist.FaultConfig{Seed: 0xA5, Drop: 0.05}},
-		{"drop+dup+reorder", dist.FaultConfig{Seed: 0xA5, Drop: 0.1, Dup: 0.05, Delay: 0.2, Reorder: 0.1}},
-		{"1 crash", dist.FaultConfig{Seed: 0xA5, CrashSchedule: []dist.CrashPoint{{Batch: 1, Round: 2, Node: 1}}}},
-		{"chaos", dist.FaultConfig{Seed: 0xA5, Drop: 0.15, Dup: 0.05, Delay: 0.2, Reorder: 0.15, CrashRate: 0.01, MaxCrashes: 2}},
-	}
-	if sc.Faults != "" {
-		if fc, err := dist.ParseFaults(sc.Faults); err == nil {
-			cases = append(cases, struct {
-				name string
-				fc   dist.FaultConfig
-			}{"custom", fc})
-		}
-	}
-	for _, cse := range cases {
-		c := dist.NewClusterWithFaults(buildGraph(w, false), a, 4, 64, cse.fc)
-		rounds := 0
-		failed := ""
-		for _, b := range w.Batches {
-			if err := c.ProcessBatchE(b); err != nil {
-				failed = err.Error()
-				break
-			}
-			rounds += c.LastRounds
-		}
-		exact := "yes"
-		if failed != "" {
-			exact = "error"
-		} else {
-			for v, got := range c.Values() {
-				if got != refVals[v] && !(math.IsInf(got, 1) && math.IsInf(refVals[v], 1)) {
-					exact = "no"
-					break
-				}
-			}
-		}
-		m := cm
-		m.Faults = dist.FaultProfile{
-			DropRate: cse.fc.Drop, DupRate: cse.fc.Dup,
-			DelayRate: cse.fc.Delay, ExtraDelayNs: 5_000, AckBytes: 8,
-			Crashes: int(c.Stats.Crashes), DetectionNs: 1e6, ReplayFraction: 0.25,
-			CheckpointEvery: 4, CheckpointNsPerFlow: 200,
-		}
-		sim := dist.Simulate(tr, pl, m, true).MakespanNs / 1e6
-		t.AddRow(Str(cse.name), IntCell(rounds), Int64(int64(c.Stats.Retransmits)),
-			Int64(int64(c.Stats.Crashes)), Int64(int64(c.Stats.RecoveredVerts)),
-			Str(exact), Float(sim, 3))
-	}
-	return t
-}
-
 // Ablations runs all ablation studies.
 func Ablations(sc Scale) []Table {
-	return []Table{AblationFlowCap(sc), AblationSCC(sc), AblationAsync(sc), AblationTriangle(sc), AblationFaults(sc)}
+	return []Table{AblationFlowCap(sc), AblationSCC(sc), AblationAsync(sc), AblationTriangle(sc)}
 }

@@ -33,9 +33,6 @@ type Scale struct {
 	MaxNodes int `json:"max_nodes"`
 	// Workers for the engines (0 = GOMAXPROCS).
 	Workers int `json:"workers"`
-	// Faults optionally adds a custom schedule (dist.ParseFaults syntax)
-	// to the fault-sensitivity ablation.
-	Faults string `json:"faults,omitempty"`
 	// Scheduler selects the engine's unit scheduler for every figure
 	// (work-stealing by default; the global pool for A/B runs). Fig S1
 	// sweeps both regardless of this setting.

@@ -135,19 +135,12 @@ func TestFig4aShowsRedundancy(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	tabs := Ablations(tiny())
-	if len(tabs) != 5 {
+	if len(tabs) != 4 {
 		t.Fatalf("ablations = %d", len(tabs))
 	}
 	for _, tab := range tabs {
 		if len(tab.Cells) == 0 {
 			t.Fatalf("%s has no rows", tab.ID)
-		}
-	}
-	// The fault-sensitivity ablation must stay bit-exact under every
-	// schedule it sweeps.
-	for _, r := range tabs[4].Rows() {
-		if r[5] != "yes" {
-			t.Fatalf("%s: schedule %q not exact: %v", tabs[4].ID, r[0], r)
 		}
 	}
 }

@@ -138,8 +138,8 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 //
 // Payloads are flat little-endian records. Decoders validate every length
 // and range before allocating or returning data: a decoder must never
-// panic or hand back garbage on adversarial input — that is the regression
-// the dist checkpoint hardening (checkpoint_test.go) pins down.
+// panic or hand back garbage on adversarial input (the truncation and
+// bit-flip sweeps over snapshot and worker-checkpoint files hold them to it).
 
 // EncodeBatch encodes a sequence-numbered edge batch.
 func EncodeBatch(buf []byte, seq uint64, b graph.Batch) []byte {
@@ -216,10 +216,10 @@ func DecodeTaggedBatch(p []byte) (seq uint64, b graph.Batch, clientID string, cl
 
 // EncodeDistCheckpoint encodes a distributed worker's checkpoint payload:
 // the batch sequence the state is consistent with, followed by the state
-// section. It is the payload carried by KindDistCheckpoint frames inside
-// per-worker checkpoint files (internal/dist's socket runtime); the
-// Manager-side cluster checkpoint (dist.SaveCheckpoint) predates the seq
-// prefix and keeps its bare EncodeState payload.
+// section. It is the one payload shape of KindDistCheckpoint frames, which
+// appear only inside per-worker checkpoint files (internal/dist/wckpt.go).
+// The seq is repeated inside the checksummed payload so a state frame
+// spliced under another checkpoint's header is caught.
 func EncodeDistCheckpoint(buf []byte, seq uint64, vals []float64, parent []int32) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	return EncodeState(buf, vals, parent)
@@ -276,7 +276,8 @@ func DecodeEdges(p []byte, numV int) ([]graph.Edge, error) {
 }
 
 // EncodeState encodes per-vertex values and key-edge parents (an engine
-// snapshot's state section and the dist checkpoint payload). parent may be
+// snapshot's state section and, behind a seq prefix, the dist checkpoint
+// payload). parent may be
 // nil when only values are checkpointed.
 func EncodeState(buf []byte, vals []float64, parent []int32) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals)))

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, build, vet, race-enabled tests, the nested
 # benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
-# smoke, a durable-CLI recovery smoke per durable family, a seeded chaos
-# smoke run of the fault-tolerant distributed runtime, a graphflyd serving
-# smoke (concurrent ingest+query, SIGTERM, restart, dump vs single-shot
-# oracle), and a bench smoke that emits and schema-validates the
-# machine-readable report. Run from anywhere.
+# smoke, a durable-CLI recovery smoke per durable family, a multi-process
+# kill -9 smoke of the distributed runtime, a 5 s fuzz of the worker
+# checkpoint decoder, a graphflyd serving smoke (concurrent ingest+query,
+# SIGTERM, restart, dump vs single-shot oracle), and a bench smoke that
+# emits and schema-validates the machine-readable report; ends by printing
+# the repo's size (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,9 +60,27 @@ rm -rf "$waltmp"
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
 timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
-echo "== chaos smoke (seeded fault injection, distributed SSSP) =="
-go run ./cmd/graphfly -algo SSSP -dataset TT -nEdges 2000 -numberOfUpdateBatches 3 \
-    -nodes 4 -faults seed=7,drop=0.1,dup=0.05,delay=0.2,reorder=0.1,crash=0.01,maxcrashes=2,crashat=1:5:2
+echo "== checkpoint-decoder fuzz (worker checkpoint reader, 5 s, must not panic) =="
+go test -run '^$' -fuzz 'FuzzReadWorkerCkpt' -fuzztime 5s ./internal/dist
+
+echo "== removed flags (-cluster is the one distributed runtime) =="
+flagtmp=$(mktemp -d)
+go build -o "$flagtmp/graphfly" ./cmd/graphfly
+go build -o "$flagtmp/bench" ./cmd/bench
+expect_unknown_flag() { # $1 = flag name, $2... = command
+    local name=$1 rc=0
+    shift
+    "$@" > /dev/null 2> "$flagtmp/err" || rc=$?
+    if [ "$rc" != 2 ] || ! grep -q "flag provided but not defined: -$name" "$flagtmp/err"; then
+        echo "$*: want exit 2 with the unknown-flag usage, got exit $rc:" >&2
+        cat "$flagtmp/err" >&2
+        exit 1
+    fi
+}
+expect_unknown_flag nodes "$flagtmp/graphfly" -nodes 4
+expect_unknown_flag faults "$flagtmp/graphfly" -faults seed=1
+expect_unknown_flag faults "$flagtmp/bench" -faults x
+rm -rf "$flagtmp"
 
 echo "== graphflyd serving smoke (concurrent ingest+query, SIGTERM, restart, oracle) =="
 servetmp=$(mktemp -d)
@@ -217,5 +236,10 @@ fi
 
 echo "== alloc gate (fresh smoke vs committed BENCH_graphfly.json) =="
 go run ./scripts/benchdiff -allocgate BENCH_graphfly.json "$benchtmp/BENCH_graphfly.json"
+
+echo "== size (what every simplicity PR quotes) =="
+echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
+    -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+echo "flag definitions under cmd/: $(grep -rhoE 'flag\.[A-Za-z0-9]+\(' cmd | grep -vcE 'flag\.(Parse|Arg|NArg)\(')"
 
 echo "OK"
