@@ -12,7 +12,11 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/algo"
+	"repro/internal/dflow"
 	"repro/internal/expr"
+	"repro/internal/gen"
+	"repro/internal/layout"
 )
 
 // benchScale keeps `go test -bench=.` under a few minutes total.
@@ -125,4 +129,53 @@ func BenchmarkBatchAllocs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRepartition times what the batch driver does once every
+// RepartitionEvery batches, piece by piece, on a skewed RMAT graph of about
+// a million edges under its SSSP key-edge forest: `partition` derives the
+// flows from the parent array, `flowgraph` rebuilds the flow-level index
+// into retained buffers, `migrate` copies a value store into the new
+// layout, and `whole` is an empty batch through an engine that repartitions
+// on every batch (the three pieces, the per-batch D-tree load and an empty
+// schedule). Steady-state `flowgraph` and `migrate` allocate nothing.
+func BenchmarkRepartition(b *testing.B) {
+	cfg := gen.Config{Kind: gen.RMAT, NumV: 32_000, NumE: 1_500_000, Seed: 14,
+		A: 0.60, B: 0.19, C: 0.19, MaxWeight: 8}
+	g := FromEdges(cfg.NumV, gen.Generate(cfg))
+	_, parent := algo.SolveSelective(g, algo.SSSP{Src: 0})
+	part := dflow.NewPartitionFromParents(parent, 0)
+	b.Logf("%d vertices, %d edges, %d flows", g.NumVertices(), g.NumEdges(), part.NumFlows())
+
+	b.Run("partition", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			part = dflow.NewPartitionFromParents(parent, 0)
+		}
+	})
+	b.Run("flowgraph", func(b *testing.B) {
+		fg := dflow.NewFlowGraph(g, part)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fg.Rebuild(g, part)
+		}
+	})
+	b.Run("migrate", func(b *testing.B) {
+		from := layout.NewFlowStore(dflow.NewPartitionFromParents(parent, 300), 1)
+		to := layout.NewFlowStore(part, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			to.CopyFrom(from)
+		}
+	})
+	b.Run("whole", func(b *testing.B) {
+		eng := NewSSSP(g, 0, Config{RepartitionEvery: 1})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.ProcessBatch(nil)
+		}
+	})
 }

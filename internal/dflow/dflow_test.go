@@ -157,24 +157,6 @@ func TestFlowGraphIntraFlowIgnored(t *testing.T) {
 	}
 }
 
-func TestReach(t *testing.T) {
-	// Three flows in a line: A -> B -> C.
-	g := chainGraph(6)
-	f := etree.NewForest(g, etree.Forward)
-	p := NewPartition(f, 2)
-	fg := NewFlowGraph(g, p)
-	a := p.Flow(0)
-	r := fg.Reach([]int32{a}, 0)
-	if len(r) != 3 {
-		t.Fatalf("Reach from head = %v, want all 3 flows", r)
-	}
-	c := p.Flow(5)
-	r = fg.Reach([]int32{c}, 0)
-	if len(r) != 1 || !r[c] {
-		t.Fatalf("Reach from tail = %v", r)
-	}
-}
-
 func TestScheduleLevelsOnLine(t *testing.T) {
 	g := chainGraph(6)
 	f := etree.NewForest(g, etree.Forward)

@@ -2,7 +2,11 @@ package dflow
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -20,13 +24,11 @@ func errUnassigned(v uint32) error { return fmt.Errorf("dflow: vertex %d unassig
 // values reach" without touching graph edges (§V-A).
 //
 // Storage is a CSR-style refcount index rebuilt into reusable buffers at
-// (re)partition time — the former map-of-maps representation re-allocated
-// O(flows + cross edges) of map headers on every rebuild. Between rebuilds,
-// AddEdge/DeleteEdge adjust refcounts in place; a flow pair that first
-// appears after the rebuild goes into a small per-flow overflow map (kept
-// allocated and emptied with clear() at the next rebuild). A CSR entry may
-// rest at count zero and be re-incremented later; iteration skips
-// non-positive counts.
+// (re)partition time. Between rebuilds, AddEdge/DeleteEdge adjust refcounts
+// in place; a flow pair that first appears after the rebuild goes into a
+// small per-flow overflow map (kept allocated and emptied with clear() at
+// the next rebuild). A CSR entry may rest at count zero and be
+// re-incremented later; iteration skips non-positive counts.
 type FlowGraph struct {
 	part *Partition
 
@@ -37,8 +39,21 @@ type FlowGraph struct {
 	outOvf []map[int32]int32 // novel pairs since the last rebuild
 	inOvf  []map[int32]int32
 
-	rowLen []int32 // rebuild scratch: per-flow cross-edge count, then cursor
-	tmpDst []int32 // rebuild scratch: flattened unsorted rows
+	// Rebuild state: the graph being indexed, the cursor workers claim rows
+	// from, and one retained scratch per worker.
+	g        *graph.Streaming
+	nextRow  atomic.Int32
+	wg       sync.WaitGroup
+	builders []*rowBuilder
+}
+
+// rowBuilder is one rebuild worker's scratch, retained across rebuilds.
+type rowBuilder struct {
+	cnt     []int32 // edges into each flow from the current row; zero between rows
+	touched []int32 // flows whose counter the current row made nonzero
+	rows    []int32 // the rows this worker built, in build order ...
+	dst, n  []int32 // ... and their (flow, count) entries, concatenated
+	run     func()  // buildRows on this scratch; kept so `go` allocates nothing
 }
 
 // NewFlowGraph indexes every cross-flow edge of g under partition part.
@@ -48,25 +63,13 @@ func NewFlowGraph(g *graph.Streaming, part *Partition) *FlowGraph {
 	return fg
 }
 
-// newFlowGraphN returns an empty FlowGraph over n flows with no partition.
-// Tests use it to build flow digraphs directly via addFlowEdge.
-func newFlowGraphN(n int) *FlowGraph {
-	fg := &FlowGraph{}
-	fg.sizeFor(n)
-	return fg
-}
-
-// sizeFor (re)establishes buffers for n flows, reusing capacity. Counts and
-// overflow maps are emptied; pointer arrays are zeroed.
+// sizeFor (re)establishes the per-flow tables for n flows, reusing
+// capacity: pointer arrays zeroed, overflow maps emptied. The entry arrays
+// are sized by rebuild once the rows are counted.
 func (fg *FlowGraph) sizeFor(n int) {
 	fg.outPtr = resetI32(fg.outPtr, n+1)
 	fg.inPtr = resetI32(fg.inPtr, n+1)
 	fg.outDeg = resetI32(fg.outDeg, n)
-	fg.rowLen = resetI32(fg.rowLen, n)
-	fg.outDst = fg.outDst[:0]
-	fg.outCnt = fg.outCnt[:0]
-	fg.inSrc = fg.inSrc[:0]
-	fg.inCnt = fg.inCnt[:0]
 	fg.outOvf = resetOvf(fg.outOvf, n)
 	fg.inOvf = resetOvf(fg.inOvf, n)
 }
@@ -77,9 +80,7 @@ func resetI32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -96,93 +97,122 @@ func resetOvf(s []map[int32]int32, n int) []map[int32]int32 {
 	return s
 }
 
-// Rebuild re-indexes every cross-flow edge of g under part, reusing the
-// receiver's buffers. Engines call this at repartition instead of
-// allocating a fresh FlowGraph.
+// parallelEdges is the graph size from which Rebuild spreads rows over
+// GOMAXPROCS workers; below it the fork costs more than the walk.
+const parallelEdges = 1 << 19
+
+// Rebuild re-indexes every cross-flow edge of g under part, which must
+// cover every vertex (Partition.Validate), reusing the receiver's buffers.
+// Engines call this at repartition instead of allocating a fresh FlowGraph.
 func (fg *FlowGraph) Rebuild(g *graph.Streaming, part *Partition) {
-	fg.part = part
+	workers := 1
+	if g.NumEdges() >= parallelEdges {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	fg.rebuild(g, part, workers)
+}
+
+// rebuild is the counting build: one pass over the edges, rows claimed by
+// up to workers goroutines, stitched into the out-CSR by a prefix sum over
+// the row lengths; the in-CSR is its transpose.
+func (fg *FlowGraph) rebuild(g *graph.Streaming, part *Partition, workers int) {
+	fg.part, fg.g = part, g
 	nf := part.NumFlows()
 	fg.sizeFor(nf)
+	workers = max(1, min(workers, nf))
+	for len(fg.builders) < workers {
+		b := &rowBuilder{}
+		b.run = func() { defer fg.wg.Done(); fg.buildRows(b) }
+		fg.builders = append(fg.builders, b)
+	}
+	builders := fg.builders[:workers]
+	fg.nextRow.Store(0)
+	fg.wg.Add(workers - 1)
+	for _, b := range builders[1:] {
+		go b.run()
+	}
+	fg.buildRows(builders[0])
+	fg.wg.Wait()
+	fg.g = nil
 
-	// Pass 1: count cross edges per source flow (duplicates included).
 	total := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		fu := part.Flow(graph.VertexID(v))
-		for _, h := range g.Out(graph.VertexID(v)) {
-			if part.Flow(h.To) != fu {
-				fg.rowLen[fu]++
-				total++
-			}
-		}
-	}
-	// Pass 2: flatten destination flows per row.
-	if cap(fg.tmpDst) < total {
-		fg.tmpDst = make([]int32, total)
-	}
-	fg.tmpDst = fg.tmpDst[:total]
-	cur := fg.outPtr // reuse as cursor array; rewritten below
-	pos := int32(0)
 	for f := 0; f < nf; f++ {
-		cur[f] = pos
-		pos += fg.rowLen[f]
-		fg.rowLen[f] = cur[f] // remember row start for the RLE pass
+		fg.outPtr[f] = int32(total)
+		total += int(fg.outDeg[f])
 	}
-	cur[nf] = pos
-	for v := 0; v < g.NumVertices(); v++ {
-		fu := part.Flow(graph.VertexID(v))
-		for _, h := range g.Out(graph.VertexID(v)) {
-			if fv := part.Flow(h.To); fv != fu {
-				fg.tmpDst[cur[fu]] = fv
-				cur[fu]++
-			}
+	if total > math.MaxInt32 {
+		panic("dflow: flow graph exceeds 2^31 flow pairs")
+	}
+	fg.outPtr[nf] = int32(total)
+	fg.outDst = resetI32(fg.outDst, total)
+	fg.outCnt = resetI32(fg.outCnt, total)
+	for _, b := range builders {
+		off := 0
+		for _, f := range b.rows {
+			end := off + int(fg.outDeg[f])
+			copy(fg.outDst[fg.outPtr[f]:], b.dst[off:end])
+			copy(fg.outCnt[fg.outPtr[f]:], b.n[off:end])
+			off = end
 		}
+		// Rows are claimed dynamically: leave every worker room for the whole
+		// output, so a rebuild of a like graph allocates nothing whichever
+		// rows it claims.
+		b.dst, b.n = slices.Grow(b.dst[:0], total), slices.Grow(b.n[:0], total)
 	}
-	// Pass 3: sort each row and run-length-encode into the out CSR. After
-	// pass 2, cur[f] is the row end and rowLen[f] the row start.
-	for f := 0; f < nf; f++ {
-		lo, hi := fg.rowLen[f], cur[f]
-		row := fg.tmpDst[lo:hi]
-		slices.Sort(row)
-		fg.outPtr[f] = int32(len(fg.outDst))
-		for i := 0; i < len(row); {
-			j := i + 1
-			for j < len(row) && row[j] == row[i] {
-				j++
-			}
-			fg.outDst = append(fg.outDst, row[i])
-			fg.outCnt = append(fg.outCnt, int32(j-i))
-			i = j
-		}
-		fg.outDeg[f] = int32(len(fg.outDst)) - fg.outPtr[f]
-	}
-	fg.outPtr[nf] = int32(len(fg.outDst))
 
-	// Reverse index: walking out-rows in ascending f appends sources to
-	// each in-row already sorted, so no per-row sort is needed.
-	inLen := fg.rowLen // reuse scratch as in-row counters
-	for i := range inLen {
-		inLen[i] = 0
+	// Reverse index: count each in-row one slot to the right, prefix-sum to
+	// row starts, fill with inPtr[g] as row g's cursor — walking out-rows
+	// in ascending f leaves every in-row sorted — then shift the cursors
+	// (now row ends) back into place.
+	for _, gid := range fg.outDst {
+		fg.inPtr[gid+1]++
 	}
-	for _, g := range fg.outDst {
-		inLen[g]++
-	}
-	pos = 0
 	for f := 0; f < nf; f++ {
-		fg.inPtr[f] = pos
-		pos += inLen[f]
-		inLen[f] = fg.inPtr[f]
+		fg.inPtr[f+1] += fg.inPtr[f]
 	}
-	fg.inPtr[nf] = pos
-	fg.inSrc = resetI32(fg.inSrc, int(pos))
-	fg.inCnt = resetI32(fg.inCnt, int(pos))
+	fg.inSrc = resetI32(fg.inSrc, total)
+	fg.inCnt = resetI32(fg.inCnt, total)
 	for f := 0; f < nf; f++ {
 		for p := fg.outPtr[f]; p < fg.outPtr[f+1]; p++ {
-			gid := fg.outDst[p]
-			at := inLen[gid]
-			fg.inSrc[at] = int32(f)
-			fg.inCnt[at] = fg.outCnt[p]
-			inLen[gid]++
+			at := fg.inPtr[fg.outDst[p]]
+			fg.inSrc[at], fg.inCnt[at] = int32(f), fg.outCnt[p]
+			fg.inPtr[fg.outDst[p]] = at + 1
 		}
+	}
+	copy(fg.inPtr[1:], fg.inPtr[:nf])
+	fg.inPtr[0] = 0
+}
+
+// buildRows claims rows until none are left. A row is built by walking the
+// flow's members once — the partition lists them, so one counter per
+// destination flow suffices, with no sort over edges: only the (at most
+// NumFlows) destinations the row touched are sorted.
+func (fg *FlowGraph) buildRows(b *rowBuilder) {
+	flowOf, nf := fg.part.FlowOf, int32(fg.part.NumFlows())
+	b.cnt = resetI32(b.cnt, int(nf))
+	b.rows, b.touched = slices.Grow(b.rows[:0], int(nf)), slices.Grow(b.touched[:0], int(nf))
+	b.dst, b.n = b.dst[:0], b.n[:0]
+	cnt := b.cnt
+	for f := fg.nextRow.Add(1) - 1; f < nf; f = fg.nextRow.Add(1) - 1 {
+		touched := b.touched[:0] // capacity nf: the appends below never move it
+		for _, v := range fg.part.Flows[f] {
+			for _, h := range fg.g.Out(v) {
+				if t := flowOf[h.To]; t != f {
+					if cnt[t] == 0 {
+						touched = append(touched, t)
+					}
+					cnt[t]++
+				}
+			}
+		}
+		slices.Sort(touched)
+		for _, t := range touched {
+			b.dst = append(b.dst, t)
+			b.n = append(b.n, cnt[t])
+			cnt[t] = 0
+		}
+		b.rows = append(b.rows, f)
+		fg.outDeg[f] = int32(len(touched))
 	}
 }
 
@@ -205,79 +235,49 @@ func csrFind(ptr, ids []int32, f, x int32) int32 {
 }
 
 // AddEdge records graph edge u->v.
-func (fg *FlowGraph) AddEdge(u, v graph.VertexID) {
-	fu, fv := fg.part.Flow(u), fg.part.Flow(v)
-	if fu == fv {
-		return
-	}
-	fg.addFlowEdge(fu, fv)
-}
+func (fg *FlowGraph) AddEdge(u, v graph.VertexID) { fg.bumpEdge(u, v, 1) }
 
 // DeleteEdge removes graph edge u->v from the index.
-func (fg *FlowGraph) DeleteEdge(u, v graph.VertexID) {
-	fu, fv := fg.part.Flow(u), fg.part.Flow(v)
-	if fu == fv {
-		return
-	}
-	// Out direction.
-	if p := csrFind(fg.outPtr, fg.outDst, fu, fv); p >= 0 {
-		if fg.outCnt[p] > 0 {
-			if fg.outCnt[p]--; fg.outCnt[p] == 0 {
-				fg.outDeg[fu]--
-			}
-		}
-	} else if m := fg.outOvf[fu]; m != nil {
-		if c := m[fv]; c > 0 {
-			if c == 1 {
-				delete(m, fv)
-				fg.outDeg[fu]--
-			} else {
-				m[fv] = c - 1
-			}
-		}
-	}
-	// In direction.
-	if p := csrFind(fg.inPtr, fg.inSrc, fv, fu); p >= 0 {
-		if fg.inCnt[p] > 0 {
-			fg.inCnt[p]--
-		}
-	} else if m := fg.inOvf[fv]; m != nil {
-		if c := m[fu]; c > 0 {
-			if c == 1 {
-				delete(m, fu)
-			} else {
-				m[fu] = c - 1
-			}
-		}
+func (fg *FlowGraph) DeleteEdge(u, v graph.VertexID) { fg.bumpEdge(u, v, -1) }
+
+func (fg *FlowGraph) bumpEdge(u, v graph.VertexID, delta int32) {
+	if fu, fv := fg.part.Flow(u), fg.part.Flow(v); fu != fv {
+		fg.bumpFlowEdge(fu, fv, delta)
 	}
 }
 
-// addFlowEdge bumps the refcount of flow edge fu->fv by one.
-func (fg *FlowGraph) addFlowEdge(fu, fv int32) {
-	if p := csrFind(fg.outPtr, fg.outDst, fu, fv); p >= 0 {
-		if fg.outCnt[p]++; fg.outCnt[p] == 1 {
-			fg.outDeg[fu]++
-		}
-	} else {
-		m := fg.outOvf[fu]
-		if m == nil {
-			m = make(map[int32]int32)
-			fg.outOvf[fu] = m
-		}
-		if m[fv]++; m[fv] == 1 {
-			fg.outDeg[fu]++
-		}
+// bumpFlowEdge moves the refcount of flow edge fu->fv by delta (+1 or -1)
+// in both directions; the out-degree follows the count across 0 <-> 1.
+func (fg *FlowGraph) bumpFlowEdge(fu, fv, delta int32) {
+	if bump(fg.outPtr, fg.outDst, fg.outCnt, fg.outOvf, fu, fv, delta) == max(delta, 0) {
+		fg.outDeg[fu] += delta
 	}
-	if p := csrFind(fg.inPtr, fg.inSrc, fv, fu); p >= 0 {
-		fg.inCnt[p]++
-	} else {
-		m := fg.inOvf[fv]
-		if m == nil {
-			m = make(map[int32]int32)
-			fg.inOvf[fv] = m
+	bump(fg.inPtr, fg.inSrc, fg.inCnt, fg.inOvf, fv, fu, delta)
+}
+
+// bump moves the refcount of neighbour x in row f of one direction's index
+// by delta and returns the new count, or -1 when there was nothing to
+// release. Pairs the CSR lacks live in the row's overflow map.
+func bump(ptr, ids, cnt []int32, ovf []map[int32]int32, f, x, delta int32) int32 {
+	if p := csrFind(ptr, ids, f, x); p >= 0 {
+		if cnt[p]+delta < 0 {
+			return -1
 		}
-		m[fu]++
+		cnt[p] += delta
+		return cnt[p]
 	}
+	c := ovf[f][x] + delta
+	switch {
+	case c < 0:
+		return -1
+	case c == 0:
+		delete(ovf[f], x)
+	case ovf[f] == nil:
+		ovf[f] = map[int32]int32{x: c}
+	default:
+		ovf[f][x] = c
+	}
+	return c
 }
 
 // NumFlows returns the number of flows.
@@ -313,32 +313,3 @@ func (fg *FlowGraph) InFlows(f int32, fn func(g int32)) {
 
 // OutDegree returns the number of downstream flows of f.
 func (fg *FlowGraph) OutDegree(f int32) int { return int(fg.outDeg[f]) }
-
-// Reach returns the set of flows reachable from the seeds (seeds included),
-// following downstream edges, capped at limit flows (limit <= 0 means no
-// cap). This is the impacted-flow discovery of §V-A: the flows a batch of
-// updates can possibly influence.
-func (fg *FlowGraph) Reach(seeds []int32, limit int) map[int32]bool {
-	seen := make(map[int32]bool, len(seeds))
-	queue := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		if limit > 0 && len(seen) >= limit {
-			break
-		}
-		f := queue[0]
-		queue = queue[1:]
-		fg.OutFlows(f, func(g int32) {
-			if !seen[g] {
-				seen[g] = true
-				queue = append(queue, g)
-			}
-		})
-	}
-	return seen
-}

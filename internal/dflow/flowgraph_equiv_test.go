@@ -1,6 +1,8 @@
 package dflow
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -129,5 +131,122 @@ func TestFlowGraphMatchesMapOracle(t *testing.T) {
 		p2 := NewPartition(f2, 9)
 		fg.Rebuild(g, p2)
 		compareFlowGraph(t, "repartition", fg, g, p2)
+	}
+}
+
+// randomPartition assigns every vertex to one of nf flows, leaving the
+// flows listed in empty without members.
+func randomPartition(r *rng.Xoshiro256, n, nf int, empty ...int32) *Partition {
+	p := &Partition{FlowOf: make([]int32, n), Flows: make([][]uint32, nf), Cap: n}
+	skip := make(map[int32]bool, len(empty))
+	for _, f := range empty {
+		skip[f] = true
+	}
+	for v := 0; v < n; v++ {
+		f := int32(r.Intn(nf))
+		for skip[f] {
+			f = (f + 1) % int32(nf)
+		}
+		p.FlowOf[v] = f
+		p.Flows[f] = append(p.Flows[f], uint32(v))
+	}
+	return p
+}
+
+// TestCountingRebuildMatchesOracle holds the counting build to the
+// map-of-maps oracle at 1, 2 and 8 workers on skewed graphs under random
+// partitions: a fresh build, a rebuild into retained buffers after
+// overflow-map traffic, a partition with empty flows, and a single flow.
+// Under -race it is also the check that workers share no row or counter.
+func TestCountingRebuildMatchesOracle(t *testing.T) {
+	graphs := []gen.Config{
+		{Kind: gen.RMAT, NumV: 700, NumE: 9000, A: 0.6, B: 0.19, C: 0.19},
+		{Kind: gen.BA, NumV: 500, NumE: 6000},
+	}
+	for _, cfg := range graphs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg.Seed = seed
+			for _, workers := range []int{1, 2, 8} {
+				r := rng.New(seed*31 + uint64(workers))
+				g := graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+				tag := func(s string) string { return fmt.Sprintf("%v seed %d workers %d %s", cfg.Kind, seed, workers, s) }
+
+				p := randomPartition(r, cfg.NumV, 37)
+				fg := &FlowGraph{}
+				fg.rebuild(g, p, workers)
+				compareFlowGraph(t, tag("fresh"), fg, g, p)
+
+				// Pairs the CSR has never seen land in the overflow maps; the
+				// next rebuild must fold them in and empty the maps.
+				for step := 0; step < 400; step++ {
+					src, dst := graph.VertexID(r.Intn(cfg.NumV)), graph.VertexID(r.Intn(cfg.NumV))
+					if src == dst {
+						continue
+					}
+					if r.Float64() < 0.4 {
+						if _, ok := g.DeleteEdge(src, dst); ok {
+							fg.DeleteEdge(src, dst)
+						}
+					} else if g.AddEdge(graph.Edge{Src: src, Dst: dst, W: 1}) {
+						fg.AddEdge(src, dst)
+					}
+				}
+				compareFlowGraph(t, tag("streamed"), fg, g, p)
+
+				p2 := randomPartition(r, cfg.NumV, 53, 0, 17, 52)
+				fg.rebuild(g, p2, workers)
+				compareFlowGraph(t, tag("retained, empty flows"), fg, g, p2)
+				for f, m := range fg.outOvf {
+					if len(m) != 0 || len(fg.inOvf[f]) != 0 {
+						t.Fatalf("%s: overflow of flow %d survived the rebuild", tag("retained"), f)
+					}
+				}
+
+				p1 := randomPartition(r, cfg.NumV, 1)
+				fg.rebuild(g, p1, workers)
+				compareFlowGraph(t, tag("one flow"), fg, g, p1)
+				if len(fg.outDst) != 0 {
+					t.Fatalf("%s: %d entries in a one-flow graph", tag("one flow"), len(fg.outDst))
+				}
+			}
+		}
+	}
+}
+
+// TestRebuildWorkerCountInvisible: the CSR arrays, not just the views, are
+// the same whichever worker built which row.
+func TestRebuildWorkerCountInvisible(t *testing.T) {
+	cfg := gen.Config{Kind: gen.RMAT, NumV: 900, NumE: 12000, A: 0.6, B: 0.19, C: 0.19, Seed: 9}
+	g := graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+	p := randomPartition(rng.New(9), cfg.NumV, 41, 5)
+	one := &FlowGraph{}
+	one.rebuild(g, p, 1)
+	for _, workers := range []int{2, 8, 64} {
+		fg := &FlowGraph{}
+		fg.rebuild(g, p, workers)
+		for name, pair := range map[string][2][]int32{
+			"outPtr": {one.outPtr, fg.outPtr}, "outDst": {one.outDst, fg.outDst}, "outCnt": {one.outCnt, fg.outCnt},
+			"inPtr": {one.inPtr, fg.inPtr}, "inSrc": {one.inSrc, fg.inSrc}, "inCnt": {one.inCnt, fg.inCnt},
+			"outDeg": {one.outDeg, fg.outDeg},
+		} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("workers %d: %s differs from the one-worker build", workers, name)
+			}
+		}
+	}
+}
+
+// TestRebuildSteadyStateAllocs: a rebuild into retained buffers allocates
+// nothing, parallel or not (BenchmarkRepartition/flowgraph reports the same).
+func TestRebuildSteadyStateAllocs(t *testing.T) {
+	cfg := gen.Config{Kind: gen.RMAT, NumV: 700, NumE: 9000, A: 0.6, B: 0.19, C: 0.19, Seed: 3}
+	g := graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+	p := randomPartition(rng.New(3), cfg.NumV, 37)
+	for _, workers := range []int{1, 2} {
+		fg := &FlowGraph{}
+		fg.rebuild(g, p, workers)
+		if a := testing.AllocsPerRun(10, func() { fg.rebuild(g, p, workers) }); a != 0 {
+			t.Errorf("workers %d: %v allocs per steady-state rebuild, want 0", workers, a)
+		}
 	}
 }

@@ -11,8 +11,15 @@ import (
 // flows, level(u) < level(v), and every set of mutually-reachable
 // (cyclic) impacted flows lands in exactly one Group.
 //
-// The FlowGraph is built directly via addFlowEdge — Schedule only consults
+// The FlowGraph is built directly via bumpFlowEdge — Schedule only consults
 // OutFlows, so no Partition is needed.
+
+// newFlowGraphN returns an empty FlowGraph over n flows with no partition.
+func newFlowGraphN(n int) *FlowGraph {
+	fg := &FlowGraph{}
+	fg.sizeFor(n)
+	return fg
+}
 
 // randFlowGraph builds a random flow digraph on n flows with roughly
 // density*n*n directed edges (no self-loops; self-edges are impossible in
@@ -24,7 +31,7 @@ func randFlowGraph(r *rng.Xoshiro256, n int, density float64) *FlowGraph {
 			if u == v || r.Float64() >= density {
 				continue
 			}
-			fg.addFlowEdge(int32(u), int32(v))
+			fg.bumpFlowEdge(int32(u), int32(v), 1)
 		}
 	}
 	return fg
@@ -166,7 +173,7 @@ func TestSchedulePropertiesDenseCyclic(t *testing.T) {
 // chain must give exactly {cycle}@0 -> {3}@1 -> {4}@2.
 func TestScheduleKnownCycle(t *testing.T) {
 	fg := newFlowGraphN(5)
-	add := fg.addFlowEdge
+	add := func(u, v int32) { fg.bumpFlowEdge(u, v, 1) }
 	add(0, 1)
 	add(1, 2)
 	add(2, 0) // cycle {0,1,2}

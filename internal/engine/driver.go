@@ -303,10 +303,7 @@ func (d *driver) migrateStore(part *dflow.Partition, dim int, old *layout.Store)
 		s = layout.NewFlowStore(part, dim)
 	}
 	if old != nil {
-		buf := make([]float64, dim)
-		for v := 0; v < n; v++ {
-			s.SetVec(uint32(v), old.GetVec(uint32(v), buf))
-		}
+		s.CopyFrom(old)
 	}
 	return s
 }

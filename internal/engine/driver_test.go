@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/dflow"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -234,5 +235,52 @@ func TestGoldenWorkCounters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMigrateStore: a repartition's slot-to-slot copy carries every vertex's
+// vector into the new layout, whichever of flow-blocked and scattered the
+// two stores are, for scalar and vector values.
+func TestMigrateStore(t *testing.T) {
+	ds := gen.TestDataset(7)
+	g := graph.FromEdges(ds.NumV, gen.Generate(ds))
+	_, parent := algo.SolveSelective(g, algo.SSSP{Src: 0})
+	partA := dflow.NewPartitionFromParents(parent, 16)
+	partB := dflow.NewPartitionFromParents(parent, 50)
+	for _, dim := range []int{1, 4} {
+		for _, tc := range []struct {
+			name                       string
+			fromScattered, toScattered bool
+		}{
+			{"blocked to blocked", false, false},
+			{"blocked to scattered", false, true},
+			{"scattered to blocked", true, false},
+			{"scattered to scattered", true, true},
+		} {
+			d := &driver{G: g, cfg: Config{ScatteredStorage: tc.fromScattered}}
+			old := d.migrateStore(partA, dim, nil)
+			for v := 0; v < ds.NumV; v++ {
+				for c := 0; c < dim; c++ {
+					old.SetAt(uint32(v), c, float64(v*10+c)+0.5)
+				}
+			}
+			d.cfg.ScatteredStorage = tc.toScattered
+			s := d.migrateStore(partB, dim, old)
+			if s.Len() != ds.NumV || s.Dim() != dim {
+				t.Fatalf("dim %d %s: store is %d x %d", dim, tc.name, s.Len(), s.Dim())
+			}
+			blocked := false
+			for v := 0; v < ds.NumV; v++ {
+				blocked = blocked || s.Slot(uint32(v)) != int32(v)
+				for c := 0; c < dim; c++ {
+					if got, want := s.GetAt(uint32(v), c), float64(v*10+c)+0.5; got != want {
+						t.Fatalf("dim %d %s: vertex %d component %d = %v, want %v", dim, tc.name, v, c, got, want)
+					}
+				}
+			}
+			if blocked == tc.toScattered {
+				t.Fatalf("dim %d %s: flow-blocked layout = %v", dim, tc.name, blocked)
+			}
+		}
 	}
 }

@@ -142,6 +142,16 @@ func (s *Store) SetVec(v uint32, src []float64) {
 	}
 }
 
+// CopyFrom copies every vertex's vector out of old (same Len and Dim, any
+// layout), slot to slot: the migration a repartition does. It must not run
+// concurrently with writers of either store; readers of old are fine.
+func (s *Store) CopyFrom(old *Store) {
+	for at, v := range s.vidx {
+		from := int(old.slot[v]) * s.dim
+		copy(s.vals[at*s.dim:(at+1)*s.dim], old.vals[from:from+s.dim])
+	}
+}
+
 // Fill sets every component of every vertex to x.
 func (s *Store) Fill(x float64) {
 	bits := math.Float64bits(x)

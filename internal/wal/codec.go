@@ -37,6 +37,9 @@ const (
 	// MaxFrameLen bounds a single frame (1 GiB): a declared length beyond
 	// it is treated as corruption, never as an allocation request.
 	MaxFrameLen = 1 << 30
+	// frameChunk is what ReadFrame allocates before it has received a body
+	// byte; a frame up to it (a batch, a wire message) takes one allocation.
+	frameChunk = 256 << 10
 )
 
 // Frame kinds. The codec itself is kind-agnostic; these constants name the
@@ -120,13 +123,20 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 		}
 		return 0, nil, ErrTorn // ErrUnexpectedEOF or a short read
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	if n < 1 || n > MaxFrameLen {
 		return 0, nil, ErrCorrupt
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, ErrTorn
+	// The declared length is untrusted until the checksum holds: the buffer
+	// at most doubles past the bytes actually received, so a flipped length
+	// field over a short input costs frameChunk, not up to 1 GiB.
+	var body []byte
+	for len(body) < n {
+		got := len(body)
+		body = append(body, make([]byte, min(n-got, max(got, frameChunk)))...)
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			return 0, nil, ErrTorn
+		}
 	}
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return 0, nil, ErrCorrupt

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/algo"
@@ -64,6 +65,87 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFrameMultiChunk: a body larger than the reader's first allocation
+// arrives intact through the growing buffer, and tears at every chunk edge.
+func TestFrameMultiChunk(t *testing.T) {
+	payload := make([]byte, 5*frameChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	frame := AppendFrame(nil, KindSnapEdges, payload)
+	kind, got, err := ReadFrame(bytes.NewReader(frame))
+	if err != nil || kind != KindSnapEdges || !bytes.Equal(got, payload) {
+		t.Fatalf("kind=%d len=%d err=%v", kind, len(got), err)
+	}
+	for _, cut := range []int{frameHeaderLen + frameChunk, frameHeaderLen + 2*frameChunk, frameHeaderLen + 4*frameChunk, len(frame) - 1} {
+		if _, _, err := ReadFrame(bytes.NewReader(frame[:cut])); err != ErrTorn {
+			t.Fatalf("cut=%d: want ErrTorn, got %v", cut, err)
+		}
+	}
+}
+
+// TestReadFrameBoundedAlloc: the declared length is untrusted input (a WAL
+// segment, a checkpoint, a peer on dist/wire or serve/wire). A header that
+// declares MaxFrameLen over a 16-byte input must come back torn having
+// allocated about what was present, not the gigabyte it asked for.
+func TestReadFrameBoundedAlloc(t *testing.T) {
+	var in [16]byte
+	putU32(in[0:4], MaxFrameLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(in[:]))
+	runtime.ReadMemStats(&after)
+	if err != ErrTorn {
+		t.Fatalf("want ErrTorn, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a 16-byte input", got)
+	}
+}
+
+// FuzzReadFrame: arbitrary bytes never panic the frame reader, every
+// accepted frame re-encodes to the bytes it was read from, and whatever
+// AppendFrame writes reads back. Seeded with the torn-write and bit-flip
+// corpus of TestFrameTornAndCorrupt.
+func FuzzReadFrame(f *testing.F) {
+	frame := AppendFrame(nil, KindBatch, []byte("hello world"))
+	f.Add(frame)
+	f.Add(append(AppendFrame(nil, KindSnapFooter, nil), frame...))
+	for cut := 0; cut < len(frame); cut++ {
+		f.Add(frame[:cut])
+	}
+	for i := 0; i < len(frame); i++ {
+		mut := append([]byte(nil), frame...)
+		mut[i] ^= 1 << (i % 8)
+		f.Add(mut)
+	}
+	huge := append([]byte(nil), frame...)
+	putU32(huge[0:4], MaxFrameLen)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			at := len(data) - r.Len()
+			kind, payload, err := ReadFrame(r)
+			if err != nil {
+				if err != io.EOF && err != ErrTorn && err != ErrCorrupt {
+					t.Fatalf("unexpected error %v", err)
+				}
+				break
+			}
+			if again := AppendFrame(nil, kind, payload); !bytes.Equal(again, data[at:len(data)-r.Len()]) {
+				t.Fatalf("frame at %d does not re-encode to its own bytes", at)
+			}
+		}
+		// The input as a payload: what AppendFrame writes, ReadFrame returns.
+		kind := byte(len(data))
+		k, p, err := ReadFrame(bytes.NewReader(AppendFrame(nil, kind, data)))
+		if err != nil || k != kind || !bytes.Equal(p, data) {
+			t.Fatalf("round trip: kind=%d len=%d err=%v", k, len(p), err)
+		}
+	})
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {

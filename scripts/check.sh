@@ -2,10 +2,11 @@
 # Repo verification: formatting, build, vet, race-enabled tests, the nested
 # benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
 # smoke, a durable-CLI recovery smoke per durable family, a multi-process
-# kill -9 smoke of the distributed runtime, a 5 s fuzz of the worker
-# checkpoint decoder, a graphflyd serving smoke (concurrent ingest+query,
-# SIGTERM, restart, dump vs single-shot oracle), and a bench smoke that
-# emits and schema-validates the machine-readable report; ends by printing
+# kill -9 smoke of the distributed runtime, a 5 s fuzz each of the frame
+# reader and the worker checkpoint decoder, a graphflyd serving smoke
+# (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle), a
+# bench smoke that emits and schema-validates the machine-readable report,
+# and one iteration of the repartition microbenchmark; ends by printing
 # the repo's size (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,7 +61,8 @@ rm -rf "$waltmp"
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
 timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
-echo "== checkpoint-decoder fuzz (worker checkpoint reader, 5 s, must not panic) =="
+echo "== decoder fuzz (frame reader, worker checkpoint reader; 5 s each, must not panic) =="
+go test -run '^$' -fuzz 'FuzzReadFrame' -fuzztime 5s ./internal/wal
 go test -run '^$' -fuzz 'FuzzReadWorkerCkpt' -fuzztime 5s ./internal/dist
 
 echo "== removed flags (-cluster is the one distributed runtime) =="
@@ -209,6 +211,9 @@ trap 'rm -rf "$benchtmp"' EXIT
 GOMAXPROCS=1 go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
     -out "$benchtmp/BENCH_graphfly.json" > "$benchtmp/bench.out"
 go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
+
+echo "== repartition microbenchmark smoke (one iteration, so it cannot rot) =="
+go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
 
 echo "== consistency figure smoke (Fig S6: oracle-checked triangle/k-core) =="
 go run ./cmd/bench -json -fig s6 -edgecap 4000 -batch 300 -batches 2 \
