@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/dflow"
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/layout"
@@ -79,24 +80,18 @@ func BenchmarkBatchPageRank(b *testing.B) {
 }
 
 // BenchmarkSchedulerScaling compares steady-state per-batch SSSP cost
-// under both unit schedulers across worker counts. Sub-benchmark names are
-// stable so scripts/benchdiff can diff scheduler throughput between runs;
-// the p95 dispatch-wait companion numbers live in cmd/bench -fig s1.
+// under the work-stealing scheduler and the global reference pool across
+// worker counts. Sub-benchmark names are stable so runs can be diffed; the
+// repository benchmark (benchmark/) carries the dispatch, steal and park
+// counts and the two-worker speed-up.
 func BenchmarkSchedulerScaling(b *testing.B) {
 	numV, edges := Dataset("LJ")
 	w := NewWorkload(numV, edges, DefaultStream(2000, 200, 3))
-	scheds := []struct {
-		name string
-		kind SchedulerKind
-	}{
-		{"worksteal", SchedWorkStealing},
-		{"global", SchedGlobal},
-	}
-	for _, s := range scheds {
+	for _, kind := range []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sched=%s/workers=%d", s.name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("sched=%s/workers=%d", kind, workers), func(b *testing.B) {
 				g := FromEdges(w.NumV, w.Initial)
-				eng := NewSSSP(g, 0, Config{Workers: workers, Scheduler: s.kind})
+				eng := NewSSSP(g, 0, Config{Workers: workers, Scheduler: kind})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					eng.ProcessBatch(w.Batches[i%len(w.Batches)])
@@ -107,28 +102,22 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 }
 
 // BenchmarkBatchAllocs measures steady-state per-batch heap allocations of
-// the GraphFly engine with the dense batch path on (default) and off
-// (the -denseoff ablation). CC symmetrizes every batch, so the loop
-// exercises the retained Symmetrizer alongside the impacted-flow set,
-// flow-graph CSR, and hub-index machinery; scripts/benchdiff -allocgate
-// watches the same quantity in BENCH_graphfly.json.
+// the GraphFly engine's dense batch path. CC symmetrizes every batch, so
+// the loop exercises the retained Symmetrizer alongside the impacted-flow
+// set, flow-graph CSR, and hub-index machinery; scripts/benchdiff
+// -allocgate watches the same quantity in BENCH_graphfly.json.
 func BenchmarkBatchAllocs(b *testing.B) {
 	numV, edges := Dataset("LJ")
 	w := NewWorkload(numV, edges, DefaultStream(2000, 200, 4))
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"dense", false}, {"denseoff", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g := FromEdges(w.NumV, SymmetrizeEdges(w.Initial))
-			eng := NewCC(g, Config{DenseOff: mode.off})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.ProcessBatch(w.Batches[i%len(w.Batches)])
-			}
-		})
-	}
+	b.Run("dense", func(b *testing.B) {
+		g := FromEdges(w.NumV, SymmetrizeEdges(w.Initial))
+		eng := NewCC(g, Config{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.ProcessBatch(w.Batches[i%len(w.Batches)])
+		}
+	})
 }
 
 // BenchmarkRepartition times what the batch driver does once every

@@ -22,22 +22,19 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 )
 
 func main() {
-	fig := flag.String("fig", "", "table/figure id: table1, 4a, 4b, 11, 12, 13, 14a, 14b, 15a, 15b, 16, 17, s1, s2, s3, s4, s5, s6, s7 (empty = all; comma-separated list runs several)")
+	fig := flag.String("fig", "", "table/figure id: table1, 4a, 4b, 11, 12, 13, 14a, 14b, 15a, 15b, 16, 17, s7 (empty = all; comma-separated list runs several)")
 	full := flag.Bool("full", false, "use the dataset presets instead of the quick scale")
 	ablations := flag.Bool("ablations", false, "run the ablation studies instead of the paper figures")
 	edgecap := flag.Int("edgecap", 0, "override the per-dataset edge cap")
 	batch := flag.Int("batch", 0, "override batch size")
 	batches := flag.Int("batches", 0, "override number of batches")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	sched := flag.String("sched", "", "unit scheduler: worksteal (default) or global")
-	denseoff := flag.Bool("denseoff", false, "memory-discipline ablation: disable the hub adjacency index and per-batch scratch reuse (Fig S2 \"before\")")
 	hubThreshold := flag.Int("hub-threshold", 0, "override the hub-index build threshold (0 = per-figure default; drop stays threshold/4)")
 	hubReplicas := flag.Int("hub-replicas", 0, "replicas per hub under replication (0 = one per worker)")
 	jsonOut := flag.Bool("json", false, "write the machine-readable report next to the text output")
@@ -68,13 +65,6 @@ func main() {
 		sc.Batches = *batches
 	}
 	sc.Workers = *workers
-	if kind, ok := engine.ParseScheduler(*sched); ok {
-		sc.Scheduler = kind
-	} else {
-		fmt.Fprintf(os.Stderr, "bench: unknown scheduler %q\n", *sched)
-		os.Exit(2)
-	}
-	sc.DenseOff = *denseoff
 	sc.HubThreshold = *hubThreshold
 	sc.HubReplicas = *hubReplicas
 	if *jsonOut {

@@ -42,8 +42,6 @@ func main() {
 	seedsFile := flag.String("seedsFile", "", "LabelPropagation seeds file ('vertex label' per line)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	flowCap := flag.Int("flowCap", 0, "dependency-flow size cap (0 = default)")
-	sched := flag.String("sched", "", "unit scheduler: worksteal (default) or global")
-	denseoff := flag.Bool("denseoff", false, "memory-discipline ablation: disable the hub adjacency index and per-batch scratch reuse")
 	replicateHubs := flag.Bool("replicate-hubs", false, "split hub fan-in across per-worker replicas with diffused combining")
 	hubReplicas := flag.Int("hub-replicas", 0, "replicas per hub with -replicate-hubs (0 = one per worker)")
 	hubThreshold := flag.Int("hub-threshold", 0, "override the hub-index build threshold (0 = graph default 64; drop stays threshold/4)")
@@ -140,18 +138,9 @@ func main() {
 			Seed:            *seed,
 		})
 	}
-	schedKind, ok := engine.ParseScheduler(*sched)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "graphfly: unknown scheduler %q\n", *sched)
-		os.Exit(2)
-	}
 	eCfg := engine.Config{
-		Workers: *workers, FlowCap: *flowCap, Scheduler: schedKind, DenseOff: *denseoff,
+		Workers: *workers, FlowCap: *flowCap,
 		HubReplication: *replicateHubs, HubReplicas: *hubReplicas, HubThreshold: *hubThreshold,
-	}
-	if *replicateHubs && *denseoff {
-		fmt.Fprintln(os.Stderr, "graphfly: -replicate-hubs requires the hub index; it is disabled under -denseoff")
-		os.Exit(2)
 	}
 	var reg *metrics.Registry
 	if *showMetrics {

@@ -57,7 +57,6 @@ func main() {
 	firstBatch := flag.Int("first-batch", 0, "client ingest: skip the workload's first N batches (resume point)")
 	workers := flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
 	flowCap := flag.Int("flowCap", 0, "dependency-flow size cap (0 = default)")
-	sched := flag.String("sched", "", "unit scheduler: worksteal (default) or global")
 	walDir := flag.String("waldir", "", "directory for WAL segments and snapshots (required, server)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: interval | always | off")
 	snapEvery := flag.Int("snapshot-every", 16, "batches between snapshot checkpoints (0 = only at start/shutdown)")
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 	runServer(*addr, *algoName, graph.VertexID(*source), *datasetCode, *nEdges, *deletions, *seed,
-		*workers, *flowCap, *sched, *walDir, *fsync, *snapEvery, *dedupWindow, *diskFault,
+		*workers, *flowCap, *walDir, *fsync, *snapEvery, *dedupWindow, *diskFault,
 		*groupWindow, *maxSessions, *maxPending, *showMetrics)
 }
 
@@ -145,7 +144,7 @@ func buildWorkload(dataset string, batchSize, numBatches int, deletions float64,
 }
 
 func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges int, deletions float64, seed uint64,
-	workers, flowCap int, sched, walDir, fsync string, snapEvery, dedupWindow int, diskFault string,
+	workers, flowCap int, walDir, fsync string, snapEvery, dedupWindow int, diskFault string,
 	groupWindow time.Duration, maxSessions, maxPending int, showMetrics bool) {
 	alg, selOK := parseAlg(algoName, src)
 	lalg, locOK := parseLocalAlg(algoName)
@@ -162,10 +161,6 @@ func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	schedKind, ok := engine.ParseScheduler(sched)
-	if !ok {
-		fatalf("unknown scheduler %q", sched)
-	}
 	var faults *wal.DiskFaultInjector
 	if diskFault != "" {
 		inj, err := wal.ParseDiskFaultSpec(diskFault)
@@ -175,7 +170,7 @@ func runServer(addr, algoName string, src graph.VertexID, dataset string, nEdges
 		faults = inj
 	}
 	reg := metrics.NewRegistry()
-	eCfg := engine.Config{Workers: workers, FlowCap: flowCap, Scheduler: schedKind}
+	eCfg := engine.Config{Workers: workers, FlowCap: flowCap}
 	dc := wal.DurableConfig{
 		Wal:           wal.Options{Dir: walDir, Policy: policy, Metrics: reg, GroupWindow: groupWindow, DiskFaults: faults},
 		SnapshotEvery: snapEvery,

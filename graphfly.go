@@ -61,16 +61,6 @@ type (
 	Workload = gen.Workload
 	// StreamConfig controls how a workload's update stream is sampled.
 	StreamConfig = gen.StreamConfig
-	// SchedulerKind selects the engine's unit scheduler (Config.Scheduler).
-	SchedulerKind = engine.SchedulerKind
-)
-
-// Scheduler kinds for Config.Scheduler.
-const (
-	// SchedWorkStealing is the default level-banded work-stealing scheduler.
-	SchedWorkStealing = engine.SchedWorkStealing
-	// SchedGlobal is the reference global-lock priority pool.
-	SchedGlobal = engine.SchedGlobal
 )
 
 // NewGraph returns an empty streaming graph with n vertices.

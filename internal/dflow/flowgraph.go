@@ -33,11 +33,9 @@ type FlowGraph struct {
 	part *Partition
 
 	outPtr, outDst, outCnt []int32 // rows sorted by dst flow id
-	inPtr, inSrc, inCnt    []int32 // reverse index, rows sorted by src
 	outDeg                 []int32 // distinct downstream flows with positive count
 
 	outOvf []map[int32]int32 // novel pairs since the last rebuild
-	inOvf  []map[int32]int32
 
 	// Rebuild state: the graph being indexed, the cursor workers claim rows
 	// from, and one retained scratch per worker.
@@ -68,10 +66,8 @@ func NewFlowGraph(g *graph.Streaming, part *Partition) *FlowGraph {
 // are sized by rebuild once the rows are counted.
 func (fg *FlowGraph) sizeFor(n int) {
 	fg.outPtr = resetI32(fg.outPtr, n+1)
-	fg.inPtr = resetI32(fg.inPtr, n+1)
 	fg.outDeg = resetI32(fg.outDeg, n)
 	fg.outOvf = resetOvf(fg.outOvf, n)
-	fg.inOvf = resetOvf(fg.inOvf, n)
 }
 
 // resetI32 returns a zeroed slice of length n reusing capacity.
@@ -113,8 +109,8 @@ func (fg *FlowGraph) Rebuild(g *graph.Streaming, part *Partition) {
 }
 
 // rebuild is the counting build: one pass over the edges, rows claimed by
-// up to workers goroutines, stitched into the out-CSR by a prefix sum over
-// the row lengths; the in-CSR is its transpose.
+// up to workers goroutines, stitched into the CSR by a prefix sum over the
+// row lengths.
 func (fg *FlowGraph) rebuild(g *graph.Streaming, part *Partition, workers int) {
 	fg.part, fg.g = part, g
 	nf := part.NumFlows()
@@ -159,28 +155,6 @@ func (fg *FlowGraph) rebuild(g *graph.Streaming, part *Partition, workers int) {
 		// rows it claims.
 		b.dst, b.n = slices.Grow(b.dst[:0], total), slices.Grow(b.n[:0], total)
 	}
-
-	// Reverse index: count each in-row one slot to the right, prefix-sum to
-	// row starts, fill with inPtr[g] as row g's cursor — walking out-rows
-	// in ascending f leaves every in-row sorted — then shift the cursors
-	// (now row ends) back into place.
-	for _, gid := range fg.outDst {
-		fg.inPtr[gid+1]++
-	}
-	for f := 0; f < nf; f++ {
-		fg.inPtr[f+1] += fg.inPtr[f]
-	}
-	fg.inSrc = resetI32(fg.inSrc, total)
-	fg.inCnt = resetI32(fg.inCnt, total)
-	for f := 0; f < nf; f++ {
-		for p := fg.outPtr[f]; p < fg.outPtr[f+1]; p++ {
-			at := fg.inPtr[fg.outDst[p]]
-			fg.inSrc[at], fg.inCnt[at] = int32(f), fg.outCnt[p]
-			fg.inPtr[fg.outDst[p]] = at + 1
-		}
-	}
-	copy(fg.inPtr[1:], fg.inPtr[:nf])
-	fg.inPtr[0] = 0
 }
 
 // buildRows claims rows until none are left. A row is built by walking the
@@ -246,26 +220,26 @@ func (fg *FlowGraph) bumpEdge(u, v graph.VertexID, delta int32) {
 	}
 }
 
-// bumpFlowEdge moves the refcount of flow edge fu->fv by delta (+1 or -1)
-// in both directions; the out-degree follows the count across 0 <-> 1.
+// bumpFlowEdge moves the refcount of flow edge fu->fv by delta (+1 or -1);
+// the out-degree follows the count across 0 <-> 1.
 func (fg *FlowGraph) bumpFlowEdge(fu, fv, delta int32) {
-	if bump(fg.outPtr, fg.outDst, fg.outCnt, fg.outOvf, fu, fv, delta) == max(delta, 0) {
+	if fg.bump(fu, fv, delta) == max(delta, 0) {
 		fg.outDeg[fu] += delta
 	}
-	bump(fg.inPtr, fg.inSrc, fg.inCnt, fg.inOvf, fv, fu, delta)
 }
 
-// bump moves the refcount of neighbour x in row f of one direction's index
-// by delta and returns the new count, or -1 when there was nothing to
-// release. Pairs the CSR lacks live in the row's overflow map.
-func bump(ptr, ids, cnt []int32, ovf []map[int32]int32, f, x, delta int32) int32 {
-	if p := csrFind(ptr, ids, f, x); p >= 0 {
-		if cnt[p]+delta < 0 {
+// bump moves the refcount of neighbour x in row f by delta and returns the
+// new count, or -1 when there was nothing to release. Pairs the CSR lacks
+// live in the row's overflow map.
+func (fg *FlowGraph) bump(f, x, delta int32) int32 {
+	if p := csrFind(fg.outPtr, fg.outDst, f, x); p >= 0 {
+		if fg.outCnt[p]+delta < 0 {
 			return -1
 		}
-		cnt[p] += delta
-		return cnt[p]
+		fg.outCnt[p] += delta
+		return fg.outCnt[p]
 	}
+	ovf := fg.outOvf
 	c := ovf[f][x] + delta
 	switch {
 	case c < 0:
@@ -291,20 +265,6 @@ func (fg *FlowGraph) OutFlows(f int32, fn func(g int32)) {
 		}
 	}
 	for g, c := range fg.outOvf[f] {
-		if c > 0 {
-			fn(g)
-		}
-	}
-}
-
-// InFlows calls fn for each flow upstream of f.
-func (fg *FlowGraph) InFlows(f int32, fn func(g int32)) {
-	for p := fg.inPtr[f]; p < fg.inPtr[f+1]; p++ {
-		if fg.inCnt[p] > 0 {
-			fn(fg.inSrc[p])
-		}
-	}
-	for g, c := range fg.inOvf[f] {
 		if c > 0 {
 			fn(g)
 		}

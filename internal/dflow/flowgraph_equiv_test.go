@@ -15,9 +15,8 @@ import (
 // flowOracle recomputes the flow adjacency from scratch as the old
 // map-of-maps representation would have: counts of graph edges per
 // cross-flow pair.
-func flowOracle(g *graph.Streaming, p *Partition) (out, in []map[int32]int32) {
-	out = make([]map[int32]int32, p.NumFlows())
-	in = make([]map[int32]int32, p.NumFlows())
+func flowOracle(g *graph.Streaming, p *Partition) []map[int32]int32 {
+	out := make([]map[int32]int32, p.NumFlows())
 	for _, e := range g.Edges() {
 		fu, fv := p.Flow(e.Src), p.Flow(e.Dst)
 		if fu == fv {
@@ -27,12 +26,8 @@ func flowOracle(g *graph.Streaming, p *Partition) (out, in []map[int32]int32) {
 			out[fu] = make(map[int32]int32)
 		}
 		out[fu][fv]++
-		if in[fv] == nil {
-			in[fv] = make(map[int32]int32)
-		}
-		in[fv][fu]++
 	}
-	return out, in
+	return out
 }
 
 func sortedKeys(m map[int32]int32) []int32 {
@@ -53,7 +48,7 @@ func collectSorted(iter func(func(int32))) []int32 {
 
 func compareFlowGraph(t *testing.T, tag string, fg *FlowGraph, g *graph.Streaming, p *Partition) {
 	t.Helper()
-	out, in := flowOracle(g, p)
+	out := flowOracle(g, p)
 	for f := int32(0); int(f) < p.NumFlows(); f++ {
 		wantOut := sortedKeys(out[f])
 		gotOut := collectSorted(func(fn func(int32)) { fg.OutFlows(f, fn) })
@@ -67,16 +62,6 @@ func compareFlowGraph(t *testing.T, tag string, fg *FlowGraph, g *graph.Streamin
 		}
 		if fg.OutDegree(f) != len(wantOut) {
 			t.Fatalf("%s: flow %d OutDegree = %d, oracle %d", tag, f, fg.OutDegree(f), len(wantOut))
-		}
-		wantIn := sortedKeys(in[f])
-		gotIn := collectSorted(func(fn func(int32)) { fg.InFlows(f, fn) })
-		if len(wantIn) != len(gotIn) {
-			t.Fatalf("%s: flow %d in = %v, oracle %v", tag, f, gotIn, wantIn)
-		}
-		for i := range wantIn {
-			if wantIn[i] != gotIn[i] {
-				t.Fatalf("%s: flow %d in = %v, oracle %v", tag, f, gotIn, wantIn)
-			}
 		}
 	}
 }
@@ -197,7 +182,7 @@ func TestCountingRebuildMatchesOracle(t *testing.T) {
 				fg.rebuild(g, p2, workers)
 				compareFlowGraph(t, tag("retained, empty flows"), fg, g, p2)
 				for f, m := range fg.outOvf {
-					if len(m) != 0 || len(fg.inOvf[f]) != 0 {
+					if len(m) != 0 {
 						t.Fatalf("%s: overflow of flow %d survived the rebuild", tag("retained"), f)
 					}
 				}
@@ -226,7 +211,6 @@ func TestRebuildWorkerCountInvisible(t *testing.T) {
 		fg.rebuild(g, p, workers)
 		for name, pair := range map[string][2][]int32{
 			"outPtr": {one.outPtr, fg.outPtr}, "outDst": {one.outDst, fg.outDst}, "outCnt": {one.outCnt, fg.outCnt},
-			"inPtr": {one.inPtr, fg.inPtr}, "inSrc": {one.inSrc, fg.inSrc}, "inCnt": {one.inCnt, fg.inCnt},
 			"outDeg": {one.outDeg, fg.outDeg},
 		} {
 			if !slices.Equal(pair[0], pair[1]) {

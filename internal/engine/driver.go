@@ -105,18 +105,15 @@ func (d *driver) init(g *graph.Streaming, cfg Config, k kernel, symmetric bool) 
 	d.G, d.cfg, d.k, d.symmetric = g, cfg, k, symmetric
 	d.probe = cfg.probe()
 	_, d.profiled = d.probe.(*cachesim.Sim)
-	if cfg.DenseOff {
-		g.DisableHubIndex()
-	} else if cfg.HubThreshold > 0 {
+	if cfg.HubThreshold > 0 {
 		g.SetHubThresholds(cfg.HubThreshold, 0)
 	}
 }
 
 // replicate builds the hub-replication plan when the config asks for one;
 // dim is the kernel's partial-sum dimension (0: it folds messages instead).
-// Ignored under DenseOff, where the hub signal is disabled with the index.
 func (d *driver) replicate(dim int) {
-	if d.cfg.HubReplication && !d.cfg.DenseOff {
+	if d.cfg.HubReplication {
 		d.rs = newReplicaSet(d.G, d.part.NumFlows(), d.cfg.hubReplicas(), dim)
 	}
 }
@@ -170,11 +167,7 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 	t0 := time.Now()
 	d.probe.BeginBatch()
 	if d.symmetric {
-		if d.cfg.DenseOff {
-			batch = Symmetrize(batch)
-		} else {
-			batch = d.symm.Symmetrize(batch)
-		}
+		batch = d.symm.Symmetrize(batch)
 	}
 	d.trace = nil
 	if d.cfg.TraceWork {
@@ -269,7 +262,7 @@ func (d *driver) step(ctx context.Context, batch graph.Batch, repartition bool, 
 // graph and (when profiling) the edge address model over them.
 func (d *driver) repartition() {
 	d.part = d.k.rebuild()
-	if d.fg == nil || d.cfg.DenseOff {
+	if d.fg == nil {
 		d.fg = dflow.NewFlowGraph(d.G, d.part)
 	} else {
 		d.fg.Rebuild(d.G, d.part)
@@ -282,13 +275,9 @@ func (d *driver) refreshEdgeIndex() {
 		return
 	}
 	blocked := !d.cfg.ScatteredStorage
-	prevOut, prevIn := d.outIdx, d.inIdx
-	if d.cfg.DenseOff {
-		prevOut, prevIn = nil, nil
-	}
-	d.outIdx = layout.NewEdgeIndexInto(prevOut, d.G, d.part, blocked)
+	d.outIdx = layout.NewEdgeIndexInto(d.outIdx, d.G, d.part, blocked)
 	if d.inEdges {
-		d.inIdx = layout.NewInEdgeIndexInto(prevIn, d.G, d.part, blocked)
+		d.inIdx = layout.NewInEdgeIndexInto(d.inIdx, d.G, d.part, blocked)
 	}
 }
 
@@ -309,8 +298,7 @@ func (d *driver) migrateStore(part *dflow.Partition, dim int, old *layout.Store)
 }
 
 // resetSeeds clears the per-flow seed lists and the impacted-flow set for a
-// partition of nf flows. The steady path reuses the set; under the
-// -denseoff ablation it is allocated afresh, restoring the per-batch churn.
+// partition of nf flows, reusing both.
 func (d *driver) resetSeeds(nf int) {
 	if cap(d.seeds) < nf {
 		d.seeds = make([][]uint32, nf)
@@ -319,7 +307,7 @@ func (d *driver) resetSeeds(nf int) {
 	for i := range d.seeds {
 		d.seeds[i] = d.seeds[i][:0]
 	}
-	if d.cfg.DenseOff || d.impacted == nil {
+	if d.impacted == nil {
 		d.impacted = dense.NewSet[int32](nf)
 	} else {
 		d.impacted.Reset(nf)

@@ -32,8 +32,8 @@ type Config struct {
 	Workers int
 	// Scheduler selects the unit scheduler: the work-stealing, level-banded
 	// scheduler by default (SchedWorkStealing is the zero value), or the
-	// reference global-lock pool (SchedGlobal) for conformance testing and
-	// the scaling ablation.
+	// reference global-lock pool (SchedGlobal) the conformance, oracle and
+	// fuzz tests compare against. No CLI selects it.
 	Scheduler SchedulerKind
 	// FlowCap caps dependency-flow size (dflow.DefaultCap if <= 0).
 	FlowCap int
@@ -64,12 +64,6 @@ type Config struct {
 	// duration histograms (internal/metrics). Nil costs one pointer
 	// comparison per batch — the same no-op discipline as Probe.
 	Metrics *metrics.Registry
-	// DenseOff is the memory-discipline ablation (-denseoff, Fig S2
-	// "before"): disable the graph's hub adjacency index and allocate the
-	// per-batch scratch state (impacted-flow set, symmetrize dedup map,
-	// flow graph at repartition) fresh each batch instead of reusing the
-	// retained epoch-stamped/arena structures.
-	DenseOff bool
 	// FaultSkipTrim deliberately skips the selective engine's key-edge
 	// subtree trim on deletions — a seeded consistency bug used by
 	// internal/oracle's mutation tests to prove the harness detects
@@ -80,8 +74,7 @@ type Config struct {
 	// replicas holding partial aggregates, merged by a diffused-combine
 	// step scheduled one level band above the replicas. Closes the
 	// single-flow serialization bottleneck on power-law graphs (Rhizomes /
-	// Diffusions direction); ablation flag, off by default. Ignored under
-	// DenseOff (no hub index means no hub signal).
+	// Diffusions direction); ablation flag, off by default.
 	HubReplication bool
 	// HubReplicas is the number of replicas per hub (default: the worker
 	// count, so each worker owns at most one replica of a given hub).

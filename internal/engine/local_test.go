@@ -56,7 +56,6 @@ func TestLocalGlobalScheduler(t *testing.T) {
 func TestLocalAblations(t *testing.T) {
 	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, NoSCCMerge: true}, smallWorkload(26, 3))
 	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, ScatteredStorage: true}, smallWorkload(27, 3))
-	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, DenseOff: true}, smallWorkload(28, 3))
 }
 
 // Restarting from SnapshotState mid-stream must continue bit-exactly — the

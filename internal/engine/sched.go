@@ -71,13 +71,12 @@ const (
 	// victim, preferring earlier levels.
 	SchedWorkStealing SchedulerKind = iota
 	// SchedGlobal is the reference implementation retained for conformance
-	// testing and ablation: a single mutex-protected level heap with
-	// condvar wakeups. It serializes every dispatch, so it stops scaling
-	// past a few workers.
+	// testing: a single mutex-protected level heap with condvar wakeups. It
+	// serializes every dispatch, so it stops scaling past a few workers.
 	SchedGlobal
 )
 
-// String names the kind for CLI flags and experiment tables.
+// String names the kind in test and benchmark names.
 func (k SchedulerKind) String() string {
 	switch k {
 	case SchedWorkStealing:
@@ -86,17 +85,6 @@ func (k SchedulerKind) String() string {
 		return "global"
 	}
 	return "unknown"
-}
-
-// ParseScheduler maps a CLI name to a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, bool) {
-	switch s {
-	case "worksteal", "ws", "":
-		return SchedWorkStealing, true
-	case "global", "pool":
-		return SchedGlobal, true
-	}
-	return SchedWorkStealing, false
 }
 
 // newScheduler builds the configured scheduler for one batch. When metrics

@@ -16,7 +16,7 @@ func AblationFlowCap(sc Scale) Table {
 	}
 	w := workload("TW", sc, 0.3, 0xA1)
 	for _, cap := range []int{64, 256, 1024, 4096} {
-		e := graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, FlowCap: cap})
+		e := graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, FlowCap: cap})
 		total, _ := runBatches(sc, e, w)
 		t.AddRow(IntCell(cap), Dur(total), IntCell(e.Partition().NumFlows()))
 	}
@@ -33,7 +33,7 @@ func AblationSCC(sc Scale) Table {
 	}
 	w := workload("TW", sc, 0.3, 0xA2)
 	for _, noMerge := range []bool{false, true} {
-		cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, NoSCCMerge: noMerge}
+		cfg := engine.Config{Workers: sc.Workers, NoSCCMerge: noMerge}
 		total, stats := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		var msgs int64
 		for _, st := range stats {
@@ -60,7 +60,7 @@ func AblationAsync(sc Scale) Table {
 	}
 	w := workload("TW", sc, 0.3, 0xA3)
 	for _, twoPhase := range []bool{false, true} {
-		cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, TwoPhase: twoPhase}
+		cfg := engine.Config{Workers: sc.Workers, TwoPhase: twoPhase}
 		total, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		mode := "async fused"
 		if twoPhase {
@@ -82,7 +82,7 @@ func AblationTriangle(sc Scale) Table {
 	}
 	w := workload("UK", sc, 0.3, 0xA4)
 	for _, backward := range []bool{false, true} {
-		cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, BackwardFlows: backward}
+		cfg := engine.Config{Workers: sc.Workers, BackwardFlows: backward}
 		e := graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg)
 		total, _ := runBatches(sc, e, w)
 		name := "forward (lower)"

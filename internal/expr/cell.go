@@ -139,8 +139,7 @@ func Ratio(a, b time.Duration) Cell {
 	if a == 0 {
 		return NA()
 	}
-	r := float64(b) / float64(a)
-	return Cell{Kind: KindRatio, Text: fmt.Sprintf("%.2fx", r), Float: r}
+	return RatioF(float64(b) / float64(a))
 }
 
 // RatioF makes a ratio cell from a raw factor.

@@ -33,18 +33,10 @@ type Scale struct {
 	MaxNodes int `json:"max_nodes"`
 	// Workers for the engines (0 = GOMAXPROCS).
 	Workers int `json:"workers"`
-	// Scheduler selects the engine's unit scheduler for every figure
-	// (work-stealing by default; the global pool for A/B runs). Fig S1
-	// sweeps both regardless of this setting.
-	Scheduler engine.SchedulerKind `json:"scheduler,omitempty"`
 	// Rec, when non-nil, collects every batch the figure runners process
 	// into the machine-readable perf trajectory (cmd/bench -json). Nil
 	// costs one pointer comparison per batch, like engine.Config.Metrics.
 	Rec *metrics.BatchRecorder `json:"-"`
-	// DenseOff runs every engine with the memory-discipline ablation
-	// (engine.Config.DenseOff): no hub adjacency index and per-batch
-	// scratch allocated fresh — the Fig S2 "before" configuration.
-	DenseOff bool `json:"dense_off,omitempty"`
 	// HubThreshold overrides the graph's hub-index build threshold for the
 	// figures that sweep hub behaviour (0 = graph default). Fig S7 uses it
 	// to pick the replication cutoff at capped scales.
@@ -190,21 +182,6 @@ func AccumulativeAlgs() []AccAlg {
 			}
 			return algo.NewLabelPropagation(4, seeds)
 		}},
-	}
-}
-
-// LocalAlg names a local (non-monotonic) algorithm and builds it.
-type LocalAlg struct {
-	Name string
-	Make func(w gen.Workload) algo.Local
-}
-
-// LocalAlgs returns the local-engine algorithms (this reproduction's
-// non-monotonic extension; no paper counterpart).
-func LocalAlgs() []LocalAlg {
-	return []LocalAlg{
-		{"Triangle", func(gen.Workload) algo.Local { return algo.TriangleCount{} }},
-		{"kCore", func(gen.Workload) algo.Local { return algo.KCore{} }},
 	}
 }
 

@@ -146,45 +146,14 @@ func TestAblations(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"table1", "4a", "4b", "11", "12", "13", "14a", "14b", "15a", "15b", "16", "17", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"} {
+	for _, id := range []string{"table1", "4a", "4b", "11", "12", "13", "14a", "14b", "15a", "15b", "16", "17", "s7", "replication"} {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("ByID(%q) missing", id)
 		}
 	}
-	if _, ok := ByID("99"); ok {
-		t.Fatal("ByID accepted an unknown id")
-	}
-}
-
-func TestFigS5ServingSweep(t *testing.T) {
-	tab := FigS5(tiny())
-	rows := tab.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want the 1/2/4/8-client sweep", len(rows))
-	}
-	for _, r := range rows {
-		if r[1] == "n/a" {
-			t.Fatalf("sweep point %s failed: %v", r[0], r)
-		}
-	}
-}
-
-func TestFigS8ChaosAvailability(t *testing.T) {
-	tab := FigS8(tiny())
-	rows := tab.Rows()
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 4 fault profiles x resume on/off", len(rows))
-	}
-	for _, r := range rows {
-		if r[3] == "n/a" {
-			t.Fatalf("chaos row %s/%s failed outright: %v", r[0], r[1], r)
-		}
-	}
-	// Resume on must hold availability at 100% across every fault profile —
-	// that is the figure's whole claim.
-	for _, r := range rows {
-		if r[1] == "on" && r[5] != "100.0" {
-			t.Fatalf("resume-on availability dropped: %v", r)
+	for _, id := range []string{"99", "s1", "s2", "s3", "s4", "s5", "s6", "s8"} {
+		if _, ok := ByID(id); ok {
+			t.Fatalf("ByID accepted %q", id)
 		}
 	}
 }

@@ -47,13 +47,13 @@ func Fig4a(sc Scale) Table {
 	for _, code := range gen.DatasetCodes() {
 		w := workload(code, sc, 0.3, 0x4A)
 		ksSim := cachesim.NewSim(cachesim.DefaultConfig())
-		ks := kickstarterEngine(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, Probe: ksSim})
+		ks := kickstarterEngine(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, Probe: ksSim})
 		ksSim.Reset()
 		runBatches(sc, ks, w)
 		ksStats := ksSim.Drain()
 
 		gbSim := cachesim.NewSim(cachesim.DefaultConfig())
-		gb := graphboltEngine(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, Probe: gbSim})
+		gb := graphboltEngine(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers, Probe: gbSim})
 		gbSim.Reset()
 		runBatches(sc, gb, w)
 		gbStats := gbSim.Drain()
@@ -100,7 +100,7 @@ func Fig11(sc Scale) Table {
 		Title:  "Execution time (ms) with edge mutations: baseline vs GraphFly",
 		Header: []string{"Graph", "Algorithm", "Baseline", "Baseline ms", "GraphFly ms", "Speedup"},
 	}
-	cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}
+	cfg := engine.Config{Workers: sc.Workers}
 	for _, code := range gen.DatasetCodes() {
 		for _, sa := range SelectiveAlgs() {
 			w := workload(code, sc, 0.1, 0x11)
@@ -146,7 +146,7 @@ func Fig12(sc Scale) Table {
 			return st.Misses
 		}
 		cfgW := func(p cachesim.Probe) engine.Config {
-			return engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, Probe: p}
+			return engine.Config{Workers: sc.Workers, Probe: p}
 		}
 		ks := missesOf("ks_sssp", func(p cachesim.Probe) incrementalProcessor {
 			return kickstarterEngine(w, algo.SSSP{Src: 0}, cfgW(p))
@@ -206,19 +206,19 @@ func Fig13(sc Scale) Table {
 	}
 	for _, code := range gen.DatasetCodes() {
 		w := workload(code, sc, 0.3, 0x13)
-		withCfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}
-		woCfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, ScatteredStorage: true}
+		withCfg := engine.Config{Workers: sc.Workers}
+		woCfg := engine.Config{Workers: sc.Workers, ScatteredStorage: true}
 		sWith, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, withCfg), w)
 		sWo, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, woCfg), w)
 		pWith, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), withCfg), w)
 		pWo, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), woCfg), w)
 		sMiss := missRatio(func(p cachesim.Probe, scattered bool) incrementalProcessor {
 			return graphflySelective(w, algo.SSSP{Src: 0},
-				engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, Probe: p, ScatteredStorage: scattered})
+				engine.Config{Workers: sc.Workers, Probe: p, ScatteredStorage: scattered})
 		}, w)
 		pMiss := missRatio(func(p cachesim.Probe, scattered bool) incrementalProcessor {
 			return graphflyAccumulative(w, algo.NewPageRank(w.NumV),
-				engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, Probe: p, ScatteredStorage: scattered})
+				engine.Config{Workers: sc.Workers, Probe: p, ScatteredStorage: scattered})
 		}, w)
 		t.AddRow(Str(code), Dur(sWith), Dur(sWo), Ratio(sWith, sWo), sMiss,
 			Dur(pWith), Dur(pWo), Ratio(pWith, pWo), pMiss)
@@ -240,7 +240,7 @@ func Fig14a(sc Scale) Table {
 	}
 	for _, del := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		w := workload("UK", s14, del, 0x14A)
-		cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}
+		cfg := engine.Config{Workers: sc.Workers}
 		gf, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		ks, _ := runBatches(sc, kickstarterEngine(w, algo.SSSP{Src: 0}, cfg), w)
 		n := time.Duration(len(w.Batches))
@@ -266,7 +266,7 @@ func Fig14b(sc Scale) Table {
 			s.Batches = 6
 		}
 		w := workload("UK", s, 0.3, 0x14B)
-		gf, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}), w)
+		gf, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers}), w)
 		updates := 0
 		for _, b := range w.Batches {
 			updates += len(b)
@@ -297,7 +297,7 @@ func Fig15a(sc Scale) Table {
 		dflow.NewPartition(f, dflow.DefaultCap)
 		genTime := time.Since(t0)
 		_ = fb
-		inc, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}), w)
+		inc, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers}), w)
 		share := NA()
 		if inc > 0 {
 			share = Pct(float64(genTime) / float64(inc+genTime))
@@ -319,7 +319,7 @@ func Fig15b(sc Scale) Table {
 		s := sc
 		s.BatchSize = sc.BatchSize * mult
 		w := workload("UK", s, 0.1, 0x15B)
-		e := graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff})
+		e := graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers})
 		var apply, dtree, maintain time.Duration
 		_, stats := runBatches(sc, e, w)
 		for _, st := range stats {
@@ -356,7 +356,7 @@ func Fig16(sc Scale) Table {
 	w := workload("FT", sc, 0.1, 0x16)
 	// A finer flow cap gives the placer enough units to spread across 16
 	// nodes (flows are the distribution granularity, §VI Data Management).
-	cfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, TraceWork: true, FlowCap: 64}
+	cfg := engine.Config{Workers: sc.Workers, TraceWork: true, FlowCap: 64}
 	ssspTrace := traceOf(func(w gen.Workload) []engine.BatchStats {
 		_, st := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		return st
@@ -410,7 +410,7 @@ func Fig17(sc Scale) Table {
 		}
 		return dist.MergeTraces(traces)
 	}
-	tCfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, FlowCap: 256, TraceWork: true}
+	tCfg := engine.Config{Workers: sc.Workers, FlowCap: 256, TraceWork: true}
 	_, sStats := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, tCfg), w)
 	_, pStats := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), tCfg), w)
 	ssspTrace, prTrace := traceOf(sStats), traceOf(pStats)
@@ -424,7 +424,7 @@ func Fig17(sc Scale) Table {
 		return Float(dist.Simulate(tr, pl, m, true).MakespanNs/1e6, 3)
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16, 28} {
-		cfg := engine.Config{Workers: workers, FlowCap: 256, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff}
+		cfg := engine.Config{Workers: workers, FlowCap: 256}
 		s, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		p, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
 		t.AddRow(IntCell(workers), Dur(s), Dur(p),
@@ -438,8 +438,7 @@ func All(sc Scale) []Table {
 	return []Table{
 		Table1(sc), Fig4a(sc), Fig4b(sc), Fig11(sc), Fig12(sc), Fig13(sc),
 		Fig14a(sc), Fig14b(sc), Fig15a(sc), Fig15b(sc), Fig16(sc), Fig17(sc),
-		FigS1(sc), FigS2(sc), FigS3(sc), FigS4(sc), FigS5(sc), FigS6(sc),
-		FigS7(sc), FigS8(sc),
+		FigS7(sc),
 	}
 }
 
@@ -471,22 +470,8 @@ func ByID(id string) (func(Scale) Table, bool) {
 		return Fig16, true
 	case "17":
 		return Fig17, true
-	case "s1", "sched":
-		return FigS1, true
-	case "s2", "ingest":
-		return FigS2, true
-	case "s3", "durability":
-		return FigS3, true
-	case "s4", "recovery":
-		return FigS4, true
-	case "s5", "serving":
-		return FigS5, true
-	case "s6", "consistency":
-		return FigS6, true
 	case "s7", "replication":
 		return FigS7, true
-	case "s8", "chaos":
-		return FigS8, true
 	}
 	return nil, false
 }

@@ -59,8 +59,7 @@ func FigS7(sc Scale) Table {
 			run := func(replicate bool) (sssp, pr time.Duration, reg *metrics.Registry) {
 				reg = metrics.NewRegistry()
 				eCfg := engine.Config{
-					Workers: workers, FlowCap: 256, Scheduler: sc.Scheduler,
-					DenseOff: sc.DenseOff, Metrics: reg,
+					Workers: workers, FlowCap: 256, Metrics: reg,
 					HubReplication: replicate, HubReplicas: sc.HubReplicas,
 					HubThreshold: hubThreshold,
 				}

@@ -123,7 +123,7 @@ type Streaming struct {
 	outIdx []map[VertexID]int32
 	inIdx  []map[VertexID]int32
 	m      int
-	noIdx  bool // hub indexing disabled (-denseoff ablation, equivalence tests)
+	noIdx  bool // hub indexing disabled (the linear-scan reference in tests)
 	// hubBuild/hubDrop are this graph's hysteresis band (Options; defaults
 	// HubThreshold and HubThreshold/4).
 	hubBuild int
@@ -151,9 +151,9 @@ func NewStreamingOpts(n int, o Options) *Streaming {
 }
 
 // DisableHubIndex drops all hub indexes and turns maintenance off, forcing
-// every adjacency operation back to the linear-scan path. It exists for the
-// -denseoff ablation and for equivalence tests; call it before heavy
-// mutation, not concurrently with it.
+// every adjacency operation back to the linear-scan path. It exists as the
+// reference the hub-index equivalence tests compare against; call it before
+// heavy mutation, not concurrently with it.
 func (g *Streaming) DisableHubIndex() {
 	g.noIdx = true
 	for v := range g.outIdx {
@@ -211,7 +211,7 @@ func (g *Streaming) SetHubThresholds(build, drop int) {
 
 // InHub reports whether v currently carries an in-adjacency hub index —
 // the signal the engines use to decide which vertices to replicate. Always
-// false when hub indexing is disabled (-denseoff).
+// false when hub indexing is disabled.
 func (g *Streaming) InHub(v VertexID) bool { return g.inIdx[v] != nil }
 
 // NumVertices returns N.

@@ -19,25 +19,49 @@ func testWorkload(seed uint64, batches int) gen.Workload {
 	})
 }
 
-// TestOracleSmoke is the check.sh gate: one seeded stream, all three engine
-// families, both schedulers, full declared guarantee sets.
+// presetWorkload is a dataset preset capped at 4,000 edges (vertices scaled
+// with it) under a two-batch stream with 30 % deletions.
+func presetWorkload(code string) gen.Workload {
+	cfg := gen.Dataset(code)
+	cfg.NumV = max(64, cfg.NumV*4000/cfg.NumE)
+	cfg.NumE = 4000
+	return gen.BuildWorkload(cfg.NumV, gen.Generate(cfg), gen.StreamConfig{
+		InitialFraction: 0.5, DeleteRatio: 0.3, BatchSize: 300, NumBatches: 2, Seed: 0x56,
+	})
+}
+
+// TestOracleSmoke is the check.sh gate: all three engine families on one
+// seeded stream, plus triangle counting and k-core on every dataset
+// preset's skew, each under both schedulers with its full declared
+// guarantee set.
 func TestOracleSmoke(t *testing.T) {
 	w := testWorkload(0x0c1e, 4)
-	subjects := []Subject{
-		SelectiveSubject{Alg: algo.SSSP{Src: 0}},
-		AccumulativeSubject{Alg: algo.NewPageRank(w.NumV)},
-		LocalSubject{Alg: algo.TriangleCount{}},
-		LocalSubject{Alg: algo.KCore{}},
+	type row struct {
+		s    Subject
+		w    gen.Workload
+		name string
 	}
-	for _, s := range subjects {
+	rows := []row{
+		{SelectiveSubject{Alg: algo.SSSP{Src: 0}}, w, "test"},
+		{AccumulativeSubject{Alg: algo.NewPageRank(w.NumV)}, w, "test"},
+		{LocalSubject{Alg: algo.TriangleCount{}}, w, "test"},
+		{LocalSubject{Alg: algo.KCore{}}, w, "test"},
+	}
+	for _, code := range gen.DatasetCodes() {
+		pw := presetWorkload(code)
+		rows = append(rows,
+			row{LocalSubject{Alg: algo.TriangleCount{}}, pw, code},
+			row{LocalSubject{Alg: algo.KCore{}}, pw, code})
+	}
+	for _, r := range rows {
 		for _, sched := range []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal} {
 			cfg := engine.Config{Workers: 4, FlowCap: 64, Scheduler: sched}
-			r := Check(s, s.Declared(), cfg, w)
-			if err := r.Err(); err != nil {
-				t.Errorf("%s under %v: %v", s.Name(), sched, err)
+			rep := Check(r.s, r.s.Declared(), cfg, r.w)
+			if err := rep.Err(); err != nil {
+				t.Errorf("%s on %s under %v: %v", r.s.Name(), r.name, sched, err)
 			}
-			if r.Batches != len(w.Batches) {
-				t.Errorf("%s under %v: validated %d batches, want %d", s.Name(), sched, r.Batches, len(w.Batches))
+			if rep.Batches != len(r.w.Batches) {
+				t.Errorf("%s on %s under %v: validated %d batches, want %d", r.s.Name(), r.name, sched, rep.Batches, len(r.w.Batches))
 			}
 		}
 	}

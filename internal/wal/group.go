@@ -16,7 +16,7 @@ import (
 // append's fsync is in flight, later appenders queue, write their frames the
 // moment it completes, and the next leader's single fsync makes the whole
 // group durable. With W concurrent writers each fsync covers up to W
-// appends, so fsync amplification drops below one per batch (Fig S5).
+// appends, so fsync amplification drops below one per batch.
 // Options.GroupWindow widens the net: a leader that sees another Append in
 // flight yields briefly before syncing, which matters on few-core hosts
 // where appenders rarely overlap an in-progress fsync on their own.

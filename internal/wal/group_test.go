@@ -131,7 +131,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 
 	// Fsync sharing: with 8 writers queuing behind each in-flight sync, the
-	// fsync count must be well below one per append (Fig S5's claim).
+	// fsync count must be well below one per append (the group-commit claim).
 	appends := reg.Counter("wal.appends").Value()
 	fsyncs := reg.Counter("wal.fsyncs").Value()
 	if appends != total {

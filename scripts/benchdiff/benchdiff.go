@@ -146,11 +146,13 @@ func load(path string) (expr.Report, error) {
 }
 
 // identityCols are numeric columns that configure a row rather than
-// measure it; they join the label cells in rowKey so sweeps over worker
-// or node counts (Figs S1, S4, S7, 16) don't collapse into one key.
-// "Scenarios" keys Fig S8's chaos rows (fault profile x resume x scenario
-// count); "Batches" there is a measured denominator, not an identity.
-var identityCols = map[string]bool{"Workers": true, "Nodes": true, "Batches": true, "Scenarios": true}
+// measure it; they join the label cells in rowKey so a figure's sweep rows
+// (workers in S7, nodes in 16, cores in 17, deletion share in 14a, batch
+// size in 14b/15b, flow cap in ablation A1) don't collapse into one key.
+var identityCols = map[string]bool{
+	"Workers": true, "Nodes": true, "Cores": true,
+	"Deletions": true, "BatchSize": true, "FlowCap": true,
+}
 
 // rowKey concatenates a row's label cells — the columns with no numeric
 // value, plus the numeric identity columns — which identify the row

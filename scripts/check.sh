@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, build, vet, race-enabled tests, the nested
 # benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
-# smoke, a durable-CLI recovery smoke per durable family, a multi-process
-# kill -9 smoke of the distributed runtime, a 5 s fuzz each of the frame
-# reader and the worker checkpoint decoder, a graphflyd serving smoke
-# (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle), a
-# bench smoke that emits and schema-validates the machine-readable report,
-# and one iteration of the repartition microbenchmark; ends by printing
-# the repo's size (non-test Go lines, CLI flags). Run from anywhere.
+# smoke, the consistency-oracle and hub-replication fuzz smokes, a
+# durable-CLI recovery smoke per durable family, a multi-process kill -9
+# smoke of the distributed runtime, a 5 s fuzz each of the frame reader and
+# the worker checkpoint decoder, a check that removed flags and figures stay
+# removed, a graphflyd serving smoke (concurrent ingest+query, SIGTERM,
+# restart, dump vs single-shot oracle), serving-chaos and degraded-mode
+# smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
+# the machine-readable report, one iteration of the repartition
+# microbenchmark, the Fig S7 replication gates and the alloc gate against
+# the committed BENCH_graphfly.json; ends by printing the repo's size
+# (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,9 +69,10 @@ echo "== decoder fuzz (frame reader, worker checkpoint reader; 5 s each, must no
 go test -run '^$' -fuzz 'FuzzReadFrame' -fuzztime 5s ./internal/wal
 go test -run '^$' -fuzz 'FuzzReadWorkerCkpt' -fuzztime 5s ./internal/dist
 
-echo "== removed flags (-cluster is the one distributed runtime) =="
+echo "== removed flags and figures (one runtime, one scheduler, one batch path) =="
 flagtmp=$(mktemp -d)
 go build -o "$flagtmp/graphfly" ./cmd/graphfly
+go build -o "$flagtmp/graphflyd" ./cmd/graphflyd
 go build -o "$flagtmp/bench" ./cmd/bench
 expect_unknown_flag() { # $1 = flag name, $2... = command
     local name=$1 rc=0
@@ -82,6 +87,17 @@ expect_unknown_flag() { # $1 = flag name, $2... = command
 expect_unknown_flag nodes "$flagtmp/graphfly" -nodes 4
 expect_unknown_flag faults "$flagtmp/graphfly" -faults seed=1
 expect_unknown_flag faults "$flagtmp/bench" -faults x
+expect_unknown_flag sched "$flagtmp/graphfly" -sched x
+expect_unknown_flag denseoff "$flagtmp/graphfly" -denseoff
+expect_unknown_flag sched "$flagtmp/graphflyd" -sched x
+expect_unknown_flag denseoff "$flagtmp/bench" -denseoff
+rc=0
+"$flagtmp/bench" -fig s2 > /dev/null 2> "$flagtmp/err" || rc=$?
+if [ "$rc" != 2 ] || ! grep -q 'unknown figure' "$flagtmp/err"; then
+    echo "bench -fig s2: want exit 2 with 'unknown figure', got exit $rc:" >&2
+    cat "$flagtmp/err" >&2
+    exit 1
+fi
 rm -rf "$flagtmp"
 
 echo "== graphflyd serving smoke (concurrent ingest+query, SIGTERM, restart, oracle) =="
@@ -214,16 +230,6 @@ go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
 
 echo "== repartition microbenchmark smoke (one iteration, so it cannot rot) =="
 go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
-
-echo "== consistency figure smoke (Fig S6: oracle-checked triangle/k-core) =="
-go run ./cmd/bench -json -fig s6 -edgecap 4000 -batch 300 -batches 2 \
-    -out "$benchtmp/BENCH_s6.json" > "$benchtmp/s6.out"
-go run ./scripts/benchdiff -check "$benchtmp/BENCH_s6.json"
-if grep -q 'DIVERGED' "$benchtmp/s6.out"; then
-    echo "Fig S6: oracle reported a divergence" >&2
-    cat "$benchtmp/s6.out" >&2
-    exit 1
-fi
 
 echo "== hub-replication figure smoke (Fig S7: replica counters engage on BA) =="
 # The BA rows must actually replicate (hubs and routed replica messages
