@@ -1,7 +1,8 @@
 // Command graphfly-worker is one worker process of the socket cluster
 // runtime. It dials the coordinator given by -addr, persists every applied
-// batch and commanded checkpoint under -dir, and processes its share of the
-// dependency flows until told to stop.
+// batch and commanded checkpoint in the wal directory -dir, and processes
+// its share of the dependency flows until told to stop. Link timing uses the
+// same defaults as the coordinator's.
 //
 // Exit status: 0 after a graceful shutdown (SIGTERM/SIGINT, or the
 // coordinator saying bye), nonzero when the coordinator link degrades past
@@ -20,20 +21,14 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/dist"
 )
 
 func main() {
 	addr := flag.String("addr", "", "coordinator address (required)")
-	dir := flag.String("dir", "", "directory for this worker's WAL and checkpoints (required)")
+	dir := flag.String("dir", "", "wal directory for this worker's batch log and snapshots (required)")
 	id := flag.Int("id", -1, "worker id to present; -1 lets the coordinator assign one, restarts must present their previous id")
-	connectTO := flag.Duration("connect-timeout", 30*time.Second, "give up dialing the coordinator after this long")
-	heartbeat := flag.Duration("heartbeat", 0, "link heartbeat interval (0 = default)")
-	peerTO := flag.Duration("peer-timeout", 0, "declare the coordinator unreachable after this much silence (0 = default)")
-	retransBase := flag.Duration("retrans-base", 0, "base retransmission delay (0 = default)")
-	maxRetries := flag.Int("max-retries", 0, "per-message retransmissions before the link is declared down (0 = default)")
 	quiet := flag.Bool("quiet", false, "suppress progress lines on stderr")
 	flag.Parse()
 	if *addr == "" || *dir == "" {
@@ -52,17 +47,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "graphfly-worker[%d]: %s\n", os.Getpid(), fmt.Sprintf(format, args...))
 		}
 	}
-	err := dist.RunWorker(ctx, dist.WorkerConfig{
-		Addr:           *addr,
-		Dir:            *dir,
-		ID:             *id,
-		ConnectTimeout: *connectTO,
-		HeartbeatEvery: *heartbeat,
-		RetransBase:    *retransBase,
-		PeerTimeout:    *peerTO,
-		MaxRetries:     *maxRetries,
-		Logf:           logf,
-	})
+	err := dist.RunWorker(ctx, dist.WorkerConfig{Addr: *addr, Dir: *dir, ID: *id, Logf: logf})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "graphfly-worker[%d]: %v\n", os.Getpid(), err)
 		os.Exit(1)

@@ -1,9 +1,11 @@
 // Package dist is the distributed GraphFly of §VI in two parts: the runtime
 // — a coordinator (coord.go) and worker processes (workerproc.go) exchanging
-// framed messages (wire.go) over reliable links (link.go), with per-worker
-// durability (wckpt.go) — and, in this file, a deterministic cost model that
-// prices cluster sizes the runtime is never run at (the documented
-// substitution for the paper's 16-node MPI cluster — DESIGN.md §2).
+// framed messages (wire.go) over reliable links (link.go), each worker's
+// durable state a wal directory of batch log and worker snapshots
+// (workerproc.go's workerStore) — and, in this file, a deterministic cost
+// model that prices cluster sizes the runtime is never run at (the
+// documented substitution for the paper's 16-node MPI cluster — DESIGN.md
+// §2).
 //
 // The cost model is driven by real execution traces: the single-machine
 // engine records, per batch, how much work each dependency-flow performed

@@ -284,7 +284,8 @@ func TestSocketClusterAlgorithms(t *testing.T) {
 }
 
 // TestSocketCheckpointFramesOnDisk asserts the acceptance criterion that
-// worker checkpoints on disk carry KindDistCheckpoint frames.
+// worker checkpoints on disk are wal snapshots carrying KindDistCheckpoint
+// state frames.
 func TestSocketCheckpointFramesOnDisk(t *testing.T) {
 	w := clusterWorkload(101, 4) // CkptEvery=2 -> checkpoints at seq 2 and 4
 	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 2)
@@ -293,20 +294,17 @@ func TestSocketCheckpointFramesOnDisk(t *testing.T) {
 		h.runBatch(bi, b)
 	}
 	for id := 0; id < 2; id++ {
-		ck, err := loadWorkerCkpt(h.workerDir(id))
+		sd, err := wal.LoadSnapshot(h.workerDir(id), wal.KindDistCheckpoint)
 		if err != nil {
 			t.Fatalf("worker %d checkpoint: %v", id, err)
 		}
-		if ck == nil {
-			t.Fatalf("worker %d wrote no checkpoint", id)
-		}
-		if ck.Seq == 0 || len(ck.Vals) != h.ref.NumVertices() {
-			t.Fatalf("worker %d checkpoint: seq=%d vals=%d", id, ck.Seq, len(ck.Vals))
+		if sd.Seq == 0 || sd.Kind != wal.KindDistCheckpoint || len(sd.Vals) != h.ref.NumVertices() {
+			t.Fatalf("worker %d checkpoint: seq=%d kind=%d vals=%d", id, sd.Seq, sd.Kind, len(sd.Vals))
 		}
 	}
 }
 
-// ckptFixture writes one real worker checkpoint and returns its bytes with
+// ckptFixture writes one real worker snapshot and returns its bytes with
 // the seq and vertex count it holds.
 func ckptFixture(t testing.TB) (orig []byte, seq uint64, numV int) {
 	t.Helper()
@@ -315,20 +313,22 @@ func ckptFixture(t testing.TB) (orig []byte, seq uint64, numV int) {
 	vals, parent := algo.SolveSelective(g, algo.SSSP{Src: 0})
 	dir := t.TempDir()
 	seq = 6
-	if err := writeWorkerCkpt(dir, seq, g, vals, parent); err != nil {
+	if err := wal.WriteWorkerSnapshot(wal.Options{Dir: dir}, seq, g, vals, parent); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := os.ReadFile(filepath.Join(dir, wckptName(seq)))
+	orig, err := os.ReadFile(filepath.Join(dir, wal.SnapName(seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return orig, seq, w.NumV
 }
 
-// ckptCorpus is the damage a checkpoint file can arrive with: a spread of
+// ckptCorpus is the damage a worker snapshot can arrive with: a spread of
 // truncation points, 200 seeded single-bit flips, bytes after the footer,
-// and a header declaring one vertex more than the state frame holds.
-func ckptCorpus(t testing.TB, orig []byte, seq uint64, numV int) map[string][]byte {
+// a second footer, and a header declaring one vertex more than the state
+// frame holds. internal/wal's TestSnapshotRejectsCorruption holds every
+// snapshot kind to rejecting the same corpus.
+func ckptCorpus(t testing.TB, orig []byte, numV int) map[string][]byte {
 	t.Helper()
 	corpus := map[string][]byte{}
 	for cut := 0; cut < len(orig); cut += 1 + len(orig)/199 {
@@ -367,76 +367,34 @@ func ckptCorpus(t testing.TB, orig []byte, seq uint64, numV int) map[string][]by
 	return corpus
 }
 
-// TestWorkerCkptRejectsCorruption holds the checkpoint decoder a restarting
-// worker reads to the hardening bar: every damaged file is an error — never
-// a panic, never silently loaded garbage — and loadWorkerCkpt falls back to
-// the older retained checkpoint past a damaged newest one.
-func TestWorkerCkptRejectsCorruption(t *testing.T) {
-	orig, seq, numV := ckptFixture(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, wckptName(seq))
-	write := func(p string, b []byte) {
-		t.Helper()
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(path, orig)
-	if ck, err := readWorkerCkpt(path); err != nil || ck.Seq != seq || ck.NumV != numV {
-		t.Fatalf("pristine checkpoint: %+v, %v", ck, err)
-	}
-	for name, mut := range ckptCorpus(t, orig, seq, numV) {
-		write(path, mut)
-		if _, err := readWorkerCkpt(path); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-	// A renamed (or cross-copied) file: intact bytes under another seq's
-	// name. Retention and log truncation key on the name, so it must not load.
-	write(path, orig)
-	renamed := filepath.Join(dir, wckptName(seq+2))
-	write(renamed, orig)
-	if _, err := readWorkerCkpt(renamed); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("checkpoint for seq %d accepted under the name of seq %d (err %v)", seq, seq+2, err)
-	}
-	// The misnamed file is the newest candidate: the loader skips it.
-	if ck, err := loadWorkerCkpt(dir); err != nil || ck == nil || ck.Seq != seq {
-		t.Fatalf("fallback past a damaged newest checkpoint: %+v, %v", ck, err)
-	}
-	// With every candidate damaged the loader reports it instead of
-	// pretending the worker is fresh.
-	write(path, append(append([]byte(nil), orig...), 0))
-	if ck, err := loadWorkerCkpt(dir); err == nil {
-		t.Fatalf("all checkpoints damaged, loader returned %+v", ck)
-	}
-}
-
-// FuzzReadWorkerCkpt: arbitrary bytes under a checkpoint's name never panic
-// the decoder, and whatever it accepts is internally consistent.
+// FuzzReadWorkerCkpt: arbitrary bytes as the only snapshot in a worker
+// directory never panic the worker's recovery loader, and whatever it
+// accepts is internally consistent.
 func FuzzReadWorkerCkpt(f *testing.F) {
 	orig, seq, numV := ckptFixture(f)
 	f.Add(orig)
-	for _, mut := range ckptCorpus(f, orig, seq, numV) {
+	for _, mut := range ckptCorpus(f, orig, numV) {
 		f.Add(mut)
 	}
 	// One file per fuzz process, overwritten per input: the target never
 	// runs in parallel with itself.
-	path := filepath.Join(f.TempDir(), wckptName(seq))
+	dir := f.TempDir()
+	path := filepath.Join(dir, wal.SnapName(seq))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ck, err := readWorkerCkpt(path)
+		sd, err := wal.LoadSnapshot(dir, wal.KindDistCheckpoint)
 		if err != nil {
 			return
 		}
-		if ck.Seq != seq || len(ck.Vals) != ck.NumV || len(ck.Parent) != ck.NumV {
+		if sd.Seq != seq || len(sd.Vals) != sd.NumV || len(sd.Parent) != sd.NumV {
 			t.Fatalf("accepted an inconsistent checkpoint: seq=%d numV=%d vals=%d parent=%d",
-				ck.Seq, ck.NumV, len(ck.Vals), len(ck.Parent))
+				sd.Seq, sd.NumV, len(sd.Vals), len(sd.Parent))
 		}
-		for _, e := range ck.Edges {
-			if int(e.Src) >= ck.NumV || int(e.Dst) >= ck.NumV {
-				t.Fatalf("accepted edge %d->%d beyond %d vertices", e.Src, e.Dst, ck.NumV)
+		for _, e := range sd.Edges {
+			if int(e.Src) >= sd.NumV || int(e.Dst) >= sd.NumV {
+				t.Fatalf("accepted edge %d->%d beyond %d vertices", e.Src, e.Dst, sd.NumV)
 			}
 		}
 	})

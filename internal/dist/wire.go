@@ -8,15 +8,13 @@ package dist
 // (link.go); acks, heartbeats, and the connection-level hello are
 // unsequenced control frames.
 //
-// Payloads are flat little-endian records, hand-decoded with the same
-// discipline as the wal payload codecs: every length and range is validated
-// before allocation, and a malformed payload yields an error, never a panic
-// or garbage.
+// Payloads are flat little-endian records composed from the wal.Enc/wal.Dec
+// cursors and their batch, edge and vector sections — the same code the wal
+// payload codecs use — so every length and range is validated before
+// allocation, and a malformed payload yields an error, never a panic or
+// garbage.
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -57,141 +55,19 @@ type wireHello struct {
 }
 
 func encodeHello(h wireHello) []byte {
-	var b [29]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(h.ID))
-	binary.LittleEndian.PutUint64(b[4:12], h.Incarnation)
-	binary.LittleEndian.PutUint64(b[12:20], h.StructSeq)
-	binary.LittleEndian.PutUint64(b[20:28], h.CkptSeq)
-	if h.HasBase {
-		b[28] = 1
-	}
-	return b[:]
+	var e wal.Enc
+	e.I32(h.ID)
+	e.U64(h.Incarnation)
+	e.U64(h.StructSeq)
+	e.U64(h.CkptSeq)
+	e.Bool(h.HasBase)
+	return e.B
 }
 
 func decodeHello(p []byte) (wireHello, error) {
-	if len(p) != 29 {
-		return wireHello{}, fmt.Errorf("%w: hello payload %d bytes", wal.ErrCorrupt, len(p))
-	}
-	return wireHello{
-		ID:          int32(binary.LittleEndian.Uint32(p[0:4])),
-		Incarnation: binary.LittleEndian.Uint64(p[4:12]),
-		StructSeq:   binary.LittleEndian.Uint64(p[12:20]),
-		CkptSeq:     binary.LittleEndian.Uint64(p[20:28]),
-		HasBase:     p[28] != 0,
-	}, nil
-}
-
-// --- compound sections ---
-//
-// The primitive append/read cursors live in the wal package (wal.Enc /
-// wal.Dec) so the serving front-end's session protocol and this cluster
-// protocol share one validation discipline.
-
-const updateLen = 4 + 4 + 8 + 1
-
-func encBatch(e *wal.Enc, b graph.Batch) {
-	e.U32(uint32(len(b)))
-	for _, u := range b {
-		e.U32(u.Src)
-		e.U32(u.Dst)
-		e.F64(float64(u.W))
-		e.Bool(u.Del)
-	}
-}
-
-func decBatch(d *wal.Dec) graph.Batch {
-	n := d.Count(updateLen)
-	if n == 0 {
-		return nil
-	}
-	b := make(graph.Batch, n)
-	for i := range b {
-		b[i].Src = d.U32()
-		b[i].Dst = d.U32()
-		b[i].W = graph.Weight(d.F64())
-		b[i].Del = d.U8() != 0
-	}
-	return b
-}
-
-func encVals(e *wal.Enc, vals []float64) {
-	e.U32(uint32(len(vals)))
-	for _, v := range vals {
-		e.F64(v)
-	}
-}
-
-func decVals(d *wal.Dec) []float64 {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = d.F64()
-	}
-	return vals
-}
-
-func encI32s(e *wal.Enc, xs []int32) {
-	e.U32(uint32(len(xs)))
-	for _, x := range xs {
-		e.I32(x)
-	}
-}
-
-func decI32s(d *wal.Dec) []int32 {
-	n := d.Count(4)
-	if n == 0 {
-		return nil
-	}
-	xs := make([]int32, n)
-	for i := range xs {
-		xs[i] = d.I32()
-	}
-	return xs
-}
-
-func encU32s(e *wal.Enc, xs []uint32) {
-	e.U32(uint32(len(xs)))
-	for _, x := range xs {
-		e.U32(x)
-	}
-}
-
-func decU32s(d *wal.Dec) []uint32 {
-	n := d.Count(4)
-	if n == 0 {
-		return nil
-	}
-	xs := make([]uint32, n)
-	for i := range xs {
-		xs[i] = d.U32()
-	}
-	return xs
-}
-
-func encEdges(e *wal.Enc, edges []graph.Edge) {
-	e.U32(uint32(len(edges)))
-	for _, ed := range edges {
-		e.U32(ed.Src)
-		e.U32(ed.Dst)
-		e.F64(float64(ed.W))
-	}
-}
-
-func decEdges(d *wal.Dec) []graph.Edge {
-	n := d.Count(16)
-	if n == 0 {
-		return nil
-	}
-	edges := make([]graph.Edge, n)
-	for i := range edges {
-		edges[i].Src = d.U32()
-		edges[i].Dst = d.U32()
-		edges[i].W = graph.Weight(d.F64())
-	}
-	return edges
+	d := wal.Dec{B: p}
+	h := wireHello{ID: d.I32(), Incarnation: d.U64(), StructSeq: d.U64(), CkptSeq: d.U64(), HasBase: d.U8() != 0}
+	return h, d.Err("hello")
 }
 
 // --- application messages ---
@@ -239,15 +115,17 @@ func encodeWelcome(w wireWelcome) []byte {
 	e.U64(w.BatchSeq)
 	e.Bool(w.Full)
 	if w.Full {
-		encEdges(&e, w.Edges)
+		e.Edges(w.Edges)
 	} else {
 		e.U32(uint32(len(w.Catchup)))
 		for _, b := range w.Catchup {
-			encBatch(&e, b)
+			e.Batch(b)
 		}
 	}
-	encVals(&e, w.Vals)
-	encI32s(&e, w.Parent)
+	e.U32(uint32(len(w.Vals)))
+	e.F64s(w.Vals)
+	e.U32(uint32(len(w.Parent)))
+	e.I32s(w.Parent)
 	return e.B
 }
 
@@ -263,16 +141,16 @@ func decodeWelcome(p []byte) (wireWelcome, error) {
 	w.BatchSeq = d.U64()
 	w.Full = d.U8() != 0
 	if w.Full {
-		w.Edges = decEdges(&d)
+		w.Edges = d.Edges(int(w.NumV))
 	} else {
 		n := d.Count(4) // each batch is at least a 4-byte count
 		w.Catchup = make([]graph.Batch, 0, n)
 		for i := 0; i < n && !d.Bad(); i++ {
-			w.Catchup = append(w.Catchup, decBatch(&d))
+			w.Catchup = append(w.Catchup, d.Batch())
 		}
 	}
-	w.Vals = decVals(&d)
-	w.Parent = decI32s(&d)
+	w.Vals = d.F64s(d.Count(8))
+	w.Parent = d.I32s(d.Count(4))
 	return w, d.Err("welcome")
 }
 
@@ -294,9 +172,13 @@ func encodeBatchStart(m wireBatchStart) []byte {
 	e.U64(m.Seq)
 	e.U64(m.Epoch)
 	e.Bool(m.ReRun)
-	encBatch(&e, m.Applied)
-	encU32s(&e, m.Trimmed)
-	encI32s(&e, m.Assign)
+	e.Batch(m.Applied)
+	e.U32(uint32(len(m.Trimmed)))
+	for _, x := range m.Trimmed {
+		e.U32(x)
+	}
+	e.U32(uint32(len(m.Assign)))
+	e.I32s(m.Assign)
 	return e.B
 }
 
@@ -306,9 +188,12 @@ func decodeBatchStart(p []byte) (wireBatchStart, error) {
 	m.Seq = d.U64()
 	m.Epoch = d.U64()
 	m.ReRun = d.U8() != 0
-	m.Applied = decBatch(&d)
-	m.Trimmed = decU32s(&d)
-	m.Assign = decI32s(&d)
+	m.Applied = d.Batch()
+	m.Trimmed = make([]uint32, d.Count(4))
+	for i := range m.Trimmed {
+		m.Trimmed[i] = d.U32()
+	}
+	m.Assign = d.I32s(d.Count(4))
 	return m, d.Err("batch-start")
 }
 

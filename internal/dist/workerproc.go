@@ -29,13 +29,14 @@ package dist
 // FIFO, exactly-once delivery: a reordered pair of shadow records for one
 // vertex would leave the older value in place.
 //
-// Durability: every applied batch is fsynced into the worker's WAL before
-// processing, and on CkptCmd the worker writes a frame-composed checkpoint
-// (wckpt.go) carrying the KindDistCheckpoint state frame. After a kill -9,
-// the restarted process rebuilds its graph from the newest intact
-// checkpoint, replays the WAL tail structurally, and presents the recovered
-// position in its hello; the coordinator tops it up with the missing batch
-// tail and the authoritative boundary state.
+// Durability: a worker directory is a wal directory. Every applied batch is
+// fsynced into its log before processing, and on CkptCmd the worker writes
+// a wal snapshot (wal.WriteWorkerSnapshot, a KindDistCheckpoint state frame)
+// with the same retention and log truncation as the single-node engines.
+// After a kill -9, the restarted process rebuilds its graph from the newest
+// intact worker snapshot, replays the log tail structurally, and presents
+// the recovered position in its hello; the coordinator tops it up with the
+// missing batch tail and the authoritative boundary state.
 //
 // Shutdown: a cancelled context (SIGTERM/SIGINT in the binary) sends Bye,
 // flushes the WAL, writes a final checkpoint, and exits cleanly.
@@ -46,6 +47,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -60,7 +62,8 @@ import (
 type WorkerConfig struct {
 	// Addr is the coordinator's address.
 	Addr string
-	// Dir holds the worker's WAL and checkpoints; created if missing.
+	// Dir is the worker's wal directory (log + snapshots); created if
+	// missing.
 	Dir string
 	// ID is the worker id to present; -1 asks the coordinator to assign
 	// one. Restarted workers should present their previous id so the
@@ -101,6 +104,78 @@ func (c WorkerConfig) linkConfig() linkConfig {
 		MaxRetries:     c.MaxRetries,
 	}
 }
+
+// workerStore is a worker's durable half: the applied-batch log and the
+// worker snapshots in one wal directory.
+type workerStore struct {
+	opts wal.Options
+	log  *wal.Log
+}
+
+// openWorkerStore opens (creating if needed) the worker's durable state.
+func openWorkerStore(dir string, reg *metrics.Registry) (*workerStore, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("dist: store: %w", err)
+	}
+	opts := wal.Options{Dir: dir, Metrics: reg}
+	log, err := wal.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &workerStore{opts: opts, log: log}, nil
+}
+
+// appendBatch logs one applied batch under the global boundary seq and
+// forces it to disk before the worker acknowledges the boundary.
+func (s *workerStore) appendBatch(seq uint64, applied graph.Batch) error {
+	if err := s.log.Append(seq, applied); err != nil {
+		return err
+	}
+	return s.log.Sync()
+}
+
+// checkpoint writes the worker snapshot at seq, applies retention, and
+// truncates the batch log through the older retained snapshot.
+func (s *workerStore) checkpoint(seq uint64, g *graph.Streaming, vals []float64, parent []int32) error {
+	if err := wal.WriteWorkerSnapshot(s.opts, seq, g, vals, parent); err != nil {
+		return err
+	}
+	trim, ok, err := wal.PruneSnapshots(s.opts)
+	if err != nil || !ok {
+		return err
+	}
+	return s.log.TruncateThrough(trim)
+}
+
+// wipe discards every durable artifact and reopens the store empty. A
+// worker wipes when the coordinator sends a full state transfer: the local
+// history diverged too far for the log tail to ever matter again, and a
+// stale base under a fresh log would corrupt the next recovery.
+func (s *workerStore) wipe() error {
+	if err := s.log.Close(); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(s.opts.Dir)
+	if err != nil {
+		return fmt.Errorf("dist: store: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.opts.Dir, e.Name())); err != nil {
+			return fmt.Errorf("dist: store: %w", err)
+		}
+	}
+	log, err := wal.Open(s.opts)
+	if err != nil {
+		return err
+	}
+	s.log = log
+	return nil
+}
+
+func (s *workerStore) close() error { return s.log.Close() }
 
 // mailbox is an unbounded FIFO the link reader pushes decoded messages
 // into; the worker goroutine drains it. Never blocks the reader.
@@ -202,19 +277,18 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	defer store.close()
 
 	w := &workerRt{cfg: cfg, store: store, id: int32(cfg.ID)}
-	// Local recovery: newest intact checkpoint + structural WAL replay.
-	ck, err := store.loadCkpt()
-	if err != nil {
+	// Local recovery: newest intact worker snapshot + structural WAL replay.
+	sd, err := wal.LoadSnapshot(cfg.Dir, wal.KindDistCheckpoint)
+	if err != nil && !errors.Is(err, wal.ErrNoSnapshot) {
 		return err
 	}
-	hasBase := false
+	hasBase := sd != nil
 	var ckptSeq uint64
-	if ck != nil {
-		w.g = graph.FromEdges(ck.NumV, ck.Edges)
-		w.structSeq = ck.Seq
-		ckptSeq = ck.Seq
-		hasBase = true
-		err := store.replay(ck.Seq, func(seq uint64, b graph.Batch) error {
+	if hasBase {
+		w.g = graph.FromEdges(sd.NumV, sd.Edges)
+		w.structSeq = sd.Seq
+		ckptSeq = sd.Seq
+		err := store.log.Replay(sd.Seq, func(seq uint64, b graph.Batch) error {
 			w.g.ApplyBatch(b)
 			w.structSeq = seq
 			return nil
@@ -222,7 +296,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		if err != nil {
 			return err
 		}
-		w.logf("worker: recovered base ckpt seq %d, wal tail through seq %d", ck.Seq, w.structSeq)
+		w.logf("worker: recovered base ckpt seq %d, wal tail through seq %d", sd.Seq, w.structSeq)
 	}
 
 	incarnation := uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32

@@ -111,35 +111,20 @@ func decodeReject(p []byte) (*RejectError, error) {
 	return re, nil
 }
 
-const updateLen = 4 + 4 + 8 + 1
-
-// encodeIngest frames one batch with its idempotency key. clientSeq 0 means
-// untagged (a legacy or anonymous client): the server appends it without
-// exactly-once accounting.
+// encodeIngest frames one batch (the wal batch section) with its
+// idempotency key. clientSeq 0 means untagged (a legacy or anonymous
+// client): the server appends it without exactly-once accounting.
 func encodeIngest(clientSeq uint64, b graph.Batch) []byte {
 	var e wal.Enc
 	e.U64(clientSeq)
-	e.U32(uint32(len(b)))
-	for _, u := range b {
-		e.U32(u.Src)
-		e.U32(u.Dst)
-		e.F64(float64(u.W))
-		e.Bool(u.Del)
-	}
+	e.Batch(b)
 	return e.B
 }
 
 func decodeIngest(p []byte) (uint64, graph.Batch, error) {
 	d := wal.Dec{B: p}
 	clientSeq := d.U64()
-	n := d.Count(updateLen)
-	b := make(graph.Batch, n)
-	for i := range b {
-		b[i].Src = d.U32()
-		b[i].Dst = d.U32()
-		b[i].W = graph.Weight(d.F64())
-		b[i].Del = d.U8() != 0
-	}
+	b := d.Batch()
 	return clientSeq, b, d.Err("ingest")
 }
 

@@ -7,9 +7,10 @@
 // from-scratch oracle (DESIGN.md §4.9).
 //
 // The frame codec in this file is the shared serialization layer: the WAL
-// segments, the snapshot files, and the distributed runtime's on-disk
-// checkpoints (internal/dist) all speak it, so every durable artifact in the
-// repository detects truncation and bit corruption the same way.
+// segments and the snapshot files (the engines' and the distributed
+// workers' alike), plus the dist and serve socket protocols, all speak it,
+// so every durable artifact and every message in the repository detects
+// truncation and bit corruption the same way.
 package wal
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -43,7 +43,7 @@ const (
 )
 
 // Frame kinds. The codec itself is kind-agnostic; these constants name the
-// record types the WAL, snapshots, and dist checkpoints write.
+// record types the WAL and the snapshot files write.
 const (
 	// KindBatch is one logged edge batch: [8B seq][batch payload].
 	KindBatch byte = 1
@@ -56,7 +56,8 @@ const (
 	// KindSnapFooter closes a snapshot file; its absence marks a snapshot
 	// that was still being written when the process died.
 	KindSnapFooter byte = 5
-	// KindDistCheckpoint is the distributed runtime's checkpoint payload.
+	// KindDistCheckpoint carries a distributed worker's state in place of
+	// KindSnapState inside a worker snapshot file: [8B seq][EncodeState].
 	KindDistCheckpoint byte = 6
 	// KindSnapAccState carries the accumulative engine's residual state
 	// (rank vector + aggregate + last-broadcast residuals) in place of
@@ -85,12 +86,6 @@ var (
 	ErrTorn    = errors.New("wal: torn frame (file ends mid-frame)")
 	ErrCorrupt = errors.New("wal: corrupt frame (checksum or bounds violation)")
 )
-
-// Little-endian shorthands shared by the frame and payload codecs.
-func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
-func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
 // AppendFrame appends one encoded frame to buf and returns the extension.
 func AppendFrame(buf []byte, kind byte, payload []byte) []byte {
@@ -146,192 +141,93 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 
 // --- payload codecs ---
 //
-// Payloads are flat little-endian records. Decoders validate every length
-// and range before allocating or returning data: a decoder must never
-// panic or hand back garbage on adversarial input (the truncation and
-// bit-flip sweeps over snapshot and worker-checkpoint files hold them to it).
+// Payloads are flat little-endian records composed from the Enc/Dec
+// sections in cursor.go. Decoders validate every length and range before
+// allocating or returning data: a decoder must never panic or hand back
+// garbage on adversarial input (the corruption table and fuzz targets in
+// codec_test.go hold them to it).
 
 // EncodeBatch encodes a sequence-numbered edge batch.
 func EncodeBatch(buf []byte, seq uint64, b graph.Batch) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	for _, u := range b {
-		buf = binary.LittleEndian.AppendUint32(buf, u.Src)
-		buf = binary.LittleEndian.AppendUint32(buf, u.Dst)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u.W))
-		if u.Del {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
+	e := Enc{B: buf}
+	e.U64(seq)
+	e.Batch(b)
+	return e.B
 }
 
 // DecodeBatch decodes EncodeBatch's payload.
 func DecodeBatch(p []byte) (seq uint64, b graph.Batch, err error) {
-	const updLen = 4 + 4 + 8 + 1
-	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("%w: batch payload %d bytes", ErrCorrupt, len(p))
-	}
-	seq = binary.LittleEndian.Uint64(p[0:8])
-	n := int(binary.LittleEndian.Uint32(p[8:12]))
-	p = p[12:]
-	if n < 0 || len(p) != n*updLen {
-		return 0, nil, fmt.Errorf("%w: batch declares %d updates, %d bytes follow", ErrCorrupt, n, len(p))
-	}
-	b = make(graph.Batch, n)
-	for i := range b {
-		rec := p[i*updLen:]
-		b[i] = graph.Update{
-			Edge: graph.Edge{
-				Src: binary.LittleEndian.Uint32(rec[0:4]),
-				Dst: binary.LittleEndian.Uint32(rec[4:8]),
-				W:   math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
-			},
-			Del: rec[16] != 0,
-		}
+	d := Dec{B: p}
+	seq = d.U64()
+	b = d.Batch()
+	if err := d.Err("batch"); err != nil {
+		return 0, nil, err
 	}
 	return seq, b, nil
 }
 
 // maxClientIDLen bounds a client identity inside tagged frames; a longer
-// declared length is corruption, never an allocation request.
+// declared length is corruption.
 const maxClientIDLen = 256
 
 // EncodeTaggedBatch encodes a sequence-numbered edge batch carrying a client
 // idempotency key (clientID, clientSeq). The tag prefixes a standard
 // EncodeBatch payload so the two decode paths share the batch tail.
 func EncodeTaggedBatch(buf []byte, seq uint64, clientID string, clientSeq uint64, b graph.Batch) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(clientID)))
-	buf = append(buf, clientID...)
-	buf = binary.LittleEndian.AppendUint64(buf, clientSeq)
-	return EncodeBatch(buf, seq, b)
+	e := Enc{B: buf}
+	e.Str(clientID)
+	e.U64(clientSeq)
+	return EncodeBatch(e.B, seq, b)
 }
 
 // DecodeTaggedBatch decodes EncodeTaggedBatch's payload.
 func DecodeTaggedBatch(p []byte) (seq uint64, b graph.Batch, clientID string, clientSeq uint64, err error) {
-	if len(p) < 4 {
-		return 0, nil, "", 0, fmt.Errorf("%w: tagged batch payload %d bytes", ErrCorrupt, len(p))
+	d := Dec{B: p}
+	clientID = d.Str()
+	clientSeq = d.U64()
+	seq = d.U64()
+	b = d.Batch()
+	if err := d.Err("tagged batch"); err != nil {
+		return 0, nil, "", 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(p[0:4]))
-	if n < 1 || n > maxClientIDLen || len(p) < 4+n+8 {
-		return 0, nil, "", 0, fmt.Errorf("%w: tagged batch declares %d-byte client id", ErrCorrupt, n)
+	if clientID == "" || len(clientID) > maxClientIDLen {
+		return 0, nil, "", 0, fmt.Errorf("%w: tagged batch declares %d-byte client id", ErrCorrupt, len(clientID))
 	}
-	clientID = string(p[4 : 4+n])
-	clientSeq = binary.LittleEndian.Uint64(p[4+n : 12+n])
-	seq, b, err = DecodeBatch(p[12+n:])
-	return seq, b, clientID, clientSeq, err
-}
-
-// EncodeDistCheckpoint encodes a distributed worker's checkpoint payload:
-// the batch sequence the state is consistent with, followed by the state
-// section. It is the one payload shape of KindDistCheckpoint frames, which
-// appear only inside per-worker checkpoint files (internal/dist/wckpt.go).
-// The seq is repeated inside the checksummed payload so a state frame
-// spliced under another checkpoint's header is caught.
-func EncodeDistCheckpoint(buf []byte, seq uint64, vals []float64, parent []int32) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	return EncodeState(buf, vals, parent)
-}
-
-// DecodeDistCheckpoint decodes EncodeDistCheckpoint's payload with the same
-// validation discipline as DecodeState.
-func DecodeDistCheckpoint(p []byte, numVals, numV int) (seq uint64, vals []float64, parent []int32, err error) {
-	if len(p) < 8 {
-		return 0, nil, nil, fmt.Errorf("%w: dist checkpoint payload %d bytes", ErrCorrupt, len(p))
-	}
-	seq = binary.LittleEndian.Uint64(p[0:8])
-	vals, parent, err = DecodeState(p[8:], numVals, numV)
-	return seq, vals, parent, err
-}
-
-// EncodeEdges encodes an edge list (a snapshot's graph section).
-func EncodeEdges(buf []byte, edges []graph.Edge) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
-	for _, e := range edges {
-		buf = binary.LittleEndian.AppendUint32(buf, e.Src)
-		buf = binary.LittleEndian.AppendUint32(buf, e.Dst)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.W))
-	}
-	return buf
-}
-
-// DecodeEdges decodes EncodeEdges's payload, rejecting edges whose
-// endpoints fall outside [0, numV).
-func DecodeEdges(p []byte, numV int) ([]graph.Edge, error) {
-	const edgeLen = 4 + 4 + 8
-	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: edge payload %d bytes", ErrCorrupt, len(p))
-	}
-	n := int(binary.LittleEndian.Uint32(p[0:4]))
-	p = p[4:]
-	if n < 0 || len(p) != n*edgeLen {
-		return nil, fmt.Errorf("%w: edge list declares %d edges, %d bytes follow", ErrCorrupt, n, len(p))
-	}
-	edges := make([]graph.Edge, n)
-	for i := range edges {
-		rec := p[i*edgeLen:]
-		e := graph.Edge{
-			Src: binary.LittleEndian.Uint32(rec[0:4]),
-			Dst: binary.LittleEndian.Uint32(rec[4:8]),
-			W:   math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
-		}
-		if int(e.Src) >= numV || int(e.Dst) >= numV {
-			return nil, fmt.Errorf("%w: edge %d->%d exceeds %d vertices", ErrCorrupt, e.Src, e.Dst, numV)
-		}
-		edges[i] = e
-	}
-	return edges, nil
+	return seq, b, clientID, clientSeq, nil
 }
 
 // EncodeState encodes per-vertex values and key-edge parents (an engine
-// snapshot's state section and, behind a seq prefix, the dist checkpoint
-// payload). parent may be
-// nil when only values are checkpointed.
+// snapshot's state section and, behind a seq prefix, a worker snapshot's).
+// parent may be nil when only values are checkpointed.
 func EncodeState(buf []byte, vals []float64, parent []int32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(parent)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, pv := range parent {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(pv))
-	}
-	return buf
+	e := Enc{B: buf}
+	e.U32(uint32(len(vals)))
+	e.U32(uint32(len(parent)))
+	e.F64s(vals)
+	e.I32s(parent)
+	return e.B
 }
 
 // DecodeState decodes EncodeState's payload. Parents must be -1 or a valid
 // vertex under numV; values of a dim-vector state pass numV*dim.
 func DecodeState(p []byte, numVals, numV int) (vals []float64, parent []int32, err error) {
-	if len(p) < 8 {
-		return nil, nil, fmt.Errorf("%w: state payload %d bytes", ErrCorrupt, len(p))
-	}
-	nv := int(binary.LittleEndian.Uint32(p[0:4]))
-	np := int(binary.LittleEndian.Uint32(p[4:8]))
-	p = p[8:]
-	if nv != numVals || (np != 0 && np != numV) {
+	d := Dec{B: p}
+	nv, np := int(d.U32()), int(d.U32())
+	if d.Bad() || nv != numVals || (np != 0 && np != numV) {
 		return nil, nil, fmt.Errorf("%w: state declares %d values / %d parents, want %d / {0,%d}",
 			ErrCorrupt, nv, np, numVals, numV)
 	}
-	if len(p) != nv*8+np*4 {
-		return nil, nil, fmt.Errorf("%w: state payload %d bytes, want %d", ErrCorrupt, len(p), nv*8+np*4)
+	vals = d.F64s(nv)
+	if np > 0 {
+		parent = d.I32s(np)
 	}
-	vals = make([]float64, nv)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	if err := d.Err("state"); err != nil {
+		return nil, nil, err
 	}
-	p = p[nv*8:]
-	if np == 0 {
-		return vals, nil, nil
-	}
-	parent = make([]int32, np)
-	for i := range parent {
-		pv := int32(binary.LittleEndian.Uint32(p[i*4:]))
+	for i, pv := range parent {
 		if pv < -1 || int(pv) >= numV {
 			return nil, nil, fmt.Errorf("%w: parent[%d]=%d outside [-1,%d)", ErrCorrupt, i, pv, numV)
 		}
-		parent[i] = pv
 	}
 	return vals, parent, nil
 }
@@ -340,43 +236,28 @@ func DecodeState(p []byte, numVals, numV int) (vals []float64, parent []int32, e
 // of [4B dim][4B numV] followed by the state, aggregate, and last-broadcast
 // vectors, each numV*dim little-endian float64 bits. buf may be nil.
 func EncodeAccState(buf []byte, numV int, st *engine.AccState) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.Dim))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(numV))
-	for _, vec := range [][]float64{st.State, st.Agg, st.LastUnit} {
-		for _, v := range vec {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	return buf
+	e := Enc{B: buf}
+	e.U32(uint32(st.Dim))
+	e.U32(uint32(numV))
+	e.F64s(st.State)
+	e.F64s(st.Agg)
+	e.F64s(st.LastUnit)
+	return e.B
 }
 
 // DecodeAccState decodes EncodeAccState's payload, validating the declared
 // dimension and vertex count against the snapshot header's.
 func DecodeAccState(p []byte, numV int) (*engine.AccState, error) {
-	if len(p) < 8 {
-		return nil, fmt.Errorf("%w: acc state payload %d bytes", ErrCorrupt, len(p))
-	}
-	dim := int(binary.LittleEndian.Uint32(p[0:4]))
-	nv := int(binary.LittleEndian.Uint32(p[4:8]))
-	p = p[8:]
-	if dim < 1 || dim > 1<<12 {
-		return nil, fmt.Errorf("%w: acc state declares dim %d", ErrCorrupt, dim)
-	}
-	if nv != numV {
-		return nil, fmt.Errorf("%w: acc state declares %d vertices, want %d", ErrCorrupt, nv, numV)
+	d := Dec{B: p}
+	dim, nv := int(d.U32()), int(d.U32())
+	if d.Bad() || dim < 1 || dim > 1<<12 || nv != numV {
+		return nil, fmt.Errorf("%w: acc state declares dim %d over %d vertices, want %d vertices",
+			ErrCorrupt, dim, nv, numV)
 	}
 	n := nv * dim
-	if len(p) != 3*n*8 {
-		return nil, fmt.Errorf("%w: acc state payload %d bytes, want %d", ErrCorrupt, len(p), 3*n*8)
-	}
-	st := &engine.AccState{Dim: dim}
-	for _, dst := range []*[]float64{&st.State, &st.Agg, &st.LastUnit} {
-		vec := make([]float64, n)
-		for i := range vec {
-			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
-		}
-		p = p[n*8:]
-		*dst = vec
+	st := &engine.AccState{Dim: dim, State: d.F64s(n), Agg: d.F64s(n), LastUnit: d.F64s(n)}
+	if err := d.Err("acc state"); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -13,12 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
-
-// snapRetain is how many snapshots survive retention. Two, not one: the WAL
-// is truncated only through the *older* retained snapshot, so even if the
-// newest snapshot is lost to bit rot, the older one plus the untrimmed log
-// tail still reconstructs every acknowledged batch.
-const snapRetain = 2
 
 // ErrNoSnapshot means the directory has no snapshot to recover from.
 var ErrNoSnapshot = errors.New("wal: no snapshot found")
@@ -61,14 +54,16 @@ type Engine interface {
 
 // Family describes one engine family to the durable wrapper: how to build
 // an engine over a fresh graph, how to restore one from a decoded snapshot,
-// and how to encode its state frame. Everything else — log-before-apply,
-// the dirty bracket, serving mode, snapshot cadence, retention, truncation,
-// the dedup window, recovery — is the one Durable.
+// and its state frame's kind and encoding. Everything else —
+// log-before-apply, the dirty bracket, serving mode, snapshot cadence,
+// retention, truncation, the dedup window, recovery — is the one Durable.
 type Family struct {
 	build   func(g *graph.Streaming, cfg engine.Config) Engine
 	restore func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error)
-	// state encodes e's state at a batch boundary as one snapshot frame.
-	state func(e Engine, numV int) (kind byte, payload []byte)
+	// kind is the state frame kind the family writes and restores from.
+	kind byte
+	// state encodes e's state at a batch boundary as that frame's payload.
+	state func(e Engine, numV int) []byte
 }
 
 // SelectiveFamily makes SSSP/SSWP/BFS/CC durable: snapshots carry the
@@ -80,9 +75,10 @@ func SelectiveFamily(alg algo.Selective) Family {
 		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
 			return engine.NewSelectiveFromState(g, alg, cfg, sd.Vals, sd.Parent)
 		},
-		state: func(e Engine, _ int) (byte, []byte) {
+		kind: KindSnapState,
+		state: func(e Engine, _ int) []byte {
 			vals, parent := e.(*engine.Selective).SnapshotState()
-			return KindSnapState, EncodeState(nil, vals, parent)
+			return EncodeState(nil, vals, parent)
 		},
 	}
 }
@@ -95,13 +91,11 @@ func AccumulativeFamily(alg algo.Accumulative) Family {
 	return Family{
 		build: func(g *graph.Streaming, cfg engine.Config) Engine { return engine.NewAccumulative(g, alg, cfg) },
 		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
-			if sd.Acc == nil {
-				return nil, fmt.Errorf("wal: snapshot %d holds no accumulative state", sd.Seq)
-			}
 			return engine.NewAccumulativeFromState(g, alg, cfg, sd.Acc)
 		},
-		state: func(e Engine, numV int) (byte, []byte) {
-			return KindSnapAccState, EncodeAccState(nil, numV, e.(*engine.Accumulative).SnapshotState())
+		kind: KindSnapAccState,
+		state: func(e Engine, numV int) []byte {
+			return EncodeAccState(nil, numV, e.(*engine.Accumulative).SnapshotState())
 		},
 	}
 }
@@ -117,8 +111,9 @@ func LocalFamily(alg algo.Local) Family {
 		restore: func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error) {
 			return engine.NewLocalFromState(g, alg, cfg, sd.Vals)
 		},
-		state: func(e Engine, _ int) (byte, []byte) {
-			return KindSnapState, EncodeState(nil, e.(*engine.Local).SnapshotState(), nil)
+		kind: KindSnapState,
+		state: func(e Engine, _ int) []byte {
+			return EncodeState(nil, e.(*engine.Local).SnapshotState(), nil)
 		},
 	}
 }
@@ -151,8 +146,7 @@ func (d *Durable) CheckBatch(b graph.Batch) error { return d.g.CheckBatch(b) }
 // writeSnap persists the engine state at seq, with the dedup window when
 // one is configured.
 func (d *Durable) writeSnap(seq uint64) error {
-	kind, state := d.fam.state(d.Eng, d.g.NumVertices())
-	return writeSnapshot(d.cfg.Wal, seq, d.g, kind, state, d.dedup)
+	return writeSnapshot(d.cfg.Wal, seq, d.g, d.fam.kind, d.fam.state(d.Eng, d.g.NumVertices()), d.dedup)
 }
 
 // ProcessBatch validates, logs, syncs (per policy), and only then applies
@@ -284,21 +278,13 @@ func (d *Durable) snapshotLocked() error {
 	if m := d.cfg.Wal.Metrics; m != nil {
 		m.Counter("wal.snapshots").Inc()
 	}
-	seqs, err := Snapshots(d.cfg.Wal.Dir)
-	if err != nil {
+	// Retention removes files outside the group's append mutex; only the
+	// log truncation needs it.
+	trim, ok, err := PruneSnapshots(d.cfg.Wal)
+	if err != nil || !ok {
 		return err
 	}
-	for len(seqs) > snapRetain {
-		if err := removeSnapshot(d.cfg.Wal, seqs[0]); err != nil {
-			return err
-		}
-		seqs = seqs[1:]
-	}
-	if len(seqs) == snapRetain {
-		trim := seqs[0]
-		return d.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
-	}
-	return nil
+	return d.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
 }
 
 // ReopenLog recovers from a poisoned log without losing the live engine —
@@ -334,16 +320,7 @@ func (d *Durable) ReopenLog() error {
 		if m := d.cfg.Wal.Metrics; m != nil {
 			m.Counter("wal.reopens").Inc()
 		}
-		seqs, err := Snapshots(d.cfg.Wal.Dir)
-		if err != nil {
-			return nil // retention is best-effort here; the base is durable
-		}
-		for len(seqs) > snapRetain {
-			if err := removeSnapshot(d.cfg.Wal, seqs[0]); err != nil {
-				return nil
-			}
-			seqs = seqs[1:]
-		}
+		_, _, _ = PruneSnapshots(d.cfg.Wal) // best-effort retention: the new base is durable
 		return nil
 	}
 	if d.gc != nil {
@@ -468,37 +445,15 @@ func replayTail(dc DurableConfig, snapSeq uint64, dedup *DedupTable, rs *Recover
 	return log, nil
 }
 
-// newestSnapshot walks the directory's snapshots newest-first and returns
-// the first that validates (the retention policy guarantees the log still
-// covers the older one when the newest is damaged).
-func newestSnapshot(dir string) (*SnapshotData, error) {
-	seqs, err := Snapshots(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) == 0 {
-		return nil, ErrNoSnapshot
-	}
-	var lastErr error
-	for i := len(seqs) - 1; i >= 0; i-- {
-		sd, err := ReadSnapshot(filepath.Join(dir, SnapName(seqs[i])))
-		if err == nil {
-			return sd, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("wal: no snapshot validates: %w", lastErr)
-}
-
 // Recover rebuilds a durable engine of the given family from dc.Wal.Dir: it
-// restores the newest snapshot that validates (falling back to older ones),
-// installs the snapshot's state in the engine without a from-scratch solve,
-// and replays the WAL tail through it. Each surviving sequence is applied
+// restores the newest snapshot of the family's kind that validates (falling
+// back to older ones), installs the snapshot's state in the engine without
+// a from-scratch solve, and replays the WAL tail through it. Each surviving sequence is applied
 // exactly once; replay stops cleanly at the first torn or corrupt frame.
 func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, RecoveryStats, error) {
 	t0 := time.Now()
 	var rs RecoveryStats
-	sd, err := newestSnapshot(dc.Wal.Dir)
+	sd, err := LoadSnapshot(dc.Wal.Dir, fam.kind)
 	if err != nil {
 		return nil, rs, err
 	}

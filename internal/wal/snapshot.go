@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,14 +64,15 @@ func Snapshots(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// SnapshotData is one decoded snapshot: the graph content plus the engine
-// state — values and key-edge parents (a KindSnapState frame; Parent is nil
-// for the local family), or the accumulative residual state (a
-// KindSnapAccState frame). The frame kind says which; a family restoring
-// from the other's snapshot finds its own fields empty and refuses.
+// SnapshotData is one decoded snapshot: the graph content plus the state
+// frame, whose kind says which fields it filled — values and key-edge
+// parents for KindSnapState (Parent is nil for the local family) and
+// KindDistCheckpoint (a distributed worker's view), or the accumulative
+// residual state for KindSnapAccState.
 type SnapshotData struct {
 	Seq    uint64
 	NumV   int
+	Kind   byte
 	Edges  []graph.Edge
 	Vals   []float64
 	Parent []int32
@@ -91,26 +94,39 @@ func WriteAccSnapshot(opts Options, seq uint64, g *graph.Streaming, st *engine.A
 	return writeSnapshot(opts, seq, g, KindSnapAccState, EncodeAccState(nil, g.NumVertices(), st), nil)
 }
 
-// writeSnapshot frames one snapshot file: header, edges, the state frame of
-// the given kind, the optional dedup frame, footer. Only dedup entries whose
-// walSeq the snapshot covers are persisted, so a snapshot can never assert
-// exactly-once for a batch whose frame it might outlive.
+// WriteWorkerSnapshot is WriteSnapshot for a distributed worker's view. Its
+// KindDistCheckpoint state frame repeats seq inside the checksummed payload,
+// so a state frame spliced under another snapshot's header is caught even
+// when header and footer agree with each other.
+func WriteWorkerSnapshot(opts Options, seq uint64, g *graph.Streaming, vals []float64, parent []int32) error {
+	state := EncodeState(binary.LittleEndian.AppendUint64(nil, seq), vals, parent)
+	return writeSnapshot(opts, seq, g, KindDistCheckpoint, state, nil)
+}
+
+// writeSnapshot persists one snapshot of g with the given state frame.
 func writeSnapshot(opts Options, seq uint64, g *graph.Streaming, kind byte, state []byte, dedup *DedupTable) error {
 	if _, err := opts.fire("snapshot.write"); err != nil {
 		return err
 	}
-	var buf []byte
-	var hdr [12]byte
-	putU64(hdr[0:8], seq)
-	putU32(hdr[8:12], uint32(g.NumVertices()))
-	buf = AppendFrame(buf, KindSnapHeader, hdr[:])
-	buf = AppendFrame(buf, KindSnapEdges, EncodeEdges(nil, g.Edges()))
+	return writeSnapshotFile(opts, seq, encodeSnapshot(seq, g.NumVertices(), g.Edges(), kind, state, dedup))
+}
+
+// encodeSnapshot frames one snapshot file: header, edges, the state frame
+// of the given kind, the optional dedup frame, footer. Only dedup entries
+// whose walSeq the snapshot covers are persisted, so a snapshot can never
+// assert exactly-once for a batch whose frame it might outlive.
+func encodeSnapshot(seq uint64, numV int, edges []graph.Edge, kind byte, state []byte, dedup *DedupTable) []byte {
+	var hdr, ed Enc
+	hdr.U64(seq)
+	hdr.U32(uint32(numV))
+	ed.Edges(edges)
+	buf := AppendFrame(nil, KindSnapHeader, hdr.B)
+	buf = AppendFrame(buf, KindSnapEdges, ed.B)
 	buf = AppendFrame(buf, kind, state)
 	if dedup != nil {
 		buf = AppendFrame(buf, KindSnapDedup, dedup.Encode(nil, seq))
 	}
-	buf = AppendFrame(buf, KindSnapFooter, hdr[0:8])
-	return writeSnapshotFile(opts, seq, buf)
+	return AppendFrame(buf, KindSnapFooter, hdr.B[0:8])
 }
 
 // writeSnapshotFile is the shared atomic-and-durable tail of every snapshot
@@ -149,81 +165,95 @@ func writeSnapshotFile(opts Options, seq uint64, buf []byte) error {
 	return nil
 }
 
-// ReadSnapshot loads and fully validates one snapshot file: frame CRCs,
-// frame order, decoded payload bounds, and header/footer sequence
-// agreement. Any violation returns an error; the caller falls back to an
-// older snapshot.
+// ReadSnapshot loads and fully validates one snapshot file: the file name
+// (retention and log truncation key on the seq it carries, so a renamed or
+// cross-copied file must not load), frame CRCs, frame order, decoded payload
+// bounds, and header/footer sequence agreement. Any violation returns an
+// error; the caller falls back to an older snapshot.
 func ReadSnapshot(path string) (*SnapshotData, error) {
+	name := filepath.Base(path)
+	nameSeq, ok := snapSeqOf(name)
+	if !ok {
+		return nil, fmt.Errorf("wal: snapshot: %s is not a snapshot file name", name)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: snapshot: %w", err)
 	}
 	defer f.Close()
 
-	next := func(want byte) ([]byte, error) {
+	// next reads the next frame, which must be of one of the wanted kinds.
+	next := func(want ...byte) (byte, []byte, error) {
 		kind, payload, err := ReadFrame(f)
 		if err != nil {
-			return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+			return 0, nil, fmt.Errorf("wal: snapshot %s: %w", name, err)
 		}
-		if kind != want {
-			return nil, fmt.Errorf("%w: snapshot frame kind %d, want %d", ErrCorrupt, kind, want)
+		if !slices.Contains(want, kind) {
+			return 0, nil, fmt.Errorf("%w: snapshot frame kind %d, want one of %v", ErrCorrupt, kind, want)
 		}
-		return payload, nil
+		return kind, payload, nil
 	}
 
-	hdr, err := next(KindSnapHeader)
+	_, hdr, err := next(KindSnapHeader)
 	if err != nil {
 		return nil, err
 	}
-	if len(hdr) != 12 {
-		return nil, fmt.Errorf("%w: snapshot header %d bytes", ErrCorrupt, len(hdr))
+	d := Dec{B: hdr}
+	sd := &SnapshotData{Seq: d.U64(), NumV: int(d.U32())}
+	if err := d.Err("snapshot header"); err != nil {
+		return nil, err
 	}
-	sd := &SnapshotData{Seq: getU64(hdr[0:8]), NumV: int(getU32(hdr[8:12]))}
+	if sd.Seq != nameSeq {
+		return nil, fmt.Errorf("%w: snapshot %s holds seq %d", ErrCorrupt, name, sd.Seq)
+	}
 	if sd.NumV < 0 || sd.NumV > 1<<28 {
 		return nil, fmt.Errorf("%w: snapshot declares %d vertices", ErrCorrupt, sd.NumV)
 	}
-	edgesP, err := next(KindSnapEdges)
+	_, edges, err := next(KindSnapEdges)
 	if err != nil {
 		return nil, err
 	}
-	if sd.Edges, err = DecodeEdges(edgesP, sd.NumV); err != nil {
+	d = Dec{B: edges}
+	sd.Edges = d.Edges(sd.NumV)
+	if err := d.Err("snapshot edges"); err != nil {
 		return nil, err
 	}
-	// The state frame's kind names the engine family that wrote it.
-	kind, payload, err := ReadFrame(f)
+	// The state frame's kind names the family that wrote it.
+	kind, state, err := next(KindSnapState, KindSnapAccState, KindDistCheckpoint)
 	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+		return nil, err
 	}
+	sd.Kind = kind
 	switch kind {
 	case KindSnapState:
-		sd.Vals, sd.Parent, err = DecodeState(payload, sd.NumV, sd.NumV)
+		sd.Vals, sd.Parent, err = DecodeState(state, sd.NumV, sd.NumV)
 	case KindSnapAccState:
-		sd.Acc, err = DecodeAccState(payload, sd.NumV)
-	default:
-		err = fmt.Errorf("%w: snapshot frame kind %d, want a state frame", ErrCorrupt, kind)
+		sd.Acc, err = DecodeAccState(state, sd.NumV)
+	case KindDistCheckpoint:
+		if len(state) < 8 || binary.LittleEndian.Uint64(state) != sd.Seq {
+			err = fmt.Errorf("%w: worker state seq disagrees with header %d", ErrCorrupt, sd.Seq)
+		} else {
+			sd.Vals, sd.Parent, err = DecodeState(state[8:], sd.NumV, sd.NumV)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	// The dedup frame is optional (older snapshots and dedup-off wrappers
 	// omit it); whichever of KindSnapDedup/KindSnapFooter comes next decides.
-	if kind, payload, err = ReadFrame(f); err != nil {
-		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+	kind, footer, err := next(KindSnapDedup, KindSnapFooter)
+	if err != nil {
+		return nil, err
 	}
 	if kind == KindSnapDedup {
-		if sd.Dedup, err = DecodeDedupTable(payload); err != nil {
+		if sd.Dedup, err = DecodeDedupTable(footer); err != nil {
 			return nil, err
 		}
-		if payload, err = next(KindSnapFooter); err != nil {
+		if _, footer, err = next(KindSnapFooter); err != nil {
 			return nil, err
 		}
-		kind = KindSnapFooter
 	}
-	if kind != KindSnapFooter {
-		return nil, fmt.Errorf("%w: snapshot frame kind %d, want %d", ErrCorrupt, kind, KindSnapFooter)
-	}
-	footer := payload
-	if len(footer) != 8 || getU64(footer) != sd.Seq {
+	if len(footer) != 8 || binary.LittleEndian.Uint64(footer) != sd.Seq {
 		return nil, fmt.Errorf("%w: snapshot footer disagrees with header", ErrCorrupt)
 	}
 	if _, _, err := ReadFrame(f); err != io.EOF {
@@ -232,15 +262,58 @@ func ReadSnapshot(path string) (*SnapshotData, error) {
 	return sd, nil
 }
 
-// removeSnapshot deletes one snapshot file (retention), firing the
-// crash-injection hook first.
-func removeSnapshot(opts Options, seq uint64) error {
-	if _, err := opts.fire("snapshot.remove"); err != nil {
-		return err
+// LoadSnapshot returns the newest snapshot in dir that validates and holds
+// a state frame of the given kind, falling back to older ones (retention
+// guarantees the log still covers the older one when the newest is
+// damaged). A snapshot of another kind belongs to another family and is
+// refused like a damaged one. ErrNoSnapshot means dir holds none at all.
+func LoadSnapshot(dir string, kind byte) (*SnapshotData, error) {
+	seqs, err := Snapshots(dir)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.Remove(filepath.Join(opts.Dir, SnapName(seq))); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+	if len(seqs) == 0 {
+		return nil, ErrNoSnapshot
 	}
-	opts.syncDir()
-	return nil
+	var lastErr error
+	for i := len(seqs) - 1; i >= 0; i-- {
+		sd, err := ReadSnapshot(filepath.Join(dir, SnapName(seqs[i])))
+		if err == nil && sd.Kind != kind {
+			err = fmt.Errorf("wal: snapshot %d holds state kind %d, want %d", sd.Seq, sd.Kind, kind)
+		}
+		if err == nil {
+			return sd, nil
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("wal: no snapshot validates: %w", lastErr)
+}
+
+// snapRetain is how many snapshots survive retention. Two, not one: the WAL
+// is truncated only through the *older* retained snapshot, so even if the
+// newest snapshot is lost to bit rot, the older one plus the untrimmed log
+// tail still reconstructs every acknowledged batch.
+const snapRetain = 2
+
+// PruneSnapshots deletes all but the snapRetain newest snapshots in
+// opts.Dir. Once snapRetain remain, it returns the older one's sequence and
+// ok: the caller may truncate its log through it.
+func PruneSnapshots(opts Options) (trim uint64, ok bool, err error) {
+	seqs, err := Snapshots(opts.Dir)
+	if err != nil {
+		return 0, false, err
+	}
+	for ; len(seqs) > snapRetain; seqs = seqs[1:] {
+		if _, err := opts.fire("snapshot.remove"); err != nil {
+			return 0, false, err
+		}
+		if err := os.Remove(filepath.Join(opts.Dir, SnapName(seqs[0]))); err != nil {
+			return 0, false, fmt.Errorf("wal: snapshot: %w", err)
+		}
+		opts.syncDir()
+	}
+	if len(seqs) < snapRetain {
+		return 0, false, nil
+	}
+	return seqs[0], true, nil
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math"
 	"os"
@@ -92,7 +93,7 @@ func TestFrameMultiChunk(t *testing.T) {
 // allocated about what was present, not the gigabyte it asked for.
 func TestReadFrameBoundedAlloc(t *testing.T) {
 	var in [16]byte
-	putU32(in[0:4], MaxFrameLen)
+	binary.LittleEndian.PutUint32(in[0:4], MaxFrameLen)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, _, err := ReadFrame(bytes.NewReader(in[:]))
@@ -122,7 +123,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(mut)
 	}
 	huge := append([]byte(nil), frame...)
-	putU32(huge[0:4], MaxFrameLen)
+	binary.LittleEndian.PutUint32(huge[0:4], MaxFrameLen)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

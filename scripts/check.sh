@@ -3,8 +3,9 @@
 # benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
 # smoke, the consistency-oracle and hub-replication fuzz smokes, a
 # durable-CLI recovery smoke per durable family, a multi-process kill -9
-# smoke of the distributed runtime, a 5 s fuzz each of the frame reader and
-# the worker checkpoint decoder, a check that removed flags and figures stay
+# smoke of the distributed runtime, a 5 s fuzz of every decoder harness (wal
+# frames, snapshots and payloads; the worker snapshot loader; the cluster
+# and session messages), a check that removed flags and figures stay
 # removed, a graphflyd serving smoke (concurrent ingest+query, SIGTERM,
 # restart, dump vs single-shot oracle), serving-chaos and degraded-mode
 # smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
@@ -65,15 +66,21 @@ rm -rf "$waltmp"
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
 timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
-echo "== decoder fuzz (frame reader, worker checkpoint reader; 5 s each, must not panic) =="
-go test -run '^$' -fuzz 'FuzzReadFrame' -fuzztime 5s ./internal/wal
-go test -run '^$' -fuzz 'FuzzReadWorkerCkpt' -fuzztime 5s ./internal/dist
+echo "== decoder fuzz (every decoder harness; 5 s each, no panic, stable round trips) =="
+for target in FuzzReadFrame FuzzReadSnapshot FuzzDecodePayloads; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/wal
+done
+for target in FuzzReadWorkerCkpt FuzzDecodeWire; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/dist
+done
+go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
 
-echo "== removed flags and figures (one runtime, one scheduler, one batch path) =="
+echo "== removed flags and figures (one runtime, one scheduler, one batch path, one link timing) =="
 flagtmp=$(mktemp -d)
 go build -o "$flagtmp/graphfly" ./cmd/graphfly
 go build -o "$flagtmp/graphflyd" ./cmd/graphflyd
 go build -o "$flagtmp/bench" ./cmd/bench
+go build -o "$flagtmp/graphfly-worker" ./cmd/graphfly-worker
 expect_unknown_flag() { # $1 = flag name, $2... = command
     local name=$1 rc=0
     shift
@@ -91,6 +98,11 @@ expect_unknown_flag sched "$flagtmp/graphfly" -sched x
 expect_unknown_flag denseoff "$flagtmp/graphfly" -denseoff
 expect_unknown_flag sched "$flagtmp/graphflyd" -sched x
 expect_unknown_flag denseoff "$flagtmp/bench" -denseoff
+expect_unknown_flag connect-timeout "$flagtmp/graphfly-worker" -connect-timeout 1s
+expect_unknown_flag heartbeat "$flagtmp/graphfly-worker" -heartbeat 1s
+expect_unknown_flag peer-timeout "$flagtmp/graphfly-worker" -peer-timeout 1s
+expect_unknown_flag retrans-base "$flagtmp/graphfly-worker" -retrans-base 1s
+expect_unknown_flag max-retries "$flagtmp/graphfly-worker" -max-retries 3
 rc=0
 "$flagtmp/bench" -fig s2 > /dev/null 2> "$flagtmp/err" || rc=$?
 if [ "$rc" != 2 ] || ! grep -q 'unknown figure' "$flagtmp/err"; then
