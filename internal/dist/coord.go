@@ -580,7 +580,7 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	// Manager trim identification: deleting a key edge (the edge a vertex's
 	// value currently depends on) invalidates that vertex and everything
 	// below it in the dependence forest; a non-key deletion changes no value.
-	c.kf.BulkLoad(c.parent)
+	c.kf.Sync(c.parent)
 	var trimmed []uint32
 	for _, u := range applied {
 		if !u.Del || c.parent[u.Dst] != int32(u.Src) {

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/algo"
+	"repro/internal/etree"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -48,7 +51,11 @@ func randomConfig(seed uint64) Config {
 	}
 }
 
-func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) bool {
+// selectiveEquivalent runs w through a selective engine and reports the
+// first batch after which its values differ from a from-scratch solve, or
+// after which the key forest is not what a bulk load of the parents the
+// batch started from gives.
+func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) error {
 	initial := w.Initial
 	if alg.Symmetric() {
 		var both []graph.Edge
@@ -60,7 +67,8 @@ func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) bool {
 	g := graph.FromEdges(w.NumV, initial)
 	e := NewSelective(g, alg, cfg)
 	ref := g.Clone()
-	for _, b := range w.Batches {
+	for i, b := range w.Batches {
+		parentStart := slices.Clone(e.parent)
 		e.ProcessBatch(b)
 		rb := b
 		if alg.Symmetric() {
@@ -72,18 +80,56 @@ func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) bool {
 		for v := range want {
 			if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) &&
 				!(math.IsInf(want[v], -1) && math.IsInf(got[v], -1)) {
-				return false
+				return fmt.Errorf("batch %d: vertex %d = %v, oracle %v", i, v, got[v], want[v])
 			}
 		}
+		if err := keyForestLoaded(e.kf, parentStart); err != nil {
+			return fmt.Errorf("batch %d: %v", i, err)
+		}
 	}
-	return true
+	return nil
+}
+
+// keyForestLoaded checks that f, as the engine left it, is a valid forest
+// over the given parents whose every child set equals the one a fresh
+// BulkLoad of them builds. Within a batch only maintain writes the forest,
+// so after a batch it must hold the parents the batch started from.
+func keyForestLoaded(f *etree.KeyForest, parent []int32) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	ref := etree.NewKeyForest(len(parent))
+	ref.BulkLoad(parent)
+	for v := range parent {
+		if p := f.Parent(uint32(v)); p != parent[v] {
+			return fmt.Errorf("key forest parent of %d: %d, batch start %d", v, p, parent[v])
+		}
+		got, want := childSet(f, uint32(v)), childSet(ref, uint32(v))
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("key forest children of %d: %v, bulk load %v", v, got, want)
+		}
+	}
+	return nil
+}
+
+// childSet returns v's key-forest children in ascending order.
+func childSet(f *etree.KeyForest, v uint32) []uint32 {
+	var cs []uint32
+	f.Subtree(v, func(x uint32) bool {
+		if x != v {
+			cs = append(cs, x)
+		}
+		return x == v
+	})
+	slices.Sort(cs)
+	return cs
 }
 
 func TestPropertySSSPEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		w := randomWorkload(seed)
 		src := graph.VertexID(seed % uint64(w.NumV))
-		return selectiveEquivalent(algo.SSSP{Src: src}, w, randomConfig(seed))
+		return selectiveEquivalent(algo.SSSP{Src: src}, w, randomConfig(seed)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -94,7 +140,7 @@ func TestPropertySSWPEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		w := randomWorkload(seed + 1)
 		src := graph.VertexID(seed % uint64(w.NumV))
-		return selectiveEquivalent(algo.SSWP{Src: src}, w, randomConfig(seed+1))
+		return selectiveEquivalent(algo.SSWP{Src: src}, w, randomConfig(seed+1)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -105,7 +151,7 @@ func TestPropertyBFSEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		w := randomWorkload(seed + 2)
 		src := graph.VertexID(seed % uint64(w.NumV))
-		return selectiveEquivalent(algo.BFS{Src: src}, w, randomConfig(seed+2))
+		return selectiveEquivalent(algo.BFS{Src: src}, w, randomConfig(seed+2)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -115,7 +161,7 @@ func TestPropertyBFSEquivalence(t *testing.T) {
 func TestPropertyCCEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		w := randomWorkload(seed + 3)
-		return selectiveEquivalent(algo.CC{}, w, randomConfig(seed+3))
+		return selectiveEquivalent(algo.CC{}, w, randomConfig(seed+3)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

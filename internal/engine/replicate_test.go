@@ -56,9 +56,9 @@ func TestReplicationSelectiveEquivalence(t *testing.T) {
 					})
 					cfg := replicatedConfig(workers, sched)
 					for _, alg := range algs {
-						if !selectiveEquivalent(alg, w, cfg) {
-							t.Errorf("replicated %s diverged (seed=%#x sched=%v workers=%d)",
-								alg.Name(), seed, sched, workers)
+						if err := selectiveEquivalent(alg, w, cfg); err != nil {
+							t.Errorf("replicated %s diverged (seed=%#x sched=%v workers=%d): %v",
+								alg.Name(), seed, sched, workers, err)
 						}
 					}
 				})

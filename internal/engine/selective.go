@@ -70,6 +70,7 @@ func newSelective(g *graph.Streaming, alg algo.Selective, cfg Config, vals []flo
 		trimmed: newFlags(g.NumVertices()),
 		kf:      etree.NewKeyForest(g.NumVertices()),
 	}
+	e.kf.BulkLoad(parent)
 	e.init(g, cfg, e, alg.Symmetric())
 	e.inEdges = true
 	e.repartition()
@@ -102,11 +103,12 @@ func (e *Selective) Values() []float64 {
 // Parent returns v's key-edge source (-1 if none).
 func (e *Selective) Parent(v graph.VertexID) int32 { return e.parent[v] }
 
-// maintain bulk-loads the key edges recorded during the previous batch into
-// the key-edge D-tree (§IV-B). The forest follows the values, so it never
-// forces the flows to be re-derived.
+// maintain re-links the vertices the previous batch re-parented into the
+// key-edge D-tree (§IV-B): the forest already holds every other key edge.
+// The forest follows the values, so it never forces the flows to be
+// re-derived.
 func (e *Selective) maintain(graph.Batch) bool {
-	e.kf.BulkLoad(e.parent)
+	e.kf.Sync(e.parent)
 	return false
 }
 

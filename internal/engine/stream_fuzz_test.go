@@ -16,7 +16,9 @@ import (
 // algorithm at several worker counts under BOTH schedulers, checked
 // against from-scratch recomputation after every batch. Each failure
 // message carries the reproducing seed, shape, scheduler, and worker
-// count, so any divergence replays deterministically.
+// count, so any divergence replays deterministically. After every batch
+// the selective engines' key forest is also checked against a bulk load of
+// the parents the batch started from (keyForestLoaded).
 
 type fuzzShape struct {
 	name  string
@@ -139,9 +141,9 @@ func TestFuzzStreamEquivalence(t *testing.T) {
 					for _, workers := range workerCounts {
 						cfg := Config{Workers: workers, FlowCap: 32, Scheduler: sched}
 						for _, sa := range selective {
-							if !selectiveEquivalent(sa.alg, w, cfg) {
-								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d",
-									sa.name, shape.name, seed, sched, workers)
+							if err := selectiveEquivalent(sa.alg, w, cfg); err != nil {
+								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
+									sa.name, shape.name, seed, sched, workers, err)
 							}
 						}
 						if !accumulativeEquivalent(w, cfg) {

@@ -1,6 +1,7 @@
 package etree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -338,6 +339,65 @@ func TestKeyForestPropertyConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyForestSyncMatchesBulkLoad runs a chain of random acyclic parent
+// arrays through Sync — each a few re-parented, detached or attached
+// vertices away from the last, the shape of a batch, plus an occasional
+// wholesale redraw — and checks after each that the forest is valid and
+// every child set equals the one a fresh BulkLoad builds.
+func TestKeyForestSyncMatchesBulkLoad(t *testing.T) {
+	const n = 300
+	r := rng.New(41)
+	// order is a random topological order: a parent always precedes its
+	// child in it, so every array drawn below is acyclic.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	rank := make([]int, n)
+	for i, v := range order {
+		rank[v] = i
+	}
+	draw := func(v int) int32 {
+		if rank[v] == 0 || r.Float64() < 0.15 {
+			return -1
+		}
+		return int32(order[r.Intn(rank[v])])
+	}
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = draw(v)
+	}
+	kf := NewKeyForest(n)
+	for step := 0; step < 200; step++ {
+		if step%50 == 49 {
+			for v := range parent {
+				parent[v] = draw(v)
+			}
+		} else {
+			for k := r.Intn(20); k >= 0; k-- {
+				v := r.Intn(n)
+				parent[v] = draw(v)
+			}
+		}
+		kf.Sync(parent)
+		if err := kf.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		ref := NewKeyForest(n)
+		ref.BulkLoad(parent)
+		for v := range parent {
+			got, want := slices.Clone(kf.children[v]), slices.Clone(ref.children[v])
+			slices.Sort(got)
+			slices.Sort(want)
+			if kf.Parent(uint32(v)) != parent[v] || !slices.Equal(got, want) {
+				t.Fatalf("step %d: vertex %d: parent %d children %v, bulk load parent %d children %v",
+					step, v, kf.Parent(uint32(v)), got, parent[v], want)
+			}
+		}
 	}
 }
 

@@ -94,10 +94,8 @@ func (f *KeyForest) SubtreeSize(v uint32) int {
 }
 
 // BulkLoad replaces the whole forest with the given parent array (-1 for
-// roots) and rebuilds the children index in O(N). Engines call this at the
-// start of each batch with the key edges recorded during the previous
-// batch's computation (§IV-B: "We record these key edges during the runtime
-// ... and then use them for the next batch updates").
+// roots) and rebuilds the children index in O(N). Engines call it when
+// they build or restore their state; per batch they Sync instead.
 func (f *KeyForest) BulkLoad(parent []int32) {
 	if len(parent) != len(f.parent) {
 		panic("etree: BulkLoad length mismatch")
@@ -113,6 +111,32 @@ func (f *KeyForest) BulkLoad(parent []int32) {
 		}
 		f.posInPar[v] = int32(len(f.children[p]))
 		f.children[p] = append(f.children[p], uint32(v))
+	}
+}
+
+// Sync brings the forest to the given parent array (-1 for roots) by
+// re-linking only the vertices whose parent differs: one sequential compare
+// pass plus an O(1) SetParent per re-parented vertex. Engines call it at
+// the start of each batch with the key edges recorded during the previous
+// batch's computation (§IV-B: "We record these key edges during the runtime
+// ... and then use them for the next batch updates"), which re-parents a
+// small fraction of the vertices. The children index then holds the same
+// sets BulkLoad would build, but each list's order depends on the forest's
+// history (SetParent swap-removes and appends), so a forest restored with
+// BulkLoad lists the same children in another order. Nothing may depend on
+// that order: Subtree's sibling order is unspecified. (Which of two equal
+// candidates becomes a key edge can differ between an uninterrupted and a
+// restored engine for other reasons too, so only values, not parents, are
+// pinned across recovery.)
+func (f *KeyForest) Sync(parent []int32) {
+	if len(parent) != len(f.parent) {
+		panic("etree: Sync length mismatch")
+	}
+	have := f.parent[:len(parent)]
+	for v, p := range parent {
+		if have[v] != p {
+			f.SetParent(uint32(v), p)
+		}
 	}
 }
 

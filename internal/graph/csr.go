@@ -36,12 +36,12 @@ func (g *Streaming) ToCSRInto(c *CSR) *CSR {
 	}
 	n := g.NumVertices()
 	c.N, c.M = n, g.m
-	c.OutPtr = growInt32(c.OutPtr, n+1)
-	c.OutDst = growUint32(c.OutDst, g.m)
-	c.OutW = growFloat64(c.OutW, g.m)
-	c.InPtr = growInt32(c.InPtr, n+1)
-	c.InSrc = growUint32(c.InSrc, g.m)
-	c.InW = growFloat64(c.InW, g.m)
+	c.OutPtr = grow(c.OutPtr, n+1)
+	c.OutDst = grow(c.OutDst, g.m)
+	c.OutW = grow(c.OutW, g.m)
+	c.InPtr = grow(c.InPtr, n+1)
+	c.InSrc = grow(c.InSrc, g.m)
+	c.InW = grow(c.InW, g.m)
 	pos := int32(0)
 	for v := 0; v < n; v++ {
 		c.OutPtr[v] = pos
@@ -65,27 +65,13 @@ func (g *Streaming) ToCSRInto(c *CSR) *CSR {
 	return c
 }
 
-// growInt32 returns a slice of length n, reusing s's backing array when it
-// is large enough. Contents are not preserved.
-func growInt32(s []int32, n int) []int32 {
+// grow returns a slice of length n, reusing s's backing array when it is
+// large enough. Contents are not preserved.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n)
-}
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint32, n)
-}
-
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // OutEdges returns the out-neighbour and weight slices of v.

@@ -64,7 +64,7 @@ func (b Batch) Deletions() int { return len(b) - b.Additions() }
 // HubThreshold is the degree at which a vertex's adjacency list gains a
 // neighbour->position hash index, making HasEdge/AddEdge/DeleteEdge O(1)
 // amortized on that list regardless of skew. Below the threshold a linear
-// scan over a short cache-resident slice is faster than a map probe; 64
+// scan over a short cache-resident slice is faster than a hash probe; 64
 // halves (~1KB of Half entries) is where the scan stops winning on the
 // power-law hubs RMAT/BA produce. The index is dropped again only when the
 // degree falls below HubThreshold/4 (hysteresis, so a hub oscillating
@@ -112,22 +112,25 @@ func (o Options) normalize() (build, drop int) {
 // neighbour->position index, low-degree lists are scanned.
 //
 // Streaming is not safe for concurrent mutation of the same vertex's list;
-// ApplyBatchParallel shards work so each vertex's list is owned by exactly
-// one goroutine (the hub indexes follow the same sharding: out-indexes are
-// touched only by out-list owners, in-indexes only by in-list owners).
+// ApplyBatchParallel hashes vertices to workers so each list is mutated by
+// exactly one goroutine per pass — out-lists (and out-indexes) by the
+// worker their source hashes to, in-lists (and in-indexes) by the worker
+// their destination hashes to.
 type Streaming struct {
 	out [][]Half
 	in  [][]Half
 	// outIdx[v] / inIdx[v] map a neighbour to its position in out[v] /
 	// in[v]. Non-nil only while v is a hub in that direction.
-	outIdx []map[VertexID]int32
-	inIdx  []map[VertexID]int32
+	outIdx []*hubIndex
+	inIdx  []*hubIndex
 	m      int
 	noIdx  bool // hub indexing disabled (the linear-scan reference in tests)
 	// hubBuild/hubDrop are this graph's hysteresis band (Options; defaults
 	// HubThreshold and HubThreshold/4).
 	hubBuild int
 	hubDrop  int
+	// scr is ApplyBatchParallel's bucketing scratch, kept across batches.
+	scr applyScratch
 }
 
 // NewStreaming returns an empty streaming graph with n vertices and the
@@ -143,8 +146,8 @@ func NewStreamingOpts(n int, o Options) *Streaming {
 	return &Streaming{
 		out:      make([][]Half, n),
 		in:       make([][]Half, n),
-		outIdx:   make([]map[VertexID]int32, n),
-		inIdx:    make([]map[VertexID]int32, n),
+		outIdx:   make([]*hubIndex, n),
+		inIdx:    make([]*hubIndex, n),
 		hubBuild: build,
 		hubDrop:  drop,
 	}
@@ -191,15 +194,11 @@ func (g *Streaming) SetHubThresholds(build, drop int) {
 	if g.noIdx {
 		return
 	}
-	retune := func(lists [][]Half, idxs []map[VertexID]int32) {
+	retune := func(lists [][]Half, idxs []*hubIndex) {
 		for v, l := range lists {
 			switch {
 			case idxs[v] == nil && len(l) >= b:
-				idx := make(map[VertexID]int32, 2*len(l))
-				for i, e := range l {
-					idx[e.To] = int32(i)
-				}
-				idxs[v] = idx
+				idxs[v] = newHubIndex(l)
 			case idxs[v] != nil && len(l) < d:
 				idxs[v] = nil
 			}
@@ -235,12 +234,9 @@ func (g *Streaming) In(v VertexID) []Half { return g.in[v] }
 
 // lookupHalf returns the position of `to` in list, consulting the hub index
 // when one exists, or -1 when absent.
-func lookupHalf(list []Half, idx map[VertexID]int32, to VertexID) int32 {
+func lookupHalf(list []Half, idx *hubIndex, to VertexID) int32 {
 	if idx != nil {
-		if p, ok := idx[to]; ok {
-			return p
-		}
-		return -1
+		return idx.get(to)
 	}
 	for i, h := range list {
 		if h.To == to {
@@ -253,23 +249,19 @@ func lookupHalf(list []Half, idx map[VertexID]int32, to VertexID) int32 {
 // appendHalf appends h to lists[u] and maintains the hub index: existing
 // indexes learn the new position, and a list crossing HubThreshold gets one
 // built (O(degree) once, amortized O(1) per add).
-func (g *Streaming) appendHalf(lists [][]Half, idxs []map[VertexID]int32, u VertexID, h Half) {
+func (g *Streaming) appendHalf(lists [][]Half, idxs []*hubIndex, u VertexID, h Half) {
 	lists[u] = append(lists[u], h)
 	l := lists[u]
 	if idx := idxs[u]; idx != nil {
-		idx[h.To] = int32(len(l) - 1)
+		idx.set(h.To, int32(len(l)-1))
 	} else if !g.noIdx && len(l) >= g.hubBuild {
-		idx = make(map[VertexID]int32, 2*len(l))
-		for i, e := range l {
-			idx[e.To] = int32(i)
-		}
-		idxs[u] = idx
+		idxs[u] = newHubIndex(l)
 	}
 }
 
 // removeHalfIdx swap-deletes `to` from lists[u], fixing up the moved
 // entry's index position and dropping the index under hubDropThreshold.
-func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []map[VertexID]int32, u, to VertexID) (Weight, bool) {
+func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []*hubIndex, u, to VertexID) (Weight, bool) {
 	idx := idxs[u]
 	p := lookupHalf(lists[u], idx, to)
 	if p < 0 {
@@ -282,9 +274,9 @@ func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []map[VertexID]int32, u, 
 	l[p] = moved
 	lists[u] = l[:last]
 	if idx != nil {
-		delete(idx, to)
+		idx.del(to)
 		if int(p) != last {
-			idx[moved.To] = p
+			idx.set(moved.To, p)
 		}
 		if last < g.hubDrop {
 			idxs[u] = nil
@@ -353,8 +345,8 @@ func (g *Streaming) Clone() *Streaming {
 	c := &Streaming{
 		out:      make([][]Half, len(g.out)),
 		in:       make([][]Half, len(g.in)),
-		outIdx:   make([]map[VertexID]int32, len(g.out)),
-		inIdx:    make([]map[VertexID]int32, len(g.in)),
+		outIdx:   make([]*hubIndex, len(g.out)),
+		inIdx:    make([]*hubIndex, len(g.in)),
 		m:        g.m,
 		noIdx:    g.noIdx,
 		hubBuild: g.hubBuild,
@@ -366,16 +358,11 @@ func (g *Streaming) Clone() *Streaming {
 	for i, l := range g.in {
 		c.in[i] = append([]Half(nil), l...)
 	}
-	cloneIdx := func(dst, src []map[VertexID]int32) {
-		for i, m := range src {
-			if m == nil {
-				continue
+	cloneIdx := func(dst, src []*hubIndex) {
+		for i, idx := range src {
+			if idx != nil {
+				dst[i] = idx.clone()
 			}
-			cp := make(map[VertexID]int32, len(m))
-			for k, v := range m {
-				cp[k] = v
-			}
-			dst[i] = cp
 		}
 	}
 	cloneIdx(c.outIdx, g.outIdx)
@@ -466,15 +453,15 @@ func (g *Streaming) Validate() error {
 
 // validateIdx checks that a hub index, when present, is an exact
 // neighbour->position bijection for the list it covers.
-func validateIdx(list []Half, idx map[VertexID]int32, v VertexID, dir string) error {
+func validateIdx(list []Half, idx *hubIndex, v VertexID, dir string) error {
 	if idx == nil {
 		return nil
 	}
-	if len(idx) != len(list) {
-		return fmt.Errorf("%s-index of %d has %d entries for %d halves", dir, v, len(idx), len(list))
+	if idx.len() != len(list) {
+		return fmt.Errorf("%s-index of %d has %d entries for %d halves", dir, v, idx.len(), len(list))
 	}
 	for i, h := range list {
-		if p, ok := idx[h.To]; !ok || p != int32(i) {
+		if p := idx.get(h.To); p != int32(i) {
 			return fmt.Errorf("%s-index of %d maps %d to %d, list has it at %d", dir, v, h.To, p, i)
 		}
 	}

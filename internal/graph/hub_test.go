@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -140,42 +141,158 @@ func TestHubIndexBuildDropHysteresis(t *testing.T) {
 	}
 }
 
-// TestHubParallelMatchesSequential runs hub-skewed batches through both
-// batch paths; the parallel path maintains the same indexes shard-locally.
+// rmatBatch samples size RMAT-shaped updates over 2^scale vertices: about
+// a quarter deletions, some of an edge added earlier in the same batch, and
+// additions of which some repeat an earlier pair with another weight.
+func rmatBatch(r *rng.Xoshiro256, scale, size int) Batch {
+	b := make(Batch, 0, size)
+	for len(b) < size {
+		s, d := rmatEdge(r, scale)
+		if s == d {
+			continue
+		}
+		u := Update{Edge: Edge{Src: s, Dst: d, W: r.Weight(8)}, Del: r.Float64() < 0.25}
+		if len(b) > 0 && r.Float64() < 0.15 {
+			prev := b[r.Intn(len(b))]
+			u.Src, u.Dst = prev.Src, prev.Dst
+		}
+		b = append(b, u)
+	}
+	return b
+}
+
+// sameGraph asserts a and b hold byte-identical adjacency: every out- and
+// in-list equal entry by entry, in order.
+func sameGraph(t *testing.T, a, b *Streaming, ctx string) {
+	t.Helper()
+	if a.NumEdges() != b.NumEdges() {
+		t.Fatalf("%s: %d vs %d edges", ctx, a.NumEdges(), b.NumEdges())
+	}
+	for v := 0; v < a.NumVertices(); v++ {
+		for dir, pair := range [2][2][]Half{{a.out[v], b.out[v]}, {a.in[v], b.in[v]}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: vertex %d dir %d: %d vs %d halves", ctx, v, dir, len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[0] {
+				if pair[0][i] != pair[1][i] {
+					t.Fatalf("%s: vertex %d dir %d half %d: %v vs %v", ctx, v, dir, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+}
+
+// TestHubParallelMatchesSequential runs hub-skewed and RMAT-shaped batches
+// through both batch paths at several worker counts; the parallel path
+// maintains the same indexes shard-locally, and its result and adjacency
+// must equal ApplyBatch's byte for byte — duplicate additions and deletions
+// of edges the same batch added included.
 func TestHubParallelMatchesSequential(t *testing.T) {
 	r := rng.New(31)
-	base := NewStreaming(96)
+	star := NewStreaming(96)
 	for i := 0; i < 600; i++ {
 		d := VertexID(r.Intn(96))
 		if d != 0 {
-			base.AddEdge(Edge{0, d, r.Weight(4)})
+			star.AddEdge(Edge{0, d, r.Weight(4)})
 		}
 	}
-	for trial := 0; trial < 8; trial++ {
-		raw := hubBatch(r, 96, 500, 0.8)
-		seen := map[[2]VertexID]bool{}
-		b := raw[:0]
-		for _, u := range raw {
-			k := [2]VertexID{u.Src, u.Dst}
-			if !seen[k] {
-				seen[k] = true
-				b = append(b, u)
+	const scale = 10
+	rmat := NewStreaming(1 << scale)
+	for rmat.NumEdges() < 6<<scale {
+		if s, d := rmatEdge(r, scale); s != d {
+			rmat.AddEdge(Edge{s, d, r.Weight(8)})
+		}
+	}
+	if rmat.outIdx[0] == nil || rmat.inIdx[0] == nil {
+		t.Fatal("RMAT base graph has no hubs — test lost its teeth")
+	}
+	for _, tc := range []struct {
+		name  string
+		base  *Streaming
+		batch func() Batch
+	}{
+		{"star", star, func() Batch { return hubBatch(r, 96, 500, 0.8) }},
+		{"rmat", rmat, func() Batch { return rmatBatch(r, scale, 2000) }},
+	} {
+		for _, workers := range []int{2, 3, 4, 8} {
+			g1, g2 := tc.base.Clone(), tc.base.Clone()
+			for trial := 0; trial < 4; trial++ {
+				ctx := fmt.Sprintf("%s workers %d trial %d", tc.name, workers, trial)
+				b := tc.batch()
+				a1 := g1.ApplyBatch(b)
+				a2 := g2.ApplyBatchParallel(b, workers)
+				if len(a1) != len(a2) {
+					t.Fatalf("%s: applied %d vs %d", ctx, len(a1), len(a2))
+				}
+				for i := range a1 {
+					if a1[i] != a2[i] {
+						t.Fatalf("%s: applied[%d] %v vs %v", ctx, i, a1[i], a2[i])
+					}
+				}
+				if err := g2.Validate(); err != nil {
+					t.Fatalf("%s: parallel graph invalid: %v", ctx, err)
+				}
+				sameGraph(t, g1, g2, ctx)
 			}
 		}
-		g1, g2 := base.Clone(), base.Clone()
-		a1 := g1.ApplyBatch(b)
-		a2 := g2.ApplyBatchParallel(b, 4)
-		if len(a1) != len(a2) {
-			t.Fatalf("trial %d: applied %d vs %d", trial, len(a1), len(a2))
+	}
+}
+
+// TestShardBalanceRMAT: hashed sharding splits RMAT ids evenly, where
+// v % 2 hands one of two workers about 3/4 of the sources and destinations
+// (an RMAT id sets its low bit with probability c+d = 0.24 only).
+func TestShardBalanceRMAT(t *testing.T) {
+	r := rng.New(17)
+	const n = 5000
+	var hashed, modulo [2][2]int // [src/dst][worker]
+	for i := 0; i < n; i++ {
+		s, d := rmatEdge(r, 17)
+		for k, v := range [2]VertexID{s, d} {
+			hashed[k][shardOf(v, 2)]++
+			modulo[k][v%2]++
 		}
-		if err := g2.Validate(); err != nil {
-			t.Fatalf("trial %d: parallel hub graph invalid: %v", trial, err)
+	}
+	for k, dir := range []string{"src", "dst"} {
+		if m := max(modulo[k][0], modulo[k][1]); m*10 <= 6*n {
+			t.Fatalf("%s: v %% 2 gives the busier worker only %d of %d — test lost its teeth", dir, m, n)
 		}
-		e1, e2 := g1.Edges(), g2.Edges()
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				t.Fatalf("trial %d: edge %d: %v vs %v", trial, i, e1[i], e2[i])
+		if m := max(hashed[k][0], hashed[k][1]); m*10 > 6*n {
+			t.Fatalf("%s: hashed shards give one worker %d of %d updates (> 60%%)", dir, m, n)
+		}
+	}
+}
+
+// TestApplyBatchParallelNoopAllocs: once warmed up, a batch whose every
+// update is a no-op (additions of present edges, deletions of absent ones)
+// allocates nothing but the go statement of each helper worker — the
+// bucketing scratch is retained on the graph, and an empty applied slice
+// costs nothing.
+func TestApplyBatchParallelNoopAllocs(t *testing.T) {
+	r := rng.New(3)
+	const scale = 10
+	g := NewStreaming(1 << scale)
+	var b Batch
+	for len(b) < 800 {
+		if s, d := rmatEdge(r, scale); s != d && g.AddEdge(Edge{s, d, 1}) {
+			b = append(b, Update{Edge: Edge{s, d, 1}})
+		}
+	}
+	for len(b) < 1000 {
+		s, d := VertexID(r.Intn(1<<scale)), VertexID(r.Intn(1<<scale))
+		if _, ok := g.HasEdge(s, d); !ok {
+			b = append(b, Update{Edge: Edge{s, d, 1}, Del: true})
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		g.ApplyBatchParallel(b, workers)
+		allocs := testing.AllocsPerRun(20, func() {
+			if a := g.ApplyBatchParallel(b, workers); len(a) != 0 {
+				t.Fatalf("no-op batch applied %d updates", len(a))
 			}
+		})
+		if allocs > float64(workers-1) {
+			t.Fatalf("workers %d: %v allocs per no-op batch, want at most %d (one per helper goroutine)",
+				workers, allocs, workers-1)
 		}
 	}
 }
@@ -259,12 +376,14 @@ func compareCSR(t *testing.T, a, b *CSR) {
 
 // FuzzHubAdjacency drives AddEdge/DeleteEdge/HasEdge from an op tape
 // against a map oracle, validating index integrity after every step burst.
+// The hub band is lowered to 4 / 1 so the 32-vertex lists build, grow and
+// drop their indexes.
 func FuzzHubAdjacency(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x80, 0x01, 0x00, 0x41})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x81, 0x82, 0x83, 0x01})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		const n = 32
-		g := NewStreaming(n)
+		g := NewStreamingOpts(n, Options{HubThreshold: 4})
 		oracle := map[[2]VertexID]Weight{}
 		for i := 0; i+1 < len(tape); i += 2 {
 			src := VertexID(tape[i] & 0x1f)

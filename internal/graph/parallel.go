@@ -5,13 +5,68 @@ import (
 	"sync"
 )
 
-// ApplyBatchParallel applies a batch with vertex-sharded parallelism: every
-// out-list is mutated only by the goroutine owning the source shard, every
-// in-list only by the goroutine owning the destination shard, so no locks
-// are needed. Within one vertex the original update order is preserved, so
-// the result is identical to ApplyBatch for batches that do not contain
-// both an addition and a deletion of the same edge (the stream samplers in
-// internal/gen never emit such pairs).
+// applyScratch is ApplyBatchParallel's per-batch working set, retained on
+// the graph so a batch allocates nothing but its applied result and one
+// goroutine per helper worker.
+type applyScratch struct {
+	// took[i] records whether update i took effect; decided on the
+	// out-direction pass (the authoritative one), then mirrored by the
+	// in-direction pass with weights[i] as the edge's weight.
+	took    []bool
+	weights []Weight
+	// byOut / byIn hold the batch indices bucketed by the worker owning
+	// the source / destination; worker w walks byOut[outStart[w]:
+	// outStart[w+1]] and then byIn[inStart[w]:inStart[w+1]], in batch order.
+	byOut, byIn       []int32
+	outStart, inStart []int32
+	count             []int32
+	// outDone is the barrier between the passes; done counts the helper
+	// workers out.
+	outDone, done sync.WaitGroup
+}
+
+// shardOf hashes v to one of workers shards with the hub index's Fibonacci
+// hash (the top 32 bits of v·2^64/phi, scaled to [0, workers)). Unlike
+// v % workers it does not inherit the skew of the ids' low bits, which RMAT
+// sets with probability c+d only.
+func shardOf(v VertexID, workers int) int {
+	return int((uint64(v) * hubHashMul >> 32) * uint64(workers) >> 32)
+}
+
+// bucket counting-sorts the batch indices by the shard of each update's
+// source (or destination, when byDst) into order, writing each shard's
+// first position to start (len workers+1); count is workers long scratch.
+// The sort is stable, so every vertex sees its updates in batch order.
+func bucket(b Batch, workers int, byDst bool, order, start, count []int32) {
+	key := func(u *Update) VertexID {
+		if byDst {
+			return u.Dst
+		}
+		return u.Src
+	}
+	clear(count)
+	for i := range b {
+		count[shardOf(key(&b[i]), workers)]++
+	}
+	start[0] = 0
+	for w, c := range count {
+		start[w+1] = start[w] + c
+		count[w] = start[w]
+	}
+	for i := range b {
+		s := shardOf(key(&b[i]), workers)
+		order[count[s]] = int32(i)
+		count[s]++
+	}
+}
+
+// ApplyBatchParallel applies a batch with vertex-sharded parallelism: the
+// batch is bucketed once by the hashed shard of each update's source and of
+// its destination, then every worker walks only its own buckets — mutating
+// the out-lists of the sources it owns, then, once all workers are past
+// that pass, the in-lists of the destinations it owns — so no locks are
+// needed. Within one vertex the original update order is preserved, so the
+// graph and the result are identical to ApplyBatch's.
 //
 // It returns the updates that actually took effect (in batch order), which
 // downstream engines use to drive refinement. This mirrors the paper's
@@ -24,77 +79,84 @@ func (g *Streaming) ApplyBatchParallel(b Batch, workers int) Batch {
 	if workers == 1 || len(b) < 256 {
 		return g.ApplyBatch(b)
 	}
-	n := g.NumVertices()
-	shard := func(v VertexID) int { return int(v) % workers }
-	_ = n
+	s := &g.scr
+	s.took = grow(s.took, len(b))
+	s.weights = grow(s.weights, len(b))
+	s.byOut = grow(s.byOut, len(b))
+	s.byIn = grow(s.byIn, len(b))
+	s.outStart = grow(s.outStart, workers+1)
+	s.inStart = grow(s.inStart, workers+1)
+	s.count = grow(s.count, workers)
+	bucket(b, workers, false, s.byOut, s.outStart, s.count)
+	bucket(b, workers, true, s.byIn, s.inStart, s.count)
 
-	// took[i] records whether update i took effect; decided on the
-	// out-direction pass (the authoritative one), then mirrored by the
-	// in-direction pass.
-	took := make([]bool, len(b))
-	weights := make([]Weight, len(b))
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i, u := range b {
-				if shard(u.Src) != w {
-					continue
-				}
-				if u.Del {
-					if wt, ok := g.removeHalfIdx(g.out, g.outIdx, u.Src, u.Dst); ok {
-						took[i] = true
-						weights[i] = wt
-					}
-				} else {
-					if lookupHalf(g.out[u.Src], g.outIdx[u.Src], u.Dst) < 0 {
-						g.appendHalf(g.out, g.outIdx, u.Src, Half{To: u.Dst, W: u.W})
-						took[i] = true
-						weights[i] = u.W
-					}
-				}
-			}
-		}(w)
+	s.outDone.Add(workers)
+	s.done.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go g.applyShard(b, w)
 	}
-	wg.Wait()
+	g.applyShard(b, 0)
+	s.done.Wait()
 
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i, u := range b {
-				if shard(u.Dst) != w || !took[i] {
-					continue
-				}
-				if u.Del {
-					if _, ok := g.removeHalfIdx(g.in, g.inIdx, u.Dst, u.Src); !ok {
-						panic("graph: in/out adjacency diverged during parallel delete")
-					}
-				} else {
-					g.appendHalf(g.in, g.inIdx, u.Dst, Half{To: u.Src, W: weights[i]})
-				}
-			}
-		}(w)
+	n := 0
+	for _, t := range s.took {
+		if t {
+			n++
+		}
 	}
-	wg.Wait()
-
-	applied := make(Batch, 0, len(b))
-	delta := 0
+	applied := make(Batch, 0, n)
 	for i, u := range b {
-		if took[i] {
-			u.W = weights[i]
+		if s.took[i] {
+			u.W = s.weights[i]
 			applied = append(applied, u)
 			if u.Del {
-				delta--
+				g.m--
 			} else {
-				delta++
+				g.m++
 			}
 		}
 	}
-	g.m += delta
 	return applied
+}
+
+// applyShard is worker w's part of ApplyBatchParallel: the out-direction
+// pass over its source bucket, the barrier, then the in-direction pass over
+// its destination bucket. Worker 0 is the caller; the others are counted
+// out on done.
+func (g *Streaming) applyShard(b Batch, w int) {
+	s := &g.scr
+	for _, i := range s.byOut[s.outStart[w]:s.outStart[w+1]] {
+		u := &b[i]
+		s.took[i] = false
+		if u.Del {
+			if wt, ok := g.removeHalfIdx(g.out, g.outIdx, u.Src, u.Dst); ok {
+				s.took[i] = true
+				s.weights[i] = wt
+			}
+		} else if lookupHalf(g.out[u.Src], g.outIdx[u.Src], u.Dst) < 0 {
+			g.appendHalf(g.out, g.outIdx, u.Src, Half{To: u.Dst, W: u.W})
+			s.took[i] = true
+			s.weights[i] = u.W
+		}
+	}
+	s.outDone.Done()
+	s.outDone.Wait()
+	for _, i := range s.byIn[s.inStart[w]:s.inStart[w+1]] {
+		if !s.took[i] {
+			continue
+		}
+		u := &b[i]
+		if u.Del {
+			if _, ok := g.removeHalfIdx(g.in, g.inIdx, u.Dst, u.Src); !ok {
+				panic("graph: in/out adjacency diverged during parallel delete")
+			}
+		} else {
+			g.appendHalf(g.in, g.inIdx, u.Dst, Half{To: u.Src, W: s.weights[i]})
+		}
+	}
+	if w > 0 {
+		s.done.Done()
+	}
 }
 
 // ParallelFor runs fn over [0, n) split into contiguous chunks across the

@@ -5,7 +5,7 @@
 # durable-CLI recovery smoke per durable family, a multi-process kill -9
 # smoke of the distributed runtime, a 5 s fuzz of every decoder harness (wal
 # frames, snapshots and payloads; the worker snapshot loader; the cluster
-# and session messages), a check that removed flags and figures stay
+# and session messages) and of the hub-indexed adjacency, a check that removed flags and figures stay
 # removed, a graphflyd serving smoke (concurrent ingest+query, SIGTERM,
 # restart, dump vs single-shot oracle), serving-chaos and degraded-mode
 # smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
@@ -74,6 +74,9 @@ for target in FuzzReadWorkerCkpt FuzzDecodeWire; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/dist
 done
 go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
+
+echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; 5 s) =="
+go test -run '^$' -fuzz '^FuzzHubAdjacency$' -fuzztime 5s ./internal/graph
 
 echo "== removed flags and figures (one runtime, one scheduler, one batch path, one link timing) =="
 flagtmp=$(mktemp -d)
@@ -200,6 +203,17 @@ wait_line "$chaostmp/proxy.out" 's/^faultproxy listening on \([0-9.:]*\) .*/\1/p
 [ "$(grep -c '^ingested batch' "$chaostmp/ingest.out")" = 6 ]
 grep -q 'seq=6' "$chaostmp/ingest.out" # no duplicate applies shifted the ledger
 kill "$ppid"; wait "$ppid" 2>/dev/null || true; ppid=""
+# an ack follows the durable log, not the apply (DESIGN.md "Consistent
+# reads"; batch 4 also writes a WAL snapshot inside the applier): wait until
+# batch 6 is visible, and fail if it never is
+applied=""
+for _ in $(seq 1 100); do
+    if "$chaostmp/graphflyd" -client stat -addr "$daddr" | grep -q '^applied seq 6,'; then
+        applied=1; break
+    fi
+    sleep 0.1
+done
+[ -n "$applied" ] || { echo "graphflyd never applied batch 6" >&2; exit 1; }
 # dump straight from the daemon (not through the dead proxy) vs the oracle
 "$chaostmp/graphflyd" -client dump -addr "$daddr" -o "$chaostmp/served.txt"
 kill -TERM "$dpid"; wait "$dpid"
