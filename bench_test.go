@@ -120,14 +120,16 @@ func BenchmarkBatchAllocs(b *testing.B) {
 	})
 }
 
-// BenchmarkRepartition times what the batch driver does once every
-// RepartitionEvery batches, piece by piece, on a skewed RMAT graph of about
-// a million edges under its SSSP key-edge forest: `partition` derives the
-// flows from the parent array, `flowgraph` rebuilds the flow-level index
-// into retained buffers, `migrate` copies a value store into the new
-// layout, and `whole` is an empty batch through an engine that repartitions
-// on every batch (the three pieces, the per-batch D-tree load and an empty
-// schedule). Steady-state `flowgraph` and `migrate` allocate nothing.
+// BenchmarkRepartition times what deriving the flows costs — paid at
+// engine construction and restore, and whenever a kernel rebuilds its
+// D-trees wholesale, never on a clock — piece by piece, on a skewed RMAT
+// graph of about a million edges under its SSSP key-edge forest:
+// `partition` derives the flows from the parent array, `flowgraph` rebuilds
+// the flow-level index into retained buffers, `migrate` copies a value
+// store into the new layout, and `whole` is an empty batch through an
+// engine whose RepartitionEvery test lever re-derives the flows on every
+// batch (the three pieces, the key-forest sync and an empty schedule).
+// Steady-state `flowgraph` and `migrate` allocate nothing.
 func BenchmarkRepartition(b *testing.B) {
 	cfg := gen.Config{Kind: gen.RMAT, NumV: 32_000, NumE: 1_500_000, Seed: 14,
 		A: 0.60, B: 0.19, C: 0.19, MaxWeight: 8}

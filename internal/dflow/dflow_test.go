@@ -74,6 +74,24 @@ func TestPartitionSplitsOversizedHyper(t *testing.T) {
 	}
 }
 
+// TestPartitionValidateRejectsOverCap: a hand-built partition that is an
+// exact bijection but holds one flow past its cap fails Validate; the same
+// vertices at a cap that fits pass.
+func TestPartitionValidateRejectsOverCap(t *testing.T) {
+	p := &Partition{
+		FlowOf: []int32{0, 0, 0, 1, 1},
+		Flows:  [][]uint32{{0, 1, 2}, {3, 4}},
+		Cap:    2,
+	}
+	if err := p.Validate(); err == nil {
+		t.Fatal("a 3-vertex flow under cap 2 passed Validate")
+	}
+	p.Cap = 3
+	if err := p.Validate(); err != nil {
+		t.Fatalf("cap 3: %v", err)
+	}
+}
+
 func TestPartitionDefaultCap(t *testing.T) {
 	g := chainGraph(10)
 	f := etree.NewForest(g, etree.Forward)

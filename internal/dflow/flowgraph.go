@@ -16,6 +16,9 @@ func errFlowOf(v uint32, got, want int32) error {
 	return fmt.Errorf("dflow: FlowOf[%d] = %d, member of %d", v, got, want)
 }
 func errUnassigned(v uint32) error { return fmt.Errorf("dflow: vertex %d unassigned", v) }
+func errOverCap(f int32, n, cap int) error {
+	return fmt.Errorf("dflow: flow %d holds %d vertices, cap %d", f, n, cap)
+}
 
 // FlowGraph is the flow-level dependency digraph: an edge f->g exists while
 // at least one graph edge leaves a vertex of flow f into a vertex of flow g.
@@ -23,11 +26,12 @@ func errUnassigned(v uint32) error { return fmt.Errorf("dflow: vertex %d unassig
 // D-trees: given an impacted flow, it answers "which other flows can my
 // values reach" without touching graph edges (§V-A).
 //
-// Storage is a CSR-style refcount index rebuilt into reusable buffers at
-// (re)partition time. Between rebuilds, AddEdge/DeleteEdge adjust refcounts
-// in place; a flow pair that first appears after the rebuild goes into a
-// small per-flow overflow map (kept allocated and emptied with clear() at
-// the next rebuild). A CSR entry may rest at count zero and be
+// Storage is a CSR-style refcount index built into reusable buffers when
+// the flows are derived. From then on AddEdge/DeleteEdge keep it exact in
+// place, for as long as the partition lives (an engine's whole life, unless
+// its D-trees are rebuilt): a flow pair the CSR lacks goes into a small
+// per-flow overflow map, which only a Rebuild folds back into the CSR
+// (keeping the maps allocated). A CSR entry may rest at count zero and be
 // re-incremented later; iteration skips non-positive counts.
 type FlowGraph struct {
 	part *Partition
@@ -99,7 +103,8 @@ const parallelEdges = 1 << 19
 
 // Rebuild re-indexes every cross-flow edge of g under part, which must
 // cover every vertex (Partition.Validate), reusing the receiver's buffers.
-// Engines call this at repartition instead of allocating a fresh FlowGraph.
+// Engines call this when they re-derive the flows instead of allocating a
+// fresh FlowGraph.
 func (fg *FlowGraph) Rebuild(g *graph.Streaming, part *Partition) {
 	workers := 1
 	if g.NumEdges() >= parallelEdges {
@@ -273,3 +278,11 @@ func (fg *FlowGraph) OutFlows(f int32, fn func(g int32)) {
 
 // OutDegree returns the number of downstream flows of f.
 func (fg *FlowGraph) OutDegree(f int32) int { return int(fg.outDeg[f]) }
+
+// Count returns the number of graph edges from flow f into flow g.
+func (fg *FlowGraph) Count(f, g int32) int32 {
+	if p := csrFind(fg.outPtr, fg.outDst, f, g); p >= 0 {
+		return fg.outCnt[p]
+	}
+	return fg.outOvf[f][g]
+}

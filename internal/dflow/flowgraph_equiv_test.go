@@ -2,8 +2,8 @@ package dflow
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/etree"
@@ -30,35 +30,51 @@ func flowOracle(g *graph.Streaming, p *Partition) []map[int32]int32 {
 	return out
 }
 
-func sortedKeys(m map[int32]int32) []int32 {
-	ks := make([]int32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// flowCounts reads fg's refcounts out of row f exactly: the CSR entries
+// with a positive count plus the overflow map. A pair lives in one of the
+// two, never both, and no count is negative.
+func flowCounts(t *testing.T, tag string, fg *FlowGraph, f int32) map[int32]int32 {
+	t.Helper()
+	got := make(map[int32]int32)
+	for p := fg.outPtr[f]; p < fg.outPtr[f+1]; p++ {
+		switch c := fg.outCnt[p]; {
+		case c < 0:
+			t.Fatalf("%s: flow %d -> %d count %d", tag, f, fg.outDst[p], c)
+		case c > 0:
+			got[fg.outDst[p]] = c
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func collectSorted(iter func(func(int32))) []int32 {
-	var got []int32
-	iter(func(f int32) { got = append(got, f) })
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	for x, c := range fg.outOvf[f] {
+		if c <= 0 {
+			t.Fatalf("%s: flow %d -> %d overflow count %d", tag, f, x, c)
+		}
+		if csrFind(fg.outPtr, fg.outDst, f, x) >= 0 {
+			t.Fatalf("%s: flow %d -> %d both in the CSR and the overflow", tag, f, x)
+		}
+		got[x] = c
+	}
 	return got
 }
 
+// compareFlowGraph holds every row of fg to the oracle's exact per-pair
+// edge counts, and its OutFlows and OutDegree views to the oracle's pairs.
 func compareFlowGraph(t *testing.T, tag string, fg *FlowGraph, g *graph.Streaming, p *Partition) {
 	t.Helper()
 	out := flowOracle(g, p)
 	for f := int32(0); int(f) < p.NumFlows(); f++ {
-		wantOut := sortedKeys(out[f])
-		gotOut := collectSorted(func(fn func(int32)) { fg.OutFlows(f, fn) })
-		if len(wantOut) != len(gotOut) {
-			t.Fatalf("%s: flow %d out = %v, oracle %v", tag, f, gotOut, wantOut)
+		if got := flowCounts(t, tag, fg, f); !maps.Equal(got, out[f]) {
+			t.Fatalf("%s: flow %d counts = %v, oracle %v", tag, f, got, out[f])
 		}
-		for i := range wantOut {
-			if wantOut[i] != gotOut[i] {
-				t.Fatalf("%s: flow %d out = %v, oracle %v", tag, f, gotOut, wantOut)
-			}
+		var wantOut []int32
+		for x := range out[f] {
+			wantOut = append(wantOut, x)
+		}
+		slices.Sort(wantOut)
+		var gotOut []int32
+		fg.OutFlows(f, func(x int32) { gotOut = append(gotOut, x) })
+		slices.Sort(gotOut)
+		if !slices.Equal(gotOut, wantOut) {
+			t.Fatalf("%s: flow %d out = %v, oracle %v", tag, f, gotOut, wantOut)
 		}
 		if fg.OutDegree(f) != len(wantOut) {
 			t.Fatalf("%s: flow %d OutDegree = %d, oracle %d", tag, f, fg.OutDegree(f), len(wantOut))
@@ -116,6 +132,59 @@ func TestFlowGraphMatchesMapOracle(t *testing.T) {
 		p2 := NewPartition(f2, 9)
 		fg.Rebuild(g, p2)
 		compareFlowGraph(t, "repartition", fg, g, p2)
+	}
+}
+
+// TestFlowGraphLongStreamNoRebuild is the regime an engine runs in: the
+// partition lives for the whole stream, so nothing ever folds the overflow
+// back into the CSR. 2,400 applied random additions and deletions, about
+// half of each, drive CSR counts to zero and back up and fill the overflow
+// maps; the exact counts must match the oracle throughout.
+func TestFlowGraphLongStreamNoRebuild(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		cfg := gen.Config{Kind: gen.RMAT, NumV: 64, NumE: 200, A: 0.6, B: 0.19, C: 0.19, Seed: seed}
+		g := graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+		p := randomPartition(r, cfg.NumV, 9)
+		fg := NewFlowGraph(g, p)
+		tag := func(s string) string { return fmt.Sprintf("seed %d %s", seed, s) }
+		zeroed := make(map[int32]bool) // CSR positions seen at count zero
+		revived, overflowed := false, false
+		for applied := 0; applied < 2400; {
+			src, dst := graph.VertexID(r.Intn(cfg.NumV)), graph.VertexID(r.Intn(cfg.NumV))
+			if src == dst {
+				continue
+			}
+			if r.Float64() < 0.5 {
+				if _, ok := g.DeleteEdge(src, dst); !ok {
+					continue
+				}
+				fg.DeleteEdge(src, dst)
+			} else {
+				if !g.AddEdge(graph.Edge{Src: src, Dst: dst, W: 1}) {
+					continue
+				}
+				fg.AddEdge(src, dst)
+			}
+			if applied++; applied%50 == 0 {
+				compareFlowGraph(t, tag(fmt.Sprintf("update %d", applied)), fg, g, p)
+				for pos, c := range fg.outCnt {
+					if c == 0 {
+						zeroed[int32(pos)] = true
+					} else if zeroed[int32(pos)] {
+						revived = true
+					}
+				}
+				for _, m := range fg.outOvf {
+					overflowed = overflowed || len(m) > 0
+				}
+			}
+		}
+		compareFlowGraph(t, tag("final"), fg, g, p)
+		if len(zeroed) == 0 || !revived || !overflowed {
+			t.Fatalf("%s: stream missed a regime: %d CSR entries seen at zero, revived %v, overflow used %v",
+				tag("coverage"), len(zeroed), revived, overflowed)
+		}
 	}
 }
 

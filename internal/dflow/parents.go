@@ -4,8 +4,9 @@ package dflow
 // dependence forest given as a parent array (parent[v] == -1 for roots).
 // This is the selective-algorithm path of §IV-B: key edges give every
 // vertex at most one parent, so the D-tree is a plain forest and flows are
-// packed subtrees. Children of a root start new flows so independent
-// subtrees (PROPERTY 1) land in different flows; the cap bounds flow size.
+// packed subtrees: one DFS over the roots in ascending id fills each flow
+// up to the cap, so a subtree larger than the cap spans consecutive flows
+// and small independent subtrees (PROPERTY 1) share one.
 //
 // The result is a pure function of (parent, cap): the coordinator and every
 // worker of the distributed runtime derive it independently. The function

@@ -143,10 +143,14 @@ func (p *Partition) Flow(v graph.VertexID) int32 { return p.FlowOf[v] }
 func (p *Partition) Members(f int32) []uint32 { return p.Flows[f] }
 
 // Validate checks that flows partition the vertex set exactly and that no
-// flow (other than oversized-hyper splits) exceeds the cap. O(N).
+// flow exceeds the cap: both packers flush at the cap, splitting oversized
+// hyper vertices and subtrees. O(N).
 func (p *Partition) Validate() error {
 	seen := make([]bool, len(p.FlowOf))
 	for fi, flow := range p.Flows {
+		if len(flow) > p.Cap {
+			return errOverCap(int32(fi), len(flow), p.Cap)
+		}
 		for _, v := range flow {
 			if seen[v] {
 				return errDuplicate(v)

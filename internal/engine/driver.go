@@ -179,11 +179,12 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 		c.Store(0)
 	}
 
-	// The flows are re-derived from the D-trees once every RepartitionEvery
-	// batches. A single-step batch takes the rebuild in place of its
+	// No clock re-derives the flows: step does so only when the kernel
+	// rebuilt its D-trees. RepartitionEvery > 0 (a test lever) adds a
+	// rebuild every K batches. A single-step batch takes it in place of its
 	// incremental flow-graph upkeep; a planned batch takes it after its
 	// last step, so no step pays a rebuild between two convergences.
-	due := d.batches%d.cfg.repartitionEvery() == 0
+	due := d.cfg.RepartitionEvery > 0 && d.batches%d.cfg.RepartitionEvery == 0
 	if d.plan == nil {
 		d.step(ctx, batch, due, &st)
 	} else {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -281,6 +282,78 @@ func TestMigrateStore(t *testing.T) {
 			if blocked == tc.toScattered {
 				t.Fatalf("dim %d %s: flow-blocked layout = %v", dim, tc.name, blocked)
 			}
+		}
+	}
+}
+
+// TestFlowsHaveNoClock: under the default Config a selective engine keeps
+// the partition it was built with, pointer and membership, for a whole
+// 40-batch stream, because its kernel never rebuilds its D-trees wholesale.
+// RepartitionEvery 3, the test lever, re-derives the flows at exactly
+// batches 3, 6, 9, ....
+func TestFlowsHaveNoClock(t *testing.T) {
+	w := smallWorkload(31, 40)
+	for _, every := range []int{0, 3} {
+		e := NewSelective(graph.FromEdges(w.NumV, w.Initial), algo.SSSP{Src: 0},
+			Config{Workers: 2, FlowCap: 32, RepartitionEvery: every})
+		flowOf := slices.Clone(e.Partition().FlowOf)
+		for i, b := range w.Batches {
+			before := e.Partition()
+			e.ProcessBatch(b)
+			rederived := e.Partition() != before
+			if want := every > 0 && (i+1)%every == 0; rederived != want {
+				t.Fatalf("RepartitionEvery %d, batch %d: flows re-derived = %v, want %v", every, i+1, rederived, want)
+			}
+			if every == 0 && !slices.Equal(e.Partition().FlowOf, flowOf) {
+				t.Fatalf("batch %d: flow membership moved with no clock", i+1)
+			}
+		}
+	}
+}
+
+// maintainSpy reports whether any maintain call since the last reset
+// rebuilt the kernel's D-trees.
+type maintainSpy struct {
+	kernel
+	rebuilt bool
+}
+
+func (s *maintainSpy) maintain(applied graph.Batch) bool {
+	r := s.kernel.maintain(applied)
+	s.rebuilt = s.rebuilt || r
+	return r
+}
+
+// TestFlowsFollowForestRebuilds: under the default Config the structural
+// kernels re-derive their flows on exactly the batches in which maintain
+// reported a wholesale D-tree rebuild — for the local engine, in any step
+// of its plan.
+func TestFlowsFollowForestRebuilds(t *testing.T) {
+	w := gen.BuildWorkload(512, gen.Generate(gen.TestDataset(37)), gen.StreamConfig{
+		InitialFraction: 0.8, DeleteRatio: 0.7, BatchSize: 200, NumBatches: 40, Seed: 38,
+	})
+	cfg := Config{Workers: 2, FlowCap: 32}
+	engines := map[string]*driver{
+		"PageRank": &NewAccumulative(graph.FromEdges(w.NumV, w.Initial), algo.NewPageRank(w.NumV), cfg).driver,
+		"kCore":    &NewLocal(graph.FromEdges(w.NumV, mirrored(w.Initial)), algo.KCore{}, cfg).driver,
+	}
+	for name, d := range engines {
+		spy := &maintainSpy{kernel: d.k}
+		d.k = spy
+		rebuilds := 0
+		for i, b := range w.Batches {
+			spy.rebuilt = false
+			before := d.Partition()
+			d.ProcessBatch(b)
+			if rederived := d.Partition() != before; rederived != spy.rebuilt {
+				t.Fatalf("%s batch %d: flows re-derived = %v, D-trees rebuilt = %v", name, i+1, rederived, spy.rebuilt)
+			}
+			if spy.rebuilt {
+				rebuilds++
+			}
+		}
+		if rebuilds == 0 || rebuilds == len(w.Batches) {
+			t.Fatalf("%s: %d of %d batches rebuilt the D-trees; the stream must mix both", name, rebuilds, len(w.Batches))
 		}
 	}
 }

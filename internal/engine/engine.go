@@ -49,8 +49,12 @@ type Config struct {
 	// merging cyclic groups; correctness is preserved by the trimmed-bit
 	// protocol, locality may suffer (ablation).
 	NoSCCMerge bool
-	// RepartitionEvery rebuilds flows from the current D-trees every K
-	// batches (default 8). 1 = repartition each batch.
+	// RepartitionEvery, when > 0, also re-derives the flows from the
+	// current D-trees every K batches (1 = every batch): a test lever that
+	// puts mid-stream repartitions into a stream. The zero value has no
+	// clock: flows are derived at construction and restore and re-derived
+	// only when a kernel rebuilds its D-trees wholesale; in between, the
+	// flow graph's refcounts keep it exact for the partition in force.
 	RepartitionEvery int
 	// BackwardFlows swaps the roles of the two triangles (§V-A Discussion):
 	// the backward-triangle D-trees partition the graph into flows and the
@@ -97,13 +101,6 @@ func (c Config) probe() cachesim.Probe {
 		return cachesim.Nop{}
 	}
 	return c.Probe
-}
-
-func (c Config) repartitionEvery() int {
-	if c.RepartitionEvery <= 0 {
-		return 8
-	}
-	return c.RepartitionEvery
 }
 
 func (c Config) flowDirection() etree.Direction {

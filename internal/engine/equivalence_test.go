@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/algo"
+	"repro/internal/dflow"
 	"repro/internal/etree"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -46,15 +47,16 @@ func randomConfig(seed uint64) Config {
 		TwoPhase:         r.Float64() < 0.25,
 		NoSCCMerge:       r.Float64() < 0.25,
 		ScatteredStorage: r.Float64() < 0.25,
-		RepartitionEvery: 1 + r.Intn(4),
+		RepartitionEvery: r.Intn(5), // 0: no clock, the production default
 		Scheduler:        SchedulerKind(r.Intn(2)),
 	}
 }
 
 // selectiveEquivalent runs w through a selective engine and reports the
-// first batch after which its values differ from a from-scratch solve, or
+// first batch after which its values differ from a from-scratch solve,
 // after which the key forest is not what a bulk load of the parents the
-// batch started from gives.
+// batch started from gives, or after which the flow graph is not exact
+// (flowGraphExact).
 func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) error {
 	initial := w.Initial
 	if alg.Symmetric() {
@@ -86,8 +88,47 @@ func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) error {
 		if err := keyForestLoaded(e.kf, parentStart); err != nil {
 			return fmt.Errorf("batch %d: %v", i, err)
 		}
+		if err := flowGraphExact(&e.driver); err != nil {
+			return fmt.Errorf("batch %d: %v", i, err)
+		}
 	}
 	return nil
+}
+
+// flowGraphExact checks, reading the engine only, that its partition is a
+// capped bijection and that the flow graph it keeps by per-update refcounts
+// answers exactly what a from-scratch build over the current graph and
+// partition answers: every flow's downstream set, out-degree and per-pair
+// edge count.
+func flowGraphExact(d *driver) error {
+	if err := d.part.Validate(); err != nil {
+		return err
+	}
+	ref := dflow.NewFlowGraph(d.G, d.part)
+	if got, want := d.fg.NumFlows(), ref.NumFlows(); got != want {
+		return fmt.Errorf("flow graph has %d flows, partition %d", got, want)
+	}
+	for f := int32(0); int(f) < ref.NumFlows(); f++ {
+		got, want := outFlows(d.fg, f), outFlows(ref, f)
+		if !slices.Equal(got, want) || d.fg.OutDegree(f) != ref.OutDegree(f) {
+			return fmt.Errorf("flow %d: downstream %v (degree %d), fresh build %v (degree %d)",
+				f, got, d.fg.OutDegree(f), want, ref.OutDegree(f))
+		}
+		for _, x := range want {
+			if n, m := d.fg.Count(f, x), ref.Count(f, x); n != m {
+				return fmt.Errorf("flow %d -> %d: %d edges, fresh build %d", f, x, n, m)
+			}
+		}
+	}
+	return nil
+}
+
+// outFlows returns f's downstream flows in ascending order.
+func outFlows(fg *dflow.FlowGraph, f int32) []int32 {
+	var out []int32
+	fg.OutFlows(f, func(x int32) { out = append(out, x) })
+	slices.Sort(out)
+	return out
 }
 
 // keyForestLoaded checks that f, as the engine left it, is a valid forest
@@ -170,23 +211,7 @@ func TestPropertyCCEquivalence(t *testing.T) {
 
 func TestPropertyPageRankEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
-		w := randomWorkload(seed + 4)
-		alg := algo.NewPageRank(w.NumV)
-		g := graph.FromEdges(w.NumV, w.Initial)
-		e := NewAccumulative(g, alg, randomConfig(seed+4))
-		ref := g.Clone()
-		for _, b := range w.Batches {
-			e.ProcessBatch(b)
-			ref.ApplyBatch(b)
-			want := algo.SolveAccumulative(ref, alg)
-			got := e.Values()
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-5 {
-					return false
-				}
-			}
-		}
-		return true
+		return accumulativeEquivalent(randomWorkload(seed+4), randomConfig(seed+4)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

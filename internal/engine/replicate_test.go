@@ -81,9 +81,9 @@ func TestReplicationAccumulativeEquivalence(t *testing.T) {
 						NumBatches:      3,
 					})
 					cfg := replicatedConfig(workers, sched)
-					if !accumulativeEquivalent(w, cfg) {
-						t.Errorf("replicated pagerank diverged (seed=%#x sched=%v workers=%d)",
-							seed, sched, workers)
+					if err := accumulativeEquivalent(w, cfg); err != nil {
+						t.Errorf("replicated pagerank diverged (seed=%#x sched=%v workers=%d): %v",
+							seed, sched, workers, err)
 					}
 				})
 			}

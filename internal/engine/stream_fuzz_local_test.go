@@ -7,6 +7,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -16,7 +17,27 @@ import (
 // counting and k-core maintenance across the same hostile shapes as
 // TestFuzzStreamEquivalence — including the deletion-only adversarial phase
 // — under both schedulers and several worker counts. A failure prints the
-// reproducing seed and the oracle's first divergent vertex.
+// reproducing seed and the oracle's first divergent vertex. After every
+// batch the engine's flow graph is also held to a fresh build
+// (flowCheckedLocal).
+
+// flowCheckedLocal is the oracle's local subject with one more check after
+// every ProcessBatch: engine.FlowGraphExact, which only reads the engine. A
+// flow-graph mismatch fails the batch, and the oracle reports it.
+type flowCheckedLocal struct{ oracle.LocalSubject }
+
+func (s flowCheckedLocal) New(g *graph.Streaming, cfg engine.Config) (oracle.Instance, error) {
+	return flowCheckedInst{engine.NewLocal(g, s.Alg, cfg)}, nil
+}
+
+type flowCheckedInst struct{ *engine.Local }
+
+func (i flowCheckedInst) ProcessBatch(b graph.Batch) error {
+	if _, err := i.ProcessBatchE(b); err != nil {
+		return err
+	}
+	return engine.FlowGraphExact(i.Local)
+}
 
 func localFuzzWorkload(seed uint64, sc gen.StreamConfig) gen.Workload {
 	r := rng.New(seed)
@@ -54,13 +75,11 @@ func TestFuzzStreamLocalEquivalence(t *testing.T) {
 					for _, sched := range scheds {
 						for _, workers := range workerCounts {
 							cfg := engine.Config{Workers: workers, FlowCap: 32, Scheduler: sched}
-							s := oracle.LocalSubject{Alg: alg}
+							s := flowCheckedLocal{oracle.LocalSubject{Alg: alg}}
 							r := oracle.Check(s, oracle.Convergence, cfg, w)
 							if v := r.Violation; v != nil {
-								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d "+
-									"batch=%d first divergent vertex=%d (got %v, want %v)",
-									alg.Name(), shapeName, seed, sched, workers,
-									v.Batch, v.Vertex, v.Got, v.Want)
+								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
+									alg.Name(), shapeName, seed, sched, workers, v)
 							}
 						}
 					}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/algo"
@@ -18,7 +19,8 @@ import (
 // message carries the reproducing seed, shape, scheduler, and worker
 // count, so any divergence replays deterministically. After every batch
 // the selective engines' key forest is also checked against a bulk load of
-// the parents the batch started from (keyForestLoaded).
+// the parents the batch started from (keyForestLoaded), and every engine's
+// flow graph against a fresh build (flowGraphExact).
 
 type fuzzShape struct {
 	name  string
@@ -95,25 +97,28 @@ func fuzzShapes() []fuzzShape {
 }
 
 // accumulativeEquivalent mirrors selectiveEquivalent for the accumulative
-// engine: PageRank must track the from-scratch solution within tolerance
-// after every batch.
-func accumulativeEquivalent(w gen.Workload, cfg Config) bool {
+// engine: PageRank must track the from-scratch solution within tolerance,
+// and its flow graph must be exact, after every batch.
+func accumulativeEquivalent(w gen.Workload, cfg Config) error {
 	alg := algo.NewPageRank(w.NumV)
 	g := graph.FromEdges(w.NumV, w.Initial)
 	e := NewAccumulative(g, alg, cfg)
 	ref := g.Clone()
-	for _, b := range w.Batches {
+	for bi, b := range w.Batches {
 		e.ProcessBatch(b)
 		ref.ApplyBatch(b)
 		want := algo.SolveAccumulative(ref, alg)
 		got := e.Values()
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-5 {
-				return false
+				return fmt.Errorf("batch %d: state %d = %v, oracle %v", bi, i, got[i], want[i])
 			}
 		}
+		if err := flowGraphExact(&e.driver); err != nil {
+			return fmt.Errorf("batch %d: %v", bi, err)
+		}
 	}
-	return true
+	return nil
 }
 
 func TestFuzzStreamEquivalence(t *testing.T) {
@@ -146,13 +151,63 @@ func TestFuzzStreamEquivalence(t *testing.T) {
 									sa.name, shape.name, seed, sched, workers, err)
 							}
 						}
-						if !accumulativeEquivalent(w, cfg) {
-							t.Errorf("pagerank diverged from oracle: shape=%s seed=%#x sched=%s workers=%d",
-								shape.name, seed, sched, workers)
+						if err := accumulativeEquivalent(w, cfg); err != nil {
+							t.Errorf("pagerank diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
+								shape.name, seed, sched, workers, err)
 						}
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestLongStreamFlowsStayExact: with no clock one partition and one
+// refcounted flow graph carry a selective engine through the whole stream.
+// 240 batches, half of every batch deletions, on a graph large enough for
+// several default-cap flows, at two workers under the default Config:
+// SSSP's values are held to the oracle and its flow graph to a fresh build
+// after every batch. The structural kernels (PageRank, k-core), whose
+// engines cost far more per batch, run the first 64 batches: they rebuild
+// their D-trees a few times there and the refcounts carry the flow graph in
+// between. It is checked after every batch, their values every 16th.
+func TestLongStreamFlowsStayExact(t *testing.T) {
+	gc := gen.Config{Kind: gen.RMAT, NumV: 4000, NumE: 16000, Seed: 0x10c0,
+		A: 0.57, B: 0.19, C: 0.19, MaxWeight: 8}
+	w := gen.BuildWorkload(gc.NumV, gen.Generate(gc), gen.StreamConfig{
+		InitialFraction: 0.6, DeleteRatio: 0.5, BatchSize: 60, NumBatches: 240, Seed: 0x10c1,
+	})
+	cfg := Config{Workers: 2}
+	if err := selectiveEquivalent(algo.SSSP{Src: 0}, w, cfg); err != nil {
+		t.Fatalf("sssp: %v", err)
+	}
+
+	pr := algo.NewPageRank(w.NumV)
+	acc := NewAccumulative(graph.FromEdges(w.NumV, w.Initial), pr, cfg)
+	kc := NewLocal(graph.FromEdges(w.NumV, mirrored(w.Initial)), algo.KCore{}, cfg)
+	accRef, kcRef := graph.FromEdges(w.NumV, w.Initial), graph.FromEdges(w.NumV, mirrored(w.Initial))
+	for i, b := range w.Batches[:64] {
+		acc.ProcessBatch(b)
+		kc.ProcessBatch(b)
+		accRef.ApplyBatch(b)
+		kcRef.ApplyBatch(Symmetrize(b))
+		if err := flowGraphExact(&acc.driver); err != nil {
+			t.Fatalf("pagerank: batch %d: %v", i, err)
+		}
+		if err := flowGraphExact(&kc.driver); err != nil {
+			t.Fatalf("kcore: batch %d: %v", i, err)
+		}
+		if i%16 != 15 {
+			continue
+		}
+		if !slices.Equal(kc.Values(), algo.KCore{}.Solve(kcRef)) {
+			t.Fatalf("kcore: batch %d: values differ from a from-scratch solve", i)
+		}
+		got, want := acc.Values(), algo.SolveAccumulative(accRef, pr)
+		for v := range want {
+			if math.Abs(got[v]-want[v]) > 1e-5 {
+				t.Fatalf("pagerank: batch %d: state %d = %v, oracle %v", i, v, got[v], want[v])
+			}
 		}
 	}
 }

@@ -9,8 +9,9 @@
 # removed, a graphflyd serving smoke (concurrent ingest+query, SIGTERM,
 # restart, dump vs single-shot oracle), serving-chaos and degraded-mode
 # smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
-# the machine-readable report, one iteration of the repartition
-# microbenchmark, the Fig S7 replication gates and the alloc gate against
+# the machine-readable report, one iteration of the flow-derivation
+# microbenchmark (what engine construction, restore and a D-tree rebuild
+# pay), the Fig S7 replication gates and the alloc gate against
 # the committed BENCH_graphfly.json; ends by printing the repo's size
 # (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
@@ -254,7 +255,7 @@ GOMAXPROCS=1 go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batch
     -out "$benchtmp/BENCH_graphfly.json" > "$benchtmp/bench.out"
 go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
 
-echo "== repartition microbenchmark smoke (one iteration, so it cannot rot) =="
+echo "== flow-derivation microbenchmark smoke (one iteration, so it cannot rot) =="
 go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
 
 echo "== hub-replication figure smoke (Fig S7: replica counters engage on BA) =="
