@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -45,25 +45,65 @@ func (s *StateSnapshot) Value(v graph.VertexID) (val float64, parent int32, ok b
 
 // TopK returns the k vertices whose values rank best under better (the
 // algorithm's own ordering: smallest distance for SSSP, widest path for
-// SSWP), best first, ties broken by vertex id for determinism.
+// SSWP), best first, ties broken by vertex id for determinism. It keeps a
+// k-entry heap, O(N log k), instead of sorting all N vertices.
 func (s *StateSnapshot) TopK(k int, better func(a, b float64) bool) []VertexValue {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]VertexValue, 0, len(s.Vals))
-	for v, val := range s.Vals {
-		out = append(out, VertexValue{V: graph.VertexID(v), Val: val})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Val != out[j].Val {
-			return better(out[i].Val, out[j].Val)
+	k = min(k, len(s.Vals))
+	ahead := func(a, b VertexValue) bool {
+		if a.Val != b.Val {
+			return better(a.Val, b.Val)
 		}
-		return out[i].V < out[j].V
-	})
-	if k < len(out) {
-		out = out[:k]
+		return a.V < b.V
 	}
-	return out
+	// h holds the k best seen so far as a heap with the worst of them at
+	// h[0]; a later vertex enters only by displacing it.
+	h := make([]VertexValue, 0, k)
+	for v, val := range s.Vals {
+		x := VertexValue{V: graph.VertexID(v), Val: val}
+		if len(h) < k {
+			h = append(h, x)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !ahead(h[p], h[i]) {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
+		}
+		if !ahead(x, h[0]) {
+			continue
+		}
+		h[0] = x
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && ahead(h[c], h[c+1]) {
+				c++ // the worse child
+			}
+			if !ahead(h[i], h[c]) {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	slices.SortFunc(h, func(a, b VertexValue) int {
+		switch {
+		case ahead(a, b):
+			return -1
+		case ahead(b, a):
+			return 1
+		}
+		return 0
+	})
+	return h
 }
 
 // Diff lists every vertex whose value differs from prev (nil prev means

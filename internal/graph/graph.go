@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"repro/internal/dense"
 )
@@ -131,6 +131,10 @@ type Streaming struct {
 	hubDrop  int
 	// scr is ApplyBatchParallel's bucketing scratch, kept across batches.
 	scr applyScratch
+	// views counts live Frozen views; owned[v] records that out[v] was
+	// copied since the latest Freeze, so no view shares its array (frozen.go).
+	views atomic.Int32
+	owned []bool
 }
 
 // NewStreaming returns an empty streaming graph with n vertices and the
@@ -261,11 +265,16 @@ func (g *Streaming) appendHalf(lists [][]Half, idxs []*hubIndex, u VertexID, h H
 
 // removeHalfIdx swap-deletes `to` from lists[u], fixing up the moved
 // entry's index position and dropping the index under hubDropThreshold.
-func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []*hubIndex, u, to VertexID) (Weight, bool) {
+// out marks an out-list, which a live Frozen view may share: it is copied
+// before its first in-place write after a Freeze.
+func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []*hubIndex, u, to VertexID, out bool) (Weight, bool) {
 	idx := idxs[u]
 	p := lookupHalf(lists[u], idx, to)
 	if p < 0 {
 		return 0, false
+	}
+	if out {
+		g.unshare(u)
 	}
 	l := lists[u]
 	w := l[p].W
@@ -307,11 +316,11 @@ func (g *Streaming) AddEdge(e Edge) bool {
 // DeleteEdge removes src->dst if present. It reports whether an edge was
 // removed and returns its weight.
 func (g *Streaming) DeleteEdge(src, dst VertexID) (Weight, bool) {
-	w, ok := g.removeHalfIdx(g.out, g.outIdx, src, dst)
+	w, ok := g.removeHalfIdx(g.out, g.outIdx, src, dst, true)
 	if !ok {
 		return 0, false
 	}
-	if _, ok := g.removeHalfIdx(g.in, g.inIdx, dst, src); !ok {
+	if _, ok := g.removeHalfIdx(g.in, g.inIdx, dst, src, false); !ok {
 		panic(fmt.Sprintf("graph: inconsistent adjacency for %d->%d", src, dst))
 	}
 	g.m--
@@ -370,29 +379,16 @@ func (g *Streaming) Clone() *Streaming {
 	return c
 }
 
-// Edges returns all edges in deterministic (src, dst) order. The outer
-// loop already groups edges by ascending source, so only each vertex's
-// span needs ordering — insertion sort on the typically tiny spans instead
-// of one reflective sort over the whole edge list (the difference is
-// visible in the snapshot path, which calls this per checkpoint).
+// Edges returns all edges in deterministic (src, dst) order, through the
+// same sorted walk a frozen view's snapshot encoder uses.
 func (g *Streaming) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
-	for v := range g.out {
-		start := len(es)
-		for _, h := range g.out[v] {
-			es = append(es, Edge{Src: VertexID(v), Dst: h.To, W: h.W})
+	sortedSpans(g.out, func(v VertexID, span []Half) error {
+		for _, h := range span {
+			es = append(es, Edge{Src: v, Dst: h.To, W: h.W})
 		}
-		span := es[start:]
-		if len(span) > 32 {
-			sort.Slice(span, func(i, j int) bool { return span[i].Dst < span[j].Dst })
-			continue
-		}
-		for i := 1; i < len(span); i++ {
-			for j := i; j > 0 && span[j].Dst < span[j-1].Dst; j-- {
-				span[j], span[j-1] = span[j-1], span[j]
-			}
-		}
-	}
+		return nil
+	})
 	return es
 }
 

@@ -129,7 +129,7 @@ func (g *Streaming) applyShard(b Batch, w int) {
 		u := &b[i]
 		s.took[i] = false
 		if u.Del {
-			if wt, ok := g.removeHalfIdx(g.out, g.outIdx, u.Src, u.Dst); ok {
+			if wt, ok := g.removeHalfIdx(g.out, g.outIdx, u.Src, u.Dst, true); ok {
 				s.took[i] = true
 				s.weights[i] = wt
 			}
@@ -147,7 +147,7 @@ func (g *Streaming) applyShard(b Batch, w int) {
 		}
 		u := &b[i]
 		if u.Del {
-			if _, ok := g.removeHalfIdx(g.in, g.inIdx, u.Dst, u.Src); !ok {
+			if _, ok := g.removeHalfIdx(g.in, g.inIdx, u.Dst, u.Src, false); !ok {
 				panic("graph: in/out adjacency diverged during parallel delete")
 			}
 		} else {

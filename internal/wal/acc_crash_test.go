@@ -41,8 +41,9 @@ func runUntilCrashAcc(t *testing.T, w gen.Workload, alg algo.Accumulative, dc Du
 		}
 		acked++
 	}
+	_, crashed = settle(d).(*crashError)
 	d.Abandon()
-	return acked, false
+	return acked, crashed
 }
 
 func accOracleVals(t *testing.T, w gen.Workload, alg algo.Accumulative, n int) []float64 {
@@ -156,6 +157,18 @@ func TestAccCrashPointSweep(t *testing.T) {
 	t.Logf("%d accumulative crash/corruption scenarios verified", scenarios)
 }
 
+// TestAccBackgroundSnapshotCrashes is TestBackgroundSnapshotCrashes over
+// the accumulative family: its residual state frame is captured at the
+// boundary and written while the applier runs on.
+func TestAccBackgroundSnapshotCrashes(t *testing.T) {
+	w := testWorkload(113, 96, 12, 50)
+	alg := algo.NewPageRank(w.NumV)
+	n := sweepBackground(t, AccumulativeFamily(alg), w, func(dc DurableConfig, minSeq int, label string) {
+		verifyAccRecovery(t, w, alg, dc, minSeq, label)
+	})
+	t.Logf("%d accumulative background-writer scenarios verified", n)
+}
+
 // TestDurableAccumulativeRoundTrip pins the uncrashed path: snapshots and
 // recovery on a clean directory reproduce the engine state exactly (the
 // residuals restore bit-for-bit; only replayed batches are tolerance-bound).
@@ -236,8 +249,9 @@ func runUntilCrashLocal(t *testing.T, w gen.Workload, alg algo.Local, dc Durable
 		}
 		acked++
 	}
+	_, crashed = settle(d).(*crashError)
 	d.Abandon()
-	return acked, false
+	return acked, crashed
 }
 
 func verifyLocalRecovery(t *testing.T, w gen.Workload, alg algo.Local, dc DurableConfig, minSeq int, label string) {

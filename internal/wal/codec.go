@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"os"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -137,6 +139,101 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, ErrCorrupt
 	}
 	return body[0], body[1:], nil
+}
+
+// frameWriter streams frames into a file through one fixed buffer, so a
+// frame of any size is written without ever being held whole: each frame's
+// CRC accumulates as its bytes leave the buffer, and end patches the
+// frame's length and CRC into the header it reserved — in the buffer while
+// the header is still there, in the file with WriteAt once flushed. The
+// bytes equal AppendFrame's for the same payloads. Errors are sticky in err.
+type frameWriter struct {
+	f     *os.File
+	buf   []byte // pending bytes; the capacity is fixed
+	off   int64  // file offset of buf[0]
+	start int64  // file offset of the open frame's header
+	crcAt int    // buf index from which the open frame is not yet in crc
+	crc   uint32
+	err   error
+}
+
+// frameBufLen is frameWriter's buffer: large enough that a snapshot's
+// edge stream costs a few hundred writes, small enough to be noise next to
+// the state frame.
+const frameBufLen = 256 << 10
+
+func newFrameWriter(f *os.File) *frameWriter {
+	return &frameWriter{f: f, buf: make([]byte, 0, frameBufLen)}
+}
+
+// flush writes the buffer out, folding the open frame's share into crc.
+// After an error it only empties the buffer.
+func (w *frameWriter) flush() {
+	if w.err != nil {
+		w.buf = w.buf[:0]
+		return
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.crcAt:])
+	_, w.err = w.f.Write(w.buf)
+	w.off += int64(len(w.buf))
+	w.buf, w.crcAt = w.buf[:0], 0
+}
+
+// room makes n bytes of buffer space available (n <= frameBufLen).
+func (w *frameWriter) room(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+}
+
+// begin opens a frame of the given kind, reserving its header.
+func (w *frameWriter) begin(kind byte) {
+	w.room(frameHeaderLen + 1)
+	w.start = w.off + int64(len(w.buf))
+	w.buf = append(w.buf, make([]byte, frameHeaderLen)...)
+	w.crcAt, w.crc = len(w.buf), 0
+	w.buf = append(w.buf, kind)
+}
+
+// write appends payload bytes to the open frame.
+func (w *frameWriter) write(p []byte) {
+	for len(p) > 0 && w.err == nil {
+		w.room(1)
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p = w.buf[:len(w.buf)+n], p[n:]
+	}
+}
+
+// edge appends one Enc.Edges record to the open frame.
+func (w *frameWriter) edge(src graph.VertexID, h graph.Half) {
+	w.room(edgeLen)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, src)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, h.To)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(h.W))
+}
+
+// end closes the open frame, patching its length and CRC into its header.
+func (w *frameWriter) end() {
+	if w.err != nil {
+		return
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.crcAt:])
+	w.crcAt = len(w.buf)
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(w.off+int64(len(w.buf))-w.start-frameHeaderLen))
+	binary.LittleEndian.PutUint32(hdr[4:8], w.crc)
+	if at := w.start - w.off; at >= 0 {
+		copy(w.buf[at:], hdr[:])
+		return
+	}
+	_, w.err = w.f.WriteAt(hdr[:], w.start)
+}
+
+// frame writes one whole frame.
+func (w *frameWriter) frame(kind byte, payload []byte) {
+	w.begin(kind)
+	w.write(payload)
+	w.end()
 }
 
 // --- payload codecs ---

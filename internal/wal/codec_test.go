@@ -274,14 +274,24 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Add(mut)
 		}
 	}
-	dir := f.TempDir()
+	dir, encDir := f.TempDir(), f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sd, err := readSnapshotBytes(dir, fixtureSeq, data)
 		if err != nil {
 			return
 		}
+		// The re-encoding goes through the one snapshot writer, over a graph
+		// built from the decoded edges (which canonicalizes their order).
 		reencode := func(sd *SnapshotData) []byte {
-			return encodeSnapshot(sd.Seq, sd.NumV, sd.Edges, sd.Kind, stateOf(sd), sd.Dedup)
+			g := graph.FromEdges(sd.NumV, sd.Edges)
+			if err := writeSnapshot(Options{Dir: encDir, Policy: FsyncOff}, sd.Seq, g, sd.Kind, stateOf(sd), sd.Dedup); err != nil {
+				t.Fatal(err)
+			}
+			out, err := os.ReadFile(filepath.Join(encDir, SnapName(sd.Seq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
 		once := reencode(sd)
 		sd2, err := readSnapshotBytes(dir, fixtureSeq, once)

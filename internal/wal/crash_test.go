@@ -3,9 +3,12 @@ package wal
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algo"
 	"repro/internal/engine"
@@ -76,8 +79,20 @@ func runUntilCrash(t *testing.T, dir string, w gen.Workload, alg algo.Selective,
 		}
 		acked++
 	}
+	// The last batch may have started a background snapshot: a crash in
+	// its writer is the run's death.
+	_, crashed = settle(d).(*crashError)
 	d.Abandon() // even clean completions die without Close: written bytes persist
-	return acked, false
+	return acked, crashed
+}
+
+// settle waits for the background snapshot writer and returns its sticky
+// error, so a crash the writer hits lands at a fixed point of the site
+// order: before the next append, as ProcessBatch would observe it.
+func settle(d *Durable) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.settleLocked()
 }
 
 // verifyRecovery recovers the directory and checks the invariants every
@@ -368,4 +383,244 @@ func TestReplayStrictMidLogCorruption(t *testing.T) {
 			t.Fatalf("torn non-tail segment replayed as %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// The background-writer cases. A snapshot's writer runs beside the
+// applier, so the sweeps above — which settle it before every append to
+// keep one site order — cannot reach two states: a crash while a
+// background snapshot is half-written and the applier has moved on, and a
+// second snapshot falling due while the first is still being written. A
+// gate parks the writer at a chosen site, the test drives the applier past
+// it, then releases the writer into death or completion. Every step waits
+// on the one before, so each scenario replays exactly.
+
+// bgSites are the writer's sites outside the group's append mutex (the log
+// truncation holds it, so no append can overlap a writer parked there).
+var bgSites = []string{"snapshot.write", "snapshot.sync", "snapshot.rename", "snapshot.remove"}
+
+// gate parks the writer the nth time, counted from arm, it reaches site,
+// and returns the fate the test releases it with.
+type gate struct {
+	mu      sync.Mutex
+	site    string
+	nth     int
+	armed   bool
+	reached chan struct{}
+	release chan error
+}
+
+func newGate(site string, nth int) *gate {
+	return &gate{site: site, nth: nth, reached: make(chan struct{}), release: make(chan error)}
+}
+
+func (g *gate) arm() {
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
+}
+
+func (g *gate) hook(site string) error {
+	g.mu.Lock()
+	hit := g.armed && site == g.site
+	if hit {
+		g.nth--
+		hit = g.nth == 0
+	}
+	g.mu.Unlock()
+	if !hit {
+		return nil
+	}
+	close(g.reached)
+	return <-g.release
+}
+
+// writerDone returns a channel closed once no snapshot writer runs.
+func writerDone(d *Durable) <-chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.snap == nil {
+		c := make(chan struct{})
+		close(c)
+		return c
+	}
+	return d.snap.done
+}
+
+// bgCase is one background scenario: the gate, whether a second snapshot
+// falls due while the writer is parked, and the parked writer's fate.
+type bgCase struct {
+	site   string
+	nth    int
+	second bool
+	crash  bool
+}
+
+func (c bgCase) String() string {
+	return fmt.Sprintf("%s#%d second=%v crash=%v", c.site, c.nth, c.second, c.crash)
+}
+
+// runBackground drives fam through the group-commit path (Append, then
+// ApplyLogged, which waits for a writer only at its next capture) until the
+// gate parks a writer, moves the applier one batch on, and — for a second
+// snapshot — starts the capture that must wait. It returns the acked count
+// and whether the gate was reached with room left for the case; the caller
+// recovers the directory.
+func runBackground(t *testing.T, fam Family, w gen.Workload, dc DurableConfig, c bgCase) (acked int, ran bool) {
+	t.Helper()
+	g := newGate(c.site, c.nth)
+	dc.Wal.hook = g.hook
+	d, err := NewDurable(graph.FromEdges(w.NumV, w.Initial), fam, engine.Config{Workers: 2}, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.arm()
+	gc := d.Group(nil, nil)
+	appendNext := func(i int) uint64 {
+		seq, err := gc.Append(w.Batches[i])
+		if err != nil {
+			t.Fatalf("%v: append %d: %v", c, i, err)
+		}
+		acked++
+		return seq
+	}
+	apply := func(i int, seq uint64) error {
+		_, err := d.ApplyLogged(context.Background(), seq, w.Batches[i])
+		return err
+	}
+	i, parked := 0, false
+	for ; i < len(w.Batches) && !parked; i++ {
+		if err := apply(i, appendNext(i)); err != nil {
+			t.Fatalf("%v: batch %d: %v", c, i, err)
+		}
+		select {
+		case <-g.reached:
+			parked = true
+		case <-writerDone(d):
+		}
+	}
+	need := 1
+	if c.second {
+		need = 2
+	}
+	if !parked || i+need > len(w.Batches) {
+		if parked {
+			g.release <- nil
+		}
+		d.Close()
+		return acked, false
+	}
+	var fate error
+	if c.crash {
+		fate = &crashError{Site: c.site, Tear: -1}
+	}
+	// The writer is parked; the applier moves on with a batch that starts
+	// no snapshot (SnapshotEvery is 2).
+	if err := apply(i, appendNext(i)); err != nil {
+		t.Fatalf("%v: batch %d past the parked writer: %v", c, i, err)
+	}
+	i++
+	if c.site == "snapshot.sync" {
+		// Parked before its fsync: cut the temp file to half, a writer
+		// that died mid-write.
+		tmps, _ := filepath.Glob(filepath.Join(dc.Wal.Dir, "*"+tmpSuffix))
+		for _, p := range tmps {
+			if st, err := os.Stat(p); err == nil {
+				os.Truncate(p, st.Size()/2)
+			}
+		}
+	}
+	if !c.second {
+		g.release <- fate
+		d.Abandon() // waits for the dying (or finishing) writer
+		return acked, true
+	}
+	// The next batch falls due while the writer is still parked: its
+	// capture must wait for it.
+	waits := dc.Wal.Metrics.Counter("wal.snapshot_waits")
+	before := waits.Value()
+	seq := appendNext(i)
+	errc := make(chan error, 1)
+	go func(i int) { errc <- apply(i, seq) }(i)
+	i++
+	for deadline := time.Now().Add(10 * time.Second); waits.Value() == before; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v: the second capture never waited on the parked writer", c)
+		}
+	}
+	g.release <- fate
+	err = <-errc
+	if c.crash {
+		if _, ok := err.(*crashError); !ok {
+			t.Fatalf("%v: the waiting capture returned %v, want the writer's crash", c, err)
+		}
+		d.Abandon()
+		return acked, true
+	}
+	if err != nil {
+		t.Fatalf("%v: second capture: %v", c, err)
+	}
+	for ; i < len(w.Batches); i++ {
+		if err := apply(i, appendNext(i)); err != nil {
+			t.Fatalf("%v: batch %d: %v", c, i, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("%v: close: %v", c, err)
+	}
+	seqs, err := Snapshots(dc.Wal.Dir)
+	if err != nil || len(seqs) == 0 {
+		t.Fatalf("%v: snapshots %v, %v", c, seqs, err)
+	}
+	if last := seqs[len(seqs)-1]; last != uint64(len(w.Batches)/2*2) {
+		t.Fatalf("%v: newest snapshot %d, want %d: a snapshot behind the waiting capture was lost", c, last, len(w.Batches)/2*2)
+	}
+	return acked, true
+}
+
+// sweepBackground runs every bgCase over fam and checks each recovery with
+// verify, plus that no snapshot temp file survives recovery. Every site
+// must be reached in every case shape.
+func sweepBackground(t *testing.T, fam Family, w gen.Workload,
+	verify func(dc DurableConfig, minSeq int, label string)) int {
+	t.Helper()
+	ran := map[string]int{}
+	scenarios := 0
+	for _, site := range bgSites {
+		for nth := 1; nth <= 2; nth++ {
+			for _, shape := range []struct{ second, crash bool }{{false, true}, {true, false}, {true, true}} {
+				c := bgCase{site: site, nth: nth, second: shape.second, crash: shape.crash}
+				dir := t.TempDir()
+				dc := crashConfig(dir, FsyncAlways, nil, metrics.NewRegistry())
+				dc.SnapshotEvery = 2
+				acked, ok := runBackground(t, fam, w, dc, c)
+				if !ok {
+					continue
+				}
+				ran[fmt.Sprintf("%s second=%v crash=%v", site, shape.second, shape.crash)]++
+				dc.Wal.Metrics = nil
+				verify(dc, acked, "background/"+c.String())
+				if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); len(tmps) != 0 {
+					t.Fatalf("%v: recovery left %v", c, tmps)
+				}
+				scenarios++
+			}
+		}
+	}
+	if len(ran) != 3*len(bgSites) {
+		t.Fatalf("only %d of %d site/shape pairs reached: %v", len(ran), 3*len(bgSites), ran)
+	}
+	return scenarios
+}
+
+// TestBackgroundSnapshotCrashes: the two background cases over the
+// selective family — a crash while a snapshot is half-written behind a
+// moving applier, and a second snapshot falling due before the first is
+// written (completing, or dying under the waiting capture).
+func TestBackgroundSnapshotCrashes(t *testing.T) {
+	w := testWorkload(97, 96, 12, 50)
+	alg := algo.SSSP{Src: 0}
+	n := sweepBackground(t, SelectiveFamily(alg), w, func(dc DurableConfig, minSeq int, label string) {
+		verifyRecovery(t, w, alg, dc, minSeq, label)
+	})
+	t.Logf("%d background-writer scenarios verified", n)
 }

@@ -34,8 +34,14 @@ func HasSnapshot(dir string) bool {
 // snapshot cadence.
 type DurableConfig struct {
 	Wal Options
-	// SnapshotEvery checkpoints after every N batches (0 = only the
-	// creation-time snapshot; the log then grows unboundedly).
+	// SnapshotEvery checkpoints after every N applied batches (0 = only
+	// the creation-time snapshot; the log then grows unboundedly). The
+	// batch that completes the N only captures the snapshot (seq, a frozen
+	// graph view, the encoded state and dedup frames; O(V)); a background
+	// writer syncs the log, writes and renames the file and truncates the
+	// log. At most one snapshot is in flight: the next capture,
+	// ProcessBatch's next append, Snapshot, Group, ReopenLog, Close and
+	// Abandon wait for it.
 	SnapshotEvery int
 	// DedupWindow, when positive, enables exactly-once ingest: the wrapper
 	// keeps a per-client window of that many (clientSeq -> walSeq)
@@ -137,16 +143,133 @@ type Durable struct {
 	dirty     bool         // a batch is mid-apply (or died mid-apply)
 	gc        *GroupCommit // non-nil once Group() put the log in serving mode
 	dedup     *DedupTable  // non-nil when cfg.DedupWindow > 0
+	// snap is the snapshot the background writer has in flight (or has
+	// finished, not yet collected); werr is the first error a writer
+	// returned, sticky until ReopenLog establishes a new base.
+	snap *snapJob
+	werr error
+}
+
+// snapJob is one snapshot captured at a batch boundary: everything the
+// writer needs, all O(V) to take — the frozen out-adjacency, the encoded
+// state and dedup frames — plus the log it must sync and truncate.
+type snapJob struct {
+	seq          uint64
+	view         *graph.Frozen
+	kind         byte
+	state, dedup []byte
+	withLog      func(func(*Log) error) error
+	t0           time.Time
+	done         chan struct{} // closed when the writer returns
+	err          error         // the writer's result, read after done
 }
 
 // CheckBatch validates a batch against the engine's graph without touching
 // either — what a front-end runs before a batch may reach the log.
 func (d *Durable) CheckBatch(b graph.Batch) error { return d.g.CheckBatch(b) }
 
-// writeSnap persists the engine state at seq, with the dedup window when
-// one is configured.
-func (d *Durable) writeSnap(seq uint64) error {
-	return writeSnapshot(d.cfg.Wal, seq, d.g, d.fam.kind, d.fam.state(d.Eng, d.g.NumVertices()), d.dedup)
+// captureLocked takes a snapshot at the current batch boundary: seq, a
+// frozen view of the graph and the encoded state and dedup frames.
+func (d *Durable) captureLocked() *snapJob {
+	j := &snapJob{
+		seq:   d.seq,
+		view:  d.g.Freeze(),
+		kind:  d.fam.kind,
+		state: d.fam.state(d.Eng, d.g.NumVertices()),
+		dedup: dedupFrame(d.dedup, d.seq),
+		t0:    time.Now(),
+		done:  make(chan struct{}),
+	}
+	if gc := d.gc; gc != nil {
+		j.withLog = gc.withLog
+	} else {
+		l := d.log
+		j.withLog = func(f func(*Log) error) error { return f(l) }
+	}
+	return j
+}
+
+// encode writes j's snapshot file.
+func (j *snapJob) encode(opts Options) error {
+	return writeSnapshotView(opts, j.seq, j.view, j.kind, j.state, j.dedup)
+}
+
+// release ends j's view and drops what the capture holds, so a finished
+// job kept until the next capture pins no O(V) memory.
+func (j *snapJob) release() {
+	j.view.Release()
+	j.view, j.state, j.dedup = nil, nil, nil
+}
+
+// startSnapshotLocked waits out the writer in flight, refuses a dirty
+// engine, and hands a capture of the current boundary to a new writer
+// goroutine — at most one exists at a time.
+func (d *Durable) startSnapshotLocked() error {
+	if err := d.settleLocked(); err != nil {
+		return err
+	}
+	if d.dirty {
+		return ErrEngineDirty
+	}
+	j := d.captureLocked()
+	d.snap = j
+	d.sinceSnap = 0
+	go d.write(j)
+	return nil
+}
+
+// write is the background snapshot writer: frames <= seq durable in the
+// log, the snapshot file written, fsynced and renamed, retention applied,
+// the log truncated behind the older retained snapshot. It never takes
+// d.mu; the capture carries everything it reads.
+func (d *Durable) write(j *snapJob) {
+	defer close(j.done)
+	defer j.release()
+	opts, m := d.cfg.Wal, d.cfg.Wal.Metrics
+	// Frames <= seq must be durable before a snapshot claims to cover them.
+	if opts.Policy != FsyncOff {
+		if j.err = j.withLog((*Log).Sync); j.err != nil {
+			return
+		}
+	}
+	if j.err = j.encode(opts); j.err != nil {
+		return
+	}
+	if m != nil {
+		m.Counter("wal.snapshots").Inc()
+		m.Histogram("wal.snapshot_ns").Observe(time.Since(j.t0).Nanoseconds())
+	}
+	// Retention removes files outside the group's append mutex; only the
+	// log truncation needs it.
+	trim, ok, err := PruneSnapshots(opts)
+	if err != nil || !ok {
+		j.err = err
+		return
+	}
+	j.err = j.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
+}
+
+// settleLocked waits for the snapshot writer in flight, if any, and
+// returns the sticky writer error. A writer that found the log already
+// poisoned (ErrPoisoned) skipped its snapshot without making that sticky:
+// the failed append that poisoned the log reports it, the next append is
+// refused anyway, and the degraded exit (ReopenLog) writes a fresh base.
+func (d *Durable) settleLocked() error {
+	if j := d.snap; j != nil {
+		select {
+		case <-j.done:
+		default:
+			if m := d.cfg.Wal.Metrics; m != nil {
+				m.Counter("wal.snapshot_waits").Inc()
+			}
+			<-j.done
+		}
+		d.snap = nil
+		if d.werr == nil && !errors.Is(j.err, ErrPoisoned) {
+			d.werr = j.err
+		}
+	}
+	return d.werr
 }
 
 // ProcessBatch validates, logs, syncs (per policy), and only then applies
@@ -162,6 +285,11 @@ func (d *Durable) ProcessBatch(ctx context.Context, batch graph.Batch) (engine.B
 	}
 	if err := d.g.CheckBatch(batch); err != nil {
 		return engine.BatchStats{}, err // reject before logging garbage
+	}
+	// A library caller is single-threaded: the snapshot writer finishes
+	// before the next append, which also keeps the crash sites in order.
+	if err := d.settleLocked(); err != nil {
+		return engine.BatchStats{}, err
 	}
 	seq := d.seq + 1
 	if err := d.log.Append(seq, batch); err != nil {
@@ -184,7 +312,7 @@ func (d *Durable) applyLocked(ctx context.Context, seq uint64, batch graph.Batch
 	d.seq = seq
 	d.sinceSnap++
 	if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
-		if err := d.snapshotLocked(); err != nil {
+		if err := d.startSnapshotLocked(); err != nil {
 			return st, err
 		}
 	}
@@ -213,6 +341,9 @@ func (d *Durable) Group(onAppend func(seq uint64, b graph.Batch), groupSize *met
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.gc == nil {
+		// A writer in flight holds the bare log; let it finish before
+		// appenders share it. Its error stays sticky for the next call.
+		d.settleLocked()
 		d.gc = newGroupCommit(d.log, d.seq, onAppend, d.dedup, groupSize)
 	}
 	return d.gc
@@ -242,13 +373,21 @@ func (d *Durable) Log() *Log { return d.log }
 
 // Snapshot checkpoints the current state at the current sequence, applies
 // retention (keep snapRetain newest), and truncates the log through the
-// older retained snapshot. It refuses (ErrEngineDirty) when the last batch
-// died mid-apply — persisting that state would fabricate a corrupt-but-
-// CRC-valid recovery base.
+// older retained snapshot, returning once all of that is done. It waits
+// for a background snapshot in flight first, and refuses (ErrEngineDirty)
+// when the last batch died mid-apply — persisting that state would
+// fabricate a corrupt-but-CRC-valid recovery base.
 func (d *Durable) Snapshot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.snapshotLocked()
+	if err := d.startSnapshotLocked(); err != nil {
+		return err
+	}
+	j := d.snap
+	if err := d.settleLocked(); err != nil {
+		return err
+	}
+	return j.err
 }
 
 // withLog runs f on the log, under the group's append mutex when the log is
@@ -259,32 +398,6 @@ func (d *Durable) withLog(f func(l *Log) error) error {
 		return d.gc.withLog(f)
 	}
 	return f(d.log)
-}
-
-func (d *Durable) snapshotLocked() error {
-	if d.dirty {
-		return ErrEngineDirty
-	}
-	// Frames <= seq must be durable before a snapshot claims to cover them.
-	if d.cfg.Wal.Policy != FsyncOff {
-		if err := d.withLog((*Log).Sync); err != nil {
-			return err
-		}
-	}
-	if err := d.writeSnap(d.seq); err != nil {
-		return err
-	}
-	d.sinceSnap = 0
-	if m := d.cfg.Wal.Metrics; m != nil {
-		m.Counter("wal.snapshots").Inc()
-	}
-	// Retention removes files outside the group's append mutex; only the
-	// log truncation needs it.
-	trim, ok, err := PruneSnapshots(d.cfg.Wal)
-	if err != nil || !ok {
-		return err
-	}
-	return d.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
 }
 
 // ReopenLog recovers from a poisoned log without losing the live engine —
@@ -302,6 +415,7 @@ func (d *Durable) snapshotLocked() error {
 func (d *Durable) ReopenLog() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.settleLocked() // a writer error is superseded by the new base below
 	if d.dirty {
 		return ErrEngineDirty
 	}
@@ -309,13 +423,19 @@ func (d *Durable) ReopenLog() error {
 		if nl.LastSeq() > d.seq {
 			return fmt.Errorf("wal: reopen: log holds seq %d but only %d applied; applier behind", nl.LastSeq(), d.seq)
 		}
-		if err := d.writeSnap(d.seq); err != nil {
+		// Written inline: the fresh log needs no sync, and the group's
+		// append mutex is held, which the writer's truncation would need.
+		j := d.captureLocked()
+		err := j.encode(d.cfg.Wal)
+		j.release()
+		if err != nil {
 			return err
 		}
 		if err := nl.resetTo(d.seq); err != nil {
 			return err
 		}
 		d.sinceSnap = 0
+		d.werr = nil
 		d.log = nl
 		if m := d.cfg.Wal.Metrics; m != nil {
 			m.Counter("wal.reopens").Inc()
@@ -346,12 +466,22 @@ func (d *Durable) ReopenLog() error {
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.withLog((*Log).Close)
+	werr := d.settleLocked()
+	if err := d.withLog((*Log).Close); err != nil {
+		return err
+	}
+	return werr
 }
 
 // Abandon drops the log handle without any cleanup — the crash fuzzers' and
-// chaos harnesses' process-death stand-in.
-func (d *Durable) Abandon() { d.log.abandon() }
+// chaos harnesses' process-death stand-in. A snapshot writer in flight is
+// waited for first, so no goroutine outlives the wrapper.
+func (d *Durable) Abandon() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.settleLocked()
+	d.log.abandon()
+}
 
 // initDedup builds the dedup table for a fresh or recovered wrapper: the
 // snapshot's persisted window when one survived (recovery), else empty.
@@ -373,6 +503,9 @@ func (d *Durable) initDedup(fromSnap *DedupTable) {
 func NewDurable(g *graph.Streaming, fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, error) {
 	if HasSnapshot(dc.Wal.Dir) {
 		return nil, fmt.Errorf("wal: %s already holds a snapshot; use Recover", dc.Wal.Dir)
+	}
+	if err := removeStaleTemps(dc.Wal.Dir); err != nil {
+		return nil, err
 	}
 	log, err := Open(dc.Wal)
 	if err != nil {
@@ -453,6 +586,9 @@ func replayTail(dc DurableConfig, snapSeq uint64, dedup *DedupTable, rs *Recover
 func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, RecoveryStats, error) {
 	t0 := time.Now()
 	var rs RecoveryStats
+	if err := removeStaleTemps(dc.Wal.Dir); err != nil {
+		return nil, rs, err
+	}
 	sd, err := LoadSnapshot(dc.Wal.Dir, fam.kind)
 	if err != nil {
 		return nil, rs, err

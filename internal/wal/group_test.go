@@ -223,6 +223,13 @@ func runServingUntilCrash(t *testing.T, w gen.Workload, alg algo.Selective, dc D
 			t.Fatal(err)
 		}
 		acked++
+		// Let a snapshot this batch started finish before the next append,
+		// so the sites keep one order (the concurrent case has its own
+		// sweep); a crash in its writer is the run's death.
+		if _, ok := settle(d).(*crashError); ok {
+			d.Abandon()
+			return acked, true
+		}
 	}
 	d.Abandon()
 	return acked, false

@@ -103,44 +103,78 @@ func WriteWorkerSnapshot(opts Options, seq uint64, g *graph.Streaming, vals []fl
 	return writeSnapshot(opts, seq, g, KindDistCheckpoint, state, nil)
 }
 
-// writeSnapshot persists one snapshot of g with the given state frame.
+// writeSnapshot persists one snapshot of g, which the caller does not
+// mutate meanwhile, with the given state frame.
 func writeSnapshot(opts Options, seq uint64, g *graph.Streaming, kind byte, state []byte, dedup *DedupTable) error {
+	v := g.Freeze()
+	defer v.Release()
+	return writeSnapshotView(opts, seq, v, kind, state, dedupFrame(dedup, seq))
+}
+
+// dedupFrame encodes the dedup frame's payload for a snapshot at seq (nil:
+// no frame). Only entries whose walSeq the snapshot covers are persisted,
+// so a snapshot can never assert exactly-once for a batch whose frame it
+// might outlive.
+func dedupFrame(dedup *DedupTable, seq uint64) []byte {
+	if dedup == nil {
+		return nil
+	}
+	return dedup.Encode(nil, seq)
+}
+
+// writeSnapshotView is the one snapshot writer: it streams header, edges
+// (the view's sorted walk), the state frame of the given kind, the dedup
+// frame when dedup is non-nil, and the footer into the snapshot file. It
+// holds no edge list and no file image: memory is the frame buffer plus
+// O(max degree) sort scratch. The view may be read concurrently with
+// mutation of its graph (graph.Frozen).
+func writeSnapshotView(opts Options, seq uint64, v *graph.Frozen, kind byte, state, dedup []byte) error {
 	if _, err := opts.fire("snapshot.write"); err != nil {
 		return err
 	}
-	return writeSnapshotFile(opts, seq, encodeSnapshot(seq, g.NumVertices(), g.Edges(), kind, state, dedup))
-}
-
-// encodeSnapshot frames one snapshot file: header, edges, the state frame
-// of the given kind, the optional dedup frame, footer. Only dedup entries
-// whose walSeq the snapshot covers are persisted, so a snapshot can never
-// assert exactly-once for a batch whose frame it might outlive.
-func encodeSnapshot(seq uint64, numV int, edges []graph.Edge, kind byte, state []byte, dedup *DedupTable) []byte {
-	var hdr, ed Enc
-	hdr.U64(seq)
-	hdr.U32(uint32(numV))
-	ed.Edges(edges)
-	buf := AppendFrame(nil, KindSnapHeader, hdr.B)
-	buf = AppendFrame(buf, KindSnapEdges, ed.B)
-	buf = AppendFrame(buf, kind, state)
-	if dedup != nil {
-		buf = AppendFrame(buf, KindSnapDedup, dedup.Encode(nil, seq))
-	}
-	return AppendFrame(buf, KindSnapFooter, hdr.B[0:8])
+	return writeSnapshotFile(opts, seq, func(w *frameWriter) error {
+		var hdr Enc
+		hdr.U64(seq)
+		hdr.U32(uint32(v.NumVertices()))
+		w.frame(KindSnapHeader, hdr.B)
+		w.begin(KindSnapEdges)
+		w.write(binary.LittleEndian.AppendUint32(nil, uint32(v.NumEdges())))
+		v.SortedSpans(func(src graph.VertexID, span []graph.Half) error {
+			for _, h := range span {
+				w.edge(src, h)
+			}
+			return w.err
+		})
+		w.end()
+		w.frame(kind, state)
+		if dedup != nil {
+			w.frame(KindSnapDedup, dedup)
+		}
+		w.frame(KindSnapFooter, hdr.B[0:8])
+		w.flush()
+		return w.err
+	})
 }
 
 // writeSnapshotFile is the shared atomic-and-durable tail of every snapshot
-// writer: temp file, write, policy-gated fsync, rename into the visible
-// name, directory sync — with the crash-injection hooks at each boundary.
-func writeSnapshotFile(opts Options, seq uint64, buf []byte) error {
-	tmp := filepath.Join(opts.Dir, SnapName(seq)+".tmp")
+// writer: temp file, streamed encode, policy-gated fsync, rename into the
+// visible name, directory sync — with the crash-injection hooks at each
+// boundary. A real failure removes the temp file; an injected crash models
+// process death, which removes nothing (NewDurable and Recover sweep such
+// leftovers with removeStaleTemps).
+func writeSnapshotFile(opts Options, seq uint64, encode func(w *frameWriter) error) error {
+	tmp := filepath.Join(opts.Dir, SnapName(seq)+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	fail := func(err error) error {
 		f.Close()
+		os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
+	}
+	if err := encode(newFrameWriter(f)); err != nil {
+		return fail(err)
 	}
 	if _, err := opts.fire("snapshot.sync"); err != nil {
 		f.Close()
@@ -148,20 +182,41 @@ func writeSnapshotFile(opts Options, seq uint64, buf []byte) error {
 	}
 	if opts.Policy != FsyncOff {
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: snapshot: %w", err)
+			return fail(err)
 		}
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+		return fail(err)
 	}
 	if _, err := opts.fire("snapshot.rename"); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(opts.Dir, SnapName(seq))); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+		return fail(err)
 	}
 	opts.syncDir()
+	return nil
+}
+
+// tmpSuffix marks a snapshot still being written.
+const tmpSuffix = ".tmp"
+
+// removeStaleTemps deletes every snapshot temp file in dir: each is the
+// remains of a writer that died before its rename, as large as a full
+// snapshot and never listed by Snapshots. Call it only while no snapshot
+// writer runs over dir.
+func removeStaleTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix+tmpSuffix) {
+			if err := os.Remove(filepath.Join(dir, n)); err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+		}
+	}
 	return nil
 }
 

@@ -76,7 +76,9 @@ type Options struct {
 	// (default 8).
 	FsyncEvery int
 	// Metrics, when non-nil, receives wal.append_ns / wal.fsync_ns
-	// histograms and wal.appends / wal.fsyncs / wal.rotations counters.
+	// histograms and wal.appends / wal.fsyncs / wal.rotations counters;
+	// through Durable also the wal.snapshot_ns histogram (capture to
+	// rename) and the wal.snapshots / wal.snapshot_waits counters.
 	Metrics *metrics.Registry
 	// GroupWindow, under FsyncAlways in serving (GroupCommit) mode, is how
 	// long a sync leader yields before issuing its fsync so concurrent

@@ -6,8 +6,9 @@
 # smoke of the distributed runtime, a 5 s fuzz of every decoder harness (wal
 # frames, snapshots and payloads; the worker snapshot loader; the cluster
 # and session messages) and of the hub-indexed adjacency, a check that removed flags and figures stay
-# removed, a graphflyd serving smoke (concurrent ingest+query, SIGTERM,
-# restart, dump vs single-shot oracle), serving-chaos and degraded-mode
+# removed, a graphflyd serving smoke at -snapshot-every 4 and 1 (concurrent
+# ingest+query, SIGTERM, restart, dump vs single-shot oracle; at 1 every
+# batch starts a background WAL snapshot), serving-chaos and degraded-mode
 # smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
 # the machine-readable report, one iteration of the flow-derivation
 # microbenchmark (what engine construction, restore and a D-tree rebuild
@@ -116,7 +117,11 @@ if [ "$rc" != 2 ] || ! grep -q 'unknown figure' "$flagtmp/err"; then
 fi
 rm -rf "$flagtmp"
 
-echo "== graphflyd serving smoke (concurrent ingest+query, SIGTERM, restart, oracle) =="
+# serving_smoke <snapshot-every>: at 1 every batch hands a snapshot to the
+# background writer, so captures queue behind one in flight (the wait path)
+# and SIGTERM's drain lands on a writer mid-snapshot.
+serving_smoke() {
+echo "== graphflyd serving smoke, -snapshot-every $1 (concurrent ingest+query, SIGTERM, restart, oracle) =="
 servetmp=$(mktemp -d)
 dpid=""
 cleanup_serve() { [ -n "$dpid" ] && kill "$dpid" 2>/dev/null || true; rm -rf "$servetmp"; }
@@ -134,7 +139,7 @@ wait_listening() { # $1 = server.out; sets $addr
     echo "graphflyd never came up:" >&2; cat "$1" >&2; return 1
 }
 "$servetmp/graphflyd" "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
-    -fsync always -snapshot-every 4 > "$servetmp/server1.out" 2>&1 &
+    -fsync always -snapshot-every "$1" > "$servetmp/server1.out" 2>&1 &
 dpid=$!
 wait_listening "$servetmp/server1.out"
 "$servetmp/graphflyd" "${common[@]}" -client ingest -addr "$addr" \
@@ -151,7 +156,7 @@ grep -q 'drained: durable through seq 6' "$servetmp/server1.out"
 # restart over the same WAL: recovery must cover every acknowledged batch,
 # and the served state must byte-match a single-shot oracle run
 "$servetmp/graphflyd" "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
-    -fsync always -snapshot-every 4 > "$servetmp/server2.out" 2>&1 &
+    -fsync always -snapshot-every "$1" > "$servetmp/server2.out" 2>&1 &
 dpid=$!
 wait_listening "$servetmp/server2.out"
 grep -q 'replayed [0-9]* batches to seq 6' "$servetmp/server2.out"
@@ -164,6 +169,9 @@ dpid=""
 cmp "$servetmp/served.txt" "$servetmp/oracle.txt"
 rm -rf "$servetmp"
 trap - EXIT
+}
+serving_smoke 4
+serving_smoke 1
 
 echo "== serving-chaos smoke (faultproxy resets, client resume, dump vs oracle) =="
 chaostmp=$(mktemp -d)
