@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/dflow"
-	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/layout"
@@ -80,24 +79,22 @@ func BenchmarkBatchPageRank(b *testing.B) {
 }
 
 // BenchmarkSchedulerScaling compares steady-state per-batch SSSP cost
-// under the work-stealing scheduler and the global reference pool across
-// worker counts. Sub-benchmark names are stable so runs can be diffed; the
-// repository benchmark (benchmark/) carries the dispatch, steal and park
-// counts and the two-worker speed-up.
+// across worker counts; workers=1 is the sequential reference.
+// Sub-benchmark names are stable so runs can be diffed; the repository
+// benchmark (benchmark/) carries the dispatch, steal and park counts and
+// the two-worker speed-up.
 func BenchmarkSchedulerScaling(b *testing.B) {
 	numV, edges := Dataset("LJ")
 	w := NewWorkload(numV, edges, DefaultStream(2000, 200, 3))
-	for _, kind := range []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sched=%s/workers=%d", kind, workers), func(b *testing.B) {
-				g := FromEdges(w.NumV, w.Initial)
-				eng := NewSSSP(g, 0, Config{Workers: workers, Scheduler: kind})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.ProcessBatch(w.Batches[i%len(w.Batches)])
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			g := FromEdges(w.NumV, w.Initial)
+			eng := NewSSSP(g, 0, Config{Workers: workers})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.ProcessBatch(w.Batches[i%len(w.Batches)])
+			}
+		})
 	}
 }
 

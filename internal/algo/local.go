@@ -17,7 +17,7 @@ import (
 // the value vector, and the seeded fixpoint must be unique (for KCore this
 // is the greatest-fixpoint property of the H-index operator; TriangleCount
 // does not read neighbor values at all). That is what lets the consistency
-// oracle demand bit-exact equality across worker counts and schedulers.
+// oracle demand bit-exact equality across worker counts.
 type Local interface {
 	// Name identifies the algorithm ("triangle", "kCore").
 	Name() string

@@ -81,7 +81,7 @@ type driver struct {
 	seeds    [][]uint32     // per-flow vertices the step invalidated
 	impacted *dense.FlowSet // epoch-stamped impacted-flow scratch
 	symm     Symmetrizer
-	pl       scheduler
+	pl       *wsPool
 
 	// rs is the hub-replication plan (nil unless Config.HubReplication and
 	// the kernel called replicate): hub-bound cross-flow traffic scatters

@@ -28,13 +28,11 @@ import (
 // Config controls a GraphFly engine instance. The zero value is usable:
 // all workers, default flow cap, no profiling, fully asynchronous.
 type Config struct {
-	// Workers is the number of worker goroutines (GOMAXPROCS if <= 0).
+	// Workers is the number of worker goroutines (GOMAXPROCS if <= 0),
+	// each owning one shard of the work-stealing unit scheduler (sched.go).
+	// At 1 the batch runs sequentially in schedule-level order: the
+	// reference execution the parallel runs are compared against.
 	Workers int
-	// Scheduler selects the unit scheduler: the work-stealing, level-banded
-	// scheduler by default (SchedWorkStealing is the zero value), or the
-	// reference global-lock pool (SchedGlobal) the conformance, oracle and
-	// fuzz tests compare against. No CLI selects it.
-	Scheduler SchedulerKind
 	// FlowCap caps dependency-flow size (dflow.DefaultCap if <= 0).
 	FlowCap int
 	// Probe receives instrumented memory accesses (cachesim.Nop if nil).

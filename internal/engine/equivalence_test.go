@@ -48,7 +48,6 @@ func randomConfig(seed uint64) Config {
 		NoSCCMerge:       r.Float64() < 0.25,
 		ScatteredStorage: r.Float64() < 0.25,
 		RepartitionEvery: r.Intn(5), // 0: no clock, the production default
-		Scheduler:        SchedulerKind(r.Intn(2)),
 	}
 }
 

@@ -48,9 +48,10 @@ func TestLocalSingleWorker(t *testing.T) {
 	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 1, FlowCap: 32}, smallWorkload(23, 4))
 }
 
-func TestLocalGlobalScheduler(t *testing.T) {
-	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, Scheduler: SchedGlobal}, smallWorkload(24, 4))
-	checkLocalAgainstStatic(t, algo.TriangleCount{}, Config{Workers: 4, FlowCap: 64, Scheduler: SchedGlobal}, smallWorkload(25, 4))
+// TestLocalThreeWorkers runs a shard count that is not a power of two.
+func TestLocalThreeWorkers(t *testing.T) {
+	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 3, FlowCap: 64}, smallWorkload(24, 4))
+	checkLocalAgainstStatic(t, algo.TriangleCount{}, Config{Workers: 3, FlowCap: 64}, smallWorkload(25, 4))
 }
 
 func TestLocalAblations(t *testing.T) {

@@ -28,11 +28,10 @@ func fuzzBA(seed uint64, sc gen.StreamConfig) gen.Workload {
 	return gen.BuildWorkload(numV, edges, sc)
 }
 
-func replicatedConfig(workers int, sched SchedulerKind) Config {
+func replicatedConfig(workers int) Config {
 	return Config{
 		Workers:        workers,
 		FlowCap:        32,
-		Scheduler:      sched,
 		HubReplication: true,
 		HubThreshold:   8,
 	}
@@ -42,51 +41,45 @@ func TestReplicationSelectiveEquivalence(t *testing.T) {
 	algs := []algo.Selective{
 		algo.SSSP{Src: 0}, algo.SSWP{Src: 0}, algo.BFS{Src: 0}, algo.CC{},
 	}
-	for _, sched := range []SchedulerKind{SchedWorkStealing, SchedGlobal} {
-		for _, workers := range []int{1, 4} {
-			for _, seed := range []uint64{0xba0001, 0xba0002, 0xba0003} {
-				sched, workers, seed := sched, workers, seed
-				name := fmt.Sprintf("%v/w%d/seed%x", sched, workers, seed)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					w := fuzzBA(seed, gen.StreamConfig{
-						InitialFraction: 0.6,
-						DeleteRatio:     0.3,
-						NumBatches:      3,
-					})
-					cfg := replicatedConfig(workers, sched)
-					for _, alg := range algs {
-						if err := selectiveEquivalent(alg, w, cfg); err != nil {
-							t.Errorf("replicated %s diverged (seed=%#x sched=%v workers=%d): %v",
-								alg.Name(), seed, sched, workers, err)
-						}
-					}
+	for _, workers := range []int{1, 4} {
+		for _, seed := range []uint64{0xba0001, 0xba0002, 0xba0003} {
+			workers, seed := workers, seed
+			t.Run(fmt.Sprintf("%s/w%d/seed%x", schedName, workers, seed), func(t *testing.T) {
+				t.Parallel()
+				w := fuzzBA(seed, gen.StreamConfig{
+					InitialFraction: 0.6,
+					DeleteRatio:     0.3,
+					NumBatches:      3,
 				})
-			}
+				cfg := replicatedConfig(workers)
+				for _, alg := range algs {
+					if err := selectiveEquivalent(alg, w, cfg); err != nil {
+						t.Errorf("replicated %s diverged (seed=%#x workers=%d): %v",
+							alg.Name(), seed, workers, err)
+					}
+				}
+			})
 		}
 	}
 }
 
 func TestReplicationAccumulativeEquivalence(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedWorkStealing, SchedGlobal} {
-		for _, workers := range []int{1, 4} {
-			for _, seed := range []uint64{0xba1001, 0xba1002, 0xba1003} {
-				sched, workers, seed := sched, workers, seed
-				name := fmt.Sprintf("%v/w%d/seed%x", sched, workers, seed)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					w := fuzzBA(seed, gen.StreamConfig{
-						InitialFraction: 0.6,
-						DeleteRatio:     0.3,
-						NumBatches:      3,
-					})
-					cfg := replicatedConfig(workers, sched)
-					if err := accumulativeEquivalent(w, cfg); err != nil {
-						t.Errorf("replicated pagerank diverged (seed=%#x sched=%v workers=%d): %v",
-							seed, sched, workers, err)
-					}
+	for _, workers := range []int{1, 4} {
+		for _, seed := range []uint64{0xba1001, 0xba1002, 0xba1003} {
+			workers, seed := workers, seed
+			t.Run(fmt.Sprintf("%s/w%d/seed%x", schedName, workers, seed), func(t *testing.T) {
+				t.Parallel()
+				w := fuzzBA(seed, gen.StreamConfig{
+					InitialFraction: 0.6,
+					DeleteRatio:     0.3,
+					NumBatches:      3,
 				})
-			}
+				cfg := replicatedConfig(workers)
+				if err := accumulativeEquivalent(w, cfg); err != nil {
+					t.Errorf("replicated pagerank diverged (seed=%#x workers=%d): %v",
+						seed, workers, err)
+				}
+			})
 		}
 	}
 }
@@ -101,7 +94,7 @@ func TestReplicationEngages(t *testing.T) {
 		DeleteRatio:     0.2,
 		NumBatches:      4,
 	})
-	cfg := replicatedConfig(4, SchedWorkStealing)
+	cfg := replicatedConfig(4)
 
 	g := graph.FromEdges(w.NumV, w.Initial)
 	e := NewAccumulative(g, algo.NewPageRank(w.NumV), cfg)

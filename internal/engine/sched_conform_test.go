@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,31 +12,19 @@ import (
 	"repro/internal/rng"
 )
 
-// Scheduler conformance suite: one table-driven harness run against BOTH
-// pool implementations (the global-lock reference and the work-stealing
-// scheduler), pinning down the contract sched.go documents — quiescence,
-// exactly-once pending requeue, and no lost wakeups under hostile
-// cross-unit activation interleavings. Run under -race these tests double
-// as a data-race proof of the handoff protocol.
+// Scheduler conformance suite: the contract sched.go documents —
+// quiescence, exactly-once pending requeue, level then activation order at
+// one worker, and no lost wakeups under hostile cross-unit activation
+// interleavings. Run under -race these tests double as a data-race proof
+// of the handoff protocol.
 
-type schedImpl struct {
-	name string
-	mk   func(workers int) scheduler
-}
+// schedName is the subtest level under which the scheduler-facing tests
+// run, naming the scheduler they check: the work-stealing pool.
+const schedName = "worksteal"
 
-func schedImpls() []schedImpl {
-	return []schedImpl{
-		{"global", func(int) scheduler { return newPool(nil) }},
-		{"worksteal", func(w int) scheduler { return newWSPool(w, nil) }},
-	}
-}
-
-// runConform runs fn for each scheduler implementation as a subtest.
-func runConform(t *testing.T, fn func(t *testing.T, impl schedImpl)) {
-	for _, impl := range schedImpls() {
-		impl := impl
-		t.Run(impl.name, func(t *testing.T) { fn(t, impl) })
-	}
+// runConform runs fn as the schedName subtest.
+func runConform(t *testing.T, fn func(t *testing.T)) {
+	t.Run(schedName, fn)
 }
 
 // withDeadline fails the test if fn does not return in time — the shape
@@ -52,8 +41,8 @@ func withDeadline(t *testing.T, d time.Duration, what string, fn func()) {
 }
 
 func TestSchedConformEmptyRunQuiesces(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(4)
+	runConform(t, func(t *testing.T) {
+		p := newWSPool(4, nil)
 		withDeadline(t, 10*time.Second, "run with no activations did not return", func() {
 			p.run(4, func(int, *unit) { t.Error("nothing should run") })
 		})
@@ -61,8 +50,8 @@ func TestSchedConformEmptyRunQuiesces(t *testing.T) {
 }
 
 func TestSchedConformRunsEveryActivatedUnit(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(4)
+	runConform(t, func(t *testing.T) {
+		p := newWSPool(4, nil)
 		var processed atomic.Int64
 		units := make([]*unit, 100)
 		for i := range units {
@@ -85,8 +74,8 @@ func TestSchedConformRunsEveryActivatedUnit(t *testing.T) {
 }
 
 func TestSchedConformDoubleActivationRunsOnce(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(2)
+	runConform(t, func(t *testing.T) {
+		p := newWSPool(2, nil)
 		u := &unit{id: 0}
 		p.activate(u)
 		p.activate(u) // queued: second activation is a no-op
@@ -103,8 +92,8 @@ func TestSchedConformDoubleActivationRunsOnce(t *testing.T) {
 // re-execution no matter how many messages arrive mid-run (pending
 // coalesces), and an activation after quiescence runs it afresh.
 func TestSchedConformPendingRequeueExactlyOnce(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(2)
+	runConform(t, func(t *testing.T) {
+		p := newWSPool(2, nil)
 		u := &unit{id: 0}
 		var runs atomic.Int64
 		inRun := make(chan struct{})
@@ -136,7 +125,7 @@ func TestSchedConformPendingRequeueExactlyOnce(t *testing.T) {
 		}
 
 		// After quiescence the unit is idle: a new activation runs it again.
-		p2 := impl.mk(1)
+		p2 := newWSPool(1, nil)
 		p2.activate(u)
 		var again atomic.Int64
 		p2.run(1, func(int, *unit) { again.Add(1) })
@@ -147,8 +136,8 @@ func TestSchedConformPendingRequeueExactlyOnce(t *testing.T) {
 }
 
 func TestSchedConformCascadingActivation(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(3)
+	runConform(t, func(t *testing.T) {
+		p := newWSPool(3, nil)
 		const n = 50
 		units := make([]*unit, n)
 		for i := range units {
@@ -171,29 +160,40 @@ func TestSchedConformCascadingActivation(t *testing.T) {
 	})
 }
 
-// TestSchedConformLevelPreference: with one worker (and, for the
-// work-stealing pool, one shard) units queued before the run must come out
-// in nondecreasing level order — the space-time heuristic both schedulers
-// honour when nothing races. Levels stay inside the band range so banding
-// is exact.
+// TestSchedConformLevelPreference: with one worker (one shard, nothing to
+// steal) units queued before the run must come out in nondecreasing level
+// order and, within a level, in activation order — the sequential
+// execution one worker is the reference for. Levels stay inside the band
+// range so banding is exact.
 func TestSchedConformLevelPreference(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
-		p := impl.mk(1)
-		levels := []int{3, 1, 2, 0, 1, 7, 5, 0}
-		for i, l := range levels {
-			p.activate(&unit{id: int32(i), level: l})
-		}
-		var got []int
-		p.run(1, func(w int, u *unit) { got = append(got, u.level) })
-		if len(got) != len(levels) {
-			t.Fatalf("ran %d units, want %d", len(got), len(levels))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] < got[i-1] {
-				t.Fatalf("levels out of order: %v", got)
+	runConform(t, func(t *testing.T) {
+		for _, levels := range [][]int{
+			{3, 1, 2, 0, 1, 7, 5, 0},
+			{2, 2, 2, 2, 2, 2}, // one level: activation order alone
+		} {
+			p := newWSPool(1, nil)
+			want := make([]*unit, len(levels))
+			for i, l := range levels {
+				want[i] = &unit{id: int32(i), level: l}
+				p.activate(want[i])
+			}
+			slices.SortStableFunc(want, func(a, b *unit) int { return a.level - b.level })
+			var got []*unit
+			p.run(1, func(w int, u *unit) { got = append(got, u) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("levels %v: ran %v, want %v", levels, unitOrder(got), unitOrder(want))
 			}
 		}
 	})
+}
+
+// unitOrder renders a run order as id@level pairs for failure messages.
+func unitOrder(us []*unit) []string {
+	out := make([]string, len(us))
+	for i, u := range us {
+		out[i] = fmt.Sprintf("%d@%d", u.id, u.level)
+	}
+	return out
 }
 
 // TestSchedConformActivationStorm is the adversarial core of the suite:
@@ -207,7 +207,7 @@ func TestSchedConformActivationStorm(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			runConform(t, func(t *testing.T, impl schedImpl) {
+			runConform(t, func(t *testing.T) {
 				r := rng.New(seed)
 				numUnits := 16 + r.Intn(64)
 				workers := 1 + r.Intn(8)
@@ -222,7 +222,7 @@ func TestSchedConformActivationStorm(t *testing.T) {
 				}
 				tokens := make([]atomic.Int64, numUnits)
 				var injected, consumed atomic.Int64
-				p := impl.mk(workers)
+				p := newWSPool(workers, nil)
 
 				// Workers re-inject follow-up tokens, hash-directed: the
 				// cross-flow message pattern (token first, activate second).
@@ -316,11 +316,11 @@ func TestSchedConformActivationStorm(t *testing.T) {
 // pending CAS or close-out CAS either strands a message (consumed != sent)
 // or hangs the pool.
 func TestSchedConformMidRunSenderNeverLost(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
+	runConform(t, func(t *testing.T) {
 		const producers = 4
 		const perProducer = 2000
 
-		p := impl.mk(3)
+		p := newWSPool(3, nil)
 		var mail inbox[int]
 		u := &unit{id: 0}
 		var consumed atomic.Int64
@@ -413,13 +413,13 @@ func TestSchedConformReplicaPinPlacement(t *testing.T) {
 
 // TestSchedConformCombineExactlyOnce drives the diffused-combine handoff
 // protocol (addPartial then replicaDirtySwapSet on the sending side,
-// clear-then-drain on the draining side) through both schedulers under a
+// clear-then-drain on the draining side) through the scheduler under a
 // steal storm: external senders race the replica and combine units, and at
 // quiescence every deposited delta must have been merged into the total
 // EXACTLY once — a lost notification strands mass (total < injected, or a
 // hang), a double drain duplicates it (total > injected).
 func TestSchedConformCombineExactlyOnce(t *testing.T) {
-	runConform(t, func(t *testing.T, impl schedImpl) {
+	runConform(t, func(t *testing.T) {
 		const workers = 4
 		const senders = 4
 		const perSender = 3000
@@ -438,7 +438,7 @@ func TestSchedConformCombineExactlyOnce(t *testing.T) {
 
 		var total uint64 // merged mass, atomic float64 bits
 		var combines atomic.Int64
-		p := impl.mk(workers)
+		p := newWSPool(workers, nil)
 		fn := func(_ int, u *unit) {
 			if int(u.id) == rs.r {
 				if rs.drainCombine(0, func(_ int, x float64) { addBits(&total, x) }) {

@@ -16,10 +16,9 @@ import (
 // can drive the consistency oracle, which imports engine): triangle
 // counting and k-core maintenance across the same hostile shapes as
 // TestFuzzStreamEquivalence — including the deletion-only adversarial phase
-// — under both schedulers and several worker counts. A failure prints the
-// reproducing seed and the oracle's first divergent vertex. After every
-// batch the engine's flow graph is also held to a fresh build
-// (flowCheckedLocal).
+// — at several worker counts. A failure prints the reproducing seed and
+// the oracle's first divergent vertex. After every batch the engine's flow
+// graph is also held to a fresh build (flowCheckedLocal).
 
 // flowCheckedLocal is the oracle's local subject with one more check after
 // every ProcessBatch: engine.FlowGraphExact, which only reads the engine. A
@@ -62,7 +61,6 @@ func localFuzzShapes() map[string]gen.StreamConfig {
 func TestFuzzStreamLocalEquivalence(t *testing.T) {
 	seeds := []uint64{0x5eed0001, 0xDEC0DE42, 0xA11CE}
 	workerCounts := []int{1, 4, 8}
-	scheds := []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal}
 	algs := []algo.Local{algo.TriangleCount{}, algo.KCore{}}
 
 	for shapeName, sc := range localFuzzShapes() {
@@ -72,15 +70,13 @@ func TestFuzzStreamLocalEquivalence(t *testing.T) {
 				t.Parallel()
 				w := localFuzzWorkload(seed, sc)
 				for _, alg := range algs {
-					for _, sched := range scheds {
-						for _, workers := range workerCounts {
-							cfg := engine.Config{Workers: workers, FlowCap: 32, Scheduler: sched}
-							s := flowCheckedLocal{oracle.LocalSubject{Alg: alg}}
-							r := oracle.Check(s, oracle.Convergence, cfg, w)
-							if v := r.Violation; v != nil {
-								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
-									alg.Name(), shapeName, seed, sched, workers, v)
-							}
+					for _, workers := range workerCounts {
+						cfg := engine.Config{Workers: workers, FlowCap: 32}
+						s := flowCheckedLocal{oracle.LocalSubject{Alg: alg}}
+						r := oracle.Check(s, oracle.Convergence, cfg, w)
+						if v := r.Violation; v != nil {
+							t.Errorf("%s diverged from oracle: shape=%s seed=%#x workers=%d: %v",
+								alg.Name(), shapeName, seed, workers, v)
 						}
 					}
 				}

@@ -14,13 +14,13 @@ import (
 
 // Seeded end-to-end stream fuzzer: hostile RMAT update streams — far
 // outside the paper's gentle 10%-deletion default — driven through every
-// algorithm at several worker counts under BOTH schedulers, checked
-// against from-scratch recomputation after every batch. Each failure
-// message carries the reproducing seed, shape, scheduler, and worker
-// count, so any divergence replays deterministically. After every batch
-// the selective engines' key forest is also checked against a bulk load of
-// the parents the batch started from (keyForestLoaded), and every engine's
-// flow graph against a fresh build (flowGraphExact).
+// algorithm at several worker counts, checked against from-scratch
+// recomputation after every batch. Each failure message carries the
+// reproducing seed, shape and worker count, so any divergence replays
+// deterministically. After every batch the selective engines' key forest
+// is also checked against a bulk load of the parents the batch started
+// from (keyForestLoaded), and every engine's flow graph against a fresh
+// build (flowGraphExact).
 
 type fuzzShape struct {
 	name  string
@@ -124,7 +124,6 @@ func accumulativeEquivalent(w gen.Workload, cfg Config) error {
 func TestFuzzStreamEquivalence(t *testing.T) {
 	seeds := []uint64{0x5eed0001, 0xDEC0DE42, 0xA11CE}
 	workerCounts := []int{1, 4, 8}
-	scheds := []SchedulerKind{SchedWorkStealing, SchedGlobal}
 
 	for _, shape := range fuzzShapes() {
 		for _, seed := range seeds {
@@ -142,19 +141,17 @@ func TestFuzzStreamEquivalence(t *testing.T) {
 					{"bfs", algo.BFS{Src: src}},
 					{"cc", algo.CC{}},
 				}
-				for _, sched := range scheds {
-					for _, workers := range workerCounts {
-						cfg := Config{Workers: workers, FlowCap: 32, Scheduler: sched}
-						for _, sa := range selective {
-							if err := selectiveEquivalent(sa.alg, w, cfg); err != nil {
-								t.Errorf("%s diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
-									sa.name, shape.name, seed, sched, workers, err)
-							}
+				for _, workers := range workerCounts {
+					cfg := Config{Workers: workers, FlowCap: 32}
+					for _, sa := range selective {
+						if err := selectiveEquivalent(sa.alg, w, cfg); err != nil {
+							t.Errorf("%s diverged from oracle: shape=%s seed=%#x workers=%d: %v",
+								sa.name, shape.name, seed, workers, err)
 						}
-						if err := accumulativeEquivalent(w, cfg); err != nil {
-							t.Errorf("pagerank diverged from oracle: shape=%s seed=%#x sched=%s workers=%d: %v",
-								shape.name, seed, sched, workers, err)
-						}
+					}
+					if err := accumulativeEquivalent(w, cfg); err != nil {
+						t.Errorf("pagerank diverged from oracle: shape=%s seed=%#x workers=%d: %v",
+							shape.name, seed, workers, err)
 					}
 				}
 			})

@@ -1,5 +1,5 @@
 // Package oracle is the standing consistency harness: it takes any engine ×
-// scheduler × fault configuration plus a declared guarantee set and checks
+// worker-count × fault configuration plus a declared guarantee set and checks
 // the guarantees mechanically against from-scratch recomputation on seeded
 // streams. Durability guarantees (exactly-once WAL replay) are checked by
 // CheckReplay from plain recovery accounting, so internal/wal can use the
@@ -13,7 +13,8 @@
 //   - RefinementFloor: an addition-only batch never makes any selective
 //     value strictly worse — the monotone refinement floor restores rely on.
 //   - WorkerBitExact: the value stream is bitwise identical across worker
-//     counts and schedulers (unique-fixpoint engines only).
+//     counts, one worker (sequential, schedule-level order) included
+//     (unique-fixpoint engines only).
 //   - ExactlyOnceReplay: recovery replays exactly LastSeq-SnapshotSeq
 //     batches — no drops, no double-applies.
 package oracle
@@ -134,16 +135,10 @@ func (r *Report) Err() error {
 	return r.Violation
 }
 
-// bitExactVariants are the alternate execution configurations a
-// WorkerBitExact subject must agree with bitwise.
-var bitExactVariants = []struct {
-	workers int
-	sched   engine.SchedulerKind
-}{
-	{1, engine.SchedWorkStealing},
-	{4, engine.SchedWorkStealing},
-	{4, engine.SchedGlobal},
-}
+// bitExactVariants are the worker counts a WorkerBitExact subject must
+// agree with bitwise: the sequential reference, a shard count that is not a
+// power of two, and a power of two.
+var bitExactVariants = []int{1, 3, 4}
 
 // Check drives the subject through the workload under cfg and verifies
 // every guarantee in want after every batch, stopping at the first
@@ -167,9 +162,9 @@ func Check(s Subject, want Guarantee, cfg engine.Config, w gen.Workload) *Report
 	}
 	var variants []Instance
 	if want&WorkerBitExact != 0 {
-		for _, v := range bitExactVariants {
+		for _, workers := range bitExactVariants {
 			vc := cfg
-			vc.Workers, vc.Scheduler = v.workers, v.sched
+			vc.Workers = workers
 			inst, err := mk(vc)
 			if err != nil {
 				r.Violation = &Violation{Subject: s.Name(), Guarantee: WorkerBitExact, Batch: -1,
@@ -229,8 +224,7 @@ func Check(s Subject, want Guarantee, cfg engine.Config, w gen.Workload) *Report
 			if i, diverged := FirstDivergence(got, vv, 0); diverged {
 				r.Violation = &Violation{Subject: s.Name(), Guarantee: WorkerBitExact, Batch: bi,
 					Vertex: i / dim, Dim: i % dim, Got: vv[i], Want: got[i],
-					Detail: fmt.Sprintf("workers=%d sched=%v disagrees with primary",
-						bitExactVariants[vi].workers, bitExactVariants[vi].sched)}
+					Detail: fmt.Sprintf("workers=%d disagrees with primary", bitExactVariants[vi])}
 				return r
 			}
 		}

@@ -32,8 +32,8 @@ func presetWorkload(code string) gen.Workload {
 
 // TestOracleSmoke is the check.sh gate: all three engine families on one
 // seeded stream, plus triangle counting and k-core on every dataset
-// preset's skew, each under both schedulers with its full declared
-// guarantee set.
+// preset's skew, each with its full declared guarantee set (for the
+// bit-exact families that includes the sweep over 1, 3 and 4 workers).
 func TestOracleSmoke(t *testing.T) {
 	w := testWorkload(0x0c1e, 4)
 	type row struct {
@@ -53,16 +53,14 @@ func TestOracleSmoke(t *testing.T) {
 			row{LocalSubject{Alg: algo.TriangleCount{}}, pw, code},
 			row{LocalSubject{Alg: algo.KCore{}}, pw, code})
 	}
+	cfg := engine.Config{Workers: 4, FlowCap: 64}
 	for _, r := range rows {
-		for _, sched := range []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal} {
-			cfg := engine.Config{Workers: 4, FlowCap: 64, Scheduler: sched}
-			rep := Check(r.s, r.s.Declared(), cfg, r.w)
-			if err := rep.Err(); err != nil {
-				t.Errorf("%s on %s under %v: %v", r.s.Name(), r.name, sched, err)
-			}
-			if rep.Batches != len(r.w.Batches) {
-				t.Errorf("%s on %s under %v: validated %d batches, want %d", r.s.Name(), r.name, sched, rep.Batches, len(r.w.Batches))
-			}
+		rep := Check(r.s, r.s.Declared(), cfg, r.w)
+		if err := rep.Err(); err != nil {
+			t.Errorf("%s on %s: %v", r.s.Name(), r.name, err)
+		}
+		if rep.Batches != len(r.w.Batches) {
+			t.Errorf("%s on %s: validated %d batches, want %d", r.s.Name(), r.name, rep.Batches, len(r.w.Batches))
 		}
 	}
 }
@@ -147,7 +145,7 @@ func TestOracleWorkerBitExact(t *testing.T) {
 	// subjects must pass bit-exactness.
 	if err := Check(LocalSubject{Alg: algo.KCore{}}, WorkerBitExact,
 		engine.Config{Workers: 8, FlowCap: 32}, w).Err(); err != nil {
-		t.Fatalf("clean k-core run not bit-exact across workers/schedulers: %v", err)
+		t.Fatalf("clean k-core run not bit-exact across worker counts: %v", err)
 	}
 	r := Check(s, Convergence, engine.Config{Workers: 2, FlowCap: 64}, w)
 	if r.Violation == nil {

@@ -11,12 +11,12 @@ import (
 )
 
 // Hub-skewed replication fuzz: Barabási–Albert streams concentrate
-// in-degree on a few hubs, the topology hub replication exists for. Every
-// (replication on/off) × scheduler combination must pass its engine
-// family's FULL declared guarantee set — for the selective family that
-// includes WorkerBitExact, whose variant sweep inherits the replication
-// flag, so a replicated engine is held to bit-exact agreement across
-// worker counts and schedulers. Failure messages carry the seed.
+// in-degree on a few hubs, the topology hub replication exists for. With
+// replication on and off, every subject must pass its engine family's FULL
+// declared guarantee set — for the selective family that includes
+// WorkerBitExact, whose variant sweep inherits the replication flag, so a
+// replicated engine is held to bit-exact agreement across worker counts.
+// Failure messages carry the seed.
 
 // hubSkewWorkload builds a BA stream whose size derives from the seed,
 // with enough density that several vertices clear the low hub threshold
@@ -38,8 +38,6 @@ func hubSkewWorkload(seed uint64) gen.Workload {
 
 func TestFuzzHubSkewReplication(t *testing.T) {
 	seeds := []uint64{0xba5e0001, 0xba5e0002, 0xba5e0003}
-	scheds := []engine.SchedulerKind{engine.SchedWorkStealing, engine.SchedGlobal}
-
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
@@ -50,24 +48,21 @@ func TestFuzzHubSkewReplication(t *testing.T) {
 				SelectiveSubject{Alg: algo.CC{}},
 				AccumulativeSubject{Alg: algo.NewPageRank(w.NumV)},
 			}
-			for _, sched := range scheds {
-				for _, replicate := range []bool{false, true} {
-					cfg := engine.Config{
-						Workers:        4,
-						FlowCap:        32,
-						Scheduler:      sched,
-						HubReplication: replicate,
-						HubThreshold:   8,
-					}
-					for _, s := range subjects {
-						r := Check(s, s.Declared(), cfg, w)
-						if err := r.Err(); err != nil {
-							t.Errorf("%s: seed=%#x sched=%v replication=%v: %v",
-								s.Name(), seed, sched, replicate, err)
-						} else if r.Batches != len(w.Batches) {
-							t.Errorf("%s: seed=%#x sched=%v replication=%v: validated %d batches, want %d",
-								s.Name(), seed, sched, replicate, r.Batches, len(w.Batches))
-						}
+			for _, replicate := range []bool{false, true} {
+				cfg := engine.Config{
+					Workers:        4,
+					FlowCap:        32,
+					HubReplication: replicate,
+					HubThreshold:   8,
+				}
+				for _, s := range subjects {
+					r := Check(s, s.Declared(), cfg, w)
+					if err := r.Err(); err != nil {
+						t.Errorf("%s: seed=%#x replication=%v: %v",
+							s.Name(), seed, replicate, err)
+					} else if r.Batches != len(w.Batches) {
+						t.Errorf("%s: seed=%#x replication=%v: validated %d batches, want %d",
+							s.Name(), seed, replicate, r.Batches, len(w.Batches))
 					}
 				}
 			}

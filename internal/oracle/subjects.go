@@ -72,7 +72,7 @@ func (s AccumulativeSubject) Reference(g *graph.Streaming) []float64 {
 
 // LocalSubject adapts the local engine (triangle counting, k-core). Both
 // workloads have unique seeded fixpoints over small integers, so the values
-// are bit-exact across schedulers and worker counts, but additions and
+// are bit-exact across worker counts, but additions and
 // deletions move values in both directions — no refinement floor.
 type LocalSubject struct{ Alg algo.Local }
 

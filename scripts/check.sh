@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Repo verification: formatting, build, vet, race-enabled tests, the nested
+# Repo verification: formatting, build, vet, race-enabled tests, ten
+# race-enabled runs of the unit-scheduler conformance suite, the nested
 # benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
-# smoke, the consistency-oracle and hub-replication fuzz smokes, a
-# durable-CLI recovery smoke per durable family, a multi-process kill -9
-# smoke of the distributed runtime, a 5 s fuzz of every decoder harness (wal
-# frames, snapshots and payloads; the worker snapshot loader; the cluster
-# and session messages) and of the hub-indexed adjacency, a check that removed flags and figures stay
-# removed, a graphflyd serving smoke at -snapshot-every 4 and 1 (concurrent
-# ingest+query, SIGTERM, restart, dump vs single-shot oracle; at 1 every
-# batch starts a background WAL snapshot), serving-chaos and degraded-mode
-# smokes, a bench smoke (Fig 11 + Fig S7) that emits and schema-validates
-# the machine-readable report, one iteration of the flow-derivation
-# microbenchmark (what engine construction, restore and a D-tree rebuild
-# pay), the Fig S7 replication gates and the alloc gate against
-# the committed BENCH_graphfly.json; ends by printing the repo's size
-# (non-test Go lines, CLI flags). Run from anywhere.
+# smoke, the consistency-oracle smoke and the hub-replication fuzz smoke
+# (both bit-exact over 1, 3 and 4 workers), a durable-CLI recovery smoke
+# per durable family, a multi-process kill -9 smoke of the distributed
+# runtime, a 5 s fuzz of every decoder harness (wal frames, snapshots and
+# payloads; the worker snapshot loader; the cluster and session messages)
+# and of the hub-indexed adjacency, a check that removed flags and figures
+# stay removed, a graphflyd serving smoke at -snapshot-every 4 and 1
+# (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
+# at 1 every batch starts a background WAL snapshot), serving-chaos and
+# degraded-mode smokes, a bench smoke (Fig 11 + Fig S7) that emits and
+# schema-validates the machine-readable report, one iteration of the
+# flow-derivation microbenchmark (what engine construction, restore and a
+# D-tree rebuild pay), the Fig S7 replication gates and the alloc gate
+# against the committed BENCH_graphfly.json; ends by printing the repo's
+# size (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +37,9 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff protocol) =="
+go test -race -count=10 -run '^TestSchedConform' ./internal/engine
+
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
 # ./... above stops at the nested module, so an engine/wal/serve API change
 # that breaks benchmark/run.sh would otherwise go unnoticed.
@@ -44,10 +49,10 @@ bash benchmark/run.sh -smoke > /dev/null
 echo "== crash-recovery smoke (seeded WAL crash point + oracle check) =="
 go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
 
-echo "== consistency-oracle smoke (seeded stream x engines x schedulers) =="
+echo "== consistency-oracle smoke (seeded stream x engines, bit-exact over 1/3/4 workers) =="
 go test -race -run 'TestOracleSmoke' -count=1 ./internal/oracle
 
-echo "== hub-replication fuzz smoke (BA skew, replication on/off x schedulers) =="
+echo "== hub-replication fuzz smoke (BA skew, replication on/off, bit-exact over 1/3/4 workers) =="
 go test -race -run 'TestFuzzHubSkewReplication' -count=1 ./internal/oracle
 
 echo "== durable CLI smoke (WAL write, then recovery resume) =="
