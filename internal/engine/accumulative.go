@@ -20,9 +20,18 @@ import (
 // Refinement adjusts aggregates for the batch's changed edges using the
 // *current* lastUnit (so the invariant survives structural change);
 // recomputation is asynchronous delta-push Gauss–Seidel, executed per
-// dependency-flow with cross-flow dirtiness carried by messages. Because
-// the algorithms are contractions, the asynchronous order converges to the
-// same fixpoint (within epsilon) as GraphBolt's synchronous BSP.
+// dependency-flow. Because the algorithms are contractions, the
+// asynchronous order converges to the same fixpoint (within epsilon) as
+// GraphBolt's synchronous BSP.
+//
+// Aggregates are owner-folded (DESIGN.md §4.4): a vertex's agg, dirty,
+// needPush, state and lastUnit are written only by the runner of its flow's
+// unit (and by the manager between runs), so every write is plain. Pushes
+// inside the flow fold straight into agg; pushes to other flows are summed
+// per target vertex in the sending worker's outbox and delivered, one
+// message per target flow, when the unit yields or goes idle. The receiver
+// folds them at drain. The unit state machine orders consecutive runners of
+// a flow, and the inbox locks order sender and receiver.
 //
 // Flows come from the structural D-trees of the forward triangle with
 // hyper vertices (§IV), maintained incrementally as the graph mutates.
@@ -36,11 +45,23 @@ type Accumulative struct {
 	lastUnit *layout.Store
 	outW     []float64
 
-	dirty    *flags // state must be recomputed from agg
-	needPush *flags // contribution broadcast is stale
+	dirty    []bool // state must be recomputed from agg; v is queued
+	needPush []bool // contribution broadcast is stale
 
 	forest  *etree.Forest
-	inboxes []inbox[[]uint32]
+	inboxes []inbox[accMsg]
+	// workers are kept across batches with their combining index; release
+	// drops their buffers at the end of each step.
+	workers []*accWorker
+}
+
+// accMsg is one component of a combined cross-flow delta: the receiver
+// folds x into component d of agg(v). The notifications that wake
+// hub-replication replica and combine units carry no delta.
+type accMsg struct {
+	v uint32
+	d int32
+	x float64
 }
 
 // NewAccumulative builds the engine over g and converges the initial graph.
@@ -53,7 +74,7 @@ func NewAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Acc
 	for v := 0; v < g.NumVertices(); v++ {
 		e.Alg.Base(graph.VertexID(v), buf)
 		e.state.SetVec(uint32(v), buf)
-		e.needPush.set(uint32(v))
+		e.needPush[v] = true
 		e.seedVertex(uint32(v))
 	}
 	e.converge(context.Background(), nil, new(BatchStats))
@@ -68,8 +89,9 @@ func newAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Acc
 		Alg:      alg,
 		dim:      alg.Dim(),
 		outW:     make([]float64, n),
-		dirty:    newFlags(n),
-		needPush: newFlags(n),
+		dirty:    make([]bool, n),
+		needPush: make([]bool, n),
+		workers:  make([]*accWorker, cfg.workers()),
 	}
 	e.init(g, cfg, e, alg.Symmetric())
 	for v := 0; v < n; v++ {
@@ -126,7 +148,8 @@ func (e *Accumulative) Forest() *etree.Forest { return e.forest }
 // trim is the refinement: adjust the aggregates of changed edges with the
 // current broadcasts so the invariant holds on the new topology (the
 // paper's refine phase; GraphFly needs no barrier after it because each
-// flow's recomputation starts from a consistent aggregate).
+// flow's recomputation starts from a consistent aggregate). It runs on the
+// manager before any unit, so its writes are plain.
 func (e *Accumulative) trim(applied graph.Batch) (roots, trimmed int) {
 	e.probe.SetPhase(cachesim.PhaseRefine)
 	unit := make([]float64, e.dim)
@@ -142,14 +165,16 @@ func (e *Accumulative) trim(applied graph.Batch) (roots, trimmed int) {
 		}
 		for d := 0; d < e.dim; d++ {
 			if unit[d] != 0 {
-				e.agg.AddAt(uint32(u.Dst), d, sign*u.W*unit[d])
+				e.agg.Add(uint32(u.Dst), d, sign*u.W*unit[d])
 			}
 		}
-		if !e.dirty.swapSet(uint32(u.Dst)) {
+		if !e.dirty[u.Dst] {
+			e.dirty[u.Dst] = true
 			e.seedVertex(uint32(u.Dst))
 		}
 		// The source's out-weight changed: its broadcast is stale.
-		if !e.needPush.swapSet(uint32(u.Src)) {
+		if !e.needPush[u.Src] {
+			e.needPush[u.Src] = true
 			e.seedVertex(uint32(u.Src))
 		}
 	}
@@ -157,6 +182,22 @@ func (e *Accumulative) trim(applied graph.Batch) (roots, trimmed int) {
 }
 
 func (e *Accumulative) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
+
+// release drops the step's message buffers once its units quiesce: the
+// inboxes' and the retained workers' outboxes, drain buffers and worklists.
+// They grow back within the next step, so a flush reuses its buffers but
+// the heap holds none of them between batches. The combining index stays.
+func (e *Accumulative) release() {
+	for i := range e.inboxes {
+		e.inboxes[i].release()
+	}
+	for _, aw := range e.workers {
+		if aw != nil {
+			aw.out.release()
+			aw.msgs, aw.wl, aw.next, aw.pushers = nil, nil, nil, nil
+		}
+	}
+}
 
 // seed is empty: the seed vertices ride in the per-flow seed lists, and
 // Config.TwoPhase has no extra effect here — aggregate refinement already
@@ -170,33 +211,52 @@ type accWorker struct {
 	wl      []uint32
 	next    []uint32
 	pushers []uint32
-	batches [][]uint32 // inbox drain buffer
+	msgs    []accMsg // inbox drain buffer
 	base    []float64
 	newSt   []float64
 	oldSt   []float64
 	newU    []float64
 	oldU    []float64
+	diff    []float64 // newU - oldU of the vertex being pushed
 	aggBuf  []float64
 
-	pending outbox
+	// out combines this worker's cross-flow deltas per target vertex until
+	// the next flush; at[v] is the index of v's first component in out's
+	// buffer for v's flow, or -1 when v has no pending delta.
+	out outbox[accMsg]
+	at  []int32
 	// id is the worker's index in the pool, used to pick which replica
 	// slab this worker's hub-bound deltas accumulate into.
 	id int
+	work
 }
 
+// newWorker returns worker w's retained state, building it on first use;
+// workers call it concurrently, each for its own w. The probe is forked
+// afresh every batch, as for the per-batch workers of the other kernels,
+// so the cache model sees the same cold private caches.
 func (e *Accumulative) newWorker(w int) unitWorker {
-	return &accWorker{
-		e:       e,
-		id:      w,
-		probe:   e.probe.Fork(),
-		base:    make([]float64, e.dim),
-		newSt:   make([]float64, e.dim),
-		oldSt:   make([]float64, e.dim),
-		newU:    make([]float64, e.dim),
-		oldU:    make([]float64, e.dim),
-		aggBuf:  make([]float64, e.dim),
-		pending: make(outbox),
+	aw := e.workers[w]
+	if aw == nil {
+		aw = &accWorker{
+			e:      e,
+			id:     w,
+			base:   make([]float64, e.dim),
+			newSt:  make([]float64, e.dim),
+			oldSt:  make([]float64, e.dim),
+			newU:   make([]float64, e.dim),
+			oldU:   make([]float64, e.dim),
+			diff:   make([]float64, e.dim),
+			aggBuf: make([]float64, e.dim),
+			at:     make([]int32, e.G.NumVertices()),
+		}
+		for i := range aw.at {
+			aw.at[i] = -1
+		}
+		e.workers[w] = aw
 	}
+	aw.probe = e.probe.Fork()
+	return aw
 }
 
 // roundsPerActivation bounds how many local rounds a unit runs before
@@ -209,7 +269,7 @@ const roundsPerActivation = 2
 func (aw *accWorker) processUnit(u *unit) {
 	e := aw.e
 	if e.rs != nil {
-		if k, rep, combine, ok := e.rs.virtual(u.flows[0]); ok {
+		if k, rep, combine, ok := e.rs.virtual(u.flow); ok {
 			aw.processVirtual(u, k, rep, combine)
 			return
 		}
@@ -219,23 +279,14 @@ func (aw *accWorker) processUnit(u *unit) {
 	// vertices queued by the manager for this batch.
 	aw.wl = append(aw.wl, u.carry...)
 	u.carry = u.carry[:0]
-	for _, f := range u.flows {
-		if len(e.seeds[f]) > 0 {
-			aw.wl = append(aw.wl, e.seeds[f]...)
-			e.seeds[f] = e.seeds[f][:0]
-		}
+	if seeds := e.seeds[u.flow]; len(seeds) > 0 {
+		aw.wl = append(aw.wl, seeds...)
+		e.seeds[u.flow] = seeds[:0]
 	}
 	for {
-		progressed := false
-		for _, f := range u.flows {
-			aw.batches = e.inboxes[f].drain(aw.batches)
-			for _, bt := range aw.batches {
-				if len(bt) > 0 {
-					progressed = true
-					aw.wl = append(aw.wl, bt...)
-				}
-			}
-		}
+		aw.msgs = e.inboxes[u.flow].drain(aw.msgs)
+		progressed := len(aw.msgs) > 0
+		aw.fold(aw.msgs)
 		// Round-structured local convergence with two sub-phases per round
 		// (recompute all states, then broadcast all deltas): a vertex folds
 		// every delta of the round into its aggregate before pushing once —
@@ -245,11 +296,12 @@ func (aw *accWorker) processUnit(u *unit) {
 		for len(aw.wl) > 0 {
 			progressed = true
 			if rounds >= roundsPerActivation {
-				// Yield: park the remaining worklist on the unit, hand the
-				// pool a re-activation, and let sibling flows catch up.
+				// Yield: park the remaining worklist on the unit, deliver the
+				// combined deltas, hand the pool a re-activation, and let
+				// sibling flows catch up.
 				u.carry = append(u.carry[:0], aw.wl...)
 				aw.wl = aw.wl[:0]
-				aw.pending.flush(&e.driver, e.inboxes, u.level+1)
+				aw.flush(u.level + 1)
 				e.pl.activate(u)
 				return
 			}
@@ -267,13 +319,39 @@ func (aw *accWorker) processUnit(u *unit) {
 			}
 			aw.next = round[:0]
 		}
-		// Deliver batched cross-flow notifications before (possibly) going
+		// Deliver the combined cross-flow deltas before (possibly) going
 		// idle, so the pool's quiescence detection stays sound.
-		aw.pending.flush(&e.driver, e.inboxes, u.level+1)
+		aw.flush(u.level + 1)
 		if !progressed {
 			return
 		}
 	}
+}
+
+// fold applies drained cross-flow deltas to this flow's aggregates and
+// queues each target that was not queued already — one cross-flow message
+// per newly queued vertex.
+func (aw *accWorker) fold(msgs []accMsg) {
+	e := aw.e
+	for _, m := range msgs {
+		e.agg.Add(m.v, int(m.d), m.x)
+		if !e.dirty[m.v] {
+			e.dirty[m.v] = true
+			aw.wl = append(aw.wl, m.v)
+			aw.crossMsgs++
+		}
+	}
+}
+
+// flush delivers the combined deltas, one message per target flow, and
+// clears their combining index.
+func (aw *accWorker) flush(level int) {
+	for _, f := range aw.out.touched {
+		for _, m := range aw.out.bufs[f] {
+			aw.at[m.v] = -1
+		}
+	}
+	aw.out.flush(&aw.e.driver, aw.e.inboxes, level)
 }
 
 // recomputeVertex re-derives v's state from its aggregate (first sub-phase
@@ -285,13 +363,13 @@ func (aw *accWorker) recomputeVertex(v uint32) bool {
 		// replicas hold, so its broadcast reflects all mass deposited so
 		// far — the pipeline's own drains then find empty slabs (benign).
 		if k := e.rs.slotOf(v); k >= 0 {
-			if e.rs.pullHub(int(k), func(d int, x float64) { e.agg.AddAt(v, d, x) }) {
-				e.dirty.set(v)
+			if e.rs.pullHub(int(k), func(d int, x float64) { e.agg.Add(v, d, x) }) {
+				e.dirty[v] = true
 			}
 		}
 	}
-	if e.dirty.get(v) {
-		e.dirty.clear(v)
+	if e.dirty[v] {
+		e.dirty[v] = false
 		if e.profiled {
 			aw.probe.Access(e.agg.Addr(v), false, cachesim.ClassVertex)
 			aw.probe.Access(e.state.Addr(v), true, cachesim.ClassVertex)
@@ -308,18 +386,19 @@ func (aw *accWorker) recomputeVertex(v uint32) bool {
 		}
 		e.state.SetVec(v, aw.newSt)
 		if maxDelta > e.Alg.Epsilon() {
-			e.needPush.set(v)
+			e.needPush[v] = true
 		}
 	}
-	if !e.needPush.get(v) {
+	if !e.needPush[v] {
 		return false
 	}
-	e.needPush.clear(v)
+	e.needPush[v] = false
 	return true
 }
 
 // pushVertex broadcasts v's contribution delta over its out-edges (second
-// sub-phase of a round).
+// sub-phase of a round): inside the flow straight into the aggregate,
+// across flows into the combining outbox.
 func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e := aw.e
 	if e.profiled {
@@ -331,57 +410,75 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e.lastUnit.GetVec(v, aw.oldU)
 	changed := false
 	for d := 0; d < e.dim; d++ {
-		if aw.newU[d] != aw.oldU[d] {
-			changed = true
-			break
-		}
+		aw.diff[d] = aw.newU[d] - aw.oldU[d]
+		changed = changed || aw.newU[d] != aw.oldU[d]
 	}
 	if !changed {
 		return
 	}
 	e.lastUnit.SetVec(v, aw.newU)
 	out := e.G.Out(graph.VertexID(v))
-	e.relaxations.Add(int64(len(out)))
+	aw.relaxations += int64(len(out))
 	if e.trace != nil {
-		e.traceWork(e.part.Flow(v), int64(len(out)))
+		e.traceWork(u.flow, int64(len(out)))
 	}
 	for i, h := range out {
 		if e.profiled {
+			// The model keeps one aggregate write per edge, wherever the
+			// delta is folded.
 			aw.probe.Access(e.outIdx.Addr(v, i), false, cachesim.ClassEdge)
 			aw.probe.Access(e.agg.Addr(uint32(h.To)), true, cachesim.ClassVertex)
 		}
 		w := uint32(h.To)
+		tf := e.part.Flow(h.To)
+		if tf == u.flow {
+			for d, x := range aw.diff {
+				if delta := h.W * x; delta != 0 {
+					e.agg.Add(w, d, delta)
+				}
+			}
+			if !e.dirty[w] {
+				e.dirty[w] = true
+				aw.wl = append(aw.wl, w)
+			}
+			continue
+		}
 		if e.rs != nil {
-			// Cross-unit hub-bound: fold the delta into this worker's
-			// replica slab instead of CAS-contending on the hub's shared
-			// aggregate; the replica/combine chain applies the residual
-			// later. Intra-unit pushes keep the direct path — they coalesce
-			// in this unit's next round anyway, and detouring them through
-			// the pipeline would fragment the hub's delta batching.
-			if k := e.rs.slotOf(w); k >= 0 && !e.inUnit(e.part.Flow(h.To), u) {
+			// Cross-flow hub-bound: fold the delta into this worker's
+			// replica slab; the replica/combine chain hands the residual to
+			// the hub's flow later. Intra-flow pushes keep the direct path —
+			// they coalesce in this unit's next round anyway, and detouring
+			// them through the pipeline would fragment the hub's delta
+			// batching.
+			if k := e.rs.slotOf(w); k >= 0 {
 				aw.pushReplica(int(k), w, h.W)
 				continue
 			}
 		}
-		for d := 0; d < e.dim; d++ {
-			delta := h.W * (aw.newU[d] - aw.oldU[d])
-			if delta != 0 {
-				e.agg.AddAt(w, d, delta)
-			}
+		aw.combine(tf, w, h.W, u.flow)
+	}
+}
+
+// combine adds one edge's delta for w (in flow tf) to the outbox entry of
+// w, opening the entry — one message to tf — on w's first delta since the
+// last flush.
+func (aw *accWorker) combine(tf int32, w uint32, edgeW float64, from int32) {
+	e := aw.e
+	at := aw.at[w]
+	if at < 0 {
+		b := aw.out.to(tf)
+		at = int32(len(*b))
+		for d := range aw.diff {
+			*b = append(*b, accMsg{v: w, d: int32(d)})
 		}
-		if e.dirty.swapSet(w) {
-			continue // already queued somewhere
+		aw.at[w] = at
+		if e.trace != nil {
+			e.traceMsg(from, tf)
 		}
-		tf := e.part.Flow(h.To)
-		if e.inUnit(tf, u) {
-			aw.wl = append(aw.wl, w)
-		} else {
-			aw.pending[tf] = append(aw.pending[tf], w)
-			e.crossMsgs.Add(1)
-			if e.trace != nil {
-				e.traceMsg(e.part.Flow(v), tf)
-			}
-		}
+	}
+	entries := aw.out.bufs[tf][at:]
+	for d, x := range aw.diff {
+		entries[d].x += edgeW * x
 	}
 }
 
@@ -390,13 +487,11 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 // flow. add-then-set: the dirty mark is taken only after the partials
 // land, so the replica drain can never miss a delta.
 func (aw *accWorker) pushReplica(k int, w uint32, edgeW float64) {
-	e := aw.e
-	rs := e.rs
+	rs := aw.e.rs
 	rep := aw.id % rs.r
 	any := false
-	for d := 0; d < e.dim; d++ {
-		delta := edgeW * (aw.newU[d] - aw.oldU[d])
-		if delta != 0 {
+	for d, x := range aw.diff {
+		if delta := edgeW * x; delta != 0 {
 			rs.addPartial(k, rep, d, delta)
 			any = true
 		}
@@ -404,38 +499,42 @@ func (aw *accWorker) pushReplica(k int, w uint32, edgeW float64) {
 	if !any {
 		return
 	}
-	e.replicaMsgs.Add(1)
+	aw.replicaMsgs++
 	if !rs.replicaDirtySwapSet(k, rep) {
-		rf := rs.replicaFlow(k, rep)
-		aw.pending[rf] = append(aw.pending[rf], w)
+		b := aw.out.to(rs.replicaFlow(k, rep))
+		*b = append(*b, accMsg{v: w})
 	}
 }
 
-// processVirtual runs a replica or combine unit (hub replication). The
-// inbox payloads are pure notifications — the data rides in the atomic
-// slabs — so each activation is one drain pass: clear the dirty mark,
-// swap the slots, forward. Late arrivals re-activate through the unit
-// state machine.
+// processVirtual runs a replica or combine unit (hub replication). A
+// replica's inbox payloads are pure notifications — the data rides in the
+// atomic slabs — so each activation is one drain pass: clear the dirty
+// mark, swap the slots, forward. The combine sends the merged residual to
+// the hub's home flow as one message, which that flow folds like any other
+// cross-flow delta. Late arrivals re-activate through the unit state
+// machine.
 func (aw *accWorker) processVirtual(u *unit, k, rep int, combine bool) {
 	e := aw.e
 	rs := e.rs
 	if !combine {
-		aw.batches = e.inboxes[rs.replicaFlow(k, rep)].drain(aw.batches)
+		aw.msgs = e.inboxes[rs.replicaFlow(k, rep)].drain(aw.msgs)
 		if rs.drainReplicaInto(k, rep) && !rs.combineDirtySwapSet(k) {
 			cf := rs.combineFlow(k)
-			e.inboxes[cf].put(nil)
+			e.inboxes[cf].put(accMsg{})
 			e.activateFlow(cf, u.level+1)
 		}
 		return
 	}
 	h := rs.hubs[k]
-	aw.batches = e.inboxes[rs.combineFlow(k)].drain(aw.batches)
-	if rs.drainCombine(k, func(d int, x float64) { e.agg.AddAt(h, d, x) }) {
-		e.combines.Add(1)
-		if !e.dirty.swapSet(h) {
-			tf := e.part.Flow(h)
-			e.inboxes[tf].put([]uint32{h})
-			e.activateFlow(tf, u.level+1)
-		}
+	aw.msgs = e.inboxes[rs.combineFlow(k)].drain(aw.msgs)
+	residual := aw.msgs[:0]
+	if rs.drainCombine(k, func(d int, x float64) {
+		residual = append(residual, accMsg{v: h, d: int32(d), x: x})
+	}) {
+		aw.combines++
+		tf := e.part.Flow(h)
+		e.inboxes[tf].putAll(residual)
+		e.activateFlow(tf, u.level+1)
 	}
+	aw.msgs = residual[:0]
 }

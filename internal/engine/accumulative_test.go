@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -127,4 +128,98 @@ func TestAccumulativeBackwardFlows(t *testing.T) {
 	// §V-A Discussion: swapping the triangles' roles must not change the
 	// fixpoint, only the flow structure.
 	checkAccAgainstStatic(t, prAlg, Config{Workers: 4, FlowCap: 32, BackwardFlows: true}, accWorkload(31, 3))
+}
+
+// aggTolerance bounds the rounding gap between an aggregate folded delta by
+// delta and the same sum recomputed from scratch, relative to the sum of
+// the terms' magnitudes (plus one, for sums near zero).
+const aggTolerance = 1e-9
+
+// TestAccumulativeAggregateInvariant checks the state every batch must end
+// in, whatever the worker count and with hub replication off and on: for
+// every vertex v, agg(v) = Σ_{u→v} w_uv·lastUnit(u) recomputed from the
+// graph; every inbox is drained; and every worker's combining outbox is
+// empty with its index cleared. A cross-flow delta that is lost, applied
+// twice, or left in a worker's outbox fails the first or the last check.
+func TestAccumulativeAggregateInvariant(t *testing.T) {
+	algs := []struct {
+		name string
+		mk   func(w gen.Workload) algo.Accumulative
+	}{{"PageRank", prAlg}, {"LP", lpAlg}}
+	for _, a := range algs {
+		for _, replicate := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 3, 4} {
+				name := fmt.Sprintf("%s/replicate=%v/w%d", a.name, replicate, workers)
+				t.Run(name, func(t *testing.T) {
+					w := fuzzBA(0xa66001, gen.StreamConfig{
+						InitialFraction: 0.6, DeleteRatio: 0.3, NumBatches: 5,
+					})
+					cfg := Config{Workers: workers, FlowCap: 16}
+					if replicate {
+						cfg = replicatedConfig(workers)
+					}
+					e := NewAccumulative(graph.FromEdges(w.NumV, w.Initial), a.mk(w), cfg)
+					checkAggInvariant(t, e, -1)
+					var replicaMsgs int64
+					for bi, b := range w.Batches {
+						replicaMsgs += e.ProcessBatch(b).ReplicaMsgs
+						checkAggInvariant(t, e, bi)
+					}
+					if replicate && replicaMsgs == 0 {
+						t.Fatal("hub replication never routed a delta: the replicated case is vacuous")
+					}
+				})
+			}
+		}
+	}
+}
+
+func checkAggInvariant(t *testing.T, e *Accumulative, batch int) {
+	t.Helper()
+	n, dim := e.G.NumVertices(), e.dim
+	want := make([]float64, n*dim)
+	mag := make([]float64, n*dim)
+	unit := make([]float64, dim)
+	for u := 0; u < n; u++ {
+		e.lastUnit.GetVec(uint32(u), unit)
+		for _, h := range e.G.Out(graph.VertexID(u)) {
+			for d, x := range unit {
+				want[int(h.To)*dim+d] += h.W * x
+				mag[int(h.To)*dim+d] += math.Abs(h.W * x)
+			}
+		}
+	}
+	got := make([]float64, dim)
+	for v := 0; v < n; v++ {
+		e.agg.GetVec(uint32(v), got)
+		for d, x := range got {
+			i := v*dim + d
+			if math.Abs(x-want[i]) > aggTolerance*(1+mag[i]) {
+				t.Fatalf("batch %d: agg(%d)[%d] = %v, Σ w·lastUnit = %v", batch, v, d, x, want[i])
+			}
+		}
+	}
+	for f := range e.inboxes {
+		if !e.inboxes[f].empty() {
+			t.Fatalf("batch %d: inbox of flow %d not drained", batch, f)
+		}
+	}
+	for wi, aw := range e.workers {
+		if aw == nil {
+			continue
+		}
+		if len(aw.out.touched) > 0 {
+			t.Fatalf("batch %d: worker %d outbox holds messages for flows %v", batch, wi, aw.out.touched)
+		}
+		for f, b := range aw.out.bufs {
+			if len(b) > 0 {
+				t.Fatalf("batch %d: worker %d outbox holds %d messages for flow %d", batch, wi, len(b), f)
+			}
+		}
+		for v, at := range aw.at {
+			if at != -1 {
+				t.Fatalf("batch %d: worker %d combining index still maps vertex %d", batch, wi, v)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cachesim"
@@ -34,6 +33,9 @@ type kernel interface {
 	trim(applied graph.Batch) (roots, trimmed int)
 	// resetInboxes sizes and clears the kernel's n per-flow mailboxes.
 	resetInboxes(n int)
+	// release runs once a step's units have quiesced: the kernel drops the
+	// message buffers it needs only while units run.
+	release()
 	// seed posts a step's initial messages once units and inboxes exist;
 	// flows outside the schedule join it at maxLevel+1 (activateFlow).
 	seed(applied graph.Batch, maxLevel int)
@@ -42,9 +44,35 @@ type kernel interface {
 }
 
 // unitWorker is one scheduler worker's kernel state; processUnit runs a
-// scheduling unit to local quiescence.
+// scheduling unit to local quiescence. Workers embed work, which supplies
+// tally.
 type unitWorker interface {
 	processUnit(u *unit)
+	tally() *work
+}
+
+// work is one worker's share of a batch's work counters (BatchStats'
+// Relaxations, Pulls, CrossMsgs, ReplicaMsgs, Combines). Each worker counts
+// into its own with plain adds, and the driver sums them once the units
+// quiesce, so no counter is shared between workers.
+type work struct {
+	relaxations int64 // edge relaxations / delta pushes / recomputes
+	pulls       int64
+	crossMsgs   int64
+	replicaMsgs int64
+	combines    int64
+}
+
+func (w *work) tally() *work { return w }
+
+// add moves o's counts into w and zeroes o.
+func (w *work) add(o *work) {
+	w.relaxations += o.relaxations
+	w.pulls += o.pulls
+	w.crossMsgs += o.crossMsgs
+	w.replicaMsgs += o.replicaMsgs
+	w.combines += o.combines
+	*o = work{}
 }
 
 // driver is processEdgeStream of Fig 10, once: validate, apply, maintain
@@ -77,7 +105,7 @@ type driver struct {
 	// Per-step execution state.
 	unitsMu  sync.Mutex
 	units    []*unit
-	unitOf   []int32        // flow -> unit index (atomic access)
+	unitOf   []int32        // flow -> unit index (under unitsMu while units run)
 	seeds    [][]uint32     // per-flow vertices the step invalidated
 	impacted *dense.FlowSet // epoch-stamped impacted-flow scratch
 	symm     Symmetrizer
@@ -89,11 +117,9 @@ type driver struct {
 	rs      *replicaSet
 	specBuf []dflow.CombineSpec
 
-	relaxations atomic.Int64 // edge relaxations / delta pushes / recomputes
-	pulls       atomic.Int64
-	crossMsgs   atomic.Int64
-	replicaMsgs atomic.Int64
-	combines    atomic.Int64
+	// counts sums the batch's work: the manager's own (seeding) and every
+	// worker's tally once its step quiesces.
+	counts work
 
 	trace   *WorkTrace
 	traceMu sync.Mutex
@@ -175,9 +201,7 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 		st.Trace = d.trace
 	}
 	d.batches++
-	for _, c := range []*atomic.Int64{&d.relaxations, &d.pulls, &d.crossMsgs, &d.replicaMsgs, &d.combines} {
-		c.Store(0)
-	}
+	d.counts = work{}
 
 	// No clock re-derives the flows: step does so only when the kernel
 	// rebuilt its D-trees. RepartitionEvery > 0 (a test lever) adds a
@@ -201,11 +225,11 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 		}
 	}
 
-	st.Relaxations = d.relaxations.Load()
-	st.Pulls = d.pulls.Load()
-	st.CrossMsgs = d.crossMsgs.Load()
-	st.ReplicaMsgs = d.replicaMsgs.Load()
-	st.Combines = d.combines.Load()
+	st.Relaxations = d.counts.relaxations
+	st.Pulls = d.counts.pulls
+	st.CrossMsgs = d.counts.crossMsgs
+	st.ReplicaMsgs = d.counts.replicaMsgs
+	st.Combines = d.counts.combines
 	st.Total = time.Since(t0)
 	d.cfg.observe(&st)
 	return st
@@ -400,6 +424,12 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 		workers[w].processUnit(u)
 	})
 	stopWatch()
+	d.k.release()
+	for _, w := range workers {
+		if w != nil {
+			d.counts.add(w.tally())
+		}
+	}
 	ss := d.pl.stats()
 	st.Dispatches += ss.Dispatches
 	st.Steals += ss.Steals
@@ -410,7 +440,7 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 // addUnit appends a singleton unit for flow f. Callers publish its id in
 // unitOf (activateFlow does so under unitsMu).
 func (d *driver) addUnit(f int32, level int) *unit {
-	u := &unit{id: int32(len(d.units)), flows: []int32{f}, level: level}
+	u := &unit{id: int32(len(d.units)), flow: f, level: level}
 	if d.rs != nil {
 		u.pin = d.rs.pinFor(f, d.cfg.workers())
 	}
@@ -425,7 +455,7 @@ func (d *driver) activateFlow(f int32, level int) {
 	ui := d.unitOf[f]
 	if ui == -1 {
 		ui = d.addUnit(f, level).id
-		atomic.StoreInt32(&d.unitOf[f], ui)
+		d.unitOf[f] = ui
 	}
 	u := d.units[ui]
 	d.unitsMu.Unlock()
@@ -434,13 +464,7 @@ func (d *driver) activateFlow(f int32, level int) {
 
 // virtual reports whether u is a hub-replication replica or combine unit:
 // their flow ids lie past the real flows.
-func (d *driver) virtual(u *unit) bool { return int(u.flows[0]) >= d.part.NumFlows() }
-
-// inUnit reports whether flow f currently belongs to unit u — the
-// pull-inside/push-outside test of §V-A.
-func (d *driver) inUnit(f int32, u *unit) bool {
-	return atomic.LoadInt32(&d.unitOf[f]) == u.id
-}
+func (d *driver) virtual(u *unit) bool { return int(u.flow) >= d.part.NumFlows() }
 
 func (d *driver) traceWork(f int32, n int64) {
 	d.traceMu.Lock()
@@ -481,17 +505,40 @@ func resizeInboxes[T any](in []inbox[T], n int) []inbox[T] {
 	return in
 }
 
-// outbox batches one worker's cross-flow vertex notifications per target
-// flow; flushed once per drain iteration so one inbox lock and one
-// scheduler activation cover many vertices instead of paying both per edge.
-type outbox map[int32][]uint32
-
-// flush delivers the batched notifications, activating each receiving flow
-// at level.
-func (o outbox) flush(d *driver, inboxes []inbox[[]uint32], level int) {
-	for tf, vs := range o {
-		inboxes[tf].put(vs)
-		delete(o, tf) // hand ownership of the slice to the inbox
-		d.activateFlow(tf, level)
-	}
+// outbox batches one worker's cross-flow messages per target flow. It is
+// flushed at a unit's yield and before the unit goes idle, so one inbox lock
+// and one scheduler activation cover many messages instead of one each.
+// Targets are delivered in the order they were first touched, which keeps a
+// one-worker run deterministic. The buffers keep their capacity from flush
+// to flush until release.
+type outbox[T any] struct {
+	bufs    [][]T   // pending messages by target flow
+	touched []int32 // targets with pending messages, first-touched order
 }
+
+// to returns target flow f's pending buffer, registering f as touched. The
+// caller must append to it before the next call.
+func (o *outbox[T]) to(f int32) *[]T {
+	if int(f) >= len(o.bufs) {
+		o.bufs = append(o.bufs, make([][]T, int(f)+1-len(o.bufs))...)
+	}
+	b := &o.bufs[f]
+	if len(*b) == 0 {
+		o.touched = append(o.touched, f)
+	}
+	return b
+}
+
+// flush delivers each target's messages as one putAll and activates the
+// target at level.
+func (o *outbox[T]) flush(d *driver, inboxes []inbox[T], level int) {
+	for _, f := range o.touched {
+		inboxes[f].putAll(o.bufs[f])
+		o.bufs[f] = o.bufs[f][:0]
+		d.activateFlow(f, level)
+	}
+	o.touched = o.touched[:0]
+}
+
+// release drops the buffers; call it once the step's units quiesce.
+func (o *outbox[T]) release() { clear(o.bufs) }

@@ -30,6 +30,16 @@ func TestInboxPutDrain(t *testing.T) {
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("second drain = %v", got)
 	}
+	// A batched put lands whole and in order; an empty one is a no-op.
+	b.putAll([]int{4, 5, 6})
+	b.putAll(nil)
+	got = b.drain(got)
+	if len(got) != 3 || got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("putAll drain = %v", got)
+	}
+	if got = b.drain(got); len(got) != 0 {
+		t.Fatalf("drain of an empty inbox = %v", got)
+	}
 }
 
 func TestInboxConcurrentPut(t *testing.T) {

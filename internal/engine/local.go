@@ -37,7 +37,7 @@ type Local struct {
 	notify bool   // Alg.UsesNeighborVals()
 
 	forest  *etree.Forest
-	inboxes []inbox[[]uint32]
+	inboxes []inbox[uint32]
 	valOf   func(graph.VertexID) float64
 }
 
@@ -131,39 +131,32 @@ func (e *Local) trim(applied graph.Batch) (roots, seeded int) {
 
 func (e *Local) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
+// release keeps the inbox buffers: they decay on drain and reset.
+func (e *Local) release() {}
+
 // seed is empty: the seeded vertices ride in the per-flow seed lists.
 func (e *Local) seed(graph.Batch, int) {}
 
-func (e *Local) newWorker(int) unitWorker {
-	return &localWorker{e: e, pending: make(outbox)}
-}
+func (e *Local) newWorker(int) unitWorker { return &localWorker{e: e} }
 
 type localWorker struct {
 	e       *Local
 	wl      []uint32
-	batches [][]uint32 // inbox drain buffer
-	pending outbox
+	drained []uint32 // inbox drain buffer
+	pending outbox[uint32]
+	work
 }
 
 func (lw *localWorker) processUnit(u *unit) {
 	e := lw.e
-	for _, f := range u.flows {
-		if len(e.seeds[f]) > 0 {
-			lw.wl = append(lw.wl, e.seeds[f]...)
-			e.seeds[f] = e.seeds[f][:0]
-		}
+	if seeds := e.seeds[u.flow]; len(seeds) > 0 {
+		lw.wl = append(lw.wl, seeds...)
+		e.seeds[u.flow] = seeds[:0]
 	}
 	for {
-		progressed := false
-		for _, f := range u.flows {
-			lw.batches = e.inboxes[f].drain(lw.batches)
-			for _, bt := range lw.batches {
-				if len(bt) > 0 {
-					progressed = true
-					lw.wl = append(lw.wl, bt...)
-				}
-			}
-		}
+		lw.drained = e.inboxes[u.flow].drain(lw.drained)
+		progressed := len(lw.drained) > 0
+		lw.wl = append(lw.wl, lw.drained...)
 		for head := 0; head < len(lw.wl); head++ {
 			progressed = true
 			lw.recompute(lw.wl[head], u)
@@ -186,7 +179,7 @@ func (lw *localWorker) recompute(v uint32, u *unit) {
 	e.queued.clear(v)
 	old := e.vals.Get(v)
 	nv := e.Alg.Recompute(e.G, v, old, e.valOf)
-	e.relaxations.Add(1)
+	lw.relaxations++
 	if nv == old {
 		return
 	}
@@ -200,11 +193,12 @@ func (lw *localWorker) recompute(v uint32, u *unit) {
 			continue
 		}
 		tf := e.part.Flow(w)
-		if e.inUnit(tf, u) {
+		if tf == u.flow {
 			lw.wl = append(lw.wl, w)
 		} else {
-			lw.pending[tf] = append(lw.pending[tf], w)
-			e.crossMsgs.Add(1)
+			b := lw.pending.to(tf)
+			*b = append(*b, w)
+			lw.crossMsgs++
 		}
 	}
 }

@@ -48,10 +48,11 @@ const (
 	unitPending // running, with new work arrived
 )
 
-// unit is one scheduling unit.
+// unit is one scheduling unit: one flow (real, or a hub-replication
+// replica or combine) at its schedule level.
 type unit struct {
 	id    int32
-	flows []int32
+	flow  int32
 	level int
 	state atomic.Int32
 
@@ -164,10 +165,10 @@ func (s *wsShard) popLowest() *unit {
 	return nil
 }
 
-// wsPool is the unit scheduler: it runs scheduling units (single flows or
-// merged cyclic groups) to quiescence. Each worker owns one shard (a set of
-// level-banded FIFO deques), units assigned to a home shard by hashing
-// their id. A worker pops the lowest-banded unit of its own shard; when the
+// wsPool is the unit scheduler: it runs scheduling units (one flow each; a
+// cyclic group's flows share its level) to quiescence. Each worker owns one
+// shard (a set of level-banded FIFO deques), units assigned to a home shard
+// by hashing their id. A worker pops the lowest-banded unit of its own shard; when the
 // shard is dry it steals from the most loaded victim, again preferring
 // earlier bands, so the space-time order survives without any global
 // ordering structure — as a cache-efficiency heuristic only: the

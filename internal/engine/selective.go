@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/cachesim"
@@ -146,6 +147,9 @@ func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 
 func (e *Selective) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
+// release keeps the inbox buffers: they decay on drain and reset.
+func (e *Selective) release() {}
+
 // seed posts addition relaxations as messages (no refinement needed:
 // additions can only improve monotonic values). Under the TwoPhase ablation
 // it then refines every impacted flow behind a global barrier, so the units
@@ -161,15 +165,21 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 		}
 		cand := e.Alg.Propagate(e.vals.Get(uint32(u.Src)), u.W)
 		if e.trimmed.get(uint32(u.Dst)) || e.Alg.Better(cand, e.vals.Get(uint32(u.Dst))) {
-			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1)
+			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1, &e.counts)
 		}
 	}
 	if !e.cfg.TwoPhase {
 		return
 	}
 	units := e.units
+	var mu sync.Mutex
 	graph.ParallelFor(len(units), e.cfg.workers(), func(lo, hi int) {
 		sw := e.newSelWorker()
+		defer func() {
+			mu.Lock()
+			e.counts.add(&sw.work)
+			mu.Unlock()
+		}()
 		for _, u := range units[lo:hi] {
 			if e.virtual(u) {
 				continue // replica/combine unit: nothing to refine
@@ -186,14 +196,15 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 
 // send delivers a cross-flow candidate for m.v and activates the receiving
 // unit at level. Hub-bound candidates scatter onto a replica chosen by the
-// sender instead of the home flow, so the fan-in folds across workers; it
-// reports the receiving flow, or -1 for a replica.
-func (e *Selective) send(m selMsg, level int) int32 {
+// sender instead of the home flow, so the fan-in folds across workers,
+// counted in the sender's w; it reports the receiving flow, or -1 for a
+// replica.
+func (e *Selective) send(m selMsg, level int, w *work) int32 {
 	tf := e.part.Flow(m.v)
 	if e.rs != nil {
 		if k := e.rs.slotOf(m.v); k >= 0 {
 			tf = e.rs.replicaFlow(int(k), e.rs.routeOf(uint32(m.parent)))
-			e.replicaMsgs.Add(1)
+			w.replicaMsgs++
 			e.inboxes[tf].put(m)
 			e.activateFlow(tf, level)
 			return -1
@@ -204,12 +215,14 @@ func (e *Selective) send(m selMsg, level int) int32 {
 	return tf
 }
 
-// selWorker is per-goroutine state: a forked probe and a local worklist.
+// selWorker is per-goroutine state: a forked probe, a local worklist and
+// the worker's work counters.
 type selWorker struct {
 	e     *Selective
 	probe cachesim.Probe
 	wl    []uint32
 	buf   []selMsg
+	work
 }
 
 func (e *Selective) newSelWorker() *selWorker {
@@ -240,7 +253,7 @@ func (sw *selWorker) writeVal(v uint32, x float64) {
 func (sw *selWorker) processUnit(u *unit) {
 	e := sw.e
 	if e.rs != nil {
-		if k, rep, combine, ok := e.rs.virtual(u.flows[0]); ok {
+		if k, rep, combine, ok := e.rs.virtual(u.flow); ok {
 			sw.processVirtual(u, k, rep, combine)
 			return
 		}
@@ -250,13 +263,10 @@ func (sw *selWorker) processUnit(u *unit) {
 	}
 	sw.probe.SetPhase(cachesim.PhaseRecompute)
 	for {
-		progressed := false
-		for _, f := range u.flows {
-			sw.buf = e.inboxes[f].drain(sw.buf)
-			for _, m := range sw.buf {
-				progressed = true
-				sw.apply(m)
-			}
+		sw.buf = e.inboxes[u.flow].drain(sw.buf)
+		progressed := len(sw.buf) > 0
+		for _, m := range sw.buf {
+			sw.apply(m)
 		}
 		// FIFO (SPFA-style) relaxation: breadth-first orders touch each
 		// vertex far fewer times than depth-first on weighted graphs.
@@ -276,13 +286,11 @@ func (sw *selWorker) processUnit(u *unit) {
 func (sw *selWorker) refine(u *unit) {
 	e := sw.e
 	sw.probe.SetPhase(cachesim.PhaseRefine)
-	for _, f := range u.flows {
-		for _, v := range e.seeds[f] {
-			if !e.trimmed.get(v) {
-				continue // reset on a previous activation
-			}
-			sw.refineVertex(v)
+	for _, v := range e.seeds[u.flow] {
+		if !e.trimmed.get(v) {
+			continue // reset on a previous activation
 		}
+		sw.refineVertex(v)
 	}
 }
 
@@ -307,7 +315,7 @@ func (sw *selWorker) refineVertex(v uint32) {
 			bestParent = int32(h.To)
 		}
 	}
-	e.pulls.Add(int64(len(in)))
+	sw.pulls += int64(len(in))
 	sw.writeVal(v, best)
 	e.parent[v] = bestParent
 	e.trimmed.clear(v)
@@ -340,7 +348,7 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 	e := sw.e
 	uVal := sw.readVal(v)
 	out := e.G.Out(graph.VertexID(v))
-	e.relaxations.Add(int64(len(out)))
+	sw.relaxations += int64(len(out))
 	if e.trace != nil {
 		e.traceWork(e.part.Flow(v), int64(len(out)))
 	}
@@ -350,7 +358,7 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 		}
 		w := uint32(h.To)
 		cand := e.Alg.Propagate(uVal, h.W)
-		if e.inUnit(e.part.Flow(h.To), u) {
+		if e.part.Flow(h.To) == u.flow {
 			if e.trimmed.get(w) {
 				sw.refineVertex(w)
 			}
@@ -363,8 +371,8 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 		}
 		// Cross-flow: send only when it could matter.
 		if e.trimmed.get(w) || e.Alg.Better(cand, sw.readVal(w)) {
-			e.crossMsgs.Add(1)
-			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1)
+			sw.crossMsgs++
+			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1, &sw.work)
 			if tf >= 0 && e.trace != nil {
 				e.traceMsg(e.part.Flow(v), tf)
 			}
@@ -400,7 +408,7 @@ func (sw *selWorker) processVirtual(u *unit, k, rep int, combine bool) {
 	}
 	to := rs.combineFlow(k)
 	if combine {
-		e.combines.Add(1)
+		sw.combines++
 		h := rs.hubs[k]
 		if !e.trimmed.get(h) && !e.Alg.Better(best.val, e.vals.Get(h)) {
 			return

@@ -14,7 +14,8 @@
 // Values are stored as IEEE-754 bit patterns in uint64 words accessed with
 // sync/atomic, because GraphFly's asynchronous engine lets a flow's owner
 // write a value while neighbouring flows read it; atomics make those
-// cross-flow reads race-free without locks.
+// cross-flow reads race-free without locks. Add is the one plain accessor,
+// for values only their owner touches.
 package layout
 
 import (
@@ -123,6 +124,16 @@ func (s *Store) AddAt(v uint32, d int, delta float64) {
 			return
 		}
 	}
+}
+
+// Add adds delta to component d of v's value with a plain read-modify-write.
+// It is not atomic: only v's single writer may call it, and any other
+// access to v must be ordered against it by other synchronization. The
+// accumulative engine's owner-folded aggregates use it; AddAt is the
+// concurrent form.
+func (s *Store) Add(v uint32, d int, delta float64) {
+	p := &s.vals[int(s.slot[v])*s.dim+d]
+	*p = math.Float64bits(math.Float64frombits(*p) + delta)
 }
 
 // GetVec copies v's vector into dst (len >= dim) and returns it.
