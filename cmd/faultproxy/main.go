@@ -1,5 +1,5 @@
 // faultproxy is the serving path's chaos tap: a TCP proxy that forwards one
-// listen address to a real graphflyd (or graphfly-worker) while injecting
+// listen address to a real graphfly serve (or graphfly worker) while injecting
 // seeded resets, partial writes, and delays per internal/netfault. check.sh
 // parks it between the client and the daemon to prove exactly-once client
 // resume end to end on the real binaries.
@@ -10,7 +10,7 @@
 //	    -netfault seed=7,reset=0.05,partial=0.02,delay=0.1,maxdelay=20ms
 //
 // It prints "faultproxy listening on ADDR -> TARGET" once ready (the same
-// wait-for-line contract graphflyd uses) and serves until SIGINT/SIGTERM,
+// wait-for-line contract graphfly serve uses) and serves until SIGINT/SIGTERM,
 // then reports how many faults it injected.
 package main
 

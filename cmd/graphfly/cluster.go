@@ -1,19 +1,20 @@
 package main
 
-// Cluster mode: graphfly -cluster N runs the socket coordinator in this
-// process and supervises N real graphfly-worker processes, each with its
-// own WAL directory under -clusterDir. Workers that die (crash, kill -9)
-// are respawned with the same -dir and -id so they recover locally and
-// rejoin; workers that exit cleanly (coordinator bye, SIGTERM) stay down.
-//
-// Pid files (<clusterDir>/worker-<id>.pid) track the live processes so
-// external chaos harnesses (scripts/chaos.sh) can pick kill victims.
+// Cluster mode: graphfly -cluster N -waldir D runs the socket coordinator
+// in this process and supervises N real worker processes (this executable's
+// worker subcommand), each with its own WAL directory under D. Workers that
+// die (crash, kill -9) are respawned with the same -dir and -id so they
+// recover locally and rejoin; workers that exit cleanly (coordinator bye,
+// SIGTERM) stay down. Pid files (D/worker-<id>.pid) track the live
+// processes so external chaos harnesses (scripts/chaos.sh) can pick victims.
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -35,13 +36,13 @@ type clusterRuntime struct {
 // startCluster launches the coordinator, spawns n supervised workers, and
 // waits until all n have joined.
 func startCluster(ctx context.Context, g *graph.Streaming, a algo.Selective,
-	n, flowCap, ckptEvery int, dir, workerBin, addr string, reg *metrics.Registry) (*clusterRuntime, error) {
-	bin, err := locateWorkerBin(workerBin)
+	n, flowCap, ckptEvery int, dir, addr string, reg *metrics.Registry) (*clusterRuntime, error) {
+	bin, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("graphfly: %w", err)
+		return nil, err
 	}
 	coord, err := dist.NewCoordinator(g, a, dist.CoordConfig{
 		Addr:      addr,
@@ -55,14 +56,15 @@ func startCluster(ctx context.Context, g *graph.Streaming, a algo.Selective,
 	if err != nil {
 		return nil, err
 	}
-	sup := newSupervisor(bin, coord.Addr(), dir)
+	sup := &supervisor{bin: bin, addr: coord.Addr(), dir: dir, procs: map[int]*os.Process{}}
 	for i := 0; i < n; i++ {
-		sup.spawn(i)
+		sup.wg.Add(1)
+		go sup.runLoop(i)
 	}
 	if err := coord.WaitForWorkers(ctx, n); err != nil {
 		sup.stop()
 		coord.Close()
-		return nil, fmt.Errorf("graphfly: waiting for %d workers: %w", n, err)
+		return nil, fmt.Errorf("waiting for %d workers: %w", n, err)
 	}
 	return &clusterRuntime{coord: coord, sup: sup}, nil
 }
@@ -73,26 +75,15 @@ func (c *clusterRuntime) close() {
 	c.sup.stop()
 }
 
-// supervisor spawns graphfly-worker processes and respawns any that die
+// supervisor spawns worker processes and respawns any that die
 // uncleanly, preserving each worker's id and durable directory.
 type supervisor struct {
-	bin  string
-	addr string
-	dir  string
+	bin, addr, dir string
 
 	mu       sync.Mutex
 	stopping bool
 	procs    map[int]*os.Process
 	wg       sync.WaitGroup
-}
-
-func newSupervisor(bin, addr, dir string) *supervisor {
-	return &supervisor{bin: bin, addr: addr, dir: dir, procs: map[int]*os.Process{}}
-}
-
-func (s *supervisor) spawn(id int) {
-	s.wg.Add(1)
-	go s.runLoop(id)
 }
 
 func (s *supervisor) runLoop(id int) {
@@ -103,10 +94,8 @@ func (s *supervisor) runLoop(id int) {
 			s.mu.Unlock()
 			return
 		}
-		cmd := exec.Command(s.bin,
-			"-addr", s.addr,
-			"-dir", filepath.Join(s.dir, fmt.Sprintf("worker-%d", id)),
-			"-id", strconv.Itoa(id))
+		cmd := exec.Command(s.bin, "worker", "-addr", s.addr,
+			"-dir", filepath.Join(s.dir, fmt.Sprintf("worker-%d", id)), "-id", strconv.Itoa(id))
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			s.mu.Unlock()
@@ -143,10 +132,7 @@ func (s *supervisor) stop() {
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
+	go func() { s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -159,20 +145,31 @@ func (s *supervisor) stop() {
 	}
 }
 
-// locateWorkerBin resolves the graphfly-worker executable: an explicit
-// path wins, then a sibling of this binary, then $PATH.
-func locateWorkerBin(explicit string) (string, error) {
-	if explicit != "" {
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "graphfly-worker")
-		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
-			return cand, nil
+// workerCmd is one worker process of the socket cluster runtime. It dials
+// the coordinator at -addr, persists every applied batch and commanded
+// checkpoint in -dir, and processes its share of the dependency flows until
+// told to stop. It exits 0 after a graceful shutdown (SIGTERM/SIGINT, or the
+// coordinator's bye) and nonzero when the coordinator link degrades past the
+// retry budget: a supervisor respawns it with the SAME -dir and -id so the
+// restart recovers from its WAL and rejoins.
+func workerCmd() (*flag.FlagSet, func()) {
+	fs := flag.NewFlagSet("graphfly worker", flag.ExitOnError)
+	addr := addAddr(fs, "", "coordinator address (required)")
+	dir := fs.String("dir", "", "wal directory for this worker's batch log and snapshots (required)")
+	id := fs.Int("id", -1, "worker id to present; -1 lets the coordinator assign one, restarts must present their previous id")
+	return fs, func() {
+		if *addr == "" || *dir == "" {
+			usagef("-addr and -dir are required")
+		}
+		// SIGTERM/SIGINT cancel the context; RunWorker turns that into a
+		// bye, a WAL flush, and a final checkpoint before returning nil.
+		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+		defer stop()
+		logf := func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "graphfly worker[%d]: %s\n", os.Getpid(), fmt.Sprintf(format, args...))
+		}
+		if err := dist.RunWorker(ctx, dist.WorkerConfig{Addr: *addr, Dir: *dir, ID: *id, Logf: logf}); err != nil {
+			fatalf("pid %d: %v", os.Getpid(), err)
 		}
 	}
-	if p, err := exec.LookPath("graphfly-worker"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("graphfly: graphfly-worker binary not found — build it next to graphfly (go build ./cmd/...) or pass -workerBin")
 }

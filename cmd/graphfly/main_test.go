@@ -2,18 +2,23 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
-// The SIGTERM-during-batch audit (DESIGN.md §4.11): a -wal run signaled at a
+// The SIGTERM-during-batch audit (DESIGN.md §4.11): a -waldir run signaled at a
 // batch marker must exit cleanly without snapshotting mid-batch state, and a
 // recovery run over the same directory must land bit-exact on the oracle for
 // however many batches survived — whether the signal hit at a boundary
@@ -56,7 +61,7 @@ func TestSigtermAtBatchMarkersRecoversClean(t *testing.T) {
 			// Run with the WAL on and SIGTERM the moment batch marker
 			// killAfter prints — the next batch is typically mid-flight.
 			cmd := exec.Command(bin, graphflyArgs(12,
-				"-wal", "-waldir", walDir, "-fsync", "always", "-snapshot-every", "4")...)
+				"-waldir", walDir, "-fsync", "always", "-snapshot-every", "4")...)
 			cmd.Stderr = os.Stderr
 			out, err := cmd.StdoutPipe()
 			if err != nil {
@@ -93,7 +98,7 @@ func TestSigtermAtBatchMarkersRecoversClean(t *testing.T) {
 			// Recovery run: no new batches, dump the recovered state.
 			recPath := filepath.Join(t.TempDir(), "recovered.txt")
 			rec := exec.Command(bin, graphflyArgs(0,
-				"-wal", "-waldir", walDir, "-fsync", "always", "-snapshot-every", "4",
+				"-waldir", walDir, "-fsync", "always", "-snapshot-every", "4",
 				"-outputFile", recPath)...)
 			recOut, err := rec.CombinedOutput()
 			if err != nil {
@@ -130,5 +135,115 @@ func TestSigtermAtBatchMarkersRecoversClean(t *testing.T) {
 				t.Fatalf("recovered values differ from the %d-batch oracle", seq)
 			}
 		})
+	}
+}
+
+// TestSubcommandDefaults pins every shared flag's default per subcommand,
+// so a shared registrar cannot silently hand serve run's -fsync interval.
+func TestSubcommandDefaults(t *testing.T) {
+	workload := func(nEdges, batches string) map[string]string {
+		return map[string]string{"dataset": "LJ", "nEdges": nEdges, "numberOfUpdateBatches": batches,
+			"deletions": "0.1", "seed": "42"}
+	}
+	engine := func(fsync string) map[string]string {
+		return map[string]string{"algo": "SSSP", "source": "1", "workers": "0", "flowCap": "0",
+			"waldir": "", "fsync": fsync, "snapshot-every": "16", "metrics": "false"}
+	}
+	join := func(ms ...map[string]string) map[string]string {
+		all := map[string]string{}
+		for _, m := range ms {
+			for k, v := range m {
+				all[k] = v
+			}
+		}
+		return all
+	}
+	for _, tc := range []struct {
+		sub    string
+		want   map[string]string
+		absent []string
+	}{
+		{"run", join(workload("100000", "1"), engine("interval"), map[string]string{"addr": "127.0.0.1:0"}),
+			[]string{"wal", "clusterDir", "workerBin"}},
+		{"serve", join(workload("2000", "8"), engine("always"), map[string]string{"addr": "127.0.0.1:8464"}),
+			[]string{"client"}},
+		{"query", join(workload("2000", "8"), map[string]string{"addr": "127.0.0.1:8464"}),
+			[]string{"algo", "client", "waldir"}},
+		{"worker", map[string]string{"addr": ""}, []string{"quiet", "dataset"}},
+		{"gen", workload("10000", "3"), []string{"batch", "batches", "algo"}},
+	} {
+		fs, _ := subcommands[tc.sub]()
+		for name, want := range tc.want {
+			f := fs.Lookup(name)
+			if f == nil {
+				t.Errorf("%s: no -%s", tc.sub, name)
+			} else if f.DefValue != want {
+				t.Errorf("%s -%s defaults to %q, want %q", tc.sub, name, f.DefValue, want)
+			}
+		}
+		for _, name := range tc.absent {
+			if fs.Lookup(name) != nil {
+				t.Errorf("%s still defines -%s", tc.sub, name)
+			}
+		}
+	}
+}
+
+// TestBadInputExits2 feeds each subcommand input it must reject: exit 2
+// with a usage message, never a panic or a silently wrong answer.
+func TestBadInputExits2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives real graphfly processes")
+	}
+	bin := buildGraphfly(t)
+	dir := t.TempDir()
+	edges := filepath.Join(dir, "tiny.edges")
+	if err := os.WriteFile(edges, []byte("0 1 1\n1 2 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered := filepath.Join(dir, "recovered")
+	if out, err := exec.Command(bin, graphflyArgs(1, "-waldir", recovered)...).CombinedOutput(); err != nil {
+		t.Fatalf("seeding %s: %v\n%s", recovered, err, out)
+	}
+	small := []string{"-nEdges", "100", "-numberOfUpdateBatches", "1"}
+	for _, args := range [][]string{
+		{"-dataset", "XX"},
+		{"serve", "-dataset", "XX", "-waldir", filepath.Join(dir, "s1")},
+		{"query", "ingest", "-dataset", "XX"},
+		{"gen", "-dataset", "XX", "-out", filepath.Join(dir, "g")},
+		append([]string{"-algo", "LabelPropagation", "-labels", "0"}, small...),
+		append([]string{"-algo", "LabelPropagation", "-labels", "-2"}, small...),
+		append([]string{"-algo", "BFS", "-source", "4800"}, small...),
+		append([]string{"-algo", "SSWP", "-source", "3", "-graphPath", edges}, small...),
+		append([]string{"-algo", "SSSP", "-source", "99999", "-waldir", recovered}, small...),
+		{"serve", "-algo", "SSSP", "-source", "99999", "-waldir", filepath.Join(dir, "s2")},
+		append([]string{"-deletions", "1.5"}, small...),
+		append([]string{"-deletions", "-0.1"}, small...),
+		{"gen", "-deletions", "2", "-out", filepath.Join(dir, "g")},
+		{"serve", "-algo", "PageRank", "-waldir", filepath.Join(dir, "s3")},
+		{"bogus"},
+		{"query", "bogus"},
+		{"-wal"},
+		{"-clusterDir", dir},
+		{"-workerBin", bin},
+		{"query", "-client", "ingest"},
+		{"worker", "-quiet"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: want exit 2, got %v\n%s", args, err, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(strings.ToLower(msg), "usage") || strings.Contains(msg, "panic:") {
+			t.Errorf("%v: want a usage message and no panic, got\n%s", args, msg)
+		}
+	}
+	// A rejected -source must not leave serve a snapshot to recover.
+	if wal.HasSnapshot(filepath.Join(dir, "s2")) {
+		t.Error("serve wrote a snapshot for an out-of-range -source")
 	}
 }

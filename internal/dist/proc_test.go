@@ -1,7 +1,7 @@
 package dist
 
-// Process-level chaos tests: build the real graphfly and graphfly-worker
-// binaries, run a cluster of actual OS processes, and SIGKILL workers
+// Process-level chaos tests: build the real graphfly binary, run a cluster
+// of actual OS processes (graphfly -cluster and its worker subcommands), and SIGKILL workers
 // mid-stream through the supervisor's pid files. The cluster's converged
 // output file must be byte-identical to a single-machine oracle run of the
 // same workload — the acceptance criterion for kill -9 crash-restart.
@@ -36,10 +36,9 @@ var (
 	procBuildErr  error
 )
 
-// buildBinaries compiles graphfly and graphfly-worker once per test binary
-// and returns their paths. The worker sits next to graphfly so the default
-// sibling lookup works too, though tests pass -workerBin explicitly.
-func buildBinaries(t *testing.T) (graphflyBin, workerBin string) {
+// buildGraphfly compiles graphfly once per test binary and returns its
+// path; -cluster starts its workers from the same executable.
+func buildGraphfly(t *testing.T) string {
 	t.Helper()
 	procBuildOnce.Do(func() {
 		root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -52,19 +51,16 @@ func buildBinaries(t *testing.T) (graphflyBin, workerBin string) {
 			procBuildErr = err
 			return
 		}
-		for _, pkg := range []string{"graphfly", "graphfly-worker"} {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(procBinDir, pkg), "./cmd/"+pkg)
-			cmd.Dir = root
-			if out, err := cmd.CombinedOutput(); err != nil {
-				procBuildErr = fmt.Errorf("go build ./cmd/%s: %v\n%s", pkg, err, out)
-				return
-			}
+		cmd := exec.Command("go", "build", "-o", filepath.Join(procBinDir, "graphfly"), "./cmd/graphfly")
+		cmd.Dir = root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			procBuildErr = fmt.Errorf("go build ./cmd/graphfly: %v\n%s", err, out)
 		}
 	})
 	if procBuildErr != nil {
 		t.Fatal(procBuildErr)
 	}
-	return filepath.Join(procBinDir, "graphfly"), filepath.Join(procBinDir, "graphfly-worker")
+	return filepath.Join(procBinDir, "graphfly")
 }
 
 const procBatches = 12
@@ -114,13 +110,12 @@ func (s *syncBuffer) String() string {
 // live worker after each batch index in killAfter appears in the output.
 // It returns the number of kills landed. The whole process group gets
 // SIGKILL on timeout so no worker leaks.
-func runClusterWithChaos(t *testing.T, graphflyBin, workerBin string,
+func runClusterWithChaos(t *testing.T, graphflyBin string,
 	n int, clusterDir, out string, rng *rand.Rand, killAfter []int) int {
 	t.Helper()
 	args := append(workloadArgs(),
 		"-cluster", strconv.Itoa(n),
-		"-clusterDir", clusterDir,
-		"-workerBin", workerBin,
+		"-waldir", clusterDir,
 		"-outputFile", out,
 	)
 	cmd := exec.Command(graphflyBin, args...)
@@ -222,13 +217,13 @@ func compareOutputs(t *testing.T, oraclePath, clusterPath string) {
 // TestProcCrashRestartSmoke is the CI-tier smoke: 3 real worker processes,
 // one SIGKILL mid-stream, supervisor respawn, bit-exact convergence.
 func TestProcCrashRestartSmoke(t *testing.T) {
-	graphflyBin, workerBin := buildBinaries(t)
+	graphflyBin := buildGraphfly(t)
 	dir := t.TempDir()
 	oracleOut := filepath.Join(dir, "oracle.txt")
 	clusterOut := filepath.Join(dir, "cluster.txt")
 
 	runOracle(t, graphflyBin, oracleOut)
-	kills := runClusterWithChaos(t, graphflyBin, workerBin, 3,
+	kills := runClusterWithChaos(t, graphflyBin, 3,
 		filepath.Join(dir, "cluster"), clusterOut,
 		rand.New(rand.NewSource(1)), []int{1})
 	if kills == 0 {
@@ -251,7 +246,7 @@ func TestProcChaos(t *testing.T) {
 		}
 		runs = v
 	}
-	graphflyBin, workerBin := buildBinaries(t)
+	graphflyBin := buildGraphfly(t)
 	dir := t.TempDir()
 	oracleOut := filepath.Join(dir, "oracle.txt")
 	runOracle(t, graphflyBin, oracleOut)
@@ -269,7 +264,7 @@ func TestProcChaos(t *testing.T) {
 			sortInts(after)
 			rdir := filepath.Join(dir, fmt.Sprintf("run-%d", seed))
 			clusterOut := filepath.Join(dir, fmt.Sprintf("cluster-%d.txt", seed))
-			kills := runClusterWithChaos(t, graphflyBin, workerBin, 3,
+			kills := runClusterWithChaos(t, graphflyBin, 3,
 				rdir, clusterOut, rng, after)
 			t.Logf("seed %d: %d kills landed after batches %v", seed, kills, after)
 			if kills == 0 {

@@ -1,6 +1,6 @@
 package dist
 
-// Worker process runtime, run by cmd/graphfly-worker (or in-process by
+// Worker process runtime, run by graphfly worker (or in-process by
 // tests). A worker holds a full replica of the graph structure and the
 // value/parent/trimmed arrays. It is authoritative for the vertices of the
 // flows assigned to it; every other entry is a shadow, a possibly stale copy

@@ -8,8 +8,8 @@ import (
 )
 
 // Proxy is the out-of-process fault path: it sits between a real client and
-// a real daemon (cmd/faultproxy wires it between graphflyd and its clients,
-// or between the dist coordinator and a graphfly-worker), forwarding bytes
+// a real daemon (cmd/faultproxy wires it between graphfly serve and its clients,
+// or between the dist coordinator and a graphfly worker), forwarding bytes
 // both ways through the injector's fault mix. Killing the injected leg
 // tears down the whole relayed connection, so both endpoints observe the
 // fault — exactly what a mid-stream reset does in production.

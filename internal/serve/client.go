@@ -129,7 +129,7 @@ func wrapNetErr(op string, err error) error {
 	return fmt.Errorf("serve: %s: %w", op, err)
 }
 
-// Client is one synchronous session with a graphflyd server: every request
+// Client is one synchronous session with a graphfly serve server: every request
 // waits for its reply, so replies pair with requests unambiguously.
 // Concurrency comes from running many clients, which is exactly the serving
 // model under test. Not safe for concurrent use by multiple goroutines.

@@ -19,7 +19,7 @@ import (
 	"repro/internal/graph"
 )
 
-// The out-of-process acceptance test: a real graphflyd is SIGKILLed mid-load
+// The out-of-process acceptance test: a real graphfly serve is SIGKILLed mid-load
 // (no drain, no final snapshot — pure process death), restarted on the same
 // directory, and its point-in-time dump must match a from-scratch oracle
 // over every batch the WAL preserved.
@@ -41,7 +41,7 @@ func buildBinary(t *testing.T, pkg string) string {
 	return bin
 }
 
-// daemon wraps one running graphflyd with a line-scanned stdout.
+// daemon wraps one running graphfly serve with a line-scanned stdout.
 type daemon struct {
 	cmd      *exec.Cmd
 	lines    chan string
@@ -49,11 +49,11 @@ type daemon struct {
 	all      []string
 }
 
-// startDaemon launches graphflyd and waits for its listen banner.
+// startDaemon launches graphfly serve and waits for its listen banner.
 func startDaemon(t *testing.T, bin, walDir string, extra ...string) (*daemon, string) {
 	t.Helper()
 	args := append([]string{
-		"-waldir", walDir, "-addr", "127.0.0.1:0",
+		"serve", "-waldir", walDir, "-addr", "127.0.0.1:0",
 		"-algo", "SSSP", "-dataset", "LJ", "-nEdges", "400",
 		"-fsync", "always", "-snapshot-every", "4",
 	}, extra...)
@@ -100,16 +100,16 @@ func (d *daemon) drainOutput() string {
 
 func TestDaemonKill9RecoversToOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and drives real graphflyd processes")
+		t.Skip("builds and drives real graphfly serve processes")
 	}
-	bin := buildBinary(t, "repro/cmd/graphflyd")
+	bin := buildBinary(t, "repro/cmd/graphfly")
 	walDir := t.TempDir()
 
 	d1, addr := startDaemon(t, bin, walDir)
 
 	// Drive a single ordered ingest session, and SIGKILL the daemon the
 	// moment the third ack lands — batches are guaranteed in flight.
-	ing := exec.Command(bin, "-client", "ingest", "-addr", addr,
+	ing := exec.Command(bin, "query", "ingest", "-addr", addr,
 		"-dataset", "LJ", "-nEdges", "400", "-numberOfUpdateBatches", "10")
 	ing.Stderr = io.Discard
 	ingOut, err := ing.StdoutPipe()
@@ -156,7 +156,7 @@ func TestDaemonKill9RecoversToOracle(t *testing.T) {
 
 	// Full-width dump from the restarted daemon.
 	dumpPath := filepath.Join(t.TempDir(), "dump.txt")
-	dump := exec.Command(bin, "-client", "dump", "-addr", addr2, "-o", dumpPath)
+	dump := exec.Command(bin, "query", "dump", "-addr", addr2, "-o", dumpPath)
 	if out, err := dump.CombinedOutput(); err != nil {
 		t.Fatalf("dump: %v\n%s", err, out)
 	}

@@ -267,7 +267,7 @@ func TestServeConcurrentIngestAndReaders(t *testing.T) {
 }
 
 // mirrorEdges doubles the initial edge list so local (undirected)
-// algorithms start from a symmetric graph, matching what graphflyd does.
+// algorithms start from a symmetric graph, matching what graphfly serve does.
 func mirrorEdges(initial []graph.Edge) []graph.Edge {
 	both := make([]graph.Edge, 0, 2*len(initial))
 	for _, e := range initial {

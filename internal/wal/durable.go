@@ -72,6 +72,10 @@ type Family struct {
 	state func(e Engine, numV int) []byte
 }
 
+// Build makes the family's engine over g without a log: the same engine a
+// caller runs with durability off.
+func (f Family) Build(g *graph.Streaming, cfg engine.Config) Engine { return f.build(g, cfg) }
+
 // SelectiveFamily makes SSSP/SSWP/BFS/CC durable: snapshots carry the
 // values and key-edge parents, restored as refinement floors without a
 // from-scratch solve.

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Kill -9 chaos campaign for the real-socket multi-process runtime.
 #
-# Builds the graphfly and graphfly-worker binaries, then drives the seeded
-# process-level chaos test: each run spawns a coordinator plus 3 worker
-# processes, SIGKILLs random workers at random batch boundaries mid-stream,
-# lets the supervisor respawn them (WAL recovery + rejoin), and asserts the
-# converged output file is byte-identical to a single-machine oracle run.
+# Builds the one graphfly binary, then drives the seeded process-level chaos
+# test: each run spawns a coordinator plus 3 worker processes (graphfly
+# -cluster 3 -waldir D starts them as 'graphfly worker' from its own
+# executable, one WAL directory each under D), SIGKILLs random workers at
+# random batch boundaries mid-stream, lets the supervisor respawn them (WAL
+# recovery + rejoin), and asserts the converged output file is
+# byte-identical to a single-machine oracle run.
 #
 # Usage: scripts/chaos.sh [runs]     (default 20 seeded runs)
 set -euo pipefail

@@ -9,7 +9,7 @@
 # runtime, a 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages)
 # and of the hub-indexed adjacency, a check that removed flags and figures
-# stay removed, a graphflyd serving smoke at -snapshot-every 4 and 1
+# stay removed, a graphfly serve smoke at -snapshot-every 4 and 1
 # (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
 # at 1 every batch starts a background WAL snapshot), serving-chaos and
 # degraded-mode smokes, a bench smoke (Fig 11 + Fig S7) that emits and
@@ -62,15 +62,15 @@ go test -race -run 'TestFuzzHubSkewReplication' -count=1 ./internal/oracle
 echo "== durable CLI smoke (WAL write, then recovery resume) =="
 waltmp=$(mktemp -d)
 go run ./cmd/graphfly -algo SSSP -dataset LJ -nEdges 1000 -numberOfUpdateBatches 2 \
-    -wal -waldir "$waltmp" -fsync interval -snapshot-every 2 > /dev/null
+    -waldir "$waltmp" -fsync interval -snapshot-every 2 > /dev/null
 go run ./cmd/graphfly -algo SSSP -dataset LJ -nEdges 1000 -numberOfUpdateBatches 1 \
-    -wal -waldir "$waltmp" > "$waltmp/resume.out"
+    -waldir "$waltmp" > "$waltmp/resume.out"
 grep -q '^recovered ' "$waltmp/resume.out"
 # the accumulative family goes through the same durable wrapper
 go run ./cmd/graphfly -algo PageRank -dataset LJ -nEdges 1000 -numberOfUpdateBatches 2 \
-    -wal -waldir "$waltmp/pr" -fsync interval -snapshot-every 2 > /dev/null
+    -waldir "$waltmp/pr" -fsync interval -snapshot-every 2 > /dev/null
 go run ./cmd/graphfly -algo PageRank -dataset LJ -nEdges 1000 -numberOfUpdateBatches 1 \
-    -wal -waldir "$waltmp/pr" > "$waltmp/resume-pr.out"
+    -waldir "$waltmp/pr" > "$waltmp/resume-pr.out"
 grep -q '^recovered .* replayed [0-9]* batches to seq 2 ' "$waltmp/resume-pr.out"
 rm -rf "$waltmp"
 
@@ -89,12 +89,10 @@ go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
 echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; 5 s) =="
 go test -run '^$' -fuzz '^FuzzHubAdjacency$' -fuzztime 5s ./internal/graph
 
-echo "== removed flags and figures (one runtime, one scheduler, one batch path, one link timing) =="
+echo "== removed flags and figures (one binary, one runtime, one scheduler, one batch path, one link timing) =="
 flagtmp=$(mktemp -d)
 go build -o "$flagtmp/graphfly" ./cmd/graphfly
-go build -o "$flagtmp/graphflyd" ./cmd/graphflyd
 go build -o "$flagtmp/bench" ./cmd/bench
-go build -o "$flagtmp/graphfly-worker" ./cmd/graphfly-worker
 expect_unknown_flag() { # $1 = flag name, $2... = command
     local name=$1 rc=0
     shift
@@ -110,34 +108,47 @@ expect_unknown_flag faults "$flagtmp/graphfly" -faults seed=1
 expect_unknown_flag faults "$flagtmp/bench" -faults x
 expect_unknown_flag sched "$flagtmp/graphfly" -sched x
 expect_unknown_flag denseoff "$flagtmp/graphfly" -denseoff
-expect_unknown_flag sched "$flagtmp/graphflyd" -sched x
+expect_unknown_flag sched "$flagtmp/graphfly" serve -sched x
 expect_unknown_flag denseoff "$flagtmp/bench" -denseoff
-expect_unknown_flag connect-timeout "$flagtmp/graphfly-worker" -connect-timeout 1s
-expect_unknown_flag heartbeat "$flagtmp/graphfly-worker" -heartbeat 1s
-expect_unknown_flag peer-timeout "$flagtmp/graphfly-worker" -peer-timeout 1s
-expect_unknown_flag retrans-base "$flagtmp/graphfly-worker" -retrans-base 1s
-expect_unknown_flag max-retries "$flagtmp/graphfly-worker" -max-retries 3
-rc=0
-"$flagtmp/bench" -fig s2 > /dev/null 2> "$flagtmp/err" || rc=$?
-if [ "$rc" != 2 ] || ! grep -q 'unknown figure' "$flagtmp/err"; then
-    echo "bench -fig s2: want exit 2 with 'unknown figure', got exit $rc:" >&2
-    cat "$flagtmp/err" >&2
-    exit 1
-fi
+expect_unknown_flag connect-timeout "$flagtmp/graphfly" worker -connect-timeout 1s
+expect_unknown_flag heartbeat "$flagtmp/graphfly" worker -heartbeat 1s
+expect_unknown_flag peer-timeout "$flagtmp/graphfly" worker -peer-timeout 1s
+expect_unknown_flag retrans-base "$flagtmp/graphfly" worker -retrans-base 1s
+expect_unknown_flag max-retries "$flagtmp/graphfly" worker -max-retries 3
+# retired with the one binary: the WAL is on iff -waldir is set, -cluster
+# puts its workers under -waldir and starts them from its own executable,
+# and query takes its op as an argument
+expect_unknown_flag wal "$flagtmp/graphfly" -wal
+expect_unknown_flag clusterDir "$flagtmp/graphfly" -clusterDir x
+expect_unknown_flag workerBin "$flagtmp/graphfly" -workerBin x
+expect_unknown_flag client "$flagtmp/graphfly" query -client ingest
+expect_unknown_flag quiet "$flagtmp/graphfly" worker -quiet
+expect_exit2() { # $1 = stderr pattern, $2... = command
+    local want=$1 rc=0
+    shift
+    "$@" > /dev/null 2> "$flagtmp/err" || rc=$?
+    if [ "$rc" != 2 ] || ! grep -q "$want" "$flagtmp/err"; then
+        echo "$*: want exit 2 with '$want', got exit $rc:" >&2
+        cat "$flagtmp/err" >&2
+        exit 1
+    fi
+}
+expect_exit2 'unknown figure' "$flagtmp/bench" -fig s2
+expect_exit2 'unknown subcommand' "$flagtmp/graphfly" graphflyd
 rm -rf "$flagtmp"
 
 # serving_smoke <snapshot-every>: at 1 every batch hands a snapshot to the
 # background writer, so captures queue behind one in flight (the wait path)
 # and SIGTERM's drain lands on a writer mid-snapshot.
 serving_smoke() {
-echo "== graphflyd serving smoke, -snapshot-every $1 (concurrent ingest+query, SIGTERM, restart, oracle) =="
+echo "== graphfly serve smoke, -snapshot-every $1 (concurrent ingest+query, SIGTERM, restart, oracle) =="
 servetmp=$(mktemp -d)
 dpid=""
 cleanup_serve() { [ -n "$dpid" ] && kill "$dpid" 2>/dev/null || true; rm -rf "$servetmp"; }
 trap cleanup_serve EXIT
-go build -o "$servetmp/graphflyd" ./cmd/graphflyd
 go build -o "$servetmp/graphfly" ./cmd/graphfly
-common=(-algo SSSP -dataset LJ -nEdges 400 -deletions 0.1 -seed 42)
+workload=(-dataset LJ -nEdges 400 -deletions 0.1 -seed 42)
+common=(-algo SSSP "${workload[@]}")
 wait_listening() { # $1 = server.out; sets $addr
     addr=""
     for _ in $(seq 1 100); do
@@ -145,18 +156,18 @@ wait_listening() { # $1 = server.out; sets $addr
         [ -n "$addr" ] && return 0
         sleep 0.1
     done
-    echo "graphflyd never came up:" >&2; cat "$1" >&2; return 1
+    echo "graphfly serve never came up:" >&2; cat "$1" >&2; return 1
 }
-"$servetmp/graphflyd" "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
+"$servetmp/graphfly" serve "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
     -fsync always -snapshot-every "$1" > "$servetmp/server1.out" 2>&1 &
 dpid=$!
 wait_listening "$servetmp/server1.out"
-"$servetmp/graphflyd" "${common[@]}" -client ingest -addr "$addr" \
+"$servetmp/graphfly" query ingest "${workload[@]}" -addr "$addr" \
     -numberOfUpdateBatches 6 > "$servetmp/ingest.out" 2>&1 &
 ipid=$!
 # a second, concurrent session queries while the ingest session runs
-"$servetmp/graphflyd" -client stat -addr "$addr" > /dev/null
-"$servetmp/graphflyd" -client topk -addr "$addr" -k 5 > /dev/null
+"$servetmp/graphfly" query stat -addr "$addr" > /dev/null
+"$servetmp/graphfly" query topk -addr "$addr" -k 5 > /dev/null
 wait "$ipid"
 [ "$(grep -c '^ingested batch' "$servetmp/ingest.out")" = 6 ]
 kill -TERM "$dpid"
@@ -164,12 +175,12 @@ wait "$dpid"
 grep -q 'drained: durable through seq 6' "$servetmp/server1.out"
 # restart over the same WAL: recovery must cover every acknowledged batch,
 # and the served state must byte-match a single-shot oracle run
-"$servetmp/graphflyd" "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
+"$servetmp/graphfly" serve "${common[@]}" -waldir "$servetmp/wal" -addr 127.0.0.1:0 \
     -fsync always -snapshot-every "$1" > "$servetmp/server2.out" 2>&1 &
 dpid=$!
 wait_listening "$servetmp/server2.out"
 grep -q 'replayed [0-9]* batches to seq 6' "$servetmp/server2.out"
-"$servetmp/graphflyd" -client dump -addr "$addr" -o "$servetmp/served.txt"
+"$servetmp/graphfly" query dump -addr "$addr" -o "$servetmp/served.txt"
 kill -TERM "$dpid"
 wait "$dpid"
 dpid=""
@@ -191,10 +202,10 @@ cleanup_chaos() {
     rm -rf "$chaostmp"
 }
 trap cleanup_chaos EXIT
-go build -o "$chaostmp/graphflyd" ./cmd/graphflyd
 go build -o "$chaostmp/graphfly" ./cmd/graphfly
 go build -o "$chaostmp/faultproxy" ./cmd/faultproxy
-common=(-algo SSSP -dataset LJ -nEdges 400 -deletions 0.1 -seed 42)
+workload=(-dataset LJ -nEdges 400 -deletions 0.1 -seed 42)
+common=(-algo SSSP "${workload[@]}")
 wait_line() { # $1 = logfile, $2 = sed extraction pattern; sets $addr
     addr=""
     for _ in $(seq 1 100); do
@@ -204,7 +215,7 @@ wait_line() { # $1 = logfile, $2 = sed extraction pattern; sets $addr
     done
     echo "server/proxy never came up:" >&2; cat "$1" >&2; return 1
 }
-"$chaostmp/graphflyd" "${common[@]}" -waldir "$chaostmp/wal" -addr 127.0.0.1:0 \
+"$chaostmp/graphfly" serve "${common[@]}" -waldir "$chaostmp/wal" -addr 127.0.0.1:0 \
     -fsync always -snapshot-every 4 -dedup-window 64 > "$chaostmp/server.out" 2>&1 &
 dpid=$!
 wait_line "$chaostmp/server.out" 's/^graphflyd listening on \([0-9.:]*\) .*/\1/p'
@@ -216,7 +227,7 @@ daddr=$addr
 ppid=$!
 wait_line "$chaostmp/proxy.out" 's/^faultproxy listening on \([0-9.:]*\) .*/\1/p'
 # resuming client: every batch must land exactly once despite the faults
-"$chaostmp/graphflyd" "${common[@]}" -client ingest -client-id chaos-smoke \
+"$chaostmp/graphfly" query ingest "${workload[@]}" -client-id chaos-smoke \
     -addr "$addr" -numberOfUpdateBatches 6 > "$chaostmp/ingest.out" 2>&1
 [ "$(grep -c '^ingested batch' "$chaostmp/ingest.out")" = 6 ]
 grep -q 'seq=6' "$chaostmp/ingest.out" # no duplicate applies shifted the ledger
@@ -226,14 +237,14 @@ kill "$ppid"; wait "$ppid" 2>/dev/null || true; ppid=""
 # batch 6 is visible, and fail if it never is
 applied=""
 for _ in $(seq 1 100); do
-    if "$chaostmp/graphflyd" -client stat -addr "$daddr" | grep -q '^applied seq 6,'; then
+    if "$chaostmp/graphfly" query stat -addr "$daddr" | grep -q '^applied seq 6,'; then
         applied=1; break
     fi
     sleep 0.1
 done
-[ -n "$applied" ] || { echo "graphflyd never applied batch 6" >&2; exit 1; }
+[ -n "$applied" ] || { echo "graphfly serve never applied batch 6" >&2; exit 1; }
 # dump straight from the daemon (not through the dead proxy) vs the oracle
-"$chaostmp/graphflyd" -client dump -addr "$daddr" -o "$chaostmp/served.txt"
+"$chaostmp/graphfly" query dump -addr "$daddr" -o "$chaostmp/served.txt"
 kill -TERM "$dpid"; wait "$dpid"
 grep -q 'drained: durable through seq 6' "$chaostmp/server.out"
 dpid=""
@@ -245,12 +256,12 @@ echo "== degraded-mode smoke (injected ENOSPC, read-only window, auto-recovery) 
 # after=4 skips segment creation + batch 1, so batch 2's fsync fails: the
 # batch is logged-but-unacked, the daemon flips read-only, the prober swaps
 # in a fresh log generation, and the client's same-key resend dedups.
-"$chaostmp/graphflyd" "${common[@]}" -waldir "$chaostmp/wal2" -addr 127.0.0.1:0 \
+"$chaostmp/graphfly" serve "${common[@]}" -waldir "$chaostmp/wal2" -addr 127.0.0.1:0 \
     -fsync always -diskfault after=4,count=1,err=enospc -metrics \
     > "$chaostmp/server2.out" 2>&1 &
 dpid=$!
 wait_line "$chaostmp/server2.out" 's/^graphflyd listening on \([0-9.:]*\) .*/\1/p'
-"$chaostmp/graphflyd" "${common[@]}" -client ingest -client-id degraded-smoke \
+"$chaostmp/graphfly" query ingest "${workload[@]}" -client-id degraded-smoke \
     -addr "$addr" -numberOfUpdateBatches 6 > "$chaostmp/ingest2.out" 2>&1
 [ "$(grep -c '^ingested batch' "$chaostmp/ingest2.out")" = 6 ]
 grep -q 'seq=6' "$chaostmp/ingest2.out"
@@ -295,6 +306,7 @@ go run ./scripts/benchdiff -allocgate BENCH_graphfly.json "$benchtmp/BENCH_graph
 echo "== size (what every simplicity PR quotes) =="
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
-echo "flag definitions under cmd/: $(grep -rhoE 'flag\.[A-Za-z0-9]+\(' cmd | grep -vcE 'flag\.(Parse|Arg|NArg)\(')"
+# A definition on the package flag set or on a subcommand's FlagSet (fs).
+echo "flag definitions under cmd/: $(grep -rhoE '\b(flag|fs)\.((Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)(Var)?|Var|Func|BoolFunc|TextVar)\(' cmd | wc -l)"
 
 echo "OK"
