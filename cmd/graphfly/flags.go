@@ -174,10 +174,15 @@ func addEngine(fs *flag.FlagSet, fsync string) *engineFlags {
 }
 
 func (f *engineFlags) check() error {
-	if _, ok := wal.ParseFsync(*f.fsync); !ok {
+	switch _, ok := wal.ParseFsync(*f.fsync); {
+	case !ok:
 		return fmt.Errorf("unknown -fsync policy %q (want interval, always, or off)", *f.fsync)
-	} else if *f.snapEvery < 0 {
+	case *f.snapEvery < 0:
 		return errors.New("-snapshot-every must be >= 0")
+	case *f.workers < 0:
+		return errors.New("-workers must be >= 0")
+	case *f.flowCap < 0:
+		return errors.New("-flowCap must be >= 0")
 	}
 	return nil
 }

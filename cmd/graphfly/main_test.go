@@ -228,6 +228,11 @@ func TestBadInputExits2(t *testing.T) {
 		{"-workerBin", bin},
 		{"query", "-client", "ingest"},
 		{"worker", "-quiet"},
+		append([]string{"-workers", "-2"}, small...),
+		append([]string{"-flowCap", "-5"}, small...),
+		append([]string{"-hub-threshold", "-1"}, small...),
+		{"-replicate-hubs"},
+		{"-hub-replicas", "2"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

@@ -35,8 +35,6 @@ func runCmd() (*flag.FlagSet, func()) {
 	addr := addAddr(fs, "127.0.0.1:0", "coordinator listen address in -cluster mode")
 	labels := fs.Int("labels", 4, "label count for LabelPropagation")
 	seedsFile := fs.String("seedsFile", "", "LabelPropagation seeds file ('vertex label' per line)")
-	replicateHubs := fs.Bool("replicate-hubs", false, "split hub fan-in across per-worker replicas with diffused combining")
-	hubReplicas := fs.Int("hub-replicas", 0, "replicas per hub with -replicate-hubs (0 = one per worker)")
 	hubThreshold := fs.Int("hub-threshold", 0, "override the hub-index build threshold (0 = graph default 64; drop stays threshold/4)")
 	outputFile := fs.String("outputFile", "", "write the converged values here ('-' = stdout)")
 	graphPath := fs.String("graphPath", "", "load the initial graph from an edge-tuple file instead of generating it")
@@ -52,6 +50,8 @@ func runCmd() (*flag.FlagSet, func()) {
 		switch {
 		case *labels < 1:
 			usagef("-labels must be >= 1")
+		case *hubThreshold < 0:
+			usagef("-hub-threshold must be >= 0")
 		case walDir != "" && *ef.snapEvery < 1:
 			usagef("-snapshot-every must be >= 1")
 		case cluster && walDir == "":
@@ -80,7 +80,7 @@ func runCmd() (*flag.FlagSet, func()) {
 			usagef("-cluster supports the selective algorithms only (%s is not)", alg.name)
 		}
 		eCfg := ef.config()
-		eCfg.HubReplication, eCfg.HubReplicas, eCfg.HubThreshold = *replicateHubs, *hubReplicas, *hubThreshold
+		eCfg.HubThreshold = *hubThreshold
 		var reg *metrics.Registry
 		if *ef.metrics {
 			reg = metrics.NewRegistry()

@@ -2,18 +2,6 @@ package dflow
 
 import "sort"
 
-// GroupKind distinguishes ordinary flow groups from the virtual groups hub
-// replication injects into a schedule: replica groups carry per-replica
-// partial state for one hub, and each combine group merges those partials
-// exactly once before the hub's dependents fire.
-type GroupKind int8
-
-const (
-	GroupFlows GroupKind = iota
-	GroupReplicas
-	GroupCombine
-)
-
 // Group is one scheduling unit: either a single flow or a set of flows that
 // form a dependency cycle and must execute as a whole (paper §V-A: "we
 // merge such dependency-flows and consider them as a whole
@@ -22,59 +10,6 @@ const (
 type Group struct {
 	Flows []int32
 	Level int
-	Kind  GroupKind
-}
-
-// CombineSpec describes the replica fan-out of one replicated hub vertex:
-// the flow that owns the hub (HomeFlow), the virtual flow ids of its
-// replicas, and the virtual flow id of the diffused-combine step. The ids
-// live outside the FlowGraph's id space — combine nodes are schedule-time
-// constructs, not persistent flow-graph nodes, so repartitioning never has
-// to migrate them.
-type CombineSpec struct {
-	HomeFlow int32
-	Replicas []int32
-	Combine  int32
-}
-
-// ScheduleWithCombines is Schedule plus hub replication: for every spec
-// whose home flow appears in the schedule, it appends a replica group at the
-// home flow's level and a combine group at the level band just above, so
-// replicas run concurrently with (and never after) their combine, and the
-// combine still precedes any dependent flow scheduled at deeper levels via
-// the engines' inbox activation. Specs whose home flow is not impacted are
-// skipped — their hubs received no traffic this batch.
-func ScheduleWithCombines(fg *FlowGraph, impacted []int32, specs []CombineSpec) []Group {
-	groups := Schedule(fg, impacted)
-	if len(specs) == 0 {
-		return groups
-	}
-	levelOf := make(map[int32]int, len(impacted))
-	for _, g := range groups {
-		for _, f := range g.Flows {
-			levelOf[f] = g.Level
-		}
-	}
-	added := false
-	for _, s := range specs {
-		l, ok := levelOf[s.HomeFlow]
-		if !ok {
-			continue
-		}
-		groups = append(groups,
-			Group{Flows: append([]int32(nil), s.Replicas...), Level: l, Kind: GroupReplicas},
-			Group{Flows: []int32{s.Combine}, Level: l + 1, Kind: GroupCombine})
-		added = true
-	}
-	if added {
-		sort.Slice(groups, func(i, j int) bool {
-			if groups[i].Level != groups[j].Level {
-				return groups[i].Level < groups[j].Level
-			}
-			return groups[i].Flows[0] < groups[j].Flows[0]
-		})
-	}
-	return groups
 }
 
 // Schedule computes the space-time dependent co-scheduling order for the

@@ -56,8 +56,7 @@ type Accumulative struct {
 }
 
 // accMsg is one component of a combined cross-flow delta: the receiver
-// folds x into component d of agg(v). The notifications that wake
-// hub-replication replica and combine units carry no delta.
+// folds x into component d of agg(v).
 type accMsg struct {
 	v uint32
 	d int32
@@ -101,7 +100,6 @@ func newAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Acc
 	}
 	e.forest = etree.NewForest(g, cfg.flowDirection())
 	e.repartition()
-	e.replicate(e.dim)
 	return e
 }
 
@@ -225,9 +223,6 @@ type accWorker struct {
 	// buffer for v's flow, or -1 when v has no pending delta.
 	out outbox[accMsg]
 	at  []int32
-	// id is the worker's index in the pool, used to pick which replica
-	// slab this worker's hub-bound deltas accumulate into.
-	id int
 	work
 }
 
@@ -240,7 +235,6 @@ func (e *Accumulative) newWorker(w int) unitWorker {
 	if aw == nil {
 		aw = &accWorker{
 			e:      e,
-			id:     w,
 			base:   make([]float64, e.dim),
 			newSt:  make([]float64, e.dim),
 			oldSt:  make([]float64, e.dim),
@@ -268,12 +262,6 @@ const roundsPerActivation = 2
 
 func (aw *accWorker) processUnit(u *unit) {
 	e := aw.e
-	if e.rs != nil {
-		if k, rep, combine, ok := e.rs.virtual(u.flow); ok {
-			aw.processVirtual(u, k, rep, combine)
-			return
-		}
-	}
 	aw.probe.SetPhase(cachesim.PhaseRecompute)
 	// Worklist carried over from a previous activation, then the seed
 	// vertices queued by the manager for this batch.
@@ -358,16 +346,6 @@ func (aw *accWorker) flush(level int) {
 // of a round) and reports whether v's contribution must be re-broadcast.
 func (aw *accWorker) recomputeVertex(v uint32) bool {
 	e := aw.e
-	if e.rs != nil {
-		// Pull-inside: a hub about to recompute folds everything its
-		// replicas hold, so its broadcast reflects all mass deposited so
-		// far — the pipeline's own drains then find empty slabs (benign).
-		if k := e.rs.slotOf(v); k >= 0 {
-			if e.rs.pullHub(int(k), func(d int, x float64) { e.agg.Add(v, d, x) }) {
-				e.dirty[v] = true
-			}
-		}
-	}
 	if e.dirty[v] {
 		e.dirty[v] = false
 		if e.profiled {
@@ -443,18 +421,6 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 			}
 			continue
 		}
-		if e.rs != nil {
-			// Cross-flow hub-bound: fold the delta into this worker's
-			// replica slab; the replica/combine chain hands the residual to
-			// the hub's flow later. Intra-flow pushes keep the direct path —
-			// they coalesce in this unit's next round anyway, and detouring
-			// them through the pipeline would fragment the hub's delta
-			// batching.
-			if k := e.rs.slotOf(w); k >= 0 {
-				aw.pushReplica(int(k), w, h.W)
-				continue
-			}
-		}
 		aw.combine(tf, w, h.W, u.flow)
 	}
 }
@@ -480,61 +446,4 @@ func (aw *accWorker) combine(tf int32, w uint32, edgeW float64, from int32) {
 	for d, x := range aw.diff {
 		entries[d].x += edgeW * x
 	}
-}
-
-// pushReplica accumulates one edge's delta vector into replica slab
-// (k, worker mod R) and batches a notification to the replica's virtual
-// flow. add-then-set: the dirty mark is taken only after the partials
-// land, so the replica drain can never miss a delta.
-func (aw *accWorker) pushReplica(k int, w uint32, edgeW float64) {
-	rs := aw.e.rs
-	rep := aw.id % rs.r
-	any := false
-	for d, x := range aw.diff {
-		if delta := edgeW * x; delta != 0 {
-			rs.addPartial(k, rep, d, delta)
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	aw.replicaMsgs++
-	if !rs.replicaDirtySwapSet(k, rep) {
-		b := aw.out.to(rs.replicaFlow(k, rep))
-		*b = append(*b, accMsg{v: w})
-	}
-}
-
-// processVirtual runs a replica or combine unit (hub replication). A
-// replica's inbox payloads are pure notifications — the data rides in the
-// atomic slabs — so each activation is one drain pass: clear the dirty
-// mark, swap the slots, forward. The combine sends the merged residual to
-// the hub's home flow as one message, which that flow folds like any other
-// cross-flow delta. Late arrivals re-activate through the unit state
-// machine.
-func (aw *accWorker) processVirtual(u *unit, k, rep int, combine bool) {
-	e := aw.e
-	rs := e.rs
-	if !combine {
-		aw.msgs = e.inboxes[rs.replicaFlow(k, rep)].drain(aw.msgs)
-		if rs.drainReplicaInto(k, rep) && !rs.combineDirtySwapSet(k) {
-			cf := rs.combineFlow(k)
-			e.inboxes[cf].put(accMsg{})
-			e.activateFlow(cf, u.level+1)
-		}
-		return
-	}
-	h := rs.hubs[k]
-	aw.msgs = e.inboxes[rs.combineFlow(k)].drain(aw.msgs)
-	residual := aw.msgs[:0]
-	if rs.drainCombine(k, func(d int, x float64) {
-		residual = append(residual, accMsg{v: h, d: int32(d), x: x})
-	}) {
-		aw.combines++
-		tf := e.part.Flow(h)
-		e.inboxes[tf].putAll(residual)
-		e.activateFlow(tf, u.level+1)
-	}
-	aw.msgs = residual[:0]
 }

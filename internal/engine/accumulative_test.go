@@ -136,8 +136,7 @@ func TestAccumulativeBackwardFlows(t *testing.T) {
 const aggTolerance = 1e-9
 
 // TestAccumulativeAggregateInvariant checks the state every batch must end
-// in, whatever the worker count and with hub replication off and on: for
-// every vertex v, agg(v) = Σ_{u→v} w_uv·lastUnit(u) recomputed from the
+// in, whatever the worker count, on a hub-skewed stream: for every vertex v, agg(v) = Σ_{u→v} w_uv·lastUnit(u) recomputed from the
 // graph; every inbox is drained; and every worker's combining outbox is
 // empty with its index cleared. A cross-flow delta that is lost, applied
 // twice, or left in a worker's outbox fails the first or the last check.
@@ -147,29 +146,19 @@ func TestAccumulativeAggregateInvariant(t *testing.T) {
 		mk   func(w gen.Workload) algo.Accumulative
 	}{{"PageRank", prAlg}, {"LP", lpAlg}}
 	for _, a := range algs {
-		for _, replicate := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 3, 4} {
-				name := fmt.Sprintf("%s/replicate=%v/w%d", a.name, replicate, workers)
-				t.Run(name, func(t *testing.T) {
-					w := fuzzBA(0xa66001, gen.StreamConfig{
-						InitialFraction: 0.6, DeleteRatio: 0.3, NumBatches: 5,
-					})
-					cfg := Config{Workers: workers, FlowCap: 16}
-					if replicate {
-						cfg = replicatedConfig(workers)
-					}
-					e := NewAccumulative(graph.FromEdges(w.NumV, w.Initial), a.mk(w), cfg)
-					checkAggInvariant(t, e, -1)
-					var replicaMsgs int64
-					for bi, b := range w.Batches {
-						replicaMsgs += e.ProcessBatch(b).ReplicaMsgs
-						checkAggInvariant(t, e, bi)
-					}
-					if replicate && replicaMsgs == 0 {
-						t.Fatal("hub replication never routed a delta: the replicated case is vacuous")
-					}
+		for _, workers := range []int{1, 2, 3, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", a.name, workers), func(t *testing.T) {
+				w := fuzzBA(0xa66001, gen.StreamConfig{
+					InitialFraction: 0.6, DeleteRatio: 0.3, NumBatches: 5,
 				})
-			}
+				cfg := Config{Workers: workers, FlowCap: 16}
+				e := NewAccumulative(graph.FromEdges(w.NumV, w.Initial), a.mk(w), cfg)
+				checkAggInvariant(t, e, -1)
+				for bi, b := range w.Batches {
+					e.ProcessBatch(b)
+					checkAggInvariant(t, e, bi)
+				}
+			})
 		}
 	}
 }

@@ -52,15 +52,13 @@ type unitWorker interface {
 }
 
 // work is one worker's share of a batch's work counters (BatchStats'
-// Relaxations, Pulls, CrossMsgs, ReplicaMsgs, Combines). Each worker counts
-// into its own with plain adds, and the driver sums them once the units
-// quiesce, so no counter is shared between workers.
+// Relaxations, Pulls, CrossMsgs). Each worker counts into its own with plain
+// adds, and the driver sums them once the units quiesce, so no counter is
+// shared between workers.
 type work struct {
 	relaxations int64 // edge relaxations / delta pushes / recomputes
 	pulls       int64
 	crossMsgs   int64
-	replicaMsgs int64
-	combines    int64
 }
 
 func (w *work) tally() *work { return w }
@@ -70,16 +68,13 @@ func (w *work) add(o *work) {
 	w.relaxations += o.relaxations
 	w.pulls += o.pulls
 	w.crossMsgs += o.crossMsgs
-	w.replicaMsgs += o.replicaMsgs
-	w.combines += o.combines
 	*o = work{}
 }
 
 // driver is processEdgeStream of Fig 10, once: validate, apply, maintain
 // the D-trees and the flow graph, identify the impacted flows, build the
-// space-time schedule, and run the units to quiescence — with cancellation,
-// hub-replication bookkeeping and phase stamping. The three engines embed
-// it and supply the kernel.
+// space-time schedule, and run the units to quiescence — with cancellation
+// and phase stamping. The three engines embed it and supply the kernel.
 type driver struct {
 	// G is the streaming graph the engine mutates batch by batch.
 	G   *graph.Streaming
@@ -111,12 +106,6 @@ type driver struct {
 	symm     Symmetrizer
 	pl       *wsPool
 
-	// rs is the hub-replication plan (nil unless Config.HubReplication and
-	// the kernel called replicate): hub-bound cross-flow traffic scatters
-	// over virtual replica units merged by a combine unit. See replicate.go.
-	rs      *replicaSet
-	specBuf []dflow.CombineSpec
-
 	// counts sums the batch's work: the manager's own (seeding) and every
 	// worker's tally once its step quiesces.
 	counts work
@@ -133,14 +122,6 @@ func (d *driver) init(g *graph.Streaming, cfg Config, k kernel, symmetric bool) 
 	_, d.profiled = d.probe.(*cachesim.Sim)
 	if cfg.HubThreshold > 0 {
 		g.SetHubThresholds(cfg.HubThreshold, 0)
-	}
-}
-
-// replicate builds the hub-replication plan when the config asks for one;
-// dim is the kernel's partial-sum dimension (0: it folds messages instead).
-func (d *driver) replicate(dim int) {
-	if d.cfg.HubReplication {
-		d.rs = newReplicaSet(d.G, d.part.NumFlows(), d.cfg.hubReplicas(), dim)
 	}
 }
 
@@ -228,8 +209,6 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 	st.Relaxations = d.counts.relaxations
 	st.Pulls = d.counts.pulls
 	st.CrossMsgs = d.counts.crossMsgs
-	st.ReplicaMsgs = d.counts.replicaMsgs
-	st.Combines = d.counts.combines
 	st.Total = time.Since(t0)
 	d.cfg.observe(&st)
 	return st
@@ -269,12 +248,7 @@ func (d *driver) step(ctx context.Context, batch graph.Batch, repartition bool, 
 
 	// (3) Identify what the updates invalidate, at D-tree cost.
 	t = time.Now()
-	nf := d.part.NumFlows()
-	if d.rs != nil {
-		d.rs.update(d.G, applied, nf)
-		st.ReplicatedHubs = len(d.rs.hubs)
-	}
-	d.resetSeeds(nf)
+	d.resetSeeds(d.part.NumFlows())
 	roots, trimmed := d.k.trim(applied)
 	st.TrimRoots += roots
 	st.Trimmed += trimmed
@@ -347,21 +321,16 @@ func (d *driver) seedVertex(v uint32) {
 }
 
 // converge builds the space-time schedule over the impacted flows (cyclic
-// groups merged, combine steps banded above their replicas) and runs the
-// units to quiescence, or until ctx cancels.
+// groups merged) and runs the units to quiescence, or until ctx cancels.
 func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchStats) {
 	t := time.Now()
 	flows := d.impacted.Members()
 	var groups []dflow.Group
-	switch {
-	case d.cfg.NoSCCMerge:
+	if d.cfg.NoSCCMerge {
 		for _, f := range flows {
 			groups = append(groups, dflow.Group{Flows: []int32{f}})
 		}
-	case d.rs != nil:
-		d.specBuf = d.rs.combineSpecs(d.part.Flow, d.specBuf)
-		groups = dflow.ScheduleWithCombines(d.fg, flows, d.specBuf)
-	default:
+	} else {
 		groups = dflow.Schedule(d.fg, flows)
 	}
 	maxLevel := 0
@@ -376,12 +345,7 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 		st.Levels = maxLevel + 1
 	}
 
-	// Virtual replica/combine flows get unit and inbox slots past the real
-	// flow ids.
 	n := d.part.NumFlows()
-	if d.rs != nil {
-		n = d.rs.numFlows()
-	}
 	d.units = d.units[:0]
 	if cap(d.unitOf) < n {
 		d.unitOf = make([]int32, n)
@@ -407,12 +371,7 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 	t = time.Now()
 	d.k.seed(applied, maxLevel)
 	for _, u := range d.units {
-		// Virtual replica/combine units are reactive: they run only when a
-		// hub-bound message lands, so the common no-traffic batch pays no
-		// dispatches for them.
-		if !d.virtual(u) {
-			d.pl.activate(u)
-		}
+		d.pl.activate(u)
 	}
 	nw := d.cfg.workers()
 	workers := make([]unitWorker, nw)
@@ -441,9 +400,6 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 // unitOf (activateFlow does so under unitsMu).
 func (d *driver) addUnit(f int32, level int) *unit {
 	u := &unit{id: int32(len(d.units)), flow: f, level: level}
-	if d.rs != nil {
-		u.pin = d.rs.pinFor(f, d.cfg.workers())
-	}
 	d.units = append(d.units, u)
 	return u
 }
@@ -461,10 +417,6 @@ func (d *driver) activateFlow(f int32, level int) {
 	d.unitsMu.Unlock()
 	d.pl.activate(u)
 }
-
-// virtual reports whether u is a hub-replication replica or combine unit:
-// their flow ids lie past the real flows.
-func (d *driver) virtual(u *unit) bool { return int(u.flow) >= d.part.NumFlows() }
 
 func (d *driver) traceWork(f int32, n int64) {
 	d.traceMu.Lock()

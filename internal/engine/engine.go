@@ -71,16 +71,6 @@ type Config struct {
 	// internal/oracle's mutation tests to prove the harness detects
 	// stale-value violations. Never set outside tests.
 	FaultSkipTrim bool
-	// HubReplication splits the state of hub vertices (those carrying an
-	// in-adjacency index, see graph.Streaming.InHub) into per-worker
-	// replicas holding partial aggregates, merged by a diffused-combine
-	// step scheduled one level band above the replicas. Closes the
-	// single-flow serialization bottleneck on power-law graphs (Rhizomes /
-	// Diffusions direction); ablation flag, off by default.
-	HubReplication bool
-	// HubReplicas is the number of replicas per hub (default: the worker
-	// count, so each worker owns at most one replica of a given hub).
-	HubReplicas int
 	// HubThreshold overrides the graph's hub-index build threshold
 	// (graph.Options.HubThreshold); 0 keeps the graph's current setting.
 	// The drop floor follows at a quarter of the build threshold.
@@ -108,13 +98,6 @@ func (c Config) flowDirection() etree.Direction {
 	return etree.Forward
 }
 
-func (c Config) hubReplicas() int {
-	if c.HubReplicas > 0 {
-		return c.HubReplicas
-	}
-	return c.workers()
-}
-
 // BatchStats reports what one ProcessBatch did.
 type BatchStats struct {
 	Applied     int // updates that took effect
@@ -129,13 +112,6 @@ type BatchStats struct {
 	Dispatches  int64 // scheduling units handed to workers
 	Steals      int64 // dispatches served from another worker's deque
 	SchedParks  int64 // scheduler idle waits during compute
-
-	// Hub replication (Config.HubReplication): hubs replicated this batch,
-	// messages routed to replicas instead of the home flow, and diffused
-	// combines that merged replica aggregates back.
-	ReplicatedHubs int
-	ReplicaMsgs    int64
-	Combines       int64
 
 	ApplyTime    time.Duration
 	MaintainTime time.Duration // D-tree + flow index maintenance (total)

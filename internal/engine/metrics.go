@@ -39,9 +39,6 @@ func (c Config) observe(st *BatchStats) {
 	r.Counter("sched.dispatches").Add(st.Dispatches)
 	r.Counter("sched.steals").Add(st.Steals)
 	r.Counter("sched.parks").Add(st.SchedParks)
-	r.Counter("replica.msgs").Add(st.ReplicaMsgs)
-	r.Counter("replica.combines").Add(st.Combines)
-	r.Gauge("replica.hubs").Set(float64(st.ReplicatedHubs))
 	r.Gauge("schedule.levels").Set(float64(st.Levels))
 	r.Gauge("schedule.impacted_flows").Set(float64(st.Impacted))
 }

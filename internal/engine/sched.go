@@ -48,19 +48,12 @@ const (
 	unitPending // running, with new work arrived
 )
 
-// unit is one scheduling unit: one flow (real, or a hub-replication
-// replica or combine) at its schedule level.
+// unit is one scheduling unit: one flow at its schedule level.
 type unit struct {
 	id    int32
 	flow  int32
 	level int
 	state atomic.Int32
-
-	// pin, when non-zero, pins the unit's home shard to (pin-1) mod workers
-	// instead of the id hash. Hub replication uses it to land the replicas
-	// of one hub on distinct workers' deques. 0 (the zero value) means
-	// unpinned.
-	pin int32
 
 	// enqueuedNs is the activation timestamp feeding the dispatch-wait
 	// histogram; written under the home shard's lock on push and read by
@@ -208,13 +201,8 @@ func newWSPool(workers int, waitHist *metrics.Histogram) *wsPool {
 
 // homeShard hashes a unit to its owning shard, spreading flows evenly so
 // external activations (the manager seeding a batch, cross-flow messages)
-// distribute load without knowing which goroutine sent them. Pinned units
-// (hub replicas and their combines) bypass the hash so replicas of one hub
-// land on distinct workers' deques.
+// distribute load without knowing which goroutine sent them.
 func (p *wsPool) homeShard(u *unit) *wsShard {
-	if u.pin != 0 {
-		return &p.shards[uint64(u.pin-1)%uint64(len(p.shards))]
-	}
 	return &p.shards[rng.Mix64(uint64(uint32(u.id)))%uint64(len(p.shards))]
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -365,144 +364,6 @@ func TestSchedConformMidRunSenderNeverLost(t *testing.T) {
 		}
 		if got := consumed.Load(); got != int64(producers*perProducer) {
 			t.Fatalf("consumed %d messages, want %d", got, producers*perProducer)
-		}
-	})
-}
-
-// TestSchedConformReplicaPinPlacement pins down the hub-replication
-// placement invariant: the replicas of one hub home to pairwise distinct
-// worker deques whenever workers >= replicas, for any hub identity (the
-// shard base is hub-derived), and unpinned units are untouched by the pin
-// machinery. Placement governs home deques only — stealing may still move
-// a replica, which is exactly why correctness never depends on it.
-func TestSchedConformReplicaPinPlacement(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 8} {
-		p := newWSPool(workers, nil)
-		for hub := uint32(0); hub < 64; hub++ {
-			rs := &replicaSet{nf: 5, r: workers, dim: 1, dimPad: slabPad,
-				hubs: []uint32{hub}, slot: make([]int32, hub+1)}
-			rs.slot[hub] = 0
-			rs.ensure()
-			seen := make(map[*wsShard]int32)
-			for rep := 0; rep < rs.r; rep++ {
-				f := rs.replicaFlow(0, rep)
-				u := &unit{id: f, pin: rs.pinFor(f, workers)}
-				if u.pin == 0 {
-					t.Fatalf("replica flow %d of hub %d got no pin", f, hub)
-				}
-				sh := p.homeShard(u)
-				if prev, dup := seen[sh]; dup {
-					t.Fatalf("hub %d workers=%d: replica flows %d and %d share a home deque",
-						hub, workers, prev, f)
-				}
-				seen[sh] = f
-			}
-			// The combine is pinned too (one deque past the replicas, so it
-			// wraps onto some worker) — just never unpinned.
-			cf := rs.combineFlow(0)
-			if rs.pinFor(cf, workers) == 0 {
-				t.Fatalf("combine flow %d of hub %d got no pin", cf, hub)
-			}
-			// Real flows stay unpinned.
-			if rs.pinFor(3, workers) != 0 {
-				t.Fatalf("real flow 3 got a pin")
-			}
-		}
-	}
-}
-
-// TestSchedConformCombineExactlyOnce drives the diffused-combine handoff
-// protocol (addPartial then replicaDirtySwapSet on the sending side,
-// clear-then-drain on the draining side) through the scheduler under a
-// steal storm: external senders race the replica and combine units, and at
-// quiescence every deposited delta must have been merged into the total
-// EXACTLY once — a lost notification strands mass (total < injected, or a
-// hang), a double drain duplicates it (total > injected).
-func TestSchedConformCombineExactlyOnce(t *testing.T) {
-	runConform(t, func(t *testing.T) {
-		const workers = 4
-		const senders = 4
-		const perSender = 3000
-
-		rs := &replicaSet{nf: 0, r: workers, dim: 1, dimPad: slabPad,
-			hubs: []uint32{0}, slot: []int32{0}}
-		rs.ensure()
-
-		units := make([]*unit, rs.r+1)
-		for i := range units {
-			f := int32(i)
-			units[i] = &unit{id: f, level: 0, pin: rs.pinFor(f, workers)}
-		}
-		combineUnit := units[rs.r]
-		combineUnit.level = 1 // one band above the replicas, as scheduled
-
-		var total uint64 // merged mass, atomic float64 bits
-		var combines atomic.Int64
-		p := newWSPool(workers, nil)
-		fn := func(_ int, u *unit) {
-			if int(u.id) == rs.r {
-				if rs.drainCombine(0, func(_ int, x float64) { addBits(&total, x) }) {
-					combines.Add(1)
-				}
-				return
-			}
-			if rs.drainReplicaInto(0, int(u.id)) && !rs.combineDirtySwapSet(0) {
-				p.activate(combineUnit)
-			}
-		}
-
-		var injected atomic.Int64
-		var wg sync.WaitGroup
-		sendersDone := make(chan struct{})
-		for s := 0; s < senders; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sr := rng.New(uint64(s+1) * 0x9E3779B97F4A7C15)
-				for i := 0; i < perSender; i++ {
-					rep := sr.Intn(rs.r)
-					injected.Add(1)
-					rs.addPartial(0, rep, 0, 1)
-					if !rs.replicaDirtySwapSet(0, rep) {
-						p.activate(units[rep])
-					}
-				}
-			}(s)
-		}
-		go func() { wg.Wait(); close(sendersDone) }()
-
-		merged := func() int64 {
-			return int64(math.Float64frombits(atomic.LoadUint64(&total)))
-		}
-		withDeadline(t, 60*time.Second, "combine protocol did not quiesce (lost notification)", func() {
-			for {
-				p.run(workers, fn)
-				select {
-				case <-sendersDone:
-					if merged() == injected.Load() {
-						return
-					}
-				default:
-				}
-			}
-		})
-		// Drain activations that landed after the previous run returned;
-		// the merged mass must not change (nothing left to merge twice).
-		p.run(workers, fn)
-
-		if got, want := merged(), injected.Load(); got != want {
-			t.Fatalf("merged %d of %d deposited deltas (exactly-once violated)", got, want)
-		}
-		for rep := 0; rep < rs.r; rep++ {
-			if rs.repDirty.get(uint32(rep)) {
-				t.Fatalf("replica %d quiesced dirty", rep)
-			}
-		}
-		if rs.combDirty.get(0) {
-			t.Fatal("combine quiesced dirty")
-		}
-		if combines.Load() == 0 {
-			t.Fatal("combine never merged anything")
 		}
 	})
 }

@@ -78,7 +78,6 @@ func newSelective(g *graph.Streaming, alg algo.Selective, cfg Config, vals []flo
 	for v, x := range vals {
 		e.vals.Set(uint32(v), x)
 	}
-	e.replicate(0)
 	return e
 }
 
@@ -165,7 +164,7 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 		}
 		cand := e.Alg.Propagate(e.vals.Get(uint32(u.Src)), u.W)
 		if e.trimmed.get(uint32(u.Dst)) || e.Alg.Better(cand, e.vals.Get(uint32(u.Dst))) {
-			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1, &e.counts)
+			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1)
 		}
 	}
 	if !e.cfg.TwoPhase {
@@ -181,9 +180,6 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 			mu.Unlock()
 		}()
 		for _, u := range units[lo:hi] {
-			if e.virtual(u) {
-				continue // replica/combine unit: nothing to refine
-			}
 			sw.refine(u)
 			// Hand the reset vertices to the recompute phase as forced seeds.
 			for _, v := range sw.wl {
@@ -195,21 +191,9 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 }
 
 // send delivers a cross-flow candidate for m.v and activates the receiving
-// unit at level. Hub-bound candidates scatter onto a replica chosen by the
-// sender instead of the home flow, so the fan-in folds across workers,
-// counted in the sender's w; it reports the receiving flow, or -1 for a
-// replica.
-func (e *Selective) send(m selMsg, level int, w *work) int32 {
+// unit at level; it reports the receiving flow.
+func (e *Selective) send(m selMsg, level int) int32 {
 	tf := e.part.Flow(m.v)
-	if e.rs != nil {
-		if k := e.rs.slotOf(m.v); k >= 0 {
-			tf = e.rs.replicaFlow(int(k), e.rs.routeOf(uint32(m.parent)))
-			w.replicaMsgs++
-			e.inboxes[tf].put(m)
-			e.activateFlow(tf, level)
-			return -1
-		}
-	}
 	e.inboxes[tf].put(m)
 	e.activateFlow(tf, level)
 	return tf
@@ -252,12 +236,6 @@ func (sw *selWorker) writeVal(v uint32, x float64) {
 // pull-inside/push-outside rule).
 func (sw *selWorker) processUnit(u *unit) {
 	e := sw.e
-	if e.rs != nil {
-		if k, rep, combine, ok := e.rs.virtual(u.flow); ok {
-			sw.processVirtual(u, k, rep, combine)
-			return
-		}
-	}
 	if !e.cfg.TwoPhase {
 		sw.refine(u)
 	}
@@ -372,49 +350,10 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 		// Cross-flow: send only when it could matter.
 		if e.trimmed.get(w) || e.Alg.Better(cand, sw.readVal(w)) {
 			sw.crossMsgs++
-			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1, &sw.work)
-			if tf >= 0 && e.trace != nil {
+			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1)
+			if e.trace != nil {
 				e.traceMsg(e.part.Flow(v), tf)
 			}
 		}
 	}
-}
-
-// processVirtual runs a replica or combine unit (hub replication). A
-// replica folds its inbox to the single best candidate for its hub — the
-// in-network min/max reduction — and forwards it to the combine; the
-// combine folds the replicas' candidates and forwards at most one message
-// into the hub's home flow, which stays the hub's only writer. Dropping
-// non-best candidates is exact for selection-based algorithms: a dropped
-// candidate is dominated by the forwarded one, and the trimmed-bit check
-// keeps refinement-triggering messages flowing even when no candidate
-// improves the (possibly about-to-be-reset) current value.
-func (sw *selWorker) processVirtual(u *unit, k, rep int, combine bool) {
-	e := sw.e
-	rs := e.rs
-	from := rs.combineFlow(k)
-	if !combine {
-		from = rs.replicaFlow(k, rep)
-	}
-	sw.buf = e.inboxes[from].drain(sw.buf)
-	if len(sw.buf) == 0 {
-		return
-	}
-	best := sw.buf[0]
-	for _, m := range sw.buf[1:] {
-		if e.Alg.Better(m.val, best.val) {
-			best = m
-		}
-	}
-	to := rs.combineFlow(k)
-	if combine {
-		sw.combines++
-		h := rs.hubs[k]
-		if !e.trimmed.get(h) && !e.Alg.Better(best.val, e.vals.Get(h)) {
-			return
-		}
-		to = e.part.Flow(h)
-	}
-	e.inboxes[to].put(best)
-	e.activateFlow(to, u.level+1)
 }

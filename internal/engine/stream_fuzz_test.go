@@ -41,6 +41,21 @@ func fuzzRMAT(seed uint64, sc gen.StreamConfig) gen.Workload {
 	return gen.BuildWorkload(numV, edges, sc)
 }
 
+// fuzzBA is fuzzRMAT's hub-skewed counterpart: Barabási–Albert growth
+// concentrates in-degree on a few vertices, so under a low hub threshold
+// several of them carry an in-adjacency hub index at test scale.
+func fuzzBA(seed uint64, sc gen.StreamConfig) gen.Workload {
+	r := rng.New(seed)
+	numV := 48 + r.Intn(48)
+	numE := numV * (4 + r.Intn(4))
+	cfg := gen.Config{Kind: gen.BA, NumV: numV, NumE: numE, Seed: seed,
+		MaxWeight: 1 + r.Intn(8)}
+	edges := gen.Generate(cfg)
+	sc.BatchSize = 24 + r.Intn(48)
+	sc.Seed = seed ^ 0xba5eba11
+	return gen.BuildWorkload(numV, edges, sc)
+}
+
 func fuzzShapes() []fuzzShape {
 	return []fuzzShape{
 		// Deletion-heavy: 80% of each batch tears edges out of a warm
@@ -64,15 +79,8 @@ func fuzzShapes() []fuzzShape {
 				NumBatches:      3,
 			})
 		}},
-		// Add/delete-interleaved: a balanced mix, with each batch's
-		// updates deterministically shuffled so additions and deletions
-		// alternate arbitrarily. Safe to reorder: BuildWorkload never
-		// adds and deletes the same vertex pair within one batch, and the
-		// same shuffled batch feeds both the engine and the oracle.
 		// Hub-skewed: Barabási–Albert growth concentrates in-degree on a
-		// few hubs, the topology that stresses the hub adjacency index and
-		// (when enabled) hub replication. Replication-on coverage of the
-		// same workloads lives in replicate_test.go and the oracle fuzzer.
+		// few hubs, the topology that stresses the hub adjacency index.
 		{"hub-skew", func(seed uint64) gen.Workload {
 			return fuzzBA(seed, gen.StreamConfig{
 				InitialFraction: 0.6,
@@ -80,6 +88,11 @@ func fuzzShapes() []fuzzShape {
 				NumBatches:      3,
 			})
 		}},
+		// Add/delete-interleaved: a balanced mix, with each batch's
+		// updates deterministically shuffled so additions and deletions
+		// alternate arbitrarily. Safe to reorder: BuildWorkload never
+		// adds and deletes the same vertex pair within one batch, and the
+		// same shuffled batch feeds both the engine and the oracle.
 		{"interleaved", func(seed uint64) gen.Workload {
 			w := fuzzRMAT(seed, gen.StreamConfig{
 				InitialFraction: 0.5,

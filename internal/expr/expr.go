@@ -37,13 +37,6 @@ type Scale struct {
 	// into the machine-readable perf trajectory (cmd/bench -json). Nil
 	// costs one pointer comparison per batch, like engine.Config.Metrics.
 	Rec *metrics.BatchRecorder `json:"-"`
-	// HubThreshold overrides the graph's hub-index build threshold for the
-	// figures that sweep hub behaviour (0 = graph default). Fig S7 uses it
-	// to pick the replication cutoff at capped scales.
-	HubThreshold int `json:"hub_threshold,omitempty"`
-	// HubReplicas is the per-hub replica count under replication
-	// (0 = one per worker, engine.Config.HubReplicas semantics).
-	HubReplicas int `json:"hub_replicas,omitempty"`
 }
 
 // registry returns the recorder's backing registry (nil when metrics are

@@ -146,12 +146,12 @@ func TestAblations(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"table1", "4a", "4b", "11", "12", "13", "14a", "14b", "15a", "15b", "16", "17", "s7", "replication"} {
+	for _, id := range []string{"table1", "4a", "4b", "11", "12", "13", "14a", "14b", "15a", "15b", "16", "17"} {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("ByID(%q) missing", id)
 		}
 	}
-	for _, id := range []string{"99", "s1", "s2", "s3", "s4", "s5", "s6", "s8"} {
+	for _, id := range []string{"99", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "replication", "s8"} {
 		if _, ok := ByID(id); ok {
 			t.Fatalf("ByID accepted %q", id)
 		}

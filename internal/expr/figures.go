@@ -438,7 +438,6 @@ func All(sc Scale) []Table {
 	return []Table{
 		Table1(sc), Fig4a(sc), Fig4b(sc), Fig11(sc), Fig12(sc), Fig13(sc),
 		Fig14a(sc), Fig14b(sc), Fig15a(sc), Fig15b(sc), Fig16(sc), Fig17(sc),
-		FigS7(sc),
 	}
 }
 
@@ -470,8 +469,6 @@ func ByID(id string) (func(Scale) Table, bool) {
 		return Fig16, true
 	case "17":
 		return Fig17, true
-	case "s7", "replication":
-		return FigS7, true
 	}
 	return nil, false
 }

@@ -212,11 +212,6 @@ func (g *Streaming) SetHubThresholds(build, drop int) {
 	retune(g.in, g.inIdx)
 }
 
-// InHub reports whether v currently carries an in-adjacency hub index —
-// the signal the engines use to decide which vertices to replicate. Always
-// false when hub indexing is disabled.
-func (g *Streaming) InHub(v VertexID) bool { return g.inIdx[v] != nil }
-
 // NumVertices returns N.
 func (g *Streaming) NumVertices() int { return len(g.out) }
 

@@ -13,7 +13,7 @@ func TestOptionsThresholds(t *testing.T) {
 	for i := VertexID(1); i <= 7; i++ {
 		g.AddEdge(Edge{Src: 0, Dst: i, W: 1})
 	}
-	if g.InHub(1) {
+	if g.inIdx[1] != nil {
 		t.Fatal("vertex 1 (in-degree 1) reported as hub")
 	}
 	if g.outIdx[0] != nil {
@@ -40,17 +40,17 @@ func TestOptionsThresholds(t *testing.T) {
 }
 
 // TestSetHubThresholds retunes a live graph and checks indexes are rebuilt
-// or shed to match the new band, and that InHub tracks the in-index.
+// or shed to match the new band, in-index included.
 func TestSetHubThresholds(t *testing.T) {
 	g := NewStreaming(64)
 	for i := VertexID(1); i <= 16; i++ {
 		g.AddEdge(Edge{Src: i, Dst: 0, W: 1}) // vertex 0: in-degree 16
 	}
-	if g.InHub(0) {
+	if g.inIdx[0] != nil {
 		t.Fatal("in-degree 16 is a hub at default threshold 64")
 	}
 	g.SetHubThresholds(8, 0)
-	if !g.InHub(0) {
+	if g.inIdx[0] == nil {
 		t.Fatal("in-degree 16 not a hub after retuning to 8")
 	}
 	if err := g.Validate(); err != nil {
@@ -59,7 +59,7 @@ func TestSetHubThresholds(t *testing.T) {
 	// Raising the band far above current degrees sheds the index again
 	// (16 < drop floor 64/4).
 	g.SetHubThresholds(256, 0)
-	if g.InHub(0) {
+	if g.inIdx[0] != nil {
 		t.Fatal("index survived a retune far above its degree")
 	}
 	if err := g.Validate(); err != nil {
@@ -78,8 +78,8 @@ func TestSetHubThresholdsDenseOff(t *testing.T) {
 		g.AddEdge(Edge{Src: i, Dst: 0, W: 1})
 	}
 	g.SetHubThresholds(4, 0)
-	if g.InHub(0) {
-		t.Fatal("InHub true with hub indexing disabled")
+	if g.inIdx[0] != nil {
+		t.Fatal("in-index built with hub indexing disabled")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

@@ -147,10 +147,10 @@ func load(path string) (expr.Report, error) {
 
 // identityCols are numeric columns that configure a row rather than
 // measure it; they join the label cells in rowKey so a figure's sweep rows
-// (workers in S7, nodes in 16, cores in 17, deletion share in 14a, batch
-// size in 14b/15b, flow cap in ablation A1) don't collapse into one key.
+// (nodes in 16, cores in 17, deletion share in 14a, batch size in
+// 14b/15b, flow cap in ablation A1) don't collapse into one key.
 var identityCols = map[string]bool{
-	"Workers": true, "Nodes": true, "Cores": true,
+	"Nodes": true, "Cores": true,
 	"Deletions": true, "BatchSize": true, "FlowCap": true,
 }
 

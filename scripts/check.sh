@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, build, vet, race-enabled tests, ten
 # race-enabled runs of the unit-scheduler conformance suite, five of the
-# accumulative-kernel and replication tests (the owner-write handoff), the
-# nested benchmark module (vet, tests, smoke run), a seeded WAL crash-recovery
-# smoke, the consistency-oracle smoke and the hub-replication fuzz smoke
-# (both bit-exact over 1, 3 and 4 workers), a durable-CLI recovery smoke
+# accumulative-kernel tests (the owner-write handoff), the nested benchmark
+# module (vet, tests, smoke run), a seeded WAL crash-recovery smoke, the
+# consistency-oracle smoke and the hub-skew fuzz smoke (both bit-exact over
+# 1, 3 and 4 workers), a durable-CLI recovery smoke
 # per durable family, a multi-process kill -9 smoke of the distributed
 # runtime, a 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages)
@@ -12,11 +12,11 @@
 # stay removed, a graphfly serve smoke at -snapshot-every 4 and 1
 # (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
 # at 1 every batch starts a background WAL snapshot), serving-chaos and
-# degraded-mode smokes, a bench smoke (Fig 11 + Fig S7) that emits and
+# degraded-mode smokes, a bench smoke (Fig 11) that emits and
 # schema-validates the machine-readable report, one iteration of the
 # flow-derivation microbenchmark (what engine construction, restore and a
-# D-tree rebuild pay), the Fig S7 replication gates and the alloc gate
-# against the committed BENCH_graphfly.json; ends by printing the repo's
+# D-tree rebuild pay) and the alloc gate against the committed
+# BENCH_graphfly.json; ends by printing the repo's
 # size (non-test Go lines, CLI flags). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,7 +42,7 @@ echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff prot
 go test -race -count=10 -run '^TestSchedConform' ./internal/engine
 
 echo "== accumulative ownership handoff (-race, 5 runs: plain owner writes ordered by the unit state machine) =="
-go test -race -count=5 -run 'Accumulative|PageRankEquivalence|Replication' ./internal/engine
+go test -race -count=5 -run 'Accumulative|PageRankEquivalence' ./internal/engine
 
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
 # ./... above stops at the nested module, so an engine/wal/serve API change
@@ -56,8 +56,8 @@ go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
 echo "== consistency-oracle smoke (seeded stream x engines, bit-exact over 1/3/4 workers) =="
 go test -race -run 'TestOracleSmoke' -count=1 ./internal/oracle
 
-echo "== hub-replication fuzz smoke (BA skew, replication on/off, bit-exact over 1/3/4 workers) =="
-go test -race -run 'TestFuzzHubSkewReplication' -count=1 ./internal/oracle
+echo "== hub-skew fuzz smoke (BA skew, low hub threshold, bit-exact over 1/3/4 workers) =="
+go test -race -run 'TestFuzzHubSkew' -count=1 ./internal/oracle
 
 echo "== durable CLI smoke (WAL write, then recovery resume) =="
 waltmp=$(mktemp -d)
@@ -89,7 +89,7 @@ go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
 echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; 5 s) =="
 go test -run '^$' -fuzz '^FuzzHubAdjacency$' -fuzztime 5s ./internal/graph
 
-echo "== removed flags and figures (one binary, one runtime, one scheduler, one batch path, one link timing) =="
+echo "== removed flags and figures (one binary, one runtime, one scheduler, one batch path, one link timing, no hub replication) =="
 flagtmp=$(mktemp -d)
 go build -o "$flagtmp/graphfly" ./cmd/graphfly
 go build -o "$flagtmp/bench" ./cmd/bench
@@ -123,6 +123,12 @@ expect_unknown_flag clusterDir "$flagtmp/graphfly" -clusterDir x
 expect_unknown_flag workerBin "$flagtmp/graphfly" -workerBin x
 expect_unknown_flag client "$flagtmp/graphfly" query -client ingest
 expect_unknown_flag quiet "$flagtmp/graphfly" worker -quiet
+# retired with hub replication (graphfly's -hub-threshold stays: it tunes
+# the adjacency hub index)
+expect_unknown_flag replicate-hubs "$flagtmp/graphfly" -replicate-hubs
+expect_unknown_flag hub-replicas "$flagtmp/graphfly" -hub-replicas 2
+expect_unknown_flag hub-replicas "$flagtmp/bench" -hub-replicas 2
+expect_unknown_flag hub-threshold "$flagtmp/bench" -hub-threshold 16
 expect_exit2() { # $1 = stderr pattern, $2... = command
     local want=$1 rc=0
     shift
@@ -134,6 +140,7 @@ expect_exit2() { # $1 = stderr pattern, $2... = command
     fi
 }
 expect_exit2 'unknown figure' "$flagtmp/bench" -fig s2
+expect_exit2 'unknown figure' "$flagtmp/bench" -fig s7
 expect_exit2 'unknown subcommand' "$flagtmp/graphfly" graphflyd
 rm -rf "$flagtmp"
 
@@ -279,26 +286,12 @@ trap 'rm -rf "$benchtmp"' EXIT
 # Figure set, scale and GOMAXPROCS must match the committed
 # BENCH_graphfly.json (recorded at gomaxprocs 1) so the alloc gate below
 # compares like with like: allocs/batch grows with the worker count.
-GOMAXPROCS=1 go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
+GOMAXPROCS=1 go run ./cmd/bench -json -fig 11 -edgecap 8000 -batch 500 -batches 2 \
     -out "$benchtmp/BENCH_graphfly.json" > "$benchtmp/bench.out"
 go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
 
 echo "== flow-derivation microbenchmark smoke (one iteration, so it cannot rot) =="
 go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
-
-echo "== hub-replication figure smoke (Fig S7: replica counters engage on BA) =="
-# The BA rows must actually replicate (hubs and routed replica messages
-# both nonzero) while the uniform control must stay hub-free.
-if ! awk '$1 == "BA" && $(NF-2) > 0 && $(NF-1) > 0 { found = 1 } END { exit !found }' "$benchtmp/bench.out"; then
-    echo "Fig S7: no BA row reports replicated hubs with replica traffic" >&2
-    cat "$benchtmp/bench.out" >&2
-    exit 1
-fi
-if awk '$1 == "ER-uniform" && $(NF-2) > 0 { exit 1 }' "$benchtmp/bench.out"; then :; else
-    echo "Fig S7: uniform control unexpectedly replicated hubs" >&2
-    cat "$benchtmp/bench.out" >&2
-    exit 1
-fi
 
 echo "== alloc gate (fresh smoke vs committed BENCH_graphfly.json) =="
 go run ./scripts/benchdiff -allocgate BENCH_graphfly.json "$benchtmp/BENCH_graphfly.json"
