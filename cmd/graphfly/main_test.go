@@ -223,6 +223,9 @@ func TestBadInputExits2(t *testing.T) {
 		{"serve", "-algo", "PageRank", "-waldir", filepath.Join(dir, "s3")},
 		{"bogus"},
 		{"query", "bogus"},
+		{"query", "ingest", "-first-batch", "-1"},
+		{"query", "topk", "-k", "0"},
+		{"query", "topk", "-k", "-3"},
 		{"-wal"},
 		{"-clusterDir", dir},
 		{"-workerBin", bin},

@@ -100,6 +100,10 @@ func queryCmd() (*flag.FlagSet, func()) {
 			usagef("unknown op %q (want ingest, get, topk, stat, watch, or dump)", op)
 		} else if fs.NArg() > 0 {
 			usagef("unexpected argument %q", fs.Arg(0))
+		} else if *firstBatch < 0 {
+			usagef("-first-batch %d is negative", *firstBatch)
+		} else if *topk < 1 {
+			usagef("-k %d is below 1", *topk)
 		}
 		usage(wl.check())
 		role := serve.RoleQuery

@@ -50,9 +50,6 @@ type Accumulative struct {
 
 	forest  *etree.Forest
 	inboxes []inbox[accMsg]
-	// workers are kept across batches with their combining index; release
-	// drops their buffers at the end of each step.
-	workers []*accWorker
 }
 
 // accMsg is one component of a combined cross-flow delta: the receiver
@@ -90,7 +87,6 @@ func newAccumulative(g *graph.Streaming, alg algo.Accumulative, cfg Config) *Acc
 		outW:     make([]float64, n),
 		dirty:    make([]bool, n),
 		needPush: make([]bool, n),
-		workers:  make([]*accWorker, cfg.workers()),
 	}
 	e.init(g, cfg, e, alg.Symmetric())
 	for v := 0; v < n; v++ {
@@ -182,18 +178,17 @@ func (e *Accumulative) trim(applied graph.Batch) (roots, trimmed int) {
 func (e *Accumulative) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
 // release drops the step's message buffers once its units quiesce: the
-// inboxes' and the retained workers' outboxes, drain buffers and worklists.
-// They grow back within the next step, so a flush reuses its buffers but
-// the heap holds none of them between batches. The combining index stays.
+// inboxes' and the workers' outboxes, drain buffers and worklists. They
+// grow back within the next step, so a flush reuses its buffers but the
+// heap holds none of them between batches. The combining index stays.
 func (e *Accumulative) release() {
 	for i := range e.inboxes {
 		e.inboxes[i].release()
 	}
-	for _, aw := range e.workers {
-		if aw != nil {
-			aw.out.release()
-			aw.msgs, aw.wl, aw.next, aw.pushers = nil, nil, nil, nil
-		}
+	for _, w := range e.workers {
+		aw := w.(*accWorker)
+		aw.out.release()
+		aw.msgs, aw.wl, aw.next, aw.pushers = nil, nil, nil, nil
 	}
 }
 
@@ -205,7 +200,6 @@ func (e *Accumulative) seed(graph.Batch, int) {}
 
 type accWorker struct {
 	e       *Accumulative
-	probe   cachesim.Probe
 	wl      []uint32
 	next    []uint32
 	pushers []uint32
@@ -226,30 +220,30 @@ type accWorker struct {
 	work
 }
 
-// newWorker returns worker w's retained state, building it on first use;
-// workers call it concurrently, each for its own w. The probe is forked
-// afresh every batch, as for the per-batch workers of the other kernels,
-// so the cache model sees the same cold private caches.
-func (e *Accumulative) newWorker(w int) unitWorker {
-	aw := e.workers[w]
-	if aw == nil {
-		aw = &accWorker{
-			e:      e,
-			base:   make([]float64, e.dim),
-			newSt:  make([]float64, e.dim),
-			oldSt:  make([]float64, e.dim),
-			newU:   make([]float64, e.dim),
-			oldU:   make([]float64, e.dim),
-			diff:   make([]float64, e.dim),
-			aggBuf: make([]float64, e.dim),
-			at:     make([]int32, e.G.NumVertices()),
-		}
-		for i := range aw.at {
-			aw.at[i] = -1
-		}
-		e.workers[w] = aw
+// newWorker builds a worker. Its seven scratch vectors share one
+// allocation with a cache line of padding at each end: the driver builds
+// every worker on one goroutine, and as separate small allocations two
+// workers' vectors would sit side by side, on shared cache lines that
+// both write on every push.
+func (e *Accumulative) newWorker(int) unitWorker {
+	const pad = 8 // float64s in a 64-byte cache line
+	k := e.dim
+	s := make([]float64, pad+7*k+pad)[pad:]
+	vec := func(i int) []float64 { return s[i*k : (i+1)*k : (i+1)*k] }
+	aw := &accWorker{
+		e:      e,
+		base:   vec(0),
+		newSt:  vec(1),
+		oldSt:  vec(2),
+		newU:   vec(3),
+		oldU:   vec(4),
+		diff:   vec(5),
+		aggBuf: vec(6),
+		at:     make([]int32, e.G.NumVertices()),
 	}
-	aw.probe = e.probe.Fork()
+	for i := range aw.at {
+		aw.at[i] = -1
+	}
 	return aw
 }
 

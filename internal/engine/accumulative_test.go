@@ -193,10 +193,8 @@ func checkAggInvariant(t *testing.T, e *Accumulative, batch int) {
 			t.Fatalf("batch %d: inbox of flow %d not drained", batch, f)
 		}
 	}
-	for wi, aw := range e.workers {
-		if aw == nil {
-			continue
-		}
+	for wi, w := range e.workers {
+		aw := w.(*accWorker)
 		if len(aw.out.touched) > 0 {
 			t.Fatalf("batch %d: worker %d outbox holds messages for flows %v", batch, wi, aw.out.touched)
 		}

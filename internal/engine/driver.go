@@ -39,7 +39,8 @@ type kernel interface {
 	// seed posts a step's initial messages once units and inboxes exist;
 	// flows outside the schedule join it at maxLevel+1 (activateFlow).
 	seed(applied graph.Batch, maxLevel int)
-	// newWorker builds the private state of scheduler worker w.
+	// newWorker builds the private state of scheduler worker w. The driver
+	// calls it once per worker and keeps the result across batches.
 	newWorker(w int) unitWorker
 }
 
@@ -51,11 +52,14 @@ type unitWorker interface {
 	tally() *work
 }
 
-// work is one worker's share of a batch's work counters (BatchStats'
-// Relaxations, Pulls, CrossMsgs). Each worker counts into its own with plain
-// adds, and the driver sums them once the units quiesce, so no counter is
-// shared between workers.
+// work is what a worker holds for one step only: the cache probe the
+// driver forks for it before the step's units run, so the model sees cold
+// private caches every batch, and its share of the batch's work counters
+// (BatchStats' Relaxations, Pulls, CrossMsgs). Each worker counts into its
+// own with plain adds, and the driver sums them once the units quiesce, so
+// no counter is shared between workers.
 type work struct {
+	probe       cachesim.Probe
 	relaxations int64 // edge relaxations / delta pushes / recomputes
 	pulls       int64
 	crossMsgs   int64
@@ -63,12 +67,12 @@ type work struct {
 
 func (w *work) tally() *work { return w }
 
-// add moves o's counts into w and zeroes o.
+// add moves o's counts into w and zeroes them in o.
 func (w *work) add(o *work) {
 	w.relaxations += o.relaxations
 	w.pulls += o.pulls
 	w.crossMsgs += o.crossMsgs
-	*o = work{}
+	o.relaxations, o.pulls, o.crossMsgs = 0, 0, 0
 }
 
 // driver is processEdgeStream of Fig 10, once: validate, apply, maintain
@@ -80,6 +84,9 @@ type driver struct {
 	G   *graph.Streaming
 	cfg Config
 	k   kernel
+	// workers are the kernel's state for each scheduler worker, built once
+	// and kept across batches.
+	workers []unitWorker
 	// plan, when non-nil, splits a batch into steps that are applied and
 	// converged one after another (Local); nil means the batch is one step.
 	plan      func(graph.Batch) []graph.Batch
@@ -106,8 +113,8 @@ type driver struct {
 	symm     Symmetrizer
 	pl       *wsPool
 
-	// counts sums the batch's work: the manager's own (seeding) and every
-	// worker's tally once its step quiesces.
+	// counts sums the batch's work: every worker's tally once its step
+	// quiesces.
 	counts work
 
 	trace   *WorkTrace
@@ -122,6 +129,10 @@ func (d *driver) init(g *graph.Streaming, cfg Config, k kernel, symmetric bool) 
 	_, d.profiled = d.probe.(*cachesim.Sim)
 	if cfg.HubThreshold > 0 {
 		g.SetHubThresholds(cfg.HubThreshold, 0)
+	}
+	d.workers = make([]unitWorker, cfg.workers())
+	for w := range d.workers {
+		d.workers[w] = k.newWorker(w)
 	}
 }
 
@@ -370,24 +381,18 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 
 	t = time.Now()
 	d.k.seed(applied, maxLevel)
+	for _, w := range d.workers {
+		w.tally().probe = d.probe.Fork()
+	}
 	for _, u := range d.units {
 		d.pl.activate(u)
 	}
-	nw := d.cfg.workers()
-	workers := make([]unitWorker, nw)
 	stopWatch := watchCancel(ctx, d.pl)
-	d.pl.run(nw, func(w int, u *unit) {
-		if workers[w] == nil {
-			workers[w] = d.k.newWorker(w)
-		}
-		workers[w].processUnit(u)
-	})
+	d.pl.run(len(d.workers), func(w int, u *unit) { d.workers[w].processUnit(u) })
 	stopWatch()
 	d.k.release()
-	for _, w := range workers {
-		if w != nil {
-			d.counts.add(w.tally())
-		}
+	for _, w := range d.workers {
+		d.counts.add(w.tally())
 	}
 	ss := d.pl.stats()
 	st.Dispatches += ss.Dispatches
@@ -458,8 +463,9 @@ func resizeInboxes[T any](in []inbox[T], n int) []inbox[T] {
 }
 
 // outbox batches one worker's cross-flow messages per target flow. It is
-// flushed at a unit's yield and before the unit goes idle, so one inbox lock
-// and one scheduler activation cover many messages instead of one each.
+// flushed after each of a unit's rounds (at the latest before the unit goes
+// idle or yields), so one inbox lock and one scheduler activation cover
+// many messages instead of one each.
 // Targets are delivered in the order they were first touched, which keeps a
 // one-worker run deterministic. The buffers keep their capacity from flush
 // to flush until release.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -140,6 +141,106 @@ func TestDriverConformance(t *testing.T) {
 	}
 }
 
+// TestQuiescenceInvariant holds every kernel to the state a batch must end
+// in (DESIGN.md §4.15), after every batch and whatever the worker count:
+// every inbox is empty, no worker's outbox holds a message or a touched
+// target, and every unit of the last step is idle. A message flushed after
+// its receiver went idle, or left buffered on a sender, fails here.
+func TestQuiescenceInvariant(t *testing.T) {
+	w := fuzzBA(0x9e1, gen.StreamConfig{InitialFraction: 0.6, DeleteRatio: 0.3, NumBatches: 5})
+	kinds := []struct {
+		name  string
+		build func(cfg Config) *driver
+	}{
+		{"SSSP", func(cfg Config) *driver {
+			return &NewSelective(graph.FromEdges(w.NumV, w.Initial), algo.SSSP{Src: 0}, cfg).driver
+		}},
+		{"CC", func(cfg Config) *driver {
+			return &NewSelective(graph.FromEdges(w.NumV, mirrored(w.Initial)), algo.CC{}, cfg).driver
+		}},
+		{"PageRank", func(cfg Config) *driver {
+			return &NewAccumulative(graph.FromEdges(w.NumV, w.Initial), algo.NewPageRank(w.NumV), cfg).driver
+		}},
+		{"kCore", func(cfg Config) *driver {
+			return &NewLocal(graph.FromEdges(w.NumV, mirrored(w.Initial)), algo.KCore{}, cfg).driver
+		}},
+	}
+	for _, k := range kinds {
+		for _, workers := range []int{1, 3, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", k.name, workers), func(t *testing.T) {
+				d := k.build(Config{Workers: workers, FlowCap: 16})
+				if len(d.workers) != workers {
+					t.Fatalf("driver keeps %d workers, want %d", len(d.workers), workers)
+				}
+				var msgs int64
+				for bi, b := range w.Batches {
+					msgs += d.ProcessBatch(b).CrossMsgs
+					checkQuiescent(t, d, bi)
+				}
+				if msgs == 0 {
+					t.Fatal("the stream sent no cross-flow message: nothing was checked")
+				}
+			})
+		}
+	}
+}
+
+func checkQuiescent(t *testing.T, d *driver, batch int) {
+	t.Helper()
+	var full int
+	switch e := d.k.(type) {
+	case *Selective:
+		full = undrained(e.inboxes)
+	case *Accumulative:
+		full = undrained(e.inboxes)
+	case *Local:
+		full = undrained(e.inboxes)
+	}
+	if full >= 0 {
+		t.Fatalf("batch %d: inbox of flow %d not drained", batch, full)
+	}
+	for wi, w := range d.workers {
+		var pending []int32
+		switch w := w.(type) {
+		case *selWorker:
+			pending = w.out.pending()
+		case *accWorker:
+			pending = w.out.pending()
+		case *localWorker:
+			pending = w.out.pending()
+		}
+		if len(pending) > 0 {
+			t.Fatalf("batch %d: worker %d outbox holds messages for flows %v", batch, wi, pending)
+		}
+	}
+	for _, u := range d.units {
+		if s := u.state.Load(); s != unitIdle {
+			t.Fatalf("batch %d: unit of flow %d ended in state %d", batch, u.flow, s)
+		}
+	}
+}
+
+// undrained returns the first flow whose inbox holds a message, or -1.
+func undrained[T any](in []inbox[T]) int {
+	for f := range in {
+		if !in[f].empty() {
+			return f
+		}
+	}
+	return -1
+}
+
+// pending lists the touched targets and the targets with buffered messages.
+func (o *outbox[T]) pending() []int32 {
+	fs := slices.Clone(o.touched)
+	for f, b := range o.bufs {
+		if len(b) > 0 {
+			fs = append(fs, int32(f))
+		}
+	}
+	return fs
+}
+
 // cancelAfterChecks is a context that reports itself canceled from the
 // (live+1)th Err call on: with live = 1 it passes the driver's entry check
 // and reads as canceled from then on — a deterministic cancellation inside
@@ -169,16 +270,21 @@ func workOf(st BatchStats) goldenWork {
 
 // goldenCounters were captured at the commit before the batch driver was
 // extracted (fc77b1b, per-engine drivers), on the stream and configuration
-// TestGoldenWorkCounters builds.
+// TestGoldenWorkCounters builds. Two families were re-captured when the
+// inbox lost its round-robin shards, in the last two columns only: the
+// one-lock inbox drains in put order, which changes the order messages are
+// applied in, and with it pushes and cross-flow messages. For SSSP that
+// moved the last three rows; for kCore all seven, whose earlier goldens
+// came from a local worker that flushed in map order.
 var goldenCounters = map[string][]goldenWork{
 	"SSSP": {
 		{145, 8, 18, 2, 1, 1, 61, 231, 2},
 		{149, 11, 72, 6, 1, 1, 461, 431, 36},
 		{148, 8, 10, 4, 1, 1, 8, 78, 0},
 		{146, 5, 14, 5, 1, 1, 78, 273, 17},
-		{148, 7, 19, 6, 1, 1, 74, 244, 18},
-		{148, 6, 11, 5, 1, 1, 15, 258, 10},
-		{146, 5, 16, 5, 1, 1, 70, 142, 4},
+		{148, 7, 19, 6, 1, 1, 74, 220, 13},
+		{148, 6, 11, 5, 1, 1, 15, 266, 10},
+		{146, 5, 16, 5, 1, 1, 70, 143, 4},
 	},
 	"PageRank": {
 		{145, 0, 145, 8, 1, 1, 0, 54526, 4540},
@@ -190,13 +296,13 @@ var goldenCounters = map[string][]goldenWork{
 		{146, 0, 146, 8, 1, 1, 0, 71535, 5012},
 	},
 	"kCore": {
-		{260, 0, 1167, 251, 91, 1, 0, 16235, 12146},
-		{272, 0, 1211, 284, 93, 1, 0, 15523, 11613},
-		{258, 0, 1149, 266, 88, 1, 0, 15924, 11711},
-		{252, 0, 1456, 290, 86, 1, 0, 21645, 15549},
-		{272, 0, 1226, 282, 94, 1, 0, 16282, 11905},
-		{268, 0, 1242, 247, 94, 1, 0, 16558, 12007},
-		{252, 0, 981, 285, 86, 1, 0, 13364, 10281},
+		{260, 0, 1167, 251, 91, 1, 0, 16053, 12104},
+		{272, 0, 1211, 284, 93, 1, 0, 15398, 11644},
+		{258, 0, 1149, 266, 88, 1, 0, 15735, 11709},
+		{252, 0, 1456, 290, 86, 1, 0, 21404, 15659},
+		{272, 0, 1226, 282, 94, 1, 0, 16104, 11900},
+		{268, 0, 1242, 247, 94, 1, 0, 16398, 12010},
+		{252, 0, 981, 285, 86, 1, 0, 13216, 10280},
 	},
 }
 
@@ -205,11 +311,10 @@ var goldenCounters = map[string][]goldenWork{
 // per-batch work counters equal those the per-engine drivers produced.
 // RepartitionEvery 3 puts two periodic flow rebuilds inside the stream.
 //
-// Every kernel now flushes its cross-flow messages in first-touched target
-// order, so a one-worker run is deterministic and SSSP and PageRank are
-// held exact. The kCore goldens were captured when the local worker flushed
-// in map order, which made its push and message counts vary by up to 2 %
-// from run to run; those two columns keep 5 % slack for kCore only.
+// Every kernel buffers its cross-flow messages in an ordered outbox and
+// flushes them in first-touched target order, and an inbox drains in put
+// order, so a one-worker run is deterministic and every family is held
+// exact.
 func TestGoldenWorkCounters(t *testing.T) {
 	ds := gen.TestDataset(4242)
 	w := gen.BuildWorkload(ds.NumV, gen.Generate(ds), gen.StreamConfig{
@@ -224,15 +329,8 @@ func TestGoldenWorkCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, want := workOf(st), goldenCounters[f.name][i]
-				for c := range got {
-					slack := int64(0)
-					if c >= 7 && f.name == "kCore" {
-						slack = want[c] / 20
-					}
-					if d := got[c] - want[c]; d < -slack || d > slack {
-						t.Errorf("batch %d counter %d: got %d, want %d (±%d); all: %v vs %v",
-							i, c, got[c], want[c], slack, got, want)
-					}
+				if got != want {
+					t.Errorf("batch %d: got %v, want %v", i, got, want)
 				}
 			}
 		})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 	"testing"
 )
@@ -11,21 +10,20 @@ func TestInboxPutDrain(t *testing.T) {
 	if !b.empty() {
 		t.Fatal("fresh inbox not empty")
 	}
-	b.put(1)
-	b.put(2)
+	b.putAll([]int{1})
+	b.putAll([]int{2})
 	if b.empty() {
 		t.Fatal("inbox with messages reported empty")
 	}
 	got := b.drain(nil)
-	sort.Ints(got) // cross-shard drain order is unspecified
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("drain = %v", got)
+		t.Fatalf("drain = %v, want put order [1 2]", got)
 	}
 	if !b.empty() {
 		t.Fatal("drain did not clear the inbox")
 	}
 	// Buffer reuse.
-	b.put(3)
+	b.putAll([]int{3})
 	got = b.drain(got)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("second drain = %v", got)
@@ -50,19 +48,20 @@ func TestInboxConcurrentPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				b.put(i)
+				b.putAll([]int{i, i})
 			}
 		}()
 	}
 	wg.Wait()
-	if got := b.drain(nil); len(got) != 800 {
-		t.Fatalf("drained %d messages, want 800", len(got))
+	if got := b.drain(nil); len(got) != 1600 {
+		t.Fatalf("drained %d messages, want 1600", len(got))
 	}
 }
 
 // TestInboxConcurrentPutDrain races producers against a single drainer
 // (the unit-runner discipline) and checks no message is lost or
-// duplicated. Run under -race this also proves the shard swap is sound.
+// duplicated, and that each putAll lands whole and in order. Run under
+// -race this also proves the buffer swap is sound.
 func TestInboxConcurrentPutDrain(t *testing.T) {
 	const producers = 4
 	const perProducer = 5000
@@ -72,8 +71,9 @@ func TestInboxConcurrentPutDrain(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				b.put(p*perProducer + i)
+			for i := 0; i < perProducer; i += 2 {
+				m := p*perProducer + i
+				b.putAll([]int{m, m + 1})
 			}
 		}(p)
 	}
@@ -84,11 +84,14 @@ func TestInboxConcurrentPutDrain(t *testing.T) {
 	var buf []int
 	collect := func() {
 		buf = b.drain(buf)
-		for _, m := range buf {
+		for i, m := range buf {
 			if seen[m] {
 				t.Errorf("message %d drained twice", m)
 			}
 			seen[m] = true
+			if m%2 == 0 && (i+1 == len(buf) || buf[i+1] != m+1) {
+				t.Errorf("the batch put with message %d was split", m)
+			}
 		}
 	}
 	for alive := true; alive; {
@@ -108,21 +111,21 @@ func TestInboxConcurrentPutDrain(t *testing.T) {
 // TestInboxCapacityDecay is the regression test for unbounded buffer
 // retention: a burst of messages must not permanently pin its
 // high-water-mark backing array. After the burst drains, the retained
-// capacity has to fall back under the trim cap (per shard, both buffers),
-// for drain-driven decay and for the between-batches reset alike.
+// capacity has to fall back under the trim cap (both buffers), for
+// drain-driven decay and for the between-batches reset alike.
 func TestInboxCapacityDecay(t *testing.T) {
 	const burst = 64 * inboxTrimCap
-	bound := 2 * inboxShards * inboxTrimCap // msgs + spare per shard
+	const bound = 2 * inboxTrimCap // msgs + spare
 
 	var b inbox[int]
 	for i := 0; i < burst; i++ {
-		b.put(i)
+		b.putAll([]int{i})
 	}
 	if got := b.drain(nil); len(got) != burst {
 		t.Fatalf("burst drain returned %d messages, want %d", len(got), burst)
 	}
 	// One steady-state cycle so any oversized spare rotates through drain.
-	b.put(1)
+	b.putAll([]int{1})
 	b.drain(nil)
 	if c := b.capSum(); c > bound {
 		t.Fatalf("after burst drain, inbox retains capacity %d, want <= %d", c, bound)
@@ -130,7 +133,7 @@ func TestInboxCapacityDecay(t *testing.T) {
 
 	var r inbox[int]
 	for i := 0; i < burst; i++ {
-		r.put(i)
+		r.putAll([]int{i})
 	}
 	r.reset()
 	if c := r.capSum(); c > bound {

@@ -131,8 +131,16 @@ func (e *Local) trim(applied graph.Batch) (roots, seeded int) {
 
 func (e *Local) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-// release keeps the inbox buffers: they decay on drain and reset.
-func (e *Local) release() {}
+// release drops the workers' outboxes, drain buffers and worklists once the
+// step's units quiesce. The inbox buffers stay: they decay on drain and
+// reset.
+func (e *Local) release() {
+	for _, w := range e.workers {
+		lw := w.(*localWorker)
+		lw.out.release()
+		lw.wl, lw.drained = nil, nil
+	}
+}
 
 // seed is empty: the seeded vertices ride in the per-flow seed lists.
 func (e *Local) seed(graph.Batch, int) {}
@@ -143,7 +151,7 @@ type localWorker struct {
 	e       *Local
 	wl      []uint32
 	drained []uint32 // inbox drain buffer
-	pending outbox[uint32]
+	out     outbox[uint32]
 	work
 }
 
@@ -164,7 +172,7 @@ func (lw *localWorker) processUnit(u *unit) {
 		lw.wl = lw.wl[:0]
 		// Deliver batched cross-flow notifications before (possibly) going
 		// idle, so the scheduler's quiescence detection stays sound.
-		lw.pending.flush(&e.driver, e.inboxes, u.level+1)
+		lw.out.flush(&e.driver, e.inboxes, u.level+1)
 		if !progressed {
 			return
 		}
@@ -196,7 +204,7 @@ func (lw *localWorker) recompute(v uint32, u *unit) {
 		if tf == u.flow {
 			lw.wl = append(lw.wl, w)
 		} else {
-			b := lw.pending.to(tf)
+			b := lw.out.to(tf)
 			*b = append(*b, w)
 			lw.crossMsgs++
 		}

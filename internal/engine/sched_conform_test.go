@@ -330,7 +330,7 @@ func TestSchedConformMidRunSenderNeverLost(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perProducer; i++ {
-					mail.put(1)
+					mail.putAll([]int{1})
 					p.activate(u) // deposit-then-activate, racing the drain
 				}
 			}()

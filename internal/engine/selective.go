@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/cachesim"
@@ -146,15 +145,25 @@ func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 
 func (e *Selective) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-// release keeps the inbox buffers: they decay on drain and reset.
-func (e *Selective) release() {}
+// release drops the workers' outboxes, drain buffers and worklists once the
+// step's units quiesce. The inbox buffers stay: they decay on drain and
+// reset.
+func (e *Selective) release() {
+	for _, w := range e.workers {
+		sw := w.(*selWorker)
+		sw.out.release()
+		sw.wl, sw.buf = nil, nil
+	}
+}
 
 // seed posts addition relaxations as messages (no refinement needed:
-// additions can only improve monotonic values). Under the TwoPhase ablation
+// additions can only improve monotonic values), through the outbox of
+// worker 0, which is idle until the units run. Under the TwoPhase ablation
 // it then refines every impacted flow behind a global barrier, so the units
 // only recompute — the KickStarter/GraphBolt shape on GraphFly's data
 // structures.
 func (e *Selective) seed(applied graph.Batch, maxLevel int) {
+	sw := e.workers[0].(*selWorker)
 	for _, u := range applied {
 		if u.Del {
 			continue
@@ -164,56 +173,52 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 		}
 		cand := e.Alg.Propagate(e.vals.Get(uint32(u.Src)), u.W)
 		if e.trimmed.get(uint32(u.Dst)) || e.Alg.Better(cand, e.vals.Get(uint32(u.Dst))) {
-			e.send(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)}, maxLevel+1)
+			sw.post(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)})
 		}
 	}
+	sw.out.flush(&e.driver, e.inboxes, maxLevel+1)
 	if !e.cfg.TwoPhase {
 		return
 	}
-	units := e.units
-	var mu sync.Mutex
-	graph.ParallelFor(len(units), e.cfg.workers(), func(lo, hi int) {
-		sw := e.newSelWorker()
-		defer func() {
-			mu.Lock()
-			e.counts.add(&sw.work)
-			mu.Unlock()
-		}()
-		for _, u := range units[lo:hi] {
-			sw.refine(u)
-			// Hand the reset vertices to the recompute phase as forced seeds.
-			for _, v := range sw.wl {
-				e.inboxes[e.part.Flow(v)].put(selMsg{v: v, val: e.vals.Get(v), parent: e.parent[v], force: true})
+	// Worker w refines units w, w+nw, ... with a probe of its own, so the
+	// recompute phase's probes start cold as without the barrier.
+	units, nw := e.units, len(e.workers)
+	graph.ParallelFor(nw, nw, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			sw := e.workers[w].(*selWorker)
+			sw.probe = e.probe.Fork()
+			for i := w; i < len(units); i += nw {
+				sw.refine(units[i])
+				// Hand the reset vertices to the recompute phase as forced seeds.
+				for _, v := range sw.wl {
+					sw.post(selMsg{v: v, val: e.vals.Get(v), parent: e.parent[v], force: true})
+				}
+				sw.wl = sw.wl[:0]
 			}
-			sw.wl = sw.wl[:0]
+			sw.out.flush(&e.driver, e.inboxes, maxLevel+1)
 		}
 	})
 }
 
-// send delivers a cross-flow candidate for m.v and activates the receiving
-// unit at level; it reports the receiving flow.
-func (e *Selective) send(m selMsg, level int) int32 {
-	tf := e.part.Flow(m.v)
-	e.inboxes[tf].put(m)
-	e.activateFlow(tf, level)
-	return tf
-}
-
-// selWorker is per-goroutine state: a forked probe, a local worklist and
-// the worker's work counters.
+// selWorker is one scheduler worker's state: a local worklist, the inbox
+// drain buffer, and the outbox that batches its cross-flow candidates.
 type selWorker struct {
-	e     *Selective
-	probe cachesim.Probe
-	wl    []uint32
-	buf   []selMsg
+	e   *Selective
+	wl  []uint32
+	buf []selMsg
+	out outbox[selMsg]
 	work
 }
 
-func (e *Selective) newSelWorker() *selWorker {
-	return &selWorker{e: e, probe: e.probe.Fork()}
-}
+func (e *Selective) newWorker(int) unitWorker { return &selWorker{e: e} }
 
-func (e *Selective) newWorker(int) unitWorker { return e.newSelWorker() }
+// post buffers a candidate for m.v in the outbox and reports its flow.
+func (sw *selWorker) post(m selMsg) int32 {
+	tf := sw.e.part.Flow(m.v)
+	b := sw.out.to(tf)
+	*b = append(*b, m)
+	return tf
+}
 
 func (sw *selWorker) readVal(v uint32) float64 {
 	if sw.e.profiled {
@@ -233,7 +238,8 @@ func (sw *selWorker) writeVal(v uint32, x float64) {
 // style, within the flow) unless the TwoPhase barrier already did, then
 // recompute to local quiescence, draining inbox messages and pushing
 // cross-flow candidates (push style between flows — §V-A's
-// pull-inside/push-outside rule).
+// pull-inside/push-outside rule). The candidates are buffered per target
+// flow and flushed after each round.
 func (sw *selWorker) processUnit(u *unit) {
 	e := sw.e
 	if !e.cfg.TwoPhase {
@@ -253,6 +259,9 @@ func (sw *selWorker) processUnit(u *unit) {
 			sw.relax(sw.wl[head], u)
 		}
 		sw.wl = sw.wl[:0]
+		// Deliver the buffered candidates before (possibly) going idle, so
+		// the scheduler's quiescence detection stays sound.
+		sw.out.flush(&e.driver, e.inboxes, u.level+1)
 		if !progressed {
 			return
 		}
@@ -350,7 +359,7 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 		// Cross-flow: send only when it could matter.
 		if e.trimmed.get(w) || e.Alg.Better(cand, sw.readVal(w)) {
 			sw.crossMsgs++
-			tf := e.send(selMsg{v: w, val: cand, parent: int32(v)}, u.level+1)
+			tf := sw.post(selMsg{v: w, val: cand, parent: int32(v)})
 			if e.trace != nil {
 				e.traceMsg(e.part.Flow(v), tf)
 			}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, build, vet, race-enabled tests, ten
 # race-enabled runs of the unit-scheduler conformance suite, five of the
-# accumulative-kernel tests (the owner-write handoff), the nested benchmark
+# message-path tests (the accumulative owner-write handoff, the selective
+# and local outbox flushes, the quiescence invariant), the nested benchmark
 # module (vet, tests, smoke run), a seeded WAL crash-recovery smoke, the
 # consistency-oracle smoke and the hub-skew fuzz smoke (both bit-exact over
 # 1, 3 and 4 workers), a durable-CLI recovery smoke
@@ -41,8 +42,10 @@ go test -race ./...
 echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff protocol) =="
 go test -race -count=10 -run '^TestSchedConform' ./internal/engine
 
-echo "== accumulative ownership handoff (-race, 5 runs: plain owner writes ordered by the unit state machine) =="
-go test -race -count=5 -run 'Accumulative|PageRankEquivalence' ./internal/engine
+echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence) =="
+go test -race -count=5 \
+    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers' \
+    ./internal/engine
 
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
 # ./... above stops at the nested module, so an engine/wal/serve API change
