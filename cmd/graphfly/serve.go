@@ -59,7 +59,7 @@ func serveCmd() (*flag.FlagSet, func()) {
 		srv, err := serve.New(serve.Config{Addr: *addr, Durable: durable, MaxSessions: *maxSessions, MaxPending: *maxPending, Metrics: reg})
 		must(err)
 		fmt.Printf("graphflyd listening on %s (%s on %s, %d vertices, seq %d, fsync=%s)\n",
-			srv.Addr(), alg.name, *wl.dataset, srv.Snapshot().NumVertices(), durable.Seq(), dc.Wal.Policy)
+			srv.Addr(), alg.name, *wl.dataset, srv.State().NumVertices(), durable.Seq(), dc.Wal.Policy)
 
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 		defer stop()

@@ -498,5 +498,11 @@ func (o *outbox[T]) flush(d *driver, inboxes []inbox[T], level int) {
 	o.touched = o.touched[:0]
 }
 
-// release drops the buffers; call it once the step's units quiesce.
-func (o *outbox[T]) release() { clear(o.bufs) }
+// release applies the inbox's capacity decay to the buffers: one at or
+// under inboxTrimCap is kept for the next step, a larger one dropped. Call
+// it once the step's units quiesce.
+func (o *outbox[T]) release() {
+	for f, b := range o.bufs {
+		o.bufs[f] = decayed(b)
+	}
+}

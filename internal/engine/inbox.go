@@ -29,6 +29,15 @@ type inbox[T any] struct {
 // cap the buffers are reused as they are.
 const inboxTrimCap = 1024
 
+// decayed returns buf emptied for reuse, or nil when its capacity is over
+// inboxTrimCap: the decay rule for a buffer kept from step to step.
+func decayed[T any](buf []T) []T {
+	if cap(buf) > inboxTrimCap {
+		return nil
+	}
+	return buf[:0]
+}
+
 // putAll appends every message of ms under one lock: a sender's batched
 // messages for this flow, copied, so the sender keeps and reuses its buffer.
 func (b *inbox[T]) putAll(ms []T) {

@@ -143,3 +143,26 @@ func TestInboxCapacityDecay(t *testing.T) {
 		t.Fatal("reset left messages behind")
 	}
 }
+
+// TestOutboxCapacityDecay: release applies the inbox's decay rule to the
+// outbox's per-flow buffers. A buffer at or under inboxTrimCap keeps its
+// capacity for the next step (no re-allocation per step); one a burst grew
+// past the cap is dropped, so it does not outlive the step.
+func TestOutboxCapacityDecay(t *testing.T) {
+	var o outbox[int]
+	b := o.to(0)
+	*b = append(*b, make([]int, inboxTrimCap/2)...)
+	b = o.to(2)
+	*b = append(*b, make([]int, 4*inboxTrimCap)...)
+	for f := range o.bufs {
+		o.bufs[f] = o.bufs[f][:0] // as flush leaves them
+	}
+	keep := cap(o.bufs[0])
+	o.release()
+	if b := o.bufs[0]; len(b) != 0 || cap(b) != keep {
+		t.Fatalf("small buffer after release: len %d cap %d, want 0 and %d", len(b), cap(b), keep)
+	}
+	if c := cap(o.bufs[2]); c != 0 {
+		t.Fatalf("burst buffer after release retains capacity %d, want 0", c)
+	}
+}

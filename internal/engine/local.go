@@ -30,6 +30,7 @@ import (
 // makes the result independent of worker count and scheduler.
 type Local struct {
 	driver
+	publisher
 	Alg algo.Local
 
 	vals   *layout.Store
@@ -64,12 +65,13 @@ func newLocal(g *graph.Streaming, alg algo.Local, cfg Config, vals []float64) *L
 		queued: newFlags(g.NumVertices()),
 	}
 	cfg.Probe = nil // the local kernels make no instrumented accesses
+	e.initPublisher(g.NumVertices())
 	e.init(g, cfg, e, alg.Symmetric())
 	e.plan = alg.Plan
 	e.forest = etree.NewForest(g, cfg.flowDirection())
 	e.repartition()
 	for v, x := range vals {
-		e.vals.Set(uint32(v), x)
+		e.set(uint32(v), x)
 	}
 	e.valOf = func(v graph.VertexID) float64 { return e.vals.Get(v) }
 	return e
@@ -97,21 +99,25 @@ func (e *Local) Values() []float64 {
 	return out
 }
 
-// SnapshotState copies the converged per-vertex values — everything
-// NewLocalFromState needs besides the graph itself. Call it only between
-// batches.
-func (e *Local) SnapshotState() []float64 { return e.Values() }
+// set writes v's value and marks its chunk for the next publish: the one
+// value-write path.
+func (e *Local) set(v uint32, x float64) {
+	e.vals.Set(v, x)
+	e.mark(v)
+}
 
-// StateSnapshot captures the current converged state under seq for the
-// serving layer. Local algorithms have no key-edge parents; the Parent
-// column is -1 throughout, matching the wire schema.
-func (e *Local) StateSnapshot(seq uint64) *StateSnapshot {
-	vals := e.Values()
-	parent := make([]int32, len(vals))
-	for i := range parent {
-		parent[i] = -1
-	}
-	return &StateSnapshot{Seq: seq, Vals: vals, Parent: parent}
+// Publish returns the converged state under seq as an immutable chunked
+// root, rebuilding only the chunks written since the last publish (see
+// Selective.Publish). Local algorithms have no key-edge parents; the
+// parent column is -1 throughout, matching the wire schema. Call it only
+// between batches.
+func (e *Local) Publish(seq uint64) *State {
+	return e.publish(seq, func(c *chunk, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			c.vals[v-lo] = e.vals.Get(uint32(v))
+			c.parent[v-lo] = -1
+		}
+	})
 }
 
 // trim is seeding (the trim-equivalent phase for local algorithms): the
@@ -124,21 +130,20 @@ func (e *Local) trim(applied graph.Batch) (roots, seeded int) {
 		e.seedVertex(v)
 		seeded++
 	}
-	e.Alg.Seed(e.G, applied, e.valOf,
-		func(v graph.VertexID, x float64) { e.vals.Set(v, x) }, emit)
+	e.Alg.Seed(e.G, applied, e.valOf, e.set, emit)
 	return 0, seeded
 }
 
 func (e *Local) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-// release drops the workers' outboxes, drain buffers and worklists once the
-// step's units quiesce. The inbox buffers stay: they decay on drain and
-// reset.
+// release applies the inbox's capacity decay to the workers' outboxes,
+// drain buffers and worklists once the step's units quiesce (see
+// Selective.release).
 func (e *Local) release() {
 	for _, w := range e.workers {
 		lw := w.(*localWorker)
 		lw.out.release()
-		lw.wl, lw.drained = nil, nil
+		lw.wl, lw.drained = decayed(lw.wl), decayed(lw.drained)
 	}
 }
 
@@ -191,7 +196,7 @@ func (lw *localWorker) recompute(v uint32, u *unit) {
 	if nv == old {
 		return
 	}
-	e.vals.Set(v, nv)
+	e.set(v, nv)
 	if !e.notify {
 		return
 	}

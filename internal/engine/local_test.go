@@ -59,8 +59,8 @@ func TestLocalAblations(t *testing.T) {
 	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, ScatteredStorage: true}, smallWorkload(27, 3))
 }
 
-// Restarting from SnapshotState mid-stream must continue bit-exactly — the
-// contract wal.LocalFamily recovery depends on.
+// Restarting from a published state mid-stream must continue bit-exactly —
+// the contract wal.LocalFamily recovery depends on.
 func TestLocalFromStateResumes(t *testing.T) {
 	w := smallWorkload(29, 6)
 	var both []graph.Edge
@@ -81,7 +81,7 @@ func TestLocalFromStateResumes(t *testing.T) {
 	for _, b := range w.Batches[:3] {
 		e2.ProcessBatch(b)
 	}
-	state := e2.SnapshotState()
+	state := e2.Publish(3).Flat().Vals
 	g3 := g2.Clone()
 	e3, err := NewLocalFromState(g3, alg, cfg, state)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestLocalFromStateResumes(t *testing.T) {
 			t.Fatalf("vertex %d after resume = %v, want %v", v, got[v], want[v])
 		}
 	}
-	if snap := e3.StateSnapshot(9); snap.Seq != 9 || len(snap.Vals) != w.NumV || snap.Parent[0] != -1 {
-		t.Fatalf("StateSnapshot malformed: %+v", snap)
+	if snap := e3.Publish(9).Flat(); snap.Seq != 9 || len(snap.Vals) != w.NumV || snap.Parent[0] != -1 {
+		t.Fatalf("published state malformed: %+v", snap)
 	}
 }

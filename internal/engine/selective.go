@@ -24,6 +24,7 @@ import (
 // from-scratch computation yields.
 type Selective struct {
 	driver
+	publisher
 	Alg algo.Selective
 
 	vals    *layout.Store
@@ -71,6 +72,7 @@ func newSelective(g *graph.Streaming, alg algo.Selective, cfg Config, vals []flo
 		kf:      etree.NewKeyForest(g.NumVertices()),
 	}
 	e.kf.BulkLoad(parent)
+	e.initPublisher(g.NumVertices())
 	e.init(g, cfg, e, alg.Symmetric())
 	e.inEdges = true
 	e.repartition()
@@ -81,10 +83,25 @@ func newSelective(g *graph.Streaming, alg algo.Selective, cfg Config, vals []flo
 }
 
 // SnapshotState copies the converged per-vertex values and key-edge parents
-// — everything NewSelectiveFromState needs besides the graph itself. Call
-// it only between batches (the engine is not processing).
+// — everything NewSelectiveFromState needs besides the graph itself — by
+// flattening a publish. Call it only between batches (the engine is not
+// processing).
 func (e *Selective) SnapshotState() (vals []float64, parent []int32) {
-	return e.Values(), append([]int32(nil), e.parent...)
+	f := e.StateSnapshot(0)
+	return f.Vals, f.Parent
+}
+
+// Publish returns the converged state under seq as an immutable chunked
+// root: the chunks the batches since the last publish wrote are rebuilt,
+// every other chunk is shared with the previous root. Call it only between
+// batches; the root stays valid, and unchanged, while later batches run.
+func (e *Selective) Publish(seq uint64) *State {
+	return e.publish(seq, func(c *chunk, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			c.vals[v-lo] = e.vals.Get(uint32(v))
+		}
+		copy(c.parent[:], e.parent[lo:hi])
+	})
 }
 
 // Value returns v's current converged value.
@@ -134,6 +151,8 @@ func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 			if e.trimmed.swapSet(x) {
 				return false // already trimmed by a nested root
 			}
+			// No publish mark: the vertex's unit refines it before the
+			// batch ends, and refineVertex's writeVal marks its chunk.
 			e.parent[x] = -1
 			e.seedVertex(x)
 			trimmed++
@@ -145,14 +164,15 @@ func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 
 func (e *Selective) resetInboxes(n int) { e.inboxes = resizeInboxes(e.inboxes, n) }
 
-// release drops the workers' outboxes, drain buffers and worklists once the
-// step's units quiesce. The inbox buffers stay: they decay on drain and
-// reset.
+// release applies the inbox's capacity decay to the workers' outboxes,
+// drain buffers and worklists once the step's units quiesce: a buffer at or
+// under inboxTrimCap is kept for the next step, a larger one dropped. The
+// inbox buffers decay on drain and reset.
 func (e *Selective) release() {
 	for _, w := range e.workers {
 		sw := w.(*selWorker)
 		sw.out.release()
-		sw.wl, sw.buf = nil, nil
+		sw.wl, sw.buf = decayed(sw.wl), decayed(sw.buf)
 	}
 }
 
@@ -227,11 +247,14 @@ func (sw *selWorker) readVal(v uint32) float64 {
 	return sw.e.vals.Get(v)
 }
 
+// writeVal is the kernel's one value-write site; it marks v's chunk for
+// the next publish. Every parent write rides with a value write.
 func (sw *selWorker) writeVal(v uint32, x float64) {
 	if sw.e.profiled {
 		sw.probe.Access(sw.e.vals.Addr(v), true, cachesim.ClassVertex)
 	}
 	sw.e.vals.Set(v, x)
+	sw.e.mark(v)
 }
 
 // processUnit runs one scheduling unit: refine its trimmed vertices (pull

@@ -21,7 +21,7 @@ type Config struct {
 	// Addr is the listen address (e.g. "127.0.0.1:0").
 	Addr string
 	// Durable is the durable engine the server owns, of any family that
-	// publishes a StateSnapshot (selective or local). The server puts its
+	// publishes an engine.State (selective or local). The server puts its
 	// log in serving (group-commit) mode and closes it on Shutdown.
 	Durable *wal.Durable
 	// Alg is ignored: the Durable's engine already names its algorithm.
@@ -84,7 +84,7 @@ type logged struct {
 // Server is the long-lived serving front-end: an acceptor, per-session
 // goroutines feeding the WAL through the group-commit layer, one applier
 // draining the logged queue through the engine in sequence order, and an
-// atomically published StateSnapshot per batch boundary that every reader
+// atomically published engine.State per batch boundary that every reader
 // answers from.
 //
 // Ordering contract: a batch is acknowledged only after it is durably
@@ -103,7 +103,7 @@ type Server struct {
 	tokens chan struct{}
 	applyQ chan logged
 
-	snap atomic.Pointer[engine.StateSnapshot]
+	snap atomic.Pointer[engine.State]
 
 	mu       sync.Mutex
 	draining bool
@@ -159,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Readers have a consistent answer from the first connection on, even
 	// before any batch arrives.
-	s.snap.Store(s.b.snapshot(s.b.Seq()))
+	s.snap.Store(s.b.publish(s.b.Seq()))
 	s.gc = s.b.Group(func(seq uint64, b graph.Batch) {
 		// Runs under the append mutex: enqueue in logged order. Never
 		// blocks — admission tokens bound entries to cap(applyQ).
@@ -178,8 +178,13 @@ func New(cfg Config) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Snapshot returns the currently published read snapshot.
-func (s *Server) Snapshot() *engine.StateSnapshot { return s.snap.Load() }
+// State returns the currently published read state, the root every
+// session answers from.
+func (s *Server) State() *engine.State { return s.snap.Load() }
+
+// Snapshot returns a flat copy of the currently published read state: an
+// O(N) copy for tests and tools, not for the serving path.
+func (s *Server) Snapshot() *engine.StateSnapshot { return s.snap.Load().Flat() }
 
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)
@@ -197,7 +202,7 @@ func (s *Server) acceptLoop() {
 }
 
 // applier is the single consumer of the logged queue: it advances the
-// engine batch by batch in WAL order, publishes an immutable snapshot at
+// engine batch by batch in WAL order, publishes an immutable state root at
 // each boundary, and pushes the delta to subscribers.
 func (s *Server) applier() {
 	defer close(s.applierDone)
@@ -215,7 +220,7 @@ func (s *Server) applier() {
 				s.mu.Unlock()
 			} else {
 				prev := s.snap.Load()
-				next := s.b.snapshot(lg.seq)
+				next := s.b.publish(lg.seq)
 				s.snap.Store(next)
 				if s.mReadLag != nil {
 					s.mReadLag.Observe(time.Since(lg.at).Nanoseconds())

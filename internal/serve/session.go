@@ -128,10 +128,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		c.bye("")
 	}()
 
+	st := s.snap.Load()
 	c.write(skWelcome, encodeWelcome(welcome{
 		AlgName: s.b.alg.Name(),
-		NumV:    uint32(s.snap.Load().NumVertices()),
-		Seq:     s.snap.Load().Seq,
+		NumV:    uint32(st.NumVertices()),
+		Seq:     st.Seq,
 	}))
 
 	go c.ingestWorker()

@@ -37,11 +37,11 @@ type DurableConfig struct {
 	// SnapshotEvery checkpoints after every N applied batches (0 = only
 	// the creation-time snapshot; the log then grows unboundedly). The
 	// batch that completes the N only captures the snapshot (seq, a frozen
-	// graph view, the encoded state and dedup frames; O(V)); a background
-	// writer syncs the log, writes and renames the file and truncates the
-	// log. At most one snapshot is in flight: the next capture,
-	// ProcessBatch's next append, Snapshot, Group, ReopenLog, Close and
-	// Abandon wait for it.
+	// graph view, the family's state capture and the dedup frame); a
+	// background writer encodes the state, syncs the log, writes and
+	// renames the file and truncates the log. At most one snapshot is in
+	// flight: the next capture, ProcessBatch's next append, Snapshot,
+	// Group, ReopenLog, Close and Abandon wait for it.
 	SnapshotEvery int
 	// DedupWindow, when positive, enables exactly-once ingest: the wrapper
 	// keeps a per-client window of that many (clientSeq -> walSeq)
@@ -68,8 +68,12 @@ type Family struct {
 	restore func(g *graph.Streaming, cfg engine.Config, sd *SnapshotData) (Engine, error)
 	// kind is the state frame kind the family writes and restores from.
 	kind byte
-	// state encodes e's state at a batch boundary as that frame's payload.
-	state func(e Engine, numV int) []byte
+	// capture takes e's state at the batch boundary seq and returns the
+	// encoder of that frame's payload, which the snapshot writer runs off
+	// the applier. The selective and local families capture the engine's
+	// published chunked root, O(N/chunk) on the applier; the O(V) flatten
+	// and encode happen in the writer.
+	capture func(e Engine, seq uint64, numV int) func() []byte
 }
 
 // Build makes the family's engine over g without a log: the same engine a
@@ -86,9 +90,12 @@ func SelectiveFamily(alg algo.Selective) Family {
 			return engine.NewSelectiveFromState(g, alg, cfg, sd.Vals, sd.Parent)
 		},
 		kind: KindSnapState,
-		state: func(e Engine, _ int) []byte {
-			vals, parent := e.(*engine.Selective).SnapshotState()
-			return EncodeState(nil, vals, parent)
+		capture: func(e Engine, seq uint64, _ int) func() []byte {
+			st := e.(*engine.Selective).Publish(seq)
+			return func() []byte {
+				f := st.Flat()
+				return EncodeState(nil, f.Vals, f.Parent)
+			}
 		},
 	}
 }
@@ -104,8 +111,9 @@ func AccumulativeFamily(alg algo.Accumulative) Family {
 			return engine.NewAccumulativeFromState(g, alg, cfg, sd.Acc)
 		},
 		kind: KindSnapAccState,
-		state: func(e Engine, numV int) []byte {
-			return EncodeAccState(nil, numV, e.(*engine.Accumulative).SnapshotState())
+		capture: func(e Engine, _ uint64, numV int) func() []byte {
+			b := EncodeAccState(nil, numV, e.(*engine.Accumulative).SnapshotState())
+			return func() []byte { return b }
 		},
 	}
 }
@@ -122,8 +130,9 @@ func LocalFamily(alg algo.Local) Family {
 			return engine.NewLocalFromState(g, alg, cfg, sd.Vals)
 		},
 		kind: KindSnapState,
-		state: func(e Engine, _ int) []byte {
-			return EncodeState(nil, e.(*engine.Local).SnapshotState(), nil)
+		capture: func(e Engine, seq uint64, _ int) func() []byte {
+			st := e.(*engine.Local).Publish(seq)
+			return func() []byte { return EncodeState(nil, st.Flat().Vals, nil) }
 		},
 	}
 }
@@ -155,17 +164,18 @@ type Durable struct {
 }
 
 // snapJob is one snapshot captured at a batch boundary: everything the
-// writer needs, all O(V) to take — the frozen out-adjacency, the encoded
-// state and dedup frames — plus the log it must sync and truncate.
+// writer needs — the frozen out-adjacency, the state frame's encoder and
+// the encoded dedup frame — plus the log it must sync and truncate.
 type snapJob struct {
-	seq          uint64
-	view         *graph.Frozen
-	kind         byte
-	state, dedup []byte
-	withLog      func(func(*Log) error) error
-	t0           time.Time
-	done         chan struct{} // closed when the writer returns
-	err          error         // the writer's result, read after done
+	seq     uint64
+	view    *graph.Frozen
+	kind    byte
+	state   func() []byte
+	dedup   []byte
+	withLog func(func(*Log) error) error
+	t0      time.Time
+	done    chan struct{} // closed when the writer returns
+	err     error         // the writer's result, read after done
 }
 
 // CheckBatch validates a batch against the engine's graph without touching
@@ -173,13 +183,14 @@ type snapJob struct {
 func (d *Durable) CheckBatch(b graph.Batch) error { return d.g.CheckBatch(b) }
 
 // captureLocked takes a snapshot at the current batch boundary: seq, a
-// frozen view of the graph and the encoded state and dedup frames.
+// frozen view of the graph, the family's state capture and the encoded
+// dedup frame.
 func (d *Durable) captureLocked() *snapJob {
 	j := &snapJob{
 		seq:   d.seq,
 		view:  d.g.Freeze(),
 		kind:  d.fam.kind,
-		state: d.fam.state(d.Eng, d.g.NumVertices()),
+		state: d.fam.capture(d.Eng, d.seq, d.g.NumVertices()),
 		dedup: dedupFrame(d.dedup, d.seq),
 		t0:    time.Now(),
 		done:  make(chan struct{}),
@@ -195,11 +206,11 @@ func (d *Durable) captureLocked() *snapJob {
 
 // encode writes j's snapshot file.
 func (j *snapJob) encode(opts Options) error {
-	return writeSnapshotView(opts, j.seq, j.view, j.kind, j.state, j.dedup)
+	return writeSnapshotView(opts, j.seq, j.view, j.kind, j.state(), j.dedup)
 }
 
 // release ends j's view and drops what the capture holds, so a finished
-// job kept until the next capture pins no O(V) memory.
+// job kept until the next capture pins no state of its own.
 func (j *snapJob) release() {
 	j.view.Release()
 	j.view, j.state, j.dedup = nil, nil, nil

@@ -42,9 +42,9 @@ go test -race ./...
 echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff protocol) =="
 go test -race -count=10 -run '^TestSchedConform' ./internal/engine
 
-echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence) =="
+echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence, concurrent publish marks) =="
 go test -race -count=5 \
-    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers' \
+    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers|PublishInvariants' \
     ./internal/engine
 
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
