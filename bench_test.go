@@ -101,8 +101,8 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // BenchmarkBatchAllocs measures steady-state per-batch heap allocations of
 // the GraphFly engine's dense batch path. CC symmetrizes every batch, so
 // the loop exercises the retained Symmetrizer alongside the impacted-flow
-// set, flow-graph CSR, and hub-index machinery; scripts/benchdiff
-// -allocgate watches the same quantity in BENCH_graphfly.json.
+// set, flow-graph CSR, and hub-index machinery; internal/expr's
+// TestFig11AllocBudget gates the same quantity over Fig 11's engine set.
 func BenchmarkBatchAllocs(b *testing.B) {
 	numV, edges := Dataset("LJ")
 	w := NewWorkload(numV, edges, DefaultStream(2000, 200, 4))

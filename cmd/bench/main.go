@@ -6,24 +6,21 @@
 //	bench -fig 11         # just Fig 11
 //	bench -full           # dataset presets (honours GRAPHFLY_SCALE)
 //	bench -ablations      # the design-choice ablation studies
-//	bench -json -fig 11   # also write BENCH_graphfly.json (typed rows,
-//	                      # per-batch phase timings, env + git provenance)
 //
 // Output is aligned text, one block per table/figure, matching the rows and
-// series the paper reports (see EXPERIMENTS.md for paper-vs-measured and
-// the BENCH_*.json schema; scripts/benchdiff compares two reports).
+// series the paper reports; EXPERIMENTS.md records the paper-vs-measured
+// outcomes with their dates. Performance is gated by the repository
+// benchmark (benchmark/, BENCHMARK.json) and allocations per batch by
+// internal/expr's TestFig11AllocBudget.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
-	"time"
 
 	"repro/internal/expr"
-	"repro/internal/metrics"
 	"repro/internal/prof"
 )
 
@@ -35,12 +32,36 @@ func main() {
 	batch := flag.Int("batch", 0, "override batch size")
 	batches := flag.Int("batches", 0, "override number of batches")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "write the machine-readable report next to the text output")
-	out := flag.String("out", "BENCH_graphfly.json", "report path for -json")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace here")
 	flag.Parse()
+
+	// Every input check runs before profiling starts, so a rejected
+	// command line never leaves a truncated profile behind.
+	switch {
+	case *edgecap < 0:
+		usagef("-edgecap must be >= 0")
+	case *batch < 0:
+		usagef("-batch must be >= 0")
+	case *batches < 0:
+		usagef("-batches must be >= 0")
+	case *workers < 0:
+		usagef("-workers must be >= 0")
+	case flag.NArg() > 0:
+		usagef("unexpected argument %q", flag.Arg(0))
+	}
+	var runs []func(expr.Scale) expr.Table
+	if *fig != "" {
+		for _, one := range strings.Split(*fig, ",") {
+			id := strings.ToLower(strings.TrimPrefix(strings.TrimSpace(one), "fig"))
+			run, ok := expr.ByID(id)
+			if !ok {
+				usagef("unknown figure %q", one)
+			}
+			runs = append(runs, run)
+		}
+	}
 
 	stop, err := prof.Start(*cpuprofile, *tracePath)
 	if err != nil {
@@ -63,24 +84,15 @@ func main() {
 		sc.Batches = *batches
 	}
 	sc.Workers = *workers
-	if *jsonOut {
-		sc.Rec = metrics.NewBatchRecorder(metrics.NewRegistry())
-	}
 
 	var tables []expr.Table
 	switch {
 	case *ablations:
 		tables = expr.Ablations(sc)
-	case *fig == "":
+	case len(runs) == 0:
 		tables = expr.All(sc)
 	default:
-		for _, one := range strings.Split(*fig, ",") {
-			id := strings.ToLower(strings.TrimPrefix(strings.TrimSpace(one), "fig"))
-			run, ok := expr.ByID(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "bench: unknown figure %q\n", one)
-				os.Exit(2)
-			}
+		for _, run := range runs {
 			tables = append(tables, run(sc))
 		}
 	}
@@ -88,19 +100,6 @@ func main() {
 		fmt.Println(t)
 	}
 
-	if *jsonOut {
-		r := expr.BuildReport(sc, tables, gitSHA(), time.Now().UTC().Format(time.RFC3339))
-		if err := r.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: report failed validation: %v\n", err)
-			os.Exit(1)
-		}
-		if err := expr.WriteReport(*out, r); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s (%d figures, %d batches)\n",
-			*out, len(r.Figures), len(r.Batches))
-	}
 	stop()
 	if err := prof.WriteHeap(*memprofile); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
@@ -108,12 +107,9 @@ func main() {
 	}
 }
 
-// gitSHA best-effort resolves the working tree's commit for provenance;
-// reports stay valid without it (e.g. when run from a tarball).
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
+// usagef rejects bad command-line input: the message, the usage, exit 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -1,20 +1,5 @@
 package engine
 
-import "repro/internal/metrics"
-
-// Point converts the stats into the metrics layer's batch record.
-func (st BatchStats) Point() metrics.BatchPoint {
-	return metrics.BatchPoint{
-		ApplyNs:    int64(st.ApplyTime),
-		MaintainNs: int64(st.MaintainTime),
-		TrimNs:     int64(st.TrimTime),
-		ScheduleNs: int64(st.ScheduleTime),
-		ComputeNs:  int64(st.ComputeTime),
-		TotalNs:    int64(st.Total),
-		Applied:    st.Applied,
-	}
-}
-
 // observe feeds one batch's stats into the configured registry. With a
 // nil registry (the default) this is a single branch per batch.
 func (c Config) observe(st *BatchStats) {

@@ -3,6 +3,7 @@ package expr
 import (
 	"repro/internal/algo"
 	"repro/internal/engine"
+	"strconv"
 )
 
 // AblationFlowCap sweeps the dependency-flow size cap (the scheduling
@@ -17,8 +18,8 @@ func AblationFlowCap(sc Scale) Table {
 	w := workload("TW", sc, 0.3, 0xA1)
 	for _, cap := range []int{64, 256, 1024, 4096} {
 		e := graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, FlowCap: cap})
-		total, _ := runBatches(sc, e, w)
-		t.AddRow(IntCell(cap), Dur(total), IntCell(e.Partition().NumFlows()))
+		total, _ := runBatches(e, w)
+		t.AddRow(strconv.Itoa(cap), Dur(total), strconv.Itoa(e.Partition().NumFlows()))
 	}
 	return t
 }
@@ -34,7 +35,7 @@ func AblationSCC(sc Scale) Table {
 	w := workload("TW", sc, 0.3, 0xA2)
 	for _, noMerge := range []bool{false, true} {
 		cfg := engine.Config{Workers: sc.Workers, NoSCCMerge: noMerge}
-		total, stats := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
+		total, stats := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		var msgs int64
 		for _, st := range stats {
 			msgs += st.CrossMsgs
@@ -43,7 +44,7 @@ func AblationSCC(sc Scale) Table {
 		if noMerge {
 			mode = "independent"
 		}
-		t.AddRow(Str(mode), Dur(total), Int64(msgs))
+		t.AddRow(mode, Dur(total), strconv.FormatInt(msgs, 10))
 	}
 	return t
 }
@@ -61,12 +62,12 @@ func AblationAsync(sc Scale) Table {
 	w := workload("TW", sc, 0.3, 0xA3)
 	for _, twoPhase := range []bool{false, true} {
 		cfg := engine.Config{Workers: sc.Workers, TwoPhase: twoPhase}
-		total, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
+		total, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		mode := "async fused"
 		if twoPhase {
 			mode = "two-phase barrier"
 		}
-		t.AddRow(Str(mode), Dur(total))
+		t.AddRow(mode, Dur(total))
 	}
 	return t
 }
@@ -84,12 +85,12 @@ func AblationTriangle(sc Scale) Table {
 	for _, backward := range []bool{false, true} {
 		cfg := engine.Config{Workers: sc.Workers, BackwardFlows: backward}
 		e := graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg)
-		total, _ := runBatches(sc, e, w)
+		total, _ := runBatches(e, w)
 		name := "forward (lower)"
 		if backward {
 			name = "backward (upper)"
 		}
-		t.AddRow(Str(name), Dur(total), IntCell(e.Partition().NumFlows()))
+		t.AddRow(name, Dur(total), strconv.Itoa(e.Partition().NumFlows()))
 	}
 	return t
 }

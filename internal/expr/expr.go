@@ -6,7 +6,6 @@ package expr
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -16,32 +15,23 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphbolt"
 	"repro/internal/kickstarter"
-	"repro/internal/metrics"
 )
 
 // Scale bounds an experiment so the same runner serves quick CI runs and
 // fuller reproductions.
 type Scale struct {
 	// EdgeCap caps each dataset's edge count (0 = the preset size).
-	EdgeCap int `json:"edge_cap"`
+	EdgeCap int
 	// BatchSize is the per-batch update count ("100K edge mutations"
 	// scaled to the dataset).
-	BatchSize int `json:"batch_size"`
+	BatchSize int
 	// Batches is the number of update batches per run.
-	Batches int `json:"batches"`
+	Batches int
 	// MaxNodes bounds the distributed sweep.
-	MaxNodes int `json:"max_nodes"`
+	MaxNodes int
 	// Workers for the engines (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
-	// Rec, when non-nil, collects every batch the figure runners process
-	// into the machine-readable perf trajectory (cmd/bench -json). Nil
-	// costs one pointer comparison per batch, like engine.Config.Metrics.
-	Rec *metrics.BatchRecorder `json:"-"`
+	Workers int
 }
-
-// registry returns the recorder's backing registry (nil when metrics are
-// off), for runners that feed extra counters such as cachesim stats.
-func (sc Scale) registry() *metrics.Registry { return sc.Rec.Registry() }
 
 // Quick is the default laptop-scale configuration.
 func Quick() Scale {
@@ -53,30 +43,20 @@ func Full() Scale {
 	return Scale{EdgeCap: 0, BatchSize: 100_000, Batches: 3, MaxNodes: 16}
 }
 
-// Table is one experiment result: typed cells for machine consumers
-// (BENCH_*.json, scripts/benchdiff), rendered text for the CLI.
+// Table is one experiment result: a header and rows of cells already
+// rendered by the formatters in cell.go, printed as aligned text.
 type Table struct {
-	ID     string   `json:"id"`
-	Title  string   `json:"title"`
-	Header []string `json:"header"`
-	Cells  [][]Cell `json:"rows"`
+	ID     string
+	Title  string
+	Header []string
+	Cells  [][]string
 }
 
-// AddRow appends one row of typed cells.
-func (t *Table) AddRow(cells ...Cell) { t.Cells = append(t.Cells, cells) }
+// AddRow appends one row of cells.
+func (t *Table) AddRow(cells ...string) { t.Cells = append(t.Cells, cells) }
 
-// Rows renders every row as strings, in header order.
-func (t Table) Rows() [][]string {
-	rows := make([][]string, len(t.Cells))
-	for i, r := range t.Cells {
-		row := make([]string, len(r))
-		for j, c := range r {
-			row[j] = c.Text
-		}
-		rows[i] = row
-	}
-	return rows
-}
+// Rows returns every row, in header order.
+func (t Table) Rows() [][]string { return t.Cells }
 
 // String renders the table as aligned text.
 func (t Table) String() string {
@@ -184,29 +164,14 @@ type incrementalProcessor interface {
 }
 
 // runBatches drives an engine through a workload's batches and returns the
-// total incremental time and the per-batch stats. When the scale carries a
-// recorder, every batch lands in the perf trajectory (all engines, baselines
-// included — the trajectory describes the whole bench run).
-func runBatches(sc Scale, e incrementalProcessor, w gen.Workload) (time.Duration, []engine.BatchStats) {
+// total incremental time and the per-batch stats.
+func runBatches(e incrementalProcessor, w gen.Workload) (time.Duration, []engine.BatchStats) {
 	var total time.Duration
 	stats := make([]engine.BatchStats, 0, len(w.Batches))
-	var mem runtime.MemStats
 	for _, b := range w.Batches {
-		var allocs, bytes uint64
-		if sc.Rec != nil {
-			runtime.ReadMemStats(&mem)
-			allocs, bytes = mem.Mallocs, mem.TotalAlloc
-		}
 		st := e.ProcessBatch(b)
 		total += st.Total
 		stats = append(stats, st)
-		if sc.Rec != nil {
-			p := st.Point()
-			runtime.ReadMemStats(&mem)
-			p.Allocs = int64(mem.Mallocs - allocs)
-			p.AllocBytes = int64(mem.TotalAlloc - bytes)
-			sc.Rec.Observe(p)
-		}
 	}
 	return total, stats
 }
@@ -245,7 +210,3 @@ func graphflyAccumulative(w gen.Workload, a algo.Accumulative, cfg engine.Config
 func graphboltEngine(w gen.Workload, a algo.Accumulative, cfg engine.Config) *graphbolt.Engine {
 	return graphbolt.New(buildGraph(w, a.Symmetric()), a, cfg)
 }
-
-func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
-
-func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -14,7 +14,7 @@ func TestTableRendering(t *testing.T) {
 	tab := Table{
 		ID: "X", Title: "demo",
 		Header: []string{"a", "bb"},
-		Cells:  [][]Cell{{Str("1"), Str("2")}, {Str("333"), Str("4")}},
+		Cells:  [][]string{{"1", "2"}, {"333", "4"}},
 	}
 	s := tab.String()
 	if !strings.Contains(s, "demo") || !strings.Contains(s, "333") {

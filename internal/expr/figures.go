@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/algo"
@@ -29,8 +30,8 @@ func Table1(sc Scale) Table {
 	for _, code := range gen.DatasetCodes() {
 		cfg := dataset(code, sc)
 		edges := gen.Generate(cfg)
-		t.AddRow(Str(code), IntCell(len(edges)), IntCell(cfg.NumV),
-			Str(cfg.Kind.String()), Str(paper[code]))
+		t.AddRow(code, strconv.Itoa(len(edges)), strconv.Itoa(cfg.NumV),
+			cfg.Kind.String(), paper[code])
 	}
 	return t
 }
@@ -49,20 +50,16 @@ func Fig4a(sc Scale) Table {
 		ksSim := cachesim.NewSim(cachesim.DefaultConfig())
 		ks := kickstarterEngine(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers, Probe: ksSim})
 		ksSim.Reset()
-		runBatches(sc, ks, w)
+		runBatches(ks, w)
 		ksStats := ksSim.Drain()
 
 		gbSim := cachesim.NewSim(cachesim.DefaultConfig())
 		gb := graphboltEngine(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers, Probe: gbSim})
 		gbSim.Reset()
-		runBatches(sc, gb, w)
+		runBatches(gb, w)
 		gbStats := gbSim.Drain()
 
-		if reg := sc.registry(); reg != nil {
-			ksStats.Record(reg, "cachesim.fig4a."+code+".ks_sssp")
-			gbStats.Record(reg, "cachesim.fig4a."+code+".gb_pagerank")
-		}
-		t.AddRow(Str(code), Pct(ksStats.RedundancyRatio()), Pct(gbStats.RedundancyRatio()))
+		t.AddRow(code, Pct(ksStats.RedundancyRatio()), Pct(gbStats.RedundancyRatio()))
 	}
 	return t
 }
@@ -84,8 +81,8 @@ func Fig4b(sc Scale) Table {
 		f := etree.NewForest(g, etree.Forward)
 		p := dflow.NewPartition(f, dflow.DefaultCap)
 		st := f.ComputeStats()
-		t.AddRow(Str(code), IntCell(st.Trees), IntCell(p.NumFlows()),
-			IntCell(st.HyperVertices), IntCell(st.MaxHyperSize))
+		t.AddRow(code, strconv.Itoa(st.Trees), strconv.Itoa(p.NumFlows()),
+			strconv.Itoa(st.HyperVertices), strconv.Itoa(st.MaxHyperSize))
 	}
 	return t
 }
@@ -105,17 +102,17 @@ func Fig11(sc Scale) Table {
 		for _, sa := range SelectiveAlgs() {
 			w := workload(code, sc, 0.1, 0x11)
 			a := sa.Make(w)
-			base, _ := runBatches(sc, kickstarterEngine(w, a, cfg), w)
-			gf, _ := runBatches(sc, graphflySelective(w, a, cfg), w)
-			t.AddRow(Str(code), Str(sa.Name), Str("KickStarter"),
+			base, _ := runBatches(kickstarterEngine(w, a, cfg), w)
+			gf, _ := runBatches(graphflySelective(w, a, cfg), w)
+			t.AddRow(code, sa.Name, "KickStarter",
 				Dur(base), Dur(gf), Ratio(gf, base))
 		}
 		for _, aa := range AccumulativeAlgs() {
 			w := workload(code, sc, 0.1, 0x11)
 			a := aa.Make(w)
-			base, _ := runBatches(sc, graphboltEngine(w, a, cfg), w)
-			gf, _ := runBatches(sc, graphflyAccumulative(w, a, cfg), w)
-			t.AddRow(Str(code), Str(aa.Name), Str("GraphBolt"),
+			base, _ := runBatches(graphboltEngine(w, a, cfg), w)
+			gf, _ := runBatches(graphflyAccumulative(w, a, cfg), w)
+			t.AddRow(code, aa.Name, "GraphBolt",
 				Dur(base), Dur(gf), Ratio(gf, base))
 		}
 	}
@@ -134,33 +131,29 @@ func Fig12(sc Scale) Table {
 	for _, code := range gen.DatasetCodes() {
 		w := workload(code, sc, 0.3, 0x12)
 
-		missesOf := func(name string, build func(p cachesim.Probe) incrementalProcessor) uint64 {
+		missesOf := func(build func(p cachesim.Probe) incrementalProcessor) uint64 {
 			sim := cachesim.NewSim(cachesim.DefaultConfig())
 			e := build(sim)
 			sim.Reset() // measure incremental phase only
-			runBatches(sc, e, w)
-			st := sim.Drain()
-			if reg := sc.registry(); reg != nil {
-				st.Record(reg, "cachesim.fig12."+code+"."+name)
-			}
-			return st.Misses
+			runBatches(e, w)
+			return sim.Drain().Misses
 		}
 		cfgW := func(p cachesim.Probe) engine.Config {
 			return engine.Config{Workers: sc.Workers, Probe: p}
 		}
-		ks := missesOf("ks_sssp", func(p cachesim.Probe) incrementalProcessor {
+		ks := missesOf(func(p cachesim.Probe) incrementalProcessor {
 			return kickstarterEngine(w, algo.SSSP{Src: 0}, cfgW(p))
 		})
-		gfSel := missesOf("gf_sssp", func(p cachesim.Probe) incrementalProcessor {
+		gfSel := missesOf(func(p cachesim.Probe) incrementalProcessor {
 			return graphflySelective(w, algo.SSSP{Src: 0}, cfgW(p))
 		})
-		gb := missesOf("gb_pagerank", func(p cachesim.Probe) incrementalProcessor {
+		gb := missesOf(func(p cachesim.Probe) incrementalProcessor {
 			return graphboltEngine(w, algo.NewPageRank(w.NumV), cfgW(p))
 		})
-		gfAcc := missesOf("gf_pagerank", func(p cachesim.Probe) incrementalProcessor {
+		gfAcc := missesOf(func(p cachesim.Probe) incrementalProcessor {
 			return graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfgW(p))
 		})
-		norm := func(gf, base uint64) (Cell, Cell) {
+		norm := func(gf, base uint64) (string, string) {
 			if base == 0 {
 				return NA(), NA()
 			}
@@ -169,7 +162,7 @@ func Fig12(sc Scale) Table {
 		}
 		r1, d1 := norm(gfSel, ks)
 		r2, d2 := norm(gfAcc, gb)
-		t.AddRow(Str(code), r1, d1, r2, d2)
+		t.AddRow(code, r1, d1, r2, d2)
 	}
 	return t
 }
@@ -190,12 +183,12 @@ func Fig13(sc Scale) Table {
 	}
 	// A cache sized well below the working set, as in the full-scale runs.
 	simCfg := cachesim.Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 4}
-	missRatio := func(build func(p cachesim.Probe, scattered bool) incrementalProcessor, w gen.Workload) Cell {
+	missRatio := func(build func(p cachesim.Probe, scattered bool) incrementalProcessor, w gen.Workload) string {
 		count := func(scattered bool) uint64 {
 			sim := cachesim.NewSim(simCfg)
 			e := build(sim, scattered)
 			sim.Reset()
-			runBatches(sc, e, w)
+			runBatches(e, w)
 			return sim.Drain().Misses
 		}
 		with, without := count(false), count(true)
@@ -208,10 +201,10 @@ func Fig13(sc Scale) Table {
 		w := workload(code, sc, 0.3, 0x13)
 		withCfg := engine.Config{Workers: sc.Workers}
 		woCfg := engine.Config{Workers: sc.Workers, ScatteredStorage: true}
-		sWith, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, withCfg), w)
-		sWo, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, woCfg), w)
-		pWith, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), withCfg), w)
-		pWo, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), woCfg), w)
+		sWith, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, withCfg), w)
+		sWo, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, woCfg), w)
+		pWith, _ := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), withCfg), w)
+		pWo, _ := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), woCfg), w)
 		sMiss := missRatio(func(p cachesim.Probe, scattered bool) incrementalProcessor {
 			return graphflySelective(w, algo.SSSP{Src: 0},
 				engine.Config{Workers: sc.Workers, Probe: p, ScatteredStorage: scattered})
@@ -220,7 +213,7 @@ func Fig13(sc Scale) Table {
 			return graphflyAccumulative(w, algo.NewPageRank(w.NumV),
 				engine.Config{Workers: sc.Workers, Probe: p, ScatteredStorage: scattered})
 		}, w)
-		t.AddRow(Str(code), Dur(sWith), Dur(sWo), Ratio(sWith, sWo), sMiss,
+		t.AddRow(code, Dur(sWith), Dur(sWo), Ratio(sWith, sWo), sMiss,
 			Dur(pWith), Dur(pWo), Ratio(pWith, pWo), pMiss)
 	}
 	return t
@@ -241,8 +234,8 @@ func Fig14a(sc Scale) Table {
 	for _, del := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		w := workload("UK", s14, del, 0x14A)
 		cfg := engine.Config{Workers: sc.Workers}
-		gf, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
-		ks, _ := runBatches(sc, kickstarterEngine(w, algo.SSSP{Src: 0}, cfg), w)
+		gf, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
+		ks, _ := runBatches(kickstarterEngine(w, algo.SSSP{Src: 0}, cfg), w)
 		n := time.Duration(len(w.Batches))
 		t.AddRow(Pct(del), Dur(gf/n), Dur(ks/n))
 	}
@@ -266,7 +259,7 @@ func Fig14b(sc Scale) Table {
 			s.Batches = 6
 		}
 		w := workload("UK", s, 0.3, 0x14B)
-		gf, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers}), w)
+		gf, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, engine.Config{Workers: sc.Workers}), w)
 		updates := 0
 		for _, b := range w.Batches {
 			updates += len(b)
@@ -275,7 +268,7 @@ func Fig14b(sc Scale) Table {
 		if updates > 0 {
 			perUpdate = Float(float64(gf.Nanoseconds())/float64(updates), 3)
 		}
-		t.AddRow(IntCell(s.BatchSize), Dur(gf), perUpdate)
+		t.AddRow(strconv.Itoa(s.BatchSize), Dur(gf), perUpdate)
 	}
 	return t
 }
@@ -297,12 +290,12 @@ func Fig15a(sc Scale) Table {
 		dflow.NewPartition(f, dflow.DefaultCap)
 		genTime := time.Since(t0)
 		_ = fb
-		inc, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers}), w)
+		inc, _ := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers}), w)
 		share := NA()
 		if inc > 0 {
 			share = Pct(float64(genTime) / float64(inc+genTime))
 		}
-		t.AddRow(Str(code), Dur(genTime), Dur(inc), share)
+		t.AddRow(code, Dur(genTime), Dur(inc), share)
 	}
 	return t
 }
@@ -321,13 +314,13 @@ func Fig15b(sc Scale) Table {
 		w := workload("UK", s, 0.1, 0x15B)
 		e := graphflyAccumulative(w, algo.NewPageRank(w.NumV), engine.Config{Workers: sc.Workers})
 		var apply, dtree, maintain time.Duration
-		_, stats := runBatches(sc, e, w)
+		_, stats := runBatches(e, w)
 		for _, st := range stats {
 			apply += st.ApplyTime
 			dtree += st.DtreeTime
 			maintain += st.MaintainTime
 		}
-		t.AddRow(IntCell(s.BatchSize), Dur(apply), Dur(dtree), Dur(maintain))
+		t.AddRow(strconv.Itoa(s.BatchSize), Dur(apply), Dur(dtree), Dur(maintain))
 	}
 	return t
 }
@@ -358,11 +351,11 @@ func Fig16(sc Scale) Table {
 	// nodes (flows are the distribution granularity, §VI Data Management).
 	cfg := engine.Config{Workers: sc.Workers, TraceWork: true, FlowCap: 64}
 	ssspTrace := traceOf(func(w gen.Workload) []engine.BatchStats {
-		_, st := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
+		_, st := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		return st
 	}, w)
 	prTrace := traceOf(func(w gen.Workload) []engine.BatchStats {
-		_, st := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
+		_, st := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
 		return st
 	}, w)
 
@@ -384,7 +377,7 @@ func Fig16(sc Scale) Table {
 	sssp := best(ssspTrace)
 	pr := best(prTrace)
 	for n := 1; n <= maxNodes; n *= 2 {
-		t.AddRow(IntCell(n), Float(sssp[n-1]/1e6, 3), Float(pr[n-1]/1e6, 3))
+		t.AddRow(strconv.Itoa(n), Float(sssp[n-1]/1e6, 3), Float(pr[n-1]/1e6, 3))
 	}
 	return t
 }
@@ -411,13 +404,13 @@ func Fig17(sc Scale) Table {
 		return dist.MergeTraces(traces)
 	}
 	tCfg := engine.Config{Workers: sc.Workers, FlowCap: 256, TraceWork: true}
-	_, sStats := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, tCfg), w)
-	_, pStats := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), tCfg), w)
+	_, sStats := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, tCfg), w)
+	_, pStats := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), tCfg), w)
 	ssspTrace, prTrace := traceOf(sStats), traceOf(pStats)
 
 	cm := dist.DefaultCostModel()
 	cm.EdgeOpNs = 400
-	simMs := func(tr *engine.WorkTrace, cores int) Cell {
+	simMs := func(tr *engine.WorkTrace, cores int) string {
 		m := cm
 		m.CoresPerNode = cores
 		pl := dist.Place(tr, 1, dist.LPT)
@@ -425,9 +418,9 @@ func Fig17(sc Scale) Table {
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16, 28} {
 		cfg := engine.Config{Workers: workers, FlowCap: 256}
-		s, _ := runBatches(sc, graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
-		p, _ := runBatches(sc, graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
-		t.AddRow(IntCell(workers), Dur(s), Dur(p),
+		s, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
+		p, _ := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
+		t.AddRow(strconv.Itoa(workers), Dur(s), Dur(p),
 			simMs(ssspTrace, workers), simMs(prTrace, workers))
 	}
 	return t

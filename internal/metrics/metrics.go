@@ -1,13 +1,11 @@
 // Package metrics is the observability substrate of the repository: cheap
-// atomic counters and gauges, log-bucketed duration histograms with
-// p50/p95/p99 quantiles, and a batch recorder that turns the per-phase
-// timings of engine.BatchStats into a machine-readable perf trajectory
-// (cmd/bench -json writes them into BENCH_graphfly.json).
+// atomic counters and gauges and log-bucketed duration histograms with
+// p50/p95/p99 quantiles.
 //
 // The layer follows the same no-op discipline as cachesim.Probe: every
-// integration point is nil-guarded (engine.Config.Metrics == nil, expr
-// Scale.Rec == nil), so a disabled registry costs one pointer comparison
-// per batch — nothing on the per-edge hot paths.
+// integration point is nil-guarded (engine.Config.Metrics == nil), so a
+// disabled registry costs one pointer comparison per batch — nothing on
+// the per-edge hot paths.
 package metrics
 
 import (
@@ -292,143 +290,4 @@ func (s Snapshot) String() string {
 		out += l + "\n"
 	}
 	return out
-}
-
-// BatchPoint is one processed batch's phase breakdown, in nanoseconds,
-// mirroring engine.BatchStats (the engine package converts; metrics stays
-// dependency-free). These are the spans Figs 11/14/15 decompose.
-type BatchPoint struct {
-	ApplyNs    int64 `json:"apply_ns"`
-	MaintainNs int64 `json:"maintain_ns"`
-	TrimNs     int64 `json:"trim_ns"`
-	ScheduleNs int64 `json:"schedule_ns"`
-	ComputeNs  int64 `json:"compute_ns"`
-	TotalNs    int64 `json:"total_ns"`
-	Applied    int   `json:"applied"`
-	// Allocs/AllocBytes are the heap allocation deltas
-	// (runtime.ReadMemStats Mallocs/TotalAlloc) the harness measured
-	// around this batch; zero when the run doesn't sample memory.
-	Allocs     int64 `json:"allocs,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-}
-
-// PhaseNames are the per-batch phases a BatchPoint decomposes, in
-// execution order. Report phase maps are keyed by these names.
-var PhaseNames = []string{"apply", "maintain", "trim", "schedule", "compute"}
-
-// phaseNs returns the named phase's span from p.
-func (p BatchPoint) phaseNs(name string) int64 {
-	switch name {
-	case "apply":
-		return p.ApplyNs
-	case "maintain":
-		return p.MaintainNs
-	case "trim":
-		return p.TrimNs
-	case "schedule":
-		return p.ScheduleNs
-	case "compute":
-		return p.ComputeNs
-	}
-	return 0
-}
-
-// BatchRecorder accumulates the per-batch perf trajectory: the exact
-// point sequence (for the JSON report) plus per-phase histograms and a
-// whole-batch latency histogram in the backing registry. A nil recorder
-// is a no-op, so call sites need no guards.
-type BatchRecorder struct {
-	mu     sync.Mutex
-	points []BatchPoint
-	reg    *Registry
-	closed bool
-}
-
-// NewBatchRecorder returns a recorder feeding reg (which may be nil; the
-// point sequence still accumulates).
-func NewBatchRecorder(reg *Registry) *BatchRecorder {
-	return &BatchRecorder{reg: reg}
-}
-
-// Observe records one batch. Safe on a nil recorder; a point observed
-// after Close is dropped rather than corrupting the sealed trajectory.
-func (r *BatchRecorder) Observe(p BatchPoint) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.points = append(r.points, p)
-	r.mu.Unlock()
-	if r.reg == nil {
-		return
-	}
-	for _, name := range PhaseNames {
-		r.reg.Histogram("phase." + name + "_ns").Observe(p.phaseNs(name))
-	}
-	r.reg.Histogram("batch.total_ns").Observe(p.TotalNs)
-	r.reg.Counter("batch.count").Inc()
-	r.reg.Counter("updates.applied").Add(int64(p.Applied))
-	if p.Allocs > 0 || p.AllocBytes > 0 {
-		r.reg.Histogram("batch.allocs").Observe(p.Allocs)
-		r.reg.Histogram("batch.alloc_bytes").Observe(p.AllocBytes)
-	}
-}
-
-// Close seals the recorder: the point sequence becomes immutable and later
-// Observe calls are dropped. Idempotent — closing twice (the report writer
-// and a deferred cleanup both flushing) is safe and returns nil both times.
-// Points and PhaseSnapshots keep working after Close. Safe on nil.
-func (r *BatchRecorder) Close() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	return nil
-}
-
-// Closed reports whether the recorder has been sealed.
-func (r *BatchRecorder) Closed() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
-// Points returns a copy of the recorded sequence.
-func (r *BatchRecorder) Points() []BatchPoint {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]BatchPoint(nil), r.points...)
-}
-
-// Registry returns the backing registry (nil when detached).
-func (r *BatchRecorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
-// PhaseSnapshots summarizes the recorder's per-phase histograms keyed by
-// PhaseNames, plus the whole-batch latency histogram.
-func (r *BatchRecorder) PhaseSnapshots() (map[string]HistSnapshot, HistSnapshot) {
-	if r == nil || r.reg == nil {
-		return nil, HistSnapshot{}
-	}
-	phases := make(map[string]HistSnapshot, len(PhaseNames))
-	for _, name := range PhaseNames {
-		phases[name] = r.reg.Histogram("phase." + name + "_ns").Snapshot()
-	}
-	return phases, r.reg.Histogram("batch.total_ns").Snapshot()
 }

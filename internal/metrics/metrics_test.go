@@ -114,43 +114,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestBatchRecorder(t *testing.T) {
-	reg := NewRegistry()
-	rec := NewBatchRecorder(reg)
-	for i := 1; i <= 10; i++ {
-		rec.Observe(BatchPoint{
-			ApplyNs: int64(i * 100), MaintainNs: int64(i * 10), TrimNs: int64(i),
-			ScheduleNs: 5, ComputeNs: int64(i * 1000),
-			TotalNs: int64(i * 1200), Applied: i,
-		})
-	}
-	pts := rec.Points()
-	if len(pts) != 10 || pts[9].TotalNs != 12000 {
-		t.Fatalf("points = %+v", pts)
-	}
-	phases, lat := rec.PhaseSnapshots()
-	for _, name := range PhaseNames {
-		if phases[name].Count != 10 {
-			t.Fatalf("phase %q count = %d", name, phases[name].Count)
-		}
-	}
-	if lat.Count != 10 || lat.P50 < lat.Count || lat.P99 < lat.P50 || lat.MaxNs < lat.P99 {
-		t.Fatalf("latency snapshot inconsistent: %+v", lat)
-	}
-	if reg.Counter("batch.count").Value() != 10 {
-		t.Fatalf("batch.count = %d", reg.Counter("batch.count").Value())
-	}
-	if reg.Counter("updates.applied").Value() != 55 {
-		t.Fatalf("updates.applied = %d", reg.Counter("updates.applied").Value())
-	}
-}
-
 func TestNilRecorderAndSnapshotString(t *testing.T) {
-	var rec *BatchRecorder
-	rec.Observe(BatchPoint{TotalNs: 1}) // must not panic
-	if rec.Points() != nil || rec.Registry() != nil {
-		t.Fatal("nil recorder leaked state")
-	}
 	reg := NewRegistry()
 	reg.Counter("a").Inc()
 	reg.Gauge("b").Set(2)
