@@ -21,7 +21,7 @@ import (
 
 // benchScale keeps `go test -bench=.` under a few minutes total.
 func benchScale() expr.Scale {
-	return expr.Scale{EdgeCap: 20_000, BatchSize: 1_000, Batches: 2, MaxNodes: 16}
+	return expr.Scale{EdgeCap: 20_000, BatchSize: 1_000, Batches: 2}
 }
 
 func runFigure(b *testing.B, run func(expr.Scale) expr.Table) {

@@ -1,3 +1,11 @@
+// Package dist is the distributed GraphFly of §VI: a coordinator (this
+// file) and worker processes (workerproc.go) exchanging framed messages
+// (wire.go) over reliable links (link.go). Each worker's durable state is a
+// wal directory of batch log and worker snapshots (workerproc.go's
+// workerStore). The runtime carries the selective algorithms (alg.go) and
+// is bit-exact with the single-machine engines; graphfly -cluster runs it
+// across processes, and Fig 16 runs it with in-process workers over
+// loopback TCP.
 package dist
 
 // Coordinator: the Manager role of the GraphFly cluster protocol (§VI) over
@@ -139,6 +147,10 @@ type Coordinator struct {
 	recoveryNs *metrics.Histogram
 	rejoinNs   *metrics.Histogram
 	rebalances *metrics.Counter
+	// fwdRecs / fwdBytes count what routeData forwards: records and
+	// encoded bundle bytes, every fan-out copy included.
+	fwdRecs  *metrics.Counter
+	fwdBytes *metrics.Counter
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -193,6 +205,8 @@ func NewCoordinator(g *graph.Streaming, alg algo.Selective, cfg CoordConfig) (*C
 		recoveryNs: reg.Histogram("dist.recovery_ns"),
 		rejoinNs:   reg.Histogram("dist.rejoin_ns"),
 		rebalances: reg.Counter("dist.rebalances"),
+		fwdRecs:    reg.Counter("dist.routed_records"),
+		fwdBytes:   reg.Counter("dist.routed_bytes"),
 		g:          g,
 		vals:       vals,
 		parent:     parent,
@@ -504,12 +518,18 @@ func (c *Coordinator) routeData(w *coordWorker, m wireData) {
 			}
 		}
 	}
+	var nRecs, nBytes int
 	for o, recs := range out {
 		o.fwd += uint64(len(recs))
-		if err := o.link.Send(encodeData(wireData{Epoch: m.Epoch, Recs: recs})); err != nil {
+		payload := encodeData(wireData{Epoch: m.Epoch, Recs: recs})
+		nRecs += len(recs)
+		nBytes += len(payload)
+		if err := o.link.Send(payload); err != nil {
 			c.markDeadLocked(o, err)
 		}
 	}
+	c.fwdRecs.Add(int64(nRecs))
+	c.fwdBytes.Add(int64(nBytes))
 	c.cond.Broadcast()
 }
 

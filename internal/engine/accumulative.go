@@ -391,9 +391,6 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e.lastUnit.SetVec(v, aw.newU)
 	out := e.G.Out(graph.VertexID(v))
 	aw.relaxations += int64(len(out))
-	if e.trace != nil {
-		e.traceWork(u.flow, int64(len(out)))
-	}
 	for i, h := range out {
 		if e.profiled {
 			// The model keeps one aggregate write per edge, wherever the
@@ -415,15 +412,14 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 			}
 			continue
 		}
-		aw.combine(tf, w, h.W, u.flow)
+		aw.combine(tf, w, h.W)
 	}
 }
 
 // combine adds one edge's delta for w (in flow tf) to the outbox entry of
 // w, opening the entry — one message to tf — on w's first delta since the
 // last flush.
-func (aw *accWorker) combine(tf int32, w uint32, edgeW float64, from int32) {
-	e := aw.e
+func (aw *accWorker) combine(tf int32, w uint32, edgeW float64) {
 	at := aw.at[w]
 	if at < 0 {
 		b := aw.out.to(tf)
@@ -432,9 +428,6 @@ func (aw *accWorker) combine(tf int32, w uint32, edgeW float64, from int32) {
 			*b = append(*b, accMsg{v: w, d: int32(d)})
 		}
 		aw.at[w] = at
-		if e.trace != nil {
-			e.traceMsg(from, tf)
-		}
 	}
 	entries := aw.out.bufs[tf][at:]
 	for d, x := range aw.diff {

@@ -114,9 +114,9 @@ func TestAccumulativeDeletionHeavy(t *testing.T) {
 func TestAccumulativeStats(t *testing.T) {
 	w := accWorkload(30, 1)
 	g := graph.FromEdges(w.NumV, w.Initial)
-	e := NewAccumulative(g, algo.NewPageRank(w.NumV), Config{Workers: 2, FlowCap: 32, TraceWork: true})
+	e := NewAccumulative(g, algo.NewPageRank(w.NumV), Config{Workers: 2, FlowCap: 32})
 	st := e.ProcessBatch(w.Batches[0])
-	if st.Applied == 0 || st.Trace == nil || st.Total <= 0 {
+	if st.Applied == 0 || st.Total <= 0 {
 		t.Fatalf("stats incomplete: %+v", st)
 	}
 	if st.Relaxations == 0 {

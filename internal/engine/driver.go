@@ -116,9 +116,6 @@ type driver struct {
 	// counts sums the batch's work: every worker's tally once its step
 	// quiesces.
 	counts work
-
-	trace   *WorkTrace
-	traceMu sync.Mutex
 }
 
 // init binds the driver to its graph, configuration and kernel. The kernel
@@ -186,11 +183,6 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 	d.probe.BeginBatch()
 	if d.symmetric {
 		batch = d.symm.Symmetrize(batch)
-	}
-	d.trace = nil
-	if d.cfg.TraceWork {
-		d.trace = newWorkTrace()
-		st.Trace = d.trace
 	}
 	d.batches++
 	d.counts = work{}
@@ -421,18 +413,6 @@ func (d *driver) activateFlow(f int32, level int) {
 	u := d.units[ui]
 	d.unitsMu.Unlock()
 	d.pl.activate(u)
-}
-
-func (d *driver) traceWork(f int32, n int64) {
-	d.traceMu.Lock()
-	d.trace.FlowWork[f] += n
-	d.traceMu.Unlock()
-}
-
-func (d *driver) traceMsg(from, to int32) {
-	d.traceMu.Lock()
-	d.trace.FlowMsgs[[2]int32{from, to}]++
-	d.traceMu.Unlock()
 }
 
 // maintainForest folds applied into a structural D-tree forest:

@@ -59,9 +59,6 @@ type Config struct {
 	// forward triangle constrains execution order. Useful when most edges
 	// live in the upper triangle. Accumulative engine only.
 	BackwardFlows bool
-	// TraceWork records per-flow work and cross-flow message volume for
-	// the distributed simulation (small overhead).
-	TraceWork bool
 	// Metrics, when non-nil, receives per-batch counters and per-phase
 	// duration histograms (internal/metrics). Nil costs one pointer
 	// comparison per batch — the same no-op discipline as Probe.
@@ -120,25 +117,6 @@ type BatchStats struct {
 	ScheduleTime time.Duration
 	ComputeTime  time.Duration
 	Total        time.Duration
-
-	// Trace is non-nil when Config.TraceWork is set.
-	Trace *WorkTrace
-}
-
-// WorkTrace captures where the work happened, for the distributed
-// cost-model simulation (Fig 16).
-type WorkTrace struct {
-	// FlowWork is per-flow work in edge-operations.
-	FlowWork map[int32]int64
-	// FlowMsgs counts cross-flow messages by (src,dst) flow pair.
-	FlowMsgs map[[2]int32]int64
-}
-
-func newWorkTrace() *WorkTrace {
-	return &WorkTrace{
-		FlowWork: make(map[int32]int64),
-		FlowMsgs: make(map[[2]int32]int64),
-	}
 }
 
 // flags is an atomic per-vertex flag array (one word per vertex: simple and

@@ -232,12 +232,10 @@ type selWorker struct {
 
 func (e *Selective) newWorker(int) unitWorker { return &selWorker{e: e} }
 
-// post buffers a candidate for m.v in the outbox and reports its flow.
-func (sw *selWorker) post(m selMsg) int32 {
-	tf := sw.e.part.Flow(m.v)
-	b := sw.out.to(tf)
+// post buffers a candidate for m.v in its flow's outbox.
+func (sw *selWorker) post(m selMsg) {
+	b := sw.out.to(sw.e.part.Flow(m.v))
 	*b = append(*b, m)
-	return tf
 }
 
 func (sw *selWorker) readVal(v uint32) float64 {
@@ -330,9 +328,6 @@ func (sw *selWorker) refineVertex(v uint32) {
 	e.parent[v] = bestParent
 	e.trimmed.clear(v)
 	sw.wl = append(sw.wl, v)
-	if e.trace != nil {
-		e.traceWork(e.part.Flow(v), int64(len(in)))
-	}
 }
 
 // apply merges an incoming candidate into v (owner-side message handling).
@@ -359,9 +354,6 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 	uVal := sw.readVal(v)
 	out := e.G.Out(graph.VertexID(v))
 	sw.relaxations += int64(len(out))
-	if e.trace != nil {
-		e.traceWork(e.part.Flow(v), int64(len(out)))
-	}
 	for i, h := range out {
 		if e.profiled {
 			sw.probe.Access(e.outIdx.Addr(v, i), false, cachesim.ClassEdge)
@@ -382,10 +374,7 @@ func (sw *selWorker) relax(v uint32, u *unit) {
 		// Cross-flow: send only when it could matter.
 		if e.trimmed.get(w) || e.Alg.Better(cand, sw.readVal(w)) {
 			sw.crossMsgs++
-			tf := sw.post(selMsg{v: w, val: cand, parent: int32(v)})
-			if e.trace != nil {
-				e.traceMsg(e.part.Flow(v), tf)
-			}
+			sw.post(selMsg{v: w, val: cand, parent: int32(v)})
 		}
 	}
 }

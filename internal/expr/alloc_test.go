@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -24,7 +23,6 @@ func TestFig11AllocBudget(t *testing.T) {
 	// allocs per batch grow with the worker count; Workers 0 follows GOMAXPROCS.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sc := Scale{EdgeCap: 8000, BatchSize: 500, Batches: 2}
-	cfg := engine.Config{Workers: sc.Workers}
 
 	var batches, allocs, bytes uint64
 	var before, after runtime.MemStats
@@ -38,20 +36,10 @@ func TestFig11AllocBudget(t *testing.T) {
 			batches++
 		}
 	}
-	for _, code := range gen.DatasetCodes() {
-		for _, sa := range SelectiveAlgs() {
-			w := workload(code, sc, 0.1, 0x11)
-			a := sa.Make(w)
-			measure(kickstarterEngine(w, a, cfg), w)
-			measure(graphflySelective(w, a, cfg), w)
-		}
-		for _, aa := range AccumulativeAlgs() {
-			w := workload(code, sc, 0.1, 0x11)
-			a := aa.Make(w)
-			measure(graphboltEngine(w, a, cfg), w)
-			measure(graphflyAccumulative(w, a, cfg), w)
-		}
-	}
+	fig11Cases(sc, func(c fig11Case) {
+		measure(c.Baseline(), c.W)
+		measure(c.GraphFly(), c.W)
+	})
 	if batches != 120 {
 		t.Fatalf("measured %d batches, want Fig 11's 120 (5 datasets x 12 engines x 2)", batches)
 	}

@@ -27,20 +27,18 @@ type Scale struct {
 	BatchSize int
 	// Batches is the number of update batches per run.
 	Batches int
-	// MaxNodes bounds the distributed sweep.
-	MaxNodes int
 	// Workers for the engines (0 = GOMAXPROCS).
 	Workers int
 }
 
 // Quick is the default laptop-scale configuration.
 func Quick() Scale {
-	return Scale{EdgeCap: 60_000, BatchSize: 2_000, Batches: 3, MaxNodes: 16}
+	return Scale{EdgeCap: 60_000, BatchSize: 2_000, Batches: 3}
 }
 
 // Full uses the dataset presets untouched (honours GRAPHFLY_SCALE).
 func Full() Scale {
-	return Scale{EdgeCap: 0, BatchSize: 100_000, Batches: 3, MaxNodes: 16}
+	return Scale{EdgeCap: 0, BatchSize: 100_000, Batches: 3}
 }
 
 // Table is one experiment result: a header and rows of cells already
@@ -55,9 +53,6 @@ type Table struct {
 // AddRow appends one row of cells.
 func (t *Table) AddRow(cells ...string) { t.Cells = append(t.Cells, cells) }
 
-// Rows returns every row, in header order.
-func (t Table) Rows() [][]string { return t.Cells }
-
 // String renders the table as aligned text.
 func (t Table) String() string {
 	var b strings.Builder
@@ -66,8 +61,7 @@ func (t Table) String() string {
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	rows := t.Rows()
-	for _, r := range rows {
+	for _, r := range t.Cells {
 		for i, c := range r {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -84,7 +78,7 @@ func (t Table) String() string {
 		b.WriteByte('\n')
 	}
 	line(t.Header)
-	for _, r := range rows {
+	for _, r := range t.Cells {
 		line(r)
 	}
 	return b.String()

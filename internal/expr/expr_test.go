@@ -1,13 +1,15 @@
 package expr
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // tiny returns a scale small enough for unit tests.
 func tiny() Scale {
-	return Scale{EdgeCap: 4000, BatchSize: 300, Batches: 2, MaxNodes: 8, Workers: 2}
+	return Scale{EdgeCap: 4000, BatchSize: 300, Batches: 2, Workers: 2}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -24,7 +26,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	tab := Table1(tiny())
-	rows := tab.Rows()
+	rows := tab.Cells
 	if len(rows) != 5 {
 		t.Fatalf("Table1 rows = %d", len(rows))
 	}
@@ -37,7 +39,7 @@ func TestTable1(t *testing.T) {
 
 func TestFig4b(t *testing.T) {
 	tab := Fig4b(tiny())
-	rows := tab.Rows()
+	rows := tab.Cells
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -50,7 +52,7 @@ func TestFig4b(t *testing.T) {
 
 func TestFig11SmallScale(t *testing.T) {
 	tab := Fig11(tiny())
-	rows := tab.Rows()
+	rows := tab.Cells
 	// 5 datasets x 6 algorithms.
 	if len(rows) != 30 {
 		t.Fatalf("rows = %d, want 30", len(rows))
@@ -101,23 +103,54 @@ func TestFig15(t *testing.T) {
 	}
 }
 
-func TestFig16Declines(t *testing.T) {
+// TestFig16 runs the loopback cluster at 1, 2 and 4 workers. A row is
+// numeric only when the cluster's values matched the single-machine solver,
+// and more than one worker must route records between them.
+func TestFig16(t *testing.T) {
 	tab := Fig16(tiny())
-	if len(tab.Cells) < 3 {
-		t.Fatalf("rows = %d", len(tab.Cells))
+	if len(tab.Cells) != 3 {
+		t.Fatalf("rows = %d, want 3:\n%s", len(tab.Cells), tab)
+	}
+	for i, r := range tab.Cells {
+		if want := strconv.Itoa(1 << i); r[0] != want {
+			t.Fatalf("row %d nodes = %s, want %s", i, r[0], want)
+		}
+		if ms, err := strconv.ParseFloat(r[1], 64); err != nil || ms <= 0 {
+			t.Fatalf("row %v: SSSP cell is not a measured time\n%s", r, tab)
+		}
+		recs, err := strconv.ParseFloat(r[2], 64)
+		if err != nil || (i > 0 && recs == 0) {
+			t.Fatalf("row %v: no records routed between workers\n%s", r, tab)
+		}
 	}
 }
 
+// TestFig17 pins GOMAXPROCS at 2: rows 1 and 2 are timed, and every row
+// above 2 would oversubscribe the cores, so it must read "—".
 func TestFig17(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tab := Fig17(tiny())
 	if len(tab.Cells) != 6 {
 		t.Fatalf("rows = %d", len(tab.Cells))
+	}
+	for _, r := range tab.Cells {
+		w, _ := strconv.Atoi(r[0])
+		measured := r[1] != "—" && r[2] != "—"
+		if w <= 2 && !measured {
+			t.Fatalf("row %v: W = %d is within GOMAXPROCS but not measured", r, w)
+		}
+		if w > 2 && (r[1] != "—" || r[2] != "—") {
+			t.Fatalf("row %v: W = %d exceeds GOMAXPROCS but was timed", r, w)
+		}
+	}
+	if tab.Cells[0][0] != "1" {
+		t.Fatalf("first row = %v, want W = 1", tab.Cells[0])
 	}
 }
 
 func TestFig4aShowsRedundancy(t *testing.T) {
 	tab := Fig4a(tiny())
-	rows := tab.Rows()
+	rows := tab.Cells
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -1,8 +1,13 @@
 package expr
 
 import (
-	"math"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/algo"
@@ -13,6 +18,7 @@ import (
 	"repro/internal/etree"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 // Table1 reproduces Table I: the dataset inventory (synthetic stand-ins at
@@ -97,26 +103,45 @@ func Fig11(sc Scale) Table {
 		Title:  "Execution time (ms) with edge mutations: baseline vs GraphFly",
 		Header: []string{"Graph", "Algorithm", "Baseline", "Baseline ms", "GraphFly ms", "Speedup"},
 	}
+	fig11Cases(sc, func(c fig11Case) {
+		base, _ := runBatches(c.Baseline(), c.W)
+		gf, _ := runBatches(c.GraphFly(), c.W)
+		t.AddRow(c.Dataset, c.Alg, c.BaselineName, Dur(base), Dur(gf), Ratio(gf, base))
+	})
+	return t
+}
+
+// fig11Case is one Fig 11 cell: a dataset's workload, an algorithm, and
+// constructors for its baseline and GraphFly engines. The engines are built
+// on call, so a caller measures one before the next exists.
+type fig11Case struct {
+	Dataset, Alg, BaselineName string
+	W                          gen.Workload
+	Baseline, GraphFly         func() incrementalProcessor
+}
+
+// fig11Cases visits Fig 11's engine set in table order: for each dataset,
+// KickStarter and GraphFly on the four selective algorithms, then GraphBolt
+// and GraphFly on the two accumulative ones. TestFig11AllocBudget measures
+// the same set.
+func fig11Cases(sc Scale, visit func(fig11Case)) {
 	cfg := engine.Config{Workers: sc.Workers}
 	for _, code := range gen.DatasetCodes() {
 		for _, sa := range SelectiveAlgs() {
 			w := workload(code, sc, 0.1, 0x11)
 			a := sa.Make(w)
-			base, _ := runBatches(kickstarterEngine(w, a, cfg), w)
-			gf, _ := runBatches(graphflySelective(w, a, cfg), w)
-			t.AddRow(code, sa.Name, "KickStarter",
-				Dur(base), Dur(gf), Ratio(gf, base))
+			visit(fig11Case{code, sa.Name, "KickStarter", w,
+				func() incrementalProcessor { return kickstarterEngine(w, a, cfg) },
+				func() incrementalProcessor { return graphflySelective(w, a, cfg) }})
 		}
 		for _, aa := range AccumulativeAlgs() {
 			w := workload(code, sc, 0.1, 0x11)
 			a := aa.Make(w)
-			base, _ := runBatches(graphboltEngine(w, a, cfg), w)
-			gf, _ := runBatches(graphflyAccumulative(w, a, cfg), w)
-			t.AddRow(code, aa.Name, "GraphBolt",
-				Dur(base), Dur(gf), Ratio(gf, base))
+			visit(fig11Case{code, aa.Name, "GraphBolt", w,
+				func() incrementalProcessor { return graphboltEngine(w, a, cfg) },
+				func() incrementalProcessor { return graphflyAccumulative(w, a, cfg) }})
 		}
 	}
-	return t
 }
 
 // Fig12 reproduces Fig 12: normalized memory accesses (simulated cache
@@ -325,103 +350,131 @@ func Fig15b(sc Scale) Table {
 	return t
 }
 
-// Fig16 reproduces Fig 16: distributed scaling on FT for SSSP and PageRank
-// across 1..MaxNodes nodes, via the trace-driven cluster simulation
-// (DESIGN.md §2 substitution).
+// Fig16 reproduces Fig 16 (distributed scaling on FT) on a loopback
+// cluster: a dist.Coordinator and 1, 2 and 4 dist.RunWorker goroutines,
+// each with its own wal directory, run SSSP over TCP on 127.0.0.1 (DESIGN.md
+// §2 substitution). The workers share the host's cores, so the columns show
+// how routing grows with the worker count, not a speed-up. A node count
+// whose converged values differ from algo.SolveSelective on the final graph
+// prints an error cell instead of a time. PageRank is not run: the socket
+// runtime carries selective algorithms only (dist/alg.go).
 func Fig16(sc Scale) Table {
 	t := Table{
 		ID:     "Fig 16",
-		Title:  "Distributed scaling on FT (simulated cluster makespan, ms)",
-		Header: []string{"Nodes", "SSSP", "PageRank"},
-	}
-	cm := dist.DefaultCostModel()
-	// Keep compute dominant as in the paper's 1M-10M batches.
-	cm.EdgeOpNs = 400
-
-	traceOf := func(run func(w gen.Workload) []engine.BatchStats, w gen.Workload) *engine.WorkTrace {
-		stats := run(w)
-		traces := make([]*engine.WorkTrace, 0, len(stats))
-		for _, st := range stats {
-			traces = append(traces, st.Trace)
-		}
-		return dist.MergeTraces(traces)
+		Title:  "Loopback cluster on FT, SSSP (measured, in-process workers over TCP)",
+		Header: []string{"Nodes", "SSSP ms/batch", "routed records/batch", "routed bytes/batch"},
 	}
 	w := workload("FT", sc, 0.1, 0x16)
-	// A finer flow cap gives the placer enough units to spread across 16
-	// nodes (flows are the distribution granularity, §VI Data Management).
-	cfg := engine.Config{Workers: sc.Workers, TraceWork: true, FlowCap: 64}
-	ssspTrace := traceOf(func(w gen.Workload) []engine.BatchStats {
-		_, st := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
-		return st
-	}, w)
-	prTrace := traceOf(func(w gen.Workload) []engine.BatchStats {
-		_, st := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
-		return st
-	}, w)
-
-	maxNodes := sc.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 16
-	}
-	best := func(tr *engine.WorkTrace) []float64 {
-		// A deployment picks the better placement; report the min of the
-		// balance-first and locality-first strategies per node count.
-		a := dist.Sweep(tr, maxNodes, cm, dist.LPT, true)
-		b := dist.Sweep(tr, maxNodes, cm, dist.LocalityLPT, true)
-		out := make([]float64, maxNodes)
-		for i := range out {
-			out[i] = math.Min(a[i], b[i])
+	for _, n := range []int{1, 2, 4} {
+		row, err := loopbackCluster(w, n)
+		if err != nil {
+			row = []string{"error: " + err.Error(), NA(), NA()}
 		}
-		return out
-	}
-	sssp := best(ssspTrace)
-	pr := best(prTrace)
-	for n := 1; n <= maxNodes; n *= 2 {
-		t.AddRow(strconv.Itoa(n), Float(sssp[n-1]/1e6, 3), Float(pr[n-1]/1e6, 3))
+		t.AddRow(append([]string{strconv.Itoa(n)}, row...)...)
 	}
 	return t
 }
 
+// loopbackCluster runs w's batches through a coordinator and n in-process
+// workers and returns the ms/batch, routed-records/batch and
+// routed-bytes/batch cells, after checking the converged values against the
+// single-machine solver.
+func loopbackCluster(w gen.Workload, n int) (cells []string, err error) {
+	alg := algo.SSSP{Src: 0}
+	reg := metrics.NewRegistry()
+	// A finer flow cap gives the workers several flows each (flows are the
+	// distribution granularity, §VI Data Management).
+	coord, err := dist.NewCoordinator(buildGraph(w, false), alg,
+		dist.CoordConfig{Addr: "127.0.0.1:0", FlowCap: 64, Metrics: reg})
+	if err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "graphfly-fig16-")
+	if err != nil {
+		coord.Close()
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	var workers sync.WaitGroup
+	werrs := make(chan error, n) // one slot per worker: a send never blocks
+	defer func() {
+		coord.Close() // byes the workers; cancel stops any the bye missed
+		cancel()
+		workers.Wait()
+		os.RemoveAll(dir)
+		if err != nil && len(werrs) > 0 {
+			err = <-werrs // the cause, not the timeout it led to
+		}
+	}()
+	for i := 0; i < n; i++ {
+		workers.Add(1)
+		go func(id int) {
+			defer workers.Done()
+			err := dist.RunWorker(ctx, dist.WorkerConfig{
+				Addr: coord.Addr(), Dir: filepath.Join(dir, fmt.Sprintf("worker-%d", id)), ID: id,
+			})
+			if err != nil {
+				werrs <- fmt.Errorf("worker %d: %w", id, err)
+				cancel() // fail the run now, not at the timeout
+			}
+		}(i)
+	}
+	if err := coord.WaitForWorkers(ctx, n); err != nil {
+		return nil, err
+	}
+	// An untimed empty batch returns once every worker has loaded its
+	// welcome, so that load is not billed to the first timed batch.
+	if err := coord.ProcessBatch(ctx, nil); err != nil {
+		return nil, err
+	}
+
+	t0 := time.Now()
+	for _, b := range w.Batches {
+		if err := coord.ProcessBatch(ctx, b); err != nil {
+			return nil, err
+		}
+	}
+	elapsed := time.Since(t0)
+
+	ref := buildGraph(w, false)
+	for _, b := range w.Batches {
+		ref.ApplyBatch(b)
+	}
+	want, _ := algo.SolveSelective(ref, alg)
+	got := coord.Values()
+	for v := range want {
+		if got[v] != want[v] {
+			return nil, fmt.Errorf("vertex %d = %v, want %v", v, got[v], want[v])
+		}
+	}
+	nb := float64(len(w.Batches))
+	return []string{
+		Dur(elapsed / time.Duration(len(w.Batches))),
+		Float(float64(reg.Counter("dist.routed_records").Value())/nb, 1),
+		Float(float64(reg.Counter("dist.routed_bytes").Value())/nb, 0),
+	}, nil
+}
+
 // Fig17 reproduces Fig 17: single-machine core scaling for SSSP and
-// PageRank on FT. The wall-clock columns sweep the engine's worker count
-// (meaningful only on a multi-core host — on a single-core container they
-// are flat); the simulated columns price the engine's real per-flow work
-// trace on 1..28 cores of one node through the cost model, which exposes
-// the scaling shape on any host (same substitution as Fig 16).
+// PageRank on FT, as wall-clock time over the engine's worker count. A
+// worker count above GOMAXPROCS would time the Go scheduler's
+// oversubscription, not the engine, so its row prints "—".
 func Fig17(sc Scale) Table {
 	t := Table{
 		ID:     "Fig 17",
-		Title:  "Core scaling on FT (GraphFly, wall-clock and simulated ms)",
-		Header: []string{"Cores", "SSSP ms", "PR ms", "SSSP sim ms", "PR sim ms"},
+		Title:  "Core scaling on FT (GraphFly, wall-clock ms)",
+		Header: []string{"Cores", "SSSP ms", "PR ms"},
 	}
 	w := workload("FT", sc, 0.1, 0x17)
-	// One traced run per algorithm feeds the per-core simulation.
-	traceOf := func(stats []engine.BatchStats) *engine.WorkTrace {
-		traces := make([]*engine.WorkTrace, 0, len(stats))
-		for _, st := range stats {
-			traces = append(traces, st.Trace)
-		}
-		return dist.MergeTraces(traces)
-	}
-	tCfg := engine.Config{Workers: sc.Workers, FlowCap: 256, TraceWork: true}
-	_, sStats := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, tCfg), w)
-	_, pStats := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), tCfg), w)
-	ssspTrace, prTrace := traceOf(sStats), traceOf(pStats)
-
-	cm := dist.DefaultCostModel()
-	cm.EdgeOpNs = 400
-	simMs := func(tr *engine.WorkTrace, cores int) string {
-		m := cm
-		m.CoresPerNode = cores
-		pl := dist.Place(tr, 1, dist.LPT)
-		return Float(dist.Simulate(tr, pl, m, true).MakespanNs/1e6, 3)
-	}
 	for _, workers := range []int{1, 2, 4, 8, 16, 28} {
+		if workers > runtime.GOMAXPROCS(0) {
+			t.AddRow(strconv.Itoa(workers), "—", "—")
+			continue
+		}
 		cfg := engine.Config{Workers: workers, FlowCap: 256}
 		s, _ := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
 		p, _ := runBatches(graphflyAccumulative(w, algo.NewPageRank(w.NumV), cfg), w)
-		t.AddRow(strconv.Itoa(workers), Dur(s), Dur(p),
-			simMs(ssspTrace, workers), simMs(prTrace, workers))
+		t.AddRow(strconv.Itoa(workers), Dur(s), Dur(p))
 	}
 	return t
 }

@@ -13,9 +13,10 @@
 # stay removed, a graphfly serve smoke at -snapshot-every 4 and 1
 # (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
 # at 1 every batch starts a background WAL snapshot), serving-chaos and
-# degraded-mode smokes, a text-only bench smoke (Fig 11) so cmd/bench
-# cannot rot, and one iteration of the flow-derivation microbenchmark (what
-# engine construction, restore and a D-tree rebuild pay); ends by printing
+# degraded-mode smokes, text-only bench smokes (Fig 11; the measured Fig 16
+# loopback cluster and Fig 17 core sweep) so cmd/bench cannot rot, and one
+# iteration of the flow-derivation microbenchmark (what engine
+# construction, restore and a D-tree rebuild pay); ends by printing
 # the repo's size (non-test Go lines, CLI flags). The allocation gate is
 # internal/expr's TestFig11AllocBudget, part of the go test runs above.
 # Run from anywhere.
@@ -165,7 +166,8 @@ common=(-algo SSSP "${workload[@]}")
 wait_listening() { # $1 = server.out; sets $addr
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^graphflyd listening on \([0-9.:]*\) .*/\1/p' "$1")
+        # the backgrounded server opens its log itself: it may not exist yet
+        addr=$(sed -n 's/^graphflyd listening on \([0-9.:]*\) .*/\1/p' "$1" 2>/dev/null) || true
         [ -n "$addr" ] && return 0
         sleep 0.1
     done
@@ -222,7 +224,7 @@ common=(-algo SSSP "${workload[@]}")
 wait_line() { # $1 = logfile, $2 = sed extraction pattern; sets $addr
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n "$2" "$1")
+        addr=$(sed -n "$2" "$1" 2>/dev/null) || true # the log may not exist yet
         [ -n "$addr" ] && return 0
         sleep 0.1
     done
@@ -288,6 +290,9 @@ trap - EXIT
 
 echo "== bench smoke (Fig 11 text tables, so cmd/bench cannot rot) =="
 GOMAXPROCS=1 go run ./cmd/bench -fig 11 -edgecap 8000 -batch 500 -batches 2 > /dev/null
+
+echo "== bench smoke (Fig 16 loopback cluster + Fig 17 core sweep, both measured) =="
+go run ./cmd/bench -fig 16,17 -edgecap 8000 -batch 500 -batches 2 > /dev/null
 
 echo "== flow-derivation microbenchmark smoke (one iteration, so it cannot rot) =="
 go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
