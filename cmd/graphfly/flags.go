@@ -218,8 +218,8 @@ func openDurable(alg algorithm, eCfg engine.Config, dc wal.DurableConfig, initia
 	if err != nil {
 		fatalf("recovery from %s failed: %v", dir, err)
 	}
-	fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v\n",
-		dir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration)
+	fmt.Printf("recovered %s: snapshot seq %d, replayed %d batches to seq %d in %v (restore %v)\n",
+		dir, rs.SnapshotSeq, rs.Replayed, rs.LastSeq, rs.Duration, rs.Restore)
 	usage(alg.checkSource(len(d.Eng.Values()) / alg.dim))
 	return d
 }

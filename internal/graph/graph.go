@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dense"
@@ -175,12 +176,77 @@ func FromEdges(n int, edges []Edge) *Streaming {
 	return FromEdgesOpts(n, edges, Options{})
 }
 
-// FromEdgesOpts is FromEdges with explicit tuning options.
+// FromEdgesOpts is FromEdges with explicit tuning options. It builds in
+// bulk, but the result is the graph AddEdge would build one edge at a time
+// in input order: the same list contents and order, the same per-list cap
+// (DESIGN.md §4.8 "Bulk load"), the same hub indexes.
 func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 	g := NewStreamingOpts(n, o)
-	for _, e := range edges {
-		g.AddEdge(e)
+	// ladder holds the capacities one-at-a-time append gives a []Half grown
+	// from nil, asked of the runtime rather than copied from its growth
+	// formula, which differs between Go releases.
+	ladder := []int{0}
+	appendCap := func(d int) int {
+		for c := ladder[len(ladder)-1]; c < d; c = ladder[len(ladder)-1] {
+			ladder = append(ladder, cap(append(make([]Half, c), Half{})))
+		}
+		i, _ := slices.BinarySearch(ladder, d)
+		return ladder[i]
 	}
+	// Stable counting sort by source: after the scatter, end[v] is the end
+	// of v's run in sorted and end[v-1] its start.
+	type sortedHalf struct {
+		to, i VertexID // destination, input index
+		w     Weight
+	}
+	end := make([]int, n+1)
+	for _, e := range edges {
+		end[e.Src+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	sorted := make([]sortedHalf, len(edges))
+	for i, e := range edges {
+		sorted[end[e.Src]] = sortedHalf{e.Dst, VertexID(i), e.W}
+		end[e.Src]++
+	}
+	// First wins within each run; keep marks the survivors by input index.
+	keep := make([]bool, len(edges))
+	inDeg := make([]int, n)
+	seen := dense.NewSet[VertexID](n)
+	start := 0
+	for v := 0; v < n; v++ {
+		seen.Clear()
+		d := 0
+		for _, s := range sorted[start:end[v]] {
+			if seen.Add(s.to) {
+				keep[s.i] = true
+				inDeg[s.to]++
+				sorted[start+d] = s
+				d++
+			}
+		}
+		if d > 0 {
+			g.out[v] = make([]Half, d, appendCap(d))
+			for j, s := range sorted[start : start+d] {
+				g.out[v][j] = Half{To: s.to, W: s.w}
+			}
+		}
+		g.m += d
+		start = end[v]
+	}
+	for v, d := range inDeg {
+		if d > 0 {
+			g.in[v] = make([]Half, 0, appendCap(d))
+		}
+	}
+	for i, e := range edges {
+		if keep[i] {
+			g.in[e.Dst] = append(g.in[e.Dst], Half{To: e.Src, W: e.W})
+		}
+	}
+	g.SetHubThresholds(g.hubBuild, g.hubDrop) // each hub index built once, at its final size
 	return g
 }
 

@@ -111,6 +111,9 @@ func verifyRecovery(t *testing.T, w gen.Workload, alg algo.Selective, dc Durable
 		t.Fatalf("%s: replayed %d frames over (%d,%d]: duplicate or missed batch",
 			label, rs.Replayed, rs.SnapshotSeq, rs.LastSeq)
 	}
+	if rs.Restore <= 0 || rs.Restore > rs.Duration {
+		t.Fatalf("%s: restore took %v of a %v recovery", label, rs.Restore, rs.Duration)
+	}
 	if int(rs.LastSeq) > len(w.Batches) {
 		t.Fatalf("%s: recovered past the stream: seq %d of %d", label, rs.LastSeq, len(w.Batches))
 	}

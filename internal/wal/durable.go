@@ -551,6 +551,7 @@ type RecoveryStats struct {
 	SnapshotSeq uint64        // sequence of the snapshot restored
 	Replayed    int           // WAL frames replayed through the engine
 	LastSeq     uint64        // last acknowledged sequence after recovery
+	Restore     time.Duration // snapshot load, graph build and engine install
 	Duration    time.Duration // wall time of the whole recovery
 }
 
@@ -604,6 +605,7 @@ func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, Recove
 	if err := removeStaleTemps(dc.Wal.Dir); err != nil {
 		return nil, rs, err
 	}
+	tRestore := time.Now()
 	sd, err := LoadSnapshot(dc.Wal.Dir, fam.kind)
 	if err != nil {
 		return nil, rs, err
@@ -615,6 +617,7 @@ func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, Recove
 	if err != nil {
 		return nil, rs, err
 	}
+	rs.Restore = time.Since(tRestore)
 	d := &Durable{Eng: eng, g: g, fam: fam, cfg: dc}
 	d.initDedup(sd.Dedup)
 	d.log, err = replayTail(dc, sd.Seq, d.dedup, &rs, func(b graph.Batch) error {

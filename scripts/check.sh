@@ -8,15 +8,18 @@
 # 1, 3 and 4 workers), a durable-CLI recovery smoke
 # per durable family, a multi-process kill -9 smoke of the distributed
 # runtime, a 5 s fuzz of every decoder harness (wal frames, snapshots and
-# payloads; the worker snapshot loader; the cluster and session messages)
-# and of the hub-indexed adjacency, a check that removed flags and figures
+# payloads; the worker snapshot loader; the cluster and session messages),
+# of the hub-indexed adjacency and of the bulk graph build against the
+# one-edge-at-a-time build, a check that removed flags and figures
 # stay removed, a graphfly serve smoke at -snapshot-every 4 and 1
 # (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
 # at 1 every batch starts a background WAL snapshot), serving-chaos and
 # degraded-mode smokes, text-only bench smokes (Fig 11; the measured Fig 16
 # loopback cluster and Fig 17 core sweep) so cmd/bench cannot rot, and one
-# iteration of the flow-derivation microbenchmark (what engine
-# construction, restore and a D-tree rebuild pay); ends by printing
+# iteration each of the flow-derivation microbenchmark (what engine
+# construction, restore and a D-tree rebuild pay) and of the bulk graph
+# build microbenchmark (what every start, recovery and worker checkpoint
+# load pays before its first batch); ends by printing
 # the repo's size (non-test Go lines, CLI flags). The allocation gate is
 # internal/expr's TestFig11AllocBudget, part of the go test runs above.
 # Run from anywhere.
@@ -90,8 +93,9 @@ for target in FuzzReadWorkerCkpt FuzzDecodeWire; do
 done
 go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
 
-echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; 5 s) =="
+echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; bulk build vs AddEdge; 5 s each) =="
 go test -run '^$' -fuzz '^FuzzHubAdjacency$' -fuzztime 5s ./internal/graph
+go test -run '^$' -fuzz '^FuzzFromEdges$' -fuzztime 5s ./internal/graph
 
 echo "== removed flags and figures (one binary, one runtime, one scheduler, one batch path, one link timing, no hub replication) =="
 flagtmp=$(mktemp -d)
@@ -294,8 +298,9 @@ GOMAXPROCS=1 go run ./cmd/bench -fig 11 -edgecap 8000 -batch 500 -batches 2 > /d
 echo "== bench smoke (Fig 16 loopback cluster + Fig 17 core sweep, both measured) =="
 go run ./cmd/bench -fig 16,17 -edgecap 8000 -batch 500 -batches 2 > /dev/null
 
-echo "== flow-derivation microbenchmark smoke (one iteration, so it cannot rot) =="
+echo "== flow-derivation and bulk-build microbenchmark smokes (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'BenchmarkRepartition' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkFromEdges' -benchtime 1x -benchmem ./internal/graph
 
 echo "== size (what every simplicity PR quotes) =="
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
