@@ -49,7 +49,6 @@ func BenchmarkFig16Distributed(b *testing.B)     { runFigure(b, expr.Fig16) }
 func BenchmarkFig17Cores(b *testing.B)           { runFigure(b, expr.Fig17) }
 
 func BenchmarkAblationFlowCap(b *testing.B)  { runFigure(b, expr.AblationFlowCap) }
-func BenchmarkAblationSCC(b *testing.B)      { runFigure(b, expr.AblationSCC) }
 func BenchmarkAblationAsync(b *testing.B)    { runFigure(b, expr.AblationAsync) }
 func BenchmarkAblationTriangle(b *testing.B) { runFigure(b, expr.AblationTriangle) }
 
@@ -121,12 +120,11 @@ func BenchmarkBatchAllocs(b *testing.B) {
 // engine construction and restore, and whenever a kernel rebuilds its
 // D-trees wholesale, never on a clock — piece by piece, on a skewed RMAT
 // graph of about a million edges under its SSSP key-edge forest:
-// `partition` derives the flows from the parent array, `flowgraph` rebuilds
-// the flow-level index into retained buffers, `migrate` copies a value
-// store into the new layout, and `whole` is an empty batch through an
+// `partition` derives the flows from the parent array, `migrate` copies a
+// value store into the new layout, and `whole` is an empty batch through an
 // engine whose RepartitionEvery test lever re-derives the flows on every
-// batch (the three pieces, the key-forest sync and an empty schedule).
-// Steady-state `flowgraph` and `migrate` allocate nothing.
+// batch (the two pieces, the key-forest sync and an empty unit set).
+// Steady-state `migrate` allocates nothing.
 func BenchmarkRepartition(b *testing.B) {
 	cfg := gen.Config{Kind: gen.RMAT, NumV: 32_000, NumE: 1_500_000, Seed: 14,
 		A: 0.60, B: 0.19, C: 0.19, MaxWeight: 8}
@@ -139,14 +137,6 @@ func BenchmarkRepartition(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			part = dflow.NewPartitionFromParents(parent, 0)
-		}
-	})
-	b.Run("flowgraph", func(b *testing.B) {
-		fg := dflow.NewFlowGraph(g, part)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fg.Rebuild(g, part)
 		}
 	})
 	b.Run("migrate", func(b *testing.B) {

@@ -22,14 +22,20 @@ func errOverCap(f int32, n, cap int) error {
 
 // FlowGraph is the flow-level dependency digraph: an edge f->g exists while
 // at least one graph edge leaves a vertex of flow f into a vertex of flow g.
-// It is the runtime index the paper derives from the backward-triangle
-// D-trees: given an impacted flow, it answers "which other flows can my
-// values reach" without touching graph edges (§V-A).
+// It is the index the paper derives from the backward-triangle D-trees:
+// given an impacted flow, it answers "which other flows can my values
+// reach" without touching graph edges (§V-A).
+//
+// No engine keeps one: the engines run the impacted flows in flow-id order
+// (engine/driver.go), since the space-time schedule built over this graph
+// never had more than one level. It stays only for the repository
+// benchmark's isolated probes (dflow.flowgraph_ms, dflow.schedule_us_p50,
+// dflow.units_per_batch, dflow.levels_per_batch) until the benchmark drops
+// those metrics.
 //
 // Storage is a CSR-style refcount index built into reusable buffers when
 // the flows are derived. From then on AddEdge/DeleteEdge keep it exact in
-// place, for as long as the partition lives (an engine's whole life, unless
-// its D-trees are rebuilt): a flow pair the CSR lacks goes into a small
+// place, for as long as the partition lives: a flow pair the CSR lacks goes into a small
 // per-flow overflow map, which only a Rebuild folds back into the CSR
 // (keeping the maps allocated). A CSR entry may rest at count zero and be
 // re-incremented later; iteration skips non-positive counts.

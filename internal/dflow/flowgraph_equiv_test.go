@@ -135,8 +135,8 @@ func TestFlowGraphMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestFlowGraphLongStreamNoRebuild is the regime an engine runs in: the
-// partition lives for the whole stream, so nothing ever folds the overflow
+// TestFlowGraphLongStreamNoRebuild is the regime a partition without a
+// repartition clock lives in: it lasts the whole stream, so nothing ever folds the overflow
 // back into the CSR. 2,400 applied random additions and deletions, about
 // half of each, drive CSR counts to zero and back up and fill the overflow
 // maps; the exact counts must match the oracle throughout.

@@ -1,9 +1,10 @@
-// Package dflow turns D-trees into dependency-flows and schedules them.
-// It implements the paper's Dependency Management module (§III, §V-A):
-// flows are extracted from the forward-triangle D-tree forest (space), and
-// their execution order is constrained by the cross-flow edges the backward
-// triangle induces (time). Cyclically dependent flows are merged into one
-// scheduling unit, exactly as §V-A prescribes for flows that form a cycle.
+// Package dflow turns D-trees into dependency-flows. It implements the
+// paper's Dependency Management module (§III, §V-A): flows are extracted
+// from the forward-triangle D-tree forest (space). The paper also orders
+// their execution by the cross-flow edges the backward triangle induces
+// (time), merging cyclically dependent flows into one scheduling unit;
+// FlowGraph and Schedule keep that order, but no engine uses it (see
+// Schedule).
 package dflow
 
 import (

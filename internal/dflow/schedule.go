@@ -18,9 +18,14 @@ type Group struct {
 // returned sorted by level (ties broken by smallest flow id) so workers can
 // consume them in priority order.
 //
-// impacted is a list of flow ids (duplicates tolerated); engines pass the
-// member slice of their epoch-stamped dense set directly, so no per-batch
-// map materializes on the hot path.
+// No engine calls it: every measured batch had one level, so the schedule
+// was flow-id order, which the engines now take directly (EXPERIMENTS.md,
+// "Space-time order: the bound, and its removal"). It stays only for the
+// repository benchmark's isolated probes until the benchmark drops
+// dflow.schedule_us_p50, dflow.units_per_batch and dflow.levels_per_batch.
+//
+// impacted is a list of flow ids (duplicates tolerated), such as the member
+// slice of an epoch-stamped dense set.
 func Schedule(fg *FlowGraph, impacted []int32) []Group {
 	if len(impacted) == 0 {
 		return nil

@@ -196,7 +196,7 @@ func (e *Accumulative) release() {
 // Config.TwoPhase has no extra effect here — aggregate refinement already
 // completes under the manager before recomputation starts, so the faithful
 // barrier-per-superstep baseline is internal/graphbolt.
-func (e *Accumulative) seed(graph.Batch, int) {}
+func (e *Accumulative) seed(graph.Batch) {}
 
 type accWorker struct {
 	e       *Accumulative
@@ -283,7 +283,7 @@ func (aw *accWorker) processUnit(u *unit) {
 				// sibling flows catch up.
 				u.carry = append(u.carry[:0], aw.wl...)
 				aw.wl = aw.wl[:0]
-				aw.flush(u.level + 1)
+				aw.flush()
 				e.pl.activate(u)
 				return
 			}
@@ -303,7 +303,7 @@ func (aw *accWorker) processUnit(u *unit) {
 		}
 		// Deliver the combined cross-flow deltas before (possibly) going
 		// idle, so the pool's quiescence detection stays sound.
-		aw.flush(u.level + 1)
+		aw.flush()
 		if !progressed {
 			return
 		}
@@ -327,13 +327,13 @@ func (aw *accWorker) fold(msgs []accMsg) {
 
 // flush delivers the combined deltas, one message per target flow, and
 // clears their combining index.
-func (aw *accWorker) flush(level int) {
+func (aw *accWorker) flush() {
 	for _, f := range aw.out.touched {
 		for _, m := range aw.out.bufs[f] {
 			aw.at[m.v] = -1
 		}
 	}
-	aw.out.flush(&aw.e.driver, aw.e.inboxes, level)
+	aw.out.flush(&aw.e.driver, aw.e.inboxes)
 }
 
 // recomputeVertex re-derives v's state from its aggregate (first sub-phase

@@ -85,10 +85,6 @@ func TestAccumulativeScatteredAblation(t *testing.T) {
 	checkAccAgainstStatic(t, prAlg, Config{Workers: 4, FlowCap: 32, ScatteredStorage: true}, accWorkload(24, 3))
 }
 
-func TestAccumulativeNoSCCMerge(t *testing.T) {
-	checkAccAgainstStatic(t, prAlg, Config{Workers: 4, FlowCap: 32, NoSCCMerge: true}, accWorkload(25, 3))
-}
-
 func TestAccumulativeRepartitionEveryBatch(t *testing.T) {
 	checkAccAgainstStatic(t, prAlg, Config{Workers: 4, FlowCap: 32, RepartitionEvery: 1}, accWorkload(26, 3))
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,8 +38,9 @@ type kernel interface {
 	// message buffers it needs only while units run.
 	release()
 	// seed posts a step's initial messages once units and inboxes exist;
-	// flows outside the schedule join it at maxLevel+1 (activateFlow).
-	seed(applied graph.Batch, maxLevel int)
+	// a flow it reaches that the step did not seed joins in band 1
+	// (activateFlow).
+	seed(applied graph.Batch)
 	// newWorker builds the private state of scheduler worker w. The driver
 	// calls it once per worker and keeps the result across batches.
 	newWorker(w int) unitWorker
@@ -76,9 +78,9 @@ func (w *work) add(o *work) {
 }
 
 // driver is processEdgeStream of Fig 10, once: validate, apply, maintain
-// the D-trees and the flow graph, identify the impacted flows, build the
-// space-time schedule, and run the units to quiescence — with cancellation
-// and phase stamping. The three engines embed it and supply the kernel.
+// the D-trees, identify the impacted flows, and run one unit per impacted
+// flow to quiescence, queued in ascending flow id — with cancellation and
+// phase stamping. The three engines embed it and supply the kernel.
 type driver struct {
 	// G is the streaming graph the engine mutates batch by batch.
 	G   *graph.Streaming
@@ -93,7 +95,6 @@ type driver struct {
 	symmetric bool
 
 	part *dflow.Partition
-	fg   *dflow.FlowGraph
 
 	probe    cachesim.Probe
 	profiled bool
@@ -110,12 +111,17 @@ type driver struct {
 	unitOf   []int32        // flow -> unit index (under unitsMu while units run)
 	seeds    [][]uint32     // per-flow vertices the step invalidated
 	impacted *dense.FlowSet // epoch-stamped impacted-flow scratch
+	order    []int32        // the impacted flows, sorted (Members is not ours to sort)
 	symm     Symmetrizer
 	pl       *wsPool
 
 	// counts sums the batch's work: every worker's tally once its step
 	// quiesces.
 	counts work
+
+	// ran, when non-nil, sees each unit as a worker dispatches it, before
+	// it runs: the window TestUnitOrder reads the run order through.
+	ran func(u *unit)
 }
 
 // init binds the driver to its graph, configuration and kernel. The kernel
@@ -189,9 +195,9 @@ func (d *driver) processBatch(ctx context.Context, batch graph.Batch) BatchStats
 
 	// No clock re-derives the flows: step does so only when the kernel
 	// rebuilt its D-trees. RepartitionEvery > 0 (a test lever) adds a
-	// rebuild every K batches. A single-step batch takes it in place of its
-	// incremental flow-graph upkeep; a planned batch takes it after its
-	// last step, so no step pays a rebuild between two convergences.
+	// rebuild every K batches. A single-step batch takes it after its
+	// D-tree upkeep; a planned batch takes it after its last step, so no
+	// step pays a rebuild between two convergences.
 	due := d.cfg.RepartitionEvery > 0 && d.batches%d.cfg.RepartitionEvery == 0
 	if d.plan == nil {
 		d.step(ctx, batch, due, &st)
@@ -229,22 +235,14 @@ func (d *driver) step(ctx context.Context, batch graph.Batch, repartition bool, 
 		return // a planned step that changed nothing
 	}
 
-	// (2) ... then the Manager maintains the dependency indexes: the
-	// kernel's D-trees, and the flow graph incrementally unless the flows
-	// are re-derived wholesale.
+	// (2) ... then the Manager maintains the kernel's D-trees, and
+	// re-derives the flows from them when they were rebuilt wholesale.
 	t = time.Now()
 	rebuilt := d.k.maintain(applied)
 	st.DtreeTime += time.Since(t)
 	if rebuilt || repartition {
 		d.repartition()
 	} else {
-		for _, u := range applied {
-			if u.Del {
-				d.fg.DeleteEdge(u.Src, u.Dst)
-			} else {
-				d.fg.AddEdge(u.Src, u.Dst)
-			}
-		}
 		d.refreshEdgeIndex()
 	}
 	st.MaintainTime += time.Since(t)
@@ -260,15 +258,10 @@ func (d *driver) step(ctx context.Context, batch graph.Batch, repartition bool, 
 	d.converge(ctx, applied, st)
 }
 
-// repartition re-derives the flows from the kernel's D-trees, then the flow
-// graph and (when profiling) the edge address model over them.
+// repartition re-derives the flows from the kernel's D-trees, then (when
+// profiling) the edge address model over them.
 func (d *driver) repartition() {
 	d.part = d.k.rebuild()
-	if d.fg == nil {
-		d.fg = dflow.NewFlowGraph(d.G, d.part)
-	} else {
-		d.fg.Rebuild(d.G, d.part)
-	}
 	d.refreshEdgeIndex()
 }
 
@@ -323,30 +316,20 @@ func (d *driver) seedVertex(v uint32) {
 	d.impacted.Add(f)
 }
 
-// converge builds the space-time schedule over the impacted flows (cyclic
-// groups merged) and runs the units to quiescence, or until ctx cancels.
+// converge makes one unit per impacted flow and runs the units to
+// quiescence, or until ctx cancels. The seeded units go to band 0 and are
+// queued in ascending flow id, after any that the kernel's seed messages
+// queue first; a flow only a message reaches gets its unit in band 1 when
+// the message is sent (activateFlow). The order is a locality
+// heuristic only: every kernel's protocol is interleaving-safe, so results
+// do not depend on it (DESIGN.md §4.2).
 func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchStats) {
 	t := time.Now()
-	flows := d.impacted.Members()
-	var groups []dflow.Group
-	if d.cfg.NoSCCMerge {
-		for _, f := range flows {
-			groups = append(groups, dflow.Group{Flows: []int32{f}})
-		}
-	} else {
-		groups = dflow.Schedule(d.fg, flows)
-	}
-	maxLevel := 0
-	for _, g := range groups {
-		if g.Level > maxLevel {
-			maxLevel = g.Level
-		}
-	}
-	st.Impacted += len(flows)
-	st.Units += len(groups)
-	if maxLevel+1 > st.Levels {
-		st.Levels = maxLevel + 1
-	}
+	d.order = append(d.order[:0], d.impacted.Members()...)
+	slices.Sort(d.order)
+	st.Impacted += len(d.order)
+	st.Units += len(d.order)
+	st.Levels = 1
 
 	n := d.part.NumFlows()
 	d.units = d.units[:0]
@@ -357,22 +340,15 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 	for i := range d.unitOf {
 		d.unitOf[i] = -1
 	}
-	// One unit per flow with its group's schedule level: the SCC
-	// condensation provides the space-time *order*; flows still execute
-	// concurrently (every kernel's protocol is interleaving-safe), which
-	// preserves the vertex-level parallelism §VI calls for inside large
-	// dependency groups.
-	for _, grp := range groups {
-		for _, f := range grp.Flows {
-			d.unitOf[f] = d.addUnit(f, grp.Level).id
-		}
+	for _, f := range d.order {
+		d.unitOf[f] = d.addUnit(f, bandSeeded).id
 	}
 	d.k.resetInboxes(n)
 	d.pl = d.cfg.newScheduler()
 	st.ScheduleTime += time.Since(t)
 
 	t = time.Now()
-	d.k.seed(applied, maxLevel)
+	d.k.seed(applied)
 	for _, w := range d.workers {
 		w.tally().probe = d.probe.Fork()
 	}
@@ -380,7 +356,12 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 		d.pl.activate(u)
 	}
 	stopWatch := watchCancel(ctx, d.pl)
-	d.pl.run(len(d.workers), func(w int, u *unit) { d.workers[w].processUnit(u) })
+	d.pl.run(len(d.workers), func(w int, u *unit) {
+		if d.ran != nil {
+			d.ran(u)
+		}
+		d.workers[w].processUnit(u)
+	})
 	stopWatch()
 	d.k.release()
 	for _, w := range d.workers {
@@ -393,21 +374,21 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 	st.ComputeTime += time.Since(t)
 }
 
-// addUnit appends a singleton unit for flow f. Callers publish its id in
-// unitOf (activateFlow does so under unitsMu).
-func (d *driver) addUnit(f int32, level int) *unit {
-	u := &unit{id: int32(len(d.units)), flow: f, level: level}
+// addUnit appends a unit for flow f in the given band. Callers publish its
+// id in unitOf (activateFlow does so under unitsMu).
+func (d *driver) addUnit(f int32, band uint8) *unit {
+	u := &unit{id: int32(len(d.units)), flow: f, band: band}
 	d.units = append(d.units, u)
 	return u
 }
 
 // activateFlow ensures flow f has a unit and activates it, lazily creating
-// singleton units for flows outside the schedule. Safe from any worker.
-func (d *driver) activateFlow(f int32, level int) {
+// a band-1 unit for a flow the step did not seed. Safe from any worker.
+func (d *driver) activateFlow(f int32) {
 	d.unitsMu.Lock()
 	ui := d.unitOf[f]
 	if ui == -1 {
-		ui = d.addUnit(f, level).id
+		ui = d.addUnit(f, bandReached).id
 		d.unitOf[f] = ui
 	}
 	u := d.units[ui]
@@ -468,12 +449,12 @@ func (o *outbox[T]) to(f int32) *[]T {
 }
 
 // flush delivers each target's messages as one putAll and activates the
-// target at level.
-func (o *outbox[T]) flush(d *driver, inboxes []inbox[T], level int) {
+// target.
+func (o *outbox[T]) flush(d *driver, inboxes []inbox[T]) {
 	for _, f := range o.touched {
 		inboxes[f].putAll(o.bufs[f])
 		o.bufs[f] = o.bufs[f][:0]
-		d.activateFlow(f, level)
+		d.activateFlow(f)
 	}
 	o.touched = o.touched[:0]
 }

@@ -275,34 +275,38 @@ func workOf(st BatchStats) goldenWork {
 // one-lock inbox drains in put order, which changes the order messages are
 // applied in, and with it pushes and cross-flow messages. For SSSP that
 // moved the last three rows; for kCore all seven, whose earlier goldens
-// came from a local worker that flushed in map order.
+// came from a local worker that flushed in map order. The Units column was
+// re-captured when the driver stopped condensing the impacted flows into
+// SCC groups: it counted the groups, and now counts the units the batch
+// seeds, one per impacted flow, so it equals Impacted. No other column
+// moved.
 var goldenCounters = map[string][]goldenWork{
 	"SSSP": {
-		{145, 8, 18, 2, 1, 1, 61, 231, 2},
-		{149, 11, 72, 6, 1, 1, 461, 431, 36},
-		{148, 8, 10, 4, 1, 1, 8, 78, 0},
-		{146, 5, 14, 5, 1, 1, 78, 273, 17},
-		{148, 7, 19, 6, 1, 1, 74, 220, 13},
-		{148, 6, 11, 5, 1, 1, 15, 266, 10},
-		{146, 5, 16, 5, 1, 1, 70, 143, 4},
+		{145, 8, 18, 2, 2, 1, 61, 231, 2},
+		{149, 11, 72, 6, 6, 1, 461, 431, 36},
+		{148, 8, 10, 4, 4, 1, 8, 78, 0},
+		{146, 5, 14, 5, 5, 1, 78, 273, 17},
+		{148, 7, 19, 6, 6, 1, 74, 220, 13},
+		{148, 6, 11, 5, 5, 1, 15, 266, 10},
+		{146, 5, 16, 5, 5, 1, 70, 143, 4},
 	},
 	"PageRank": {
-		{145, 0, 145, 8, 1, 1, 0, 54526, 4540},
-		{149, 0, 149, 8, 1, 1, 0, 60290, 4824},
-		{148, 0, 148, 7, 1, 1, 0, 84078, 6808},
-		{146, 0, 146, 8, 1, 1, 0, 64554, 4725},
-		{148, 0, 148, 8, 1, 1, 0, 66494, 4515},
-		{148, 0, 148, 8, 1, 1, 0, 72150, 5205},
-		{146, 0, 146, 8, 1, 1, 0, 71535, 5012},
+		{145, 0, 145, 8, 8, 1, 0, 54526, 4540},
+		{149, 0, 149, 8, 8, 1, 0, 60290, 4824},
+		{148, 0, 148, 7, 7, 1, 0, 84078, 6808},
+		{146, 0, 146, 8, 8, 1, 0, 64554, 4725},
+		{148, 0, 148, 8, 8, 1, 0, 66494, 4515},
+		{148, 0, 148, 8, 8, 1, 0, 72150, 5205},
+		{146, 0, 146, 8, 8, 1, 0, 71535, 5012},
 	},
 	"kCore": {
-		{260, 0, 1167, 251, 91, 1, 0, 16053, 12104},
-		{272, 0, 1211, 284, 93, 1, 0, 15398, 11644},
-		{258, 0, 1149, 266, 88, 1, 0, 15735, 11709},
-		{252, 0, 1456, 290, 86, 1, 0, 21404, 15659},
-		{272, 0, 1226, 282, 94, 1, 0, 16104, 11900},
-		{268, 0, 1242, 247, 94, 1, 0, 16398, 12010},
-		{252, 0, 981, 285, 86, 1, 0, 13216, 10280},
+		{260, 0, 1167, 251, 251, 1, 0, 16053, 12104},
+		{272, 0, 1211, 284, 284, 1, 0, 15398, 11644},
+		{258, 0, 1149, 266, 266, 1, 0, 15735, 11709},
+		{252, 0, 1456, 290, 290, 1, 0, 21404, 15659},
+		{272, 0, 1226, 282, 282, 1, 0, 16104, 11900},
+		{268, 0, 1242, 247, 247, 1, 0, 16398, 12010},
+		{252, 0, 981, 285, 285, 1, 0, 13216, 10280},
 	},
 }
 
@@ -335,6 +339,124 @@ func TestGoldenWorkCounters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUnitOrder pins the order one worker runs a step's units in. The
+// units the step seeds, one per impacted flow, are made in ascending flow
+// id and sit in band 0; a flow only a message reaches gets a band-1 unit
+// when the message is sent. Every seeded unit first runs before any band-1
+// unit does, and the band-1 units first run in the order they were first
+// activated. The seeded flows run in ascending flow id, except that SSSP's
+// seeding posts its addition relaxations before the seeded units are
+// queued: a seeded flow an added edge points into may run ahead of the
+// rest.
+func TestUnitOrder(t *testing.T) {
+	ds := gen.TestDataset(4242)
+	w := gen.BuildWorkload(ds.NumV, gen.Generate(ds), gen.StreamConfig{
+		InitialFraction: 0.5, DeleteRatio: 0.3, BatchSize: 150, NumBatches: 7, Seed: 4243,
+	})
+	cfg := Config{Workers: 1, FlowCap: 16}
+	sel := NewSelective(graph.FromEdges(w.NumV, w.Initial), algo.SSSP{Src: 0}, cfg)
+	acc := NewAccumulative(graph.FromEdges(w.NumV, w.Initial), algo.NewPageRank(w.NumV), cfg)
+	loc := NewLocal(graph.FromEdges(w.NumV, mirrored(w.Initial)), algo.KCore{}, cfg)
+	for _, c := range []struct {
+		name    string
+		d       *driver
+		reached bool // seeding posts messages before the seeded units are queued
+	}{
+		{"SSSP", &sel.driver, true},
+		{"PageRank", &acc.driver, false},
+		{"kCore", &loc.driver, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.d
+			// steps holds each step's units in the order they first ran. A
+			// step's units live in d.units until the next step resets it.
+			var steps [][]*unit
+			var seen map[*unit]bool
+			d.ran = func(u *unit) {
+				if n := len(steps); n == 0 || !stepOf(d, steps[n-1][0]) {
+					steps, seen = append(steps, nil), map[*unit]bool{}
+				}
+				if !seen[u] {
+					seen[u] = true
+					steps[len(steps)-1] = append(steps[len(steps)-1], u)
+				}
+			}
+			ordered, seeded, early := 0, 0, 0
+			for i, b := range w.Batches {
+				steps = steps[:0]
+				d.ProcessBatch(b)
+				// The flows an added edge points into: the only ones SSSP's
+				// seeding can queue ahead of the ascending order.
+				into := map[int32]bool{}
+				for _, u := range b {
+					if c.reached && !u.Del {
+						into[d.part.Flow(uint32(u.Dst))] = true
+					}
+				}
+				for _, runs := range steps {
+					k := 0
+					for k < len(runs) && runs[k].band == bandSeeded {
+						k++
+					}
+					for j, u := range runs[k:] {
+						if u.band != bandReached {
+							t.Fatalf("batch %d: seeded flow %d first ran after a message-reached one: flows %v", i, u.flow, flowsOf(runs))
+						}
+						if j > 0 && u.id < runs[k+j-1].id {
+							t.Fatalf("batch %d: message-reached flows ran out of activation order: units %v", i, unitOrder(runs))
+						}
+					}
+					ids := make([]int32, k)
+					for j, u := range runs[:k] {
+						ids[j] = u.id
+					}
+					slices.Sort(ids)
+					for j, id := range ids {
+						if int(id) != j {
+							t.Fatalf("batch %d: seeded units ran as %v, want ids 0..%d once each", i, unitOrder(runs[:k]), k-1)
+						}
+					}
+					// The seeded flows past the shortest non-ascending prefix
+					// run in ascending flow id; that prefix may hold only
+					// flows an added edge points into.
+					m := k
+					for m > 0 && (m == k || runs[m-1].flow < runs[m].flow) {
+						m--
+					}
+					for _, u := range runs[:m] {
+						if !into[u.flow] {
+							t.Fatalf("batch %d: seeded flows ran as %v, not in ascending flow id", i, flowsOf(runs[:k]))
+						}
+					}
+					if k >= 2 && len(runs) > k {
+						ordered++
+					}
+					seeded += k
+					early += m
+				}
+			}
+			if ordered == 0 {
+				t.Fatal("no step ran two seeded flows and a message-reached one: the order went unchecked")
+			}
+			t.Logf("%d steps ran both bands; %d of %d seeded flows ran ahead of the ascending order", ordered, early, seeded)
+		})
+	}
+}
+
+// flowsOf lists the units' flows, in order.
+func flowsOf(us []*unit) []int32 {
+	fs := make([]int32, len(us))
+	for i, u := range us {
+		fs[i] = u.flow
+	}
+	return fs
+}
+
+// stepOf reports whether u is one of the units of d's current step.
+func stepOf(d *driver, u *unit) bool {
+	return int(u.id) < len(d.units) && d.units[u.id] == u
 }
 
 // TestMigrateStore: a repartition's slot-to-slot copy carries every vertex's

@@ -2,9 +2,8 @@
 // contribution): the Manager/Worker runtime of Fig 9-10 that processes a
 // batch of edge updates by (1) maintaining the D-trees and dependency-flow
 // partition, (2) identifying trim sets at tree-node cost before refinement,
-// (3) scheduling impacted flows in space-time order with cyclic groups
-// merged, and (4) letting each flow fuse its refinement with its
-// recomputation and exchange cross-flow influence through messages — no
+// (3) scheduling one unit per impacted flow, in flow-id order, and (4)
+// letting each flow fuse its refinement with its recomputation and exchange cross-flow influence through messages — no
 // global barrier between the two phases.
 //
 // One batch driver (driver.go) owns that loop; three engine families plug
@@ -30,8 +29,10 @@ import (
 type Config struct {
 	// Workers is the number of worker goroutines (GOMAXPROCS if <= 0),
 	// each owning one shard of the work-stealing unit scheduler (sched.go).
-	// At 1 the batch runs sequentially in schedule-level order: the
-	// reference execution the parallel runs are compared against.
+	// At 1 the batch runs sequentially, the seeded flows first (queued in
+	// ascending flow id) and then the flows messages reach, in activation
+	// order: the reference execution the parallel runs are compared
+	// against.
 	Workers int
 	// FlowCap caps dependency-flow size (dflow.DefaultCap if <= 0).
 	FlowCap int
@@ -43,16 +44,11 @@ type Config struct {
 	// TwoPhase inserts a global barrier between refinement and
 	// recomputation (the execution-model ablation: what GraphFly removes).
 	TwoPhase bool
-	// NoSCCMerge schedules every impacted flow independently instead of
-	// merging cyclic groups; correctness is preserved by the trimmed-bit
-	// protocol, locality may suffer (ablation).
-	NoSCCMerge bool
 	// RepartitionEvery, when > 0, also re-derives the flows from the
 	// current D-trees every K batches (1 = every batch): a test lever that
 	// puts mid-stream repartitions into a stream. The zero value has no
 	// clock: flows are derived at construction and restore and re-derived
-	// only when a kernel rebuilds its D-trees wholesale; in between, the
-	// flow graph's refcounts keep it exact for the partition in force.
+	// only when a kernel rebuilds its D-trees wholesale.
 	RepartitionEvery int
 	// BackwardFlows swaps the roles of the two triangles (§V-A Discussion):
 	// the backward-triangle D-trees partition the graph into flows and the
@@ -101,8 +97,8 @@ type BatchStats struct {
 	TrimRoots   int // deletions that killed a key edge
 	Trimmed     int // vertices invalidated by trimming
 	Impacted    int // flows seeded with work
-	Units       int // scheduling units (cyclic groups merged)
-	Levels      int // depth of the space-time schedule
+	Units       int // units the batch seeded: one per impacted flow
+	Levels      int // schedule levels: 1, every impacted flow runs at one level
 	CrossMsgs   int64
 	Relaxations int64 // edge relaxations / delta pushes
 	Pulls       int64 // refinement pulls
@@ -111,7 +107,7 @@ type BatchStats struct {
 	SchedParks  int64 // scheduler idle waits during compute
 
 	ApplyTime    time.Duration
-	MaintainTime time.Duration // D-tree + flow index maintenance (total)
+	MaintainTime time.Duration // D-tree maintenance and flow re-derivation (total)
 	DtreeTime    time.Duration // D-tree incremental maintenance only
 	TrimTime     time.Duration
 	ScheduleTime time.Duration

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/algo"
-	"repro/internal/dflow"
 	"repro/internal/etree"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -45,7 +44,6 @@ func randomConfig(seed uint64) Config {
 		Workers:          1 + r.Intn(4),
 		FlowCap:          8 << r.Intn(6),
 		TwoPhase:         r.Float64() < 0.25,
-		NoSCCMerge:       r.Float64() < 0.25,
 		ScatteredStorage: r.Float64() < 0.25,
 		RepartitionEvery: r.Intn(5), // 0: no clock, the production default
 	}
@@ -54,8 +52,8 @@ func randomConfig(seed uint64) Config {
 // selectiveEquivalent runs w through a selective engine and reports the
 // first batch after which its values differ from a from-scratch solve,
 // after which the key forest is not what a bulk load of the parents the
-// batch started from gives, or after which the flow graph is not exact
-// (flowGraphExact).
+// batch started from gives, or after which the partition is not a capped
+// bijection (partitionValid).
 func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) error {
 	initial := w.Initial
 	if alg.Symmetric() {
@@ -87,48 +85,16 @@ func selectiveEquivalent(alg algo.Selective, w gen.Workload, cfg Config) error {
 		if err := keyForestLoaded(e.kf, parentStart); err != nil {
 			return fmt.Errorf("batch %d: %v", i, err)
 		}
-		if err := flowGraphExact(&e.driver); err != nil {
+		if err := partitionValid(&e.driver); err != nil {
 			return fmt.Errorf("batch %d: %v", i, err)
 		}
 	}
 	return nil
 }
 
-// flowGraphExact checks, reading the engine only, that its partition is a
-// capped bijection and that the flow graph it keeps by per-update refcounts
-// answers exactly what a from-scratch build over the current graph and
-// partition answers: every flow's downstream set, out-degree and per-pair
-// edge count.
-func flowGraphExact(d *driver) error {
-	if err := d.part.Validate(); err != nil {
-		return err
-	}
-	ref := dflow.NewFlowGraph(d.G, d.part)
-	if got, want := d.fg.NumFlows(), ref.NumFlows(); got != want {
-		return fmt.Errorf("flow graph has %d flows, partition %d", got, want)
-	}
-	for f := int32(0); int(f) < ref.NumFlows(); f++ {
-		got, want := outFlows(d.fg, f), outFlows(ref, f)
-		if !slices.Equal(got, want) || d.fg.OutDegree(f) != ref.OutDegree(f) {
-			return fmt.Errorf("flow %d: downstream %v (degree %d), fresh build %v (degree %d)",
-				f, got, d.fg.OutDegree(f), want, ref.OutDegree(f))
-		}
-		for _, x := range want {
-			if n, m := d.fg.Count(f, x), ref.Count(f, x); n != m {
-				return fmt.Errorf("flow %d -> %d: %d edges, fresh build %d", f, x, n, m)
-			}
-		}
-	}
-	return nil
-}
-
-// outFlows returns f's downstream flows in ascending order.
-func outFlows(fg *dflow.FlowGraph, f int32) []int32 {
-	var out []int32
-	fg.OutFlows(f, func(x int32) { out = append(out, x) })
-	slices.Sort(out)
-	return out
-}
+// partitionValid checks, reading the engine only, that its partition is a
+// capped bijection: every vertex in exactly one flow, no flow over the cap.
+func partitionValid(d *driver) error { return d.part.Validate() }
 
 // keyForestLoaded checks that f, as the engine left it, is a valid forest
 // over the given parents whose every child set equals the one a fresh

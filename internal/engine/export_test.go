@@ -1,5 +1,5 @@
 package engine
 
-// FlowGraphExact is flowGraphExact for the external test package, whose
+// PartitionValid is partitionValid for the external test package, whose
 // local-engine fuzzer drives engines through the consistency oracle.
-func FlowGraphExact(e *Local) error { return flowGraphExact(&e.driver) }
+func PartitionValid(e *Local) error { return partitionValid(&e.driver) }

@@ -13,8 +13,8 @@ import (
 // Local is the GraphFly engine for neighborhood-local, non-monotonic
 // algorithms (triangle counting, k-core maintenance). It shares the
 // dependency-flow runtime with the other two engines — structural D-trees
-// partition the graph into flows, impacted flows are scheduled in
-// space-time order, and cross-flow influence travels as messages — but its
+// partition the graph into flows, each impacted flow is one scheduling
+// unit, and cross-flow influence travels as messages — but its
 // convergence discipline is seeded recomputation: the algorithm plans each
 // batch into sequentially converged steps (algo.Local.Plan), marks the
 // vertices a step invalidates (Seed), and the workers re-derive values
@@ -148,7 +148,7 @@ func (e *Local) release() {
 }
 
 // seed is empty: the seeded vertices ride in the per-flow seed lists.
-func (e *Local) seed(graph.Batch, int) {}
+func (e *Local) seed(graph.Batch) {}
 
 func (e *Local) newWorker(int) unitWorker { return &localWorker{e: e} }
 
@@ -177,7 +177,7 @@ func (lw *localWorker) processUnit(u *unit) {
 		lw.wl = lw.wl[:0]
 		// Deliver batched cross-flow notifications before (possibly) going
 		// idle, so the scheduler's quiescence detection stays sound.
-		lw.out.flush(&e.driver, e.inboxes, u.level+1)
+		lw.out.flush(&e.driver, e.inboxes)
 		if !progressed {
 			return
 		}

@@ -55,7 +55,6 @@ func TestLocalThreeWorkers(t *testing.T) {
 }
 
 func TestLocalAblations(t *testing.T) {
-	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, NoSCCMerge: true}, smallWorkload(26, 3))
 	checkLocalAgainstStatic(t, algo.KCore{}, Config{Workers: 4, FlowCap: 64, ScatteredStorage: true}, smallWorkload(27, 3))
 }
 

@@ -24,6 +24,5 @@ func (c Config) observe(st *BatchStats) {
 	r.Counter("sched.dispatches").Add(st.Dispatches)
 	r.Counter("sched.steals").Add(st.Steals)
 	r.Counter("sched.parks").Add(st.SchedParks)
-	r.Gauge("schedule.levels").Set(float64(st.Levels))
 	r.Gauge("schedule.impacted_flows").Set(float64(st.Impacted))
 }

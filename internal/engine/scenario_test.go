@@ -165,8 +165,8 @@ func TestScenarioFlipFlop(t *testing.T) {
 	}
 }
 
-// A dense cyclic core (every flow depends on every other) exercises the
-// SCC-merged schedule path end to end.
+// A dense cyclic core (every flow depends on every other): flows that keep
+// re-activating each other through messages, end to end.
 func TestScenarioCyclicCore(t *testing.T) {
 	var edges []graph.Edge
 	n := 12

@@ -48,11 +48,11 @@ const (
 	unitPending // running, with new work arrived
 )
 
-// unit is one scheduling unit: one flow at its schedule level.
+// unit is one scheduling unit: one flow, in its band.
 type unit struct {
 	id    int32
 	flow  int32
-	level int
+	band  uint8 // bandSeeded or bandReached
 	state atomic.Int32
 
 	// enqueuedNs is the activation timestamp feeding the dispatch-wait
@@ -85,20 +85,25 @@ func (c Config) newScheduler() *wsPool {
 	return newWSPool(c.workers(), h)
 }
 
-// wsBands is the number of level bands per shard; schedule levels at or
-// beyond the last band share it. Eight bands cover the schedule depths seen
-// in practice (BatchStats.Levels rarely exceeds a handful).
-const wsBands = 8
-
-func bandOf(level int) int {
-	if level < 0 {
-		return 0
-	}
-	if level >= wsBands {
-		return wsBands - 1
-	}
-	return level
-}
+// A shard keeps two FIFO bands. Band 0 holds the flows the batch seeded,
+// queued in ascending flow id (except that SSSP's seeding queues the ones
+// its addition messages reach first); band 1 the flows that only a message
+// reaches, in activation order. Workers drain band 0 first. Two bands and
+// not one FIFO: in one FIFO a seeded flow re-activated by a message waits
+// behind the message-reached flows queued before it, and that changes the
+// work (DESIGN.md §4.7).
+//
+// They replace the eight level bands of the paper's space-time schedule
+// (§V-A: SCC condensation of the impacted flows, then levels). No measured
+// batch had more than one level — BatchStats.Levels was 1 on every batch of
+// Fig 11's datasets and of the repository benchmark — so the schedule only
+// ever produced flow-id order (EXPERIMENTS.md, "Space-time order: the
+// bound, and its removal").
+const (
+	bandSeeded  uint8 = 0
+	bandReached uint8 = 1
+	wsBands           = 2
+)
 
 // wsDeque is a FIFO of units: append at the tail, pop at the head. The head
 // index creeps forward and the buffer compacts once the dead prefix
@@ -141,7 +146,7 @@ type wsShard struct {
 	size  atomic.Int64
 }
 
-// popLowest removes the unit from the earliest non-empty band.
+// popLowest removes the unit at the head of the earliest non-empty band.
 func (s *wsShard) popLowest() *unit {
 	if s.size.Load() == 0 {
 		return nil
@@ -158,24 +163,24 @@ func (s *wsShard) popLowest() *unit {
 	return nil
 }
 
-// wsPool is the unit scheduler: it runs scheduling units (one flow each; a
-// cyclic group's flows share its level) to quiescence. Each worker owns one
-// shard (a set of level-banded FIFO deques), units assigned to a home shard
-// by hashing their id. A worker pops the lowest-banded unit of its own shard; when the
-// shard is dry it steals from the most loaded victim, again preferring
-// earlier bands, so the space-time order survives without any global
-// ordering structure — as a cache-efficiency heuristic only: the
-// trimmed-bit and delta-push protocols make results independent of
-// dispatch order. Handoff is the unit state machine above, and quiescence
+// wsPool is the unit scheduler: it runs scheduling units (one flow each) to
+// quiescence. Each worker owns one shard (two banded FIFO deques), units
+// assigned to a home shard by hashing their id. A worker pops the
+// lowest-banded unit of its own shard; when the shard is dry it steals from
+// the most loaded victim, again preferring band 0, so the order survives
+// without any global ordering structure — as a cache-efficiency heuristic
+// only: the trimmed-bit and delta-push protocols make results independent
+// of dispatch order. Handoff is the unit state machine above, and quiescence
 // is a single atomic counter of non-idle units — no mutex is shared across
 // workers on the dispatch path, which is what lets throughput scale with
 // the worker count.
 //
-// At one worker there is one shard and nothing to steal: units run in
-// schedule-level order and, within a level, in activation order (the bands
-// are FIFO; levels from wsBands-1 up share the last one). That sequential
-// execution is the reference the parallel runs are held to
-// (internal/oracle's WorkerBitExact sweep).
+// At one worker there is one shard and nothing to steal: the seeded units
+// run first, in the order they were queued, then the message-reached ones,
+// in activation order (both bands are FIFO; a seeded unit re-activated while
+// band 1 runs goes back to band 0 and runs next). That sequential execution
+// is the reference the parallel runs are held to (internal/oracle's
+// WorkerBitExact sweep).
 type wsPool struct {
 	shards []wsShard
 	// outstanding counts units not idle (queued + running + pending): the
@@ -212,7 +217,7 @@ func (p *wsPool) push(u *unit) {
 	if p.waitHist != nil {
 		u.enqueuedNs = time.Now().UnixNano()
 	}
-	s.bands[bandOf(u.level)].push(u)
+	s.bands[u.band].push(u)
 	s.size.Add(1)
 	s.mu.Unlock()
 }

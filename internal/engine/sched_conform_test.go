@@ -12,7 +12,7 @@ import (
 )
 
 // Scheduler conformance suite: the contract sched.go documents —
-// quiescence, exactly-once pending requeue, level then activation order at
+// quiescence, exactly-once pending requeue, band then activation order at
 // one worker, and no lost wakeups under hostile cross-unit activation
 // interleavings. Run under -race these tests double as a data-race proof
 // of the handoff protocol.
@@ -54,7 +54,7 @@ func TestSchedConformRunsEveryActivatedUnit(t *testing.T) {
 		var processed atomic.Int64
 		units := make([]*unit, 100)
 		for i := range units {
-			units[i] = &unit{id: int32(i), level: i % 5}
+			units[i] = &unit{id: int32(i), band: uint8(i % wsBands)}
 			p.activate(units[i])
 		}
 		p.run(4, func(w int, u *unit) { processed.Add(1) })
@@ -140,7 +140,7 @@ func TestSchedConformCascadingActivation(t *testing.T) {
 		const n = 50
 		units := make([]*unit, n)
 		for i := range units {
-			units[i] = &unit{id: int32(i), level: i}
+			units[i] = &unit{id: int32(i), band: uint8(i % wsBands)}
 		}
 		var order []int32
 		var mu sync.Mutex
@@ -160,37 +160,36 @@ func TestSchedConformCascadingActivation(t *testing.T) {
 }
 
 // TestSchedConformLevelPreference: with one worker (one shard, nothing to
-// steal) units queued before the run must come out in nondecreasing level
-// order and, within a level, in activation order — the sequential
-// execution one worker is the reference for. Levels stay inside the band
-// range so banding is exact.
+// steal) units queued before the run must come out band 0 first and,
+// within a band, in activation order — the sequential execution one worker
+// is the reference for.
 func TestSchedConformLevelPreference(t *testing.T) {
 	runConform(t, func(t *testing.T) {
-		for _, levels := range [][]int{
-			{3, 1, 2, 0, 1, 7, 5, 0},
-			{2, 2, 2, 2, 2, 2}, // one level: activation order alone
+		for _, bands := range [][]uint8{
+			{1, 1, 0, 1, 0, 0, 1, 0},
+			{1, 1, 1, 1, 1, 1}, // one band: activation order alone
 		} {
 			p := newWSPool(1, nil)
-			want := make([]*unit, len(levels))
-			for i, l := range levels {
-				want[i] = &unit{id: int32(i), level: l}
+			want := make([]*unit, len(bands))
+			for i, b := range bands {
+				want[i] = &unit{id: int32(i), band: b}
 				p.activate(want[i])
 			}
-			slices.SortStableFunc(want, func(a, b *unit) int { return a.level - b.level })
+			slices.SortStableFunc(want, func(a, b *unit) int { return int(a.band) - int(b.band) })
 			var got []*unit
 			p.run(1, func(w int, u *unit) { got = append(got, u) })
 			if !slices.Equal(got, want) {
-				t.Fatalf("levels %v: ran %v, want %v", levels, unitOrder(got), unitOrder(want))
+				t.Fatalf("bands %v: ran %v, want %v", bands, unitOrder(got), unitOrder(want))
 			}
 		}
 	})
 }
 
-// unitOrder renders a run order as id@level pairs for failure messages.
+// unitOrder renders a run order as id@band pairs for failure messages.
 func unitOrder(us []*unit) []string {
 	out := make([]string, len(us))
 	for i, u := range us {
-		out[i] = fmt.Sprintf("%d@%d", u.id, u.level)
+		out[i] = fmt.Sprintf("%d@%d", u.id, u.band)
 	}
 	return out
 }
@@ -217,7 +216,7 @@ func TestSchedConformActivationStorm(t *testing.T) {
 
 				units := make([]*unit, numUnits)
 				for i := range units {
-					units[i] = &unit{id: int32(i), level: r.Intn(12)}
+					units[i] = &unit{id: int32(i), band: uint8(r.Intn(wsBands))}
 				}
 				tokens := make([]atomic.Int64, numUnits)
 				var injected, consumed atomic.Int64

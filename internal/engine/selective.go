@@ -182,7 +182,7 @@ func (e *Selective) release() {
 // it then refines every impacted flow behind a global barrier, so the units
 // only recompute — the KickStarter/GraphBolt shape on GraphFly's data
 // structures.
-func (e *Selective) seed(applied graph.Batch, maxLevel int) {
+func (e *Selective) seed(applied graph.Batch) {
 	sw := e.workers[0].(*selWorker)
 	for _, u := range applied {
 		if u.Del {
@@ -196,7 +196,7 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 			sw.post(selMsg{v: uint32(u.Dst), val: cand, parent: int32(u.Src)})
 		}
 	}
-	sw.out.flush(&e.driver, e.inboxes, maxLevel+1)
+	sw.out.flush(&e.driver, e.inboxes)
 	if !e.cfg.TwoPhase {
 		return
 	}
@@ -215,7 +215,7 @@ func (e *Selective) seed(applied graph.Batch, maxLevel int) {
 				}
 				sw.wl = sw.wl[:0]
 			}
-			sw.out.flush(&e.driver, e.inboxes, maxLevel+1)
+			sw.out.flush(&e.driver, e.inboxes)
 		}
 	})
 }
@@ -282,7 +282,7 @@ func (sw *selWorker) processUnit(u *unit) {
 		sw.wl = sw.wl[:0]
 		// Deliver the buffered candidates before (possibly) going idle, so
 		// the scheduler's quiescence detection stays sound.
-		sw.out.flush(&e.driver, e.inboxes, u.level+1)
+		sw.out.flush(&e.driver, e.inboxes)
 		if !progressed {
 			return
 		}

@@ -79,10 +79,6 @@ func TestSelectiveTwoPhaseAblation(t *testing.T) {
 	checkAgainstStatic(t, algo.SSSP{Src: 0}, Config{Workers: 4, FlowCap: 64, TwoPhase: true}, smallWorkload(6, 4))
 }
 
-func TestSelectiveNoSCCMergeAblation(t *testing.T) {
-	checkAgainstStatic(t, algo.SSSP{Src: 0}, Config{Workers: 4, FlowCap: 64, NoSCCMerge: true}, smallWorkload(7, 4))
-}
-
 func TestSelectiveScatteredStorageAblation(t *testing.T) {
 	checkAgainstStatic(t, algo.SSSP{Src: 0}, Config{Workers: 4, FlowCap: 64, ScatteredStorage: true}, smallWorkload(8, 4))
 }

@@ -17,25 +17,25 @@ import (
 // counting and k-core maintenance across the same hostile shapes as
 // TestFuzzStreamEquivalence — including the deletion-only adversarial phase
 // — at several worker counts. A failure prints the reproducing seed and
-// the oracle's first divergent vertex. After every batch the engine's flow
-// graph is also held to a fresh build (flowCheckedLocal).
+// the oracle's first divergent vertex. After every batch the engine's
+// partition is also validated (partCheckedLocal).
 
-// flowCheckedLocal is the oracle's local subject with one more check after
-// every ProcessBatch: engine.FlowGraphExact, which only reads the engine. A
-// flow-graph mismatch fails the batch, and the oracle reports it.
-type flowCheckedLocal struct{ oracle.LocalSubject }
+// partCheckedLocal is the oracle's local subject with one more check after
+// every ProcessBatch: engine.PartitionValid, which only reads the engine. An
+// invalid partition fails the batch, and the oracle reports it.
+type partCheckedLocal struct{ oracle.LocalSubject }
 
-func (s flowCheckedLocal) New(g *graph.Streaming, cfg engine.Config) (oracle.Instance, error) {
-	return flowCheckedInst{engine.NewLocal(g, s.Alg, cfg)}, nil
+func (s partCheckedLocal) New(g *graph.Streaming, cfg engine.Config) (oracle.Instance, error) {
+	return partCheckedInst{engine.NewLocal(g, s.Alg, cfg)}, nil
 }
 
-type flowCheckedInst struct{ *engine.Local }
+type partCheckedInst struct{ *engine.Local }
 
-func (i flowCheckedInst) ProcessBatch(b graph.Batch) error {
+func (i partCheckedInst) ProcessBatch(b graph.Batch) error {
 	if _, err := i.ProcessBatchE(b); err != nil {
 		return err
 	}
-	return engine.FlowGraphExact(i.Local)
+	return engine.PartitionValid(i.Local)
 }
 
 func localFuzzWorkload(seed uint64, sc gen.StreamConfig) gen.Workload {
@@ -72,7 +72,7 @@ func TestFuzzStreamLocalEquivalence(t *testing.T) {
 				for _, alg := range algs {
 					for _, workers := range workerCounts {
 						cfg := engine.Config{Workers: workers, FlowCap: 32}
-						s := flowCheckedLocal{oracle.LocalSubject{Alg: alg}}
+						s := partCheckedLocal{oracle.LocalSubject{Alg: alg}}
 						r := oracle.Check(s, oracle.Convergence, cfg, w)
 						if v := r.Violation; v != nil {
 							t.Errorf("%s diverged from oracle: shape=%s seed=%#x workers=%d: %v",

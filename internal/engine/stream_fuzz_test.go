@@ -19,8 +19,8 @@ import (
 // reproducing seed, shape and worker count, so any divergence replays
 // deterministically. After every batch the selective engines' key forest
 // is also checked against a bulk load of the parents the batch started
-// from (keyForestLoaded), and every engine's flow graph against a fresh
-// build (flowGraphExact).
+// from (keyForestLoaded), and every engine's partition is validated
+// (partitionValid).
 
 type fuzzShape struct {
 	name  string
@@ -111,7 +111,7 @@ func fuzzShapes() []fuzzShape {
 
 // accumulativeEquivalent mirrors selectiveEquivalent for the accumulative
 // engine: PageRank must track the from-scratch solution within tolerance,
-// and its flow graph must be exact, after every batch.
+// and its partition must be valid, after every batch.
 func accumulativeEquivalent(w gen.Workload, cfg Config) error {
 	alg := algo.NewPageRank(w.NumV)
 	g := graph.FromEdges(w.NumV, w.Initial)
@@ -127,7 +127,7 @@ func accumulativeEquivalent(w gen.Workload, cfg Config) error {
 				return fmt.Errorf("batch %d: state %d = %v, oracle %v", bi, i, got[i], want[i])
 			}
 		}
-		if err := flowGraphExact(&e.driver); err != nil {
+		if err := partitionValid(&e.driver); err != nil {
 			return fmt.Errorf("batch %d: %v", bi, err)
 		}
 	}
@@ -172,15 +172,14 @@ func TestFuzzStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestLongStreamFlowsStayExact: with no clock one partition and one
-// refcounted flow graph carry a selective engine through the whole stream.
-// 240 batches, half of every batch deletions, on a graph large enough for
-// several default-cap flows, at two workers under the default Config:
-// SSSP's values are held to the oracle and its flow graph to a fresh build
-// after every batch. The structural kernels (PageRank, k-core), whose
-// engines cost far more per batch, run the first 64 batches: they rebuild
-// their D-trees a few times there and the refcounts carry the flow graph in
-// between. It is checked after every batch, their values every 16th.
+// TestLongStreamFlowsStayExact: with no clock one partition carries a
+// selective engine through the whole stream. 240 batches, half of every
+// batch deletions, on a graph large enough for several default-cap flows,
+// at two workers under the default Config: SSSP's values are held to the
+// oracle and its partition validated after every batch. The structural
+// kernels (PageRank, k-core), whose engines cost far more per batch, run
+// the first 64 batches: they rebuild their D-trees a few times there, and
+// the partition is validated after every batch, their values every 16th.
 func TestLongStreamFlowsStayExact(t *testing.T) {
 	gc := gen.Config{Kind: gen.RMAT, NumV: 4000, NumE: 16000, Seed: 0x10c0,
 		A: 0.57, B: 0.19, C: 0.19, MaxWeight: 8}
@@ -201,10 +200,10 @@ func TestLongStreamFlowsStayExact(t *testing.T) {
 		kc.ProcessBatch(b)
 		accRef.ApplyBatch(b)
 		kcRef.ApplyBatch(Symmetrize(b))
-		if err := flowGraphExact(&acc.driver); err != nil {
+		if err := partitionValid(&acc.driver); err != nil {
 			t.Fatalf("pagerank: batch %d: %v", i, err)
 		}
-		if err := flowGraphExact(&kc.driver); err != nil {
+		if err := partitionValid(&kc.driver); err != nil {
 			t.Fatalf("kcore: batch %d: %v", i, err)
 		}
 		if i%16 != 15 {

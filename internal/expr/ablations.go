@@ -24,31 +24,6 @@ func AblationFlowCap(sc Scale) Table {
 	return t
 }
 
-// AblationSCC compares cyclic-group merging (§V-A) against scheduling
-// every impacted flow independently.
-func AblationSCC(sc Scale) Table {
-	t := Table{
-		ID:     "Ablation A2",
-		Title:  "SCC merging of cyclic flow groups (SSSP on TW)",
-		Header: []string{"Mode", "GraphFly ms", "CrossMsgs"},
-	}
-	w := workload("TW", sc, 0.3, 0xA2)
-	for _, noMerge := range []bool{false, true} {
-		cfg := engine.Config{Workers: sc.Workers, NoSCCMerge: noMerge}
-		total, stats := runBatches(graphflySelective(w, algo.SSSP{Src: 0}, cfg), w)
-		var msgs int64
-		for _, st := range stats {
-			msgs += st.CrossMsgs
-		}
-		mode := "merge cycles"
-		if noMerge {
-			mode = "independent"
-		}
-		t.AddRow(mode, Dur(total), strconv.FormatInt(msgs, 10))
-	}
-	return t
-}
-
 // AblationAsync compares GraphFly's fused asynchronous execution against a
 // two-phase run (global barrier between refinement and recomputation) on
 // GraphFly's own data structures — isolating the paper's core claim from
@@ -97,5 +72,5 @@ func AblationTriangle(sc Scale) Table {
 
 // Ablations runs all ablation studies.
 func Ablations(sc Scale) []Table {
-	return []Table{AblationFlowCap(sc), AblationSCC(sc), AblationAsync(sc), AblationTriangle(sc)}
+	return []Table{AblationFlowCap(sc), AblationAsync(sc), AblationTriangle(sc)}
 }

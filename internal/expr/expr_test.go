@@ -168,7 +168,7 @@ func TestFig4aShowsRedundancy(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	tabs := Ablations(tiny())
-	if len(tabs) != 4 {
+	if len(tabs) != 3 {
 		t.Fatalf("ablations = %d", len(tabs))
 	}
 	for _, tab := range tabs {

@@ -2,7 +2,9 @@
 # Repo verification: formatting, build, vet, race-enabled tests, ten
 # race-enabled runs of the unit-scheduler conformance suite, five of the
 # message-path tests (the accumulative owner-write handoff, the selective
-# and local outbox flushes, the quiescence invariant), the nested benchmark
+# and local outbox flushes, the quiescence invariant, and the one-worker
+# unit order: seeded flows by flow id, then message-reached flows in
+# activation order), the nested benchmark
 # module (vet, tests, smoke run), a seeded WAL crash-recovery smoke, the
 # consistency-oracle smoke and the hub-skew fuzz smoke (both bit-exact over
 # 1, 3 and 4 workers), a durable-CLI recovery smoke
@@ -46,9 +48,9 @@ go test -race ./...
 echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff protocol) =="
 go test -race -count=10 -run '^TestSchedConform' ./internal/engine
 
-echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence, concurrent publish marks) =="
+echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence, concurrent publish marks, unit order) =="
 go test -race -count=5 \
-    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers|PublishInvariants' \
+    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers|PublishInvariants|UnitOrder' \
     ./internal/engine
 
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
