@@ -149,9 +149,9 @@ func (s *supervisor) stop() {
 // the coordinator at -addr, persists every applied batch and commanded
 // checkpoint in -dir, and processes its share of the dependency flows until
 // told to stop. It exits 0 after a graceful shutdown (SIGTERM/SIGINT, or the
-// coordinator's bye) and nonzero when the coordinator link degrades past the
-// retry budget: a supervisor respawns it with the SAME -dir and -id so the
-// restart recovers from its WAL and rejoins.
+// coordinator's bye) and nonzero when its connection to the coordinator
+// ends: a supervisor respawns it with the SAME -dir and -id so the restart
+// recovers from its WAL and rejoins.
 func workerCmd() (*flag.FlagSet, func()) {
 	fs := flag.NewFlagSet("graphfly worker", flag.ExitOnError)
 	addr := addAddr(fs, "", "coordinator address (required)")

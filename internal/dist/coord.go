@@ -1,11 +1,11 @@
 // Package dist is the distributed GraphFly of §VI: a coordinator (this
 // file) and worker processes (workerproc.go) exchanging framed messages
-// (wire.go) over reliable links (link.go). Each worker's durable state is a
-// wal directory of batch log and worker snapshots (workerproc.go's
-// workerStore). The runtime carries the selective algorithms (alg.go) and
-// is bit-exact with the single-machine engines; graphfly -cluster runs it
-// across processes, and Fig 16 runs it with in-process workers over
-// loopback TCP.
+// (wire.go) over one TCP connection each (link.go). Each worker's durable
+// state is a wal directory of batch log and worker snapshots
+// (workerproc.go's workerStore). The runtime carries the selective
+// algorithms (alg.go) and is bit-exact with the single-machine engines;
+// graphfly -cluster runs it across processes, and Fig 16 runs it with
+// in-process workers over loopback TCP.
 package dist
 
 // Coordinator: the Manager role of the GraphFly cluster protocol (§VI) over
@@ -27,6 +27,8 @@ package dist
 // refreshes synchronize replicas), which is the dependency-flow argument
 // for why crash recovery can be this simple.
 //
+// A worker whose connection ends has left: kill -9, a network reset and a
+// silent peer look the same, and each is handled as the crash above.
 // Restarted workers (kill -9 + respawn) present a hello carrying what their
 // local WAL recovered; the coordinator replies with the missing batch tail
 // from its in-memory history — or a full transfer when the tail has been
@@ -66,12 +68,10 @@ type CoordConfig struct {
 	// up rejoining workers (default 1024 batches). A worker further behind
 	// gets a full state transfer instead.
 	HistoryCap int
-	// HeartbeatEvery / RetransBase / PeerTimeout / MaxRetries tune the
-	// reliable links (see linkConfig; zero picks the defaults).
+	// HeartbeatEvery / PeerTimeout tune the links (see linkConfig; zero
+	// picks the defaults).
 	HeartbeatEvery time.Duration
-	RetransBase    time.Duration
 	PeerTimeout    time.Duration
-	MaxRetries     int
 	// Metrics receives dist.* counters and histograms when non-nil.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives human-readable progress lines.
@@ -107,22 +107,16 @@ func (c CoordConfig) historyCap() int {
 }
 
 func (c CoordConfig) linkConfig() linkConfig {
-	return linkConfig{
-		HeartbeatEvery: c.HeartbeatEvery,
-		RetransBase:    c.RetransBase,
-		PeerTimeout:    c.PeerTimeout,
-		MaxRetries:     c.MaxRetries,
-	}
+	return linkConfig{HeartbeatEvery: c.HeartbeatEvery, PeerTimeout: c.PeerTimeout}
 }
 
 // coordWorker is the coordinator's view of one worker process.
 type coordWorker struct {
-	id          int32
-	incarnation uint64
-	link        *link
-	live        bool       // welcomed into the current membership
-	parked      *wireHello // join awaiting admission (nil once welcomed)
-	parkedAt    time.Time
+	id       int32
+	link     *link
+	live     bool       // welcomed into the current membership
+	parked   *wireHello // join awaiting admission (nil once welcomed)
+	parkedAt time.Time
 
 	// Per-attempt (epoch) quiescence counters.
 	fwd    uint64    // records forwarded to this worker
@@ -141,8 +135,8 @@ type Coordinator struct {
 	algName string
 	algSrc  uint32
 
-	ln  net.Listener
-	met linkMetrics
+	ln       net.Listener
+	peerDown *metrics.Counter
 
 	recoveryNs *metrics.Histogram
 	rejoinNs   *metrics.Histogram
@@ -201,7 +195,7 @@ func NewCoordinator(g *graph.Streaming, alg algo.Selective, cfg CoordConfig) (*C
 		algName:    name,
 		algSrc:     src,
 		ln:         ln,
-		met:        newLinkMetrics(reg),
+		peerDown:   reg.Counter("dist.peer_down"),
 		recoveryNs: reg.Histogram("dist.recovery_ns"),
 		rejoinNs:   reg.Histogram("dist.rejoin_ns"),
 		rebalances: reg.Counter("dist.rebalances"),
@@ -243,11 +237,12 @@ func (c *Coordinator) acceptLoop() {
 }
 
 // handleConn runs the handshake on one inbound connection: the first frame
-// must be a hello, which either soft-reattaches to an existing link or
-// registers a (re)join parked until the next admission point.
+// must be a hello, which registers a (re)join parked until the next
+// admission point. Every hello is a join: a worker that lost its
+// connection is a member that left.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(c.cfg.linkConfig().peerTimeout()))
-	kind, payload, err := readFrameConn(conn)
+	kind, payload, err := wal.ReadFrame(conn)
 	if err != nil || kind != wkHello {
 		conn.Close()
 		return
@@ -265,14 +260,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if w := c.workers[h.ID]; w != nil && h.ID >= 0 && w.incarnation == h.Incarnation && !w.link.isDown() {
-		// Same process, new socket: soft reconnect. Seq state survives.
-		c.logf("coord: worker %d reconnected", h.ID)
-		w.link.attach(conn)
-		return
-	}
-	// Hard (re)join: a new process. If the id was live, its death just
-	// became known — fail the current attempt before re-admitting.
 	id := h.ID
 	if id < 0 {
 		id = c.nextID
@@ -280,6 +267,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	} else if id >= c.nextID {
 		c.nextID = id + 1
 	}
+	// If the id is still live, its old connection has not ended yet: the
+	// new hello supersedes it, failing the current attempt before
+	// re-admitting.
 	if old := c.workers[id]; old != nil {
 		if old.live {
 			c.markDeadLocked(old, fmt.Errorf("worker %d: superseded by incarnation %d: %w", id, h.Incarnation, ErrPeerDown))
@@ -288,23 +278,17 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	hh := h
 	hh.ID = id
-	w := &coordWorker{id: id, incarnation: h.Incarnation, parked: &hh, parkedAt: time.Now()}
-	w.link = newLink(c.cfg.linkConfig(), c.met,
+	w := &coordWorker{id: id, parked: &hh, parkedAt: time.Now()}
+	w.link = newLink(conn, c.cfg.linkConfig(), c.peerDown,
 		func(mt byte, body []byte) { c.onWorkerMsg(w, mt, body) },
 		func(err error) { c.onWorkerDown(w, err) })
-	w.link.attach(conn)
 	c.workers[id] = w
 	c.logf("coord: worker %d joined (incarnation %d, structSeq %d, hasBase %v)",
 		id, h.Incarnation, h.StructSeq, h.HasBase)
 	c.cond.Broadcast()
 }
 
-// readFrameConn reads one frame directly off a conn (pre-link handshake).
-func readFrameConn(conn net.Conn) (byte, []byte, error) {
-	return wal.ReadFrame(conn)
-}
-
-// onWorkerDown handles a link degradation: the worker is dead.
+// onWorkerDown handles a link going down: the worker has left.
 func (c *Coordinator) onWorkerDown(w *coordWorker, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -544,8 +528,9 @@ func (c *Coordinator) ownerOf(v uint32) int32 {
 
 // quiescentLocked is the termination check for the current attempt: every
 // live worker has reported idle for this epoch with counters agreeing with
-// the coordinator's (links are FIFO and reliable, so counter agreement
-// proves nothing is in flight in either direction).
+// the coordinator's (a live link is one TCP connection, FIFO and
+// exactly-once, so counter agreement proves nothing is in flight in either
+// direction).
 func (c *Coordinator) quiescentLocked() bool {
 	live := c.liveLocked()
 	if len(live) == 0 {
@@ -628,11 +613,10 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 
 	reRun := false
 	for {
-		if reRun {
-			// Give killed-and-respawning workers a chance to rejoin this
-			// very attempt; with everyone dead this is the only way forward.
-			c.admitParkedLocked(seq)
-		}
+		// Give killed-and-respawning workers a chance to join this very
+		// attempt; with everyone gone (even before the first attempt: a
+		// lost connection is seen at once) this is the only way forward.
+		c.admitParkedLocked(seq)
 		live := c.liveLocked()
 		if len(live) == 0 {
 			if err := c.waitLocked(deadline); err != nil {
@@ -763,7 +747,10 @@ func (c *Coordinator) BoundarySeq() uint64 {
 	return c.boundarySeq
 }
 
-// Close sends Bye to every worker and shuts the coordinator down.
+// Close sends Bye to every member, live or parked, and shuts the
+// coordinator down. Each bye is followed by a half-close, and the link
+// drains to the worker's EOF (bounded by PeerTimeout), so the bye is read
+// before the connection ends.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -771,18 +758,19 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	var links []*link
+	var wg sync.WaitGroup
 	for _, w := range c.workers {
-		if w.live {
-			w.link.Send(encodeReason(mtBye, "coordinator closing"))
+		if !w.live && w.parked == nil {
+			w.link.close()
+			continue
 		}
-		links = append(links, w.link)
+		wg.Add(1)
+		go func(l *link) {
+			defer wg.Done()
+			l.shutdown(encodeReason(mtBye, "coordinator closing"))
+		}(w.link)
 	}
 	c.mu.Unlock()
-	// Give the Bye frames a moment on the wire before tearing links down.
-	time.Sleep(50 * time.Millisecond)
-	for _, l := range links {
-		l.close()
-	}
+	wg.Wait()
 	return c.ln.Close()
 }

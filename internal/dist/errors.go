@@ -2,14 +2,12 @@ package dist
 
 import "errors"
 
-// ErrPeerDown is the typed degradation signal of the reliable link layer
-// (link.go): a sender that has exhausted its capped retransmission retries,
-// or a link whose heartbeats have timed out past the reconnect grace, stops
-// retransmitting forever and surfaces this error instead. The caller's
-// contract is fail-stop conversion: treat the peer as crashed, reset the
-// link, and let the membership/recovery machinery reconstruct whatever the
-// abandoned retransmissions would have carried.
-var ErrPeerDown = errors.New("dist: peer down (retries exhausted or heartbeat timeout)")
+// ErrPeerDown means a link's connection ended: a read or write failed, the
+// peer closed it, or it stayed silent past the peer timeout (link.go). There
+// is no reconnect. The contract is fail-stop: the coordinator treats the
+// worker as having left and re-runs the batch on the survivors, and the
+// worker's RunWorker returns so a supervisor can restart it onto its WAL.
+var ErrPeerDown = errors.New("dist: peer down (connection lost or silent past the peer timeout)")
 
 // ErrNoWorkers means the cluster has no live worker left to run a batch on.
 var ErrNoWorkers = errors.New("dist: no live workers")

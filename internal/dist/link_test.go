@@ -1,36 +1,34 @@
 package dist
 
-// Direct tests of the socket reliable link: FIFO exactly-once delivery in
-// both directions, transparent reconnection after a conn is torn down
-// mid-stream, and ErrPeerDown when the peer never comes back.
+// Direct tests of the socket link: FIFO delivery in both directions, and
+// ErrPeerDown, exactly once, for both ways a link goes down: the connection
+// drops, or the peer stays connected but falls silent.
 
 import (
 	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/wal"
+	"repro/internal/metrics"
 )
 
 const testMsgType = 0x7f
 
 func testLinkConfig() linkConfig {
-	return linkConfig{
-		HeartbeatEvery: 15 * time.Millisecond,
-		RetransBase:    20 * time.Millisecond,
-		PeerTimeout:    300 * time.Millisecond,
-		MaxRetries:     10,
-	}
+	return linkConfig{HeartbeatEvery: 15 * time.Millisecond, PeerTimeout: 300 * time.Millisecond}
 }
 
-// linkRecorder collects delivered message bodies in order.
+// linkRecorder collects delivered message bodies in order and counts
+// onDown calls.
 type linkRecorder struct {
-	mu   sync.Mutex
-	msgs []uint32
-	down chan error
+	mu    sync.Mutex
+	msgs  []uint32
+	downs atomic.Int32
+	down  chan error
 }
 
 func newLinkRecorder() *linkRecorder { return &linkRecorder{down: make(chan error, 4)} }
@@ -42,6 +40,11 @@ func (r *linkRecorder) onMsg(mt byte, body []byte) {
 	r.mu.Lock()
 	r.msgs = append(r.msgs, binary.LittleEndian.Uint32(body))
 	r.mu.Unlock()
+}
+
+func (r *linkRecorder) onDown(err error) {
+	r.downs.Add(1)
+	r.down <- err
 }
 
 func (r *linkRecorder) got() []uint32 {
@@ -57,81 +60,49 @@ func testMsg(i uint32) []byte {
 	return m
 }
 
-// linkPair wires a client link (with redial) to a server link through a
-// real TCP listener. The accept loop re-attaches the server link on every
-// reconnect, mimicking the coordinator's soft-reconnect path.
-type linkPair struct {
-	ln                   net.Listener
-	client               *link
-	server               *link
-	clientRec, serverRec *linkRecorder
-
-	mu         sync.Mutex
-	serverConn net.Conn
-}
-
-func newLinkPair(t *testing.T) *linkPair {
+// tcpPair returns both ends of one loopback TCP connection.
+func tcpPair(t *testing.T) (client, server net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &linkPair{ln: ln, clientRec: newLinkRecorder(), serverRec: newLinkRecorder()}
-	met := newLinkMetrics(nil)
-	p.server = newLink(testLinkConfig(), met, p.serverRec.onMsg, func(err error) { p.serverRec.down <- err })
-	p.client = newLink(testLinkConfig(), met, p.clientRec.onMsg, func(err error) { p.clientRec.down <- err })
-	p.client.dial = func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) }
-	p.client.hello = encodeHello(wireHello{ID: 1, Incarnation: 99})
-
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// Handshake: hello frame first, then splice into the server link.
-			if kind, _, err := wal.ReadFrame(conn); err != nil || kind != wkHello {
-				conn.Close()
-				continue
-			}
-			p.mu.Lock()
-			p.serverConn = conn
-			p.mu.Unlock()
-			p.server.attach(conn)
-		}
+		c, _ := ln.Accept()
+		accepted <- c
 	}()
-
-	conn, err := p.client.dial()
+	client, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteFrame(conn, wkHello, p.client.hello); err != nil {
-		t.Fatal(err)
+	server = <-accepted
+	if server == nil {
+		t.Fatal("accept failed")
 	}
-	p.client.attach(conn)
-	// Don't return until the server half is really attached — tests that
-	// drop the conn right away must hit the live one, not a nil.
-	waitFor(t, "server attach", func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.serverConn != nil
-	})
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// linkPair wires a client link to a server link over one TCP connection.
+type linkPair struct {
+	client, server       *link
+	clientRec, serverRec *linkRecorder
+	clientDown           *metrics.Counter
+}
+
+func newLinkPair(t *testing.T) *linkPair {
+	t.Helper()
+	cc, sc := tcpPair(t)
+	reg := metrics.NewRegistry()
+	p := &linkPair{clientRec: newLinkRecorder(), serverRec: newLinkRecorder(),
+		clientDown: reg.Counter("dist.peer_down")}
+	p.server = newLink(sc, testLinkConfig(), metrics.NewRegistry().Counter("dist.peer_down"),
+		p.serverRec.onMsg, p.serverRec.onDown)
+	p.client = newLink(cc, testLinkConfig(), p.clientDown, p.clientRec.onMsg, p.clientRec.onDown)
+	t.Cleanup(func() { p.client.close(); p.server.close() })
 	return p
-}
-
-func (p *linkPair) dropConn() {
-	p.mu.Lock()
-	c := p.serverConn
-	p.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-func (p *linkPair) close() {
-	p.ln.Close()
-	p.client.close()
-	p.server.close()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -147,7 +118,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestLinkFIFOBothDirections(t *testing.T) {
 	p := newLinkPair(t)
-	defer p.close()
 	const K = 500
 	for i := uint32(0); i < K; i++ {
 		if err := p.client.Send(testMsg(i)); err != nil {
@@ -169,58 +139,62 @@ func TestLinkFIFOBothDirections(t *testing.T) {
 	}
 }
 
-// TestLinkReconnectMidStream kills the TCP conn while traffic is flowing;
-// the client must redial, replay its hello, retransmit unacked frames, and
-// the receiver must dedup — exactly-once FIFO end to end.
-func TestLinkReconnectMidStream(t *testing.T) {
-	p := newLinkPair(t)
-	defer p.close()
-	const K = 400
-	for i := uint32(0); i < K/2; i++ {
-		if err := p.client.Send(testMsg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "first half delivered", func() bool {
-		return len(p.serverRec.got()) >= K/4
-	})
-	p.dropConn()
-	for i := uint32(K / 2); i < K; i++ {
-		if err := p.client.Send(testMsg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "delivery across reconnect", func() bool {
-		return len(p.serverRec.got()) == K
-	})
-	for i, v := range p.serverRec.got() {
-		if v != uint32(i) {
-			t.Fatalf("position %d got %d after reconnect", i, v)
-		}
-	}
-	if p.client.met.reconnects.Value() == 0 {
-		t.Fatal("dist.reconnects counter never incremented")
-	}
-}
-
-// TestLinkPeerDown: when the peer disappears for good, the client link must
-// surface ErrPeerDown within the timeout budget instead of hanging.
+// TestLinkPeerDown: a link goes down, with ErrPeerDown delivered to onDown
+// exactly once, when its connection drops and when its peer stays
+// connected but never writes.
 func TestLinkPeerDown(t *testing.T) {
-	p := newLinkPair(t)
-	p.ln.Close() // no more accepts: redials fail
-	p.dropConn()
-	p.client.Send(testMsg(1))
-	select {
-	case err := <-p.clientRec.down:
-		if !errors.Is(err, ErrPeerDown) {
-			t.Fatalf("down callback got %v, want ErrPeerDown", err)
+	awaitDown := func(t *testing.T, rec *linkRecorder, within time.Duration) {
+		t.Helper()
+		select {
+		case err := <-rec.down:
+			if !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("down callback got %v, want ErrPeerDown", err)
+			}
+		case <-time.After(within):
+			t.Fatalf("link never reported ErrPeerDown within %v", within)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("client link never reported ErrPeerDown")
 	}
-	if !p.client.isDown() {
-		t.Fatal("isDown() false after peer-down")
-	}
-	p.client.close()
-	p.server.close()
+
+	t.Run("dropped connection", func(t *testing.T) {
+		p := newLinkPair(t)
+		p.server.close() // the peer's end goes away; its own onDown stays quiet
+		awaitDown(t, p.clientRec, 5*time.Second)
+		for i := uint32(0); i < 3; i++ {
+			if err := p.client.Send(testMsg(i)); !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("Send after down returned %v, want ErrPeerDown", err)
+			}
+		}
+		time.Sleep(10 * testLinkConfig().HeartbeatEvery) // room for a second event
+		if n := p.clientRec.downs.Load(); n != 1 {
+			t.Fatalf("onDown fired %d times, want exactly 1", n)
+		}
+		if n := p.clientDown.Value(); n != 1 {
+			t.Fatalf("dist.peer_down = %d, want 1", n)
+		}
+		if !p.client.isDown() {
+			t.Fatal("isDown() false after peer-down")
+		}
+		if n := p.serverRec.downs.Load(); n != 0 {
+			t.Fatalf("closed link fired onDown %d times", n)
+		}
+	})
+
+	t.Run("silent peer", func(t *testing.T) {
+		cc, _ := tcpPair(t) // the server end stays open and never writes
+		rec := newLinkRecorder()
+		cfg := testLinkConfig()
+		start := time.Now()
+		l := newLink(cc, cfg, metrics.NewRegistry().Counter("dist.peer_down"), rec.onMsg, rec.onDown)
+		defer l.close()
+		awaitDown(t, rec, cfg.PeerTimeout+time.Second)
+		if el := time.Since(start); el < cfg.PeerTimeout {
+			t.Fatalf("link went down after %v, before its %v peer timeout", el, cfg.PeerTimeout)
+		}
+		if err := l.Send(testMsg(1)); !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("Send after down returned %v, want ErrPeerDown", err)
+		}
+		if n := rec.downs.Load(); n != 1 {
+			t.Fatalf("onDown fired %d times, want exactly 1", n)
+		}
+	})
 }

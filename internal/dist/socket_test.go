@@ -17,6 +17,8 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,8 +55,8 @@ func deletionHeavyWorkload(seed uint64, batches int) gen.Workload {
 	})
 }
 
-// fastCoordConfig returns timers tight enough that death detection and
-// retransmission resolve in tens of milliseconds.
+// fastCoordConfig returns timers tight enough that a silent worker is
+// declared down in well under a second.
 func fastCoordConfig() CoordConfig {
 	return CoordConfig{
 		Addr:           "127.0.0.1:0",
@@ -62,50 +64,60 @@ func fastCoordConfig() CoordConfig {
 		CkptEvery:      2,
 		BatchTimeout:   30 * time.Second,
 		HeartbeatEvery: 20 * time.Millisecond,
-		RetransBase:    25 * time.Millisecond,
 		PeerTimeout:    400 * time.Millisecond,
-		MaxRetries:     10,
 	}
 }
 
 // testWorker is one in-process worker with crash and restart controls.
+// done closes when RunWorker returns, and err then holds its result, so
+// any number of waiters can observe the one exit.
 type testWorker struct {
 	id       int
 	dir      string
 	cancel   context.CancelFunc
 	hardStop chan struct{}
-	done     chan error
+	done     chan struct{}
+	err      error
 }
 
-func startTestWorker(addr, dir string, id int) *testWorker {
+// startTestWorker runs one worker with cfg's link timers.
+func startTestWorker(cfg CoordConfig, addr, dir string, id int) *testWorker {
 	ctx, cancel := context.WithCancel(context.Background())
 	tw := &testWorker{
 		id: id, dir: dir, cancel: cancel,
 		hardStop: make(chan struct{}),
-		done:     make(chan error, 1),
+		done:     make(chan struct{}),
 	}
 	go func() {
-		tw.done <- RunWorker(ctx, WorkerConfig{
+		defer close(tw.done)
+		tw.err = RunWorker(ctx, WorkerConfig{
 			Addr: addr, Dir: dir, ID: id,
 			ConnectTimeout: 10 * time.Second,
-			HeartbeatEvery: 20 * time.Millisecond,
-			RetransBase:    25 * time.Millisecond,
-			PeerTimeout:    400 * time.Millisecond,
-			MaxRetries:     10,
+			HeartbeatEvery: cfg.HeartbeatEvery,
+			PeerTimeout:    cfg.PeerTimeout,
 			HardStop:       tw.hardStop,
 		})
 	}()
 	return tw
 }
 
+// exit waits up to 5 s for the worker goroutine to return and reports its
+// error; exited is false on a timeout.
+func (tw *testWorker) exit() (exited bool, err error) {
+	select {
+	case <-tw.done:
+		return true, tw.err
+	case <-time.After(5 * time.Second):
+		return false, nil
+	}
+}
+
 // crash simulates kill -9 and waits for the worker goroutine to exit.
 func (tw *testWorker) crash(t *testing.T) {
 	t.Helper()
 	close(tw.hardStop)
-	select {
-	case <-tw.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("crashed worker did not exit")
+	if exited, _ := tw.exit(); !exited {
+		t.Fatalf("crashed worker %d did not exit", tw.id)
 	}
 	tw.cancel()
 }
@@ -114,41 +126,35 @@ func (tw *testWorker) crash(t *testing.T) {
 func (tw *testWorker) stop(t *testing.T) {
 	t.Helper()
 	tw.cancel()
-	select {
-	case err := <-tw.done:
-		if err != nil {
-			t.Fatalf("worker %d: graceful stop returned %v", tw.id, err)
-		}
-	case <-time.After(5 * time.Second):
+	exited, err := tw.exit()
+	if !exited {
 		t.Fatalf("worker %d did not stop", tw.id)
 	}
-}
-
-// wait reaps a worker expected to exit on its own (coordinator bye).
-func (tw *testWorker) wait(t *testing.T) {
-	t.Helper()
-	select {
-	case err := <-tw.done:
-		if err != nil {
-			t.Fatalf("worker %d exited with %v", tw.id, err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("worker %d did not exit after bye", tw.id)
+	if err != nil {
+		t.Fatalf("worker %d: graceful stop returned %v", tw.id, err)
 	}
-	tw.cancel()
 }
 
 // socketHarness holds one running cluster plus the oracle replica.
 type socketHarness struct {
 	t       *testing.T
+	cfg     CoordConfig
 	alg     algo.Selective
 	coord   *Coordinator
 	ref     *graph.Streaming
 	workers map[int]*testWorker
 	base    string
+
+	logMu sync.Mutex
+	log   []string // the coordinator's progress lines
 }
 
 func newSocketHarness(t *testing.T, alg algo.Selective, w gen.Workload, n int) *socketHarness {
+	t.Helper()
+	return newSocketHarnessWith(t, fastCoordConfig(), alg, w, n)
+}
+
+func newSocketHarnessWith(t *testing.T, cfg CoordConfig, alg algo.Selective, w gen.Workload, n int) *socketHarness {
 	t.Helper()
 	initial := w.Initial
 	if alg.Symmetric() {
@@ -159,16 +165,22 @@ func newSocketHarness(t *testing.T, alg algo.Selective, w gen.Workload, n int) *
 		initial = both
 	}
 	g := graph.FromEdges(w.NumV, initial)
-	coord, err := NewCoordinator(g, alg, fastCoordConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &socketHarness{
-		t: t, alg: alg, coord: coord,
+		t: t, cfg: cfg, alg: alg,
 		ref:     g.Clone(),
 		workers: map[int]*testWorker{},
 		base:    t.TempDir(),
 	}
+	cfg.Logf = func(format string, args ...any) {
+		h.logMu.Lock()
+		h.log = append(h.log, fmt.Sprintf(format, args...))
+		h.logMu.Unlock()
+	}
+	coord, err := NewCoordinator(g, alg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.coord = coord
 	for i := 0; i < n; i++ {
 		h.startWorker(i)
 	}
@@ -185,9 +197,28 @@ func (h *socketHarness) workerDir(id int) string {
 }
 
 func (h *socketHarness) startWorker(id int) *testWorker {
-	tw := startTestWorker(h.coord.Addr(), h.workerDir(id), id)
+	return h.startWorkerAt(h.coord.Addr(), id)
+}
+
+// startWorkerAt starts worker id dialling addr (the coordinator, or a proxy
+// in front of it).
+func (h *socketHarness) startWorkerAt(addr string, id int) *testWorker {
+	tw := startTestWorker(h.cfg, addr, h.workerDir(id), id)
 	h.workers[id] = tw
 	return tw
+}
+
+// rejoin restarts a crashed worker onto its directory once the coordinator
+// has dropped it, and waits until n workers are live again.
+func (h *socketHarness) rejoin(id, n int) {
+	h.t.Helper()
+	waitFor(h.t, "the coordinator to drop the crashed worker", func() bool { return h.coord.LiveWorkers() < n })
+	h.startWorker(id)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.coord.WaitForWorkers(ctx, n); err != nil {
+		h.t.Fatal(err)
+	}
 }
 
 // runBatch processes one batch and asserts bit-exact agreement with the
@@ -230,14 +261,46 @@ func (h *socketHarness) rejectBatch(bad graph.Batch, badIndex int) {
 	}
 }
 
+// logged reports whether the coordinator logged a line containing every
+// one of subs.
+func (h *socketHarness) logged(subs ...string) bool {
+	h.logMu.Lock()
+	defer h.logMu.Unlock()
+	for _, l := range h.log {
+		all := true
+		for _, sub := range subs {
+			all = all && strings.Contains(l, sub)
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// close byes the cluster. Every worker still running when it starts must
+// read the bye and exit cleanly.
 func (h *socketHarness) close() {
-	h.coord.Close()
+	running := map[*testWorker]bool{}
 	for _, tw := range h.workers {
 		select {
 		case <-tw.done:
-		case <-time.After(5 * time.Second):
+		default:
+			running[tw] = true
 		}
+	}
+	h.coord.Close()
+	for _, tw := range h.workers {
+		exited, err := tw.exit()
 		tw.cancel()
+		if running[tw] && (!exited || err != nil) {
+			h.t.Errorf("worker %d after the coordinator's bye: exited=%v, err=%v", tw.id, exited, err)
+		}
+	}
+	if h.t.Failed() {
+		h.logMu.Lock()
+		h.t.Logf("coordinator log:\n%s", strings.Join(h.log, "\n"))
+		h.logMu.Unlock()
 	}
 }
 
@@ -454,12 +517,7 @@ func TestSocketCrashRestartMidBatch(t *testing.T) {
 			victim.cancel()
 
 			// Restart with the same directory and id: WAL recovery + rejoin.
-			h.startWorker(1)
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := h.coord.WaitForWorkers(ctx, 3); err != nil {
-				t.Fatal(err)
-			}
+			h.rejoin(1, 3)
 			h.runBatch(3, w.Batches[3])
 			h.runBatch(4, w.Batches[4])
 		})
@@ -492,6 +550,13 @@ func TestSocketAllWorkersDie(t *testing.T) {
 	w0.cancel()
 	w1.cancel()
 	h.runBatch(2, w.Batches[2])
+	// The kills may land after batch 1: the respawns then join during
+	// batch 2 or after it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSocketChaosSeeded is the in-process chaos loop: random mid-batch
@@ -523,13 +588,7 @@ func TestSocketChaosSeeded(t *testing.T) {
 				if crashed != nil {
 					<-crashed.done
 					crashed.cancel()
-					h.startWorker(crashed.id)
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					if err := h.coord.WaitForWorkers(ctx, n); err != nil {
-						cancel()
-						t.Fatal(err)
-					}
-					cancel()
+					h.rejoin(crashed.id, n)
 				}
 			}
 		})
@@ -583,16 +642,9 @@ func TestSocketMembershipChurnSweep(t *testing.T) {
 						delete(h.workers, id) // already reaped
 						delete(live, id)
 						stops++
-					case action == 1 && len(live) > 1: // kill -9; detection happens mid-batch
+					case action == 1 && len(live) > 1: // kill -9; the coordinator sees EOF
 						id := pick()
-						tw := h.workers[id]
-						close(tw.hardStop)
-						select {
-						case <-tw.done:
-						case <-time.After(5 * time.Second):
-							t.Fatalf("worker %d did not die", id)
-						}
-						tw.cancel()
+						h.workers[id].crash(t)
 						delete(h.workers, id)
 						delete(live, id)
 						crashed = append(crashed, id)
@@ -627,9 +679,9 @@ func TestSocketMembershipChurnSweep(t *testing.T) {
 // worker just dials the proxy — and oracle-checks every batch with seeded
 // delays jittering the link. The mix is delay-only (delays never spend the
 // fault budget, so they inject for the whole run) and MaxDelay stays far
-// under PeerTimeout so the link-layer never declares the worker dead: the
-// test pins down that a slow, jittery network path reorders nothing the
-// seq/ack layer can't absorb.
+// under PeerTimeout so the link never declares the worker dead: the test
+// pins down that a slow, jittery network path costs no membership and
+// reorders nothing.
 func TestSocketWorkerThroughFaultProxy(t *testing.T) {
 	w := clusterWorkload(171, 6)
 	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 1)
@@ -642,7 +694,7 @@ func TestSocketWorkerThroughFaultProxy(t *testing.T) {
 	}
 	defer p.Close()
 	defer h.close()
-	h.workers[1] = startTestWorker(paddr.String(), h.workerDir(1), 1)
+	h.startWorkerAt(paddr.String(), 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
@@ -658,4 +710,93 @@ func TestSocketWorkerThroughFaultProxy(t *testing.T) {
 		t.Fatal("proxy injected no delays; the fault path was not exercised")
 	}
 	t.Logf("proxied link: %d injected delays across %d batches", p.In.Delays(), len(w.Batches))
+}
+
+// TestSocketLinkResetMakesWorkerLeave: a connection reset is a membership
+// event. One worker dials through a proxy that injects one seeded reset;
+// its RunWorker returns ErrPeerDown, the coordinator drops it and finishes
+// the batch on the survivor, and a restart on the same directory and id
+// (through the same proxy, its fault budget now spent) rejoins by WAL
+// catch-up, not by a full transfer.
+func TestSocketLinkResetMakesWorkerLeave(t *testing.T) {
+	w := clusterWorkload(181, 12)
+	// Slow heartbeats keep the proxy's I/O count, which the seeded reset
+	// is keyed to, mostly message traffic: the reset lands mid-stream.
+	cfg := fastCoordConfig()
+	cfg.HeartbeatEvery = 200 * time.Millisecond
+	cfg.PeerTimeout = 2 * time.Second
+	h := newSocketHarnessWith(t, cfg, algo.SSSP{Src: 0}, w, 1)
+	p := netfault.NewProxy(h.coord.Addr(), netfault.Config{Seed: 20, ResetProb: 0.02, MaxFaults: 1})
+	paddr, err := p.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	defer h.close()
+	proxied := h.startWorkerAt(paddr.String(), 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	left := -1
+	for bi, b := range w.Batches {
+		h.runBatch(bi, b) // oracle-equal, the batch the reset lands in included
+		if left >= 0 {
+			continue
+		}
+		select {
+		case <-proxied.done:
+		default:
+			continue
+		}
+		left = bi
+		if !errors.Is(proxied.err, ErrPeerDown) {
+			t.Fatalf("reset worker's RunWorker returned %v, want ErrPeerDown", proxied.err)
+		}
+		waitFor(t, "the coordinator to drop the reset worker", func() bool { return h.coord.LiveWorkers() == 1 })
+		h.startWorkerAt(paddr.String(), 1)
+		if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
+			t.Fatal(err)
+		}
+		if !h.logged("worker 1 admitted", "full=false") {
+			t.Fatal("restarted worker was not admitted by WAL catch-up")
+		}
+	}
+	if got := p.In.Resets(); got != 1 {
+		t.Fatalf("proxy injected %d resets, want 1", got)
+	}
+	if left < 0 {
+		t.Fatal("the reset did not make the worker leave")
+	}
+	if left == len(w.Batches)-1 {
+		t.Fatal("the reset landed in the last batch: no batch ran after the rejoin")
+	}
+	if got := h.coord.LiveWorkers(); got != 2 {
+		t.Fatalf("after the rejoin: %d live workers, want 2", got)
+	}
+	t.Logf("the reset worker left by the end of batch %d (a batch re-ran: %v) and rejoined",
+		left, h.logged("rerun=true"))
+}
+
+// TestSocketDeadWorkerDetectedAtEOF: a worker whose process dies has left
+// when its connection ends, not when the peer timeout runs out.
+func TestSocketDeadWorkerDetectedAtEOF(t *testing.T) {
+	cfg := fastCoordConfig()
+	cfg.PeerTimeout = 5 * time.Second
+	w := clusterWorkload(191, 3)
+	h := newSocketHarnessWith(t, cfg, algo.SSSP{Src: 0}, w, 2)
+	defer h.close()
+	h.runBatch(0, w.Batches[0])
+	h.workers[1].crash(t) // not restarted
+	start := time.Now()
+	h.runBatch(1, w.Batches[1])
+	if el := time.Since(start); el >= time.Second {
+		t.Fatalf("the batch after a worker died took %v; its death waited for the %v peer timeout",
+			el, cfg.PeerTimeout)
+	}
+	if got := h.coord.LiveWorkers(); got != 1 {
+		t.Fatalf("%d live workers after one of two died, want 1", got)
+	}
+	h.runBatch(2, w.Batches[2])
 }

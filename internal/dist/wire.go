@@ -3,10 +3,10 @@ package dist
 // Wire protocol of the real-socket cluster runtime (DESIGN.md §4.10). Every
 // frame on a connection uses the shared wal codec framing —
 // [len][crc32c][kind][payload] — so the network detects truncation and bit
-// corruption exactly the way the on-disk artifacts do. Sequenced
-// application messages ride in wkMsg frames under the reliable link layer
-// (link.go); acks, heartbeats, and the connection-level hello are
-// unsequenced control frames.
+// corruption exactly the way the on-disk artifacts do. Application
+// messages ride in wkMsg frames over one TCP connection per worker
+// incarnation (link.go); heartbeats and the connection-level hello are
+// control frames.
 //
 // Payloads are flat little-endian records composed from the wal.Enc/wal.Dec
 // cursors and their batch, edge and vector sections — the same code the wal
@@ -23,10 +23,8 @@ import (
 // read as a stream (or vice versa) fails loudly on kind, not just on
 // payload shape.
 const (
-	wkMsg   byte = 0x10 // [8B seq][1B msgType][body] — reliable, sequenced
-	wkAck   byte = 0x11 // [8B cumulative ack = receiver's nextExpect]
-	wkPing  byte = 0x12 // heartbeat probe
-	wkPong  byte = 0x13 // heartbeat reply
+	wkMsg   byte = 0x10 // [1B msgType][body]
+	wkPing  byte = 0x12 // heartbeat, both ways; empty
 	wkHello byte = 0x14 // connection handshake (worker -> coordinator)
 )
 
@@ -44,11 +42,12 @@ const (
 	mtJoinReject   byte = 11 // coordinator -> worker: join refused
 )
 
-// wireHello is the connection-level handshake a worker sends first on every
-// new connection (initial join, soft reconnect, and post-restart rejoin).
+// wireHello is the connection-level handshake a worker sends first on its
+// one connection (initial join or post-restart rejoin: every hello is a
+// join).
 type wireHello struct {
 	ID          int32  // worker id; -1 asks the coordinator to assign one
-	Incarnation uint64 // changes on every process (re)start
+	Incarnation uint64 // changes on every process (re)start; names a superseded process
 	StructSeq   uint64 // last batch applied to the worker's recovered graph
 	CkptSeq     uint64 // sequence of the newest intact local checkpoint
 	HasBase     bool   // a base graph was recovered (ckpt + WAL replay succeeded)

@@ -25,9 +25,10 @@ package dist
 // vertex while candidates go to the target's owner, so every improvement is
 // eventually delivered and the cluster quiesces at the same unique fixpoint
 // as the single-machine engine (the socket tests check it bit-exact).
-// Shadow records overwrite unconditionally, so they need link.go's per-link
-// FIFO, exactly-once delivery: a reordered pair of shadow records for one
-// vertex would leave the older value in place.
+// Shadow records overwrite unconditionally, so they need the FIFO,
+// exactly-once delivery of the worker's one TCP connection (link.go): a
+// reordered pair of shadow records for one vertex would leave the older
+// value in place.
 //
 // Durability: a worker directory is a wal directory. Every applied batch is
 // fsynced into its log before processing, and on CkptCmd the worker writes
@@ -39,7 +40,9 @@ package dist
 // missing batch tail and the authoritative boundary state.
 //
 // Shutdown: a cancelled context (SIGTERM/SIGINT in the binary) sends Bye,
-// flushes the WAL, writes a final checkpoint, and exits cleanly.
+// flushes the WAL, writes a final checkpoint, and exits cleanly. A lost
+// connection ends the process's membership instead: RunWorker returns
+// ErrPeerDown, and the restart rejoins from the WAL like any crash.
 
 import (
 	"context"
@@ -74,9 +77,7 @@ type WorkerConfig struct {
 	// Link timer overrides (zero = defaults; must match the coordinator's
 	// order of magnitude for heartbeats to make sense).
 	HeartbeatEvery time.Duration
-	RetransBase    time.Duration
 	PeerTimeout    time.Duration
-	MaxRetries     int
 	// Metrics receives dist.* and wal.* instruments when non-nil.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives human-readable progress lines.
@@ -97,12 +98,7 @@ func (c WorkerConfig) connectTimeout() time.Duration {
 }
 
 func (c WorkerConfig) linkConfig() linkConfig {
-	return linkConfig{
-		HeartbeatEvery: c.HeartbeatEvery,
-		RetransBase:    c.RetransBase,
-		PeerTimeout:    c.PeerTimeout,
-		MaxRetries:     c.MaxRetries,
-	}
+	return linkConfig{HeartbeatEvery: c.HeartbeatEvery, PeerTimeout: c.PeerTimeout}
 }
 
 // workerStore is a worker's durable half: the applied-batch log and the
@@ -263,8 +259,8 @@ func (w *workerRt) logf(format string, args ...any) {
 
 // RunWorker connects to the coordinator and processes batches until the
 // context is cancelled (graceful shutdown), the coordinator says bye, or
-// the link degrades to ErrPeerDown (the caller should exit nonzero so a
-// supervisor can respawn the process).
+// the connection ends with ErrPeerDown (the caller should exit nonzero so a
+// supervisor can restart the process onto its WAL).
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -306,11 +302,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	})
 
 	lcfg := cfg.linkConfig()
-	dial := func() (net.Conn, error) {
-		d := net.Dialer{Timeout: lcfg.peerTimeout()}
-		return d.Dial("tcp", cfg.Addr)
-	}
-	conn, err := dialRetry(ctx, dial, cfg.connectTimeout())
+	conn, err := dialRetry(ctx, cfg.Addr, lcfg.peerTimeout(), cfg.connectTimeout())
 	if err != nil {
 		return fmt.Errorf("dist: worker connect: %w", err)
 	}
@@ -321,14 +313,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 
 	mb := newMailbox()
 	downCh := make(chan error, 1)
-	l := newLink(lcfg, newLinkMetrics(reg),
+	w.link = newLink(conn, lcfg, reg.Counter("dist.peer_down"),
 		func(mt byte, body []byte) { mb.push(mt, body) },
 		func(err error) { downCh <- err })
-	l.dial = dial
-	l.hello = hello
-	l.attach(conn)
-	w.link = l
-	defer l.close()
+	defer w.link.close()
 
 	for {
 		select {
@@ -337,26 +325,47 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case <-cfg.HardStop:
 			return errors.New("dist: worker hard-stopped (simulated crash)")
 		case err := <-downCh:
+			// Everything read before the connection ended is queued: a bye
+			// followed by the coordinator's close is a clean exit.
+			if herr := w.handleQueued(mb); herr != nil {
+				return exitErr(herr)
+			}
 			return err
 		case <-mb.ch:
-			for _, m := range mb.popAll() {
-				if err := w.handle(m.mt, m.body); err != nil {
-					if errors.Is(err, errByeReceived) {
-						return nil
-					}
-					return err
-				}
+			if err := w.handleQueued(mb); err != nil {
+				return exitErr(err)
 			}
 		}
 	}
 }
 
+// handleQueued handles every queued message in order, stopping at the
+// first error (errByeReceived included).
+func (w *workerRt) handleQueued(mb *mailbox) error {
+	for _, m := range mb.popAll() {
+		if err := w.handle(m.mt, m.body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exitErr maps a handling error to RunWorker's result: a bye is a clean
+// exit.
+func exitErr(err error) error {
+	if errors.Is(err, errByeReceived) {
+		return nil
+	}
+	return err
+}
+
 // dialRetry dials until success, ctx cancellation, or the timeout — a
 // worker often starts before the coordinator's listener is up.
-func dialRetry(ctx context.Context, dial func() (net.Conn, error), timeout time.Duration) (net.Conn, error) {
+func dialRetry(ctx context.Context, addr string, dialTimeout, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
+	d := net.Dialer{Timeout: dialTimeout}
 	for {
-		conn, err := dial()
+		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			return conn, nil
 		}
@@ -371,9 +380,10 @@ func dialRetry(ctx context.Context, dial func() (net.Conn, error), timeout time.
 	}
 }
 
-// shutdown is the graceful exit path: announce, flush, final checkpoint.
+// shutdown is the graceful exit path: announce (the bye is drained to the
+// coordinator's close, see link.shutdown), final checkpoint.
 func (w *workerRt) shutdown() error {
-	w.link.Send(encodeReason(mtBye, "worker shutting down"))
+	w.link.shutdown(encodeReason(mtBye, "worker shutting down"))
 	if w.welcomed {
 		if err := w.store.checkpoint(w.structSeq, w.g, w.vals, w.parent); err != nil {
 			return err
@@ -730,7 +740,7 @@ func (w *workerRt) flushOutbox() {
 		chunk := w.outbox[:n]
 		if err := w.link.Send(encodeData(wireData{Epoch: w.epoch, Recs: chunk})); err != nil {
 			w.outbox = w.outbox[:0]
-			return // link degraded; the main loop will exit via onDown
+			return // link down; the main loop will exit via onDown
 		}
 		w.uploaded += uint64(n)
 		w.outbox = w.outbox[n:]

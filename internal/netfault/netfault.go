@@ -1,15 +1,16 @@
-// Package netfault is the serving path's seeded network-fault layer: a
-// net.Conn / net.Listener wrapper for in-process tests and an in-path TCP
-// proxy (cmd/faultproxy) for the real binaries. Both inject the failure
-// shapes a deployed ingest path actually sees — connections reset
-// mid-stream, writes that land partially before the peer vanishes, and
-// stalls long enough to trip client deadlines — deterministically from a
-// seed, so every chaos scenario in the oracle sweeps replays bit-exactly.
+// Package netfault is the seeded network-fault layer: a net.Conn wrapper
+// and Proxy, an in-path TCP proxy built on it (cmd/faultproxy runs one in
+// front of the real binaries). They inject the failure shapes a deployed
+// network path actually sees — connections reset mid-stream, writes that
+// land partially before the peer vanishes, and stalls long enough to trip
+// deadlines — deterministically from a seed, so every chaos scenario in the
+// oracle sweeps replays bit-exactly.
 //
-// Faults are injected at I/O boundaries, never by corrupting bytes: the
-// session protocol's CRC framing already proves corruption is detected
-// (internal/wal codec tests), while *lost* and *duplicated* deliveries are
-// what the exactly-once resume machinery must survive.
+// Faults are injected at I/O boundaries, never by corrupting bytes: the CRC
+// framing already proves corruption is detected (internal/wal codec tests),
+// while *lost* and *duplicated* deliveries are what the layers above must
+// survive: the serving client's exactly-once resume, and the cluster's
+// membership, to which a reset is a worker that left.
 package netfault
 
 import (
@@ -143,22 +144,6 @@ func (in *Injector) Conn(c net.Conn) net.Conn {
 		in:   in,
 		rng:  rng.New(rng.Mix64(in.cfg.Seed ^ ord*0x9e3779b97f4a7c15)),
 	}
-}
-
-// Listen wraps l so every accepted connection is fault-injected.
-func (in *Injector) Listen(l net.Listener) net.Listener { return &listener{Listener: l, in: in} }
-
-type listener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.Conn(c), nil
 }
 
 // conn injects the configured fault mix around the embedded connection's

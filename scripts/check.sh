@@ -9,7 +9,10 @@
 # consistency-oracle smoke and the hub-skew fuzz smoke (both bit-exact over
 # 1, 3 and 4 workers), a durable-CLI recovery smoke
 # per durable family, a multi-process kill -9 smoke of the distributed
-# runtime, a 5 s fuzz of every decoder harness (wal frames, snapshots and
+# runtime, five race-enabled runs of the cluster's membership tests (a
+# link reset and a dead worker's EOF each make a worker leave, plus the
+# seeded crash and churn sweeps: membership carries every link fault), a
+# 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages),
 # of the hub-indexed adjacency and of the bulk graph build against the
 # one-edge-at-a-time build, a check that removed flags and figures
@@ -85,6 +88,11 @@ rm -rf "$waltmp"
 
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
 timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
+
+echo "== cluster membership (-race, 5 runs: a lost link is a member that left) =="
+go test -race -count=5 \
+    -run '^(TestSocketLinkResetMakesWorkerLeave|TestSocketDeadWorkerDetectedAtEOF|TestSocketChaosSeeded|TestSocketMembershipChurnSweep)$' \
+    ./internal/dist
 
 echo "== decoder fuzz (every decoder harness; 5 s each, no panic, stable round trips) =="
 for target in FuzzReadFrame FuzzReadSnapshot FuzzDecodePayloads; do
