@@ -26,6 +26,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/netfault"
 	"repro/internal/rng"
 	"repro/internal/wal"
@@ -144,9 +145,11 @@ type socketHarness struct {
 	ref     *graph.Streaming
 	workers map[int]*testWorker
 	base    string
+	reg     *metrics.Registry // the coordinator's dist.* instruments
 
 	logMu sync.Mutex
-	log   []string // the coordinator's progress lines
+	log   []string          // the coordinator's progress lines
+	onLog func(line string) // sees each line as it is logged (killAt)
 }
 
 func newSocketHarness(t *testing.T, alg algo.Selective, w gen.Workload, n int) *socketHarness {
@@ -170,11 +173,18 @@ func newSocketHarnessWith(t *testing.T, cfg CoordConfig, alg algo.Selective, w g
 		ref:     g.Clone(),
 		workers: map[int]*testWorker{},
 		base:    t.TempDir(),
+		reg:     metrics.NewRegistry(),
 	}
+	cfg.Metrics = h.reg
 	cfg.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
 		h.logMu.Lock()
-		h.log = append(h.log, fmt.Sprintf(format, args...))
+		h.log = append(h.log, line)
+		onLog := h.onLog
 		h.logMu.Unlock()
+		if onLog != nil {
+			onLog(line)
+		}
 	}
 	coord, err := NewCoordinator(g, alg, cfg)
 	if err != nil {
@@ -276,6 +286,43 @@ func (h *socketHarness) logged(subs ...string) bool {
 		}
 	}
 	return false
+}
+
+// killAt hard-stops tws when the coordinator starts batch seq: it logs
+// "batch <seq> epoch" right after the batch's BatchStart frames go out, with
+// its lock held, so the kill lands inside the batch however short the
+// batch is. The returned channel closes once every victim has exited.
+func (h *socketHarness) killAt(seq int, tws ...*testWorker) <-chan struct{} {
+	dead := make(chan struct{})
+	prefix := fmt.Sprintf("coord: batch %d epoch ", seq)
+	var once sync.Once
+	h.logMu.Lock()
+	h.onLog = func(line string) {
+		if strings.HasPrefix(line, prefix) {
+			once.Do(func() {
+				for _, tw := range tws {
+					close(tw.hardStop)
+				}
+				go func() {
+					for _, tw := range tws {
+						<-tw.done
+					}
+					close(dead)
+				}()
+			})
+		}
+	}
+	h.logMu.Unlock()
+	return dead
+}
+
+// requireRerun fails the test unless the coordinator re-ran a batch on a
+// changed membership.
+func (h *socketHarness) requireRerun() {
+	h.t.Helper()
+	if n := h.reg.Counter("dist.rebalances").Value(); n < 1 {
+		h.t.Fatalf("dist.rebalances = %d: no batch re-ran, the kill missed the batch", n)
+	}
 }
 
 // close byes the cluster. Every worker still running when it starts must
@@ -508,13 +555,11 @@ func TestSocketCrashRestartMidBatch(t *testing.T) {
 			h.runBatch(1, w.Batches[1])
 
 			victim := h.workers[1]
-			go func() {
-				time.Sleep(2 * time.Millisecond)
-				close(victim.hardStop)
-			}()
+			dead := h.killAt(3, victim) // batch 2 is seq 3
 			h.runBatch(2, w.Batches[2])
-			<-victim.done
+			<-dead
 			victim.cancel()
+			h.requireRerun()
 
 			// Restart with the same directory and id: WAL recovery + rejoin.
 			h.rejoin(1, 3)
@@ -533,14 +578,11 @@ func TestSocketAllWorkersDie(t *testing.T) {
 	h.runBatch(0, w.Batches[0])
 
 	w0, w1 := h.workers[0], h.workers[1]
+	dead := h.killAt(2, w0, w1) // batch 1 is seq 2
 	respawned := make(chan struct{})
 	go func() {
 		defer close(respawned)
-		time.Sleep(2 * time.Millisecond)
-		close(w0.hardStop)
-		close(w1.hardStop)
-		<-w0.done
-		<-w1.done
+		<-dead
 		// Respawn both; the coordinator is still inside ProcessBatch.
 		h.startWorker(0)
 		h.startWorker(1)
@@ -549,9 +591,8 @@ func TestSocketAllWorkersDie(t *testing.T) {
 	<-respawned // h.workers is written by the respawn; order it before close()
 	w0.cancel()
 	w1.cancel()
+	h.requireRerun()
 	h.runBatch(2, w.Batches[2])
-	// The kills may land after batch 1: the respawns then join during
-	// batch 2 or after it.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := h.coord.WaitForWorkers(ctx, 2); err != nil {

@@ -247,13 +247,12 @@ func (e *Accumulative) newWorker(int) unitWorker {
 	return aw
 }
 
-// roundsPerActivation bounds how many local rounds a unit runs before
-// yielding. Converging a flow fully against stale boundary aggregates
-// wastes pushes (its neighbours' deltas arrive later and force local
-// re-convergence); yielding after a few rounds interleaves flows into an
-// approximately global round order while keeping all processing flow-local.
-const roundsPerActivation = 2
-
+// processUnit runs one local round per activation: drain and fold the
+// inbox, recompute the worklist, push the pushers. If the round's pushes
+// left vertices of the flow dirty, the unit carries them, flushes and
+// re-activates itself, so sibling flows run before it re-converges
+// against their stale deltas: every larger bound on rounds per activation
+// costs more relaxations (DESIGN.md §4.4).
 func (aw *accWorker) processUnit(u *unit) {
 	e := aw.e
 	aw.probe.SetPhase(cachesim.PhaseRecompute)
@@ -269,25 +268,13 @@ func (aw *accWorker) processUnit(u *unit) {
 		aw.msgs = e.inboxes[u.flow].drain(aw.msgs)
 		progressed := len(aw.msgs) > 0
 		aw.fold(aw.msgs)
-		// Round-structured local convergence with two sub-phases per round
-		// (recompute all states, then broadcast all deltas): a vertex folds
-		// every delta of the round into its aggregate before pushing once —
-		// a BSP superstep's work discipline, private to this flow, with no
-		// global barrier.
-		rounds := 0
-		for len(aw.wl) > 0 {
+		if len(aw.wl) > 0 {
+			// One round in two sub-phases (recompute all states, then
+			// broadcast all deltas): a vertex folds every delta of the
+			// round into its aggregate before pushing once — a BSP
+			// superstep's work discipline, private to this flow, with no
+			// global barrier.
 			progressed = true
-			if rounds >= roundsPerActivation {
-				// Yield: park the remaining worklist on the unit, deliver the
-				// combined deltas, hand the pool a re-activation, and let
-				// sibling flows catch up.
-				u.carry = append(u.carry[:0], aw.wl...)
-				aw.wl = aw.wl[:0]
-				aw.flush()
-				e.pl.activate(u)
-				return
-			}
-			rounds++
 			round := aw.wl
 			aw.wl = aw.next[:0]
 			aw.pushers = aw.pushers[:0]
@@ -300,6 +287,16 @@ func (aw *accWorker) processUnit(u *unit) {
 				aw.pushVertex(v, u)
 			}
 			aw.next = round[:0]
+			if len(aw.wl) > 0 {
+				// Yield: park the worklist on the unit, deliver the
+				// combined deltas, hand the pool a re-activation, and let
+				// sibling flows catch up.
+				u.carry = append(u.carry[:0], aw.wl...)
+				aw.wl = aw.wl[:0]
+				aw.flush()
+				e.pl.activate(u)
+				return
+			}
 		}
 		// Deliver the combined cross-flow deltas before (possibly) going
 		// idle, so the pool's quiescence detection stays sound.
@@ -370,7 +367,11 @@ func (aw *accWorker) recomputeVertex(v uint32) bool {
 
 // pushVertex broadcasts v's contribution delta over its out-edges (second
 // sub-phase of a round): inside the flow straight into the aggregate,
-// across flows into the combining outbox.
+// across flows into the combining outbox, whose entry for a target w opens
+// on w's first delta since the last flush (one message to w's flow) and
+// sums every later one. The edge loop reads the engine's and worker's
+// fields through locals: its stores could alias them, so the compiler
+// would otherwise reload each one on every edge.
 func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e := aw.e
 	if e.profiled {
@@ -391,46 +392,41 @@ func (aw *accWorker) pushVertex(v uint32, u *unit) {
 	e.lastUnit.SetVec(v, aw.newU)
 	out := e.G.Out(graph.VertexID(v))
 	aw.relaxations += int64(len(out))
+	flowOf, agg, dirty, profiled := e.part.FlowOf, e.agg, e.dirty, e.profiled
+	diff, at, flow := aw.diff, aw.at, u.flow
 	for i, h := range out {
-		if e.profiled {
+		w := uint32(h.To)
+		if profiled {
 			// The model keeps one aggregate write per edge, wherever the
 			// delta is folded.
 			aw.probe.Access(e.outIdx.Addr(v, i), false, cachesim.ClassEdge)
-			aw.probe.Access(e.agg.Addr(uint32(h.To)), true, cachesim.ClassVertex)
+			aw.probe.Access(agg.Addr(w), true, cachesim.ClassVertex)
 		}
-		w := uint32(h.To)
-		tf := e.part.Flow(h.To)
-		if tf == u.flow {
-			for d, x := range aw.diff {
+		tf := flowOf[w]
+		if tf == flow {
+			for d, x := range diff {
 				if delta := h.W * x; delta != 0 {
-					e.agg.Add(w, d, delta)
+					agg.Add(w, d, delta)
 				}
 			}
-			if !e.dirty[w] {
-				e.dirty[w] = true
+			if !dirty[w] {
+				dirty[w] = true
 				aw.wl = append(aw.wl, w)
 			}
 			continue
 		}
-		aw.combine(tf, w, h.W)
-	}
-}
-
-// combine adds one edge's delta for w (in flow tf) to the outbox entry of
-// w, opening the entry — one message to tf — on w's first delta since the
-// last flush.
-func (aw *accWorker) combine(tf int32, w uint32, edgeW float64) {
-	at := aw.at[w]
-	if at < 0 {
-		b := aw.out.to(tf)
-		at = int32(len(*b))
-		for d := range aw.diff {
-			*b = append(*b, accMsg{v: w, d: int32(d)})
+		a := at[w]
+		if a < 0 {
+			b := aw.out.to(tf)
+			a = int32(len(*b))
+			for d := range diff {
+				*b = append(*b, accMsg{v: w, d: int32(d)})
+			}
+			at[w] = a
 		}
-		aw.at[w] = at
-	}
-	entries := aw.out.bufs[tf][at:]
-	for d, x := range aw.diff {
-		entries[d].x += edgeW * x
+		entries := aw.out.bufs[tf][a:]
+		for d, x := range diff {
+			entries[d].x += h.W * x
+		}
 	}
 }

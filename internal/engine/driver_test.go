@@ -279,7 +279,11 @@ func workOf(st BatchStats) goldenWork {
 // re-captured when the driver stopped condensing the impacted flows into
 // SCC groups: it counted the groups, and now counts the units the batch
 // seeds, one per impacted flow, so it equals Impacted. No other column
-// moved.
+// moved. PageRank's last two columns were re-captured when an accumulative
+// unit went from two local rounds per activation to one: it yields sooner,
+// so a flow re-converges less often against stale boundary deltas
+// (relaxations 21–27 % lower on every row) and flushes more often (cross
+// messages 13–18 % higher).
 var goldenCounters = map[string][]goldenWork{
 	"SSSP": {
 		{145, 8, 18, 2, 2, 1, 61, 231, 2},
@@ -291,13 +295,13 @@ var goldenCounters = map[string][]goldenWork{
 		{146, 5, 16, 5, 5, 1, 70, 143, 4},
 	},
 	"PageRank": {
-		{145, 0, 145, 8, 8, 1, 0, 54526, 4540},
-		{149, 0, 149, 8, 8, 1, 0, 60290, 4824},
-		{148, 0, 148, 7, 7, 1, 0, 84078, 6808},
-		{146, 0, 146, 8, 8, 1, 0, 64554, 4725},
-		{148, 0, 148, 8, 8, 1, 0, 66494, 4515},
-		{148, 0, 148, 8, 8, 1, 0, 72150, 5205},
-		{146, 0, 146, 8, 8, 1, 0, 71535, 5012},
+		{145, 0, 145, 8, 8, 1, 0, 41613, 5355},
+		{149, 0, 149, 8, 8, 1, 0, 46135, 5677},
+		{148, 0, 148, 7, 7, 1, 0, 65652, 7948},
+		{146, 0, 146, 8, 8, 1, 0, 47576, 5413},
+		{148, 0, 148, 8, 8, 1, 0, 52653, 5573},
+		{148, 0, 148, 8, 8, 1, 0, 53759, 5921},
+		{146, 0, 146, 8, 8, 1, 0, 53902, 5817},
 	},
 	"kCore": {
 		{260, 0, 1167, 251, 251, 1, 0, 16053, 12104},

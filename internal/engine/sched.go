@@ -60,8 +60,8 @@ type unit struct {
 	// the worker that pops the unit.
 	enqueuedNs int64
 
-	// carry holds worklist items preserved across activations when the
-	// unit yields mid-convergence (bounded rounds per activation). Only the
+	// carry holds the worklist an accumulative unit leaves when it yields
+	// after one local round; its next activation starts there. Only the
 	// unit's current runner touches it, so no lock is needed.
 	carry []uint32
 }
