@@ -146,8 +146,8 @@ func (s *supervisor) stop() {
 }
 
 // workerCmd is one worker process of the socket cluster runtime. It dials
-// the coordinator at -addr, persists every applied batch and commanded
-// checkpoint in -dir, and processes its share of the dependency flows until
+// the coordinator at -addr, persists every applied batch and its periodic
+// checkpoints in -dir, and processes its share of the dependency flows until
 // told to stop. It exits 0 after a graceful shutdown (SIGTERM/SIGINT, or the
 // coordinator's bye) and nonzero when its connection to the coordinator
 // ends: a supervisor respawns it with the SAME -dir and -id so the restart

@@ -13,19 +13,22 @@ package dist
 // handshake, replicates batch structure, computes trim sets on its
 // dependence forest, routes every cross-worker record (star topology:
 // candidates to the target's owner, shadow refreshes fanned to everyone
-// else), detects quiescence by counter agreement, collects the converged
-// state at each batch boundary, and drives worker checkpoints.
+// else), detects quiescence by counter agreement, and collects the converged
+// state at each batch boundary into vals and parent.
 //
-// Fault handling is rollback + re-run: every worker snapshots its value
-// state when a batch starts, so when a worker dies mid-batch the
-// coordinator bumps the attempt epoch, recomputes the flow-worker table
-// over the survivors, and rebroadcasts the same batch with reRun set —
-// survivors restore their snapshots and the batch re-executes on the new
-// membership. No partition state ever needs migrating off a dead machine:
-// at every quiescent boundary each worker's full replica equals the global
-// state (selective algorithms converge to a unique fixpoint, and shadow
-// refreshes synchronize replicas), which is the dependency-flow argument
-// for why crash recovery can be this simple.
+// Those two arrays are the one source of a worker's batch-start state. A
+// joining worker receives them in its welcome, and so does every survivor
+// when a worker dies mid-batch: the coordinator bumps the attempt epoch,
+// welcomes the survivors with the boundary state at the in-flight seq,
+// recomputes the flow-worker table over them, and rebroadcasts the same
+// batch, which re-executes on the new membership. No partition state ever
+// needs migrating off a dead machine: at every quiescent boundary each
+// worker's full replica equals the global state (selective algorithms
+// converge to a unique fixpoint, and every owner broadcasts every change of
+// its vertices to every other worker), which is the dependency-flow
+// argument for why crash recovery can be this simple. Workers write their
+// checkpoints on their own (workerproc.go); the coordinator never waits
+// for one.
 //
 // A worker whose connection ends has left: kill -9, a network reset and a
 // silent peer look the same, and each is handled as the crash above.
@@ -59,7 +62,7 @@ type CoordConfig struct {
 	Addr string
 	// FlowCap caps dependency-flow size (dflow.DefaultCap when 0).
 	FlowCap int
-	// CkptEvery commands a worker checkpoint every N batches (default 4).
+	// CkptEvery makes workers checkpoint every N batches (default 4).
 	CkptEvery int
 	// BatchTimeout bounds one ProcessBatch call, recoveries included
 	// (default 60s). Expiry returns ErrBatchTimeout.
@@ -122,8 +125,8 @@ type coordWorker struct {
 	fwd    uint64    // records forwarded to this worker
 	recvUp uint64    // records received from it
 	idle   *wireIdle // latest idle report matching the current epoch
-
-	ckptDone uint64 // highest acknowledged checkpoint seq
+	// collect is the worker's latest collect reply in the current epoch.
+	collect *wireCollectReply
 }
 
 // Coordinator runs the cluster. Construct with NewCoordinator, feed batches
@@ -165,8 +168,6 @@ type Coordinator struct {
 
 	history map[uint64]graph.Batch
 	histLow uint64 // lowest seq retained in history
-
-	collect *wireCollectReply // reply for the current (epoch, seq), if any
 
 	ownerTab []int32 // vertex -> worker id for the current attempt
 
@@ -333,6 +334,22 @@ func (c *Coordinator) LiveWorkers() int {
 	return len(c.liveLocked())
 }
 
+// welcome is the state-only welcome at seq: the boundary values and
+// parents, for a worker whose structure is already at seq.
+func (c *Coordinator) welcome(id int32, seq uint64) wireWelcome {
+	return wireWelcome{
+		ID:        id,
+		AlgName:   c.algName,
+		Source:    c.algSrc,
+		NumV:      uint32(c.g.NumVertices()),
+		FlowCap:   uint32(c.cfg.flowCap()),
+		CkptEvery: uint32(c.cfg.ckptEvery()),
+		BatchSeq:  seq,
+		Vals:      c.vals,
+		Parent:    c.parent,
+	}
+}
+
 // admitParkedLocked welcomes every parked join. welcomeSeq is the batch seq
 // the transferred structure corresponds to: the boundary seq between
 // batches, or the in-flight seq when admitting at a re-run attempt (the
@@ -344,17 +361,7 @@ func (c *Coordinator) admitParkedLocked(welcomeSeq uint64) {
 			continue
 		}
 		h := *w.parked
-		wl := wireWelcome{
-			ID:        w.id,
-			AlgName:   c.algName,
-			Source:    c.algSrc,
-			NumV:      uint32(c.g.NumVertices()),
-			FlowCap:   uint32(c.cfg.flowCap()),
-			CkptEvery: uint32(c.cfg.ckptEvery()),
-			BatchSeq:  welcomeSeq,
-			Vals:      c.vals,
-			Parent:    c.parent,
-		}
+		wl := c.welcome(w.id, welcomeSeq)
 		switch {
 		case h.HasBase && h.StructSeq == welcomeSeq:
 			// Fully caught up structurally (e.g. died after logging the
@@ -374,7 +381,6 @@ func (c *Coordinator) admitParkedLocked(welcomeSeq uint64) {
 		}
 		w.parked = nil
 		w.live = true
-		w.ckptDone = 0
 		c.rejoinNs.Observe(time.Since(w.parkedAt).Nanoseconds())
 		c.logf("coord: worker %d admitted at seq %d (full=%v, catchup=%d)",
 			w.id, welcomeSeq, wl.Full, len(wl.Catchup))
@@ -448,19 +454,9 @@ func (c *Coordinator) onWorkerMsg(w *coordWorker, mt byte, body []byte) {
 			return
 		}
 		c.mu.Lock()
-		if m.Epoch == c.epoch && m.Seq == c.curSeq {
-			c.collect = &m
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
-	case mtCkptDone:
-		m, err := decodeCkpt(body)
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		if m.Seq > w.ckptDone {
-			w.ckptDone = m.Seq
+		numV := c.g.NumVertices()
+		if w.live && m.Epoch == c.epoch && len(m.Vals) == numV && len(m.Parent) == numV {
+			w.collect = &m
 			c.cond.Broadcast()
 		}
 		c.mu.Unlock()
@@ -546,8 +542,8 @@ func (c *Coordinator) quiescentLocked() bool {
 
 // ProcessBatch streams one batch through the cluster: replicate structure,
 // broadcast trims and the flow table, route records until quiescence
-// (re-running on membership changes), collect the converged state, and
-// drive checkpoints. Bit-exact with the single-machine engines.
+// (re-running on membership changes), and collect the converged state.
+// Bit-exact with the single-machine engines.
 func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error {
 	deadline := time.Now().Add(c.cfg.batchTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -577,11 +573,6 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		c.histLow++
 	}
 
-	// The flow table for this batch is derived from the parents collected
-	// at the last boundary — the same array every worker holds — so worker
-	// and coordinator compute identical partitions independently.
-	parentStart := append([]int32(nil), c.parent...)
-
 	// Manager trim identification: deleting a key edge (the edge a vertex's
 	// value currently depends on) invalidates that vertex and everything
 	// below it in the dependence forest; a non-key deletion changes no value.
@@ -591,11 +582,11 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		if !u.Del || c.parent[u.Dst] != int32(u.Src) {
 			continue
 		}
-		// c.parent is NOT poked to -1 for trimmed vertices — it must stay
-		// equal to parentStart for the whole batch so workers admitted at a
-		// re-run attempt receive the same parent array the survivors rolled
-		// back to (partition agreement). trimScr dedups repeated walks into
-		// a subtree an earlier deletion already trimmed.
+		// c.parent is NOT poked to -1 for trimmed vertices: it stays the
+		// boundary parents until the collect, because every attempt derives
+		// its flow table from it and welcomes its members with it (partition
+		// agreement). trimScr dedups repeated walks into a subtree an
+		// earlier deletion already trimmed.
 		c.kf.Subtree(u.Dst, func(x uint32) bool {
 			if c.trimScr[x] {
 				return false
@@ -613,6 +604,18 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 
 	reRun := false
 	for {
+		// A re-run restarts every survivor from the boundary state. The
+		// welcome goes out under the lock, so no record of the aborted
+		// attempt reaches a survivor between it and the new BatchStart.
+		if reRun {
+			wl := c.welcome(0, seq)
+			for _, w := range c.liveLocked() {
+				wl.ID = w.id
+				if err := w.link.Send(encodeWelcome(wl)); err != nil {
+					c.markDeadLocked(w, err)
+				}
+			}
+		}
 		// Give killed-and-respawning workers a chance to join this very
 		// attempt; with everyone gone (even before the first attempt: a
 		// lost connection is seen at once) this is the only way forward.
@@ -627,18 +630,20 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		}
 		c.epoch++
 		c.dirty = false
-		c.collect = nil
-		part := dflow.NewPartitionFromParents(parentStart, c.cfg.flowCap())
+		// The flow table is derived from the boundary parents, the array
+		// every member holds, so worker and coordinator compute identical
+		// partitions independently.
+		part := dflow.NewPartitionFromParents(c.parent, c.cfg.flowCap())
 		assign := c.assignLocked(part, live)
 		if reRun {
 			c.rebalances.Inc()
 		}
 		bs := encodeBatchStart(wireBatchStart{
 			Seq: seq, Epoch: c.epoch, Applied: applied,
-			Trimmed: trimmed, Assign: assign, ReRun: reRun,
+			Trimmed: trimmed, Assign: assign,
 		})
 		for _, w := range live {
-			w.fwd, w.recvUp, w.idle = 0, 0, nil
+			w.fwd, w.recvUp, w.idle, w.collect = 0, 0, nil, nil
 			if err := w.link.Send(bs); err != nil {
 				c.markDeadLocked(w, err)
 			}
@@ -664,7 +669,7 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		if err := collector.link.Send(encodeCollect(wireCollect{Epoch: c.epoch, Seq: seq})); err != nil {
 			c.markDeadLocked(collector, err)
 		}
-		for !c.dirty && c.collect == nil {
+		for !c.dirty && collector.collect == nil {
 			if err := c.waitLocked(deadline); err != nil {
 				c.curSeq = 0
 				return err
@@ -674,12 +679,7 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 			reRun = true
 			continue
 		}
-		for _, r := range c.collect.Recs {
-			if int(r.V) < len(c.vals) {
-				c.vals[r.V] = r.Val
-				c.parent[r.V] = r.Parent
-			}
-		}
+		c.vals, c.parent = collector.collect.Vals, collector.collect.Parent
 		break
 	}
 	if !c.firstDeath.IsZero() {
@@ -688,31 +688,6 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	}
 	c.boundarySeq = seq
 	c.curSeq = 0
-
-	// Checkpoint cadence: command every live worker, wait for the acks (a
-	// worker dying here just drops out of the wait via the live set).
-	if seq%uint64(c.cfg.ckptEvery()) == 0 {
-		cmd := encodeCkpt(mtCkptCmd, wireCkpt{Seq: seq})
-		for _, w := range c.liveLocked() {
-			if err := w.link.Send(cmd); err != nil {
-				c.markDeadLocked(w, err)
-			}
-		}
-		for {
-			done := true
-			for _, w := range c.liveLocked() {
-				if w.ckptDone < seq {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-			if err := c.waitLocked(deadline); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

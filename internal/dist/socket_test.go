@@ -232,7 +232,8 @@ func (h *socketHarness) rejoin(id, n int) {
 }
 
 // runBatch processes one batch and asserts bit-exact agreement with the
-// single-machine oracle.
+// single-machine oracle, then the boundary invariant: every live worker's
+// replica equals the coordinator's values and parents.
 func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 	h.t.Helper()
 	if err := h.coord.ProcessBatch(context.Background(), b); err != nil {
@@ -248,6 +249,16 @@ func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 	for v := range want {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			h.t.Fatalf("%s batch %d: vertex %d = %v, want %v", h.alg.Name(), bi, v, got[v], want[v])
+		}
+	}
+	reps, err := h.coord.replicas(10 * time.Second)
+	if err != nil {
+		h.t.Fatalf("batch %d: collecting the replicas: %v", bi, err)
+	}
+	parent := h.coord.parents()
+	for id, r := range reps {
+		if !slices.Equal(r.Vals, got) || !slices.Equal(r.Parent, parent) {
+			h.t.Fatalf("batch %d: worker %d's replica differs from the coordinator's boundary state", bi, id)
 		}
 	}
 }
@@ -393,11 +404,13 @@ func TestSocketClusterAlgorithms(t *testing.T) {
 	}
 }
 
-// TestSocketCheckpointFramesOnDisk asserts the acceptance criterion that
-// worker checkpoints on disk are wal snapshots carrying KindDistCheckpoint
-// state frames.
+// TestSocketCheckpointFramesOnDisk asserts that worker checkpoints on disk
+// are wal snapshots carrying KindDistCheckpoint state frames, written by
+// each worker on its own at the cadence its welcome named.
 func TestSocketCheckpointFramesOnDisk(t *testing.T) {
-	w := clusterWorkload(101, 4) // CkptEvery=2 -> checkpoints at seq 2 and 4
+	// CkptEvery=2: the BatchStart of seq 3 checkpoints seq 2; seq 4 would be
+	// checkpointed by a fifth batch, and the bye writes none.
+	w := clusterWorkload(101, 4)
 	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 2)
 	defer h.close()
 	for bi, b := range w.Batches {
@@ -408,7 +421,7 @@ func TestSocketCheckpointFramesOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker %d checkpoint: %v", id, err)
 		}
-		if sd.Seq == 0 || sd.Kind != wal.KindDistCheckpoint || len(sd.Vals) != h.ref.NumVertices() {
+		if sd.Seq != 2 || sd.Kind != wal.KindDistCheckpoint || len(sd.Vals) != h.ref.NumVertices() {
 			t.Fatalf("worker %d checkpoint: seq=%d kind=%d vals=%d", id, sd.Seq, sd.Kind, len(sd.Vals))
 		}
 	}
@@ -537,13 +550,48 @@ func TestSocketGracefulLeaveAndJoin(t *testing.T) {
 	}
 }
 
+// TestSocketFlowlessWorkerTakesOver: with one flow over two workers, worker
+// 1 owns nothing until worker 0 leaves, and then starts from its replica
+// (graceful leave at a boundary) or from the coordinator's boundary state (a
+// kill inside a batch, re-run on the survivor). Either is right only if the
+// owner broadcast every change to the flowless member.
+func TestSocketFlowlessWorkerTakesOver(t *testing.T) {
+	cfg := fastCoordConfig()
+	cfg.FlowCap = 1024 // above the 300 vertices: one flow
+	t.Run("stop", func(t *testing.T) {
+		w := clusterWorkload(103, 6)
+		h := newSocketHarnessWith(t, cfg, algo.SSSP{Src: 0}, w, 2)
+		defer h.close()
+		for bi, b := range w.Batches {
+			h.runBatch(bi, b)
+			if bi == 2 {
+				h.workers[0].stop(t)
+			}
+		}
+	})
+	t.Run("kill", func(t *testing.T) {
+		w := clusterWorkload(103, 6)
+		h := newSocketHarnessWith(t, cfg, algo.SSSP{Src: 0}, w, 2)
+		defer h.close()
+		victim := h.workers[0]
+		dead := h.killAt(4, victim) // batch 3 is seq 4
+		for bi, b := range w.Batches {
+			h.runBatch(bi, b)
+		}
+		<-dead
+		victim.cancel()
+		h.requireRerun()
+	})
+}
+
 // TestSocketCrashRestartMidBatch kills a worker while a batch is in flight;
 // the survivors re-run, the restarted worker recovers from its WAL and
 // rejoins, and every batch still matches the oracle bit-exactly.
 func TestSocketCrashRestartMidBatch(t *testing.T) {
-	// The deletion-heavy stream makes the re-run attempt restore snapshots
-	// whose trim sets are large: rolled-back invalid bits must be rebuilt
-	// from the rebroadcast trims, not left over from the dead attempt.
+	// The deletion-heavy stream makes the re-run attempt's trim sets large:
+	// the survivors' invalid bits must be rebuilt from the rebroadcast
+	// trims over the welcomed boundary state, not left over from the dead
+	// attempt.
 	for name, w := range map[string]gen.Workload{
 		"mixed":          clusterWorkload(107, 5),
 		"deletion-heavy": deletionHeavyWorkload(90, 5),

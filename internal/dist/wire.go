@@ -34,10 +34,8 @@ const (
 	mtBatchStart   byte = 2  // coordinator -> worker: process one batch
 	mtData         byte = 3  // both ways: routed candidate/shadow records
 	mtIdle         byte = 4  // worker -> coordinator: drained, counters attached
-	mtCollect      byte = 5  // coordinator -> worker: report owned state
-	mtCollectReply byte = 6  // worker -> coordinator: converged (v, val, parent)
-	mtCkptCmd      byte = 8  // coordinator -> worker: write a checkpoint at seq
-	mtCkptDone     byte = 9  // worker -> coordinator: checkpoint committed
+	mtCollect      byte = 5  // coordinator -> worker: report the boundary state
+	mtCollectReply byte = 6  // worker -> coordinator: converged values and parents
 	mtBye          byte = 10 // either way: graceful leave / shutdown
 	mtJoinReject   byte = 11 // coordinator -> worker: join refused
 )
@@ -49,7 +47,6 @@ type wireHello struct {
 	ID          int32  // worker id; -1 asks the coordinator to assign one
 	Incarnation uint64 // changes on every process (re)start; names a superseded process
 	StructSeq   uint64 // last batch applied to the worker's recovered graph
-	CkptSeq     uint64 // sequence of the newest intact local checkpoint
 	HasBase     bool   // a base graph was recovered (ckpt + WAL replay succeeded)
 }
 
@@ -58,14 +55,13 @@ func encodeHello(h wireHello) []byte {
 	e.I32(h.ID)
 	e.U64(h.Incarnation)
 	e.U64(h.StructSeq)
-	e.U64(h.CkptSeq)
 	e.Bool(h.HasBase)
 	return e.B
 }
 
 func decodeHello(p []byte) (wireHello, error) {
 	d := wal.Dec{B: p}
-	h := wireHello{ID: d.I32(), Incarnation: d.U64(), StructSeq: d.U64(), CkptSeq: d.U64(), HasBase: d.U8() != 0}
+	h := wireHello{ID: d.I32(), Incarnation: d.U64(), StructSeq: d.U64(), HasBase: d.U8() != 0}
 	return h, d.Err("hello")
 }
 
@@ -85,16 +81,18 @@ type dataRec struct {
 const dataRecLen = 4 + 4 + 8 + 1
 
 // wireWelcome transfers everything a joining worker needs: identity, the
-// algorithm, and either the full graph (fresh join) or the batch tail its
-// recovered WAL is missing (rejoin), plus the authoritative boundary state.
+// algorithm, the checkpoint cadence, and either the full graph (fresh join)
+// or the batch tail its recovered WAL is missing (rejoin), plus the
+// authoritative boundary state. With neither (a caught-up rejoin, or a
+// survivor at a re-run attempt) it carries the boundary state alone.
 type wireWelcome struct {
 	ID        int32
 	AlgName   string
 	Source    uint32
 	NumV      uint32
 	FlowCap   uint32
-	CkptEvery uint32
-	BatchSeq  uint64 // current boundary sequence
+	CkptEvery uint32 // a worker checkpoints every boundary seq that is a multiple of it
+	BatchSeq  uint64 // the seq the transferred structure is at
 	Full      bool
 	Edges     []graph.Edge // full mode: the entire current graph
 	Catchup   []graph.Batch
@@ -155,14 +153,14 @@ func decodeWelcome(p []byte) (wireWelcome, error) {
 
 // wireBatchStart launches (or after a recovery, relaunches) one batch: the
 // applied update list, the Manager's trim set, and the flow-worker table
-// for this attempt.
+// for this attempt. A worker whose structure is already at Seq is re-running
+// it from the state the welcome just before it restored.
 type wireBatchStart struct {
 	Seq     uint64
 	Epoch   uint64
 	Applied graph.Batch // post-symmetrize updates that actually changed the graph
 	Trimmed []uint32
 	Assign  []int32 // flow -> worker id (length == numFlows, the validation handle)
-	ReRun   bool
 }
 
 func encodeBatchStart(m wireBatchStart) []byte {
@@ -170,7 +168,6 @@ func encodeBatchStart(m wireBatchStart) []byte {
 	e.U8(mtBatchStart)
 	e.U64(m.Seq)
 	e.U64(m.Epoch)
-	e.Bool(m.ReRun)
 	e.Batch(m.Applied)
 	e.U32(uint32(len(m.Trimmed)))
 	for _, x := range m.Trimmed {
@@ -186,7 +183,6 @@ func decodeBatchStart(p []byte) (wireBatchStart, error) {
 	var m wireBatchStart
 	m.Seq = d.U64()
 	m.Epoch = d.U64()
-	m.ReRun = d.U8() != 0
 	m.Applied = d.Batch()
 	m.Trimmed = make([]uint32, d.Count(4))
 	for i := range m.Trimmed {
@@ -257,7 +253,7 @@ func decodeIdle(p []byte) (wireIdle, error) {
 	return m, d.Err("idle")
 }
 
-// wireCollect asks a worker for its owned slice of the boundary state.
+// wireCollect asks a worker for its replica of the boundary state.
 type wireCollect struct {
 	Epoch uint64
 	Seq   uint64
@@ -277,19 +273,13 @@ func decodeCollect(p []byte) (wireCollect, error) {
 	return m, d.Err("collect")
 }
 
-// collectRec is one owned vertex's authoritative boundary state.
-type collectRec struct {
-	V      uint32
-	Parent int32
-	Val    float64
-}
-
-const collectRecLen = 4 + 4 + 8
-
+// wireCollectReply is a worker's converged replica at a quiescent boundary,
+// in the welcome's shape: one value and one parent per vertex.
 type wireCollectReply struct {
-	Epoch uint64
-	Seq   uint64
-	Recs  []collectRec
+	Epoch  uint64
+	Seq    uint64
+	Vals   []float64
+	Parent []int32
 }
 
 func encodeCollectReply(m wireCollectReply) []byte {
@@ -297,44 +287,19 @@ func encodeCollectReply(m wireCollectReply) []byte {
 	e.U8(mtCollectReply)
 	e.U64(m.Epoch)
 	e.U64(m.Seq)
-	e.U32(uint32(len(m.Recs)))
-	for _, r := range m.Recs {
-		e.U32(r.V)
-		e.I32(r.Parent)
-		e.F64(r.Val)
-	}
+	e.U32(uint32(len(m.Vals)))
+	e.F64s(m.Vals)
+	e.U32(uint32(len(m.Parent)))
+	e.I32s(m.Parent)
 	return e.B
 }
 
 func decodeCollectReply(p []byte) (wireCollectReply, error) {
 	d := wal.Dec{B: p}
-	var m wireCollectReply
-	m.Epoch = d.U64()
-	m.Seq = d.U64()
-	n := d.Count(collectRecLen)
-	m.Recs = make([]collectRec, n)
-	for i := range m.Recs {
-		m.Recs[i].V = d.U32()
-		m.Recs[i].Parent = d.I32()
-		m.Recs[i].Val = d.F64()
-	}
+	m := wireCollectReply{Epoch: d.U64(), Seq: d.U64()}
+	m.Vals = d.F64s(d.Count(8))
+	m.Parent = d.I32s(d.Count(4))
 	return m, d.Err("collect-reply")
-}
-
-// wireCkpt carries checkpoint commands and completions (seq only).
-type wireCkpt struct{ Seq uint64 }
-
-func encodeCkpt(mt byte, m wireCkpt) []byte {
-	var e wal.Enc
-	e.U8(mt)
-	e.U64(m.Seq)
-	return e.B
-}
-
-func decodeCkpt(p []byte) (wireCkpt, error) {
-	d := wal.Dec{B: p}
-	m := wireCkpt{Seq: d.U64()}
-	return m, d.Err("checkpoint")
 }
 
 // encodeBye / encodeJoinReject carry a human-readable reason.

@@ -40,10 +40,6 @@ var wireCodecs = map[string]func([]byte) ([]byte, error){
 		m, err := decodeCollectReply(p)
 		return encodeCollectReply(m)[1:], err
 	},
-	"checkpoint": func(p []byte) ([]byte, error) {
-		m, err := decodeCkpt(p)
-		return encodeCkpt(mtCkptCmd, m)[1:], err
-	},
 	"reason": func(p []byte) ([]byte, error) {
 		s, err := decodeReason(p)
 		return encodeReason(mtBye, s)[1:], err
@@ -51,8 +47,7 @@ var wireCodecs = map[string]func([]byte) ([]byte, error){
 }
 
 // goldenWire is one fixed instance of every cluster message, with the bytes
-// it encoded to before the wire codecs were rebuilt on the wal cursor
-// sections.
+// it encodes to.
 func goldenWire() []struct {
 	name, codec string
 	got         []byte
@@ -70,26 +65,24 @@ func goldenWire() []struct {
 		got         []byte
 		want        string
 	}{
-		{"hello", "hello", encodeHello(wireHello{ID: 2, Incarnation: 0x1122334455667788, StructSeq: 12, CkptSeq: 10, HasBase: true}),
-			"0200000088776655443322110c000000000000000a0000000000000001"},
+		{"hello", "hello", encodeHello(wireHello{ID: 2, Incarnation: 0x1122334455667788, StructSeq: 12, HasBase: true}),
+			"0200000088776655443322110c0000000000000001"},
 		{"welcome (full)", "welcome", encodeWelcome(wireWelcome{ID: 1, AlgName: "SSSP", NumV: 4, FlowCap: 64, CkptEvery: 2,
 			BatchSeq: 9, Full: true, Edges: edges, Vals: vals, Parent: parent}),
 			"0101000000040000005353535000000000040000004000000002000000090000000000000001030000000000000001000000000000000000f03f0100000002000000000000000000044000000000030000000000000000001040040000000000000000000000000000000000f03f0000000000000c40000000000000104004000000ffffffff000000000100000000000000"},
 		{"welcome (catchup)", "welcome", encodeWelcome(wireWelcome{ID: 1, AlgName: "SSSP", NumV: 4, FlowCap: 64, CkptEvery: 2,
 			BatchSeq: 11, Catchup: []graph.Batch{b, nil}, Vals: vals, Parent: parent}),
 			"01010000000400000053535350000000000400000040000000020000000b0000000000000000020000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0100000000040000000000000000000000000000000000f03f0000000000000c40000000000000104004000000ffffffff000000000100000000000000"},
-		{"batch-start", "batch-start", encodeBatchStart(wireBatchStart{Seq: 10, Epoch: 3, Applied: b, Trimmed: []uint32{2, 3}, Assign: []int32{0, 1, 1}, ReRun: true}),
-			"020a000000000000000300000000000000010200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
+		{"batch-start", "batch-start", encodeBatchStart(wireBatchStart{Seq: 10, Epoch: 3, Applied: b, Trimmed: []uint32{2, 3}, Assign: []int32{0, 1, 1}}),
+			"020a0000000000000003000000000000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
 		{"data", "data", encodeData(wireData{Epoch: 3, Recs: []dataRec{{V: 2, Parent: 1, Val: 3.5}, {V: 3, Parent: -1, Val: 4, Shadow: true}}}),
 			"0303000000000000000200000002000000010000000000000000000c400003000000ffffffff000000000000104001"},
 		{"idle", "idle", encodeIdle(wireIdle{Epoch: 3, Seq: 10, Processed: 5, Uploaded: 7}),
 			"0403000000000000000a0000000000000005000000000000000700000000000000"},
 		{"collect", "collect", encodeCollect(wireCollect{Epoch: 3, Seq: 10}),
 			"0503000000000000000a00000000000000"},
-		{"collect-reply", "collect-reply", encodeCollectReply(wireCollectReply{Epoch: 3, Seq: 10, Recs: []collectRec{{V: 0, Parent: -1, Val: 0}, {V: 1, Parent: 0, Val: 1}}}),
-			"0603000000000000000a000000000000000200000000000000ffffffff00000000000000000100000000000000000000000000f03f"},
-		{"checkpoint command", "checkpoint", encodeCkpt(mtCkptCmd, wireCkpt{Seq: 10}), "080a00000000000000"},
-		{"checkpoint done", "checkpoint", encodeCkpt(mtCkptDone, wireCkpt{Seq: 10}), "090a00000000000000"},
+		{"collect-reply", "collect-reply", encodeCollectReply(wireCollectReply{Epoch: 3, Seq: 10, Vals: []float64{0, 1}, Parent: []int32{-1, 0}}),
+			"0603000000000000000a00000000000000020000000000000000000000000000000000f03f02000000ffffffff00000000"},
 		{"bye", "reason", encodeReason(mtBye, "worker shutting down"), "0a14000000776f726b6572207368757474696e6720646f776e"},
 		{"join reject", "reason", encodeReason(mtJoinReject, "full"), "0b0400000066756c6c"},
 	}
@@ -128,6 +121,37 @@ func TestWelcomeRejectsOutOfRangeEdge(t *testing.T) {
 	}
 }
 
+// previousWire holds payloads of the wire format before checkpoints moved
+// to the workers: a hello with a checkpoint seq, a batch start with a re-run
+// byte, a collect reply of (vertex, parent, value) records, and a checkpoint
+// command. A peer still speaking it must be refused, not misread.
+var previousWire = []struct{ codec, hex string }{
+	{"hello", "0200000088776655443322110c000000000000000a0000000000000001"},
+	{"batch-start", "0a000000000000000300000000000000010200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
+	{"collect-reply", "03000000000000000a000000000000000200000000000000ffffffff00000000000000000100000000000000000000000000f03f"},
+	{"", "0a00000000000000"},
+}
+
+// TestWireRefusesPreviousFormat: every old-format payload is refused by the
+// decoder of its message (and the checkpoint command, which has none now,
+// by all of them).
+func TestWireRefusesPreviousFormat(t *testing.T) {
+	for _, c := range previousWire {
+		p, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, codec := range wireCodecs {
+			if c.codec != "" && name != c.codec {
+				continue
+			}
+			if _, err := codec(p); err == nil {
+				t.Errorf("%s decoder accepted the old %q payload %s", name, c.codec, c.hex)
+			}
+		}
+	}
+}
+
 // FuzzDecodeWire feeds the same bytes to every cluster message decoder. None
 // may panic, and whatever one accepts must decode -> encode -> decode to the
 // same value (compared as its canonical re-encoding).
@@ -136,6 +160,13 @@ func FuzzDecodeWire(f *testing.F) {
 		p := payload(c.codec, c.got)
 		f.Add(p)
 		f.Add(p[:len(p)/2])
+	}
+	for _, c := range previousWire {
+		p, err := hex.DecodeString(c.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for name, codec := range wireCodecs {

@@ -22,18 +22,24 @@ package dist
 // bit is cleared only by the shadow record that carries the owner's
 // post-refinement value, so refine never reads a value whose support was
 // deleted. And an owner emits a shadow record on every change of an owned
-// vertex while candidates go to the target's owner, so every improvement is
-// eventually delivered and the cluster quiesces at the same unique fixpoint
-// as the single-machine engine (the socket tests check it bit-exact).
+// vertex, even when no other worker owns a flow, while candidates go to the
+// target's owner, so every improvement is eventually delivered, the cluster
+// quiesces at the same unique fixpoint as the single-machine engine, and
+// every replica equals that fixpoint at the boundary (the socket tests
+// check both bit-exact). A worker's batch-start state is that boundary
+// replica, or the coordinator's copy of it: a welcome carries it to a
+// joining worker, and to every survivor before a re-run attempt.
 // Shadow records overwrite unconditionally, so they need the FIFO,
 // exactly-once delivery of the worker's one TCP connection (link.go): a
 // reordered pair of shadow records for one vertex would leave the older
 // value in place.
 //
 // Durability: a worker directory is a wal directory. Every applied batch is
-// fsynced into its log before processing, and on CkptCmd the worker writes
-// a wal snapshot (wal.WriteWorkerSnapshot, a KindDistCheckpoint state frame)
-// with the same retention and log truncation as the single-node engines.
+// fsynced into its log before processing. When the BatchStart of seq+1
+// arrives and seq is a multiple of the welcome's CkptEvery, the worker first
+// writes a wal snapshot of its boundary state at seq (wal.WriteWorkerSnapshot,
+// a KindDistCheckpoint state frame) with the same retention and log
+// truncation as the single-node engines; nobody waits for it.
 // After a kill -9, the restarted process rebuilds its graph from the newest
 // intact worker snapshot, replays the log tail structurally, and presents
 // the recovered position in its hello; the coordinator tops it up with the
@@ -222,6 +228,7 @@ type workerRt struct {
 	g         *graph.Streaming
 	alg       algo.Selective
 	flowCap   int
+	ckptEvery uint64
 	structSeq uint64
 	welcomed  bool
 
@@ -229,17 +236,9 @@ type workerRt struct {
 	parent  []int32
 	trimmed []bool
 	owner   []int32
-	mineID  int32
-	peers   bool // any flow assigned to a different worker this attempt
 
 	epoch uint64
 	seq   uint64
-
-	snapSeq     uint64
-	snapValid   bool
-	snapVals    []float64
-	snapParent  []int32
-	snapTrimmed []bool
 
 	wl        []uint32
 	inbox     []dataRec
@@ -279,11 +278,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		return err
 	}
 	hasBase := sd != nil
-	var ckptSeq uint64
 	if hasBase {
 		w.g = graph.FromEdges(sd.NumV, sd.Edges)
 		w.structSeq = sd.Seq
-		ckptSeq = sd.Seq
 		err := store.log.Replay(sd.Seq, func(seq uint64, b graph.Batch) error {
 			w.g.ApplyBatch(b)
 			w.structSeq = seq
@@ -298,7 +295,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	incarnation := uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32
 	hello := encodeHello(wireHello{
 		ID: w.id, Incarnation: incarnation,
-		StructSeq: w.structSeq, CkptSeq: ckptSeq, HasBase: hasBase,
+		StructSeq: w.structSeq, HasBase: hasBase,
 	})
 
 	lcfg := cfg.linkConfig()
@@ -422,15 +419,6 @@ func (w *workerRt) handle(mt byte, body []byte) error {
 			return err
 		}
 		return w.handleCollect(m)
-	case mtCkptCmd:
-		m, err := decodeCkpt(body)
-		if err != nil {
-			return err
-		}
-		if err := w.store.checkpoint(m.Seq, w.g, w.vals, w.parent); err != nil {
-			return err
-		}
-		return w.link.Send(encodeCkpt(mtCkptDone, m))
 	case mtJoinReject:
 		reason, _ := decodeReason(body)
 		return fmt.Errorf("dist: join rejected: %s", reason)
@@ -441,9 +429,11 @@ func (w *workerRt) handle(mt byte, body []byte) error {
 	}
 }
 
-// handleWelcome installs the transferred state: either a full graph dump
-// (fresh or divergent worker — the local store is wiped and re-based) or
-// the batch tail the local WAL was missing.
+// handleWelcome installs the transferred state: a full graph dump (fresh or
+// divergent worker — the local store is wiped and re-based), the batch tail
+// the local WAL was missing, or no structure at all (a caught-up rejoin, or
+// a survivor about to re-run the in-flight batch) — and in every case the
+// coordinator's boundary values and parents.
 func (w *workerRt) handleWelcome(m wireWelcome) error {
 	alg, err := selectiveByName(m.AlgName, m.Source)
 	if err != nil {
@@ -452,6 +442,7 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 	w.alg = alg
 	w.id = m.ID
 	w.flowCap = int(m.FlowCap)
+	w.ckptEvery = uint64(m.CkptEvery)
 	if m.Full {
 		if err := w.store.wipe(); err != nil {
 			return err
@@ -475,13 +466,11 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 		return fmt.Errorf("dist: welcome state arrays (%d/%d) disagree with %d vertices",
 			len(m.Vals), len(m.Parent), w.g.NumVertices())
 	}
-	w.vals = append([]float64(nil), m.Vals...)
-	w.parent = append([]int32(nil), m.Parent...)
+	w.vals, w.parent = m.Vals, m.Parent
 	w.trimmed = make([]bool, w.g.NumVertices())
-	w.snapValid = false
 	if m.Full {
 		// Re-base the wiped store so the next restart has a graph to
-		// recover from even before the first commanded checkpoint.
+		// recover from even before its first periodic checkpoint.
 		if err := w.store.checkpoint(w.structSeq, w.g, w.vals, w.parent); err != nil {
 			return err
 		}
@@ -492,33 +481,29 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 	return nil
 }
 
-// handleBatchStart begins one attempt of one batch: apply (or re-run)
-// structure, derive the flow partition locally, install trims, seed
-// addition candidates, and process to local quiescence.
+// handleBatchStart begins one attempt of one batch: checkpoint the boundary
+// when one is due, apply structure, derive the flow partition locally,
+// install trims, seed addition candidates, and process to local quiescence.
 func (w *workerRt) handleBatchStart(m wireBatchStart) error {
-	switch {
-	case !m.ReRun && m.Seq == w.structSeq+1:
+	switch m.Seq {
+	case w.structSeq + 1:
+		// A new batch: the replica is the boundary state at structSeq.
+		if s := w.structSeq; s > 0 && w.ckptEvery > 0 && s%w.ckptEvery == 0 {
+			if err := w.store.checkpoint(s, w.g, w.vals, w.parent); err != nil {
+				return err
+			}
+		}
 		w.g.ApplyBatch(m.Applied)
 		if err := w.store.appendBatch(m.Seq, m.Applied); err != nil {
 			return err
 		}
 		w.structSeq = m.Seq
-		w.snapshot(m.Seq)
-	case m.Seq == w.structSeq:
-		// A re-run attempt (or our first sight of a batch we had already
-		// logged before dying). Roll values back to the batch-start
-		// snapshot when we have one; otherwise the just-welcomed state IS
-		// the batch-start state — snapshot it for any further re-run.
-		if w.snapValid && w.snapSeq == m.Seq {
-			copy(w.vals, w.snapVals)
-			copy(w.parent, w.snapParent)
-			copy(w.trimmed, w.snapTrimmed)
-		} else {
-			w.snapshot(m.Seq)
-		}
+	case w.structSeq:
+		// A re-run attempt, or a batch that was already applied when this
+		// worker was welcomed into it: the welcome just before it installed
+		// the batch-start state.
 	default:
-		return fmt.Errorf("dist: batch-start seq %d (rerun=%v) does not follow local seq %d",
-			m.Seq, m.ReRun, w.structSeq)
+		return fmt.Errorf("dist: batch-start seq %d does not follow local seq %d", m.Seq, w.structSeq)
 	}
 
 	w.epoch = m.Epoch
@@ -539,14 +524,9 @@ func (w *workerRt) handleBatchStart(m wireBatchStart) error {
 	if len(w.owner) != w.g.NumVertices() {
 		w.owner = make([]int32, w.g.NumVertices())
 	}
-	w.peers = false
 	for f := int32(0); int(f) < part.NumFlows(); f++ {
-		o := m.Assign[f]
-		if o != w.id {
-			w.peers = true
-		}
 		for _, v := range part.Members(f) {
-			w.owner[v] = o
+			w.owner[v] = m.Assign[f]
 		}
 	}
 
@@ -577,15 +557,6 @@ func (w *workerRt) handleBatchStart(m wireBatchStart) error {
 	return nil
 }
 
-// snapshot records the batch-start value state for rollback re-runs.
-func (w *workerRt) snapshot(seq uint64) {
-	w.snapSeq = seq
-	w.snapValid = true
-	w.snapVals = append(w.snapVals[:0], w.vals...)
-	w.snapParent = append(w.snapParent[:0], w.parent...)
-	w.snapTrimmed = append(w.snapTrimmed[:0], w.trimmed...)
-}
-
 func (w *workerRt) handleData(m wireData) error {
 	if m.Epoch != w.epoch {
 		return nil // stale attempt
@@ -600,11 +571,7 @@ func (w *workerRt) handleCollect(m wireCollect) error {
 	if m.Epoch != w.epoch || m.Seq != w.seq {
 		return nil
 	}
-	recs := make([]collectRec, len(w.vals))
-	for v := range w.vals {
-		recs[v] = collectRec{V: uint32(v), Parent: w.parent[v], Val: w.vals[v]}
-	}
-	return w.link.Send(encodeCollectReply(wireCollectReply{Epoch: m.Epoch, Seq: m.Seq, Recs: recs}))
+	return w.link.Send(encodeCollectReply(wireCollectReply{Epoch: m.Epoch, Seq: m.Seq, Vals: w.vals, Parent: w.parent}))
 }
 
 // drainAndReport processes until the inbox and worklist are empty, flushes
@@ -721,11 +688,8 @@ func (w *workerRt) update(v uint32, val float64, parent int32) {
 }
 
 // broadcastShadow emits one shadow record; the coordinator fans it out to
-// every other worker. Skipped when this worker owns every flow.
+// every other worker, whether or not it owns a flow.
 func (w *workerRt) broadcastShadow(v uint32) {
-	if !w.peers {
-		return
-	}
 	w.outbox = append(w.outbox, dataRec{V: v, Parent: w.parent[v], Val: w.vals[v], Shadow: true})
 }
 

@@ -43,12 +43,3 @@ func (g *Streaming) CheckBatch(b Batch) error {
 	}
 	return nil
 }
-
-// ApplyBatchChecked is ApplyBatch behind CheckBatch: it validates first and
-// applies only if the whole batch is well-formed.
-func (g *Streaming) ApplyBatchChecked(b Batch) (Batch, error) {
-	if err := g.CheckBatch(b); err != nil {
-		return nil, err
-	}
-	return g.ApplyBatch(b), nil
-}

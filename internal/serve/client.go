@@ -44,8 +44,6 @@ type ClientOptions struct {
 	BackoffMax  time.Duration
 	// Seed drives the jitter deterministically (chaos sweeps replay).
 	Seed uint64
-	// NoResume disables automatic redial even when ClientID is set.
-	NoResume bool
 }
 
 func (o ClientOptions) role() byte {
@@ -236,7 +234,7 @@ func connect(addr string, opts ClientOptions) (net.Conn, welcome, error) {
 }
 
 // resumable reports whether transport errors should redial and resend.
-func (c *Client) resumable() bool { return c.opts.ClientID != "" && !c.opts.NoResume }
+func (c *Client) resumable() bool { return c.opts.ClientID != "" }
 
 // dropConn abandons a connection after a transport error; the next
 // operation redials (when resumable).

@@ -11,7 +11,8 @@
 # per durable family, a multi-process kill -9 smoke of the distributed
 # runtime, five race-enabled runs of the cluster's membership tests (a
 # link reset and a dead worker's EOF each make a worker leave, one worker
-# and then every worker killed inside a batch make it re-run, plus the
+# and then every worker killed inside a batch make it re-run, a flowless
+# worker takes over when the one flow's owner leaves or dies, plus the
 # seeded crash and churn sweeps: membership carries every link fault), a
 # 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages),
@@ -92,7 +93,7 @@ timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
 echo "== cluster membership (-race, 5 runs: a lost link is a member that left) =="
 go test -race -count=5 \
-    -run '^(TestSocketLinkResetMakesWorkerLeave|TestSocketDeadWorkerDetectedAtEOF|TestSocketCrashRestartMidBatch|TestSocketAllWorkersDie|TestSocketChaosSeeded|TestSocketMembershipChurnSweep)$' \
+    -run '^(TestSocketLinkResetMakesWorkerLeave|TestSocketDeadWorkerDetectedAtEOF|TestSocketCrashRestartMidBatch|TestSocketAllWorkersDie|TestSocketFlowlessWorkerTakesOver|TestSocketChaosSeeded|TestSocketMembershipChurnSweep)$' \
     ./internal/dist
 
 echo "== decoder fuzz (every decoder harness; 5 s each, no panic, stable round trips) =="
