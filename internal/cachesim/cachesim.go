@@ -96,10 +96,6 @@ func (s Stats) Total() uint64 {
 	return t
 }
 
-// MemoryAccesses returns the number of simulated DRAM transactions
-// (cache misses). This is the paper's "memory accesses" metric (Fig 12).
-func (s Stats) MemoryAccesses() uint64 { return s.Misses }
-
 // RedundancyRatio returns the fraction of all accesses that were redundant
 // re-touches across the two phases (Fig 4a's shape).
 func (s Stats) RedundancyRatio() float64 {

@@ -67,10 +67,6 @@ type CoordConfig struct {
 	// BatchTimeout bounds one ProcessBatch call, recoveries included
 	// (default 60s). Expiry returns ErrBatchTimeout.
 	BatchTimeout time.Duration
-	// HistoryCap bounds the in-memory applied-batch history used to catch
-	// up rejoining workers (default 1024 batches). A worker further behind
-	// gets a full state transfer instead.
-	HistoryCap int
 	// HeartbeatEvery / PeerTimeout tune the links (see linkConfig; zero
 	// picks the defaults).
 	HeartbeatEvery time.Duration
@@ -102,12 +98,10 @@ func (c CoordConfig) batchTimeout() time.Duration {
 	return c.BatchTimeout
 }
 
-func (c CoordConfig) historyCap() int {
-	if c.HistoryCap <= 0 {
-		return 1024
-	}
-	return c.HistoryCap
-}
+// historyCap bounds the in-memory applied-batch history used to catch up
+// rejoining workers. A worker further behind gets a full state transfer
+// instead.
+const historyCap = 1024
 
 func (c CoordConfig) linkConfig() linkConfig {
 	return linkConfig{HeartbeatEvery: c.HeartbeatEvery, PeerTimeout: c.PeerTimeout}
@@ -568,7 +562,7 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	c.curSeq = c.boundarySeq + 1
 	seq := c.curSeq
 	c.history[seq] = applied
-	for uint64(len(c.history)) > uint64(c.cfg.historyCap()) {
+	for len(c.history) > historyCap {
 		delete(c.history, c.histLow)
 		c.histLow++
 	}

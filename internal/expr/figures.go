@@ -383,9 +383,12 @@ func loopbackCluster(w gen.Workload, n int) (cells []string, err error) {
 	alg := algo.SSSP{Src: 0}
 	reg := metrics.NewRegistry()
 	// A finer flow cap gives the workers several flows each (flows are the
-	// distribution granularity, §VI Data Management).
+	// distribution granularity, §VI Data Management). A worker writes its
+	// seq-s checkpoint when the BatchStart of s+1 arrives; with CkptEvery 2
+	// the seq-2 write lands in the timed window (seq 3 at quick scale), so
+	// the figure prices the workers' durability too.
 	coord, err := dist.NewCoordinator(buildGraph(w, false), alg,
-		dist.CoordConfig{Addr: "127.0.0.1:0", FlowCap: 64, Metrics: reg})
+		dist.CoordConfig{Addr: "127.0.0.1:0", FlowCap: 64, CkptEvery: 2, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}

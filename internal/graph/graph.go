@@ -1,7 +1,7 @@
 // Package graph provides the streaming-graph substrate used by every engine
 // in the GraphFly reproduction: a mutable directed weighted multigraph-free
 // adjacency structure supporting batched edge additions and deletions, plus
-// immutable CSR snapshots for static computation.
+// frozen read-only views of it (Freeze) for snapshot writers.
 //
 // Terminology follows the paper: a streaming graph starts from an initial
 // graph G0 and evolves by applying batches of edge updates. Vertex IDs are

@@ -65,6 +65,42 @@ func TestApplyBatchIdempotence(t *testing.T) {
 	}
 }
 
+func TestVertexRoundTrip(t *testing.T) {
+	// Vertex updates are edge updates (§II-A): a vertex is added by its
+	// first edges and deleted by deleting every edge incident to it.
+	// Adding a vertex then deleting it restores the original graph.
+	g := FromEdges(4, []Edge{{Src: 0, Dst: 1, W: 1}})
+	before := g.Edges()
+	const v VertexID = 3
+	g.ApplyBatch(Batch{
+		{Edge: Edge{Src: v, Dst: 0, W: 2}},
+		{Edge: Edge{Src: 1, Dst: v, W: 3}},
+	})
+	if g.OutDegree(v) != 1 || g.InDegree(v) != 1 {
+		t.Fatalf("vertex %d not added: out=%d in=%d", v, g.OutDegree(v), g.InDegree(v))
+	}
+	var del Batch
+	for _, h := range g.Out(v) {
+		del = append(del, Update{Edge: Edge{Src: v, Dst: h.To, W: h.W}, Del: true})
+	}
+	for _, h := range g.In(v) {
+		del = append(del, Update{Edge: Edge{Src: h.To, Dst: v, W: h.W}, Del: true})
+	}
+	g.ApplyBatch(del)
+	after := g.Edges()
+	if len(before) != len(after) {
+		t.Fatalf("edge sets differ: %v vs %v", before, after)
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("edge %d differs", i)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 1, 1}, {1, 2, 2}})
 	c := g.Clone()
@@ -88,33 +124,6 @@ func TestEdgesSorted(t *testing.T) {
 		if es[i] != want[i] {
 			t.Fatalf("Edges()[%d] = %v, want %v", i, es[i], want[i])
 		}
-	}
-}
-
-func TestCSRRoundTrip(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1, 1}, {0, 2, 3}, {2, 1, 7}, {4, 0, 2}})
-	c := g.ToCSR()
-	if c.N != 5 || c.M != 4 {
-		t.Fatalf("CSR dims N=%d M=%d", c.N, c.M)
-	}
-	dst, w := c.OutEdges(0)
-	if len(dst) != 2 || len(w) != 2 {
-		t.Fatalf("OutEdges(0) = %v %v", dst, w)
-	}
-	src, wi := c.InEdges(1)
-	if len(src) != 2 || len(wi) != 2 {
-		t.Fatalf("InEdges(1) = %v %v", src, wi)
-	}
-	if c.OutDegree(0) != 2 || c.InDegree(1) != 2 || c.OutDegree(3) != 0 {
-		t.Fatal("CSR degree mismatch")
-	}
-	// Total edges reachable via CSR equals M in both directions.
-	total := 0
-	for v := VertexID(0); int(v) < c.N; v++ {
-		total += c.OutDegree(v)
-	}
-	if total != c.M {
-		t.Fatalf("sum of out-degrees %d != M %d", total, c.M)
 	}
 }
 

@@ -320,60 +320,6 @@ func TestCloneCopiesHubIndex(t *testing.T) {
 	}
 }
 
-// TestToCSRIntoReusesArena: ToCSRInto must equal ToCSR and reuse backing
-// arrays across snapshots once capacity has been established.
-func TestToCSRIntoReusesArena(t *testing.T) {
-	r := rng.New(5)
-	g := NewStreaming(64)
-	g.ApplyBatch(hubBatch(r, 64, 800, 0.3))
-	want := g.ToCSR()
-	var arena CSR
-	got := g.ToCSRInto(&arena)
-	if got != &arena {
-		t.Fatal("ToCSRInto did not return its argument")
-	}
-	compareCSR(t, want, got)
-	// Mutate slightly and re-snapshot into the same arena: no new arrays.
-	g.DeleteEdge(want.OutDst[0], want.OutDst[1]) // may miss; irrelevant
-	p0 := &got.OutDst[:cap(got.OutDst)][0]
-	g.ToCSRInto(&arena)
-	if &arena.OutDst[:cap(arena.OutDst)][0] != p0 {
-		t.Fatal("ToCSRInto reallocated a buffer that had capacity")
-	}
-	compareCSR(t, g.ToCSR(), &arena)
-	// Nil receiver degrades to ToCSR.
-	compareCSR(t, g.ToCSR(), g.ToCSRInto(nil))
-}
-
-func compareCSR(t *testing.T, a, b *CSR) {
-	t.Helper()
-	if a.N != b.N || a.M != b.M {
-		t.Fatalf("dims: %d/%d vs %d/%d", a.N, a.M, b.N, b.M)
-	}
-	for v := VertexID(0); int(v) < a.N; v++ {
-		ad, aw := a.OutEdges(v)
-		bd, bw := b.OutEdges(v)
-		if len(ad) != len(bd) {
-			t.Fatalf("out row %d: %v vs %v", v, ad, bd)
-		}
-		for i := range ad {
-			if ad[i] != bd[i] || aw[i] != bw[i] {
-				t.Fatalf("out row %d entry %d differs", v, i)
-			}
-		}
-		as, av := a.InEdges(v)
-		bs, bv := b.InEdges(v)
-		if len(as) != len(bs) {
-			t.Fatalf("in row %d: %v vs %v", v, as, bs)
-		}
-		for i := range as {
-			if as[i] != bs[i] || av[i] != bv[i] {
-				t.Fatalf("in row %d entry %d differs", v, i)
-			}
-		}
-	}
-}
-
 // FuzzHubAdjacency drives AddEdge/DeleteEdge/HasEdge from an op tape
 // against a map oracle, validating index integrity after every step burst.
 // The hub band is lowered to 4 / 1 so the 32-vertex lists build, grow and

@@ -190,3 +190,12 @@ func ParallelFor(n, workers int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
+
+// grow returns a slice of length n, reusing s's backing array when it is
+// large enough. Contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}

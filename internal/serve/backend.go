@@ -9,10 +9,11 @@ import (
 
 // backend is the durable engine a Server fronts. The serving loop is
 // engine-agnostic: it admits batches, appends them through the Durable's
-// group-commit layer, applies them in logged order, and publishes an
+// group-commit path, applies them in logged order, and publishes an
 // immutable engine.State per batch boundary. The durability seams (Group,
-// ApplyLogged, Seq, Dirty, Snapshot, Close, ReopenLog, Abandon) and
-// CheckBatch are the embedded Durable's own methods; the backend adds the
+// AppendTagged, AddWriter, LastSeq, ApplyLogged, Seq, Dirty, Snapshot,
+// Close, ReopenLog, Abandon) and CheckBatch are the embedded Durable's own
+// methods — the Durable is the log's one owner; the backend adds the
 // read surface of the engine inside it, so the same server code serves
 // selective (SSSP/BFS/...) and local (triangle counting, k-core) workloads.
 type backend struct {

@@ -351,7 +351,7 @@ func TestServeDegradedModeENOSPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ing.Close()
-	rd, err := Dial(srv.Addr(), RoleQuery, 2*time.Second)
+	rd, err := DialOpts(srv.Addr(), ClientOptions{Role: RoleQuery, DialTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,17 +156,10 @@ type Client struct {
 	DupAcks int
 }
 
-// Dial connects with the legacy signature: anonymous session, no resume,
-// timeout as the dial timeout. A typed *RejectError means the server refused
-// the session (draining or at its session limit).
-func Dial(addr string, role byte, timeout time.Duration) (*Client, error) {
-	return DialOpts(addr, ClientOptions{Role: role, DialTimeout: timeout})
-}
-
 // DialOpts connects, performs the hello handshake, and returns a ready
 // client. With a ClientID set, transport faults during the handshake (the
 // hello is idempotent) and retryable rejections back off and retry within
-// the retry budget; anonymous sessions keep the legacy fail-fast behavior.
+// the retry budget; anonymous sessions fail fast.
 func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 	c := &Client{addr: addr, opts: opts, jit: rng.New(rng.Mix64(opts.Seed))}
 	for attempt := 0; ; attempt++ {

@@ -99,7 +99,7 @@ func TestServeConcurrentIngestAndReaders(t *testing.T) {
 		ingWG.Add(1)
 		go func(s int) {
 			defer ingWG.Done()
-			c, err := Dial(addr, RoleIngest, 5*time.Second)
+			c, err := DialOpts(addr, ClientOptions{Role: RoleIngest, DialTimeout: 5 * time.Second})
 			if err != nil {
 				fail <- err
 				return
@@ -127,7 +127,7 @@ func TestServeConcurrentIngestAndReaders(t *testing.T) {
 		readWG.Add(1)
 		go func(r int) {
 			defer readWG.Done()
-			c, err := Dial(addr, RoleQuery, 5*time.Second)
+			c, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second})
 			if err != nil {
 				fail <- err
 				return
@@ -181,7 +181,7 @@ func TestServeConcurrentIngestAndReaders(t *testing.T) {
 	var deltaSeqs []uint64
 	go func() {
 		defer close(subDone)
-		c, err := Dial(addr, RoleQuery, 5*time.Second)
+		c, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second})
 		if err != nil {
 			fail <- err
 			return
@@ -339,7 +339,7 @@ func TestServeLocalTriangleTopK(t *testing.T) {
 	addr := srv.Addr()
 	total := uint64(len(perSess[0]))
 
-	ing, err := Dial(addr, RoleIngest, 5*time.Second)
+	ing, err := DialOpts(addr, ClientOptions{Role: RoleIngest, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestServeLocalTriangleTopK(t *testing.T) {
 	}
 	ing.Close()
 
-	qry, err := Dial(addr, RoleQuery, 5*time.Second)
+	qry, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,14 +436,14 @@ func TestServeLocalKCoreStat(t *testing.T) {
 	addr := srv.Addr()
 	total := uint64(len(perSess[0]))
 
-	ing, err := Dial(addr, RoleIngest, 5*time.Second)
+	ing, err := DialOpts(addr, ClientOptions{Role: RoleIngest, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ing.Welcome.AlgName; got != "kCore" {
 		t.Fatalf("welcome algorithm %q, want kCore", got)
 	}
-	qry, err := Dial(addr, RoleQuery, 5*time.Second)
+	qry, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,18 +501,18 @@ func TestServeTypedRejects(t *testing.T) {
 	srv, _, _ := newTestServer(t, Config{MaxSessions: 2}, alg, numV, initial, metrics.NewRegistry())
 	addr := srv.Addr()
 
-	ing, err := Dial(addr, RoleIngest, 5*time.Second)
+	ing, err := DialOpts(addr, ClientOptions{Role: RoleIngest, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ing.Close()
-	qry, err := Dial(addr, RoleQuery, 5*time.Second)
+	qry, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Session cap: the third concurrent session gets a retryable overload.
-	if _, err := Dial(addr, RoleQuery, 5*time.Second); err == nil {
+	if _, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: 5 * time.Second}); err == nil {
 		t.Fatal("third session admitted past MaxSessions=2")
 	} else if re, ok := err.(*RejectError); !ok || re.Code != RejectOverloaded || !re.Retryable() {
 		t.Fatalf("session-cap reject: got %v, want retryable RejectOverloaded", err)
@@ -552,7 +552,7 @@ func TestServeTypedRejects(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if _, err := Dial(addr, RoleQuery, time.Second); err == nil {
+	if _, err := DialOpts(addr, ClientOptions{Role: RoleQuery, DialTimeout: time.Second}); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 }

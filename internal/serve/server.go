@@ -33,13 +33,6 @@ type Config struct {
 	// MaxPending caps batches admitted (logged) but not yet applied — the
 	// server-wide backpressure window (default 64).
 	MaxPending int
-	// SessionQueue caps each ingest session's decoded-but-unsubmitted
-	// batches (default 4); overflow is a typed RejectSessionBusy.
-	SessionQueue int
-	// SubBuffer caps buffered deltas per subscriber (default 32); a
-	// subscriber that falls further behind is disconnected rather than
-	// allowed to stall the applier.
-	SubBuffer int
 	// Metrics, when non-nil, receives serve.sessions, serve.rejected,
 	// serve.group_commit_size, and serve.read_lag_ns.
 	Metrics *metrics.Registry
@@ -59,19 +52,15 @@ func (c Config) maxPending() int {
 	return 64
 }
 
-func (c Config) sessionQueue() int {
-	if c.SessionQueue > 0 {
-		return c.SessionQueue
-	}
-	return 4
-}
-
-func (c Config) subBuffer() int {
-	if c.SubBuffer > 0 {
-		return c.SubBuffer
-	}
-	return 32
-}
+const (
+	// sessionQueue caps each ingest session's decoded-but-unsubmitted
+	// batches; overflow is a typed RejectSessionBusy.
+	sessionQueue = 4
+	// subBuffer caps buffered deltas per subscriber; a subscriber that
+	// falls further behind is disconnected rather than allowed to stall
+	// the applier.
+	subBuffer = 32
+)
 
 // logged is one admitted batch riding from the group-commit callback to the
 // applier: the WAL already holds it under seq.
@@ -93,7 +82,6 @@ type logged struct {
 type Server struct {
 	cfg Config
 	b   *backend
-	gc  *wal.GroupCommit
 	ln  net.Listener
 
 	// tokens is the admission window: an ingest worker must place a token
@@ -160,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 	// Readers have a consistent answer from the first connection on, even
 	// before any batch arrives.
 	s.snap.Store(s.b.publish(s.b.Seq()))
-	s.gc = s.b.Group(func(seq uint64, b graph.Batch) {
+	s.b.Group(func(seq uint64, b graph.Batch) {
 		// Runs under the append mutex: enqueue in logged order. Never
 		// blocks — admission tokens bound entries to cap(applyQ).
 		s.applyQ <- logged{seq: seq, b: b, at: time.Now()}

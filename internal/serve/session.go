@@ -82,7 +82,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn:     conn,
 		role:     role,
 		clientID: clientID,
-		q:        make(chan ingestReq, s.cfg.sessionQueue()),
+		q:        make(chan ingestReq, sessionQueue),
 		qdone:    make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -112,11 +112,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	if role == RoleIngest {
 		// Advertise the writer so group-commit sync leaders hold the
 		// commit window open while several ingest sessions are connected.
-		s.gc.AddWriter(1)
+		s.b.AddWriter(1)
 	}
 	defer func() {
 		if role == RoleIngest {
-			s.gc.AddWriter(-1)
+			s.b.AddWriter(-1)
 		}
 		s.mu.Lock()
 		delete(s.sessions, c)
@@ -200,7 +200,7 @@ func (c *session) ingestWorker() {
 			c.reject(re.Code, re.Reason)
 			continue
 		}
-		seq, dup, err := c.srv.gc.AppendTagged(c.clientID, r.clientSeq, r.b)
+		seq, dup, err := c.srv.b.AppendTagged(c.clientID, r.clientSeq, r.b)
 		if err != nil {
 			// seq == 0: nothing was logged or enqueued (a torn write, a
 			// poisoned log, or a dup whose durability re-check failed), so
@@ -262,7 +262,7 @@ func (c *session) handleStat() {
 	s.mu.Unlock()
 	c.write(skStatReply, encodeStat(Stat{
 		AppliedSeq: s.snap.Load().Seq,
-		LoggedSeq:  s.gc.LastSeq(),
+		LoggedSeq:  s.b.LastSeq(),
 		Sessions:   uint32(n),
 	}))
 }
@@ -275,7 +275,7 @@ type subscriber struct {
 }
 
 func (s *Server) addSubscriber(c *session) {
-	sub := &subscriber{sess: c, ch: make(chan vvList, s.cfg.subBuffer())}
+	sub := &subscriber{sess: c, ch: make(chan vvList, subBuffer)}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()

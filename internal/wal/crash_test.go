@@ -477,9 +477,9 @@ func runBackground(t *testing.T, fam Family, w gen.Workload, dc DurableConfig, c
 		t.Fatal(err)
 	}
 	g.arm()
-	gc := d.Group(nil, nil)
+	d.Group(nil, nil)
 	appendNext := func(i int) uint64 {
-		seq, err := gc.Append(w.Batches[i])
+		seq, err := d.Append(w.Batches[i])
 		if err != nil {
 			t.Fatalf("%v: append %d: %v", c, i, err)
 		}

@@ -18,7 +18,7 @@ import (
 // older duplicates are still detected (walSeq 0) because the newest entry's
 // clientSeq is a high-water mark.
 //
-// The table is written under the group-commit append mutex and read by the
+// The table is written under the Durable's append mutex and read by the
 // snapshot path outside it, so it carries its own lock.
 type DedupTable struct {
 	mu     sync.Mutex

@@ -189,11 +189,10 @@ func TestSnapshotCarriesDedupTable(t *testing.T) {
 	}
 }
 
-// servingHarness is the minimal serving-mode rig: a durable engine, its
-// group commit, and a single applier goroutine.
+// servingHarness is the minimal serving-mode rig: a durable engine put in
+// serving mode by Group, and a single applier goroutine.
 type servingHarness struct {
 	d      *Durable
-	gc     *GroupCommit
 	applyQ chan struct {
 		seq uint64
 		b   graph.Batch
@@ -212,7 +211,7 @@ func newServingHarness(t *testing.T, w wload, fam Family, dc DurableConfig) *ser
 		seq uint64
 		b   graph.Batch
 	}, 256)
-	h.gc = d.Group(func(seq uint64, b graph.Batch) {
+	d.Group(func(seq uint64, b graph.Batch) {
 		h.applyQ <- struct {
 			seq uint64
 			b   graph.Batch
@@ -268,7 +267,7 @@ func taggedAppendRecovery(t *testing.T, w gen.Workload, fam Family) {
 	seqs := map[string][]uint64{}
 	appendOne := func(cid string, cseq uint64, b graph.Batch, wantDup bool) uint64 {
 		t.Helper()
-		seq, dup, err := h.gc.AppendTagged(cid, cseq, b)
+		seq, dup, err := h.d.AppendTagged(cid, cseq, b)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", cid, cseq, err)
 		}
@@ -286,8 +285,8 @@ func taggedAppendRecovery(t *testing.T, w gen.Workload, fam Family) {
 	}
 	appendOne("B", 2, w.Batches[3], false)
 	appendOne("A", 3, w.Batches[4], false)
-	if h.gc.LastSeq() != 5 {
-		t.Fatalf("LastSeq = %d after 5 unique + 1 resend, want 5", h.gc.LastSeq())
+	if h.d.LastSeq() != 5 {
+		t.Fatalf("LastSeq = %d after 5 unique + 1 resend, want 5", h.d.LastSeq())
 	}
 	h.drain(t)
 	if err := h.d.Close(); err != nil {
@@ -303,15 +302,15 @@ func taggedAppendRecovery(t *testing.T, w gen.Workload, fam Family) {
 	if v := oracle.CheckReplay("recover", rs.SnapshotSeq, 5, rs.Replayed); v != nil {
 		t.Fatal(v)
 	}
-	gc2 := d2.Group(func(uint64, graph.Batch) {}, nil)
+	d2.Group(func(uint64, graph.Batch) {}, nil)
 	// Append order was A1=1, B1=2, A2=3, B2=4, A3=5.
-	if seq, dup, err := gc2.AppendTagged("A", 3, w.Batches[4]); err != nil || !dup || seq != 5 {
+	if seq, dup, err := d2.AppendTagged("A", 3, w.Batches[4]); err != nil || !dup || seq != 5 {
 		t.Fatalf("post-recovery resend A/3 = (%d,%v,%v), want (5,true,nil)", seq, dup, err)
 	}
-	if seq, dup, err := gc2.AppendTagged("B", 2, w.Batches[3]); err != nil || !dup || seq != 4 {
+	if seq, dup, err := d2.AppendTagged("B", 2, w.Batches[3]); err != nil || !dup || seq != 4 {
 		t.Fatalf("post-recovery resend B/2 = (%d,%v,%v), want (4,true,nil)", seq, dup, err)
 	}
-	if _, dup, err := gc2.AppendTagged("B", 3, w.Batches[5]); err != nil || dup {
+	if _, dup, err := d2.AppendTagged("B", 3, w.Batches[5]); err != nil || dup {
 		t.Fatalf("fresh post-recovery append flagged dup=%v err=%v", dup, err)
 	}
 	if err := d2.Close(); err != nil {
@@ -327,16 +326,16 @@ func TestReopenLogRecoversFromDiskFault(t *testing.T) {
 	h := newServingHarness(t, wload{w.NumV, w.Initial}, SelectiveFamily(algo.SSSP{Src: 0}), dc)
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := h.gc.AppendTagged("C", uint64(i+1), w.Batches[i]); err != nil {
+		if _, _, err := h.d.AppendTagged("C", uint64(i+1), w.Batches[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Arm a one-op ENOSPC window: the next append fails and poisons the log.
 	inj.Set(syscall.ENOSPC, 0, 1)
-	if _, _, err := h.gc.AppendTagged("C", 4, w.Batches[3]); !errors.Is(err, syscall.ENOSPC) {
+	if _, _, err := h.d.AppendTagged("C", 4, w.Batches[3]); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("armed append = %v, want ENOSPC", err)
 	}
-	if _, err := h.gc.Append(w.Batches[3]); err == nil {
+	if _, err := h.d.Append(w.Batches[3]); err == nil {
 		t.Fatal("poisoned log accepted an append")
 	}
 	if inj.Fired() == 0 {
@@ -359,7 +358,7 @@ func TestReopenLogRecoversFromDiskFault(t *testing.T) {
 	// The failed batch was never acked: the client resends the SAME cseq
 	// and it must append fresh (not dup — the torn frame died with the old
 	// log generation).
-	seq, dup, err := h.gc.AppendTagged("C", 4, w.Batches[3])
+	seq, dup, err := h.d.AppendTagged("C", 4, w.Batches[3])
 	if err != nil {
 		t.Fatalf("post-reopen resend: %v", err)
 	}

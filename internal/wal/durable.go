@@ -10,7 +10,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 )
 
 // ErrNoSnapshot means the directory has no snapshot to recover from.
@@ -41,12 +40,12 @@ type DurableConfig struct {
 	// background writer encodes the state, syncs the log, writes and
 	// renames the file and truncates the log. At most one snapshot is in
 	// flight: the next capture, ProcessBatch's next append, Snapshot,
-	// Group, ReopenLog, Close and Abandon wait for it.
+	// ReopenLog, Close and Abandon wait for it.
 	SnapshotEvery int
 	// DedupWindow, when positive, enables exactly-once ingest: the wrapper
 	// keeps a per-client window of that many (clientSeq -> walSeq)
 	// assignments, persists it inside snapshots, rebuilds it during
-	// recovery, and the GroupCommit consults it so a resent batch is
+	// recovery, and AppendTagged consults it so a resent batch is
 	// acknowledged without a second append or apply.
 	DedupWindow int
 }
@@ -142,6 +141,12 @@ func LocalFamily(alg algo.Local) Family {
 // snapshots bound replay length and log size. After a crash, Recover
 // restores the newest intact snapshot and replays the log tail to the exact
 // pre-crash acknowledged state.
+//
+// A Durable owns its one log. Library callers run ProcessBatch (append,
+// then apply, under mu); a server calls Group once and then appends from
+// many sessions with Append/AppendTagged while one applier runs
+// ApplyLogged. Both append through the same group-commit path, so they
+// write the same bytes and reach the same crash sites.
 type Durable struct {
 	// Eng is the wrapped engine. Read it (Values) only between batches.
 	Eng Engine
@@ -149,13 +154,13 @@ type Durable struct {
 	mu        sync.Mutex // serializes batch apply, snapshot, and seq/dirty
 	g         *graph.Streaming
 	fam       Family
-	log       *Log
 	cfg       DurableConfig
 	seq       uint64 // sequence of the last acknowledged batch
 	sinceSnap int
-	dirty     bool         // a batch is mid-apply (or died mid-apply)
-	gc        *GroupCommit // non-nil once Group() put the log in serving mode
-	dedup     *DedupTable  // non-nil when cfg.DedupWindow > 0
+	dirty     bool        // a batch is mid-apply (or died mid-apply)
+	serving   bool        // Group ran: appends come from sessions, not ProcessBatch
+	dedup     *DedupTable // non-nil when cfg.DedupWindow > 0
+	appendSide
 	// snap is the snapshot the background writer has in flight (or has
 	// finished, not yet collected); werr is the first error a writer
 	// returned, sticky until ReopenLog establishes a new base.
@@ -165,17 +170,16 @@ type Durable struct {
 
 // snapJob is one snapshot captured at a batch boundary: everything the
 // writer needs — the frozen out-adjacency, the state frame's encoder and
-// the encoded dedup frame — plus the log it must sync and truncate.
+// the encoded dedup frame.
 type snapJob struct {
-	seq     uint64
-	view    *graph.Frozen
-	kind    byte
-	state   func() []byte
-	dedup   []byte
-	withLog func(func(*Log) error) error
-	t0      time.Time
-	done    chan struct{} // closed when the writer returns
-	err     error         // the writer's result, read after done
+	seq   uint64
+	view  *graph.Frozen
+	kind  byte
+	state func() []byte
+	dedup []byte
+	t0    time.Time
+	done  chan struct{} // closed when the writer returns
+	err   error         // the writer's result, read after done
 }
 
 // CheckBatch validates a batch against the engine's graph without touching
@@ -186,7 +190,7 @@ func (d *Durable) CheckBatch(b graph.Batch) error { return d.g.CheckBatch(b) }
 // frozen view of the graph, the family's state capture and the encoded
 // dedup frame.
 func (d *Durable) captureLocked() *snapJob {
-	j := &snapJob{
+	return &snapJob{
 		seq:   d.seq,
 		view:  d.g.Freeze(),
 		kind:  d.fam.kind,
@@ -195,13 +199,6 @@ func (d *Durable) captureLocked() *snapJob {
 		t0:    time.Now(),
 		done:  make(chan struct{}),
 	}
-	if gc := d.gc; gc != nil {
-		j.withLog = gc.withLog
-	} else {
-		l := d.log
-		j.withLog = func(f func(*Log) error) error { return f(l) }
-	}
-	return j
 }
 
 // encode writes j's snapshot file.
@@ -236,14 +233,15 @@ func (d *Durable) startSnapshotLocked() error {
 // write is the background snapshot writer: frames <= seq durable in the
 // log, the snapshot file written, fsynced and renamed, retention applied,
 // the log truncated behind the older retained snapshot. It never takes
-// d.mu; the capture carries everything it reads.
+// d.mu; the capture carries everything it reads, and the log is touched
+// only under the append mutex.
 func (d *Durable) write(j *snapJob) {
 	defer close(j.done)
 	defer j.release()
 	opts, m := d.cfg.Wal, d.cfg.Wal.Metrics
 	// Frames <= seq must be durable before a snapshot claims to cover them.
 	if opts.Policy != FsyncOff {
-		if j.err = j.withLog((*Log).Sync); j.err != nil {
+		if j.err = d.withLog((*Log).Sync); j.err != nil {
 			return
 		}
 	}
@@ -254,14 +252,14 @@ func (d *Durable) write(j *snapJob) {
 		m.Counter("wal.snapshots").Inc()
 		m.Histogram("wal.snapshot_ns").Observe(time.Since(j.t0).Nanoseconds())
 	}
-	// Retention removes files outside the group's append mutex; only the
-	// log truncation needs it.
+	// Retention removes files outside the append mutex; only the log
+	// truncation needs it.
 	trim, ok, err := PruneSnapshots(opts)
 	if err != nil || !ok {
 		j.err = err
 		return
 	}
-	j.err = j.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
+	j.err = d.withLog(func(l *Log) error { return l.TruncateThrough(trim) })
 }
 
 // settleLocked waits for the snapshot writer in flight, if any, and
@@ -291,12 +289,13 @@ func (d *Durable) settleLocked() error {
 // one batch. A nil return means the batch is both applied and as durable as
 // the fsync policy promises; a non-nil return means it was NOT acknowledged
 // (a malformed batch mutated nothing; any other error leaves the wrapper
-// unusable — recover from the directory).
+// unusable — recover from the directory, or ReopenLog once the disk
+// relents). It appends through Append, the path a server's sessions use.
 func (d *Durable) ProcessBatch(ctx context.Context, batch graph.Batch) (engine.BatchStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.gc != nil {
-		return engine.BatchStats{}, fmt.Errorf("wal: log is in serving mode; append through the group and apply with ApplyLogged")
+	if d.serving {
+		return engine.BatchStats{}, fmt.Errorf("wal: log is in serving mode; append with Append and apply with ApplyLogged")
 	}
 	if err := d.g.CheckBatch(batch); err != nil {
 		return engine.BatchStats{}, err // reject before logging garbage
@@ -306,8 +305,8 @@ func (d *Durable) ProcessBatch(ctx context.Context, batch graph.Batch) (engine.B
 	if err := d.settleLocked(); err != nil {
 		return engine.BatchStats{}, err
 	}
-	seq := d.seq + 1
-	if err := d.log.Append(seq, batch); err != nil {
+	seq, err := d.Append(batch)
+	if err != nil {
 		return engine.BatchStats{}, err
 	}
 	return d.applyLocked(ctx, seq, batch)
@@ -335,7 +334,7 @@ func (d *Durable) applyLocked(ctx context.Context, seq uint64, batch graph.Batch
 }
 
 // ApplyLogged applies one batch that is already in the log under seq (the
-// serving mode's apply half: sessions append through the GroupCommit, a
+// serving mode's apply half: sessions append through AppendTagged, a
 // single applier feeds the engine in logged order). seq must be exactly
 // Seq()+1 — the logged order is the only apply order recovery can
 // reproduce.
@@ -347,25 +346,6 @@ func (d *Durable) ApplyLogged(ctx context.Context, seq uint64, batch graph.Batch
 	}
 	return d.applyLocked(ctx, seq, batch)
 }
-
-// Group puts the log in serving mode: concurrent appenders go through the
-// returned GroupCommit (sharing fsyncs under FsyncAlways), onAppend observes
-// every append in logged order, and ProcessBatch is disabled in favor of
-// ApplyLogged. groupSize, when non-nil, records appends-per-fsync.
-func (d *Durable) Group(onAppend func(seq uint64, b graph.Batch), groupSize *metrics.Histogram) *GroupCommit {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.gc == nil {
-		// A writer in flight holds the bare log; let it finish before
-		// appenders share it. Its error stays sticky for the next call.
-		d.settleLocked()
-		d.gc = newGroupCommit(d.log, d.seq, onAppend, d.dedup, groupSize)
-	}
-	return d.gc
-}
-
-// Dedup exposes the dedup table (nil when DedupWindow is 0).
-func (d *Durable) Dedup() *DedupTable { return d.dedup }
 
 // Dirty reports whether the engine died mid-batch (canceled apply), in
 // which case the in-memory state is between batch boundaries and must not
@@ -382,9 +362,6 @@ func (d *Durable) Seq() uint64 {
 	defer d.mu.Unlock()
 	return d.seq
 }
-
-// Log exposes the underlying log (read-only use).
-func (d *Durable) Log() *Log { return d.log }
 
 // Snapshot checkpoints the current state at the current sequence, applies
 // retention (keep snapRetain newest), and truncates the log through the
@@ -405,16 +382,6 @@ func (d *Durable) Snapshot() error {
 	return j.err
 }
 
-// withLog runs f on the log, under the group's append mutex when the log is
-// in serving mode so snapshot-driven syncs and truncations never interleave
-// with a concurrent append's write or rotation.
-func (d *Durable) withLog(f func(l *Log) error) error {
-	if d.gc != nil {
-		return d.gc.withLog(f)
-	}
-	return f(d.log)
-}
-
 // ReopenLog recovers from a poisoned log without losing the live engine —
 // the degraded-mode exit. It must only be called once appends are failing
 // (the log is poisoned) and, in serving mode, keeps retrying cheaply until
@@ -426,7 +393,8 @@ func (d *Durable) withLog(f func(l *Log) error) error {
 // the same frame, so a client resend is acknowledged without reapply. The
 // exit therefore snapshots the applied state (snapshot writes bypass the
 // append-path fault window), restarts the chain there with a fresh log over
-// the repaired directory, and clears the group's sticky sync error.
+// the repaired directory, and clears the sticky sync error; the durable
+// watermark jumps to the last assigned sequence, which the new base covers.
 func (d *Durable) ReopenLog() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -434,44 +402,53 @@ func (d *Durable) ReopenLog() error {
 	if d.dirty {
 		return ErrEngineDirty
 	}
-	establish := func(nl *Log) error {
-		if nl.LastSeq() > d.seq {
-			return fmt.Errorf("wal: reopen: log holds seq %d but only %d applied; applier behind", nl.LastSeq(), d.seq)
-		}
-		// Written inline: the fresh log needs no sync, and the group's
-		// append mutex is held, which the writer's truncation would need.
-		j := d.captureLocked()
-		err := j.encode(d.cfg.Wal)
-		j.release()
-		if err != nil {
-			return err
-		}
-		if err := nl.resetTo(d.seq); err != nil {
-			return err
-		}
-		d.sinceSnap = 0
-		d.werr = nil
-		d.log = nl
-		if m := d.cfg.Wal.Metrics; m != nil {
-			m.Counter("wal.reopens").Inc()
-		}
-		_, _, _ = PruneSnapshots(d.cfg.Wal) // best-effort retention: the new base is durable
-		return nil
-	}
-	if d.gc != nil {
-		return d.gc.reopen(establish)
-	}
-	old := d.log
-	old.abandon()
+	d.am.Lock()
+	defer d.am.Unlock()
+	d.log.abandon() // a poisoned handle can't be synced; drop it
 	nl, err := Open(d.cfg.Wal)
 	if err != nil {
 		return err
 	}
-	if err := establish(nl); err != nil {
+	if err := d.establishLocked(nl); err != nil {
+		// Still degraded: the (dead) old log stays, so appends keep failing
+		// with ErrPoisoned until a later reopen succeeds.
 		nl.abandon()
-		d.log = old
 		return err
 	}
+	d.log = nl
+	if !d.serving {
+		d.next = d.seq // no applier runs a frame whose ProcessBatch was refused
+	}
+	d.sm.Lock()
+	d.syncErr = nil
+	d.synced = max(d.synced, d.next)
+	d.endRoundLocked()
+	d.sm.Unlock()
+	if m := d.cfg.Wal.Metrics; m != nil {
+		m.Counter("wal.reopens").Inc()
+	}
+	_, _, _ = PruneSnapshots(d.cfg.Wal) // best-effort retention: the new base is durable
+	return nil
+}
+
+// establishLocked snapshots the applied state and restarts nl's chain there,
+// dropping any frame past it (library mode's refused tail). Inline: the new
+// log needs no sync, and the writer's truncation would need the held mutex.
+func (d *Durable) establishLocked(nl *Log) error {
+	if d.serving && nl.LastSeq() > d.seq {
+		return fmt.Errorf("wal: reopen: log holds seq %d but only %d applied; applier behind", nl.LastSeq(), d.seq)
+	}
+	j := d.captureLocked()
+	err := j.encode(d.cfg.Wal)
+	j.release()
+	if err != nil {
+		return err
+	}
+	if err := nl.resetTo(d.seq); err != nil {
+		return err
+	}
+	d.sinceSnap = 0
+	d.werr = nil
 	return nil
 }
 
@@ -495,7 +472,7 @@ func (d *Durable) Abandon() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.settleLocked()
-	d.log.abandon()
+	d.withLog(func(l *Log) error { l.abandon(); return nil })
 }
 
 // initDedup builds the dedup table for a fresh or recovered wrapper: the
@@ -530,7 +507,8 @@ func NewDurable(g *graph.Streaming, fam Family, ecfg engine.Config, dc DurableCo
 		log.Close()
 		return nil, fmt.Errorf("wal: %s holds a log but no snapshot; cannot establish a recovery base", dc.Wal.Dir)
 	}
-	d := &Durable{Eng: fam.build(g, ecfg), g: g, fam: fam, log: log, cfg: dc}
+	d := &Durable{Eng: fam.build(g, ecfg), g: g, fam: fam, cfg: dc}
+	d.startLog(log, 0)
 	d.initDedup(nil)
 	// The creation-time snapshot (seq 0) makes the initial graph and solve
 	// durable, so recovery never depends on regenerating the input.
@@ -620,7 +598,7 @@ func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, Recove
 	rs.Restore = time.Since(tRestore)
 	d := &Durable{Eng: eng, g: g, fam: fam, cfg: dc}
 	d.initDedup(sd.Dedup)
-	d.log, err = replayTail(dc, sd.Seq, d.dedup, &rs, func(b graph.Batch) error {
+	log, err := replayTail(dc, sd.Seq, d.dedup, &rs, func(b graph.Batch) error {
 		_, err := eng.ProcessBatchCtx(context.Background(), b)
 		return err
 	})
@@ -628,6 +606,7 @@ func Recover(fam Family, ecfg engine.Config, dc DurableConfig) (*Durable, Recove
 		return nil, rs, err
 	}
 	d.seq = rs.LastSeq
+	d.startLog(log, d.seq)
 	rs.Duration = time.Since(t0)
 	if m := dc.Wal.Metrics; m != nil {
 		m.Gauge("recovery.ns").Set(float64(rs.Duration.Nanoseconds()))

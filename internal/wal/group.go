@@ -9,26 +9,28 @@ import (
 	"repro/internal/metrics"
 )
 
-// GroupCommit adapts the single-writer Log to concurrent appenders. Frame
-// writes are serialized under one mutex — appends stay strictly ordered, so
-// the on-disk sequence chain is also the authoritative apply order — and,
-// under FsyncAlways, appenders share fsyncs leader/follower style: while one
-// append's fsync is in flight, later appenders queue, write their frames the
-// moment it completes, and the next leader's single fsync makes the whole
-// group durable. With W concurrent writers each fsync covers up to W
-// appends, so fsync amplification drops below one per batch.
-// Options.GroupWindow widens the net: a leader that sees another Append in
-// flight yields briefly before syncing, which matters on few-core hosts
-// where appenders rarely overlap an in-progress fsync on their own.
+// appendSide is a Durable's one owner of its log: every append, sync,
+// rotation, truncation and log swap runs under am. Frame writes are
+// serialized — appends stay strictly ordered, so the on-disk sequence chain
+// is also the authoritative apply order — and, under FsyncAlways, appenders
+// share fsyncs leader/follower style: while one append's fsync is in
+// flight, later appenders queue, write their frames the moment it
+// completes, and the next leader's single fsync makes the whole group
+// durable. With W concurrent writers each fsync covers up to W appends, so
+// fsync amplification drops below one per batch. Options.GroupWindow widens
+// the net: a leader that sees another Append in flight yields briefly
+// before syncing, which matters on few-core hosts where appenders rarely
+// overlap an in-progress fsync on their own. A library caller is the
+// one-writer case of the same path.
 //
-// The zero value is not usable; build one with Durable.Group.
-type GroupCommit struct {
-	mu       sync.Mutex // serializes l.append, onAppend, rotation, truncation
-	l        *Log
-	onAppend func(seq uint64, b graph.Batch)
-	dedup    *DedupTable // nil = exactly-once ingest disabled
-
-	next uint64 // last assigned sequence (under mu)
+// Lock order is Durable.mu → am → sm. onAppend runs under am and must never
+// take Durable.mu.
+type appendSide struct {
+	am        sync.Mutex // serializes log writes, onAppend, rotation, truncation, the log swap
+	log       *Log
+	next      uint64 // last assigned sequence (under am)
+	onAppend  func(seq uint64, b graph.Batch)
+	groupSize *metrics.Histogram
 
 	inflight atomic.Int32 // Append calls between entry and return
 	writers  atomic.Int32 // advertised concurrent writers (AddWriter)
@@ -38,20 +40,26 @@ type GroupCommit struct {
 	synced  uint64        // highest sequence known durable
 	syncErr error         // sticky: a failed fsync fails every later waiter
 	wake    chan struct{} // closed and replaced when a sync round ends
-
-	groupSize *metrics.Histogram
 }
 
-func newGroupCommit(l *Log, start uint64, onAppend func(seq uint64, b graph.Batch), dedup *DedupTable, groupSize *metrics.Histogram) *GroupCommit {
-	return &GroupCommit{
-		l:         l,
-		onAppend:  onAppend,
-		dedup:     dedup,
-		next:      start,
-		synced:    start, // everything <= start is snapshot-covered or replayed
-		wake:      make(chan struct{}),
-		groupSize: groupSize,
-	}
+// startLog installs l as the log whose chain head is seq: everything <= seq
+// is snapshot-covered or replayed, so it counts as durable.
+func (a *appendSide) startLog(l *Log, seq uint64) {
+	a.log, a.next, a.synced = l, seq, seq
+	a.wake = make(chan struct{})
+}
+
+// Group puts the log in serving mode: onAppend observes every append in
+// logged order (the serving applier's queue), groupSize, when non-nil,
+// records appends-per-fsync, and ProcessBatch is disabled in favor of
+// Append followed by ApplyLogged.
+func (d *Durable) Group(onAppend func(seq uint64, b graph.Batch), groupSize *metrics.Histogram) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.am.Lock()
+	d.onAppend, d.groupSize = onAppend, groupSize
+	d.am.Unlock()
+	d.serving = true
 }
 
 // Append logs b under the next sequence and returns that sequence once the
@@ -59,8 +67,8 @@ func newGroupCommit(l *Log, start uint64, onAppend func(seq uint64, b graph.Batc
 // under the append mutex — immediately after the frame is written and
 // before any later append — so it observes batches in exactly the logged
 // order; it must not block.
-func (gc *GroupCommit) Append(b graph.Batch) (uint64, error) {
-	seq, _, err := gc.AppendTagged("", 0, b)
+func (d *Durable) Append(b graph.Batch) (uint64, error) {
+	seq, _, err := d.AppendTagged("", 0, b)
 	return seq, err
 }
 
@@ -77,51 +85,49 @@ func (gc *GroupCommit) Append(b graph.Batch) (uint64, error) {
 // fsync), so an applier downstream of onAppend WILL process the batch and
 // the caller must not double-release resources it hands the applier. A
 // zero sequence with an error means nothing was logged or enqueued.
-func (gc *GroupCommit) AppendTagged(clientID string, clientSeq uint64, b graph.Batch) (uint64, bool, error) {
-	gc.inflight.Add(1)
-	defer gc.inflight.Add(-1)
-	gc.mu.Lock()
-	if gc.dedup != nil && clientID != "" {
-		if walSeq, dup := gc.dedup.Check(clientID, clientSeq); dup {
-			gc.mu.Unlock()
+func (d *Durable) AppendTagged(clientID string, clientSeq uint64, b graph.Batch) (uint64, bool, error) {
+	d.inflight.Add(1)
+	defer d.inflight.Add(-1)
+	always := d.cfg.Wal.Policy == FsyncAlways
+	d.am.Lock()
+	if d.dedup != nil && clientID != "" {
+		if walSeq, dup := d.dedup.Check(clientID, clientSeq); dup {
+			d.am.Unlock()
 			// The original append already ran; make sure the ack we are
 			// about to repeat keeps the durability promise it carried.
-			if gc.l.opts.Policy == FsyncAlways && walSeq > 0 {
-				if err := gc.waitDurable(walSeq); err != nil {
+			if always && walSeq > 0 {
+				if err := d.waitDurable(walSeq); err != nil {
 					return 0, true, err
 				}
 			}
 			return walSeq, true, nil
 		}
 	}
-	seq := gc.next + 1
-	if err := gc.l.appendTagged(seq, clientID, clientSeq, b); err != nil {
-		gc.mu.Unlock()
+	seq := d.next + 1
+	if err := d.log.appendTagged(seq, clientID, clientSeq, b); err != nil {
+		d.am.Unlock()
 		return 0, false, err
 	}
-	gc.next = seq
-	if gc.dedup != nil && clientID != "" {
-		gc.dedup.Record(clientID, clientSeq, seq)
+	d.next = seq
+	if d.dedup != nil && clientID != "" {
+		d.dedup.Record(clientID, clientSeq, seq)
 	}
-	if gc.onAppend != nil {
-		gc.onAppend(seq, b)
+	if d.onAppend != nil {
+		d.onAppend(seq, b)
 	}
-	if gc.l.opts.Policy != FsyncAlways {
+	if !always {
 		// interval/off: acknowledge before sync, as the policy promises. The
 		// interval sync runs inline; it is amortized and rarely fires.
-		err := gc.l.syncPolicy()
-		gc.mu.Unlock()
+		err := d.log.syncPolicy()
+		d.am.Unlock()
 		// On error the frame is still logged and enqueued: report seq so the
 		// caller knows the applier will see this batch.
 		return seq, false, err
 	}
-	gc.mu.Unlock()
+	d.am.Unlock()
 	// always: wait (outside the append mutex, so the next group can form)
 	// until a leader's fsync covers this sequence.
-	if err := gc.waitDurable(seq); err != nil {
-		return seq, false, err
-	}
-	return seq, false, nil
+	return seq, false, d.waitDurable(seq)
 }
 
 // waitDurable blocks until synced >= seq. The first waiter of a round
@@ -129,22 +135,22 @@ func (gc *GroupCommit) AppendTagged(clientID string, clientSeq uint64, b graph.B
 // fsync, and publishes the new watermark; every waiter at or below the
 // watermark returns. Waiters that appended while the fsync was in flight
 // form the next round.
-func (gc *GroupCommit) waitDurable(seq uint64) error {
-	gc.sm.Lock()
+func (d *Durable) waitDurable(seq uint64) error {
+	d.sm.Lock()
 	for {
-		if gc.syncErr != nil {
-			err := gc.syncErr
-			gc.sm.Unlock()
+		if d.syncErr != nil {
+			err := d.syncErr
+			d.sm.Unlock()
 			return err
 		}
-		if gc.synced >= seq {
-			gc.sm.Unlock()
+		if d.synced >= seq {
+			d.sm.Unlock()
 			return nil
 		}
-		if !gc.syncing {
-			gc.syncing = true
-			prev := gc.synced
-			gc.sm.Unlock()
+		if !d.syncing {
+			d.syncing = true
+			prev := d.synced
+			d.sm.Unlock()
 
 			// Commit window: when other writers exist — another Append is
 			// mid-flight, or the owner advertised concurrent sessions via
@@ -152,37 +158,42 @@ func (gc *GroupCommit) waitDurable(seq uint64) error {
 			// fsync. A lone writer skips the wait entirely, so the window
 			// only trades latency for shared fsyncs when there is actually
 			// a group to form.
-			if w := gc.l.opts.GroupWindow; w > 0 &&
-				(gc.writers.Load() > 1 || gc.inflight.Load() > 1) {
+			if w := d.cfg.Wal.GroupWindow; w > 0 &&
+				(d.writers.Load() > 1 || d.inflight.Load() > 1) {
 				time.Sleep(w)
 			}
 
-			gc.mu.Lock()
-			high := gc.l.LastSeq()
-			err := gc.l.Sync()
-			gc.mu.Unlock()
+			d.am.Lock()
+			high := d.log.LastSeq()
+			err := d.log.Sync()
+			d.am.Unlock()
 
-			gc.sm.Lock()
-			gc.syncing = false
+			d.sm.Lock()
+			d.syncing = false
 			if err != nil {
-				gc.syncErr = err
+				d.syncErr = err
 			} else {
-				if gc.groupSize != nil && high > prev {
-					gc.groupSize.Observe(int64(high - prev))
+				if d.groupSize != nil && high > prev {
+					d.groupSize.Observe(int64(high - prev))
 				}
-				if high > gc.synced {
-					gc.synced = high
+				if high > d.synced {
+					d.synced = high
 				}
 			}
-			close(gc.wake)
-			gc.wake = make(chan struct{})
+			d.endRoundLocked()
 			continue
 		}
-		ch := gc.wake
-		gc.sm.Unlock()
+		ch := d.wake
+		d.sm.Unlock()
 		<-ch
-		gc.sm.Lock()
+		d.sm.Lock()
 	}
+}
+
+// endRoundLocked wakes every waiter of the sync round; sm is held.
+func (a *appendSide) endRoundLocked() {
+	close(a.wake)
+	a.wake = make(chan struct{})
 }
 
 // AddWriter adjusts the advertised concurrent-writer count (delta may be
@@ -190,66 +201,20 @@ func (gc *GroupCommit) waitDurable(seq uint64) error {
 // with more than one writer advertised, sync leaders hold the GroupWindow
 // open even when the peers are momentarily outside Append (typical on
 // few-core hosts, where staggered request cycles rarely overlap).
-func (gc *GroupCommit) AddWriter(delta int) { gc.writers.Add(int32(delta)) }
-
-// Sync forces everything appended so far durable (drain/shutdown path).
-func (gc *GroupCommit) Sync() error {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.l.Sync()
-}
+func (d *Durable) AddWriter(delta int) { d.writers.Add(int32(delta)) }
 
 // LastSeq returns the highest appended sequence.
-func (gc *GroupCommit) LastSeq() uint64 {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.l.LastSeq()
+func (d *Durable) LastSeq() uint64 {
+	d.am.Lock()
+	defer d.am.Unlock()
+	return d.log.LastSeq()
 }
 
 // withLog runs f with the append mutex held — the seam the snapshot path
-// uses so retention-driven syncs and truncations cannot interleave with a
-// concurrent append's rotation.
-func (gc *GroupCommit) withLog(f func(l *Log) error) error {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return f(gc.l)
-}
-
-// Dedup exposes the group's dedup table (nil when exactly-once ingest is
-// disabled) for hit accounting.
-func (gc *GroupCommit) Dedup() *DedupTable { return gc.dedup }
-
-// reopen swaps a poisoned log for a freshly Opened one over the same
-// directory — the degraded-mode recovery seam. establish runs with the new
-// log installed and the append mutex held; it must leave disk and engine
-// agreeing on the chain head (Durable.ReopenLog does so by snapshotting the
-// applied state and restarting the chain there). On success the sticky sync
-// error clears and the durable watermark jumps to the last assigned
-// sequence, which the establish snapshot now covers.
-func (gc *GroupCommit) reopen(establish func(l *Log) error) error {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	old := gc.l
-	old.abandon() // a poisoned handle can't be synced; drop it
-	nl, err := Open(old.opts)
-	if err != nil {
-		return err
-	}
-	gc.l = nl
-	if err := establish(nl); err != nil {
-		// Still degraded: put the (dead) old log back so appends keep
-		// failing with ErrPoisoned until a later reopen succeeds.
-		nl.abandon()
-		gc.l = old
-		return err
-	}
-	gc.sm.Lock()
-	gc.syncErr = nil
-	if gc.next > gc.synced {
-		gc.synced = gc.next
-	}
-	close(gc.wake)
-	gc.wake = make(chan struct{})
-	gc.sm.Unlock()
-	return nil
+// uses so its syncs and truncations never interleave with a concurrent
+// append's write or rotation.
+func (d *Durable) withLog(f func(l *Log) error) error {
+	d.am.Lock()
+	defer d.am.Unlock()
+	return f(d.log)
 }

@@ -1,11 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,7 +22,7 @@ import (
 )
 
 // The group-commit suite (DESIGN.md §4.11): concurrent appenders through
-// GroupCommit must keep the on-disk sequence chain contiguous, preserve each
+// Durable.Append must keep the on-disk sequence chain contiguous, preserve each
 // session's submission order, share fsyncs under FsyncAlways, and leave a
 // directory that recovers exactly like the single-writer path.
 
@@ -32,7 +37,7 @@ func tagBatch(session, i int) graph.Batch {
 }
 
 // TestGroupCommitConcurrentAppenders is the acceptance suite's core: 8
-// goroutine appenders race through one GroupCommit under FsyncAlways while a
+// goroutine appenders race through one Durable's Append under FsyncAlways while a
 // single applier feeds the engine in logged order. Run under -race.
 func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	const (
@@ -66,7 +71,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 	applyQ := make(chan logged, total)
 	groupSize := reg.Histogram("serve.group_commit_size")
-	gc := d.Group(func(seq uint64, b graph.Batch) {
+	d.Group(func(seq uint64, b graph.Batch) {
 		applyQ <- logged{seq, b}
 	}, groupSize)
 
@@ -91,7 +96,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSession; i++ {
-				seq, err := gc.Append(tagBatch(s, i))
+				seq, err := d.Append(tagBatch(s, i))
 				if err != nil {
 					errs[s] = err
 					return
@@ -194,7 +199,7 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 }
 
 // runServingUntilCrash is runUntilCrash's serving-mode twin: batches flow
-// through the GroupCommit (append, then ApplyLogged), and an injected crash
+// through the group-commit path (Append, then ApplyLogged), and an injected crash
 // abandons the directory exactly as process death would.
 func runServingUntilCrash(t *testing.T, w gen.Workload, alg algo.Selective, dc DurableConfig) (acked int, crashed bool) {
 	t.Helper()
@@ -205,9 +210,9 @@ func runServingUntilCrash(t *testing.T, w gen.Workload, alg algo.Selective, dc D
 		}
 		t.Fatal(err)
 	}
-	gc := d.Group(nil, nil)
+	d.Group(nil, nil)
 	for _, b := range w.Batches {
-		seq, err := gc.Append(b)
+		seq, err := d.Append(b)
 		if err != nil {
 			if _, ok := err.(*crashError); ok {
 				d.Abandon()
@@ -399,15 +404,15 @@ func TestGroupWindowSharesFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := d.Group(nil, nil)
-	gc.AddWriter(sessions)
+	d.Group(nil, nil)
+	d.AddWriter(sessions)
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSession; i++ {
-				if _, err := gc.Append(tagBatch(s, i)); err != nil {
+				if _, err := d.Append(tagBatch(s, i)); err != nil {
 					t.Errorf("session %d append %d: %v", s, i, err)
 					return
 				}
@@ -415,7 +420,7 @@ func TestGroupWindowSharesFsyncs(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	gc.AddWriter(-sessions)
+	d.AddWriter(-sessions)
 	appends := reg.Counter("wal.appends").Value()
 	fsyncs := reg.Counter("wal.fsyncs").Value()
 	if appends != total {
@@ -441,10 +446,10 @@ func TestGroupWindowSharesFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc2 := d2.Group(nil, nil)
+	d2.Group(nil, nil)
 	t0 := time.Now()
 	for i := 0; i < 20; i++ {
-		if _, err := gc2.Append(tagBatch(1, i)); err != nil {
+		if _, err := d2.Append(tagBatch(1, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +493,7 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 		b   graph.Batch
 	}
 	applyQ := make(chan logged, 64)
-	gc := d.Group(func(seq uint64, b graph.Batch) { applyQ <- logged{seq, b} }, nil)
+	d.Group(func(seq uint64, b graph.Batch) { applyQ <- logged{seq, b} }, nil)
 	applierDone := make(chan error, 1)
 	go func() {
 		for lg := range applyQ {
@@ -499,11 +504,11 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 		}
 		applierDone <- nil
 	}()
-	gc.AddWriter(writers)
+	d.AddWriter(writers)
 
 	// One healthy append proves the rig, then arm the failure and park all
 	// writers in the same commit window.
-	if _, err := gc.Append(tagBatch(0, 0)); err != nil {
+	if _, err := d.Append(tagBatch(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	failSync.Store(true)
@@ -514,7 +519,7 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 	results := make(chan result, writers)
 	for i := 0; i < writers; i++ {
 		go func(i int) {
-			_, _, err := gc.AppendTagged(fmt.Sprintf("w%d", i), 1, tagBatch(i+1, 1))
+			_, _, err := d.AppendTagged(fmt.Sprintf("w%d", i), 1, tagBatch(i+1, 1))
 			results <- result{i, err}
 		}(i)
 	}
@@ -530,7 +535,7 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 		t.Fatalf("%d error observations for %d parked writers", nerr, writers)
 	}
 	// Poisoned consistently: the next append refuses without touching disk.
-	if _, err := gc.Append(tagBatch(9, 9)); !errors.Is(err, ErrPoisoned) {
+	if _, err := d.Append(tagBatch(9, 9)); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("post-failure append = %v, want ErrPoisoned", err)
 	}
 
@@ -546,17 +551,17 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 		t.Fatalf("ReopenLog never succeeded: %v", rerr)
 	}
 	for i := 0; i < writers; i++ {
-		if _, _, err := gc.AppendTagged(fmt.Sprintf("w%d", i), 1, tagBatch(i+1, 1)); err != nil {
+		if _, _, err := d.AppendTagged(fmt.Sprintf("w%d", i), 1, tagBatch(i+1, 1)); err != nil {
 			t.Fatalf("writer %d resend: %v", i, err)
 		}
 	}
 	// Exactly once end to end: 1 healthy + one instance of each writer's
 	// batch, whether its original landed before the poison or its resend
 	// did after the reopen.
-	if got, want := gc.LastSeq(), uint64(1+writers); got != want {
+	if got, want := d.LastSeq(), uint64(1+writers); got != want {
 		t.Fatalf("LastSeq = %d, want %d (duplicate or lost appends)", got, want)
 	}
-	gc.AddWriter(-writers)
+	d.AddWriter(-writers)
 	close(applyQ)
 	if err := <-applierDone; err != nil {
 		t.Fatal(err)
@@ -575,5 +580,178 @@ func TestGroupCommitFsyncFailureExactlyOnce(t *testing.T) {
 	_ = rs
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dirBytes reads every file of a wal directory, by name.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// TestGroupCommitLibraryAndServingWriteSameBytes: library ProcessBatch and
+// serving Group + AppendTagged + ApplyLogged are one append path, so the same
+// batches leave byte-identical segment and snapshot files under every fsync
+// policy — segment rotation, snapshot retention and log truncation included.
+func TestGroupCommitLibraryAndServingWriteSameBytes(t *testing.T) {
+	w := testWorkload(31, 64, 12, 10)
+	alg := algo.SSSP{Src: 0}
+	ecfg := engine.Config{Workers: 1} // one worker: key-edge parents are reproducible
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
+		dcFor := func(dir string) DurableConfig {
+			return DurableConfig{SnapshotEvery: 3,
+				Wal: Options{Dir: dir, SegmentBytes: 1 << 10, Policy: policy, FsyncEvery: 2}}
+		}
+		lib, srv := dcFor(t.TempDir()), dcFor(t.TempDir())
+
+		d, err := NewDurableSelective(graph.FromEdges(w.NumV, w.Initial), alg, ecfg, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range w.Batches {
+			if _, err := d.ProcessBatch(context.Background(), b); err != nil {
+				t.Fatalf("%v: library batch %d: %v", policy, i, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		d, err = NewDurableSelective(graph.FromEdges(w.NumV, w.Initial), alg, ecfg, srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Group(nil, nil)
+		for i, b := range w.Batches {
+			seq, _, err := d.AppendTagged("", 0, b)
+			if err != nil {
+				t.Fatalf("%v: serving append %d: %v", policy, i, err)
+			}
+			if _, err := d.ApplyLogged(context.Background(), seq, b); err != nil {
+				t.Fatalf("%v: serving apply %d: %v", policy, i, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		want, got := dirBytes(t, lib.Wal.Dir), dirBytes(t, srv.Wal.Dir)
+		segs, snaps := 0, 0
+		for name, b := range want {
+			if !bytes.Equal(got[name], b) {
+				t.Fatalf("%v: %s differs between library and serving mode (%d vs %d bytes)", policy, name, len(b), len(got[name]))
+			}
+			if strings.HasSuffix(name, ".seg") {
+				segs++
+			} else if strings.HasSuffix(name, ".snap") {
+				snaps++
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: serving mode left %d files, library mode %d", policy, len(got), len(want))
+		}
+		if segs == 0 || snaps == 0 {
+			t.Fatalf("%v: compared %d segments and %d snapshots; want both", policy, segs, snaps)
+		}
+	}
+}
+
+// TestGroupCommitRefusesProcessBatchAfterGroup: once Group has put the log in
+// serving mode, ProcessBatch is an error that logs and applies nothing, and
+// the next serving append still takes the next sequence.
+func TestGroupCommitRefusesProcessBatchAfterGroup(t *testing.T) {
+	w := testWorkload(37, 64, 2, 10)
+	reg := metrics.NewRegistry()
+	dc := DurableConfig{Wal: Options{Dir: t.TempDir(), Policy: FsyncAlways, Metrics: reg}}
+	d, err := NewDurableSelective(graph.FromEdges(w.NumV, w.Initial), algo.SSSP{Src: 0}, engine.Config{Workers: 2}, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Group(nil, nil)
+	if _, err := d.ProcessBatch(context.Background(), w.Batches[0]); err == nil {
+		t.Fatal("ProcessBatch ran in serving mode")
+	}
+	if n := reg.Counter("wal.appends").Value(); n != 0 || d.LastSeq() != 0 || d.Seq() != 0 {
+		t.Fatalf("refused ProcessBatch left appends=%d LastSeq=%d Seq=%d, want all 0", n, d.LastSeq(), d.Seq())
+	}
+	seq, err := d.Append(w.Batches[1])
+	if err != nil || seq != 1 {
+		t.Fatalf("serving append after the refusal = (%d, %v), want (1, nil)", seq, err)
+	}
+	if _, err := d.ApplyLogged(context.Background(), seq, w.Batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenLogLibraryModeAfterDiskFault is the library twin of
+// TestReopenLogRecoversFromDiskFault: an injected ENOSPC on the append path
+// refuses that ProcessBatch and poisons the log, ReopenLog swaps in a fresh
+// log generation, the refused batch and the rest of the stream then go
+// through, and the directory recovers to the oracle. The fault hits the
+// frame write (nothing logged) or the fsync after it (a frame logged that
+// nothing will apply, which the new base drops).
+func TestReopenLogLibraryModeAfterDiskFault(t *testing.T) {
+	w := testWorkload(43, 64, 8, 12)
+	alg := algo.SSSP{Src: 0}
+	for _, site := range []string{"append.write", "append.sync"} {
+		inj := NewDiskFaultInjector(syscall.ENOSPC, 0, 0) // count 0: built disarmed
+		reg := metrics.NewRegistry()
+		dc := DurableConfig{SnapshotEvery: 2,
+			Wal: Options{Dir: t.TempDir(), Policy: FsyncAlways, DiskFaults: inj, Metrics: reg}}
+		d, err := NewDurableSelective(graph.FromEdges(w.NumV, w.Initial), alg, engine.Config{Workers: 2}, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for i := 0; i < 3; i++ {
+			if _, err := d.ProcessBatch(ctx, w.Batches[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := 0 // the next eligible site is batch 3's append.write
+		if site == "append.sync" {
+			after = 1
+		}
+		inj.Set(syscall.ENOSPC, after, 1)
+		_, err = d.ProcessBatch(ctx, w.Batches[3])
+		if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), site) {
+			t.Fatalf("%s: armed ProcessBatch = %v, want ENOSPC there", site, err)
+		}
+		if _, err := d.ProcessBatch(ctx, w.Batches[3]); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("%s: ProcessBatch on the poisoned log = %v, want ErrPoisoned", site, err)
+		}
+		if d.Seq() != 3 {
+			t.Fatalf("%s: refused batches advanced Seq to %d", site, d.Seq())
+		}
+		if err := d.ReopenLog(); err != nil {
+			t.Fatalf("%s: library ReopenLog: %v", site, err)
+		}
+		if n := reg.Counter("wal.reopens").Value(); n != 1 {
+			t.Fatalf("%s: wal.reopens = %d, want 1", site, n)
+		}
+		for i := 3; i < len(w.Batches); i++ {
+			if _, err := d.ProcessBatch(ctx, w.Batches[i]); err != nil {
+				t.Fatalf("%s: batch %d after reopen: %v", site, i, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		verifyRecovery(t, w, alg, dc, len(w.Batches), "library reopen after "+site)
 	}
 }

@@ -80,11 +80,11 @@ type Options struct {
 	// through Durable also the wal.snapshot_ns histogram (capture to
 	// rename) and the wal.snapshots / wal.snapshot_waits counters.
 	Metrics *metrics.Registry
-	// GroupWindow, under FsyncAlways in serving (GroupCommit) mode, is how
-	// long a sync leader yields before issuing its fsync so concurrent
-	// appenders can write their frames and share it. The wait is adaptive:
-	// it is skipped whenever no other Append is in flight, so a lone writer
-	// pays nothing. Zero disables the window (every leader syncs
+	// GroupWindow, under FsyncAlways, is how long a Durable's sync leader
+	// yields before issuing its fsync so concurrent appenders can write
+	// their frames and share it. The wait is adaptive: it is skipped
+	// unless another Append is in flight or AddWriter advertised more than
+	// one writer, so a lone writer (every library caller) pays nothing. Zero disables the window (every leader syncs
 	// immediately; groups only form from appends that landed during a
 	// previous fsync).
 	GroupWindow time.Duration
@@ -357,7 +357,7 @@ func (l *Log) Append(seq uint64, b graph.Batch) error {
 }
 
 // append writes an untagged batch frame without running the fsync policy —
-// the seam the group-commit layer uses to batch many appends under one sync.
+// the seam Durable's append path uses to batch many appends under one sync.
 func (l *Log) append(seq uint64, b graph.Batch) error {
 	return l.appendKind(seq, KindBatch, EncodeBatch(nil, seq, b))
 }

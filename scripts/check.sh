@@ -5,7 +5,12 @@
 # and local outbox flushes, the quiescence invariant, and the one-worker
 # unit order: seeded flows by flow id, then message-reached flows in
 # activation order), the nested benchmark
-# module (vet, tests, smoke run), a seeded WAL crash-recovery smoke, the
+# module (vet, tests, smoke run), five race-enabled runs of the durable
+# append path (group commit, the commit window, reopen after a disk fault,
+# the serving-mode and background-snapshot crash sweeps, append poisoning,
+# and the server's degraded mode and snapshot-in-flight stop: library and
+# serving batches share one append mutex with the snapshot writer and the
+# log swap), a seeded WAL crash-recovery smoke, the
 # consistency-oracle smoke and the hub-skew fuzz smoke (both bit-exact over
 # 1, 3 and 4 workers), a durable-CLI recovery smoke
 # per durable family, a multi-process kill -9 smoke of the distributed
@@ -63,6 +68,12 @@ echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workloa
 # that breaks benchmark/run.sh would otherwise go unnoticed.
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -smoke > /dev/null
+
+echo "== durable append path (-race, 5 runs: one owner of the log; library and serving batches append, sync, snapshot and reopen under one append mutex) =="
+go test -race -count=5 \
+    -run 'GroupCommit|GroupWindow|ReopenLog|ServingModeCrash|BackgroundSnapshotCrashes|AppendFailurePoisons' \
+    ./internal/wal
+go test -race -count=5 -run 'Degraded|ServeStopsWithSnapshotInFlight' ./internal/serve
 
 echo "== crash-recovery smoke (seeded WAL crash point + oracle check) =="
 go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
