@@ -35,7 +35,7 @@ func runCmd() (*flag.FlagSet, func()) {
 	addr := addAddr(fs, "127.0.0.1:0", "coordinator listen address in -cluster mode")
 	labels := fs.Int("labels", 4, "label count for LabelPropagation")
 	seedsFile := fs.String("seedsFile", "", "LabelPropagation seeds file ('vertex label' per line)")
-	hubThreshold := fs.Int("hub-threshold", 0, "override the hub-index build threshold (0 = graph default 64; drop stays threshold/4)")
+	hubThreshold := fs.Int("hub-threshold", 0, "override the out-list hub-index build threshold (0 = graph default 64; drop stays threshold/4; in-lists carry no index)")
 	outputFile := fs.String("outputFile", "", "write the converged values here ('-' = stdout)")
 	graphPath := fs.String("graphPath", "", "load the initial graph from an edge-tuple file instead of generating it")
 	streamPath := fs.String("streamPath", "", "load the update stream from a stream file instead of sampling it")

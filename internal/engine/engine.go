@@ -64,9 +64,11 @@ type Config struct {
 	// internal/oracle's mutation tests to prove the harness detects
 	// stale-value violations. Never set outside tests.
 	FaultSkipTrim bool
-	// HubThreshold overrides the graph's hub-index build threshold
-	// (graph.Options.HubThreshold); 0 keeps the graph's current setting.
-	// The drop floor follows at a quarter of the build threshold.
+	// HubThreshold overrides the graph's out-list hub-index build
+	// threshold (graph.Options.HubThreshold); 0 keeps the graph's current
+	// setting. The drop floor follows at a quarter of the build threshold.
+	// In-lists carry no index: a deletion reaches its in-half through the
+	// out-half's twin.
 	HubThreshold int
 }
 

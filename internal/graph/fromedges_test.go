@@ -17,8 +17,8 @@ func addEdgeLoop(n int, edges []Edge, o Options) *Streaming {
 }
 
 // sameBuild fails unless got and want are indistinguishable: list contents
-// and order, weights, per-list capacity, hub-index presence and table size,
-// edge count and hysteresis band.
+// and order, weights and twins, per-list capacity, out-index presence and
+// table size, edge count and hysteresis band.
 func sameBuild(t *testing.T, got, want *Streaming, ctx string) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
@@ -28,13 +28,18 @@ func sameBuild(t *testing.T, got, want *Streaming, ctx string) {
 	if got.hubBuild != want.hubBuild || got.hubDrop != want.hubDrop {
 		t.Fatalf("%s: hub band %d/%d, want %d/%d", ctx, got.hubBuild, got.hubDrop, want.hubBuild, want.hubDrop)
 	}
+	// side compares the lists of one direction, twins included (Half
+	// equality covers them), and the out-indexes when given.
 	side := func(dir string, gl, wl [][]Half, gi, wi []*hubIndex) {
 		for v := range wl {
 			if !slices.Equal(gl[v], wl[v]) {
-				t.Fatalf("%s: %s[%d] = %v, want %v", ctx, dir, v, gl[v], wl[v])
+				t.Fatalf("%s: %s[%d] = %+v, want %+v", ctx, dir, v, gl[v], wl[v])
 			}
 			if cap(gl[v]) != cap(wl[v]) {
 				t.Fatalf("%s: cap(%s[%d]) = %d, want %d (len %d)", ctx, dir, v, cap(gl[v]), cap(wl[v]), len(wl[v]))
+			}
+			if gi == nil {
+				continue
 			}
 			if (gi[v] == nil) != (wi[v] == nil) {
 				t.Fatalf("%s: %s-index of %d present = %v, want %v", ctx, dir, v, gi[v] != nil, wi[v] != nil)
@@ -45,8 +50,11 @@ func sameBuild(t *testing.T, got, want *Streaming, ctx string) {
 		}
 	}
 	side("out", got.out, want.out, got.outIdx, want.outIdx)
-	side("in", got.in, want.in, got.inIdx, want.inIdx)
+	side("in", got.in, want.in, nil, nil)
 	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if err := twinsExact(got); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
 }

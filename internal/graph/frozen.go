@@ -10,11 +10,15 @@ import (
 // graph keeps taking batches. It costs O(N) — a copy of the N out-list
 // headers — and shares every element with the live graph.
 //
-// Copy-on-write keeps the shared elements unchanged. Appends only ever
-// write past a list's length at Freeze, so they leave the view alone. The
-// one in-place write, the swap-delete in removeHalfIdx, first copies a list
-// that is still shared with a view — once per list per Freeze. In-lists are
-// not part of the view and are never copied.
+// A view promises each half's To and W, not its twin. Copy-on-write keeps
+// those unchanged. Appends only ever write past a list's length at Freeze,
+// so they leave the view alone. The swap-delete in removeOut first copies a
+// list that is still shared with a view — once per list per Freeze. The
+// one other in-place write is a twin: when an in-list swap-delete moves a
+// half, its out-half's twin is repointed even in a shared list, possibly
+// by another ApplyBatchParallel worker while a snapshot walk reads the
+// view, so the walk reads To and W field by field and never the twin.
+// In-lists are not part of the view and are never copied.
 type Frozen struct {
 	g        *Streaming
 	out      [][]Half
@@ -60,7 +64,7 @@ func (f *Frozen) SortedSpans(fn func(src VertexID, span []Half) error) error {
 
 // unshare gives u's out-list a private backing array when a live view may
 // still read the current one — the copy-on-write half of Freeze, called by
-// removeHalfIdx before it overwrites an element.
+// removeOut before it overwrites an element.
 func (g *Streaming) unshare(u VertexID) {
 	if g.views.Load() > 0 && !g.owned[u] {
 		g.out[u] = slices.Clone(g.out[u])
@@ -91,12 +95,18 @@ const insertionMax = 32
 // spanSorter orders one out-list by destination in retained scratch.
 type spanSorter struct{ a, b []Half }
 
-// sort returns a copy of list ordered by To, aliasing the sorter's scratch.
-// Destinations within one list are distinct, so stability does not matter.
+// sort returns a copy of list's To and W ordered by To, aliasing the
+// sorter's scratch; the copies' twins are zero. It reads the two fields one
+// by one, never a twin, which a concurrent apply may rewrite under a frozen
+// view. Destinations within one list are distinct, so stability does not
+// matter.
 func (s *spanSorter) sort(list []Half) []Half {
 	n := len(list)
-	s.a = append(s.a[:0], list...)
+	s.a = grow(s.a, n)
 	a := s.a
+	for i := range list {
+		a[i] = Half{To: list[i].To, W: list[i].W}
+	}
 	if n <= insertionMax {
 		for i := 1; i < n; i++ {
 			for j := i; j > 0 && a[j].To < a[j-1].To; j-- {

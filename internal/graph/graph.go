@@ -34,9 +34,15 @@ type Edge struct {
 }
 
 // Half is the destination half of an edge as stored in an adjacency list.
+// Every edge is stored twice, as an out-half in out[src] and an in-half in
+// in[dst], and each half records where its partner sits: an out-half's twin
+// is the position of its in-half in in[To], an in-half's twin the position
+// of its out-half in out[To]. The twin fills the padding between To and W,
+// so a Half stays 16 bytes.
 type Half struct {
-	To VertexID
-	W  Weight
+	To   VertexID
+	twin uint32
+	W    Weight
 }
 
 // Update is a single streaming mutation.
@@ -62,7 +68,7 @@ func (b Batch) Additions() int {
 // Deletions returns the number of deletions in the batch.
 func (b Batch) Deletions() int { return len(b) - b.Additions() }
 
-// HubThreshold is the degree at which a vertex's adjacency list gains a
+// HubThreshold is the degree at which a vertex's out-list gains a
 // neighbour->position hash index, making HasEdge/AddEdge/DeleteEdge O(1)
 // amortized on that list regardless of skew. Below the threshold a linear
 // scan over a short cache-resident slice is faster than a hash probe; 64
@@ -78,8 +84,9 @@ const hubDropThreshold = HubThreshold / 4
 
 // Options tunes a streaming graph at construction time. The zero value
 // selects the package defaults (HubThreshold build, HubThreshold/4 drop).
+// Both thresholds apply to out-lists only: in-lists carry no index.
 type Options struct {
-	// HubThreshold is the degree at which an adjacency list gains its
+	// HubThreshold is the out-degree at which an out-list gains its
 	// neighbour->position index. 0 means the package default (64).
 	HubThreshold int
 	// HubDropThreshold is the hysteresis floor below which the index is
@@ -108,22 +115,24 @@ func (o Options) normalize() (build, drop int) {
 }
 
 // Streaming is a mutable directed graph with both out- and in-adjacency,
-// supporting O(1) amortized edge addition, deletion, and lookup: adjacency
-// lists of high-degree (hub) vertices carry an incrementally maintained
-// neighbour->position index, low-degree lists are scanned.
+// supporting O(1) amortized edge addition, deletion, and lookup: out-lists
+// of high-degree (hub) vertices carry an incrementally maintained
+// neighbour->position index, low-degree out-lists are scanned, and a
+// deletion reaches the in-half through the out-half's twin, so in-lists
+// are never searched and carry no index.
 //
 // Streaming is not safe for concurrent mutation of the same vertex's list;
 // ApplyBatchParallel hashes vertices to workers so each list is mutated by
 // exactly one goroutine per pass — out-lists (and out-indexes) by the
-// worker their source hashes to, in-lists (and in-indexes) by the worker
-// their destination hashes to.
+// worker their source hashes to, in-lists by the worker their destination
+// hashes to — and each twin word by the worker that owns its partner's
+// vertex (parallel.go).
 type Streaming struct {
 	out [][]Half
 	in  [][]Half
-	// outIdx[v] / inIdx[v] map a neighbour to its position in out[v] /
-	// in[v]. Non-nil only while v is a hub in that direction.
+	// outIdx[v] maps a neighbour to its position in out[v]. Non-nil only
+	// while v is an out-hub.
 	outIdx []*hubIndex
-	inIdx  []*hubIndex
 	m      int
 	noIdx  bool // hub indexing disabled (the linear-scan reference in tests)
 	// hubBuild/hubDrop are this graph's hysteresis band (Options; defaults
@@ -152,7 +161,6 @@ func NewStreamingOpts(n int, o Options) *Streaming {
 		out:      make([][]Half, n),
 		in:       make([][]Half, n),
 		outIdx:   make([]*hubIndex, n),
-		inIdx:    make([]*hubIndex, n),
 		hubBuild: build,
 		hubDrop:  drop,
 	}
@@ -164,10 +172,7 @@ func NewStreamingOpts(n int, o Options) *Streaming {
 // heavy mutation, not concurrently with it.
 func (g *Streaming) DisableHubIndex() {
 	g.noIdx = true
-	for v := range g.outIdx {
-		g.outIdx[v] = nil
-		g.inIdx[v] = nil
-	}
+	clear(g.outIdx)
 }
 
 // FromEdges builds a streaming graph with n vertices from an edge list.
@@ -178,8 +183,8 @@ func FromEdges(n int, edges []Edge) *Streaming {
 
 // FromEdgesOpts is FromEdges with explicit tuning options. It builds in
 // bulk, but the result is the graph AddEdge would build one edge at a time
-// in input order: the same list contents and order, the same per-list cap
-// (DESIGN.md §4.8 "Bulk load"), the same hub indexes.
+// in input order: the same list contents, twins and order, the same
+// per-list cap (DESIGN.md §4.8 "Bulk load"), the same hub indexes.
 func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 	g := NewStreamingOpts(n, o)
 	// ladder holds the capacities one-at-a-time append gives a []Half grown
@@ -195,10 +200,7 @@ func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 	}
 	// Stable counting sort by source: after the scatter, end[v] is the end
 	// of v's run in sorted and end[v-1] its start.
-	type sortedHalf struct {
-		to, i VertexID // destination, input index
-		w     Weight
-	}
+	type sortedHalf struct{ to, i VertexID } // destination, input index
 	end := make([]int, n+1)
 	for _, e := range edges {
 		end[e.Src+1]++
@@ -208,7 +210,7 @@ func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 	}
 	sorted := make([]sortedHalf, len(edges))
 	for i, e := range edges {
-		sorted[end[e.Src]] = sortedHalf{e.Dst, VertexID(i), e.W}
+		sorted[end[e.Src]] = sortedHalf{e.Dst, VertexID(i)}
 		end[e.Src]++
 	}
 	// First wins within each run; keep marks the survivors by input index.
@@ -223,27 +225,31 @@ func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 			if seen.Add(s.to) {
 				keep[s.i] = true
 				inDeg[s.to]++
-				sorted[start+d] = s
 				d++
 			}
 		}
 		if d > 0 {
 			g.out[v] = make([]Half, d, appendCap(d))
-			for j, s := range sorted[start : start+d] {
-				g.out[v][j] = Half{To: s.to, W: s.w}
-			}
 		}
 		g.m += d
 		start = end[v]
 	}
 	for v, d := range inDeg {
 		if d > 0 {
-			g.in[v] = make([]Half, 0, appendCap(d))
+			g.in[v] = make([]Half, d, appendCap(d))
 		}
 	}
+	// Out-lists and in-lists both hold the survivors in input order, so one
+	// input-order pass with a position cursor per list writes every half,
+	// twin included, straight to its final place.
+	outAt := make([]uint32, n)
+	inAt := make([]uint32, n)
 	for i, e := range edges {
 		if keep[i] {
-			g.in[e.Dst] = append(g.in[e.Dst], Half{To: e.Src, W: e.W})
+			p, q := outAt[e.Src], inAt[e.Dst]
+			g.out[e.Src][p] = Half{To: e.Dst, twin: q, W: e.W}
+			g.in[e.Dst][q] = Half{To: e.Src, twin: p, W: e.W}
+			outAt[e.Src], inAt[e.Dst] = p+1, q+1
 		}
 	}
 	g.SetHubThresholds(g.hubBuild, g.hubDrop) // each hub index built once, at its final size
@@ -253,29 +259,25 @@ func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 // HubThresholds returns the graph's current hysteresis band.
 func (g *Streaming) HubThresholds() (build, drop int) { return g.hubBuild, g.hubDrop }
 
-// SetHubThresholds retunes the hysteresis band on a live graph: indexes are
-// built for every list at or above the new build threshold and dropped for
-// every list below the new drop floor (lists in between keep whatever they
-// had — hysteresis). drop <= 0 means build/4. A no-op when hub indexing is
-// disabled. Not safe concurrently with mutation.
+// SetHubThresholds retunes the out-lists' hysteresis band on a live graph:
+// indexes are built for every out-list at or above the new build threshold
+// and dropped for every out-list below the new drop floor (lists in between
+// keep whatever they had — hysteresis). drop <= 0 means build/4. A no-op
+// when hub indexing is disabled. Not safe concurrently with mutation.
 func (g *Streaming) SetHubThresholds(build, drop int) {
 	b, d := Options{HubThreshold: build, HubDropThreshold: drop}.normalize()
 	g.hubBuild, g.hubDrop = b, d
 	if g.noIdx {
 		return
 	}
-	retune := func(lists [][]Half, idxs []*hubIndex) {
-		for v, l := range lists {
-			switch {
-			case idxs[v] == nil && len(l) >= b:
-				idxs[v] = newHubIndex(l)
-			case idxs[v] != nil && len(l) < d:
-				idxs[v] = nil
-			}
+	for v, l := range g.out {
+		switch {
+		case g.outIdx[v] == nil && len(l) >= b:
+			g.outIdx[v] = newHubIndex(l)
+		case g.outIdx[v] != nil && len(l) < d:
+			g.outIdx[v] = nil
 		}
 	}
-	retune(g.out, g.outIdx)
-	retune(g.in, g.inIdx)
 }
 
 // NumVertices returns N.
@@ -311,48 +313,88 @@ func lookupHalf(list []Half, idx *hubIndex, to VertexID) int32 {
 	return -1
 }
 
-// appendHalf appends h to lists[u] and maintains the hub index: existing
-// indexes learn the new position, and a list crossing HubThreshold gets one
-// built (O(degree) once, amortized O(1) per add).
-func (g *Streaming) appendHalf(lists [][]Half, idxs []*hubIndex, u VertexID, h Half) {
-	lists[u] = append(lists[u], h)
-	l := lists[u]
-	if idx := idxs[u]; idx != nil {
-		idx.set(h.To, int32(len(l)-1))
+// appendOut appends h to out[u], maintains u's hub index — an existing
+// index learns the new position, and a list reaching the build threshold
+// gets one built (O(degree) once, amortized O(1) per add) — and returns
+// h's position.
+func (g *Streaming) appendOut(u VertexID, h Half) uint32 {
+	g.out[u] = append(g.out[u], h)
+	l := g.out[u]
+	p := len(l) - 1
+	if idx := g.outIdx[u]; idx != nil {
+		idx.set(h.To, int32(p))
 	} else if !g.noIdx && len(l) >= g.hubBuild {
-		idxs[u] = newHubIndex(l)
+		g.outIdx[u] = newHubIndex(l)
+	}
+	return uint32(p)
+}
+
+// linkOut points the partner of out[u][p] back at p: its in-half, or,
+// while ApplyBatchParallel's first pass has that in-half still to add, its
+// addition's pos entry.
+func (g *Streaming) linkOut(u VertexID, p uint32) {
+	h := g.out[u][p]
+	if h.twin&pending != 0 {
+		g.scr.pos[h.twin&^pending] = p
+	} else {
+		g.in[h.To][h.twin].twin = p
 	}
 }
 
-// removeHalfIdx swap-deletes `to` from lists[u], fixing up the moved
-// entry's index position and dropping the index under hubDropThreshold.
-// out marks an out-list, which a live Frozen view may share: it is copied
-// before its first in-place write after a Freeze.
-func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []*hubIndex, u, to VertexID, out bool) (Weight, bool) {
-	idx := idxs[u]
-	p := lookupHalf(lists[u], idx, to)
-	if p < 0 {
-		return 0, false
+// linkIn points the partner of in[v][q] back at q: its out-half, or, while
+// ApplyBatchParallel's second pass has that out-half deleted, the kill
+// entry of the deletion still to come.
+func (g *Streaming) linkIn(v VertexID, q uint32) {
+	h := g.in[v][q]
+	if h.twin&pending != 0 {
+		g.scr.kill[h.twin&^pending] = q
+	} else {
+		g.out[h.To][h.twin].twin = q
 	}
-	if out {
-		g.unshare(u)
-	}
-	l := lists[u]
-	w := l[p].W
+}
+
+// appendIn appends h to in[v] and links its partner to it.
+func (g *Streaming) appendIn(v VertexID, h Half) {
+	g.in[v] = append(g.in[v], h)
+	g.linkIn(v, uint32(len(g.in[v])-1))
+}
+
+// removeOut swap-deletes out[u][p] and returns it. The half moved into p
+// has its partner relinked, and u's index follows the move, dropped under
+// the hysteresis floor. A list that a live Frozen view may share is copied
+// before this first in-place write.
+func (g *Streaming) removeOut(u VertexID, p int32) Half {
+	g.unshare(u)
+	l := g.out[u]
+	h := l[p]
 	last := len(l) - 1
-	moved := l[last]
-	l[p] = moved
-	lists[u] = l[:last]
-	if idx != nil {
-		idx.del(to)
+	l[p] = l[last]
+	g.out[u] = l[:last]
+	if int(p) != last {
+		g.linkOut(u, uint32(p))
+	}
+	if idx := g.outIdx[u]; idx != nil {
+		idx.del(h.To)
 		if int(p) != last {
-			idx.set(moved.To, p)
+			idx.set(l[p].To, p)
 		}
 		if last < g.hubDrop {
-			idxs[u] = nil
+			g.outIdx[u] = nil
 		}
 	}
-	return w, true
+	return h
+}
+
+// removeIn swap-deletes in[v][q] and relinks the partner of the half moved
+// into q.
+func (g *Streaming) removeIn(v VertexID, q uint32) {
+	l := g.in[v]
+	last := len(l) - 1
+	l[q] = l[last]
+	g.in[v] = l[:last]
+	if int(q) != last {
+		g.linkIn(v, q)
+	}
 }
 
 // HasEdge reports whether edge src->dst exists and returns its weight.
@@ -368,8 +410,8 @@ func (g *Streaming) AddEdge(e Edge) bool {
 	if p := lookupHalf(g.out[e.Src], g.outIdx[e.Src], e.Dst); p >= 0 {
 		return false
 	}
-	g.appendHalf(g.out, g.outIdx, e.Src, Half{To: e.Dst, W: e.W})
-	g.appendHalf(g.in, g.inIdx, e.Dst, Half{To: e.Src, W: e.W})
+	p := g.appendOut(e.Src, Half{To: e.Dst, W: e.W})
+	g.appendIn(e.Dst, Half{To: e.Src, twin: p, W: e.W})
 	g.m++
 	return true
 }
@@ -377,15 +419,14 @@ func (g *Streaming) AddEdge(e Edge) bool {
 // DeleteEdge removes src->dst if present. It reports whether an edge was
 // removed and returns its weight.
 func (g *Streaming) DeleteEdge(src, dst VertexID) (Weight, bool) {
-	w, ok := g.removeHalfIdx(g.out, g.outIdx, src, dst, true)
-	if !ok {
+	p := lookupHalf(g.out[src], g.outIdx[src], dst)
+	if p < 0 {
 		return 0, false
 	}
-	if _, ok := g.removeHalfIdx(g.in, g.inIdx, dst, src, false); !ok {
-		panic(fmt.Sprintf("graph: inconsistent adjacency for %d->%d", src, dst))
-	}
+	h := g.removeOut(src, p)
+	g.removeIn(dst, h.twin)
 	g.m--
-	return w, true
+	return h.W, true
 }
 
 // ApplyBatch applies every update in order, sequentially. Additions of
@@ -416,7 +457,6 @@ func (g *Streaming) Clone() *Streaming {
 		out:      make([][]Half, len(g.out)),
 		in:       make([][]Half, len(g.in)),
 		outIdx:   make([]*hubIndex, len(g.out)),
-		inIdx:    make([]*hubIndex, len(g.in)),
 		m:        g.m,
 		noIdx:    g.noIdx,
 		hubBuild: g.hubBuild,
@@ -424,19 +464,13 @@ func (g *Streaming) Clone() *Streaming {
 	}
 	for i, l := range g.out {
 		c.out[i] = append([]Half(nil), l...)
+		if idx := g.outIdx[i]; idx != nil {
+			c.outIdx[i] = idx.clone()
+		}
 	}
 	for i, l := range g.in {
 		c.in[i] = append([]Half(nil), l...)
 	}
-	cloneIdx := func(dst, src []*hubIndex) {
-		for i, idx := range src {
-			if idx != nil {
-				dst[i] = idx.clone()
-			}
-		}
-	}
-	cloneIdx(c.outIdx, g.outIdx)
-	cloneIdx(c.inIdx, g.inIdx)
 	return c
 }
 
@@ -453,54 +487,46 @@ func (g *Streaming) Edges() []Edge {
 	return es
 }
 
-// Validate checks internal consistency (every out-edge has a matching
-// in-edge and vice versa, no duplicates, hub indexes agree with the lists)
-// and returns an error describing the first violation. It is O(N + M) in
-// allocations-aside work — one epoch-stamped scratch set serves every
-// vertex instead of a fresh map per vertex — and intended for tests.
+// Validate checks internal consistency — no out-list holds a destination
+// twice, the twins pair every out-half with exactly one in-half of the same
+// edge and weight and every in-half with one out-half, and the hub indexes
+// agree with the lists — and returns an error describing the first
+// violation. It is O(N + M) — one epoch-stamped scratch set serves every
+// vertex — and intended for tests.
 func (g *Streaming) Validate() error {
-	type key struct{ s, d VertexID }
-	fwd := make(map[key]Weight, g.m)
-	seen := dense.NewSet[VertexID](g.NumVertices())
-	n := 0
-	for v := range g.out {
+	n := g.NumVertices()
+	seen := dense.NewSet[VertexID](n)
+	fwd := 0
+	for v, l := range g.out {
 		seen.Clear()
-		for _, h := range g.out[v] {
-			if int(h.To) >= g.NumVertices() {
+		for i, h := range l {
+			if int(h.To) >= n {
 				return fmt.Errorf("out-edge %d->%d exceeds vertex range", v, h.To)
 			}
 			if !seen.Add(h.To) {
 				return fmt.Errorf("duplicate out-edge %d->%d", v, h.To)
 			}
-			fwd[key{VertexID(v), h.To}] = h.W
-			n++
+			in := g.in[h.To]
+			if int(h.twin) >= len(in) || in[h.twin].To != VertexID(v) || in[h.twin].twin != uint32(i) {
+				return fmt.Errorf("out-edge %d->%d: twin %d is not its in-half", v, h.To, h.twin)
+			}
+			if in[h.twin].W != h.W {
+				return fmt.Errorf("weight mismatch on %d->%d: out %v in %v", v, h.To, h.W, in[h.twin].W)
+			}
+			fwd++
 		}
-		if err := validateIdx(g.out[v], g.outIdx[v], VertexID(v), "out"); err != nil {
+		if err := validateIdx(l, g.outIdx[v], VertexID(v)); err != nil {
 			return err
 		}
 	}
-	if n != g.m {
-		return fmt.Errorf("edge count mismatch: counted %d, recorded %d", n, g.m)
+	if fwd != g.m {
+		return fmt.Errorf("edge count mismatch: counted %d, recorded %d", fwd, g.m)
 	}
+	// Every out-half owns a distinct in-half, so equal counts leave no
+	// in-half without an out-half.
 	rev := 0
-	for v := range g.in {
-		seen.Clear()
-		for _, h := range g.in[v] {
-			if !seen.Add(h.To) {
-				return fmt.Errorf("duplicate in-edge %d<-%d", v, h.To)
-			}
-			w, ok := fwd[key{h.To, VertexID(v)}]
-			if !ok {
-				return fmt.Errorf("in-edge %d<-%d has no out counterpart", v, h.To)
-			}
-			if w != h.W {
-				return fmt.Errorf("weight mismatch on %d->%d: out %v in %v", h.To, v, w, h.W)
-			}
-			rev++
-		}
-		if err := validateIdx(g.in[v], g.inIdx[v], VertexID(v), "in"); err != nil {
-			return err
-		}
+	for _, l := range g.in {
+		rev += len(l)
 	}
 	if rev != g.m {
 		return fmt.Errorf("in-edge count mismatch: counted %d, recorded %d", rev, g.m)
@@ -508,18 +534,18 @@ func (g *Streaming) Validate() error {
 	return nil
 }
 
-// validateIdx checks that a hub index, when present, is an exact
-// neighbour->position bijection for the list it covers.
-func validateIdx(list []Half, idx *hubIndex, v VertexID, dir string) error {
+// validateIdx checks that an out-list's hub index, when present, is an
+// exact neighbour->position bijection for the list it covers.
+func validateIdx(list []Half, idx *hubIndex, v VertexID) error {
 	if idx == nil {
 		return nil
 	}
 	if idx.len() != len(list) {
-		return fmt.Errorf("%s-index of %d has %d entries for %d halves", dir, v, idx.len(), len(list))
+		return fmt.Errorf("out-index of %d has %d entries for %d halves", v, idx.len(), len(list))
 	}
 	for i, h := range list {
 		if p := idx.get(h.To); p != int32(i) {
-			return fmt.Errorf("%s-index of %d maps %d to %d, list has it at %d", dir, v, h.To, p, i)
+			return fmt.Errorf("out-index of %d maps %d to %d, list has it at %d", v, h.To, p, i)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -233,6 +234,36 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	g.in[1] = nil
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed a dangling out-edge")
+	}
+	// Broken twins on 0->2 and 1->2, whose in-halves share in[2]; each case
+	// leaves every list's contents and every count intact.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Streaming)
+	}{
+		{"out-half names its neighbour's in-half", func(g *Streaming) { g.out[0][0].twin = 1 }},
+		{"in-half names the wrong out-half", func(g *Streaming) { g.in[2][1].twin = 1 }},
+		{"in-halves swapped, twins kept", func(g *Streaming) { g.in[2][0], g.in[2][1] = g.in[2][1], g.in[2][0] }},
+		{"twin past the list", func(g *Streaming) { g.out[1][0].twin = 2 }},
+		{"twin left pending", func(g *Streaming) { g.out[0][0].twin |= pending }},
+		{"weights differ across twins", func(g *Streaming) { g.in[2][0].W = 9 }},
+	} {
+		g := FromEdges(3, []Edge{{0, 2, 1}, {1, 2, 1}})
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: intact graph invalid: %v", tc.name, err)
+		}
+		tc.corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Fatalf("Validate missed a broken twin: %s", tc.name)
+		}
+	}
+}
+
+// TestHalfSize: the twin sits in the padding between To and W, so an
+// adjacency list costs what it did before twins (heap_mb has a 10 % bound).
+func TestHalfSize(t *testing.T) {
+	if s := unsafe.Sizeof(Half{}); s != 16 {
+		t.Fatalf("Half is %d bytes, want 16", s)
 	}
 }
 

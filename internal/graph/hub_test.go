@@ -128,14 +128,18 @@ func TestHubIndexBuildDropHysteresis(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// In-direction symmetry: many sources pointing at one sink.
+	// The in-direction has no index and no band: many sources pointing at
+	// one sink, then deletions from the middle and the end of its in-list,
+	// each found through its out-half's twin.
 	h := NewStreaming(n + 1)
-	for s := 1; s <= HubThreshold; s++ {
+	for s := 1; s <= 2*HubThreshold; s++ {
 		h.AddEdge(Edge{VertexID(s), 0, 1})
 	}
-	if h.inIdx[0] == nil {
-		t.Fatal("in-index not built at threshold")
+	for s := 1; s <= 2*HubThreshold; s += 5 {
+		h.DeleteEdge(VertexID(s), 0)
 	}
+	h.DeleteEdge(VertexID(2*HubThreshold-1), 0)
+	noInIndex(t, h)
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func rmatBatch(r *rng.Xoshiro256, scale, size int) Batch {
 }
 
 // sameGraph asserts a and b hold byte-identical adjacency: every out- and
-// in-list equal entry by entry, in order.
+// in-list equal entry by entry, in order, twins included.
 func sameGraph(t *testing.T, a, b *Streaming, ctx string) {
 	t.Helper()
 	if a.NumEdges() != b.NumEdges() {
@@ -184,9 +188,10 @@ func sameGraph(t *testing.T, a, b *Streaming, ctx string) {
 
 // TestHubParallelMatchesSequential runs hub-skewed and RMAT-shaped batches
 // through both batch paths at several worker counts; the parallel path
-// maintains the same indexes shard-locally, and its result and adjacency
-// must equal ApplyBatch's byte for byte — duplicate additions and deletions
-// of edges the same batch added included.
+// maintains the same out-indexes shard-locally and resolves the twins it
+// leaves pending across the barrier, and its result and adjacency must
+// equal ApplyBatch's byte for byte, twins included — duplicate additions
+// and deletions of edges the same batch added included.
 func TestHubParallelMatchesSequential(t *testing.T) {
 	r := rng.New(31)
 	star := NewStreaming(96)
@@ -203,8 +208,11 @@ func TestHubParallelMatchesSequential(t *testing.T) {
 			rmat.AddEdge(Edge{s, d, r.Weight(8)})
 		}
 	}
-	if rmat.outIdx[0] == nil || rmat.inIdx[0] == nil {
+	if rmat.outIdx[0] == nil || rmat.InDegree(0) < HubThreshold {
 		t.Fatal("RMAT base graph has no hubs — test lost its teeth")
+	}
+	if err := twinsExact(rmat); err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -231,6 +239,9 @@ func TestHubParallelMatchesSequential(t *testing.T) {
 				}
 				if err := g2.Validate(); err != nil {
 					t.Fatalf("%s: parallel graph invalid: %v", ctx, err)
+				}
+				if err := twinsExact(g2); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
 				}
 				sameGraph(t, g1, g2, ctx)
 			}

@@ -14,6 +14,12 @@ type applyScratch struct {
 	// in-direction pass with weights[i] as the edge's weight.
 	took    []bool
 	weights []Weight
+	// pos and kill carry twin positions across the barrier. For an
+	// addition i that took, pos[i] is the twin its in-half gets: the
+	// out-half's position, or pending|k when deletion k of the same batch
+	// removed that out-half again. For a deletion k that took, kill[k] is
+	// the position in in[Dst] of the in-half it removes.
+	pos, kill []uint32
 	// byOut / byIn hold the batch indices bucketed by the worker owning
 	// the source / destination; worker w walks byOut[outStart[w]:
 	// outStart[w+1]] and then byIn[inStart[w]:inStart[w+1]], in batch order.
@@ -24,6 +30,12 @@ type applyScratch struct {
 	// workers out.
 	outDone, done sync.WaitGroup
 }
+
+// pending marks a twin that ApplyBatchParallel's second pass resolves; its
+// low 31 bits hold the index of the update that resolves it. An out-half
+// added in the batch waits on its addition (pos), an in-half whose out-half
+// the batch deleted on that deletion (kill).
+const pending = 1 << 31
 
 // shardOf hashes v to one of workers shards with the hub index's Fibonacci
 // hash (the top 32 bits of v·2^64/phi, scaled to [0, workers)). Unlike
@@ -66,7 +78,15 @@ func bucket(b Batch, workers int, byDst bool, order, start, count []int32) {
 // the out-lists of the sources it owns, then, once all workers are past
 // that pass, the in-lists of the destinations it owns — so no locks are
 // needed. Within one vertex the original update order is preserved, so the
-// graph and the result are identical to ApplyBatch's.
+// graph and the result are identical to ApplyBatch's, twins included.
+//
+// A twin word is written only by the worker that owns its partner's vertex.
+// The first pass writes the twins of the in-halves whose out-halves it
+// moves or deletes, and leaves a pending mark where the partner's final
+// position is not known yet: on an out-half it adds, and on an in-half
+// whose out-half it deletes. The second pass, with every out-list final,
+// resolves the marks through pos and kill and writes the twins of the
+// out-halves whose in-halves it adds or moves.
 //
 // It returns the updates that actually took effect (in batch order), which
 // downstream engines use to drive refinement. This mirrors the paper's
@@ -82,6 +102,8 @@ func (g *Streaming) ApplyBatchParallel(b Batch, workers int) Batch {
 	s := &g.scr
 	s.took = grow(s.took, len(b))
 	s.weights = grow(s.weights, len(b))
+	s.pos = grow(s.pos, len(b))
+	s.kill = grow(s.kill, len(b))
 	s.byOut = grow(s.byOut, len(b))
 	s.byIn = grow(s.byIn, len(b))
 	s.outStart = grow(s.outStart, workers+1)
@@ -128,15 +150,20 @@ func (g *Streaming) applyShard(b Batch, w int) {
 	for _, i := range s.byOut[s.outStart[w]:s.outStart[w+1]] {
 		u := &b[i]
 		s.took[i] = false
-		if u.Del {
-			if wt, ok := g.removeHalfIdx(g.out, g.outIdx, u.Src, u.Dst, true); ok {
-				s.took[i] = true
-				s.weights[i] = wt
+		p := lookupHalf(g.out[u.Src], g.outIdx[u.Src], u.Dst)
+		switch {
+		case u.Del && p >= 0:
+			h := g.removeOut(u.Src, p)
+			if h.twin&pending != 0 { // added by this batch: its in-half is born doomed
+				s.pos[h.twin&^pending] = pending | uint32(i)
+			} else {
+				g.in[u.Dst][h.twin].twin = pending | uint32(i)
+				s.kill[i] = h.twin
 			}
-		} else if lookupHalf(g.out[u.Src], g.outIdx[u.Src], u.Dst) < 0 {
-			g.appendHalf(g.out, g.outIdx, u.Src, Half{To: u.Dst, W: u.W})
-			s.took[i] = true
-			s.weights[i] = u.W
+			s.took[i], s.weights[i] = true, h.W
+		case !u.Del && p < 0:
+			s.pos[i] = g.appendOut(u.Src, Half{To: u.Dst, twin: pending | uint32(i), W: u.W})
+			s.took[i], s.weights[i] = true, u.W
 		}
 	}
 	s.outDone.Done()
@@ -146,13 +173,15 @@ func (g *Streaming) applyShard(b Batch, w int) {
 			continue
 		}
 		u := &b[i]
-		if u.Del {
-			if _, ok := g.removeHalfIdx(g.in, g.inIdx, u.Dst, u.Src, false); !ok {
-				panic("graph: in/out adjacency diverged during parallel delete")
-			}
-		} else {
-			g.appendHalf(g.in, g.inIdx, u.Dst, Half{To: u.Src, W: s.weights[i]})
+		if !u.Del {
+			g.appendIn(u.Dst, Half{To: u.Src, twin: s.pos[i], W: s.weights[i]})
+			continue
 		}
+		q := s.kill[i]
+		if g.in[u.Dst][q].twin != pending|uint32(i) {
+			panic("graph: in/out adjacency diverged during parallel delete")
+		}
+		g.removeIn(u.Dst, q)
 	}
 	if w > 0 {
 		s.done.Done()

@@ -21,8 +21,11 @@
 # seeded crash and churn sweeps: membership carries every link fault), a
 # 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages),
-# of the hub-indexed adjacency and of the bulk graph build against the
-# one-edge-at-a-time build, a check that removed flags and figures
+# of the hub-indexed adjacency, of the bulk graph build against the
+# one-edge-at-a-time build and of the parallel batch apply against the
+# sequential one, five race-enabled runs of the twin-linked adjacency's
+# cross-shard tests (a twin in a shared out-list is repointed by another
+# worker while a frozen view is walked), a check that removed flags and figures
 # stay removed, a graphfly serve smoke at -snapshot-every 4 and 1
 # (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle;
 # at 1 every batch starts a background WAL snapshot), serving-chaos and
@@ -116,9 +119,13 @@ for target in FuzzReadWorkerCkpt FuzzDecodeWire; do
 done
 go test -run '^$' -fuzz '^FuzzDecodeSession$' -fuzztime 5s ./internal/serve
 
-echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; bulk build vs AddEdge; 5 s each) =="
+echo "== adjacency fuzz (hub-indexed add / delete / lookup vs a map oracle; bulk build vs AddEdge; parallel apply vs ApplyBatch; 5 s each) =="
 go test -run '^$' -fuzz '^FuzzHubAdjacency$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzFromEdges$' -fuzztime 5s ./internal/graph
+go test -run '^$' -fuzz '^FuzzApplyBatchParallel$' -fuzztime 5s ./internal/graph
+
+echo "== twin-linked adjacency (-race, 5 runs: each twin written by its partner's owner across the apply barrier, under a live frozen view) =="
+go test -race -count=5 -run 'FrozenView|ParallelMatchesSequential|HubParallel|FreezeCopies' ./internal/graph
 
 echo "== removed flags and figures (one binary, one runtime, one scheduler, one batch path, one link timing, no hub replication) =="
 flagtmp=$(mktemp -d)
