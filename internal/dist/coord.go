@@ -10,11 +10,12 @@ package dist
 
 // Coordinator: the Manager role of the GraphFly cluster protocol (§VI) over
 // real sockets. It listens for worker processes, runs the membership
-// handshake, replicates batch structure, computes trim sets on its
-// dependence forest, routes every cross-worker record (star topology:
-// candidates to the target's owner, shadow refreshes fanned to everyone
-// else), detects quiescence by counter agreement, and collects the converged
-// state at each batch boundary into vals and parent.
+// handshake, replicates batch structure, assigns flows to workers (each
+// worker trims its own key forest), routes every cross-worker record
+// (star topology: candidates to the target's owner, shadow refreshes
+// fanned to everyone else), detects quiescence by counter agreement, and
+// collects the converged state at each batch boundary into vals and
+// parent.
 //
 // Those two arrays are the one source of a worker's batch-start state. A
 // joining worker receives them in its welcome, and so does every survivor
@@ -49,7 +50,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/dflow"
 	"repro/internal/engine"
-	"repro/internal/etree"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -143,13 +143,15 @@ type Coordinator struct {
 	fwdRecs  *metrics.Counter
 	fwdBytes *metrics.Counter
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	g       *graph.Streaming
-	vals    []float64
-	parent  []int32
-	kf      *etree.KeyForest
-	trimScr []bool // per-batch trim dedup scratch: set while a vertex is in this batch's trim set
+	mu     sync.Mutex
+	cond   *sync.Cond
+	g      *graph.Streaming
+	vals   []float64
+	parent []int32
+	// failed, once a batch fails after it was applied, is every later
+	// ProcessBatch's error: the graph and history hold a batch the
+	// boundary state does not.
+	failed error
 
 	workers map[int32]*coordWorker
 	nextID  int32
@@ -199,8 +201,6 @@ func NewCoordinator(g *graph.Streaming, alg algo.Selective, cfg CoordConfig) (*C
 		g:          g,
 		vals:       vals,
 		parent:     parent,
-		kf:         etree.NewKeyForest(g.NumVertices()),
-		trimScr:    make([]bool, g.NumVertices()),
 		workers:    make(map[int32]*coordWorker),
 		history:    make(map[uint64]graph.Batch),
 		histLow:    1,
@@ -423,62 +423,49 @@ func (c *Coordinator) waitLocked(deadline time.Time) error {
 // --- message handling (runs on link reader goroutines) ---
 
 func (c *Coordinator) onWorkerMsg(w *coordWorker, mt byte, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	numV := c.g.NumVertices()
+	var err error
 	switch mt {
 	case mtData:
-		m, err := decodeData(body)
-		if err != nil {
-			return
+		var m wireData
+		if m, err = decodeData(body, numV); err == nil {
+			c.routeData(w, m)
 		}
-		c.routeData(w, m)
 	case mtIdle:
-		m, err := decodeIdle(body)
-		if err != nil {
-			return
+		var m wireIdle
+		if m, err = decodeIdle(body); err == nil && w.live && m.Epoch == c.epoch {
+			w.idle = &m
 		}
-		c.mu.Lock()
-		if w.live && m.Epoch == c.epoch {
-			mm := m
-			w.idle = &mm
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
 	case mtCollectReply:
-		m, err := decodeCollectReply(body)
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		numV := c.g.NumVertices()
-		if w.live && m.Epoch == c.epoch && len(m.Vals) == numV && len(m.Parent) == numV {
+		var m wireCollectReply
+		m, err = decodeCollectReply(body)
+		if err == nil && w.live && m.Epoch == c.epoch && len(m.Vals) == numV && len(m.Parent) == numV {
 			w.collect = &m
-			c.cond.Broadcast()
 		}
-		c.mu.Unlock()
 	case mtBye:
-		c.mu.Lock()
-		c.markDeadLocked(w, errors.New("worker sent bye"))
-		w.link.close()
-		c.mu.Unlock()
+		err = errors.New("worker sent bye")
 	}
+	if err != nil {
+		// A bye, or a malformed message: either way the worker has left.
+		c.markDeadLocked(w, err)
+		w.link.close()
+	}
+	c.cond.Broadcast()
 }
 
 // routeData is the star-topology router: candidates go to the target
 // vertex's owner, shadow refreshes fan out to every live worker except the
 // sender. Records from a stale epoch (an aborted attempt) are dropped.
 func (c *Coordinator) routeData(w *coordWorker, m wireData) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !w.live || m.Epoch != c.epoch || c.curSeq == 0 {
 		return
 	}
 	w.recvUp += uint64(len(m.Recs))
 	live := c.liveLocked()
-	out := make(map[*coordWorker][]dataRec)
-	numV := uint32(c.g.NumVertices())
+	out := make(map[*coordWorker][]engine.Rec)
 	for _, r := range m.Recs {
-		if r.V >= numV {
-			continue // malformed record; never index out of range
-		}
 		if r.Shadow {
 			for _, o := range live {
 				if o != w {
@@ -504,7 +491,6 @@ func (c *Coordinator) routeData(w *coordWorker, m wireData) {
 	}
 	c.fwdRecs.Add(int64(nRecs))
 	c.fwdBytes.Add(int64(nBytes))
-	c.cond.Broadcast()
 }
 
 func (c *Coordinator) ownerOf(v uint32) int32 {
@@ -535,13 +521,21 @@ func (c *Coordinator) quiescentLocked() bool {
 }
 
 // ProcessBatch streams one batch through the cluster: replicate structure,
-// broadcast trims and the flow table, route records until quiescence
-// (re-running on membership changes), and collect the converged state.
-// Bit-exact with the single-machine engines.
+// broadcast the flow table, route records until quiescence (re-running on
+// membership changes), and collect the converged state. Bit-exact with the
+// single-machine engines. A ctx already done or past its deadline is
+// refused before anything changes; a batch that fails after it was
+// applied fails every later call too, with an error that wraps its own.
 func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error {
 	deadline := time.Now().Add(c.cfg.batchTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(deadline) {
+		return fmt.Errorf("%w: the deadline passed before the batch started", ErrBatchTimeout)
 	}
 	stop := context.AfterFunc(ctx, func() { c.cond.Broadcast() })
 	defer stop()
@@ -550,6 +544,9 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 	defer c.mu.Unlock()
 	if c.closed {
 		return errors.New("dist: coordinator closed")
+	}
+	if c.failed != nil {
+		return c.failed
 	}
 	if err := c.g.CheckBatch(batch); err != nil {
 		return err
@@ -566,38 +563,24 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		delete(c.history, c.histLow)
 		c.histLow++
 	}
-
-	// Manager trim identification: deleting a key edge (the edge a vertex's
-	// value currently depends on) invalidates that vertex and everything
-	// below it in the dependence forest; a non-key deletion changes no value.
-	c.kf.Sync(c.parent)
-	var trimmed []uint32
-	for _, u := range applied {
-		if !u.Del || c.parent[u.Dst] != int32(u.Src) {
-			continue
-		}
-		// c.parent is NOT poked to -1 for trimmed vertices: it stays the
-		// boundary parents until the collect, because every attempt derives
-		// its flow table from it and welcomes its members with it (partition
-		// agreement). trimScr dedups repeated walks into a subtree an
-		// earlier deletion already trimmed.
-		c.kf.Subtree(u.Dst, func(x uint32) bool {
-			if c.trimScr[x] {
-				return false
-			}
-			c.trimScr[x] = true
-			trimmed = append(trimmed, x)
-			return true
-		})
+	err := c.attemptsLocked(seq, applied, deadline)
+	c.curSeq = 0
+	if err != nil {
+		c.failed = fmt.Errorf("dist: batch %d failed after it was applied, so the coordinator's graph is ahead of its state: %w", seq, err)
+		return err
 	}
-	defer func() {
-		for _, x := range trimmed {
-			c.trimScr[x] = false
-		}
-	}()
+	if !c.firstDeath.IsZero() {
+		c.recoveryNs.Observe(time.Since(c.firstDeath).Nanoseconds())
+		c.firstDeath = time.Time{}
+	}
+	c.boundarySeq = seq
+	return nil
+}
 
-	reRun := false
-	for {
+// attemptsLocked runs attempts of batch seq until one quiesces and its
+// state is collected, re-running on every membership change.
+func (c *Coordinator) attemptsLocked(seq uint64, applied graph.Batch, deadline time.Time) error {
+	for reRun := false; ; reRun = true {
 		// A re-run restarts every survivor from the boundary state. The
 		// welcome goes out under the lock, so no record of the aborted
 		// attempt reaches a survivor between it and the new BatchStart.
@@ -615,45 +598,42 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		// lost connection is seen at once) this is the only way forward.
 		c.admitParkedLocked(seq)
 		live := c.liveLocked()
-		if len(live) == 0 {
+		for len(live) == 0 {
 			if err := c.waitLocked(deadline); err != nil {
-				c.curSeq = 0
 				return fmt.Errorf("%w: %s", ErrNoWorkers, "all workers lost mid-batch")
 			}
-			continue
+			c.admitParkedLocked(seq)
+			live = c.liveLocked()
 		}
 		c.epoch++
 		c.dirty = false
 		// The flow table is derived from the boundary parents, the array
 		// every member holds, so worker and coordinator compute identical
-		// partitions independently.
+		// partitions independently. c.parent stays the boundary parents
+		// until the collect: every attempt derives its flows from it and
+		// welcomes its members with it.
 		part := dflow.NewPartitionFromParents(c.parent, c.cfg.flowCap())
 		assign := c.assignLocked(part, live)
 		if reRun {
 			c.rebalances.Inc()
 		}
-		bs := encodeBatchStart(wireBatchStart{
-			Seq: seq, Epoch: c.epoch, Applied: applied,
-			Trimmed: trimmed, Assign: assign,
-		})
+		bs := encodeBatchStart(wireBatchStart{Seq: seq, Epoch: c.epoch, Applied: applied, Assign: assign})
 		for _, w := range live {
 			w.fwd, w.recvUp, w.idle, w.collect = 0, 0, nil, nil
 			if err := w.link.Send(bs); err != nil {
 				c.markDeadLocked(w, err)
 			}
 		}
-		c.logf("coord: batch %d epoch %d: %d workers, %d flows, %d trimmed, rerun=%v",
-			seq, c.epoch, len(live), part.NumFlows(), len(trimmed), reRun)
+		c.logf("coord: batch %d epoch %d: %d workers, %d flows, rerun=%v",
+			seq, c.epoch, len(live), part.NumFlows(), reRun)
 
 		// Wait for quiescence, a membership change, or the deadline.
 		for !c.dirty && !c.quiescentLocked() {
 			if err := c.waitLocked(deadline); err != nil {
-				c.curSeq = 0
 				return err
 			}
 		}
 		if c.dirty {
-			reRun = true
 			continue
 		}
 
@@ -665,24 +645,14 @@ func (c *Coordinator) ProcessBatch(ctx context.Context, batch graph.Batch) error
 		}
 		for !c.dirty && collector.collect == nil {
 			if err := c.waitLocked(deadline); err != nil {
-				c.curSeq = 0
 				return err
 			}
 		}
-		if c.dirty {
-			reRun = true
-			continue
+		if !c.dirty {
+			c.vals, c.parent = collector.collect.Vals, collector.collect.Parent
+			return nil
 		}
-		c.vals, c.parent = collector.collect.Vals, collector.collect.Parent
-		break
 	}
-	if !c.firstDeath.IsZero() {
-		c.recoveryNs.Observe(time.Since(c.firstDeath).Nanoseconds())
-		c.firstDeath = time.Time{}
-	}
-	c.boundarySeq = seq
-	c.curSeq = 0
-	return nil
 }
 
 // assignLocked places flows round-robin over the live workers and rebuilds

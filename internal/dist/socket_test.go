@@ -889,3 +889,70 @@ func TestSocketDeadWorkerDetectedAtEOF(t *testing.T) {
 	}
 	h.runBatch(2, w.Batches[2])
 }
+
+// TestSocketTrimmedVertexRefinedBack: a batch that deletes key edges and
+// adds each back unchanged trims their subtrees, and every trimmed vertex
+// refines back to its boundary value, since the graph ends as it began.
+// Every other replica holds such a vertex trimmed, with parent -1, until
+// its owner ships it, so the owner must ship it although its value did not
+// change. runBatch compares every replica with the coordinator's state.
+func TestSocketTrimmedVertexRefinedBack(t *testing.T) {
+	w := clusterWorkload(211, 1)
+	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 2)
+	defer h.close()
+	var b graph.Batch
+	for v, p := range h.coord.parents() {
+		if p < 0 || len(b) == 16 {
+			continue
+		}
+		for _, e := range h.ref.Out(graph.VertexID(p)) {
+			if e.To == graph.VertexID(v) {
+				key := graph.Edge{Src: graph.VertexID(p), Dst: e.To, W: e.W}
+				b = append(b, graph.Update{Edge: key, Del: true}, graph.Update{Edge: key})
+				break
+			}
+		}
+	}
+	if len(b) == 0 {
+		t.Fatal("no key edge to delete")
+	}
+	h.runBatch(0, b)
+	h.runBatch(1, w.Batches[0])
+}
+
+// TestSocketFailedBatch: a ctx past its deadline is refused before the
+// batch touches the coordinator's graph, so the next batch still matches
+// the oracle; and a batch that fails after it was applied makes every later
+// call fail, with an error that wraps its own, instead of reusing its seq
+// over a graph the workers never saw.
+func TestSocketFailedBatch(t *testing.T) {
+	t.Run("expired", func(t *testing.T) {
+		w := clusterWorkload(221, 3)
+		h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 2)
+		defer h.close()
+		h.runBatch(0, w.Batches[0])
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		if err := h.coord.ProcessBatch(ctx, w.Batches[1]); err == nil {
+			t.Fatal("a batch under an expired deadline was accepted")
+		}
+		h.runBatch(1, w.Batches[2]) // the oracle holds batches 0 and 2 only
+	})
+	t.Run("poisons", func(t *testing.T) {
+		w := clusterWorkload(222, 3)
+		h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 1)
+		defer h.close()
+		h.runBatch(0, w.Batches[0])
+		h.workers[0].crash(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		first := h.coord.ProcessBatch(ctx, w.Batches[1])
+		if !errors.Is(first, ErrNoWorkers) && !errors.Is(first, ErrBatchTimeout) {
+			t.Fatalf("batch 1 with no worker: %v", first)
+		}
+		h.rejoin(0, 1)
+		if err := h.coord.ProcessBatch(context.Background(), w.Batches[2]); !errors.Is(err, first) {
+			t.Fatalf("the batch after a failed one returned %v, want an error wrapping %v", err, first)
+		}
+	})
+}

@@ -15,6 +15,9 @@ package dist
 // garbage.
 
 import (
+	"fmt"
+
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -67,18 +70,30 @@ func decodeHello(p []byte) (wireHello, error) {
 
 // --- application messages ---
 
-// dataRec is one routed protocol record: a candidate aimed at a vertex's
-// owner, or a shadow refresh the coordinator fans out to every other
-// worker. Parent is the key edge that produced Val, so the receiver can
-// report dependence for a vertex whose ownership later migrates to it.
-type dataRec struct {
-	V      uint32
-	Parent int32
-	Val    float64
-	Shadow bool
+// dataRecLen is one engine.Rec on the wire: a candidate aimed at a
+// vertex's owner, or a shadow refresh the coordinator fans out to every
+// other worker.
+const dataRecLen = 4 + 4 + 8 + 1
+
+// checkVertex refuses a vertex id at or past numV, or a parent outside
+// [-1, numV): a CRC-valid frame can still name a vertex past the graph,
+// and every receiver indexes by it.
+func checkVertex(what string, v uint32, parent int32, numV int) error {
+	if int(v) >= numV || parent < -1 || int(parent) >= numV {
+		return fmt.Errorf("dist: %s: vertex %d / parent %d outside %d vertices", what, v, parent, numV)
+	}
+	return nil
 }
 
-const dataRecLen = 4 + 4 + 8 + 1
+// checkParents applies checkVertex to every entry of a parent array.
+func checkParents(what string, parent []int32, numV int) error {
+	for v, p := range parent {
+		if err := checkVertex(what, uint32(v), p, numV); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // wireWelcome transfers everything a joining worker needs: identity, the
 // algorithm, the checkpoint cadence, and either the full graph (fresh join)
@@ -148,19 +163,25 @@ func decodeWelcome(p []byte) (wireWelcome, error) {
 	}
 	w.Vals = d.F64s(d.Count(8))
 	w.Parent = d.I32s(d.Count(4))
-	return w, d.Err("welcome")
+	if err := d.Err("welcome"); err != nil {
+		return w, err
+	}
+	if len(w.Vals) != int(w.NumV) || len(w.Parent) != int(w.NumV) {
+		return w, fmt.Errorf("dist: welcome: state arrays (%d/%d) disagree with %d vertices", len(w.Vals), len(w.Parent), w.NumV)
+	}
+	return w, checkParents("welcome", w.Parent, int(w.NumV))
 }
 
 // wireBatchStart launches (or after a recovery, relaunches) one batch: the
-// applied update list, the Manager's trim set, and the flow-worker table
-// for this attempt. A worker whose structure is already at Seq is re-running
-// it from the state the welcome just before it restored.
+// applied update list and the flow-worker table for this attempt. Each
+// worker derives the trim set from its own key forest. A worker whose
+// structure is already at Seq is re-running it from the state the welcome
+// just before it restored.
 type wireBatchStart struct {
 	Seq     uint64
 	Epoch   uint64
 	Applied graph.Batch // post-symmetrize updates that actually changed the graph
-	Trimmed []uint32
-	Assign  []int32 // flow -> worker id (length == numFlows, the validation handle)
+	Assign  []int32     // flow -> worker id (length == numFlows, the validation handle)
 }
 
 func encodeBatchStart(m wireBatchStart) []byte {
@@ -169,10 +190,6 @@ func encodeBatchStart(m wireBatchStart) []byte {
 	e.U64(m.Seq)
 	e.U64(m.Epoch)
 	e.Batch(m.Applied)
-	e.U32(uint32(len(m.Trimmed)))
-	for _, x := range m.Trimmed {
-		e.U32(x)
-	}
 	e.U32(uint32(len(m.Assign)))
 	e.I32s(m.Assign)
 	return e.B
@@ -180,14 +197,7 @@ func encodeBatchStart(m wireBatchStart) []byte {
 
 func decodeBatchStart(p []byte) (wireBatchStart, error) {
 	d := wal.Dec{B: p}
-	var m wireBatchStart
-	m.Seq = d.U64()
-	m.Epoch = d.U64()
-	m.Applied = d.Batch()
-	m.Trimmed = make([]uint32, d.Count(4))
-	for i := range m.Trimmed {
-		m.Trimmed[i] = d.U32()
-	}
+	m := wireBatchStart{Seq: d.U64(), Epoch: d.U64(), Applied: d.Batch()}
 	m.Assign = d.I32s(d.Count(4))
 	return m, d.Err("batch-start")
 }
@@ -196,7 +206,7 @@ func decodeBatchStart(p []byte) (wireBatchStart, error) {
 // stale in-flight traffic from an aborted attempt is discarded on arrival.
 type wireData struct {
 	Epoch uint64
-	Recs  []dataRec
+	Recs  []engine.Rec
 }
 
 func encodeData(m wireData) []byte {
@@ -213,19 +223,23 @@ func encodeData(m wireData) []byte {
 	return e.B
 }
 
-func decodeData(p []byte) (wireData, error) {
+// decodeData decodes a bundle for a graph of numV vertices.
+func decodeData(p []byte, numV int) (wireData, error) {
 	d := wal.Dec{B: p}
-	var m wireData
-	m.Epoch = d.U64()
-	n := d.Count(dataRecLen)
-	m.Recs = make([]dataRec, n)
+	m := wireData{Epoch: d.U64()}
+	m.Recs = make([]engine.Rec, d.Count(dataRecLen))
 	for i := range m.Recs {
-		m.Recs[i].V = d.U32()
-		m.Recs[i].Parent = d.I32()
-		m.Recs[i].Val = d.F64()
-		m.Recs[i].Shadow = d.U8() != 0
+		m.Recs[i] = engine.Rec{V: d.U32(), Parent: d.I32(), Val: d.F64(), Shadow: d.U8() != 0}
 	}
-	return m, d.Err("data")
+	if err := d.Err("data"); err != nil {
+		return m, err
+	}
+	for _, r := range m.Recs {
+		if err := checkVertex("data", r.V, r.Parent, numV); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
 }
 
 // wireIdle is a worker's quiescence report: it has drained its inbox and
@@ -299,7 +313,10 @@ func decodeCollectReply(p []byte) (wireCollectReply, error) {
 	m := wireCollectReply{Epoch: d.U64(), Seq: d.U64()}
 	m.Vals = d.F64s(d.Count(8))
 	m.Parent = d.I32s(d.Count(4))
-	return m, d.Err("collect-reply")
+	if err := d.Err("collect-reply"); err != nil {
+		return m, err
+	}
+	return m, checkParents("collect-reply", m.Parent, len(m.Parent))
 }
 
 // encodeBye / encodeJoinReject carry a human-readable reason.

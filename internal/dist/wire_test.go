@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -25,7 +26,7 @@ var wireCodecs = map[string]func([]byte) ([]byte, error){
 		return encodeBatchStart(m)[1:], err
 	},
 	"data": func(p []byte) ([]byte, error) {
-		m, err := decodeData(p)
+		m, err := decodeData(p, 4) // the golden messages' vertex count
 		return encodeData(m)[1:], err
 	},
 	"idle": func(p []byte) ([]byte, error) {
@@ -73,9 +74,9 @@ func goldenWire() []struct {
 		{"welcome (catchup)", "welcome", encodeWelcome(wireWelcome{ID: 1, AlgName: "SSSP", NumV: 4, FlowCap: 64, CkptEvery: 2,
 			BatchSeq: 11, Catchup: []graph.Batch{b, nil}, Vals: vals, Parent: parent}),
 			"01010000000400000053535350000000000400000040000000020000000b0000000000000000020000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0100000000040000000000000000000000000000000000f03f0000000000000c40000000000000104004000000ffffffff000000000100000000000000"},
-		{"batch-start", "batch-start", encodeBatchStart(wireBatchStart{Seq: 10, Epoch: 3, Applied: b, Trimmed: []uint32{2, 3}, Assign: []int32{0, 1, 1}}),
-			"020a0000000000000003000000000000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
-		{"data", "data", encodeData(wireData{Epoch: 3, Recs: []dataRec{{V: 2, Parent: 1, Val: 3.5}, {V: 3, Parent: -1, Val: 4, Shadow: true}}}),
+		{"batch-start", "batch-start", encodeBatchStart(wireBatchStart{Seq: 10, Epoch: 3, Applied: b, Assign: []int32{0, 1, 1}}),
+			"020a0000000000000003000000000000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0103000000000000000100000001000000"},
+		{"data", "data", encodeData(wireData{Epoch: 3, Recs: []engine.Rec{{V: 2, Parent: 1, Val: 3.5}, {V: 3, Parent: -1, Val: 4, Shadow: true}}}),
 			"0303000000000000000200000002000000010000000000000000000c400003000000ffffffff000000000000104001"},
 		{"idle", "idle", encodeIdle(wireIdle{Epoch: 3, Seq: 10, Processed: 5, Uploaded: 7}),
 			"0403000000000000000a0000000000000005000000000000000700000000000000"},
@@ -121,13 +122,54 @@ func TestWelcomeRejectsOutOfRangeEdge(t *testing.T) {
 	}
 }
 
-// previousWire holds payloads of the wire format before checkpoints moved
-// to the workers: a hello with a checkpoint seq, a batch start with a re-run
-// byte, a collect reply of (vertex, parent, value) records, and a checkpoint
-// command. A peer still speaking it must be refused, not misread.
+// outOfRangeWire holds well-formed payloads that name a vertex outside the
+// graph: a parent at or past NumV or below -1 in a welcome's or a collect
+// reply's parent array, a data record's parent or vertex at the golden
+// vertex count (4), and a welcome whose state arrays are shorter than NumV.
+func outOfRangeWire() []struct {
+	codec string
+	p     []byte
+} {
+	vals := []float64{0, 1, 2, 3}
+	welcome := func(parent []int32) []byte {
+		return encodeWelcome(wireWelcome{ID: 1, AlgName: "SSSP", NumV: 4, Vals: vals[:len(parent)], Parent: parent})[1:]
+	}
+	data := func(r engine.Rec) []byte { return encodeData(wireData{Epoch: 3, Recs: []engine.Rec{r}})[1:] }
+	return []struct {
+		codec string
+		p     []byte
+	}{
+		{"welcome", welcome([]int32{-1, 0, 4, 0})},
+		{"welcome", welcome([]int32{-1, 0, -2, 0})},
+		{"welcome", welcome([]int32{-1, 0, 1})},
+		{"data", data(engine.Rec{V: 2, Parent: 4, Val: 1})},
+		{"data", data(engine.Rec{V: 2, Parent: -2, Val: 1, Shadow: true})},
+		{"data", data(engine.Rec{V: 4, Parent: 0, Val: 1})},
+		{"collect-reply", encodeCollectReply(wireCollectReply{Epoch: 3, Seq: 10, Vals: vals[:2], Parent: []int32{-1, 2}})[1:]},
+	}
+}
+
+// TestWireRejectsOutOfRangeVertex: a CRC-valid message naming a vertex
+// outside the graph is refused by its decoder, as the disk path refuses a
+// snapshot's, instead of panicking the receiver that indexes by it.
+func TestWireRejectsOutOfRangeVertex(t *testing.T) {
+	for i, c := range outOfRangeWire() {
+		if _, err := wireCodecs[c.codec](c.p); err == nil {
+			t.Errorf("case %d: the %s decoder accepted %x", i, c.codec, c.p)
+		}
+	}
+}
+
+// previousWire holds payloads of earlier wire formats: from before
+// checkpoints moved to the workers, a hello with a checkpoint seq, a batch
+// start with a re-run byte, a collect reply of (vertex, parent, value)
+// records, and a checkpoint command; from before each worker trimmed its
+// own key forest, a batch start carrying the coordinator's trim set. A
+// peer still speaking one must be refused, not misread.
 var previousWire = []struct{ codec, hex string }{
 	{"hello", "0200000088776655443322110c000000000000000a0000000000000001"},
 	{"batch-start", "0a000000000000000300000000000000010200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
+	{"batch-start", "0a0000000000000003000000000000000200000001000000020000000000000000000c40000700000000000000000000000000d03f0102000000020000000300000003000000000000000100000001000000"},
 	{"collect-reply", "03000000000000000a000000000000000200000000000000ffffffff00000000000000000100000000000000000000000000f03f"},
 	{"", "0a00000000000000"},
 }
@@ -167,6 +209,9 @@ func FuzzDecodeWire(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(p)
+	}
+	for _, c := range outOfRangeWire() {
+		f.Add(c.p)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for name, codec := range wireCodecs {

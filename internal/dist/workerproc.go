@@ -1,34 +1,36 @@
 package dist
 
 // Worker process runtime, run by graphfly worker (or in-process by
-// tests). A worker holds a full replica of the graph structure and the
-// value/parent/trimmed arrays. It is authoritative for the vertices of the
-// flows assigned to it; every other entry is a shadow, a possibly stale copy
-// refreshed only by shadow records from the owner. It computes its flow
-// partition locally from the boundary parents (the partition is a
-// deterministic function of the parent array, and every replica's parents
-// agree at quiescent boundaries, so worker and coordinator derive identical
-// flow tables without shipping them — only the flow -> worker assignment
-// travels), runs a fused refine/recompute over its owned vertices, and
-// routes everything cross-worker through the coordinator.
+// tests). A worker is a cluster member: an engine.Selective over a full
+// replica of the graph, values and parents, running the flows that each
+// BatchStart assigns to it (engine/member.go). Every other entry is a
+// shadow, a possibly stale copy refreshed only by shadow records from the
+// owner. The flows are derived locally from the boundary parents (a
+// deterministic function of an array every replica holds at the
+// boundary, so worker and coordinator derive identical flow tables and
+// only the flow -> worker assignment travels), and each member trims its
+// own key forest, which equals the coordinator's parents at every
+// boundary. Everything cross-worker routes through the coordinator.
 //
 // Safety under staleness: for a monotonic (selective) algorithm a stale
 // shadow is an over-approximation of the owner's true value — never better
 // than it — and over-approximations are exactly what trimming already
 // produces, so a pull over shadows (refine) or a push filtered against one
-// (processVertex) can be pessimistic but never wrong. Three rules keep that
-// true. Trim invalidations arrive with the batch start, before any
-// processing, and set the invalid bit on every replica. A shadow's invalid
-// bit is cleared only by the shadow record that carries the owner's
-// post-refinement value, so refine never reads a value whose support was
-// deleted. And an owner emits a shadow record on every change of an owned
-// vertex, even when no other worker owns a flow, while candidates go to the
-// target's owner, so every improvement is eventually delivered, the cluster
-// quiesces at the same unique fixpoint as the single-machine engine, and
-// every replica equals that fixpoint at the boundary (the socket tests
-// check both bit-exact). A worker's batch-start state is that boundary
-// replica, or the coordinator's copy of it: a welcome carries it to a
-// joining worker, and to every survivor before a re-run attempt.
+// (relax) can be pessimistic but never wrong. Three rules keep that true.
+// Every member trims the same set before any processing, setting the
+// invalid bit on every replica. A shadow's invalid bit is cleared only by
+// the shadow record that carries the owner's post-refinement value, so
+// refine never reads a value whose support was deleted. And at each local
+// quiescence an owner ships a shadow for every owned vertex whose value
+// or parent changed since its last shipment, and for every owned vertex
+// the attempt trimmed, even when no other worker owns a flow, while
+// candidates go to the target's owner; so every improvement is eventually
+// delivered, the cluster quiesces at the same unique fixpoint as the
+// single-machine engine, and every replica equals that fixpoint at the
+// boundary (the socket tests check both bit-exact). A worker's
+// batch-start state is that boundary replica, or the coordinator's copy
+// of it: a welcome carries it to a joining worker, and to every survivor
+// before a re-run attempt.
 // Shadow records overwrite unconditionally, so they need the FIFO,
 // exactly-once delivery of the worker's one TCP connection (link.go): a
 // reordered pair of shadow records for one vertex would leave the older
@@ -43,7 +45,10 @@ package dist
 // After a kill -9, the restarted process rebuilds its graph from the newest
 // intact worker snapshot, replays the log tail structurally, and presents
 // the recovered position in its hello; the coordinator tops it up with the
-// missing batch tail and the authoritative boundary state.
+// missing batch tail and the authoritative boundary state. The store is not
+// a wal.Durable: a worker solves nothing on create (its values come from
+// the coordinator), recovers structure only, and learns its boundary at the
+// next BatchStart.
 //
 // Shutdown: a cancelled context (SIGTERM/SIGINT in the binary) sends Bye,
 // flushes the WAL, writes a final checkpoint, and exits cleanly. A lost
@@ -60,8 +65,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/algo"
-	"repro/internal/dflow"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -226,23 +230,13 @@ type workerRt struct {
 
 	id        int32
 	g         *graph.Streaming
-	alg       algo.Selective
-	flowCap   int
+	e         *engine.Selective // nil until the first welcome
 	ckptEvery uint64
 	structSeq uint64
-	welcomed  bool
-
-	vals    []float64
-	parent  []int32
-	trimmed []bool
-	owner   []int32
 
 	epoch uint64
 	seq   uint64
 
-	wl        []uint32
-	inbox     []dataRec
-	outbox    []dataRec
 	processed uint64
 	uploaded  uint64
 	idleSentP uint64
@@ -381,8 +375,8 @@ func dialRetry(ctx context.Context, addr string, dialTimeout, timeout time.Durat
 // coordinator's close, see link.shutdown), final checkpoint.
 func (w *workerRt) shutdown() error {
 	w.link.shutdown(encodeReason(mtBye, "worker shutting down"))
-	if w.welcomed {
-		if err := w.store.checkpoint(w.structSeq, w.g, w.vals, w.parent); err != nil {
+	if w.e != nil {
+		if err := w.checkpoint(w.structSeq); err != nil {
 			return err
 		}
 	}
@@ -390,8 +384,14 @@ func (w *workerRt) shutdown() error {
 	return nil
 }
 
+// checkpoint writes the member's state as the worker snapshot at seq.
+func (w *workerRt) checkpoint(seq uint64) error {
+	vals, parent := w.e.SnapshotState()
+	return w.store.checkpoint(seq, w.g, vals, parent)
+}
+
 func (w *workerRt) handle(mt byte, body []byte) error {
-	if !w.welcomed && mt != mtWelcome && mt != mtBye && mt != mtJoinReject {
+	if w.e == nil && mt != mtWelcome && mt != mtBye && mt != mtJoinReject {
 		return fmt.Errorf("dist: worker got message %d before welcome", mt)
 	}
 	switch mt {
@@ -408,17 +408,22 @@ func (w *workerRt) handle(mt byte, body []byte) error {
 		}
 		return w.handleBatchStart(m)
 	case mtData:
-		m, err := decodeData(body)
+		m, err := decodeData(body, w.g.NumVertices())
 		if err != nil {
 			return err
 		}
-		return w.handleData(m)
+		if m.Epoch == w.epoch { // else a stale attempt's
+			w.processed += uint64(len(m.Recs))
+			w.report(w.e.Deliver(m.Recs))
+		}
+		return nil
 	case mtCollect:
 		m, err := decodeCollect(body)
-		if err != nil {
+		if err != nil || m.Epoch != w.epoch || m.Seq != w.seq {
 			return err
 		}
-		return w.handleCollect(m)
+		vals, parent := w.e.SnapshotState()
+		return w.link.Send(encodeCollectReply(wireCollectReply{Epoch: m.Epoch, Seq: m.Seq, Vals: vals, Parent: parent}))
 	case mtJoinReject:
 		reason, _ := decodeReason(body)
 		return fmt.Errorf("dist: join rejected: %s", reason)
@@ -433,21 +438,21 @@ func (w *workerRt) handle(mt byte, body []byte) error {
 // divergent worker — the local store is wiped and re-based), the batch tail
 // the local WAL was missing, or no structure at all (a caught-up rejoin, or
 // a survivor about to re-run the in-flight batch) — and in every case the
-// coordinator's boundary values and parents.
+// coordinator's boundary values and parents: a new member engine over the
+// graph, or a reset of the one a survivor already runs.
 func (w *workerRt) handleWelcome(m wireWelcome) error {
 	alg, err := selectiveByName(m.AlgName, m.Source)
 	if err != nil {
 		return err
 	}
-	w.alg = alg
 	w.id = m.ID
-	w.flowCap = int(m.FlowCap)
 	w.ckptEvery = uint64(m.CkptEvery)
 	if m.Full {
 		if err := w.store.wipe(); err != nil {
 			return err
 		}
 		w.g = graph.FromEdges(int(m.NumV), m.Edges)
+		w.e = nil
 		w.structSeq = m.BatchSeq
 	} else {
 		if w.g == nil || w.structSeq+uint64(len(m.Catchup)) != m.BatchSeq {
@@ -462,34 +467,40 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 		}
 		w.structSeq = m.BatchSeq
 	}
-	if len(m.Vals) != w.g.NumVertices() || len(m.Parent) != w.g.NumVertices() {
-		return fmt.Errorf("dist: welcome state arrays (%d/%d) disagree with %d vertices",
-			len(m.Vals), len(m.Parent), w.g.NumVertices())
+	if int(m.NumV) != w.g.NumVertices() {
+		return fmt.Errorf("dist: welcome for %d vertices onto a graph of %d", m.NumV, w.g.NumVertices())
 	}
-	w.vals, w.parent = m.Vals, m.Parent
-	w.trimmed = make([]bool, w.g.NumVertices())
+	if w.e == nil {
+		// One scheduler worker: a member shares its host with the others
+		// in a loopback cluster, and runs its flows in a reproducible order.
+		w.e, err = engine.NewSelectiveFromState(w.g, alg, engine.Config{Workers: 1, FlowCap: int(m.FlowCap)}, m.Vals, m.Parent)
+		if err != nil {
+			return fmt.Errorf("dist: welcome: %w", err)
+		}
+	} else {
+		w.e.Reset(m.Vals, m.Parent)
+	}
 	if m.Full {
 		// Re-base the wiped store so the next restart has a graph to
 		// recover from even before its first periodic checkpoint.
-		if err := w.store.checkpoint(w.structSeq, w.g, w.vals, w.parent); err != nil {
+		if err := w.store.checkpoint(w.structSeq, w.g, m.Vals, m.Parent); err != nil {
 			return err
 		}
 	}
-	w.welcomed = true
 	w.logf("worker %d: welcomed at seq %d (full=%v, catchup=%d, %d vertices)",
 		w.id, w.structSeq, m.Full, len(m.Catchup), w.g.NumVertices())
 	return nil
 }
 
 // handleBatchStart begins one attempt of one batch: checkpoint the boundary
-// when one is due, apply structure, derive the flow partition locally,
-// install trims, seed addition candidates, and process to local quiescence.
+// when one is due, apply and log the structure, and start the member's
+// attempt over the flows the assignment gives it.
 func (w *workerRt) handleBatchStart(m wireBatchStart) error {
 	switch m.Seq {
 	case w.structSeq + 1:
 		// A new batch: the replica is the boundary state at structSeq.
 		if s := w.structSeq; s > 0 && w.ckptEvery > 0 && s%w.ckptEvery == 0 {
-			if err := w.store.checkpoint(s, w.g, w.vals, w.parent); err != nil {
+			if err := w.checkpoint(s); err != nil {
 				return err
 			}
 		}
@@ -508,206 +519,32 @@ func (w *workerRt) handleBatchStart(m wireBatchStart) error {
 
 	w.epoch = m.Epoch
 	w.seq = m.Seq
-	w.inbox = w.inbox[:0]
-	w.wl = w.wl[:0]
-	w.outbox = w.outbox[:0]
 	w.processed, w.uploaded = 0, 0
 	w.idleSent = false
-
-	// Derive the flow table locally; the assignment length is the
-	// cross-check that coordinator and worker computed the same partition.
-	part := dflow.NewPartitionFromParents(w.parent, w.flowCap)
-	if part.NumFlows() != len(m.Assign) {
-		return fmt.Errorf("dist: local partition has %d flows, assignment has %d — replica divergence",
-			part.NumFlows(), len(m.Assign))
+	recs, err := w.e.Start(m.Applied, w.id, m.Assign)
+	if err != nil {
+		return fmt.Errorf("dist: batch %d: %w", m.Seq, err)
 	}
-	if len(w.owner) != w.g.NumVertices() {
-		w.owner = make([]int32, w.g.NumVertices())
-	}
-	for f := int32(0); int(f) < part.NumFlows(); f++ {
-		for _, v := range part.Members(f) {
-			w.owner[v] = m.Assign[f]
-		}
-	}
-
-	// Trim invalidations: flags everywhere, refinement work for the owner.
-	for _, x := range m.Trimmed {
-		if int(x) >= len(w.trimmed) {
-			return fmt.Errorf("dist: trimmed vertex %d out of range", x)
-		}
-		w.trimmed[x] = true
-		if w.owner[x] == w.id {
-			w.wl = append(w.wl, x)
-		}
-	}
-	// Addition candidates from owned, untrimmed sources.
-	for _, u := range m.Applied {
-		if u.Del || w.owner[u.Src] != w.id || w.trimmed[u.Src] {
-			continue
-		}
-		cand := w.alg.Propagate(w.vals[u.Src], u.W)
-		rec := dataRec{V: u.Dst, Parent: int32(u.Src), Val: cand}
-		if w.owner[u.Dst] == w.id {
-			w.inbox = append(w.inbox, rec)
-		} else {
-			w.outbox = append(w.outbox, rec)
-		}
-	}
-	w.drainAndReport()
+	w.report(recs)
 	return nil
 }
 
-func (w *workerRt) handleData(m wireData) error {
-	if m.Epoch != w.epoch {
-		return nil // stale attempt
-	}
-	w.processed += uint64(len(m.Recs))
-	w.inbox = append(w.inbox, m.Recs...)
-	w.drainAndReport()
-	return nil
-}
-
-func (w *workerRt) handleCollect(m wireCollect) error {
-	if m.Epoch != w.epoch || m.Seq != w.seq {
-		return nil
-	}
-	return w.link.Send(encodeCollectReply(wireCollectReply{Epoch: m.Epoch, Seq: m.Seq, Vals: w.vals, Parent: w.parent}))
-}
-
-// drainAndReport processes until the inbox and worklist are empty, flushes
-// the outbox upward, and reports idleness with the quiescence counters.
-func (w *workerRt) drainAndReport() {
-	for len(w.inbox) > 0 || len(w.wl) > 0 {
-		inbox := w.inbox
-		w.inbox = nil
-		for _, r := range inbox {
-			w.applyRec(r)
+// report ships a local run's records to the coordinator in bounded chunks,
+// advancing the uploaded counter, and reports idleness with the
+// quiescence counters.
+func (w *workerRt) report(recs []engine.Rec) {
+	for len(recs) > 0 {
+		n := min(len(recs), outboxChunk)
+		if err := w.link.Send(encodeData(wireData{Epoch: w.epoch, Recs: recs[:n]})); err != nil {
+			return // link down; the main loop will exit via onDown
 		}
-		for head := 0; head < len(w.wl); head++ {
-			w.processVertex(w.wl[head])
-		}
-		w.wl = w.wl[:0]
+		w.uploaded += uint64(n)
+		recs = recs[n:]
 	}
-	w.flushOutbox()
 	if !w.idleSent || w.idleSentP != w.processed || w.idleSentU != w.uploaded {
 		w.idleSent, w.idleSentP, w.idleSentU = true, w.processed, w.uploaded
 		w.link.Send(encodeIdle(wireIdle{
 			Epoch: w.epoch, Seq: w.seq, Processed: w.processed, Uploaded: w.uploaded,
 		}))
 	}
-}
-
-// applyRec handles one inbound record: a shadow refresh, or a candidate
-// for an owned vertex.
-func (w *workerRt) applyRec(r dataRec) {
-	if int(r.V) >= len(w.vals) {
-		return
-	}
-	if r.Shadow {
-		// Shadow refresh: unconditional overwrite + revalidation, then
-		// re-relax owned out-neighbours of the refreshed vertex. The key
-		// edge rides along so that if ownership migrates at the next
-		// repartition, the new owner reports correct dependence information.
-		w.vals[r.V] = r.Val
-		w.parent[r.V] = r.Parent
-		w.trimmed[r.V] = false
-		for _, h := range w.g.Out(r.V) {
-			if w.owner[h.To] == w.id {
-				cand := w.alg.Propagate(r.Val, h.W)
-				if w.trimmed[h.To] {
-					w.refine(h.To)
-				}
-				if w.alg.Better(cand, w.vals[h.To]) {
-					w.update(h.To, cand, int32(r.V))
-				}
-			}
-		}
-		return
-	}
-	if w.trimmed[r.V] {
-		w.refine(r.V)
-	}
-	if w.alg.Better(r.Val, w.vals[r.V]) {
-		w.update(r.V, r.Val, r.Parent)
-	}
-}
-
-// processVertex relaxes the out-edges of one changed owned vertex: owned
-// targets are updated in place; a remote target gets a candidate only when
-// the local (possibly stale) shadow says it could help.
-func (w *workerRt) processVertex(v uint32) {
-	if w.trimmed[v] {
-		w.refine(v)
-	}
-	uVal := w.vals[v]
-	for _, h := range w.g.Out(v) {
-		cand := w.alg.Propagate(uVal, h.W)
-		t := h.To
-		if w.owner[t] == w.id {
-			if w.trimmed[t] {
-				w.refine(t)
-			}
-			if w.alg.Better(cand, w.vals[t]) {
-				w.update(t, cand, int32(v))
-			}
-		} else if w.trimmed[t] || w.alg.Better(cand, w.vals[t]) {
-			w.outbox = append(w.outbox, dataRec{V: t, Parent: int32(v), Val: cand})
-		}
-	}
-}
-
-// refine resets an owned trimmed vertex from its local (possibly stale,
-// always safe) view: the best of the algorithm's base value and a pull over
-// the untrimmed in-neighbours. It never reads the vertex's own old value.
-func (w *workerRt) refine(v uint32) {
-	best := w.alg.Base(v)
-	bestParent := int32(-1)
-	for _, h := range w.g.In(v) {
-		if w.trimmed[h.To] {
-			continue
-		}
-		cand := w.alg.Propagate(w.vals[h.To], h.W)
-		if w.alg.Better(cand, best) {
-			best = cand
-			bestParent = int32(h.To)
-		}
-	}
-	w.vals[v] = best
-	w.parent[v] = bestParent
-	w.trimmed[v] = false
-	w.wl = append(w.wl, v)
-	w.broadcastShadow(v)
-}
-
-// update improves an owned vertex and broadcasts the change.
-func (w *workerRt) update(v uint32, val float64, parent int32) {
-	w.vals[v] = val
-	w.parent[v] = parent
-	w.wl = append(w.wl, v)
-	w.broadcastShadow(v)
-}
-
-// broadcastShadow emits one shadow record; the coordinator fans it out to
-// every other worker, whether or not it owns a flow.
-func (w *workerRt) broadcastShadow(v uint32) {
-	w.outbox = append(w.outbox, dataRec{V: v, Parent: w.parent[v], Val: w.vals[v], Shadow: true})
-}
-
-// flushOutbox ships accumulated records to the coordinator in bounded
-// chunks and advances the uploaded counter.
-func (w *workerRt) flushOutbox() {
-	for len(w.outbox) > 0 {
-		n := len(w.outbox)
-		if n > outboxChunk {
-			n = outboxChunk
-		}
-		chunk := w.outbox[:n]
-		if err := w.link.Send(encodeData(wireData{Epoch: w.epoch, Recs: chunk})); err != nil {
-			w.outbox = w.outbox[:0]
-			return // link down; the main loop will exit via onDown
-		}
-		w.uploaded += uint64(n)
-		w.outbox = w.outbox[n:]
-	}
-	w.outbox = w.outbox[:0]
 }

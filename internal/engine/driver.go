@@ -121,7 +121,9 @@ type driver struct {
 
 	// ran, when non-nil, sees each unit as a worker dispatches it, before
 	// it runs: the window TestUnitOrder reads the run order through.
-	ran func(u *unit)
+	ran    func(u *unit)
+	assign []int32 // flow -> the cluster member running it; nil: this engine (member.go)
+	self   int32   // this engine's member id
 }
 
 // init binds the driver to its graph, configuration and kernel. The kernel
@@ -138,6 +140,9 @@ func (d *driver) init(g *graph.Streaming, cfg Config, k kernel, symmetric bool) 
 		d.workers[w] = k.newWorker(w)
 	}
 }
+
+// owns reports whether this engine runs flow f's unit.
+func (d *driver) owns(f int32) bool { return d.assign == nil || d.assign[f] == d.self }
 
 // Partition exposes the current dependency-flow partition (read-only).
 func (d *driver) Partition() *dflow.Partition { return d.part }
@@ -341,7 +346,9 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 		d.unitOf[i] = -1
 	}
 	for _, f := range d.order {
-		d.unitOf[f] = d.addUnit(f, bandSeeded).id
+		if d.owns(f) {
+			d.unitOf[f] = d.addUnit(f, bandSeeded).id
+		}
 	}
 	d.k.resetInboxes(n)
 	d.pl = d.cfg.newScheduler()
@@ -355,6 +362,20 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 	for _, u := range d.units {
 		d.pl.activate(u)
 	}
+	d.run(ctx)
+	for _, w := range d.workers {
+		d.counts.add(w.tally())
+	}
+	ss := d.pl.stats()
+	st.Dispatches += ss.Dispatches
+	st.Steals += ss.Steals
+	st.SchedParks += ss.Parks
+	st.ComputeTime += time.Since(t)
+}
+
+// run runs the active units to quiescence, or until ctx cancels, then
+// lets the kernel release its step buffers.
+func (d *driver) run(ctx context.Context) {
 	stopWatch := watchCancel(ctx, d.pl)
 	d.pl.run(len(d.workers), func(w int, u *unit) {
 		if d.ran != nil {
@@ -364,14 +385,6 @@ func (d *driver) converge(ctx context.Context, applied graph.Batch, st *BatchSta
 	})
 	stopWatch()
 	d.k.release()
-	for _, w := range d.workers {
-		d.counts.add(w.tally())
-	}
-	ss := d.pl.stats()
-	st.Dispatches += ss.Dispatches
-	st.Steals += ss.Steals
-	st.SchedParks += ss.Parks
-	st.ComputeTime += time.Since(t)
 }
 
 // addUnit appends a unit for flow f in the given band. Callers publish its
@@ -449,12 +462,14 @@ func (o *outbox[T]) to(f int32) *[]T {
 }
 
 // flush delivers each target's messages as one putAll and activates the
-// target.
+// target; a flow another member runs keeps them for ship (member.go).
 func (o *outbox[T]) flush(d *driver, inboxes []inbox[T]) {
 	for _, f := range o.touched {
 		inboxes[f].putAll(o.bufs[f])
 		o.bufs[f] = o.bufs[f][:0]
-		d.activateFlow(f)
+		if d.owns(f) {
+			d.activateFlow(f)
+		}
 	}
 	o.touched = o.touched[:0]
 }

@@ -33,6 +33,7 @@ type Selective struct {
 	kf      *etree.KeyForest
 
 	inboxes []inbox[selMsg]
+	sent    *State // a cluster member's last shipped root (member.go)
 }
 
 type selMsg struct {
@@ -151,9 +152,8 @@ func (e *Selective) trim(applied graph.Batch) (roots, trimmed int) {
 			if e.trimmed.swapSet(x) {
 				return false // already trimmed by a nested root
 			}
-			// No publish mark: the vertex's unit refines it before the
-			// batch ends, and refineVertex's writeVal marks its chunk.
 			e.parent[x] = -1
+			e.mark(x)
 			e.seedVertex(x)
 			trimmed++
 			return true
@@ -188,8 +188,8 @@ func (e *Selective) seed(applied graph.Batch) {
 		if u.Del {
 			continue
 		}
-		if e.trimmed.get(uint32(u.Src)) {
-			continue // the source will push once its flow refines it
+		if e.trimmed.get(uint32(u.Src)) || e.assign != nil && !e.owns(e.part.Flow(u.Src)) {
+			continue // a trimmed source pushes once refined; another member seeds its own (no flow lookup in the library)
 		}
 		cand := e.Alg.Propagate(e.vals.Get(uint32(u.Src)), u.W)
 		if e.trimmed.get(uint32(u.Dst)) || e.Alg.Better(cand, e.vals.Get(uint32(u.Dst))) {

@@ -2,9 +2,10 @@
 # Repo verification: formatting, build, vet, race-enabled tests, ten
 # race-enabled runs of the unit-scheduler conformance suite, five of the
 # message-path tests (the accumulative owner-write handoff, the selective
-# and local outbox flushes, the quiescence invariant, and the one-worker
+# and local outbox flushes, the quiescence invariant, the one-worker
 # unit order: seeded flows by flow id, then message-reached flows in
-# activation order), the nested benchmark
+# activation order, and a cluster member that runs every flow matching
+# the library engine bit for bit), the nested benchmark
 # module (vet, tests, smoke run), five race-enabled runs of the durable
 # append path (group commit, the commit window, reopen after a disk fault,
 # the serving-mode and background-snapshot crash sweeps, append poisoning,
@@ -17,8 +18,10 @@
 # runtime, five race-enabled runs of the cluster's membership tests (a
 # link reset and a dead worker's EOF each make a worker leave, one worker
 # and then every worker killed inside a batch make it re-run, a flowless
-# worker takes over when the one flow's owner leaves or dies, plus the
-# seeded crash and churn sweeps: membership carries every link fault), a
+# worker takes over when the one flow's owner leaves or dies, a trimmed
+# vertex refined back to its old value and parent still reaches every
+# replica, plus the seeded crash and churn sweeps: membership carries
+# every link fault), a
 # 5 s fuzz of every decoder harness (wal frames, snapshots and
 # payloads; the worker snapshot loader; the cluster and session messages),
 # of the hub-indexed adjacency, of the bulk graph build against the
@@ -61,9 +64,9 @@ go test -race ./...
 echo "== scheduler conformance (-race, 10 runs: the one scheduler's handoff protocol) =="
 go test -race -count=10 -run '^TestSchedConform' ./internal/engine
 
-echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence, concurrent publish marks, unit order) =="
+echo "== message path (-race, 5 runs: plain owner writes ordered by the unit state machine, outbox flushes, quiescence, concurrent publish marks, unit order, the cluster member seam) =="
 go test -race -count=5 \
-    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers|PublishInvariants|UnitOrder' \
+    -run 'Accumulative|PageRankEquivalence|QuiescenceInvariant|PropertySSSPEquivalence|PropertyCCEquivalence|LocalThreeWorkers|PublishInvariants|UnitOrder|MemberOwningEveryFlow' \
     ./internal/engine
 
 echo "== benchmark module (nested go.mod: vet, tests, smoke run of every workload) =="
@@ -107,7 +110,7 @@ timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
 echo "== cluster membership (-race, 5 runs: a lost link is a member that left) =="
 go test -race -count=5 \
-    -run '^(TestSocketLinkResetMakesWorkerLeave|TestSocketDeadWorkerDetectedAtEOF|TestSocketCrashRestartMidBatch|TestSocketAllWorkersDie|TestSocketFlowlessWorkerTakesOver|TestSocketChaosSeeded|TestSocketMembershipChurnSweep)$' \
+    -run '^(TestSocketLinkResetMakesWorkerLeave|TestSocketDeadWorkerDetectedAtEOF|TestSocketCrashRestartMidBatch|TestSocketAllWorkersDie|TestSocketFlowlessWorkerTakesOver|TestSocketTrimmedVertexRefinedBack|TestSocketChaosSeeded|TestSocketMembershipChurnSweep)$' \
     ./internal/dist
 
 echo "== decoder fuzz (every decoder harness; 5 s each, no panic, stable round trips) =="
